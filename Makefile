@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-json bench-smoke bench-guard soak fuzz-smoke chaos crash-matrix verify
+.PHONY: build vet lint test race bench bench-json bench-smoke bench-guard bench-test soak fuzz-smoke chaos crash-matrix verify
 
 build:
 	$(GO) build ./...
@@ -41,8 +41,8 @@ bench-json:
 		-benchmem -benchtime=200x -count=3 ./internal/broker ./internal/wsock ./internal/core \
 		| $(GO) run ./cmd/benchjson -note "Fanout is the pooled-writer interest-keyed hub (1000 drained subscribers plus one stalled); goroutine-per-session hub before the pool: 201824ns/57allocs, p99 595609ns. LegacySync is the original synchronous per-subscriber dispatch loop (drained only; it cannot run with a stalled one). objectsInRange pre-change: span=1 4513ns/1alloc, span=16 4963ns/5allocs, span=256 6647ns/9allocs." \
 		> BENCH_fanout.json
-	$(GO) test -run=NONE -bench='BenchmarkIngestEval' -benchmem -count=3 ./internal/bdms \
-		| $(GO) run ./cmd/benchjson -note "Grouped channel evaluation: evals/rec equals signature groups G, not subscriptions S. Per-subscription engine before grouping (same grid, same body): subs=1000/sigs=10 440818ns/op 3118allocs, subs=10000/sigs=100 2476940ns/op 21118allocs, subs=10000/sigs=1000 2363355ns/op 20125allocs — evaluations per record equalled S." \
+	$(GO) test -run=NONE -bench='BenchmarkIngestEval' -benchmem -cpu 1 -count=3 ./internal/bdms \
+		| $(GO) run ./cmd/benchjson -note "Grouped channel evaluation over the compiled engine: evals/rec equals signature groups G, not subscriptions S; geo/sigs=2000 is the live benchmark's eval_wide body and grid. Tree-walking evaluator before compilation (same cases, -cpu 1): geo/sigs=2000 1670000ns/op 9440allocs, subs=1000/sigs=10 110000ns/op 357allocs, subs=10000/sigs=100 280000ns/op 664allocs, subs=10000/sigs=1000 750000ns/op 4082allocs, batch 140000ns/op 333allocs." \
 		> BENCH_eval.json
 
 # Full soak run: stands up 10k then 100k simulated WebSocket sessions with
@@ -57,6 +57,11 @@ soak:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/broker ./internal/wsock ./internal/core
 
+# The live-stack benchmark's own tests (bench/ is its own module, outside
+# `go test ./...`): oracle, helpers and the one-second smoke runs.
+bench-test:
+	cd bench && $(GO) test -short ./...
+
 # Regression guard over both committed baselines. The fan-out benchmark
 # (best of five runs, damping runner noise) is compared against
 # BENCH_fanout.json; a fresh CI-sized 10k-session soak is compared against
@@ -69,18 +74,21 @@ bench-smoke:
 bench-guard:
 	$(GO) run ./cmd/badsoak -sessions 10000 -q -out .soak_check.json
 	{ $(GO) test -run=NONE -bench='^BenchmarkFanout$$' -benchtime=200x -count=5 ./internal/broker; \
-	  $(GO) test -run=NONE -bench='^BenchmarkIngestEval/subs=10000/sigs=100$$' -count=3 ./internal/bdms; } \
+	  $(GO) test -run=NONE -bench='^BenchmarkIngestEval$$/^(subs=10000|geo)$$/^sigs=(100|2000)$$' -benchmem -cpu 1 -count=3 ./internal/bdms; } \
 		| $(GO) run ./cmd/benchguard \
 			-guard 'baseline=BENCH_fanout.json;bench=BenchmarkFanout;source=stdin;metrics=ns/op:0.20,p99-dispatch-ns:0.50,allocs/op:2' \
 			-guard 'baseline=BENCH_soak.json;bench=Soak/sessions=10000;source=.soak_check.json;metrics=p99-dispatch-ns:1.0,allocs/op:0.5,rss-bytes/session:0.35' \
-			-guard 'baseline=BENCH_eval.json;bench=BenchmarkIngestEval/subs=10000/sigs=100;source=stdin;metrics=ns/op:0.35,evals/rec:0.01'
+			-guard 'baseline=BENCH_eval.json;bench=BenchmarkIngestEval/subs=10000/sigs=100;source=stdin;metrics=ns/op:0.35,evals/rec:0.01' \
+			-guard 'baseline=BENCH_eval.json;bench=BenchmarkIngestEval/geo/sigs=2000;source=stdin;metrics=ns/op:0.35,allocs/op:0.10,evals/rec:0.01'
 	@rm -f .soak_check.json
 
 # Fuzz smoke: a short bounded run of each native fuzz target (resume-token
 # and traceparent parsing, parameter-signature canonicalization, WAL
-# crash-tail recovery, cache-snapshot decoding) so CI exercises the corpora
-# plus a few seconds of mutation without turning into a fuzzing farm.
+# crash-tail recovery, cache-snapshot decoding, the compiled AQL engine
+# against its reference interpreter) so CI exercises the corpora plus a
+# few seconds of mutation without turning into a fuzzing farm.
 fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzCompiledEval$$' -fuzztime=10s ./internal/aql
 	$(GO) test -run=NONE -fuzz='^FuzzParseResumeToken$$' -fuzztime=10s ./internal/broker
 	$(GO) test -run=NONE -fuzz='^FuzzParseTraceparent$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run=NONE -fuzz='^FuzzParamSignature$$' -fuzztime=10s ./internal/bdms

@@ -9,7 +9,11 @@
 // becomes {"name": "BenchmarkFanout", "iterations": 200, "metrics":
 // {"ns/op": 183098, ...}}; custom b.ReportMetric units pass through
 // unchanged. Non-benchmark lines are ignored, except goos/goarch/pkg/cpu
-// headers, which are captured into the environment block.
+// headers, which are captured into the environment block. The block also
+// says what the numbers were measured on: gomaxprocs (the -N suffix go
+// test puts on benchmark names; none means 1), numcpu and the Go version
+// of this process, which `go run` builds with the toolchain that ran the
+// benchmarks.
 package main
 
 import (
@@ -18,6 +22,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -39,8 +45,12 @@ func main() {
 	note := flag.String("note", "", "free-form note embedded in the output (e.g. what baseline this run is compared against)")
 	flag.Parse()
 
-	rep := report{Note: *note, Environment: map[string]string{}}
+	rep := report{Note: *note, Environment: map[string]string{
+		"numcpu": strconv.Itoa(runtime.NumCPU()),
+		"go":     runtime.Version(),
+	}}
 	pkg := ""
+	var procs []string // distinct GOMAXPROCS values, first seen first
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -55,9 +65,12 @@ func main() {
 			_, v, _ := strings.Cut(line, ":")
 			pkg = strings.TrimSpace(v)
 		case strings.HasPrefix(line, "Benchmark"):
-			if b, ok := parseBench(line); ok {
+			if b, p, ok := parseBench(line); ok {
 				b.Package = pkg
 				merge(&rep, b)
+				if !slices.Contains(procs, p) {
+					procs = append(procs, p)
+				}
 			}
 		}
 	}
@@ -69,6 +82,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
+	rep.Environment["gomaxprocs"] = strings.Join(procs, ",")
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
@@ -98,30 +112,30 @@ func merge(rep *report, b benchmark) {
 }
 
 // parseBench decodes one result line: name, iteration count, then
-// value/unit pairs.
-func parseBench(line string) (benchmark, bool) {
+// value/unit pairs. procs is the GOMAXPROCS the line ran at.
+func parseBench(line string) (b benchmark, procs string, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return benchmark{}, false
+		return benchmark{}, "", false
 	}
-	name := fields[0]
+	name, procs := fields[0], "1"
 	// Strip the -GOMAXPROCS suffix; it is environment, not identity.
 	if i := strings.LastIndex(name, "-"); i > 0 {
 		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+			name, procs = name[:i], name[i+1:]
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return benchmark{}, false
+		return benchmark{}, "", false
 	}
-	b := benchmark{Name: name, Iterations: iters, Metrics: map[string]float64{}}
+	b = benchmark{Name: name, Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return benchmark{}, false
+			return benchmark{}, "", false
 		}
 		b.Metrics[fields[i+1]] = v
 	}
-	return b, len(b.Metrics) > 0
+	return b, procs, len(b.Metrics) > 0
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Aggregation support: a query whose projection contains aggregate calls
@@ -40,16 +39,6 @@ func isAggregateCall(e Expr) (Call, bool) {
 	return c, true
 }
 
-// hasAggregates reports whether any projection item is an aggregate call.
-func hasAggregates(q *Query) bool {
-	for _, p := range q.Proj {
-		if _, ok := isAggregateCall(p.Expr); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // groupKey renders the evaluated group-by values as a canonical string.
 func groupKey(vals []any) string {
 	b, err := json.Marshal(vals)
@@ -59,89 +48,67 @@ func groupKey(vals []any) string {
 	return string(b)
 }
 
-// runAggregateQuery evaluates q in aggregate mode over the pre-filtered
-// records (WHERE already applied by the caller).
-func runAggregateQuery(q *Query, matched []map[string]any, params map[string]any) ([]map[string]any, error) {
-	env := &Env{Alias: q.Alias, Params: params}
-
-	type group struct {
-		keyVals []any
-		rows    []map[string]any
-	}
+// foldGroups evaluates the query in aggregate mode over the records that
+// passed WHERE: one output row per distinct group key, in first-appearance
+// order, or a single row when there is no group by.
+func (p *program) foldGroups(matched []*Frame, c Consts) ([]map[string]any, error) {
+	type group struct{ rows []*Frame }
 	groups := make(map[string]*group)
-	var order []string // first-appearance order of groups
+	var order []*group
 
-	if len(q.GroupBy) == 0 {
+	if len(p.groupBy) == 0 {
 		// Single implicit group (even when no records matched: SQL-style
 		// aggregates over an empty set still yield one row).
-		groups[""] = &group{rows: matched}
-		order = append(order, "")
+		order = append(order, &group{rows: matched})
 	} else {
-		for _, rec := range matched {
-			env.Record = rec
-			keyVals := make([]any, len(q.GroupBy))
-			for i, g := range q.GroupBy {
-				v, err := Eval(g, env)
+		for _, f := range matched {
+			keyVals := make([]any, len(p.groupBy))
+			for i, g := range p.groupBy {
+				v, err := g(f, c)
 				if err != nil {
 					return nil, err
 				}
-				keyVals[i] = v
+				keyVals[i] = v.box()
 			}
 			k := groupKey(keyVals)
 			grp, ok := groups[k]
 			if !ok {
-				grp = &group{keyVals: keyVals}
+				grp = &group{}
 				groups[k] = grp
-				order = append(order, k)
+				order = append(order, grp)
 			}
-			grp.rows = append(grp.rows, rec)
+			grp.rows = append(grp.rows, f)
 		}
 	}
 
 	var out []map[string]any
-	for _, k := range order {
-		grp := groups[k]
-		row := make(map[string]any, len(q.Proj))
-		for i, p := range q.Proj {
-			name := p.Alias
-			if name == "" {
-				name = projName(p.Expr, i)
-			}
-			if agg, ok := isAggregateCall(p.Expr); ok {
-				v, err := evalAggregate(agg, grp.rows, env)
+	for _, grp := range order {
+		row := make(map[string]any, len(p.proj))
+		for _, it := range p.proj {
+			if it.agg != "" {
+				v, err := it.aggregate(grp.rows, c)
 				if err != nil {
 					return nil, err
 				}
-				row[name] = v
+				row[it.name] = v
 				continue
 			}
 			// Non-aggregated projection: must be constant within the
 			// group, i.e. a group-by expression (checked by syntactic
 			// equality on canonical form).
-			if !isGroupExpr(p.Expr, q.GroupBy) {
-				return nil, evalErrf("projection %q is neither aggregated nor in group by", p.Expr.String())
+			if !it.grouped {
+				return nil, evalErrf("projection %q is neither aggregated nor in group by", it.src)
 			}
+			row[it.name] = nil
 			if len(grp.rows) > 0 {
-				env.Record = grp.rows[0]
-				v, err := Eval(p.Expr, env)
+				v, err := it.fn(grp.rows[0], c)
 				if err != nil {
 					return nil, err
 				}
-				row[name] = v
-			} else {
-				row[name] = nil
+				row[it.name] = v.box()
 			}
 		}
 		out = append(out, row)
-	}
-
-	if len(q.OrderBy) > 0 {
-		if err := sortRows(out, q.OrderBy, env); err != nil {
-			return nil, err
-		}
-	}
-	if q.Limit >= 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
 	}
 	return out, nil
 }
@@ -158,30 +125,29 @@ func isGroupExpr(e Expr, groupBy []Expr) bool {
 	return false
 }
 
-// evalAggregate computes one aggregate over a group's rows.
-func evalAggregate(c Call, rows []map[string]any, env *Env) (any, error) {
-	if _, star := c.Args[0].(Star); star {
+// aggregate computes one aggregate over a group's rows.
+func (it *projItem) aggregate(rows []*Frame, c Consts) (any, error) {
+	if it.fn == nil { // count(*)
 		return float64(len(rows)), nil
 	}
 	var nums []float64
 	nonNull := 0
-	for _, rec := range rows {
-		env.Record = rec
-		v, err := Eval(c.Args[0], env)
+	for _, f := range rows {
+		v, err := it.fn(f, c)
 		if err != nil {
 			return nil, err
 		}
-		if v == nil {
+		if v.kind == kindNull {
 			continue // SQL semantics: aggregates skip nulls
 		}
 		nonNull++
-		if n, ok := normalize(v).(float64); ok {
-			nums = append(nums, n)
-		} else if c.Func != "count" {
-			return nil, evalErrf("%s: non-numeric value %T in aggregate", c.Func, v)
+		if v.kind == kindNum {
+			nums = append(nums, v.num)
+		} else if it.agg != "count" {
+			return nil, evalErrf("%s: non-numeric value %s in aggregate", it.agg, v.typeName())
 		}
 	}
-	switch c.Func {
+	switch it.agg {
 	case "count":
 		return float64(nonNull), nil
 	case "sum":
@@ -222,38 +188,6 @@ func evalAggregate(c Call, rows []map[string]any, env *Env) (any, error) {
 		}
 		return out, nil
 	default:
-		return nil, evalErrf("unknown aggregate %q", c.Func)
+		return nil, evalErrf("unknown aggregate %q", it.agg)
 	}
-}
-
-// sortRows orders output rows by the order-by keys (evaluated against the
-// rows themselves).
-func sortRows(rows []map[string]any, keys []OrderItem, env *Env) error {
-	var sortErr error
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, key := range keys {
-			env.Record = rows[i]
-			vi, err := Eval(key.Expr, env)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			env.Record = rows[j]
-			vj, err := Eval(key.Expr, env)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			cmp, ok := compareValues(vi, vj)
-			if !ok || cmp == 0 {
-				continue
-			}
-			if key.Desc {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
-	})
-	return sortErr
 }

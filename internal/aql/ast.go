@@ -145,6 +145,8 @@ type Query struct {
 	GroupBy []Expr
 	OrderBy []OrderItem
 	Limit   int // -1 means no limit
+
+	prog *program // compiled form, attached by ParseQuery
 }
 
 // String renders the query in canonical form.
@@ -198,42 +200,5 @@ func (q *Query) String() string {
 // in first-appearance order. The BDMS uses this to validate that a
 // subscription binds every parameter of its channel.
 func (q *Query) Params() []string {
-	var out []string
-	seen := map[string]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch v := e.(type) {
-		case Param:
-			if !seen[v.Name] {
-				seen[v.Name] = true
-				out = append(out, v.Name)
-			}
-		case Unary:
-			walk(v.X)
-		case Binary:
-			walk(v.L)
-			walk(v.R)
-		case Call:
-			for _, a := range v.Args {
-				walk(a)
-			}
-		case List:
-			for _, el := range v.Elems {
-				walk(el)
-			}
-		}
-	}
-	for _, p := range q.Proj {
-		walk(p.Expr)
-	}
-	if q.Where != nil {
-		walk(q.Where)
-	}
-	for _, g := range q.GroupBy {
-		walk(g)
-	}
-	for _, o := range q.OrderBy {
-		walk(o.Expr)
-	}
-	return out
+	return append([]string(nil), q.program().params...)
 }

@@ -5,192 +5,142 @@ import (
 	"strings"
 )
 
-// builtin is the implementation of one library function.
+// builtin is the implementation of one library function. Exactly one of
+// fn1/fn2/fn is set: the fixed small arities take their arguments
+// directly so a call allocates nothing.
 type builtin struct {
-	minArgs, maxArgs int
-	fn               func(args []any) (any, error)
+	minArgs, maxArgs int // maxArgs < 0: variadic
+	fn1              func(a value) (value, error)
+	fn2              func(a, b value) (value, error)
+	fn               func(args []value) (value, error)
 }
 
 // builtins is the function library available in channel bodies. The
 // emergency usecase leans on geo_distance; the rest round out a usable
 // predicate language.
 var builtins = map[string]builtin{
-	"geo_distance": {4, 4, func(args []any) (any, error) {
-		nums, err := numberArgs("geo_distance", args)
-		if err != nil {
-			return nil, err
-		}
-		return haversineKm(nums[0], nums[1], nums[2], nums[3]), nil
-	}},
-	"abs": {1, 1, func(args []any) (any, error) {
-		nums, err := numberArgs("abs", args)
-		if err != nil {
-			return nil, err
-		}
-		return math.Abs(nums[0]), nil
-	}},
-	"floor": {1, 1, func(args []any) (any, error) {
-		nums, err := numberArgs("floor", args)
-		if err != nil {
-			return nil, err
-		}
-		return math.Floor(nums[0]), nil
-	}},
-	"ceil": {1, 1, func(args []any) (any, error) {
-		nums, err := numberArgs("ceil", args)
-		if err != nil {
-			return nil, err
-		}
-		return math.Ceil(nums[0]), nil
-	}},
-	"round": {1, 1, func(args []any) (any, error) {
-		nums, err := numberArgs("round", args)
-		if err != nil {
-			return nil, err
-		}
-		return math.Round(nums[0]), nil
-	}},
-	"sqrt": {1, 1, func(args []any) (any, error) {
-		nums, err := numberArgs("sqrt", args)
-		if err != nil {
-			return nil, err
-		}
-		if nums[0] < 0 {
-			return nil, evalErrf("sqrt of negative number")
-		}
-		return math.Sqrt(nums[0]), nil
-	}},
-	"min": {1, -1, func(args []any) (any, error) {
-		nums, err := numberArgs("min", args)
-		if err != nil {
-			return nil, err
-		}
-		out := nums[0]
-		for _, n := range nums[1:] {
-			if n < out {
-				out = n
+	"geo_distance": {minArgs: 4, maxArgs: 4, fn: func(args []value) (value, error) {
+		for i, a := range args {
+			if err := wantNumber("geo_distance", i, a); err != nil {
+				return value{}, err
 			}
 		}
-		return out, nil
+		return numValue(haversineKm(args[0].num, args[1].num, args[2].num, args[3].num)), nil
 	}},
-	"max": {1, -1, func(args []any) (any, error) {
-		nums, err := numberArgs("max", args)
-		if err != nil {
-			return nil, err
+	"abs":   num1("abs", math.Abs),
+	"floor": num1("floor", math.Floor),
+	"ceil":  num1("ceil", math.Ceil),
+	"round": num1("round", math.Round),
+	"sqrt": {minArgs: 1, maxArgs: 1, fn1: func(a value) (value, error) {
+		if err := wantNumber("sqrt", 0, a); err != nil {
+			return value{}, err
 		}
-		out := nums[0]
-		for _, n := range nums[1:] {
-			if n > out {
-				out = n
-			}
+		if a.num < 0 {
+			return value{}, evalErrf("sqrt of negative number")
 		}
-		return out, nil
+		return numValue(math.Sqrt(a.num)), nil
 	}},
-	"lower": {1, 1, func(args []any) (any, error) {
-		s, err := stringArg("lower", args[0])
-		if err != nil {
-			return nil, err
-		}
-		return strings.ToLower(s), nil
-	}},
-	"upper": {1, 1, func(args []any) (any, error) {
-		s, err := stringArg("upper", args[0])
-		if err != nil {
-			return nil, err
-		}
-		return strings.ToUpper(s), nil
-	}},
-	"contains": {2, 2, func(args []any) (any, error) {
-		s, err := stringArg("contains", args[0])
-		if err != nil {
-			return nil, err
-		}
-		sub, err := stringArg("contains", args[1])
-		if err != nil {
-			return nil, err
-		}
-		return strings.Contains(s, sub), nil
-	}},
-	"starts_with": {2, 2, func(args []any) (any, error) {
-		s, err := stringArg("starts_with", args[0])
-		if err != nil {
-			return nil, err
-		}
-		prefix, err := stringArg("starts_with", args[1])
-		if err != nil {
-			return nil, err
-		}
-		return strings.HasPrefix(s, prefix), nil
-	}},
-	"len": {1, 1, func(args []any) (any, error) {
-		switch v := args[0].(type) {
-		case string:
-			return float64(len(v)), nil
+	"min":         fold("min", func(n, best float64) bool { return n < best }),
+	"max":         fold("max", func(n, best float64) bool { return n > best }),
+	"lower":       str1("lower", func(s string) value { return strValue(strings.ToLower(s)) }),
+	"upper":       str1("upper", func(s string) value { return strValue(strings.ToUpper(s)) }),
+	"contains":    str2("contains", strings.Contains),
+	"starts_with": str2("starts_with", strings.HasPrefix),
+	"len": {minArgs: 1, maxArgs: 1, fn1: func(a value) (value, error) {
+		switch v := a.ref.(type) {
 		case []any:
-			return float64(len(v)), nil
+			return numValue(float64(len(v))), nil
 		case map[string]any:
-			return float64(len(v)), nil
-		case nil:
-			return float64(0), nil
-		default:
-			return nil, evalErrf("len: unsupported type %T", v)
+			return numValue(float64(len(v))), nil
 		}
+		switch a.kind {
+		case kindStr:
+			return numValue(float64(len(a.str))), nil
+		case kindNull:
+			return numValue(0), nil
+		}
+		return value{}, evalErrf("len: unsupported type %s", a.typeName())
 	}},
-	"coalesce": {1, -1, func(args []any) (any, error) {
+	"coalesce": {minArgs: 1, maxArgs: -1, fn: func(args []value) (value, error) {
 		for _, a := range args {
-			if a != nil {
+			if a.kind != kindNull {
 				return a, nil
 			}
 		}
-		return nil, nil
+		return value{}, nil
 	}},
-	"exists": {1, 1, func(args []any) (any, error) {
-		return args[0] != nil, nil
+	"exists": {minArgs: 1, maxArgs: 1, fn1: func(a value) (value, error) {
+		return boolValue(a.kind != kindNull), nil
 	}},
 }
 
-func evalCall(c Call, env *Env) (any, error) {
-	b, ok := builtins[strings.ToLower(c.Func)]
-	if !ok {
-		return nil, evalErrf("unknown function %q", c.Func)
+func wantNumber(fn string, i int, a value) error {
+	if a.kind != kindNum {
+		return evalErrf("%s: argument %d must be a number, got %s", fn, i+1, a.typeName())
 	}
-	if len(c.Args) < b.minArgs || (b.maxArgs >= 0 && len(c.Args) > b.maxArgs) {
-		return nil, evalErrf("%s: wrong number of arguments (got %d)", c.Func, len(c.Args))
-	}
-	args := make([]any, len(c.Args))
-	for i, a := range c.Args {
-		v, err := Eval(a, env)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	return b.fn(args)
+	return nil
 }
 
-func numberArgs(fn string, args []any) ([]float64, error) {
-	out := make([]float64, len(args))
-	for i, a := range args {
-		n, ok := normalize(a).(float64)
-		if !ok {
-			return nil, evalErrf("%s: argument %d must be a number, got %T", fn, i+1, a)
-		}
-		out[i] = n
+func wantString(fn string, a value) error {
+	if a.kind != kindStr {
+		return evalErrf("%s: argument must be a string, got %s", fn, a.typeName())
 	}
-	return out, nil
+	return nil
 }
 
-func stringArg(fn string, arg any) (string, error) {
-	s, ok := arg.(string)
-	if !ok {
-		return "", evalErrf("%s: argument must be a string, got %T", fn, arg)
-	}
-	return s, nil
+func num1(name string, op func(float64) float64) builtin {
+	return builtin{minArgs: 1, maxArgs: 1, fn1: func(a value) (value, error) {
+		if err := wantNumber(name, 0, a); err != nil {
+			return value{}, err
+		}
+		return numValue(op(a.num)), nil
+	}}
 }
+
+// fold is min/max over one or more numbers; every argument is
+// type-checked before any is compared.
+func fold(name string, better func(n, best float64) bool) builtin {
+	return builtin{minArgs: 1, maxArgs: -1, fn: func(args []value) (value, error) {
+		for i, a := range args {
+			if err := wantNumber(name, i, a); err != nil {
+				return value{}, err
+			}
+		}
+		best := args[0].num
+		for _, a := range args[1:] {
+			if better(a.num, best) {
+				best = a.num
+			}
+		}
+		return numValue(best), nil
+	}}
+}
+
+func str1(name string, op func(string) value) builtin {
+	return builtin{minArgs: 1, maxArgs: 1, fn1: func(a value) (value, error) {
+		if err := wantString(name, a); err != nil {
+			return value{}, err
+		}
+		return op(a.str), nil
+	}}
+}
+
+func str2(name string, op func(s, t string) bool) builtin {
+	return builtin{minArgs: 2, maxArgs: 2, fn2: func(a, b value) (value, error) {
+		if err := wantString(name, a); err != nil {
+			return value{}, err
+		}
+		if err := wantString(name, b); err != nil {
+			return value{}, err
+		}
+		return boolValue(op(a.str, b.str)), nil
+	}}
+}
+
+const earthRadiusKm = 6371.0
 
 // haversineKm returns the great-circle distance in kilometers.
 func haversineKm(lat1, lon1, lat2, lon2 float64) float64 {
-	const earthRadiusKm = 6371.0
 	toRad := func(deg float64) float64 { return deg * math.Pi / 180 }
 	dLat := toRad(lat2 - lat1)
 	dLon := toRad(lon2 - lon1)

@@ -2,25 +2,8 @@ package aql
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strings"
 )
-
-// Env supplies the dynamic context for expression evaluation: the current
-// record (bound to the query's dataset alias, if any) and the subscription's
-// parameter bindings.
-type Env struct {
-	// Record is the current JSON-model record under evaluation.
-	Record map[string]any
-	// Alias is the dataset alias the query declared (e.g. "r"); a path
-	// whose first segment equals Alias resolves against Record. A path
-	// that does not start with the alias resolves against Record
-	// directly, so both "r.etype" and "etype" work.
-	Alias string
-	// Params maps parameter names to their bound values.
-	Params map[string]any
-}
 
 // EvalError reports an evaluation failure (unknown function, unbound
 // parameter, wrong arity, ...). Missing record fields are NOT errors; they
@@ -35,332 +18,92 @@ func evalErrf(format string, args ...any) error {
 	return &EvalError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// Eval evaluates an expression to a JSON-model value.
-func Eval(e Expr, env *Env) (any, error) {
-	switch v := e.(type) {
-	case Lit:
-		return v.Value, nil
-	case Param:
-		val, ok := env.Params[v.Name]
-		if !ok {
-			return nil, evalErrf("unbound parameter $%s", v.Name)
-		}
-		return normalize(val), nil
-	case Path:
-		return resolvePath(v, env), nil
-	case Unary:
-		return evalUnary(v, env)
-	case Binary:
-		return evalBinary(v, env)
-	case Call:
-		return evalCall(v, env)
-	case List:
-		out := make([]any, 0, len(v.Elems))
-		for _, el := range v.Elems {
-			x, err := Eval(el, env)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, x)
-		}
-		return out, nil
-	case Star:
-		return nil, evalErrf("'*' is only valid inside count(*)")
-	default:
-		return nil, evalErrf("unknown expression node %T", e)
-	}
+// program is a query lowered by compile.go. WHERE, projections, group-by
+// keys and aggregate arguments read the input records and share recPaths;
+// order-by keys read the output rows and have their own rowPaths.
+type program struct {
+	params    []string
+	recPaths  [][]string
+	rowPaths  [][]string
+	where     predFn // nil: every record qualifies
+	proj      []projItem
+	groupBy   []evalFn
+	orderBy   []evalFn
+	aggregate bool // aggregate mode: some projection aggregates, or group by
 }
 
-// EvalPredicate evaluates e and coerces the result to a boolean: false for
-// null, the value itself for bool, and an error for anything else.
-func EvalPredicate(e Expr, env *Env) (bool, error) {
-	v, err := Eval(e, env)
-	if err != nil {
-		return false, err
-	}
-	switch b := v.(type) {
-	case nil:
-		return false, nil
-	case bool:
-		return b, nil
-	default:
-		return false, evalErrf("predicate evaluated to non-boolean %T", v)
-	}
+// projItem is one compiled select-list item.
+type projItem struct {
+	name    string
+	fn      evalFn // the item itself, or the argument of its aggregate; nil for count(*)
+	agg     string // aggregate function, "" for a scalar item
+	grouped bool   // scalar item that repeats a group-by expression
+	src     string // canonical source, for the not-grouped error
 }
 
-// normalize converts Go numeric types to float64 so parameter bindings
-// decoded from JSON or passed as Go ints behave identically.
-func normalize(v any) any {
-	switch n := v.(type) {
-	case int:
-		return float64(n)
-	case int32:
-		return float64(n)
-	case int64:
-		return float64(n)
-	case float32:
-		return float64(n)
-	default:
-		return v
+// compileQuery lowers q, clause by clause in source order so parameter
+// slots come out in first-appearance order (Query.Params). It cannot
+// fail: what can only be rejected while evaluating compiles to a node
+// that raises when it is evaluated.
+func compileQuery(q *Query) *program {
+	rec, row := &compiler{alias: q.Alias}, &compiler{alias: q.Alias}
+	p := &program{aggregate: len(q.GroupBy) > 0}
+	for i, it := range q.Proj {
+		item := projItem{name: it.Alias, src: it.Expr.String(), grouped: isGroupExpr(it.Expr, q.GroupBy)}
+		if item.name == "" {
+			item.name = projName(it.Expr, i)
+		}
+		arg := it.Expr
+		if call, ok := isAggregateCall(it.Expr); ok {
+			item.agg, arg, p.aggregate = call.Func, call.Args[0], true
+		}
+		if _, star := arg.(Star); !star || item.agg == "" {
+			item.fn = rec.expr(arg)
+		}
+		p.proj = append(p.proj, item)
 	}
+	if q.Where != nil {
+		p.where = rec.pred(q.Where)
+	}
+	for _, g := range q.GroupBy {
+		p.groupBy = append(p.groupBy, rec.expr(g))
+	}
+	row.params = rec.params
+	for _, o := range q.OrderBy {
+		p.orderBy = append(p.orderBy, row.expr(o.Expr))
+	}
+	p.params, p.recPaths, p.rowPaths = row.params, rec.paths, row.paths
+	return p
 }
 
-func resolvePath(p Path, env *Env) any {
-	parts := p.Parts
-	if env.Alias != "" && parts[0] == env.Alias {
-		if len(parts) == 1 {
-			return env.Record
-		}
-		parts = parts[1:]
+// program returns q's compiled form. ParseQuery attaches it; a Query
+// assembled by hand is compiled on each use.
+func (q *Query) program() *program {
+	if q.prog != nil {
+		return q.prog
 	}
-	var cur any = env.Record
-	for _, part := range parts {
-		m, ok := cur.(map[string]any)
-		if !ok {
-			return nil
-		}
-		cur, ok = m[part]
-		if !ok {
-			return nil
-		}
-	}
-	return normalize(cur)
+	return compileQuery(q)
 }
 
-func evalUnary(u Unary, env *Env) (any, error) {
-	x, err := Eval(u.X, env)
-	if err != nil {
-		return nil, err
-	}
-	switch u.Op {
-	case "-":
-		n, ok := x.(float64)
-		if !ok {
-			return nil, evalErrf("unary minus needs a number, got %T", x)
-		}
-		return -n, nil
-	case "not":
-		if x == nil {
-			return true, nil
-		}
-		b, ok := x.(bool)
-		if !ok {
-			return nil, evalErrf("not needs a boolean, got %T", x)
-		}
-		return !b, nil
-	default:
-		return nil, evalErrf("unknown unary operator %q", u.Op)
-	}
+// Bind normalises one parameter binding into the slot vector q's compiled
+// expressions read. A parameter missing from params raises "unbound
+// parameter" only if an evaluation reaches it.
+func (q *Query) Bind(params map[string]any) Consts {
+	return bind(q.program().params, params)
 }
 
-func evalBinary(b Binary, env *Env) (any, error) {
-	// and/or short-circuit.
-	switch b.Op {
-	case "and":
-		l, err := EvalPredicate(b.L, env)
-		if err != nil {
-			return nil, err
-		}
-		if !l {
-			return false, nil
-		}
-		return EvalPredicate(b.R, env)
-	case "or":
-		l, err := EvalPredicate(b.L, env)
-		if err != nil {
-			return nil, err
-		}
-		if l {
-			return true, nil
-		}
-		return EvalPredicate(b.R, env)
+// Frames resolves, once per record, every record path q reads. The frames
+// can be evaluated against any number of bindings, from any number of
+// goroutines.
+func (q *Query) Frames(records []map[string]any) []Frame {
+	paths := q.program().recPaths
+	frames := make([]Frame, len(records))
+	slots := make([]value, len(records)*len(paths))
+	for i, rec := range records {
+		frames[i].slots = slots[i*len(paths) : (i+1)*len(paths)]
+		frames[i].load(paths, rec)
 	}
-
-	l, err := Eval(b.L, env)
-	if err != nil {
-		return nil, err
-	}
-	r, err := Eval(b.R, env)
-	if err != nil {
-		return nil, err
-	}
-
-	switch b.Op {
-	case "=":
-		return valueEqual(l, r), nil
-	case "!=":
-		return !valueEqual(l, r), nil
-	case "<", "<=", ">", ">=":
-		cmp, ok := compareValues(l, r)
-		if !ok {
-			// Mismatched or non-orderable types never satisfy an
-			// ordering predicate (open-schema tolerance).
-			return false, nil
-		}
-		switch b.Op {
-		case "<":
-			return cmp < 0, nil
-		case "<=":
-			return cmp <= 0, nil
-		case ">":
-			return cmp > 0, nil
-		default:
-			return cmp >= 0, nil
-		}
-	case "in":
-		list, ok := r.([]any)
-		if !ok {
-			return nil, evalErrf("right side of 'in' must be a list, got %T", r)
-		}
-		for _, el := range list {
-			if valueEqual(l, normalize(el)) {
-				return true, nil
-			}
-		}
-		return false, nil
-	case "like":
-		ls, lok := l.(string)
-		rs, rok := r.(string)
-		if !lok || !rok {
-			return false, nil
-		}
-		return likeMatch(ls, rs), nil
-	case "+", "-", "*", "/", "%":
-		ln, lok := l.(float64)
-		rn, rok := r.(float64)
-		if !lok || !rok {
-			if b.Op == "+" {
-				// string concatenation
-				ls, lsok := l.(string)
-				rs, rsok := r.(string)
-				if lsok && rsok {
-					return ls + rs, nil
-				}
-			}
-			return nil, evalErrf("arithmetic %q needs numbers, got %T and %T", b.Op, l, r)
-		}
-		switch b.Op {
-		case "+":
-			return ln + rn, nil
-		case "-":
-			return ln - rn, nil
-		case "*":
-			return ln * rn, nil
-		case "/":
-			if rn == 0 {
-				return nil, evalErrf("division by zero")
-			}
-			return ln / rn, nil
-		default:
-			if rn == 0 {
-				return nil, evalErrf("modulo by zero")
-			}
-			return math.Mod(ln, rn), nil
-		}
-	default:
-		return nil, evalErrf("unknown binary operator %q", b.Op)
-	}
-}
-
-// valueEqual implements JSON-model equality (deep for lists and objects).
-func valueEqual(a, b any) bool {
-	a, b = normalize(a), normalize(b)
-	switch av := a.(type) {
-	case nil:
-		return b == nil
-	case bool:
-		bv, ok := b.(bool)
-		return ok && av == bv
-	case float64:
-		bv, ok := b.(float64)
-		return ok && av == bv
-	case string:
-		bv, ok := b.(string)
-		return ok && av == bv
-	case []any:
-		bv, ok := b.([]any)
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			if !valueEqual(av[i], bv[i]) {
-				return false
-			}
-		}
-		return true
-	case map[string]any:
-		bv, ok := b.(map[string]any)
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for k, v := range av {
-			bvv, ok := bv[k]
-			if !ok || !valueEqual(v, bvv) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-// compareValues orders two values of the same scalar type; ok is false for
-// mismatched or non-orderable types.
-func compareValues(a, b any) (int, bool) {
-	a, b = normalize(a), normalize(b)
-	switch av := a.(type) {
-	case float64:
-		bv, ok := b.(float64)
-		if !ok {
-			return 0, false
-		}
-		switch {
-		case av < bv:
-			return -1, true
-		case av > bv:
-			return 1, true
-		default:
-			return 0, true
-		}
-	case string:
-		bv, ok := b.(string)
-		if !ok {
-			return 0, false
-		}
-		return strings.Compare(av, bv), true
-	default:
-		return 0, false
-	}
-}
-
-// likeMatch implements SQL LIKE with % (any run) and _ (any single char).
-func likeMatch(s, pattern string) bool {
-	// Dynamic programming over bytes is sufficient for our ASCII usage.
-	m, n := len(s), len(pattern)
-	dp := make([]bool, m+1)
-	dp[0] = true
-	for j := 0; j < n; j++ {
-		pc := pattern[j]
-		prevDiag := dp[0]
-		if pc == '%' {
-			// dp[i] = dp[i] (match empty) || dp[i-1] after update
-			for i := 1; i <= m; i++ {
-				dp[i] = dp[i] || dp[i-1]
-			}
-			continue
-		}
-		dp0 := dp[0]
-		dp[0] = false
-		for i := 1; i <= m; i++ {
-			cur := dp[i]
-			match := pc == '_' || s[i-1] == pc
-			dp[i] = prevDiag && match
-			prevDiag = cur
-		}
-		_ = dp0
-	}
-	return dp[m]
+	return frames
 }
 
 // RunQuery executes q over records, returning projected rows that satisfy
@@ -368,30 +111,20 @@ func likeMatch(s, pattern string) bool {
 // not mutated; "select *" returns the records themselves (callers must not
 // modify them).
 func RunQuery(q *Query, records []map[string]any, params map[string]any) ([]map[string]any, error) {
-	env := &Env{Alias: q.Alias, Params: params}
-	if hasAggregates(q) || len(q.GroupBy) > 0 {
-		// Aggregate mode: filter first, then group and fold.
-		var matched []map[string]any
-		for _, rec := range records {
-			env.Record = rec
-			if q.Where != nil {
-				ok, err := EvalPredicate(q.Where, env)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			matched = append(matched, rec)
-		}
-		return runAggregateQuery(q, matched, params)
-	}
+	return q.Run(q.Frames(records), q.Bind(params))
+}
+
+// Run is RunQuery over prepared frames and a prepared binding. A
+// non-aggregate query allocates nothing until a record satisfies the
+// predicate; an aggregate over an empty match set still yields one row.
+func (q *Query) Run(frames []Frame, c Consts) ([]map[string]any, error) {
+	p := q.program()
 	var out []map[string]any
-	for _, rec := range records {
-		env.Record = rec
-		if q.Where != nil {
-			ok, err := EvalPredicate(q.Where, env)
+	var matched []*Frame // aggregate mode: filter first, then group and fold
+	for i := range frames {
+		f := &frames[i]
+		if p.where != nil {
+			ok, err := p.where(f, c)
 			if err != nil {
 				return nil, err
 			}
@@ -399,59 +132,72 @@ func RunQuery(q *Query, records []map[string]any, params map[string]any) ([]map[
 				continue
 			}
 		}
-		if q.Star {
-			out = append(out, rec)
-			continue
-		}
-		row := make(map[string]any, len(q.Proj))
-		for i, p := range q.Proj {
-			v, err := Eval(p.Expr, env)
-			if err != nil {
-				return nil, err
+		switch {
+		case p.aggregate:
+			matched = append(matched, f)
+		case q.Star:
+			out = append(out, f.rec)
+		default:
+			row := make(map[string]any, len(p.proj))
+			for _, it := range p.proj {
+				v, err := it.fn(f, c)
+				if err != nil {
+					return nil, err
+				}
+				row[it.name] = v.box()
 			}
-			name := p.Alias
-			if name == "" {
-				name = projName(p.Expr, i)
-			}
-			row[name] = v
+			out = append(out, row)
 		}
-		out = append(out, row)
 	}
-	if len(q.OrderBy) > 0 {
-		var sortErr error
-		sort.SliceStable(out, func(i, j int) bool {
-			for _, key := range q.OrderBy {
-				env.Record = out[i]
-				vi, err := Eval(key.Expr, env)
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				env.Record = out[j]
-				vj, err := Eval(key.Expr, env)
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				cmp, ok := compareValues(vi, vj)
-				if !ok || cmp == 0 {
-					continue
-				}
-				if key.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
-		if sortErr != nil {
-			return nil, sortErr
+	if p.aggregate {
+		var err error
+		if out, err = p.foldGroups(matched, c); err != nil {
+			return nil, err
+		}
+	}
+	if len(q.OrderBy) > 0 && len(out) > 0 {
+		if err := p.sortRows(out, q.OrderBy, c); err != nil {
+			return nil, err
 		}
 	}
 	if q.Limit >= 0 && len(out) > q.Limit {
 		out = out[:q.Limit]
 	}
 	return out, nil
+}
+
+// sortRows orders output rows by the order-by keys, which are evaluated
+// against the rows themselves.
+func (p *program) sortRows(rows []map[string]any, keys []OrderItem, c Consts) error {
+	fi := Frame{slots: make([]value, len(p.rowPaths))}
+	fj := Frame{slots: make([]value, len(p.rowPaths))}
+	var sortErr error
+	sort.SliceStable(rows, func(i, j int) bool {
+		fi.load(p.rowPaths, rows[i])
+		fj.load(p.rowPaths, rows[j])
+		for k, key := range p.orderBy {
+			vi, err := key(&fi, c)
+			if err != nil {
+				sortErr = err
+				return false
+			}
+			vj, err := key(&fj, c)
+			if err != nil {
+				sortErr = err
+				return false
+			}
+			cmp, ok := compareValues(&vi, &vj)
+			if !ok || cmp == 0 {
+				continue
+			}
+			if keys[k].Desc {
+				return cmp > 0
+			}
+			return cmp < 0
+		}
+		return false
+	})
+	return sortErr
 }
 
 // projName derives an output column name for an unaliased projection item.

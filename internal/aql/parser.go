@@ -24,6 +24,7 @@ func ParseQuery(src string) (*Query, error) {
 	if !p.atEOF() {
 		return nil, p.errf("unexpected trailing input %q", p.cur().Text)
 	}
+	q.prog = compileQuery(q)
 	return q, nil
 }
 

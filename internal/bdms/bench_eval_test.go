@@ -32,11 +32,68 @@ func benchEvalCluster(b *testing.B, subs, sigs int) *Cluster {
 	return c
 }
 
+// benchGeoCluster is the live benchmark's eval_wide workload in process:
+// the same channel body, and 2000 signatures on the same grid — 200 cells
+// 0.02 degrees apart on a 20x10 grid, each with ten severity thresholds
+// and a 0.5 km radius — one subscription per signature. No equality
+// conjunct, so every group is scanned on every ingest.
+func benchGeoCluster(b *testing.B) *Cluster {
+	b.Helper()
+	c := NewCluster()
+	if err := c.CreateDataset("Pubs", Schema{}); err != nil {
+		b.Fatal(err)
+	}
+	if err := c.DefineChannel(ChannelDef{
+		Name: "WideAlerts", Params: []string{"minSeverity", "lat", "lon", "radiusKm"},
+		Body: "select * from Pubs r where r.severity >= $minSeverity and " +
+			"geo_distance(r.location.lat, r.location.lon, $lat, $lon) <= $radiusKm",
+	}); err != nil {
+		b.Fatal(err)
+	}
+	for j := 0; j < 2000; j++ {
+		lat, lon := geoCell(j / 10)
+		if _, err := c.Subscribe("WideAlerts", []any{float64(j%10 + 1), lat, lon, 0.5}, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return c
+}
+
+func geoCell(cell int) (lat, lon float64) {
+	return 33.5 + 0.02*float64(cell/20), -118.0 + 0.02*float64(cell%20)
+}
+
+// geoRecord is publication n of the geo benchmark: within 0.001 degrees
+// of a cell centre, severity 1..10, so it matches that cell's signatures
+// whose threshold is at most its severity (5.5 on average).
+func geoRecord(n int) map[string]any {
+	lat, lon := geoCell(n * 7 % 200)
+	return map[string]any{
+		"id": float64(n), "severity": float64(n%10 + 1),
+		"location": map[string]any{"lat": lat + 0.0007, "lon": lon - 0.0004},
+	}
+}
+
 // BenchmarkIngestEval measures single-record ingest through continuous
-// matching across a subscriptions × signatures grid. evals/rec reports how
-// many channel evaluations each publication cost — with grouping it equals
-// the number of signature groups, not the number of subscriptions.
+// matching: across a subscriptions × signatures grid with a string
+// predicate, and with eval_wide's geo predicate over 2000 signatures.
+// evals/rec reports how many channel evaluations each publication cost —
+// with grouping it equals the number of signature groups, not the number
+// of subscriptions.
 func BenchmarkIngestEval(b *testing.B) {
+	b.Run("geo/sigs=2000", func(b *testing.B) {
+		c := benchGeoCluster(b)
+		g0 := c.Stats().EvalGroups.Value()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			if _, err := c.Ingest("Pubs", geoRecord(n)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric((c.Stats().EvalGroups.Value()-g0)/float64(b.N), "evals/rec")
+	})
 	for _, grid := range []struct{ subs, sigs int }{
 		{1000, 10},
 		{10000, 100},

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
 
 	"gobad/internal/aql"
 	"gobad/internal/metrics"
+	"gobad/internal/obs"
 	"gobad/internal/obs/span"
 )
 
@@ -156,17 +158,22 @@ type Cluster struct {
 	mu       sync.Mutex
 	datasets map[string]*Dataset
 	channels map[string]*channel
-	// groups indexes evaluation groups by channel name, then canonical
-	// parameter signature (see evalgroup.go / signature.go).
-	groups map[string]map[string]*evalGroup
-	// contIndex buckets continuous-channel groups by their indexable
-	// equality value, per channel (see index.go).
-	contIndex map[string]*groupIndex
-	subs      map[string]*subscription
-	subSeq    uint64
-	epoch     time.Time
+	// groups holds each channel's evaluation groups: by canonical
+	// parameter signature, and for continuous channels as the dense scan
+	// table and its equality index (see evalgroup.go / signature.go /
+	// index.go).
+	groups map[string]*channelGroups
+	subs   map[string]*subscription
+	subSeq uint64
+	epoch  time.Time
+	// evalWarned is when (cluster time) each channel's evaluation errors
+	// were last logged; one WARN per channel per minute.
+	evalWarned map[string]time.Duration
 
 	stats ClusterStats
+	// evalErrors counts group evaluations that raised, by channel name.
+	evalErrors *obs.CounterVec
+	logger     *slog.Logger
 
 	// traces/stages are the delivery-tracing hooks (nil-safe; set once
 	// via SetTracing before the cluster starts serving).
@@ -181,16 +188,23 @@ func (c *Cluster) SetTracing(traces *span.Recorder, stages *span.Stages) {
 	c.stages = stages
 }
 
+// SetLogger sets where the cluster reports evaluation errors (default:
+// nowhere). Call it before serving.
+func (c *Cluster) SetLogger(l *slog.Logger) { c.logger = obs.WrapLogger(l) }
+
 // NewCluster returns a cluster with the given options applied.
 func NewCluster(opts ...Option) *Cluster {
 	c := &Cluster{
-		numNodes:  3,
-		datasets:  make(map[string]*Dataset),
-		channels:  make(map[string]*channel),
-		groups:    make(map[string]map[string]*evalGroup),
-		contIndex: make(map[string]*groupIndex),
-		subs:      make(map[string]*subscription),
-		epoch:     time.Now(),
+		numNodes:   3,
+		datasets:   make(map[string]*Dataset),
+		channels:   make(map[string]*channel),
+		groups:     make(map[string]*channelGroups),
+		subs:       make(map[string]*subscription),
+		epoch:      time.Now(),
+		evalWarned: make(map[string]time.Duration),
+		evalErrors: obs.NewCounterVec("bad_cluster_eval_errors_total",
+			"Group evaluations that raised an error (the group delivered nothing for that batch).", "channel"),
+		logger: obs.NopLogger(),
 	}
 	c.clock = func() time.Duration { return time.Since(c.epoch) }
 	for _, opt := range opts {
@@ -316,15 +330,14 @@ func (c *Cluster) DeleteChannel(name string) error {
 	if _, ok := c.channels[name]; !ok {
 		return fmt.Errorf("bdms: unknown channel %q", name)
 	}
-	if n := c.channelSubCount(name); n > 0 {
-		return fmt.Errorf("bdms: channel %q has %d live subscriptions", name, n)
+	if cg := c.groups[name]; cg != nil {
+		return fmt.Errorf("bdms: channel %q has %d live subscriptions", name, cg.subs)
 	}
 	if err := c.logDeleteChannel(name, now); err != nil {
 		return err
 	}
 	delete(c.channels, name)
-	delete(c.groups, name)
-	delete(c.contIndex, name)
+	delete(c.evalWarned, name)
 	return nil
 }
 
@@ -343,12 +356,7 @@ func (c *Cluster) Query(statement string, params map[string]any) ([]map[string]a
 	if !ok {
 		return nil, fmt.Errorf("bdms: unknown dataset %q", q.Dataset)
 	}
-	recs := ds.ScanSince(0)
-	rows := make([]map[string]any, 0, len(recs))
-	for _, r := range recs {
-		rows = append(rows, r.Data)
-	}
-	return aql.RunQuery(q, rows, params)
+	return aql.RunQuery(q, recordData(ds.ScanSince(0)), params)
 }
 
 // Channels returns the registered channel definitions, sorted by name.
@@ -396,19 +404,7 @@ func (c *Cluster) Subscribe(channelName string, params []any, callback string) (
 	if err := c.logSubscribe(sub.id, channelName, params, callback, now); err != nil {
 		return "", err
 	}
-	sig := paramSignature(canon)
-	g := c.group(channelName, sig)
-	if g == nil {
-		g = &evalGroup{ch: ch, sig: sig, params: canon}
-		if !ch.Continuous() {
-			// A repetitive group only sees publications ingested after
-			// its first subscription, and first fires one period later.
-			ds := c.datasets[ch.dataset]
-			g.lastSeq = ds.LastSeq()
-			g.nextRun = c.clock() + ch.def.Period
-		}
-		c.addGroup(g)
-	} else {
+	if g, created := c.joinGroup(sub); !created {
 		// The (channel, parameter values) pair identifies a logical result
 		// dataset (Section IV): equivalent subscriptions accumulate the same
 		// result stream. Seed the new subscription from an existing member
@@ -419,7 +415,6 @@ func (c *Cluster) Subscribe(channelName string, params []any, callback string) (
 		sub.results = append([]ResultObject(nil), eq.results...)
 		sub.lastTS = eq.lastTS
 	}
-	g.addMember(sub)
 	c.subs[sub.id] = sub
 	return sub.id, nil
 }
@@ -440,11 +435,7 @@ func (c *Cluster) Unsubscribe(subID string) error {
 		return err
 	}
 	delete(c.subs, subID)
-	if g := sub.group; g != nil {
-		if g.removeMember(sub) {
-			c.dropGroup(g)
-		}
-	}
+	c.leaveGroup(sub)
 	return nil
 }
 
@@ -461,8 +452,8 @@ func (c *Cluster) NumEvalGroups() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, bySig := range c.groups {
-		n += len(bySig)
+	for _, cg := range c.groups {
+		n += len(cg.bySig)
 	}
 	return n
 }
@@ -505,9 +496,10 @@ func (c *Cluster) IngestBatchContext(ctx context.Context, dataset string, batch 
 // ingest is the shared publication pipeline:
 //
 //	lock   : validate all → WAL append (one flush) → insert all →
-//	         snapshot evaluation tasks (one per candidate group)
-//	unlock : evaluate groups in parallel (evalgroup.go worker pool)
-//	lock   : append shared rows to each live member
+//	         snapshot each continuous channel's scan table (and the
+//	         positions its equality index selects)
+//	unlock : scan: one compiled-predicate call per candidate group
+//	lock   : append each matching group's shared rows to its members
 //	unlock : deliver notifications
 //
 // The global mutex covers only index/state mutation; the channel queries —
@@ -557,17 +549,21 @@ func (c *Cluster) ingest(ctx context.Context, dataset string, batch []map[string
 	if isBatch {
 		c.stats.IngestBatches.Inc()
 	}
-	tasks := c.collectEvalTasks(dataset, recs)
+	scans, groups := c.collectScans(dataset, recs)
 	c.mu.Unlock()
 
-	if len(tasks) > 0 {
+	if len(scans) > 0 {
 		_, evalSp := c.traces.Start(ctx, "cluster.eval")
 		evalStart := time.Now()
-		c.runEvalTasks(tasks)
-		pending := c.commitEval(tasks, now)
-		evalSp.SetAttr("groups", fmt.Sprintf("%d", len(tasks)))
+		var tasks []*evalTask
+		for i := range scans {
+			tasks = append(tasks, scans[i].run(recs)...)
+		}
+		pending, failed := c.commitEval(ctx, tasks, now)
+		evalSp.SetAttr("groups", fmt.Sprintf("%d", groups))
 		evalSp.SetAttr("records", fmt.Sprintf("%d", len(recs)))
 		evalSp.SetAttr("matches", fmt.Sprintf("%d", len(pending)))
+		evalSp.SetAttr("errors", fmt.Sprintf("%d", failed))
 		evalSp.End()
 		c.stages.Observe(ctx, span.StageClusterEval, span.OutcomeNone, time.Since(evalStart))
 		c.deliver(ctx, pending)
@@ -575,70 +571,63 @@ func (c *Cluster) ingest(ctx context.Context, dataset string, batch []map[string
 	return recs, nil
 }
 
-// collectEvalTasks snapshots one evaluation task per candidate group for a
-// freshly inserted batch. Channels with an indexable equality conjunct
-// visit only the groups whose bound value matches some record in the batch
-// (plus the unindexed remainder); each group's task carries exactly the
-// records that can match it. Caller holds the lock.
-func (c *Cluster) collectEvalTasks(dataset string, recs []Record) []*evalTask {
-	var tasks []*evalTask
+// collectScans snapshots, for a freshly inserted batch, the scan table of
+// every continuous channel over dataset that has groups. Channels with an
+// indexable equality conjunct visit only the positions whose bound value
+// matches some record in the batch (plus the unindexed remainder), each
+// with exactly the records that can match it. It also accounts the
+// evaluations about to run: one per candidate group, serving that group's
+// current members. Caller holds the lock.
+func (c *Cluster) collectScans(dataset string, recs []Record) (scans []chanScan, groups int) {
+	served := 0
 	for _, ch := range c.channels {
-		if !ch.Continuous() || ch.dataset != dataset {
+		cg := c.groups[ch.def.Name]
+		if cg == nil || !ch.Continuous() || ch.dataset != dataset {
 			continue
 		}
-		bySig := c.groups[ch.def.Name]
-		if len(bySig) == 0 {
-			continue
-		}
-		var ix *groupIndex
-		if ch.index != nil {
-			ix = c.contIndex[ch.def.Name]
-		}
-		if ix == nil {
-			for _, g := range bySig {
-				tasks = append(tasks, c.newEvalTask(g, recs))
+		sc := chanScan{ch: ch, table: cg.table}
+		if cg.index == nil {
+			groups += len(cg.table)
+			served += cg.subs
+		} else {
+			if sc.cands = cg.index.candidates(ch.index, recs); len(sc.cands) == 0 {
+				continue
 			}
-			continue
-		}
-		// Per-record pruning: each record contributes itself to its
-		// candidate groups, preserving batch order within each group.
-		perGroup := make(map[*evalGroup][]Record)
-		var order []*evalGroup
-		for _, rec := range recs {
-			v := lookupPathParts(rec.Data, ch.index.fieldPath)
-			key, ok := indexKey(canonicalValue(v))
-			for _, g := range ix.candidates(key, ok) {
-				if _, seen := perGroup[g]; !seen {
-					order = append(order, g)
-				}
-				perGroup[g] = append(perGroup[g], rec)
+			groups += len(sc.cands)
+			for _, cd := range sc.cands {
+				served += len(cg.table[cd.pos].g.members)
 			}
 		}
-		for _, g := range order {
-			tasks = append(tasks, c.newEvalTask(g, perGroup[g]))
-		}
+		sc.enrichDS = c.enrichDatasets(ch)
+		scans = append(scans, sc)
 	}
-	return tasks
+	c.stats.EvalGroups.Add(float64(groups))
+	c.stats.EvalSubsServed.Add(float64(served))
+	return scans, groups
 }
 
-// commitEval appends each evaluated group's shared rows to its members'
-// result datasets and collects the notifications to deliver. Members were
-// snapshotted before the evaluation ran, so each is re-checked for
-// liveness — an unsubscribe that raced the evaluation wins.
-func (c *Cluster) commitEval(tasks []*evalTask, now time.Duration) []notification {
-	var pending []notification
+// commitEval appends each matching group's shared rows to the result
+// datasets of the group's members — its members NOW, under the lock (the
+// membership rule at the top of evalgroup.go) — and collects the
+// notifications to deliver. A group whose evaluation raised delivers
+// nothing for this batch; it is counted per channel and logged at most
+// once per channel per minute, under the publication's trace.
+func (c *Cluster) commitEval(ctx context.Context, tasks []*evalTask, now time.Duration) (pending []notification, failed int) {
 	c.mu.Lock()
 	for _, t := range tasks {
-		if t.err != nil || len(t.rows) == 0 {
+		if t.err != nil {
+			failed++
+			name := t.g.ch.def.Name
+			c.evalErrors.With(name).Inc()
+			if last, ok := c.evalWarned[name]; !ok || now-last >= time.Minute {
+				c.evalWarned[name] = now
+				c.logger.WarnContext(ctx, "channel evaluation failed; the group delivers nothing for this batch",
+					"channel", name, "signature", t.g.sig, "err", t.err)
+			}
 			continue
 		}
-		for _, sub := range t.members {
-			if c.subs[sub.id] != sub {
-				continue // unsubscribed (or replaced) during evaluation
-			}
-			if n, ok := c.appendResult(sub, t.rows, t.size, now); ok {
-				pending = append(pending, n)
-			}
+		for _, sub := range t.g.members {
+			pending = append(pending, c.appendResult(sub, t.rows, t.size, now))
 		}
 	}
 	// Persist the produced result objects before any notification leaves
@@ -646,7 +635,7 @@ func (c *Cluster) commitEval(tasks []*evalTask, now time.Duration) []notificatio
 	// instead of re-running evaluations.
 	c.logResults(pending, now)
 	c.mu.Unlock()
-	return pending
+	return pending, failed
 }
 
 type notification struct {
@@ -660,7 +649,7 @@ type notification struct {
 // across every member of the evaluation group (results are immutable once
 // produced, so sharing is safe — no per-member deep copy). Caller holds
 // the lock.
-func (c *Cluster) appendResult(sub *subscription, rows []map[string]any, size int64, now time.Duration) (notification, bool) {
+func (c *Cluster) appendResult(sub *subscription, rows []map[string]any, size int64, now time.Duration) notification {
 	ts := now
 	if ts <= sub.lastTS {
 		ts = sub.lastTS + time.Nanosecond
@@ -677,7 +666,7 @@ func (c *Cluster) appendResult(sub *subscription, rows []map[string]any, size in
 	sub.results = append(sub.results, obj)
 	c.stats.ResultsProduced.Inc()
 	c.stats.ResultBytes.Add(float64(obj.Size))
-	return notification{subID: sub.id, callback: sub.callback, latest: ts, obj: obj}, true
+	return notification{subID: sub.id, callback: sub.callback, latest: ts, obj: obj}
 }
 
 // deliver fires pending notifications outside the lock. ctx carries the
@@ -713,11 +702,16 @@ func (c *Cluster) deliver(ctx context.Context, pending []notification) {
 func (c *Cluster) RunRepetitiveDue() int {
 	now := c.clock()
 	c.mu.Lock()
-	var tasks []*evalTask
+	type dueGroup struct {
+		g        *evalGroup
+		recs     []Record
+		enrichDS map[string]*Dataset
+	}
+	var due []dueGroup
 	var ticks []walRecord
-	executions := 0
-	for _, bySig := range c.groups {
-		for _, g := range bySig {
+	executions, served := 0, 0
+	for _, cg := range c.groups {
+		for _, g := range cg.bySig {
 			if g.ch.Continuous() || now < g.nextRun {
 				continue
 			}
@@ -735,26 +729,36 @@ func (c *Cluster) RunRepetitiveDue() int {
 			if len(recs) == 0 {
 				continue
 			}
-			tasks = append(tasks, c.newEvalTask(g, recs))
+			served += len(g.members)
+			due = append(due, dueGroup{g: g, recs: recs, enrichDS: c.enrichDatasets(g.ch)})
 		}
 	}
+	c.stats.EvalGroups.Add(float64(len(due)))
+	c.stats.EvalSubsServed.Add(float64(served))
 	// Progress marks are logged before the evaluation commits; on replay
 	// they stop a restarted group from re-evaluating publications whose
 	// results are already in the log.
 	c.logTicks(ticks)
 	c.mu.Unlock()
+	if len(due) == 0 {
+		return executions
+	}
+	var tasks []*evalTask
+	for _, d := range due {
+		e := tableEntry{consts: d.g.consts, g: d.g}
+		if t := evaluate(d.g.ch, e, d.g.ch.query.Frames(recordData(d.recs)), d.enrichDS); t != nil {
+			tasks = append(tasks, t)
+		}
+	}
 	if len(tasks) == 0 {
 		return executions
 	}
-	c.runEvalTasks(tasks)
-	pending := c.commitEval(tasks, now)
-	if len(pending) > 0 {
-		// Repetitive executions are not tied to any single publication;
-		// they root a trace of their own.
-		ctx, sp := c.traces.Start(context.Background(), "cluster.repetitive")
-		c.deliver(ctx, pending)
-		sp.End()
-	}
+	// Repetitive executions are not tied to any single publication; they
+	// root a trace of their own.
+	ctx, sp := c.traces.Start(context.Background(), "cluster.repetitive")
+	pending, _ := c.commitEval(ctx, tasks, now)
+	c.deliver(ctx, pending)
+	sp.End()
 	return executions
 }
 
@@ -765,8 +769,8 @@ func (c *Cluster) NextRepetitiveRun() (time.Duration, bool) {
 	defer c.mu.Unlock()
 	var best time.Duration
 	found := false
-	for _, bySig := range c.groups {
-		for _, g := range bySig {
+	for _, cg := range c.groups {
+		for _, g := range cg.bySig {
 			if g.ch.Continuous() {
 				continue
 			}

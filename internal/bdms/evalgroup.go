@@ -1,9 +1,6 @@
 package bdms
 
 import (
-	"hash/fnv"
-	"runtime"
-	"sync"
 	"time"
 
 	"gobad/internal/aql"
@@ -15,28 +12,36 @@ import (
 // S subscriptions over G distinct signatures that turns O(S) channel
 // executions per publication into O(G) — the cluster-side twin of the
 // broker's subscription suppression ("Optimizing Big Active Data
-// Management Systems").
+// Management Systems") — and each of the G is one call of the channel's
+// compiled predicate over a record frame and the group's flat parameter
+// vector ("Subscribing to Big Data at Scale": the new data joined with a
+// table of bound parameters), which allocates nothing unless it matches.
 //
-// Group evaluation also narrows Cluster.mu: the lock now covers only
-// index/state mutation (validate, WAL, insert, snapshot; then append).
-// The matching itself — the expensive part — runs on a snapshot outside
-// the lock, sharded by hash(channel, signature) across a small worker
-// pool.
+// Membership rule: a result goes to the subscriptions that are members of
+// the group when the result COMMITS. Evaluation runs outside Cluster.mu on
+// a snapshot of the channel's table, so subscriptions come and go while it
+// runs: one unsubscribed during the evaluation has left the group by
+// commit time and gets nothing (even when the group itself was dropped and
+// re-created meanwhile — the result belongs to the old group object, which
+// has no members left); one that joined during the evaluation gets the
+// result like any other member.
 
 // evalGroup is the unit of evaluation: one (channel, parameter signature)
-// with its member subscriptions. Params and signature are immutable after
-// creation; members (and the repetitive execution state) are guarded by
-// Cluster.mu.
+// with its member subscriptions. Everything but members, pos and the
+// repetitive execution state is immutable after creation; those are
+// guarded by Cluster.mu.
 type evalGroup struct {
 	ch     *channel
 	sig    string
 	params map[string]any // canonicalized bound parameters
+	consts aql.Consts     // params bound once to ch.query's slots
 	// members share one logical result dataset: each gets the same rows
 	// appended. memberIdx on the subscription makes removal O(1).
 	members []*subscription
 
-	// Placement in the channel's equality index (continuous channels with
-	// an indexable conjunct).
+	// Placement of a continuous channel's group: pos in channelGroups.table,
+	// idxKey/idxOK in the equality index.
+	pos    int
 	idxKey string
 	idxOK  bool
 
@@ -46,16 +51,87 @@ type evalGroup struct {
 	nextRun time.Duration
 }
 
-// addMember appends sub to the group. Caller holds Cluster.mu.
-func (g *evalGroup) addMember(sub *subscription) {
+// tableEntry is one row of a continuous channel's scan table: a group's
+// bound parameters next to the group, so a scan reads the group itself
+// only when the predicate matched.
+type tableEntry struct {
+	consts aql.Consts
+	g      *evalGroup
+}
+
+// channelGroups is one channel's evaluation state, guarded by Cluster.mu.
+type channelGroups struct {
+	bySig map[string]*evalGroup
+	// table lists a continuous channel's groups densely, in no particular
+	// order. The publish path copies the slice header under the lock and
+	// scans it outside, so published elements are never written again:
+	// adding a group appends (a scan never looks past the length it
+	// copied), removing one builds a new array.
+	table []tableEntry
+	// index buckets the table positions by bound equality value (nil when
+	// the channel body has no indexable conjunct, see index.go).
+	index *groupIndex
+	// subs counts live subscriptions across the channel's groups.
+	subs int
+}
+
+// group returns channel ch's group for sig, or nil. Caller holds
+// Cluster.mu.
+func (c *Cluster) group(channelName, sig string) *evalGroup {
+	if cg := c.groups[channelName]; cg != nil {
+		return cg.bySig[sig]
+	}
+	return nil
+}
+
+// joinGroup adds sub to the evaluation group of its parameter signature.
+// The first member creates the group: its parameters are bound to the
+// channel's compiled query once, here, and a continuous group takes a
+// position in the scan table (and the equality index). Caller holds
+// Cluster.mu.
+func (c *Cluster) joinGroup(sub *subscription) (g *evalGroup, created bool) {
+	ch := sub.ch
+	cg := c.groups[ch.def.Name]
+	if cg == nil {
+		cg = &channelGroups{bySig: make(map[string]*evalGroup)}
+		if ch.Continuous() && ch.index != nil {
+			cg.index = newGroupIndex()
+		}
+		c.groups[ch.def.Name] = cg
+	}
+	sig := paramSignature(sub.params)
+	g = cg.bySig[sig]
+	if created = g == nil; created {
+		g = &evalGroup{ch: ch, sig: sig, params: sub.params, consts: ch.query.Bind(sub.params)}
+		cg.bySig[sig] = g
+		if ch.Continuous() {
+			g.pos = len(cg.table)
+			cg.table = append(cg.table, tableEntry{consts: g.consts, g: g})
+			if cg.index != nil {
+				g.idxKey, g.idxOK = indexKey(g.params[ch.index.param])
+				cg.index.add(g)
+			}
+		} else {
+			// A repetitive group only sees publications ingested after
+			// its first subscription, and first fires one period later.
+			g.lastSeq = c.datasets[ch.dataset].LastSeq()
+			g.nextRun = c.clock() + ch.def.Period
+		}
+	}
 	sub.group = g
 	sub.memberIdx = len(g.members)
 	g.members = append(g.members, sub)
+	cg.subs++
+	return g, created
 }
 
-// removeMember swap-removes sub in O(1). Caller holds Cluster.mu. Returns
-// true when the group became empty.
-func (g *evalGroup) removeMember(sub *subscription) bool {
+// leaveGroup swap-removes sub from its group in O(1) and drops the group
+// from every index when it became empty. Caller holds Cluster.mu.
+func (c *Cluster) leaveGroup(sub *subscription) {
+	g := sub.group
+	if g == nil {
+		return
+	}
 	last := len(g.members) - 1
 	moved := g.members[last]
 	g.members[sub.memberIdx] = moved
@@ -63,122 +139,143 @@ func (g *evalGroup) removeMember(sub *subscription) bool {
 	g.members[last] = nil
 	g.members = g.members[:last]
 	sub.group = nil
-	return last == 0
+
+	name := g.ch.def.Name
+	cg := c.groups[name]
+	cg.subs--
+	if last > 0 {
+		return
+	}
+	delete(cg.bySig, g.sig)
+	if len(cg.bySig) == 0 {
+		delete(c.groups, name)
+		return
+	}
+	if !g.ch.Continuous() {
+		return
+	}
+	if cg.index != nil {
+		cg.index.remove(g)
+	}
+	// Copy-on-write removal: the table's last entry takes g's position in
+	// a fresh array, leaving the one in-flight scans hold untouched.
+	end := len(cg.table) - 1
+	table := make([]tableEntry, end)
+	copy(table, cg.table[:end])
+	if g.pos != end {
+		table[g.pos] = cg.table[end]
+		table[g.pos].g.pos = g.pos
+	}
+	cg.table = table
 }
 
-// evalTask is one group evaluation, snapshotted under Cluster.mu and
-// executed outside it. members is a copy: subscriptions may unsubscribe
-// while the evaluation runs, so the append stage re-checks liveness under
-// the lock before touching any member.
+// evalTask is the outcome of one group evaluation that produced rows or
+// failed; groups whose predicate matched nothing never get one.
 type evalTask struct {
-	ch      *channel
-	g       *evalGroup
-	members []*subscription
-	recs    []Record
-	// enrichDS snapshots the datasets the channel's enrichments read, so
-	// evaluation never touches the Cluster.datasets map off-lock (Dataset
-	// itself is concurrency-safe).
-	enrichDS map[string]*Dataset
-
-	// outputs
+	g    *evalGroup
 	rows []map[string]any
 	size int64
 	err  error
 }
 
-// newEvalTask snapshots one group evaluation. Caller holds Cluster.mu.
-func (c *Cluster) newEvalTask(g *evalGroup, recs []Record) *evalTask {
-	t := &evalTask{ch: g.ch, g: g, recs: recs}
-	t.members = append(t.members, g.members...)
-	if len(g.ch.enrich) > 0 {
-		t.enrichDS = make(map[string]*Dataset, len(g.ch.enrich))
-		for _, e := range g.ch.enrich {
-			t.enrichDS[e.query.Dataset] = c.datasets[e.query.Dataset]
-		}
+// evaluate runs ch over frames — the candidate records, in batch order —
+// with one group's bound parameters, outside Cluster.mu: it reads only
+// immutable group and channel state, the frames, and concurrency-safe
+// Datasets. It returns nil when nothing matched, having touched nothing
+// but e.consts.
+func evaluate(ch *channel, e tableEntry, frames []aql.Frame, enrichDS map[string]*Dataset) *evalTask {
+	rows, err := ch.query.Run(frames, e.consts)
+	if err == nil && len(rows) == 0 {
+		return nil
 	}
-	return t
-}
-
-// run evaluates the task's channel once over its candidate records.
-func (t *evalTask) run() {
-	t.rows, t.err = evalChannel(t.ch, t.g.params, t.recs, t.enrichDS)
-	if t.err == nil && len(t.rows) > 0 {
-		// Encoded size is shared by every member's result object; compute
-		// it once, off-lock.
-		t.size = encodeSize(t.rows)
+	if err == nil && len(ch.enrich) > 0 {
+		rows, err = enrich(ch, e.g.params, rows, enrichDS)
 	}
-}
-
-// evalShardCap bounds the eval worker pool; batches with fewer tasks run
-// one worker per task.
-const evalShardCap = 8
-
-// runEvalTasks executes group evaluations sharded by hash(channel,
-// signature) across a small worker pool. Single-task batches run inline —
-// the common continuous-ingest case must not pay goroutine latency.
-// Caller must NOT hold Cluster.mu.
-func (c *Cluster) runEvalTasks(tasks []*evalTask) {
-	for _, t := range tasks {
-		c.stats.EvalGroups.Inc()
-		c.stats.EvalSubsServed.Add(float64(len(t.members)))
-	}
-	if len(tasks) <= 1 {
-		for _, t := range tasks {
-			t.run()
-		}
-		return
-	}
-	nw := runtime.GOMAXPROCS(0)
-	if nw > evalShardCap {
-		nw = evalShardCap
-	}
-	if nw > len(tasks) {
-		nw = len(tasks)
-	}
-	shards := make([][]*evalTask, nw)
-	for _, t := range tasks {
-		h := fnv.New32a()
-		h.Write([]byte(t.ch.def.Name))
-		h.Write([]byte{0})
-		h.Write([]byte(t.g.sig))
-		s := h.Sum32() % uint32(nw)
-		shards[s] = append(shards[s], t)
-	}
-	var wg sync.WaitGroup
-	for _, shard := range shards {
-		if len(shard) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard []*evalTask) {
-			defer wg.Done()
-			for _, t := range shard {
-				t.run()
-			}
-		}(shard)
-	}
-	wg.Wait()
-}
-
-// evalChannel runs a channel query (+enrichments) once over candidate
-// records with one group's parameters. It reads only immutable channel
-// state, the records, and concurrency-safe Datasets, so it is safe to
-// call without Cluster.mu.
-func evalChannel(ch *channel, params map[string]any, recs []Record, enrichDS map[string]*Dataset) ([]map[string]any, error) {
-	raw := make([]map[string]any, 0, len(recs))
-	for _, r := range recs {
-		raw = append(raw, r.Data)
-	}
-	rows, err := aql.RunQuery(ch.query, raw, params)
 	if err != nil {
-		return nil, err
+		return &evalTask{g: e.g, err: err}
 	}
-	if len(rows) == 0 || len(ch.enrich) == 0 {
-		return rows, nil
+	// Encoded size is shared by every member's result object; compute it
+	// once, off-lock.
+	return &evalTask{g: e.g, rows: rows, size: encodeSize(rows)}
+}
+
+// recordData is the JSON-model view of recs that aql evaluates.
+func recordData(recs []Record) []map[string]any {
+	raw := make([]map[string]any, len(recs))
+	for i, r := range recs {
+		raw[i] = r.Data
 	}
-	// Enrichment: per matched row, evaluate each secondary query and
-	// embed its rows. Rows are copied before annotation because star
-	// projections alias the stored records.
+	return raw
+}
+
+// chanScan is one continuous channel's share of a publication batch:
+// snapshotted under Cluster.mu, evaluated outside it.
+type chanScan struct {
+	ch    *channel
+	table []tableEntry
+	// cands lists the table positions an indexed channel visits (never
+	// empty); nil means the channel has no index and visits all of table.
+	cands []candidate
+	// enrichDS snapshots the datasets the channel's enrichments read, so
+	// evaluation never touches the Cluster.datasets map off-lock.
+	enrichDS map[string]*Dataset
+}
+
+// candidate is one table position with the batch records (by index) that
+// can match it; nil recs means the whole batch.
+type candidate struct {
+	pos  int
+	recs []int
+}
+
+// run evaluates the scan's groups over the batch and returns a task for
+// each group that matched (or failed). This loop is the cluster's hot
+// path: per group it costs one compiled-predicate call per record and no
+// allocation, on the publishing goroutine (at these costs a worker pool
+// loses to its own hand-off). Caller must NOT hold Cluster.mu.
+func (sc *chanScan) run(recs []Record) []*evalTask {
+	frames := sc.ch.query.Frames(recordData(recs)) // paths resolve once per record
+	var tasks []*evalTask
+	if sc.cands == nil {
+		for i := range sc.table {
+			if t := evaluate(sc.ch, sc.table[i], frames, sc.enrichDS); t != nil {
+				tasks = append(tasks, t)
+			}
+		}
+		return tasks
+	}
+	for _, cd := range sc.cands {
+		sub := frames
+		if cd.recs != nil {
+			sub = make([]aql.Frame, len(cd.recs))
+			for i, r := range cd.recs {
+				sub[i] = frames[r]
+			}
+		}
+		if t := evaluate(sc.ch, sc.table[cd.pos], sub, sc.enrichDS); t != nil {
+			tasks = append(tasks, t)
+		}
+	}
+	return tasks
+}
+
+// enrichDatasets snapshots the datasets ch's enrichments read. Caller
+// holds Cluster.mu.
+func (c *Cluster) enrichDatasets(ch *channel) map[string]*Dataset {
+	if len(ch.enrich) == 0 {
+		return nil
+	}
+	out := make(map[string]*Dataset, len(ch.enrich))
+	for _, e := range ch.enrich {
+		out[e.query.Dataset] = c.datasets[e.query.Dataset]
+	}
+	return out
+}
+
+// enrich embeds, per matched row, the rows of each of ch's secondary
+// queries. Rows are copied before annotation because star projections
+// alias the stored records.
+func enrich(ch *channel, params map[string]any, rows []map[string]any, enrichDS map[string]*Dataset) ([]map[string]any, error) {
 	out := make([]map[string]any, 0, len(rows))
 	for _, row := range rows {
 		enriched := make(map[string]any, len(row)+len(ch.enrich))
@@ -197,12 +294,7 @@ func evalChannel(ch *channel, params map[string]any, recs []Record, enrichDS map
 			for p, path := range e.spec.Bind {
 				eparams[p] = lookupPath(row, path)
 			}
-			all := eds.ScanSince(0)
-			cand := make([]map[string]any, 0, len(all))
-			for _, r := range all {
-				cand = append(cand, r.Data)
-			}
-			erows, err := aql.RunQuery(e.query, cand, eparams)
+			erows, err := aql.RunQuery(e.query, recordData(eds.ScanSince(0)), eparams)
 			if err != nil {
 				return nil, err
 			}
@@ -211,55 +303,4 @@ func evalChannel(ch *channel, params map[string]any, recs []Record, enrichDS map
 		out = append(out, enriched)
 	}
 	return out, nil
-}
-
-// group returns channel ch's group for sig, or nil. Caller holds
-// Cluster.mu.
-func (c *Cluster) group(channelName, sig string) *evalGroup {
-	return c.groups[channelName][sig]
-}
-
-// addGroup registers a fresh group in the signature index (and, for
-// indexed continuous channels, the equality index). Caller holds
-// Cluster.mu.
-func (c *Cluster) addGroup(g *evalGroup) {
-	name := g.ch.def.Name
-	bySig := c.groups[name]
-	if bySig == nil {
-		bySig = make(map[string]*evalGroup)
-		c.groups[name] = bySig
-	}
-	bySig[g.sig] = g
-	if g.ch.Continuous() && g.ch.index != nil {
-		ix := c.contIndex[name]
-		if ix == nil {
-			ix = newGroupIndex()
-			c.contIndex[name] = ix
-		}
-		g.idxKey, g.idxOK = indexKey(canonicalValue(g.params[g.ch.index.param]))
-		ix.add(g)
-	}
-}
-
-// dropGroup removes an empty group from every index. Caller holds
-// Cluster.mu.
-func (c *Cluster) dropGroup(g *evalGroup) {
-	name := g.ch.def.Name
-	delete(c.groups[name], g.sig)
-	if len(c.groups[name]) == 0 {
-		delete(c.groups, name)
-	}
-	if ix := c.contIndex[name]; ix != nil {
-		ix.remove(g)
-	}
-}
-
-// channelSubCount sums live subscriptions across a channel's groups.
-// Caller holds Cluster.mu.
-func (c *Cluster) channelSubCount(channelName string) int {
-	n := 0
-	for _, g := range c.groups[channelName] {
-		n += len(g.members)
-	}
-	return n
 }

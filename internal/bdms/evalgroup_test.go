@@ -1,15 +1,23 @@
 package bdms
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"gobad/internal/aql"
+	"gobad/internal/obs"
+	"gobad/internal/obs/span"
 )
 
 // --- shared-evaluation accounting -----------------------------------------
@@ -402,7 +410,10 @@ func (rs *refSub) refEvaluate(t *testing.T, c *Cluster, recs []Record) {
 			enrichDS[e.query.Dataset] = c.datasets[e.query.Dataset]
 		}
 	}
-	rows, err := evalChannel(ch, rs.params, recs, enrichDS)
+	rows, err := aql.RunQuery(ch.query, recordData(recs), rs.params)
+	if err == nil && len(rows) > 0 && len(ch.enrich) > 0 {
+		rows, err = enrich(ch, rs.params, rows, enrichDS)
+	}
 	if err != nil {
 		t.Fatalf("reference eval: %v", err)
 	}
@@ -636,4 +647,128 @@ func ownBatches(c *Cluster, subID string) int {
 		}
 	}
 	return own
+}
+
+// --- evaluation errors -------------------------------------------------------
+
+// A predicate that type-errors on live data used to deliver nothing and
+// say nothing. The failing group is now counted per channel, logged once
+// per channel per minute under the publication's trace, and marked on the
+// cluster.eval span — while sibling groups of the same batch deliver.
+func TestEvalErrorsAreCountedLoggedAndTraced(t *testing.T) {
+	c, clk := newTestCluster(t)
+	var logs bytes.Buffer
+	c.SetLogger(obs.NewLogger(&logs, slog.LevelWarn, "test"))
+	rec := span.NewRecorder("test")
+	c.SetTracing(rec, nil)
+	if err := c.CreateDataset("DS", Schema{}); err != nil {
+		t.Fatal(err)
+	}
+	// The matching kind short-circuits past sqrt; every other group
+	// reaches it.
+	if err := c.DefineChannel(ChannelDef{
+		Name: "Roots", Params: []string{"kind"},
+		Body: "select * from DS r where r.kind = $kind or sqrt(r.x) >= 0",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	subA, err := c.Subscribe("Roots", []any{"a"}, "cb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	subB, err := c.Subscribe("Roots", []any{"b"}, "cb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := obs.NewSpan()
+	ctx := obs.ContextWithSpan(context.Background(), sc)
+	ingest := func() {
+		t.Helper()
+		clk.Advance(time.Second)
+		if _, err := c.IngestContext(ctx, "DS", map[string]any{"kind": "a", "x": -1.0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warnings := func() int { return strings.Count(logs.String(), "channel evaluation failed") }
+
+	ingest()
+	if got := c.evalErrors.With("Roots").Value(); got != 1 {
+		t.Errorf("bad_cluster_eval_errors_total{channel=Roots} = %v, want 1", got)
+	}
+	if res, _ := c.Results(subA, 0, clk.Now(), true); len(res) != 1 {
+		t.Errorf("sibling group delivered %d results, want 1", len(res))
+	}
+	if res, _ := c.Results(subB, 0, clk.Now(), true); len(res) != 0 {
+		t.Errorf("failing group delivered %d results, want 0", len(res))
+	}
+	if warnings() != 1 || !strings.Contains(logs.String(), "sqrt of negative number") ||
+		!strings.Contains(logs.String(), sc.TraceIDString()) {
+		t.Errorf("want one WARN with the error and trace id %s, got:\n%s", sc.TraceIDString(), logs.String())
+	}
+	var evalErrors string
+	for _, tr := range rec.Snapshot() {
+		for _, s := range tr.Spans {
+			if s.Name == "cluster.eval" {
+				evalErrors = s.Attrs["errors"]
+			}
+		}
+	}
+	if evalErrors != "1" {
+		t.Errorf("cluster.eval span errors attr = %q, want \"1\"", evalErrors)
+	}
+
+	ingest() // within the minute: counted, not logged again
+	if got := c.evalErrors.With("Roots").Value(); got != 2 {
+		t.Errorf("errors counter = %v, want 2", got)
+	}
+	if warnings() != 1 {
+		t.Errorf("warnings within one minute = %d, want 1", warnings())
+	}
+	clk.Advance(time.Minute)
+	ingest()
+	if warnings() != 2 {
+		t.Errorf("warnings after a minute = %d, want 2", warnings())
+	}
+}
+
+// --- the scan's cost ---------------------------------------------------------
+
+// A group that does not match costs the scan no allocation, whether the
+// severity test, the latitude band or the haversine rejects it.
+func TestNonMatchingGroupAllocatesNothing(t *testing.T) {
+	c, _ := newTestCluster(t)
+	if err := c.CreateDataset("Pubs", Schema{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DefineChannel(ChannelDef{
+		Name: "WideAlerts", Params: []string{"minSeverity", "lat", "lon", "radiusKm"},
+		Body: "select * from Pubs r where r.severity >= $minSeverity and " +
+			"geo_distance(r.location.lat, r.location.lon, $lat, $lon) <= $radiusKm",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][]any{
+		{9.0, 33.5, -118.0, 0.5},  // severity too low
+		{1.0, 34.5, -118.0, 0.5},  // latitude band
+		{1.0, 33.5, -118.02, 0.5}, // haversine
+	} {
+		if _, err := c.Subscribe("WideAlerts", p, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ch := c.channels["WideAlerts"]
+	table := c.groups["WideAlerts"].table
+	frames := ch.query.Frames([]map[string]any{{
+		"severity": 5.0, "location": map[string]any{"lat": 33.5, "lon": -118.0},
+	}})
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, e := range table {
+			if task := evaluate(ch, e, frames, nil); task != nil {
+				t.Fatalf("group %s matched (%v, %v)", e.g.sig, task.rows, task.err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("scanning %d non-matching groups cost %v allocs, want 0", len(table), allocs)
+	}
 }

@@ -2,7 +2,6 @@ package bdms
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"gobad/internal/aql"
 )
@@ -16,8 +15,9 @@ import (
 //
 // For such channels the cluster maintains an equality index: groups are
 // bucketed by their bound parameter value, and an incoming publication
-// only visits the bucket matching its own field value (plus any groups
-// whose parameters didn't yield an indexable key). The full predicate is
+// only visits the positions of the channel's scan table (evalgroup.go)
+// whose bucket matches its own field value (plus any groups whose
+// parameters didn't yield an indexable key). The full predicate is
 // still evaluated per candidate group, so indexing is purely a pruning
 // step — it never changes matching results. Since every member of a group
 // binds identical parameters, the group is the natural index entry: one
@@ -143,21 +143,40 @@ func (ix *groupIndex) remove(g *evalGroup) {
 	}
 }
 
-// candidates returns the groups that could match a record whose indexed
-// field encodes to key (ok=false means the record lacks the field — only
-// unindexed groups can match, because an equality against a missing/null
-// field is false).
-func (ix *groupIndex) candidates(key string, ok bool) []*evalGroup {
-	if !ok {
-		return ix.unindexed
+// candidates returns the table positions a batch must visit, each with the
+// records (by batch index) that can match it, in first-visit order. A
+// record visits the bucket of its own field value plus the unindexed
+// groups; a record that lacks the field visits only those, because an
+// equality against a missing/null field is false. The positions are only
+// meaningful against the table the caller snapshots under the same lock
+// hold.
+func (ix *groupIndex) candidates(spec *indexSpec, recs []Record) []candidate {
+	var out []candidate
+	var at map[int]int // table position -> index in out; batches only
+	if len(recs) > 1 {
+		at = make(map[int]int)
 	}
-	bucket := ix.byKey[key]
-	if len(ix.unindexed) == 0 {
-		return bucket
+	for i, rec := range recs {
+		var bucket []*evalGroup
+		if key, ok := indexKey(canonicalValue(lookupPathParts(rec.Data, spec.fieldPath))); ok {
+			bucket = ix.byKey[key]
+		}
+		for _, list := range [2][]*evalGroup{bucket, ix.unindexed} {
+			for _, g := range list {
+				if len(recs) == 1 {
+					out = append(out, candidate{pos: g.pos})
+					continue
+				}
+				j, seen := at[g.pos]
+				if !seen {
+					j = len(out)
+					at[g.pos] = j
+					out = append(out, candidate{pos: g.pos})
+				}
+				out[j].recs = append(out[j].recs, i)
+			}
+		}
 	}
-	out := make([]*evalGroup, 0, len(bucket)+len(ix.unindexed))
-	out = append(out, bucket...)
-	out = append(out, ix.unindexed...)
 	return out
 }
 
@@ -173,10 +192,4 @@ func (ix *groupIndex) size() (indexed, unindexed int) {
 		unindexed += len(g.members)
 	}
 	return indexed, unindexed
-}
-
-// String aids debugging.
-func (ix *groupIndex) String() string {
-	i, u := ix.size()
-	return fmt.Sprintf("groupIndex{buckets=%d indexed=%d unindexed=%d}", len(ix.byKey), i, u)
 }

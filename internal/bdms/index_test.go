@@ -119,12 +119,12 @@ func TestIndexedMatchingEquivalence(t *testing.T) {
 		subsIdx[k], subsUn[k] = id1, id2
 	}
 	// Verify the index actually engaged.
-	if ix := c.contIndex["Indexed"]; ix == nil {
+	if ix := c.groups["Indexed"].index; ix == nil {
 		t.Fatal("index not built for Indexed channel")
 	} else if n, u := ix.size(); n != 3 || u != 0 {
 		t.Fatalf("index size = %d/%d, want 3/0", n, u)
 	}
-	if c.contIndex["Unindexed"] != nil {
+	if c.groups["Unindexed"].index != nil {
 		t.Fatal("Unindexed channel should have no index")
 	}
 
@@ -168,8 +168,8 @@ func TestIndexRemovalOnUnsubscribe(t *testing.T) {
 	if err := c.Unsubscribe(sub); err != nil {
 		t.Fatal(err)
 	}
-	if n, u := c.contIndex["Alerts"].size(); n != 0 || u != 0 {
-		t.Errorf("index size after unsubscribe = %d/%d", n, u)
+	if cg := c.groups["Alerts"]; cg != nil {
+		t.Errorf("channel still has evaluation state after its last unsubscribe: %+v", cg)
 	}
 	clk.Advance(time.Second)
 	mustIngest(t, c, "EmergencyReports", report("fire", 3, 0, 0))
@@ -202,7 +202,7 @@ func TestIndexUnindexableParamValue(t *testing.T) {
 	if _, err := c.Subscribe("Clean", []any{nil}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if n, u := c.contIndex["Clean"].size(); n != 0 || u != 1 {
+	if n, u := c.groups["Clean"].index.size(); n != 0 || u != 1 {
 		t.Errorf("nil-bound subscription placement = %d/%d, want 0/1", n, u)
 	}
 	clk.Advance(time.Second)

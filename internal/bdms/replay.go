@@ -130,7 +130,6 @@ func (c *Cluster) applyDeleteChannel(name string) error {
 	}
 	delete(c.channels, name)
 	delete(c.groups, name)
-	delete(c.contIndex, name)
 	return nil
 }
 
@@ -159,22 +158,11 @@ func (c *Cluster) applySubscribe(subID, channelName string, params []any, callba
 	if _, err := fmt.Sscanf(subID, "bsub-%d", &n); err == nil && n > c.subSeq {
 		c.subSeq = n
 	}
-	sig := paramSignature(canon)
-	g := c.group(channelName, sig)
-	if g == nil {
-		g = &evalGroup{ch: ch, sig: sig, params: canon}
-		if !ch.Continuous() {
-			ds := c.datasets[ch.dataset]
-			g.lastSeq = ds.LastSeq()
-			g.nextRun = c.clock() + ch.def.Period
-		}
-		c.addGroup(g)
-	} else if len(g.members) > 0 {
+	if g, created := c.joinGroup(sub); !created {
 		eq := g.members[0]
 		sub.results = append([]ResultObject(nil), eq.results...)
 		sub.lastTS = eq.lastTS
 	}
-	g.addMember(sub)
 	c.subs[sub.id] = sub
 	return nil
 }
@@ -187,11 +175,7 @@ func (c *Cluster) applyUnsubscribe(subID string) error {
 		return fmt.Errorf("bdms: unknown subscription %q", subID)
 	}
 	delete(c.subs, subID)
-	if g := sub.group; g != nil {
-		if g.removeMember(sub) {
-			c.dropGroup(g)
-		}
-	}
+	c.leaveGroup(sub)
 	return nil
 }
 

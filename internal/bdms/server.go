@@ -58,8 +58,10 @@ func NewServer(cluster *Cluster, opts ...ServerOption) *Server {
 	}
 	s.obs.Registry.MustRegister(s.stages.Histogram())
 	cluster.SetTracing(s.obs.Traces, s.stages)
+	cluster.SetLogger(s.obs.Logger)
 	st := cluster.Stats()
 	s.obs.Registry.MustRegister(
+		cluster.evalErrors,
 		obs.CounterFunc("bad_cluster_ingested_total", "Records ingested into datasets.", st.Ingested.Value),
 		obs.CounterFunc("bad_cluster_results_produced_total", "Result objects produced by channel executions.", st.ResultsProduced.Value),
 		obs.CounterFunc("bad_cluster_result_bytes_total", "Bytes of result objects produced.", st.ResultBytes.Value),

@@ -465,8 +465,8 @@ func (c *Cluster) snapshotStateLocked() *clusterSnapshot {
 			Results: append([]ResultObject(nil), sub.results...),
 		})
 	}
-	for chName, bySig := range c.groups {
-		for sig, g := range bySig {
+	for chName, cg := range c.groups {
+		for sig, g := range cg.bySig {
 			if g.ch.Continuous() {
 				continue
 			}
@@ -522,16 +522,7 @@ func (c *Cluster) restoreSnapshot(snap *clusterSnapshot) error {
 			id: ss.ID, ch: ch, params: canon, callback: ss.Callback,
 			results: ss.Results, lastTS: time.Duration(ss.LastTSNS), seq: ss.Seq,
 		}
-		sig := paramSignature(canon)
-		g := c.group(ss.Channel, sig)
-		if g == nil {
-			g = &evalGroup{ch: ch, sig: sig, params: canon}
-			if !ch.Continuous() {
-				g.nextRun = c.clock() + ch.def.Period
-			}
-			c.addGroup(g)
-		}
-		g.addMember(sub)
+		c.joinGroup(sub)
 		c.subs[sub.id] = sub
 	}
 	for _, sg := range snap.Groups {

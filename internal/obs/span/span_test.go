@@ -355,3 +355,41 @@ func TestStagesObserveAndSlowLog(t *testing.T) {
 	var nilStages *Stages
 	nilStages.Observe(ctx, StageRetrieve, OutcomeNone, time.Second) // must not panic
 }
+
+// The in-memory stages run in tens of microseconds; the layout must
+// resolve them instead of folding everything under 0.5 ms into one bucket.
+func TestDeliveryBucketsResolveMicroseconds(t *testing.T) {
+	want := []float64{.000025, .00005, .0001, .00025, .0005, .001}
+	for i, ub := range want {
+		if DeliveryBuckets[i] != ub {
+			t.Fatalf("DeliveryBuckets[%d] = %v, want %v", i, DeliveryBuckets[i], ub)
+		}
+	}
+	st := NewStages(0, nil)
+	st.Observe(context.Background(), StageQueueWait, "", 30*time.Microsecond)
+	reg := obs.NewRegistry()
+	reg.MustRegister(st.Histogram())
+	var expo bytes.Buffer
+	if err := reg.WriteText(&expo); err != nil {
+		t.Fatal(err)
+	}
+	out := expo.String()
+	parsed, err := obs.ParseText(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for le, n := range map[string]float64{"2.5e-05": 0, "5e-05": 1} {
+		found := false
+		for key, v := range parsed.Samples {
+			if strings.Contains(key, `stage="queue_wait"`) && strings.Contains(key, `le="`+le+`"`) {
+				found = true
+				if v != n {
+					t.Errorf("%s = %v, want %v", key, v, n)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("no queue_wait bucket le=%q in:\n%s", le, out)
+		}
+	}
+}

@@ -35,9 +35,11 @@ const (
 	OutcomeStaleServe   = "stale_serve"
 )
 
-// DeliveryBuckets spans sub-millisecond cache hits through multi-second
+// DeliveryBuckets spans 25 µs in-memory stages (a cache hit, a queue
+// wait, a frame write, a compiled cluster scan) through multi-second
 // degraded fetches.
 var DeliveryBuckets = []float64{
+	.000025, .00005, .0001, .00025,
 	.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10,
 }
 
