@@ -149,15 +149,14 @@ func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttl
 		CallbackURL:  public + "/v1/callbacks/results",
 		Fabric:       fabricCfg,
 		WarmupMaxAge: warmupMaxAge,
-	},
-		broker.WithPolicy(policy),
-		broker.WithCacheBudget(budget),
-		broker.WithTTLConfig(core.TTLConfig{RecomputeInterval: ttlInterval}),
-		broker.WithShards(shards),
-		broker.WithPushQueue(pushQueue),
-		broker.WithLogger(observer.Logger),
-		broker.WithStaleServe(res.staleServe),
-	)
+		Policy:       policy,
+		CacheBudget:  budget,
+		TTL:          core.TTLConfig{RecomputeInterval: ttlInterval},
+		CacheShards:  shards,
+		PushQueue:    pushQueue,
+		Logger:       observer.Logger,
+		StaleServe:   res.staleServe,
+	})
 	if err != nil {
 		return err
 	}
@@ -289,7 +288,7 @@ func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttl
 	}
 
 	// Graceful drain: leave the BCS first so no new subscribers are routed
-	// here (and the successor Assign below cannot pick this broker), then
+	// here (and the successor placement below cannot pick this broker), then
 	// flush every session's queue and hand the sessions a migrate frame
 	// naming a live successor, all within the drain deadline.
 	if reg != nil {
@@ -297,8 +296,8 @@ func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttl
 	}
 	successor := ""
 	if bcsClient != nil {
-		if info, aerr := bcsClient.Assign(); aerr == nil {
-			successor = info.Address
+		if resp, aerr := bcsClient.Place("", ""); aerr == nil {
+			successor = resp.Broker.Address
 		} else {
 			log.Printf("badbroker %s: no successor from BCS (clients will rediscover): %v", id, aerr)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -32,7 +33,7 @@ func run() error {
 		bdms.WithNotifier(bdms.NotifierFunc(func(subID, _ string, latest time.Duration) {
 			// In-process wiring: the cluster's webhook IS the broker.
 			if brk != nil {
-				_ = brk.HandleNotification(subID, latest)
+				_ = brk.HandleNotificationContext(context.Background(), subID, latest)
 			}
 		})),
 	)
@@ -89,11 +90,11 @@ func run() error {
 	for _, sub := range []struct{ name, fs string }{
 		{"alice", fsAlice}, {"bob", fsBob},
 	} {
-		items, latest, err := b.GetResults(sub.name, sub.fs)
+		ret, err := b.RetrieveContext(context.Background(), sub.name, sub.fs)
 		if err != nil {
 			return err
 		}
-		for _, it := range items {
+		for _, it := range ret.Items {
 			src := "data cluster"
 			if it.FromCache {
 				src = "broker cache"
@@ -101,7 +102,7 @@ func run() error {
 			fmt.Printf("%s received %s (%d bytes) from the %s: %v\n",
 				sub.name, it.ID, it.Size, src, it.Rows[0]["message"])
 		}
-		if err := b.Ack(sub.name, sub.fs, latest); err != nil {
+		if err := b.Ack(sub.name, sub.fs, ret.Latest); err != nil {
 			return err
 		}
 	}

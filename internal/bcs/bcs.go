@@ -209,9 +209,10 @@ func (s *Service) Ring() RingView { return s.ringSnapshot() }
 
 // Place returns the broker owning subscriberKey under HRW placement over
 // the live member set, plus the membership epoch the decision was taken
-// at. An empty key degrades to least-loaded assignment (the pre-fabric
-// Assign contract), so callers without a stable identity still get a
-// broker.
+// at. An empty key degrades to least-loaded assignment, so callers without
+// a stable identity still get a broker. A broker whose heartbeat age has
+// reached the liveness bound is never returned (see Live for the boundary
+// semantics).
 func (s *Service) Place(subscriberKey string) (BrokerInfo, uint64, error) {
 	view := s.ringSnapshot()
 	if len(view.Brokers) == 0 {
@@ -222,21 +223,6 @@ func (s *Service) Place(subscriberKey string) (BrokerInfo, uint64, error) {
 	}
 	owner, _ := view.Owner(subscriberKey)
 	return owner, view.Epoch, nil
-}
-
-// Assign picks the least-loaded live broker for a new subscriber. A broker
-// whose heartbeat age has reached the liveness bound is never returned
-// (see Live for the boundary semantics).
-//
-// Deprecated: Assign is the pre-fabric pick-any contract, kept for the
-// /v1/assign alias. New callers use Place, which is deterministic per
-// subscriber key.
-func (s *Service) Assign() (BrokerInfo, error) {
-	view := s.ringSnapshot()
-	if len(view.Brokers) == 0 {
-		return BrokerInfo{}, fmt.Errorf("bcs: no live broker available")
-	}
-	return leastLoaded(view.Brokers), nil
 }
 
 // leastLoaded picks the lowest-load broker, ID as tiebreak. brokers must

@@ -27,7 +27,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 func TestRegisterAndAssign(t *testing.T) {
 	clk := &fakeClock{}
 	s := NewService(WithClock(clk.Now))
-	if _, err := s.Assign(); err == nil {
+	if _, _, err := s.Place(""); err == nil {
 		t.Error("assign with no brokers should fail")
 	}
 	if err := s.Register("b1", "http://b1:8080"); err != nil {
@@ -41,7 +41,7 @@ func TestRegisterAndAssign(t *testing.T) {
 	}
 
 	// Equal load: deterministic pick by ID.
-	b, err := s.Assign()
+	b, _, err := s.Place("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRegisterAndAssign(t *testing.T) {
 	if err := s.Heartbeat("b2", 5); err != nil {
 		t.Fatal(err)
 	}
-	b, err = s.Assign()
+	b, _, err = s.Place("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestAssignSkipsDeadBrokers(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(8 * time.Second) // b1's heartbeat now 13s old, b2's 8s old
-	b, err := s.Assign()
+	b, _, err := s.Place("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestAssignSkipsDeadBrokers(t *testing.T) {
 		t.Errorf("assigned %s, want live b2", b.ID)
 	}
 	clk.Advance(20 * time.Second) // both dead
-	if _, err := s.Assign(); err == nil {
+	if _, _, err := s.Place(""); err == nil {
 		t.Error("all-dead assign should fail")
 	}
 }
@@ -149,17 +149,17 @@ func TestServerClientRoundTrip(t *testing.T) {
 	if len(brokers) != 1 || brokers[0].Load != 7 {
 		t.Errorf("brokers = %+v", brokers)
 	}
-	b, err := client.Assign()
+	placed, err := client.Place("", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.ID != "b1" || b.Address != "http://b1:9000" {
-		t.Errorf("assigned = %+v", b)
+	if b := placed.Broker; b.ID != "b1" || b.Address != "http://b1:9000" {
+		t.Errorf("placed = %+v", b)
 	}
 	if err := client.Deregister("b1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Assign(); err == nil {
-		t.Error("assign with no brokers should fail over REST")
+	if _, err := client.Place("", ""); err == nil {
+		t.Error("placement with no brokers should fail over REST")
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // TestAssignNeverReturnsStaleBroker is the liveness property: across a
 // randomized schedule of registrations, heartbeats, deregistrations and
-// clock advances, Assign must never hand out a broker whose heartbeat age
+// clock advances, Place("") must never hand out a broker whose heartbeat age
 // has reached the liveness bound — including the exact instant a broker
 // goes stale — and must fail only when no live broker exists.
 func TestAssignNeverReturnsStaleBroker(t *testing.T) {
@@ -80,7 +80,7 @@ func TestAssignNeverReturnsStaleBroker(t *testing.T) {
 				anyLive = true
 			}
 		}
-		got, err := svc.Assign()
+		got, _, err := svc.Place("")
 		if err != nil {
 			if anyLive {
 				t.Fatalf("step %d: Assign failed with a live broker available: %v", step, err)
@@ -102,7 +102,7 @@ func TestAssignNeverReturnsStaleBroker(t *testing.T) {
 
 // TestServerAssignSkipsStaleBroker drives the staleness behavior through
 // the HTTP surface: a broker that stops heartbeating disappears from
-// /v1/assign, and when every broker is stale the endpoint degrades to a
+// /v1/placement, and when every broker is stale the endpoint degrades to a
 // retryable 503.
 func TestServerAssignSkipsStaleBroker(t *testing.T) {
 	var now time.Duration
@@ -127,12 +127,12 @@ func TestServerAssignSkipsStaleBroker(t *testing.T) {
 	if err := c.Heartbeat("b2", 5); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Assign()
+	got, err := c.Place("", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != "b1" {
-		t.Fatalf("assigned %s, want b1 (least loaded)", got.ID)
+	if got.Broker.ID != "b1" {
+		t.Fatalf("assigned %s, want b1 (least loaded)", got.Broker.ID)
 	}
 
 	// b1's heartbeat ages past the bound; only b2 keeps heartbeating.
@@ -141,18 +141,18 @@ func TestServerAssignSkipsStaleBroker(t *testing.T) {
 		t.Fatal(err)
 	}
 	now += time.Second // b1's age is now exactly the bound
-	got, err = c.Assign()
+	got, err = c.Place("", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != "b2" {
-		t.Fatalf("assigned %s, want b2 (b1 heartbeat is stale)", got.ID)
+	if got.Broker.ID != "b2" {
+		t.Fatalf("assigned %s, want b2 (b1 heartbeat is stale)", got.Broker.ID)
 	}
 
 	// Everything stale: the endpoint answers 503 and marks it retryable so
 	// client supervisors keep polling through a BCS restart window.
 	now += 5 * time.Second
-	_, err = c.Assign()
+	_, err = c.Place("", "")
 	var se *httpx.StatusError
 	if !errors.As(err, &se) {
 		t.Fatalf("assign with no live broker: got %v, want StatusError", err)

@@ -307,23 +307,4 @@ func TestFabricAPI(t *testing.T) {
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("changed ring revalidation = %d, want 200", resp3.StatusCode)
 	}
-
-	// The superseded assign endpoints answer, flagged as deprecated.
-	for _, path := range []string{"/v1/assign", "/api/assign"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d, want 200", path, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("GET %s missing Deprecation header", path)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/placement") {
-			t.Errorf("GET %s Link = %q, want successor /v1/placement", path, link)
-		}
-	}
 }

@@ -45,25 +45,12 @@ func NewServer(svc *Service, opts ...ServerOption) *Server {
 	}))
 	s.mux.Handle("GET /metrics", s.obs.MetricsHandler())
 	s.mux.Handle("GET /v1/debug/traces", s.obs.Traces.Handler())
-	// Versioned /v1 routes plus pre-v1 /api aliases (deprecated; kept for
-	// one release — see httpx.Dual).
-	s.route(http.MethodPost, "/v1/brokers", "/api/brokers", s.handleRegister)
-	s.route(http.MethodPost, "/v1/brokers/{id}/heartbeat", "/api/brokers/{id}/heartbeat", s.handleHeartbeat)
-	s.route(http.MethodDelete, "/v1/brokers/{id}", "/api/brokers/{id}", s.handleDeregister)
-	s.route(http.MethodGet, "/v1/brokers", "/api/brokers", s.handleList)
-	s.route(http.MethodPost, "/v1/placement", "", s.handlePlacement)
-	s.route(http.MethodGet, "/v1/ring", "", s.handleRing)
-	// /v1/assign is superseded by /v1/placement: both it and its pre-v1
-	// alias keep serving, but with deprecation headers naming the
-	// successor (the PR 1 convention, applied to a /v1 route for the
-	// first time).
-	deprecatedAssign := s.obs.Wrap("/v1/assign", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/placement>; rel="successor-version"`)
-		s.handleAssign(w, r)
-	})
-	s.mux.HandleFunc("GET /v1/assign", deprecatedAssign)
-	s.mux.HandleFunc("GET /api/assign", deprecatedAssign)
+	s.route(http.MethodPost, "/v1/brokers", s.handleRegister)
+	s.route(http.MethodPost, "/v1/brokers/{id}/heartbeat", s.handleHeartbeat)
+	s.route(http.MethodDelete, "/v1/brokers/{id}", s.handleDeregister)
+	s.route(http.MethodGet, "/v1/brokers", s.handleList)
+	s.route(http.MethodPost, "/v1/placement", s.handlePlacement)
+	s.route(http.MethodGet, "/v1/ring", s.handleRing)
 	return s
 }
 
@@ -73,9 +60,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Observer returns the server's observability bundle.
 func (s *Server) Observer() *httpx.Observer { return s.obs }
 
-// route registers one instrumented endpoint under its /v1 path plus alias.
-func (s *Server) route(method, pattern, legacy string, h http.HandlerFunc) {
-	httpx.Dual(s.mux, method, pattern, legacy, s.obs.Wrap(pattern, h))
+// route registers one instrumented endpoint.
+func (s *Server) route(method, pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(method+" "+pattern, s.obs.Wrap(pattern, h))
 }
 
 // RegisterRequest is the broker registration payload.
@@ -129,15 +116,6 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, map[string][]BrokerInfo{"brokers": s.svc.Brokers()})
 }
 
-func (s *Server) handleAssign(w http.ResponseWriter, _ *http.Request) {
-	b, err := s.svc.Assign()
-	if err != nil {
-		httpx.WriteError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	httpx.WriteJSON(w, http.StatusOK, b)
-}
-
 // PlacementRequest asks for the broker owning a subscriber key. PrevBroker
 // is the broker the caller last held (empty for a fresh arrival) so the
 // response can say whether placement moved.
@@ -186,7 +164,7 @@ func (s *Server) handleRing(w http.ResponseWriter, r *http.Request) {
 }
 
 // Client is the Go client for the BCS REST API, used by brokers (register,
-// heartbeat) and subscribers (assign).
+// heartbeat) and subscribers (placement).
 type Client struct {
 	base string
 	http *http.Client
@@ -230,15 +208,6 @@ func (c *Client) Brokers() ([]BrokerInfo, error) {
 		return nil, err
 	}
 	return out["brokers"], nil
-}
-
-// Assign asks for a suitable broker for a new subscriber.
-//
-// Deprecated: use Place, which is deterministic per subscriber key.
-func (c *Client) Assign() (BrokerInfo, error) {
-	var out BrokerInfo
-	err := httpx.DoJSON(c.http, http.MethodGet, c.base+"/v1/assign", nil, &out)
-	return out, err
 }
 
 // Place asks for the broker owning subscriberKey. prevBroker (may be

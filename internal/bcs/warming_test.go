@@ -42,7 +42,7 @@ func TestWarmingBrokerExcludedFromPlacement(t *testing.T) {
 			t.Fatalf("key sub-%d placed on warming broker b", i)
 		}
 	}
-	if picked, err := s.Assign(); err != nil || picked.ID == "b" {
+	if picked, _, err := s.Place(""); err != nil || picked.ID == "b" {
 		t.Errorf("Assign = %v, %v; must skip the warming broker", picked.ID, err)
 	}
 

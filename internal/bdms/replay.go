@@ -51,26 +51,26 @@ func (c *Cluster) advanceClockTo(d time.Duration) {
 	}
 }
 
-// applyWALRecord applies one record. Legacy records (empty Kind, from logs
-// written before full-state coverage) are dataset creations when Data is
-// nil and ingests otherwise.
+// applyWALRecord applies one record. A record without a known Kind (logs
+// written before PR 10 carried none) fails recovery rather than being
+// guessed at.
 func (c *Cluster) applyWALRecord(rec walRecord) error {
-	switch {
-	case rec.Kind == walKindDataset || (rec.Kind == "" && rec.Data == nil):
+	switch rec.Kind {
+	case walKindDataset:
 		return c.applyCreateDataset(rec.Dataset, rec.Schema)
-	case rec.Kind == walKindIngest || rec.Kind == "":
+	case walKindIngest:
 		return c.applyIngest(rec.Dataset, rec.Data, time.Duration(rec.AtNS))
-	case rec.Kind == walKindChannel:
+	case walKindChannel:
 		return c.applyDefineChannel(rec.Channel)
-	case rec.Kind == walKindDelChannel:
+	case walKindDelChannel:
 		return c.applyDeleteChannel(rec.Name)
-	case rec.Kind == walKindSub:
+	case walKindSub:
 		return c.applySubscribe(rec.Sub, rec.Name, rec.Params, rec.Callback)
-	case rec.Kind == walKindUnsub:
+	case walKindUnsub:
 		return c.applyUnsubscribe(rec.Sub)
-	case rec.Kind == walKindResult:
+	case walKindResult:
 		return c.applyResult(rec.Sub, rec.Result)
-	case rec.Kind == walKindTick:
+	case walKindTick:
 		return c.applyTick(rec.Name, rec.Sig, rec.LastSeq)
 	}
 	return fmt.Errorf("bdms: unknown wal record kind %q", rec.Kind)

@@ -123,30 +123,29 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Observer returns the server's observability bundle.
 func (s *Server) Observer() *httpx.Observer { return s.obs }
 
-// route registers one instrumented endpoint under its /v1 path plus alias.
-func (s *Server) route(method, pattern, legacy string, h http.HandlerFunc) {
-	httpx.Dual(s.mux, method, pattern, legacy, s.obs.Wrap(pattern, h))
+// route registers one instrumented endpoint.
+func (s *Server) route(method, pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(method+" "+pattern, s.obs.Wrap(pattern, h))
 }
 
-// routes registers every endpoint under its versioned /v1 path plus the
-// pre-v1 /api alias (deprecated; kept for one release — see httpx.Dual).
+// routes registers every endpoint under its versioned /v1 path.
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.obs.Wrap("/healthz", s.handleHealth))
 	s.mux.Handle("GET /metrics", s.obs.MetricsHandler())
 	s.mux.Handle("GET /v1/debug/traces", s.obs.Traces.Handler())
-	s.route(http.MethodGet, "/v1/stats", "/api/stats", s.handleStats)
-	s.route(http.MethodPost, "/v1/datasets", "/api/datasets", s.handleCreateDataset)
-	s.route(http.MethodGet, "/v1/datasets", "/api/datasets", s.handleListDatasets)
-	s.route(http.MethodPost, "/v1/datasets/{name}/records", "/api/datasets/{name}/records", s.handleIngest)
-	s.route(http.MethodPost, "/v1/datasets/{name}/records:batch", "/api/datasets/{name}/records:batch", s.handleIngestBatch)
-	s.route(http.MethodPost, "/v1/channels", "/api/channels", s.handleDefineChannel)
-	s.route(http.MethodGet, "/v1/channels", "/api/channels", s.handleListChannels)
-	s.route(http.MethodDelete, "/v1/channels/{name}", "/api/channels/{name}", s.handleDeleteChannel)
-	s.route(http.MethodPost, "/v1/query", "/api/query", s.handleQuery)
-	s.route(http.MethodPost, "/v1/subscriptions", "/api/subscriptions", s.handleSubscribe)
-	s.route(http.MethodDelete, "/v1/subscriptions/{id}", "/api/subscriptions/{id}", s.handleUnsubscribe)
-	s.route(http.MethodGet, "/v1/subscriptions/{id}/results", "/api/subscriptions/{id}/results", s.handleResults)
-	s.route(http.MethodGet, "/v1/subscriptions/{id}/latest", "/api/subscriptions/{id}/latest", s.handleLatest)
+	s.route(http.MethodGet, "/v1/stats", s.handleStats)
+	s.route(http.MethodPost, "/v1/datasets", s.handleCreateDataset)
+	s.route(http.MethodGet, "/v1/datasets", s.handleListDatasets)
+	s.route(http.MethodPost, "/v1/datasets/{name}/records", s.handleIngest)
+	s.route(http.MethodPost, "/v1/datasets/{name}/records:batch", s.handleIngestBatch)
+	s.route(http.MethodPost, "/v1/channels", s.handleDefineChannel)
+	s.route(http.MethodGet, "/v1/channels", s.handleListChannels)
+	s.route(http.MethodDelete, "/v1/channels/{name}", s.handleDeleteChannel)
+	s.route(http.MethodPost, "/v1/query", s.handleQuery)
+	s.route(http.MethodPost, "/v1/subscriptions", s.handleSubscribe)
+	s.route(http.MethodDelete, "/v1/subscriptions/{id}", s.handleUnsubscribe)
+	s.route(http.MethodGet, "/v1/subscriptions/{id}/results", s.handleResults)
+	s.route(http.MethodGet, "/v1/subscriptions/{id}/latest", s.handleLatest)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {

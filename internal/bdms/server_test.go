@@ -142,7 +142,7 @@ func TestServerResultsBadQuery(t *testing.T) {
 	_, cluster, _ := newTestCluster2(t)
 	srv := httptest.NewServer(NewServer(cluster).Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/subscriptions/x/results?from_ns=abc&to_ns=1")
+	resp, err := http.Get(srv.URL + "/v1/subscriptions/x/results?from_ns=abc&to_ns=1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,7 @@ import (
 //
 // Snapshot + segment compaction on top of this log lives in store.go.
 
-// WAL record kinds. Kind is empty on records written before result-dataset
-// coverage existed: those legacy entries are dataset creations when Data is
-// nil and ingests otherwise.
+// WAL record kinds.
 const (
 	walKindDataset    = "dataset"
 	walKindIngest     = "ingest"
@@ -50,7 +48,7 @@ const (
 // walRecord is one persisted log entry. Only the fields of its kind are
 // set; everything is omitempty so the common ingest record stays small.
 type walRecord struct {
-	// Kind tags the entry; empty on legacy (publication-only) logs.
+	// Kind tags the entry.
 	Kind string `json:"kind,omitempty"`
 	// Dataset names the target dataset (dataset/ingest kinds).
 	Dataset string `json:"dataset,omitempty"`

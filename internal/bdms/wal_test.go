@@ -3,6 +3,7 @@ package bdms
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -89,9 +90,9 @@ func TestOpenWALMissingFile(t *testing.T) {
 
 func TestOpenWALToleratesTornTail(t *testing.T) {
 	path := walPath(t)
-	content := `{"dataset":"DS","schema":{},"at_ns":0}
-{"dataset":"DS","data":{"x":1},"at_ns":1}
-{"dataset":"DS","data":{"x":2},"at_` // torn mid-record
+	content := `{"kind":"dataset","dataset":"DS","schema":{},"at_ns":0}
+{"kind":"ingest","dataset":"DS","data":{"x":1},"at_ns":1}
+{"kind":"ingest","dataset":"DS","data":{"x":2},"at_` // torn mid-record
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +108,31 @@ func TestOpenWALToleratesTornTail(t *testing.T) {
 
 func TestOpenWALRejectsMidFileCorruption(t *testing.T) {
 	path := walPath(t)
-	content := `{"dataset":"DS","schema":{},"at_ns":0}
+	content := `{"kind":"dataset","dataset":"DS","schema":{},"at_ns":0}
 GARBAGE NOT JSON
-{"dataset":"DS","data":{"x":2},"at_ns":2}
+{"kind":"ingest","dataset":"DS","data":{"x":2},"at_ns":2}
 `
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenWAL(path); err == nil {
 		t.Error("mid-file corruption should fail recovery")
+	}
+}
+
+// TestOpenWALRejectsRecordWithoutKind: a pre-PR 10 record (no kind) fails
+// recovery instead of being guessed to be a dataset creation or an ingest.
+func TestOpenWALRejectsRecordWithoutKind(t *testing.T) {
+	path := walPath(t)
+	content := `{"kind":"dataset","dataset":"DS","schema":{},"at_ns":0}
+{"dataset":"DS","data":{"x":1},"at_ns":1}
+`
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenWAL(path)
+	if err == nil || !strings.Contains(err.Error(), `unknown wal record kind ""`) {
+		t.Errorf("OpenWAL = %v, want unknown wal record kind error", err)
 	}
 }
 

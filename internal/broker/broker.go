@@ -66,9 +66,8 @@ type Config struct {
 	Backend Backend
 	// CallbackURL is the webhook URL the data cluster should invoke for
 	// new results; it must route to this broker's HTTP handler at
-	// /v1/callbacks/results (the legacy /callbacks/results alias also
-	// works). Leave empty for in-process backends driven by a direct
-	// Notifier.
+	// /v1/callbacks/results. Leave empty for in-process backends driven
+	// by a direct Notifier.
 	CallbackURL string
 	// Policy is the caching policy (required), e.g. core.LSC{}.
 	Policy core.Policy
@@ -92,9 +91,6 @@ type Config struct {
 	// warnings, backend errors). Lines carry trace/request IDs when the
 	// triggering context has them. nil discards.
 	Logger *slog.Logger
-	// SlowFetchThreshold is the wall-clock duration above which a data
-	// cluster pull is logged as slow; <= 0 selects one second.
-	SlowFetchThreshold time.Duration
 	// StaleServe degrades gracefully when the data cluster is
 	// unreachable: a retrieval whose backend fetch fails is answered
 	// from the cache alone and marked stale instead of erroring. The
@@ -107,16 +103,6 @@ type Config struct {
 	// <= 0 selects DefaultPushQueue. Markers beyond the bound evict the
 	// oldest pending one (latest-wins, recoverable via GetResults).
 	PushQueue int
-	// PushWriters sizes the shared pool of writer goroutines that drains
-	// session push queues; <= 0 selects a GOMAXPROCS-derived default. The
-	// pool is what keeps a million sessions from meaning a million
-	// goroutines.
-	PushWriters int
-	// PushWriteTimeout bounds one pooled writer's socket write so a
-	// stalled subscriber cannot pin a shared writer; <= 0 selects
-	// DefaultPushWriteTimeout. Past the deadline the write fails and the
-	// session is dropped (the client reconnects and catches up).
-	PushWriteTimeout time.Duration
 	// Fabric connects the broker to the cooperative edge fabric: HRW
 	// placement, session rebalance and broker-to-broker peer lookup on
 	// cache misses. nil runs the broker standalone.
@@ -139,7 +125,9 @@ type Broker struct {
 	stats       *metrics.CacheStats
 	clock       func() time.Duration
 	log         *slog.Logger
-	slowFetch   time.Duration
+	// slowFetch is the wall-clock duration above which a data cluster pull
+	// is logged as slow.
+	slowFetch time.Duration
 
 	rtt time.Duration
 	bw  float64
@@ -241,11 +229,8 @@ type frontendSub struct {
 	fts time.Duration
 }
 
-// New validates cfg, applies opts on top of it and returns a ready Broker.
-func New(cfg Config, opts ...Option) (*Broker, error) {
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// New validates cfg and returns a ready Broker.
+func New(cfg Config) (*Broker, error) {
 	if cfg.ID == "" {
 		return nil, errors.New("broker: Config.ID is required")
 	}
@@ -264,9 +249,6 @@ func New(cfg Config, opts ...Option) (*Broker, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
-	if cfg.SlowFetchThreshold <= 0 {
-		cfg.SlowFetchThreshold = time.Second
-	}
 	b := &Broker{
 		id:          cfg.ID,
 		backend:     cfg.Backend,
@@ -280,7 +262,7 @@ func New(cfg Config, opts ...Option) (*Broker, error) {
 		frontend:    make(map[string]*frontendSub),
 		subIndex:    make(map[string]map[string]string),
 		log:         obs.WrapLogger(cfg.Logger),
-		slowFetch:   cfg.SlowFetchThreshold,
+		slowFetch:   time.Second,
 		failover:    &obs.FailoverStats{},
 		subFlights:  make(map[string]*subFlight),
 		warm:        newWarmStore(cfg.WarmupMaxBytes),
@@ -290,12 +272,6 @@ func New(cfg Config, opts ...Option) (*Broker, error) {
 		b.warmupMaxAge = DefaultWarmupMaxAge
 	}
 	b.sessions = newSessionHub(cfg.PushQueue, &b.stats.Delivered, b.log)
-	if cfg.PushWriters > 0 {
-		b.sessions.writers = cfg.PushWriters
-	}
-	if cfg.PushWriteTimeout > 0 {
-		b.sessions.writeTimeout = cfg.PushWriteTimeout
-	}
 	if cfg.Fabric != nil {
 		b.fabric = newFabric(b, *cfg.Fabric)
 	}
@@ -722,19 +698,6 @@ type ResultItem struct {
 	FromCache bool `json:"from_cache"`
 }
 
-// GetResults is GetResultsContext with a background context.
-func (b *Broker) GetResults(subscriber, fsID string) ([]ResultItem, time.Duration, error) {
-	return b.GetResultsContext(context.Background(), subscriber, fsID)
-}
-
-// GetResultsContext is RetrieveContext without the staleness marker, kept
-// for existing call sites; stale serves (StaleServe on) surface here as an
-// error-free answer with a zero marker.
-func (b *Broker) GetResultsContext(ctx context.Context, subscriber, fsID string) ([]ResultItem, time.Duration, error) {
-	ret, err := b.RetrieveContext(ctx, subscriber, fsID)
-	return ret.Items, ret.Latest, err
-}
-
 // Retrieval is a retrieval's full answer.
 type Retrieval struct {
 	// Items are the results, oldest first.
@@ -883,12 +846,6 @@ func (b *Broker) Ack(subscriber, fsID string, ts time.Duration) error {
 	return nil
 }
 
-// HandleNotification is HandleNotificationContext with a background
-// context.
-func (b *Broker) HandleNotification(backendSubID string, latest time.Duration) error {
-	return b.HandleNotificationContext(context.Background(), backendSubID, latest)
-}
-
 // HandleNotificationContext reacts to the data cluster's webhook: pull the
 // new results (bts, latest] into the cache (PULL model), advance the
 // backend marker and push "new results" notifications to the attached
@@ -1000,17 +957,11 @@ func (b *Broker) SetPushFunc(fn func(subscriber string, n PushNotification) bool
 	b.push = fn
 }
 
-// HandlePushedResult reacts to a PUSH-model webhook: the notification
-// carried the result object itself, so the broker caches it directly —
-// no fetch round trip. Gaps (results the broker never saw, e.g. shed push
-// deliveries) are back-filled with one PULL of the missing range first,
-// keeping the cache's timestamp order intact.
-func (b *Broker) HandlePushedResult(backendSubID string, r bdms.ResultObject) error {
-	return b.HandlePushedResultContext(context.Background(), backendSubID, r)
-}
-
-// HandlePushedResultContext is HandlePushedResult bound to ctx, which
-// bounds the gap back-fill pull.
+// HandlePushedResultContext reacts to a PUSH-model webhook: the
+// notification carried the result object itself, so the broker caches it
+// directly — no fetch round trip. Gaps (results the broker never saw, e.g.
+// shed push deliveries) are back-filled with one PULL of the missing range
+// first (bounded by ctx), keeping the cache's timestamp order intact.
 func (b *Broker) HandlePushedResultContext(ctx context.Context, backendSubID string, r bdms.ResultObject) (err error) {
 	ctx, sp := b.traces.Start(ctx, "broker.push_ingest")
 	sp.SetAttr("backend_sub", backendSubID)
@@ -1077,16 +1028,10 @@ func (b *Broker) HandlePushedResultContext(ctx context.Context, backendSubID str
 	return nil
 }
 
-// HandlePushedResults ingests a coalesced batch of pushed results (the
-// cluster-side notifier batches per callback within its flush window) in
-// one call: a single gap back-fill below the batch, one cache Put per
-// object and one notification fan-out for the whole batch.
-func (b *Broker) HandlePushedResults(backendSubID string, rs []bdms.ResultObject) error {
-	return b.HandlePushedResultsContext(context.Background(), backendSubID, rs)
-}
-
-// HandlePushedResultsContext is HandlePushedResults bound to ctx, which
-// bounds the gap back-fill pull.
+// HandlePushedResultsContext ingests a coalesced batch of pushed results
+// (the cluster-side notifier batches per callback within its flush window)
+// in one call: a single gap back-fill below the batch (bounded by ctx), one
+// cache Put per object and one notification fan-out for the whole batch.
 func (b *Broker) HandlePushedResultsContext(ctx context.Context, backendSubID string, rs []bdms.ResultObject) (err error) {
 	if len(rs) == 0 {
 		return nil
@@ -1177,9 +1122,9 @@ func (b *Broker) fetchLatency(size int64) time.Duration {
 }
 
 // backendResults pulls results from the data cluster, upgrading to the
-// context-aware call when the backend supports it. Pulls slower than the
-// configured threshold are logged with the request's trace, so a slow
-// subscriber retrieval can be followed into the cluster.
+// context-aware call when the backend supports it. Pulls slower than
+// b.slowFetch are logged with the request's trace, so a slow subscriber
+// retrieval can be followed into the cluster.
 func (b *Broker) backendResults(ctx context.Context, subID string, from, to time.Duration, inclusiveTo bool) (results []bdms.ResultObject, err error) {
 	start := time.Now()
 	ctx, sp := b.traces.Start(ctx, "broker.cluster_fetch")

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -43,7 +44,7 @@ func newTestEnv(t *testing.T, policy core.Policy, budget int64) *testEnv {
 		bdms.WithClock(env.clk.Now),
 		bdms.WithNotifier(bdms.NotifierFunc(func(subID, _ string, latest time.Duration) {
 			if env.broker != nil {
-				_ = env.broker.HandleNotification(subID, latest)
+				_ = env.broker.HandleNotificationContext(context.Background(), subID, latest)
 			}
 		})),
 	)
@@ -157,14 +158,14 @@ func TestNotificationPullCacheAndRetrieve(t *testing.T) {
 	env.publish(t, "flood", 2) // does not match
 	env.publish(t, "fire", 5)
 
-	items, latest, err := b.GetResults("alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 2 {
-		t.Fatalf("got %d results, want 2", len(items))
+	if len(ret.Items) != 2 {
+		t.Fatalf("got %d results, want 2", len(ret.Items))
 	}
-	for _, it := range items {
+	for _, it := range ret.Items {
 		if !it.FromCache {
 			t.Errorf("result %s should come from the cache", it.ID)
 		}
@@ -172,7 +173,7 @@ func TestNotificationPullCacheAndRetrieve(t *testing.T) {
 			t.Errorf("rows = %v", it.Rows)
 		}
 	}
-	if latest == 0 {
+	if ret.Latest == 0 {
 		t.Error("latest marker should be set")
 	}
 	if got := b.Stats().HitRatio(); got != 1 {
@@ -191,23 +192,23 @@ func TestAckAdvancesMarker(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.publish(t, "fire", 3)
-	items, latest, err := b.GetResults("alice", fs)
-	if err != nil || len(items) != 1 {
-		t.Fatalf("items=%v err=%v", items, err)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
+	if err != nil || len(ret.Items) != 1 {
+		t.Fatalf("items=%v err=%v", ret.Items, err)
 	}
-	if err := b.Ack("alice", fs, latest); err != nil {
+	if err := b.Ack("alice", fs, ret.Latest); err != nil {
 		t.Fatal(err)
 	}
 	// After ack, the same range yields nothing.
-	items, _, err = b.GetResults("alice", fs)
+	ret, err = b.RetrieveContext(context.Background(), "alice", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 0 {
-		t.Errorf("post-ack retrieval returned %d items", len(items))
+	if len(ret.Items) != 0 {
+		t.Errorf("post-ack retrieval returned %d items", len(ret.Items))
 	}
 	// Ack beyond bts clamps.
-	if err := b.Ack("alice", fs, latest+time.Hour); err != nil {
+	if err := b.Ack("alice", fs, ret.Latest+time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	// Ack backwards is ignored.
@@ -228,20 +229,20 @@ func TestLateJoinerOnlySeesNewResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, _, err := b.GetResults("bob", fsBob)
+	ret, err := b.RetrieveContext(context.Background(), "bob", fsBob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 0 {
-		t.Errorf("late joiner got %d pre-join results, want 0", len(items))
+	if len(ret.Items) != 0 {
+		t.Errorf("late joiner got %d pre-join results, want 0", len(ret.Items))
 	}
 	env.publish(t, "fire", 4)
-	items, _, err = b.GetResults("bob", fsBob)
+	ret, err = b.RetrieveContext(context.Background(), "bob", fsBob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 1 {
-		t.Errorf("late joiner got %d post-join results, want 1", len(items))
+	if len(ret.Items) != 1 {
+		t.Errorf("late joiner got %d post-join results, want 1", len(ret.Items))
 	}
 }
 
@@ -256,15 +257,15 @@ func TestCacheMissRefetchesFromCluster(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		env.publish(t, "fire", float64(i+1))
 	}
-	items, latest, err := b.GetResults("alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 5 {
-		t.Fatalf("got %d results, want all 5 despite evictions", len(items))
+	if len(ret.Items) != 5 {
+		t.Fatalf("got %d results, want all 5 despite evictions", len(ret.Items))
 	}
 	var fromCache, fetched int
-	for _, it := range items {
+	for _, it := range ret.Items {
 		if it.FromCache {
 			fromCache++
 		} else {
@@ -274,7 +275,7 @@ func TestCacheMissRefetchesFromCluster(t *testing.T) {
 	if fetched == 0 {
 		t.Error("with budget 200 some results must be re-fetched")
 	}
-	if err := b.Ack("alice", fs, latest); err != nil {
+	if err := b.Ack("alice", fs, ret.Latest); err != nil {
 		t.Fatal(err)
 	}
 	if b.Stats().MissBytes.Value() <= 0 {
@@ -326,7 +327,7 @@ func TestUnsubscribeValidation(t *testing.T) {
 
 func TestGetResultsValidation(t *testing.T) {
 	env := newTestEnv(t, core.LSC{}, 1<<20)
-	if _, _, err := env.broker.GetResults("alice", "nope"); err == nil {
+	if _, err := env.broker.RetrieveContext(context.Background(), "alice", "nope"); err == nil {
 		t.Error("unknown fs should fail")
 	}
 	if err := env.broker.Ack("alice", "nope", 0); err == nil {
@@ -343,14 +344,14 @@ func TestNCPolicyFetchesEverythingFromCluster(t *testing.T) {
 	}
 	env.publish(t, "fire", 3)
 	env.publish(t, "fire", 4)
-	items, _, err := b.GetResults("alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 2 {
-		t.Fatalf("got %d results, want 2", len(items))
+	if len(ret.Items) != 2 {
+		t.Fatalf("got %d results, want 2", len(ret.Items))
 	}
-	for _, it := range items {
+	for _, it := range ret.Items {
 		if it.FromCache {
 			t.Error("NC must serve everything from the cluster")
 		}
@@ -372,11 +373,11 @@ func TestStaleNotificationIgnored(t *testing.T) {
 	env.publish(t, "fire", 3)
 	// Replay an old notification; must be a no-op.
 	for _, bsInfo := range b.Manager().CacheInfos() {
-		if err := b.HandleNotification(bsInfo.ID, time.Nanosecond); err != nil {
+		if err := b.HandleNotificationContext(context.Background(), bsInfo.ID, time.Nanosecond); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.HandleNotification("unknown-sub", time.Hour); err == nil {
+	if err := b.HandleNotificationContext(context.Background(), "unknown-sub", time.Hour); err == nil {
 		t.Error("notification for unknown subscription should fail")
 	}
 }
@@ -396,12 +397,12 @@ func TestTTLPolicyExpiryThroughBroker(t *testing.T) {
 		t.Errorf("expired %d objects, want 1", n)
 	}
 	// Expired object must still be retrievable from the cluster.
-	items, _, err := b.GetResults("alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 1 || items[0].FromCache {
-		t.Errorf("expired result should be re-fetched: %+v", items)
+	if len(ret.Items) != 1 || ret.Items[0].FromCache {
+		t.Errorf("expired result should be re-fetched: %+v", ret.Items)
 	}
 	b.DriveTTL() // smoke: recompute + expire path
 }
@@ -479,11 +480,11 @@ func TestGetResultsPartialFetchError(t *testing.T) {
 	}
 	// Detach the backend by swapping in a failing one.
 	b.backend = failingBackend{}
-	items, _, err := b.GetResults("alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
 	if err == nil {
 		t.Fatal("backend failure should surface")
 	}
-	if len(items) == 0 {
+	if len(ret.Items) == 0 {
 		t.Error("cached results should still be returned alongside the error")
 	}
 }

@@ -37,7 +37,7 @@ func TestChaosThirtyPercentClusterErrors(t *testing.T) {
 			if b != nil {
 				// A failed pull is not lost: the marker stays put and the
 				// next (cumulative) notification retries the whole range.
-				_ = b.HandleNotification(subID, latest)
+				_ = b.HandleNotificationContext(context.Background(), subID, latest)
 			}
 		})),
 	)

@@ -26,7 +26,7 @@ func TestDrainMigratesAllSessions(t *testing.T) {
 		if _, err := env.broker.Subscribe(sub, "Alerts", []any{"fire"}); err != nil {
 			t.Fatal(err)
 		}
-		conn, err := wsock.Dial(srv.URL+"/ws?subscriber="+sub, 5*time.Second)
+		conn, err := wsock.Dial(srv.URL+"/v1/ws?subscriber="+sub, 5*time.Second)
 		if err != nil {
 			t.Fatalf("dial session %d: %v", i, err)
 		}
@@ -80,7 +80,7 @@ func TestDrainMigratesAllSessions(t *testing.T) {
 	if !errors.Is(err, ErrDraining) {
 		t.Errorf("SubscribeResume during drain = %v, want ErrDraining", err)
 	}
-	if _, err := wsock.Dial(srv.URL+"/ws?subscriber=late", 2*time.Second); err == nil {
+	if _, err := wsock.Dial(srv.URL+"/v1/ws?subscriber=late", 2*time.Second); err == nil {
 		t.Error("WebSocket attach during drain must be refused")
 	}
 }

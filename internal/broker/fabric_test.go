@@ -62,7 +62,7 @@ func newFabricEnv(t *testing.T) *fabricEnv {
 			bs := append([]*Broker(nil), brokers...)
 			mu.Unlock()
 			for _, b := range bs {
-				_ = b.HandleNotification(subID, latest) // each broker owns its own sub IDs
+				_ = b.HandleNotificationContext(context.Background(), subID, latest) // each broker owns its own sub IDs
 			}
 		})),
 	)
@@ -151,14 +151,14 @@ func TestPeerLookupServesFromSibling(t *testing.T) {
 	}
 
 	before := env.edgeCalls.calls.Load()
-	items, _, err := env.edge.GetResults("edna", fs)
+	ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 3 {
-		t.Fatalf("got %d results via peer, want 3", len(items))
+	if len(ret.Items) != 3 {
+		t.Fatalf("got %d results via peer, want 3", len(ret.Items))
 	}
-	for i, item := range items {
+	for i, item := range ret.Items {
 		if sev, _ := item.Rows[0]["severity"].(float64); sev != float64(i+1) {
 			t.Errorf("result %d severity %v, want %d", i, item.Rows[0]["severity"], i+1)
 		}
@@ -204,8 +204,8 @@ func TestPeerLookupSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			items, _, err := env.edge.GetResults("edna", fs)
-			errs[i], counts[i] = err, len(items)
+			ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs)
+			errs[i], counts[i] = err, len(ret.Items)
 		}(i)
 	}
 	wg.Wait()
@@ -282,12 +282,12 @@ func TestPeerTaxonomy(t *testing.T) {
 	}
 
 	before := env.edgeCalls.calls.Load()
-	items, _, err := env.edge.GetResults("edna", fs)
+	ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 2 {
-		t.Fatalf("got %d results, want 2 (cluster fallback)", len(items))
+	if len(ret.Items) != 2 {
+		t.Fatalf("got %d results, want 2 (cluster fallback)", len(ret.Items))
 	}
 	if got := env.edgeCalls.calls.Load(); got != before+1 {
 		t.Errorf("cluster pulls = %d, want exactly 1 fallback fetch", got-before)

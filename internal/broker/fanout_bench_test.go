@@ -2,7 +2,6 @@ package broker
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net"
 	"sort"
@@ -15,27 +14,22 @@ import (
 const benchSubscribers = 1000
 
 // benchHub builds a hub with the given number of drained in-memory
-// sessions plus, optionally, one whose peer never reads — the pathological
-// slow subscriber the async pipeline must not wait on.
-func benchHub(b *testing.B, drained int, stalled bool) (*sessionHub, map[string]string) {
+// sessions plus one whose peer never reads — the pathological slow
+// subscriber the async pipeline must not wait on.
+func benchHub(b *testing.B, drained int) *sessionHub {
 	b.Helper()
 	hub, _ := newTestHub(0)
-	targets := make(map[string]string, drained+1)
 	for i := 0; i < drained; i++ {
 		sub := "sub" + itoa(i)
 		sNC, cNC := net.Pipe()
 		go func() { _, _ = io.Copy(io.Discard, cNC) }()
 		hub.attach(sub, wsock.NewConn(sNC, false), map[string]string{"bs-bench": "fs-" + sub})
-		targets[sub] = "fs-" + sub
 		b.Cleanup(func() { _ = cNC.Close() })
 	}
-	if stalled {
-		sNC, cNC := net.Pipe()
-		hub.attach("stalled", wsock.NewConn(sNC, false), map[string]string{"bs-bench": "fs-stalled"})
-		targets["stalled"] = "fs-stalled"
-		b.Cleanup(func() { _ = cNC.Close() })
-	}
-	return hub, targets
+	sNC, cNC := net.Pipe()
+	hub.attach("stalled", wsock.NewConn(sNC, false), map[string]string{"bs-bench": "fs-stalled"})
+	b.Cleanup(func() { _ = cNC.Close() })
+	return hub
 }
 
 // itoa avoids fmt in the hot setup loop.
@@ -60,7 +54,7 @@ func itoa(n int) string {
 // call — with a stalled subscriber in the set, it must stay in the same
 // range as the drained-only case, because enqueueing does no I/O.
 func BenchmarkFanout(b *testing.B) {
-	hub, _ := benchHub(b, benchSubscribers, true)
+	hub := benchHub(b, benchSubscribers)
 	ctx := context.Background()
 	lat := make([]time.Duration, b.N)
 	b.ReportAllocs()
@@ -68,41 +62,6 @@ func BenchmarkFanout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		hub.broadcast(ctx, "bs-bench", int64(i+1))
-		lat[i] = time.Since(start)
-	}
-	b.StopTimer()
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	b.ReportMetric(float64(lat[len(lat)*99/100].Nanoseconds()), "p99-dispatch-ns")
-}
-
-// BenchmarkFanoutLegacySync replicates the pre-pipeline delivery loop —
-// one json.Marshal and one blocking WriteMessage per subscriber, straight
-// from the dispatch path — as the before-comparator for BenchmarkFanout.
-// No stalled subscriber: the synchronous form would block on it forever,
-// which is precisely the failure mode the async pipeline removes.
-func BenchmarkFanoutLegacySync(b *testing.B) {
-	hub, targets := benchHub(b, benchSubscribers, false)
-	conns := make(map[string]*session, len(targets))
-	hub.mu.Lock()
-	for sub := range targets {
-		conns[sub] = hub.sessions[sub]
-	}
-	hub.mu.Unlock()
-	lat := make([]time.Duration, b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		for sub, fsID := range targets {
-			n := PushNotification{Type: "results", FrontendSub: fsID, LatestNS: int64(i + 1)}
-			payload, err := json.Marshal(n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := conns[sub].conn.WriteMessage(wsock.OpText, payload); err != nil {
-				b.Fatal(err)
-			}
-		}
 		lat[i] = time.Since(start)
 	}
 	b.StopTimer()

@@ -3,6 +3,7 @@ package broker
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -26,7 +27,7 @@ func tracedPair(t *testing.T, policy core.Policy, budget int64) (brokerSrv *http
 	var brokerRef *Broker
 	cluster := bdms.NewCluster(bdms.WithNotifier(bdms.NotifierFunc(func(subID, _ string, latest time.Duration) {
 		if brokerRef != nil {
-			_ = brokerRef.HandleNotification(subID, latest)
+			_ = brokerRef.HandleNotificationContext(context.Background(), subID, latest)
 		}
 	})))
 	if err := cluster.CreateDataset("EmergencyReports", bdms.Schema{}); err != nil {
@@ -48,13 +49,12 @@ func tracedPair(t *testing.T, policy core.Policy, budget int64) (brokerSrv *http
 	brokerLog = &bytes.Buffer{}
 	brokerObs := httpx.NewObserver("badbroker", obs.NewLogger(brokerLog, slog.LevelDebug, "badbroker"))
 	b, err := New(Config{
-		ID:      "broker-1",
-		Backend: bdms.NewClient(clusterSrv.URL, nil),
-	},
-		WithPolicy(policy),
-		WithCacheBudget(budget),
-		WithLogger(brokerObs.Logger),
-	)
+		ID:          "broker-1",
+		Backend:     bdms.NewClient(clusterSrv.URL, nil),
+		Policy:      policy,
+		CacheBudget: budget,
+		Logger:      brokerObs.Logger,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestBrokerMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.publish(t, "fire", 3)
-	if _, _, err := env.broker.GetResults("alice", env.broker.FrontendSubscriptions("alice")[0]); err != nil {
+	if _, err := env.broker.RetrieveContext(context.Background(), "alice", env.broker.FrontendSubscriptions("alice")[0]); err != nil {
 		t.Fatal(err)
 	}
 

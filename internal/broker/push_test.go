@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -46,13 +47,13 @@ type pushAdapter struct{ env *testEnv }
 
 func (a pushAdapter) Notify(subID, _ string, latest time.Duration) {
 	if a.env.broker != nil {
-		_ = a.env.broker.HandleNotification(subID, latest)
+		_ = a.env.broker.HandleNotificationContext(context.Background(), subID, latest)
 	}
 }
 
 func (a pushAdapter) NotifyPush(subID, _ string, obj bdms.ResultObject) {
 	if a.env.broker != nil {
-		_ = a.env.broker.HandlePushedResult(subID, obj)
+		_ = a.env.broker.HandlePushedResultContext(context.Background(), subID, obj)
 	}
 }
 
@@ -66,19 +67,19 @@ func TestPushModelCachesWithoutFetching(t *testing.T) {
 	env.publish(t, "fire", 3)
 	env.publish(t, "fire", 4)
 
-	items, latest, err := b.GetResults("alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 2 {
-		t.Fatalf("got %d results, want 2", len(items))
+	if len(ret.Items) != 2 {
+		t.Fatalf("got %d results, want 2", len(ret.Items))
 	}
-	for _, it := range items {
+	for _, it := range ret.Items {
 		if !it.FromCache {
 			t.Error("pushed results should be cached")
 		}
 	}
-	if err := b.Ack("alice", fs, latest); err != nil {
+	if err := b.Ack("alice", fs, ret.Latest); err != nil {
 		t.Fatal(err)
 	}
 	// The PUSH model's point: results entered the cache without any
@@ -106,7 +107,7 @@ func TestPushModelDuplicateIgnored(t *testing.T) {
 	if len(objs) != 1 {
 		t.Fatalf("results = %d", len(objs))
 	}
-	if err := b.HandlePushedResult(objs[0].SubscriptionID, objs[0]); err != nil {
+	if err := b.HandlePushedResultContext(context.Background(), objs[0].SubscriptionID, objs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Manager().Cache(objs[0].SubscriptionID).Len(); got != 1 {
@@ -116,7 +117,7 @@ func TestPushModelDuplicateIgnored(t *testing.T) {
 
 func TestPushModelUnknownSubscription(t *testing.T) {
 	env := newPushEnv(t, core.LSC{}, 1<<20)
-	err := env.broker.HandlePushedResult("ghost", bdms.ResultObject{ID: "x", Timestamp: time.Second})
+	err := env.broker.HandlePushedResultContext(context.Background(), "ghost", bdms.ResultObject{ID: "x", Timestamp: time.Second})
 	if err == nil {
 		t.Error("push for unknown subscription should fail")
 	}
@@ -140,12 +141,12 @@ func TestPushModelBackfillsGaps(t *testing.T) {
 	// (etype "x" does not match, so craft the gap via direct results.)
 	env.publishWithoutNotify(t, "fire", 2)
 	env.publish(t, "fire", 3)
-	items, _, err := b.GetResults("alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 3 {
-		t.Fatalf("got %d results, want 3 (gap back-filled)", len(items))
+	if len(ret.Items) != 3 {
+		t.Fatalf("got %d results, want 3 (gap back-filled)", len(ret.Items))
 	}
 	_ = bsID
 }
@@ -168,27 +169,27 @@ func TestPushedBatchIngestsOnce(t *testing.T) {
 		{ID: "r1", SubscriptionID: bsID, Timestamp: 1 * time.Second, Size: 10},
 		{ID: "r3", SubscriptionID: bsID, Timestamp: 3 * time.Second, Size: 10},
 	}
-	if err := b.HandlePushedResults(bsID, batch); err != nil {
+	if err := b.HandlePushedResultsContext(context.Background(), bsID, batch); err != nil {
 		t.Fatal(err)
 	}
 	// Redelivery of the same batch (at-least-once webhooks) is a no-op.
-	if err := b.HandlePushedResults(bsID, batch); err != nil {
+	if err := b.HandlePushedResultsContext(context.Background(), bsID, batch); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Manager().Cache(bsID).Len(); got != 3 {
 		t.Errorf("cache has %d objects after duplicate batch, want 3", got)
 	}
-	items, latest, err := b.GetResults("alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 3 || items[0].ID != "r1" || items[2].ID != "r3" {
-		t.Fatalf("items = %+v, want r1..r3 oldest first", items)
+	if len(ret.Items) != 3 || ret.Items[0].ID != "r1" || ret.Items[2].ID != "r3" {
+		t.Fatalf("items = %+v, want r1..r3 oldest first", ret.Items)
 	}
-	if latest != 3*time.Second {
-		t.Errorf("latest = %v, want 3s", latest)
+	if ret.Latest != 3*time.Second {
+		t.Errorf("latest = %v, want 3s", ret.Latest)
 	}
-	if err := b.Ack("alice", fs, latest); err != nil {
+	if err := b.Ack("alice", fs, ret.Latest); err != nil {
 		t.Fatal(err)
 	}
 	// Pushed batches must not trigger fetches: the batch itself carried

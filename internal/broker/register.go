@@ -47,7 +47,7 @@ func RegisterWithBCS(b *Broker, bcsClient *bcs.Client, address string, interval 
 				// BCS treats stale brokers as dead in the meantime. A 404
 				// means the BCS no longer knows this broker — it restarted
 				// and lost its registry — so re-register immediately:
-				// Assign serves this broker again without operator help.
+				// placement serves this broker again without operator help.
 				err := bcsClient.HeartbeatState(b.ID(), b.NumSubscribers(), b.Warming())
 				var se *httpx.StatusError
 				if errors.As(err, &se) && se.Status == http.StatusNotFound {

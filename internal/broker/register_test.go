@@ -48,7 +48,7 @@ func TestRegistrationSurvivesBCSRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(reg.Close)
-	if _, err := svc1.Assign(); err != nil {
+	if _, _, err := svc1.Place(""); err != nil {
 		t.Fatalf("Assign before restart: %v", err)
 	}
 
@@ -58,7 +58,7 @@ func TestRegistrationSurvivesBCSRestart(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if got, err := svc2.Assign(); err == nil {
+		if got, _, err := svc2.Place(""); err == nil {
 			if got.ID != env.broker.ID() || got.Address != "http://broker-1" {
 				t.Fatalf("re-registered as %+v, want id=%s address=http://broker-1", got, env.broker.ID())
 			}

@@ -10,16 +10,12 @@ import (
 )
 
 // Resume tokens travel from broker to client (SubscribeResponse.LatestNS,
-// push notification markers) and back on failover resubscribe. The wire
-// historically carried a bare int64 nanosecond timestamp (resume_ns); the
-// string form here adds a self-describing, checksummed encoding so a
-// truncated or corrupted token is rejected at the edge instead of silently
-// resuming from a garbage offset and replaying (or skipping) history.
+// push notification markers) and back on failover resubscribe. The string
+// form is self-describing and checksummed, so a truncated or corrupted
+// token is rejected at the edge instead of silently resuming from a garbage
+// offset and replaying (or skipping) history.
 //
-//	v1:     rt1-<hex ns>-<8 hex fnv32a checksum>
-//	legacy: <decimal int64 ns>  (accepted for compatibility)
-//
-// ParseResumeToken accepts both; FormatResumeToken always emits v1.
+//	rt1-<hex ns>-<8 hex fnv32a checksum>
 
 // resumeTokenPrefix tags the checksummed v1 token form.
 const resumeTokenPrefix = "rt1-"
@@ -34,8 +30,8 @@ func FormatResumeToken(ts time.Duration) string {
 	return fmt.Sprintf("%s%x-%08x", resumeTokenPrefix, ns, resumeChecksum(ns))
 }
 
-// ParseResumeToken decodes a resume token in either accepted form into
-// the acknowledged-marker timestamp it carries. Errors mean the token is
+// ParseResumeToken decodes a resume token into the acknowledged-marker
+// timestamp it carries. Errors mean the token is
 // malformed or fails its checksum; callers should reject the resume
 // request rather than guess.
 func ParseResumeToken(s string) (time.Duration, error) {
@@ -43,35 +39,26 @@ func ParseResumeToken(s string) (time.Duration, error) {
 	if s == "" {
 		return 0, fmt.Errorf("resume token: empty")
 	}
-	if rest, ok := strings.CutPrefix(s, resumeTokenPrefix); ok {
-		nsHex, sumHex, ok := strings.Cut(rest, "-")
-		if !ok {
-			return 0, fmt.Errorf("resume token: malformed v1 token (want %s<hex ns>-<hex sum>)", resumeTokenPrefix)
-		}
-		// 63 bits keeps the value representable as a non-negative int64
-		// nanosecond timestamp.
-		ns, err := strconv.ParseUint(nsHex, 16, 63)
-		if err != nil {
-			return 0, fmt.Errorf("resume token: bad timestamp %q: %v", nsHex, err)
-		}
-		if len(sumHex) != 8 {
-			return 0, fmt.Errorf("resume token: checksum must be 8 hex digits, got %q", sumHex)
-		}
-		sum, err := strconv.ParseUint(sumHex, 16, 32)
-		if err != nil {
-			return 0, fmt.Errorf("resume token: bad checksum %q: %v", sumHex, err)
-		}
-		if uint32(sum) != resumeChecksum(ns) {
-			return 0, fmt.Errorf("resume token: checksum mismatch (token corrupted or truncated)")
-		}
-		return time.Duration(ns), nil
+	rest, tagged := strings.CutPrefix(s, resumeTokenPrefix)
+	nsHex, sumHex, split := strings.Cut(rest, "-")
+	if !tagged || !split {
+		return 0, fmt.Errorf("resume token: malformed (want %s<hex ns>-<hex sum>)", resumeTokenPrefix)
 	}
-	ns, err := strconv.ParseInt(s, 10, 64)
+	// 63 bits keeps the value representable as a non-negative int64
+	// nanosecond timestamp.
+	ns, err := strconv.ParseUint(nsHex, 16, 63)
 	if err != nil {
-		return 0, fmt.Errorf("resume token: not a v1 token or legacy ns timestamp: %v", err)
+		return 0, fmt.Errorf("resume token: bad timestamp %q: %v", nsHex, err)
 	}
-	if ns < 0 {
-		return 0, fmt.Errorf("resume token: negative timestamp %d", ns)
+	if len(sumHex) != 8 {
+		return 0, fmt.Errorf("resume token: checksum must be 8 hex digits, got %q", sumHex)
+	}
+	sum, err := strconv.ParseUint(sumHex, 16, 32)
+	if err != nil {
+		return 0, fmt.Errorf("resume token: bad checksum %q: %v", sumHex, err)
+	}
+	if uint32(sum) != resumeChecksum(ns) {
+		return 0, fmt.Errorf("resume token: checksum mismatch (token corrupted or truncated)")
 	}
 	return time.Duration(ns), nil
 }

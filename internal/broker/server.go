@@ -105,30 +105,29 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Observer returns the server's observability bundle.
 func (s *Server) Observer() *httpx.Observer { return s.obs }
 
-// route registers one instrumented endpoint under its /v1 path plus alias.
-func (s *Server) route(method, pattern, legacy string, h http.HandlerFunc) {
-	httpx.Dual(s.mux, method, pattern, legacy, s.obs.Wrap(pattern, h))
+// route registers one instrumented endpoint.
+func (s *Server) route(method, pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(method+" "+pattern, s.obs.Wrap(pattern, h))
 }
 
-// routes registers every endpoint under its versioned /v1 path plus the
-// pre-v1 alias (deprecated; kept for one release — see httpx.Dual). The
-// WebSocket upgrade lives at /v1/ws (alias /ws).
+// routes registers every endpoint under its versioned /v1 path. The
+// WebSocket upgrade lives at /v1/ws.
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.obs.Wrap("/healthz", s.handleHealth))
 	s.mux.Handle("GET /metrics", s.obs.MetricsHandler())
 	s.mux.Handle("GET /v1/debug/traces", s.obs.Traces.Handler())
-	s.route(http.MethodPost, "/v1/subscriptions", "/api/subscriptions", s.handleSubscribe)
-	s.route(http.MethodDelete, "/v1/subscriptions/{fs}", "/api/subscriptions/{fs}", s.handleUnsubscribe)
-	s.route(http.MethodGet, "/v1/subscriptions/{fs}/results", "/api/subscriptions/{fs}/results", s.handleGetResults)
-	s.route(http.MethodPost, "/v1/subscriptions/{fs}/ack", "/api/subscriptions/{fs}/ack", s.handleAck)
-	s.route(http.MethodGet, "/v1/subscribers/{id}/subscriptions", "/api/subscribers/{id}/subscriptions", s.handleListSubs)
-	s.route(http.MethodGet, "/v1/stats", "/api/stats", s.handleStats)
-	s.route(http.MethodGet, "/v1/caches", "/api/caches", s.handleCaches)
-	s.route(http.MethodGet, "/v1/ws", "/ws", s.handleWS)
-	s.route(http.MethodPost, "/v1/callbacks/results", "/callbacks/results", s.handleCallback)
-	// Fabric peer protocol: new in /v1, no pre-v1 alias.
-	s.route(http.MethodGet, "/v1/peer/results/{key}", "", s.handlePeerResults)
-	s.route(http.MethodPost, "/v1/peer/warmup", "", s.handlePeerWarmup)
+	s.route(http.MethodPost, "/v1/subscriptions", s.handleSubscribe)
+	s.route(http.MethodDelete, "/v1/subscriptions/{fs}", s.handleUnsubscribe)
+	s.route(http.MethodGet, "/v1/subscriptions/{fs}/results", s.handleGetResults)
+	s.route(http.MethodPost, "/v1/subscriptions/{fs}/ack", s.handleAck)
+	s.route(http.MethodGet, "/v1/subscribers/{id}/subscriptions", s.handleListSubs)
+	s.route(http.MethodGet, "/v1/stats", s.handleStats)
+	s.route(http.MethodGet, "/v1/caches", s.handleCaches)
+	s.route(http.MethodGet, "/v1/ws", s.handleWS)
+	s.route(http.MethodPost, "/v1/callbacks/results", s.handleCallback)
+	// Fabric peer protocol.
+	s.route(http.MethodGet, "/v1/peer/results/{key}", s.handlePeerResults)
+	s.route(http.MethodPost, "/v1/peer/warmup", s.handlePeerWarmup)
 	// Versioned health: same handler, reachable under /v1 for fabric peers.
 	s.mux.HandleFunc("GET /v1/healthz", s.obs.Wrap("/healthz", s.handleHealth))
 }
@@ -149,20 +148,17 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// SubscribeRequest creates a frontend subscription. ResumeNS, when present,
-// is the failover resume token: the newest result timestamp (ns) the
-// subscriber already acknowledged on its previous broker. The broker
-// backfills everything after it from the cluster's result dataset and
-// re-arms live push (at-least-once; clients dedup by timestamp).
-// ResumeToken is the string form of the same marker (see
-// FormatResumeToken); when both are present the token wins, and a
-// malformed or checksum-failing token rejects the request rather than
-// resuming from a garbage offset.
+// SubscribeRequest creates a frontend subscription. ResumeToken, when
+// present, is the failover resume token (see FormatResumeToken): the newest
+// result timestamp the subscriber already acknowledged on its previous
+// broker. The broker backfills everything after it from the cluster's
+// result dataset and re-arms live push (at-least-once; clients dedup by
+// timestamp). A malformed or checksum-failing token rejects the request
+// rather than resuming from a garbage offset.
 type SubscribeRequest struct {
 	Subscriber  string `json:"subscriber"`
 	Channel     string `json:"channel"`
 	Params      []any  `json:"params"`
-	ResumeNS    *int64 `json:"resume_ns,omitempty"`
 	ResumeToken string `json:"resume_token,omitempty"`
 }
 
@@ -191,8 +187,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resume = ts
-	} else if req.ResumeNS != nil && *req.ResumeNS >= 0 {
-		resume = time.Duration(*req.ResumeNS)
 	}
 	fs, err := s.broker.SubscribeResume(r.Context(), req.Subscriber, req.Channel, req.Params, resume)
 	if err != nil {

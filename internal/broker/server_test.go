@@ -37,7 +37,7 @@ func TestServerHealth(t *testing.T) {
 func TestServerSubscribeFlow(t *testing.T) {
 	env, srv := newHTTPEnv(t)
 	var subResp SubscribeResponse
-	err := httpx.DoJSON(srv.Client(), http.MethodPost, srv.URL+"/api/subscriptions",
+	err := httpx.DoJSON(srv.Client(), http.MethodPost, srv.URL+"/v1/subscriptions",
 		SubscribeRequest{Subscriber: "alice", Channel: "Alerts", Params: []any{"fire"}}, &subResp)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestServerSubscribeFlow(t *testing.T) {
 	env.publish(t, "fire", 3)
 
 	var results ResultsResponse
-	u := srv.URL + "/api/subscriptions/" + subResp.FrontendSub + "/results?subscriber=alice"
+	u := srv.URL + "/v1/subscriptions/" + subResp.FrontendSub + "/results?subscriber=alice"
 	if err := httpx.DoJSON(srv.Client(), http.MethodGet, u, nil, &results); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestServerSubscribeFlow(t *testing.T) {
 	}
 	// Ack over HTTP.
 	err = httpx.DoJSON(srv.Client(), http.MethodPost,
-		srv.URL+"/api/subscriptions/"+subResp.FrontendSub+"/ack",
+		srv.URL+"/v1/subscriptions/"+subResp.FrontendSub+"/ack",
 		AckRequest{Subscriber: "alice", TimestampNS: results.LatestNS}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestServerSubscribeFlow(t *testing.T) {
 	// List.
 	var subs map[string][]string
 	err = httpx.DoJSON(srv.Client(), http.MethodGet,
-		srv.URL+"/api/subscribers/alice/subscriptions", nil, &subs)
+		srv.URL+"/v1/subscribers/alice/subscriptions", nil, &subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestServerSubscribeFlow(t *testing.T) {
 	}
 	// Unsubscribe.
 	err = httpx.DoJSON(srv.Client(), http.MethodDelete,
-		srv.URL+"/api/subscriptions/"+subResp.FrontendSub+"?subscriber=alice", nil, nil)
+		srv.URL+"/v1/subscriptions/"+subResp.FrontendSub+"?subscriber=alice", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestServerStatsAndCaches(t *testing.T) {
 	env.publish(t, "fire", 3)
 
 	var stats StatsResponse
-	if err := httpx.DoJSON(srv.Client(), http.MethodGet, srv.URL+"/api/stats", nil, &stats); err != nil {
+	if err := httpx.DoJSON(srv.Client(), http.MethodGet, srv.URL+"/v1/stats", nil, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Policy != "LSC" || stats.FrontendSubs != 1 || stats.BackendSubs != 1 {
@@ -99,7 +99,7 @@ func TestServerStatsAndCaches(t *testing.T) {
 	}
 
 	var caches map[string][]core.CacheInfo
-	if err := httpx.DoJSON(srv.Client(), http.MethodGet, srv.URL+"/api/caches", nil, &caches); err != nil {
+	if err := httpx.DoJSON(srv.Client(), http.MethodGet, srv.URL+"/v1/caches", nil, &caches); err != nil {
 		t.Fatal(err)
 	}
 	if len(caches["caches"]) != 1 || caches["caches"][0].Objects != 1 {
@@ -113,13 +113,13 @@ func TestServerErrorStatuses(t *testing.T) {
 		method, path, body string
 		want               int
 	}{
-		{"POST", "/api/subscriptions", `{"subscriber":"","channel":""}`, http.StatusBadRequest},
-		{"POST", "/api/subscriptions", `not json`, http.StatusBadRequest},
-		{"GET", "/api/subscriptions/nope/results?subscriber=x", "", http.StatusNotFound},
-		{"POST", "/api/subscriptions/nope/ack", `{"subscriber":"x","timestamp_ns":1}`, http.StatusNotFound},
-		{"DELETE", "/api/subscriptions/nope?subscriber=x", "", http.StatusNotFound},
-		{"POST", "/callbacks/results", `{"subscription_id":"ghost","latest_ns":99}`, http.StatusNotFound},
-		{"GET", "/ws", "", http.StatusBadRequest}, // missing subscriber
+		{"POST", "/v1/subscriptions", `{"subscriber":"","channel":""}`, http.StatusBadRequest},
+		{"POST", "/v1/subscriptions", `not json`, http.StatusBadRequest},
+		{"GET", "/v1/subscriptions/nope/results?subscriber=x", "", http.StatusNotFound},
+		{"POST", "/v1/subscriptions/nope/ack", `{"subscriber":"x","timestamp_ns":1}`, http.StatusNotFound},
+		{"DELETE", "/v1/subscriptions/nope?subscriber=x", "", http.StatusNotFound},
+		{"POST", "/v1/callbacks/results", `{"subscription_id":"ghost","latest_ns":99}`, http.StatusNotFound},
+		{"GET", "/v1/ws", "", http.StatusBadRequest}, // missing subscriber
 	}
 	for _, c := range checks {
 		req, err := http.NewRequest(c.method, srv.URL+c.path, strings.NewReader(c.body))
@@ -146,7 +146,7 @@ func TestServerWebSocketPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := wsock.Dial(srv.URL+"/ws?subscriber=alice", 5*time.Second)
+	conn, err := wsock.Dial(srv.URL+"/v1/ws?subscriber=alice", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +180,12 @@ func TestServerWebSocketReplacesSession(t *testing.T) {
 	if _, err := env.broker.Subscribe("alice", "Alerts", []any{"fire"}); err != nil {
 		t.Fatal(err)
 	}
-	c1, err := wsock.Dial(srv.URL+"/ws?subscriber=alice", 5*time.Second)
+	c1, err := wsock.Dial(srv.URL+"/v1/ws?subscriber=alice", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := wsock.Dial(srv.URL+"/ws?subscriber=alice", 5*time.Second)
+	c2, err := wsock.Dial(srv.URL+"/v1/ws?subscriber=alice", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestServerPushCallback(t *testing.T) {
 			Rows: []map[string]any{{"etype": "fire"}},
 		},
 	}
-	err := httpx.DoJSON(srv.Client(), http.MethodPost, srv.URL+"/callbacks/results", payload, nil)
+	err := httpx.DoJSON(srv.Client(), http.MethodPost, srv.URL+"/v1/callbacks/results", payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

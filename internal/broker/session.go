@@ -63,30 +63,16 @@ func defaultPushWriters() int {
 }
 
 // pushEvent is one "new results" marker, encoded once per backend
-// subscription event and shared by every session it fans out to. Events
-// are pooled: refs counts the queue slots (and in-flight writes) still
-// holding the event, and the last release recycles it — the prepared
-// frame's buffers with it — so a steady broadcast stream allocates
-// nothing per event after warm-up.
+// subscription event and shared by every session it fans out to. It is
+// immutable once broadcast and lives as long as a queue slot or an
+// in-flight write points at it.
 type pushEvent struct {
 	latest int64
 	pm     wsock.PreparedMessage
 	span   obs.SpanContext
 	// at is the enqueue timestamp, stamped once per broadcast and only for
 	// traced events; the writer derives the queue-wait stage from it.
-	at   time.Time
-	refs atomic.Int32
-}
-
-var eventPool = sync.Pool{New: func() any { return new(pushEvent) }}
-
-// release drops one reference; the last one returns the event (buffers
-// intact) to the pool.
-func (ev *pushEvent) release() {
-	if ev.refs.Add(-1) == 0 {
-		ev.span = obs.SpanContext{}
-		eventPool.Put(ev)
-	}
+	at time.Time
 }
 
 // appendPushJSON hand-encodes the shared wire form of a push notification
@@ -180,11 +166,9 @@ type pendingMarker struct {
 // latest-wins, a new marker for an already-queued frontend subscription
 // replaces the queued one instead of growing the queue.
 //
-// Sessions are recycled through a pool. refs counts the references that
-// may outlive a hub lock: the hub's session-map entry (transferred to the
-// drain/rebalance path while it migrates) and, while scheduled, the run
-// queue's. The last release resets the struct — ring buffer and interest
-// map retained — and returns it to the pool. Lock order is hub.mu before
+// A session is an ordinary heap object, reachable from the hub map, the
+// run queue and a writer's stack and from nothing else; hub, subscriber
+// and conn never change after newSession. Lock order is hub.mu before
 // session.mu before hub.readyMu; none is ever taken in the other
 // direction.
 type session struct {
@@ -197,10 +181,6 @@ type session struct {
 	// detach can unlink the session from every index entry it appears in
 	// without scanning the index.
 	interests map[string]string
-
-	// refs counts pool-visible references (hub map + run queue); the last
-	// release recycles the session.
-	refs atomic.Int32
 
 	mu   sync.Mutex
 	ring []pendingMarker // circular buffer; grown lazily up to hub.queueCap
@@ -217,54 +197,22 @@ type session struct {
 	nextReady *session
 }
 
-var sessionPool = sync.Pool{New: func() any { return new(session) }}
-
-// newSession draws a session from the pool, ready for attach. The ring
-// buffer and interest map survive recycling, so steady-state connection
-// churn allocates (almost) nothing per session.
+// newSession returns a session ready for attach.
 func newSession(h *sessionHub, subscriber string, conn *wsock.Conn) *session {
-	s := sessionPool.Get().(*session)
-	s.hub = h
-	s.subscriber = subscriber
-	s.conn = conn
-	if s.interests == nil {
-		s.interests = make(map[string]string, 4)
+	return &session{
+		hub:        h,
+		subscriber: subscriber,
+		conn:       conn,
+		interests:  make(map[string]string, 4),
 	}
-	s.head, s.n, s.inflight = 0, 0, 0
-	s.closed, s.scheduled = false, false
-	s.nextReady = nil
-	s.refs.Store(1) // the hub map's reference
-	return s
-}
-
-// retain adds a pool-visible reference.
-func (s *session) retain() { s.refs.Add(1) }
-
-// release drops one; the last reference resets and recycles the session.
-func (s *session) release() {
-	if s.refs.Add(-1) > 0 {
-		return
-	}
-	// No hub map entry, no run-queue entry, and (closed) no queued or
-	// in-flight markers remain; nothing can reach the struct anymore.
-	s.hub = nil
-	s.conn = nil
-	s.subscriber = ""
-	clear(s.interests)
-	for i := range s.ring {
-		s.ring[i] = pendingMarker{}
-	}
-	sessionPool.Put(s)
 }
 
 // enqueue adds (or coalesces) a marker for fs; it reports false when the
-// session is already closed. The caller holds one event reference per
-// enqueue attempt; every path here either stores it or releases it.
+// session is already closed.
 func (s *session) enqueue(fs string, ev *pushEvent) bool {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		ev.release()
 		return false
 	}
 	// Latest-wins coalescing: scan the ring for a queued marker of the
@@ -281,11 +229,7 @@ func (s *session) enqueue(fs string, ev *pushEvent) bool {
 		// does not count as a coalesce.
 		replaced := ev.latest >= slot.ev.latest
 		if replaced {
-			old := slot.ev
 			slot.ev = ev
-			old.release()
-		} else {
-			ev.release()
 		}
 		s.mu.Unlock()
 		if replaced {
@@ -298,11 +242,9 @@ func (s *session) enqueue(fs string, ev *pushEvent) bool {
 		// Overflow of distinct subscriptions: evict the oldest pending
 		// marker to admit the newest. The evicted subscription is
 		// re-notified by its next event and GetResults catches up anyway.
-		old := s.ring[s.head]
 		s.ring[s.head] = pendingMarker{}
 		s.head = (s.head + 1) % len(s.ring)
 		s.n--
-		old.ev.release()
 		dropped = true
 	}
 	if s.n == len(s.ring) {
@@ -313,7 +255,6 @@ func (s *session) enqueue(fs string, ev *pushEvent) bool {
 	schedule := !s.scheduled
 	if schedule {
 		s.scheduled = true
-		s.retain() // the run queue's reference
 	}
 	s.mu.Unlock()
 	if schedule {
@@ -400,9 +341,7 @@ func (s *session) closeWith(code uint16, reason string) {
 	}
 	s.closed = true
 	for i := 0; i < s.n; i++ {
-		idx := (s.head + i) % len(s.ring)
-		s.ring[idx].ev.release()
-		s.ring[idx] = pendingMarker{}
+		s.ring[(s.head+i)%len(s.ring)] = pendingMarker{}
 	}
 	s.head, s.n = 0, 0
 	conn := s.conn
@@ -447,9 +386,7 @@ type sessionHub struct {
 	stages *span.Stages
 
 	// mu guards sessions, interests and every session's interests mirror.
-	// Broadcasts hold the read lock while they enqueue, which is what
-	// makes session recycling safe: a session cannot leave the maps (and
-	// so cannot be released) while any broadcast still sees it.
+	// Broadcasts hold the read lock while they enqueue.
 	mu       sync.RWMutex
 	sessions map[string]*session
 	// interests is the fan-out index: backend subscription -> online
@@ -553,9 +490,9 @@ const writeBatch = 16
 
 // writeLoop is one pool writer: pop a runnable session, drain up to a
 // batch of its markers onto the socket, requeue it if more arrived. Each
-// marker is a shared pre-encoded frame, so a delivery is one buffer write
-// and zero allocations. A write failure tears the session down — the
-// subscriber reconnects and catches up via GetResults.
+// marker is a shared pre-encoded frame, so a delivery is one buffer
+// write. A write failure tears the session down — the subscriber
+// reconnects and catches up via GetResults.
 func (h *sessionHub) writeLoop() {
 	for {
 		s := h.popReady()
@@ -567,8 +504,8 @@ func (h *sessionHub) writeLoop() {
 }
 
 // drainSession delivers up to writeBatch markers for one scheduled
-// session. It owns the session's run-queue reference and either passes it
-// back to the queue (more pending) or releases it (idle or closed).
+// session, then requeues it (more pending) or marks it unscheduled (idle
+// or closed).
 func (h *sessionHub) drainSession(s *session) {
 	for i := 0; i < writeBatch; i++ {
 		_, ev, ok := s.pop()
@@ -577,14 +514,9 @@ func (h *sessionHub) drainSession(s *session) {
 		}
 		err := s.deliver(ev)
 		s.wrote()
-		// Copy the span before releasing: the last release recycles the
-		// event (zeroing ev.span), and another session sharing the event
-		// may be that last holder.
-		evSpan := ev.span
-		ev.release()
 		if err != nil {
 			h.stats.failures.Add(1)
-			h.log.WarnContext(obs.ContextWithSpan(context.Background(), evSpan),
+			h.log.WarnContext(obs.ContextWithSpan(context.Background(), ev.span),
 				"push delivery failed; dropping session",
 				slog.String("subscriber", s.subscriber),
 				slog.Any("error", err))
@@ -596,12 +528,11 @@ func (h *sessionHub) drainSession(s *session) {
 	s.mu.Lock()
 	if s.n > 0 && !s.closed {
 		s.mu.Unlock()
-		h.pushReady(s) // keep the run-queue reference
+		h.pushReady(s)
 		return
 	}
 	s.scheduled = false
 	s.mu.Unlock()
-	s.release()
 }
 
 // deliver writes one marker to the socket. Untraced markers (no span, the
@@ -641,7 +572,6 @@ func (h *sessionHub) attach(subscriber string, conn *wsock.Conn, interests map[s
 	if h.draining {
 		successor := h.successor
 		h.mu.Unlock()
-		s.release()
 		_ = conn.CloseWith(wsock.CloseServiceRestart, successor)
 		return false
 	}
@@ -662,7 +592,6 @@ func (h *sessionHub) attach(subscriber string, conn *wsock.Conn, interests map[s
 	h.mu.Unlock()
 	if old != nil {
 		old.close()
-		old.release()
 	}
 	return true
 }
@@ -730,23 +659,18 @@ func (h *sessionHub) detach(subscriber string, conn *wsock.Conn) {
 	h.mu.Unlock()
 	if s != nil {
 		s.close()
-		s.release()
 	}
 }
 
 // drop removes a session after a write failure.
 func (h *sessionHub) drop(s *session) {
 	h.mu.Lock()
-	owned := h.sessions[s.subscriber] == s
-	if owned {
+	if h.sessions[s.subscriber] == s {
 		delete(h.sessions, s.subscriber)
 		h.unlink(s)
 	}
 	h.mu.Unlock()
 	s.close()
-	if owned {
-		s.release()
-	}
 }
 
 // online reports whether the subscriber has a live connection.
@@ -795,7 +719,6 @@ func (h *sessionHub) drain(ctx context.Context, successor string) int {
 		go func(s *session) {
 			defer wg.Done()
 			s.migrate(ctx, successor)
-			s.release()
 		}(s)
 	}
 	wg.Wait()
@@ -830,7 +753,6 @@ func (h *sessionHub) rebalance(ctx context.Context, decide func(subscriber strin
 		go func(mv moved) {
 			defer wg.Done()
 			mv.s.migrate(ctx, mv.successor)
-			mv.s.release()
 		}(mv)
 	}
 	wg.Wait()
@@ -878,11 +800,10 @@ func (h *sessionHub) snapshot() PushStats {
 	}
 }
 
-// newEvent draws a pooled event, encodes the shared wire frame for one
-// backend-subscription marker and arms its reference count.
-func (h *sessionHub) newEvent(ctx context.Context, backendSub string, latest int64, audience int) (*pushEvent, bool) {
-	ev := eventPool.Get().(*pushEvent)
-	ev.latest = latest
+// newEvent encodes the shared wire frame for one backend-subscription
+// marker.
+func (h *sessionHub) newEvent(ctx context.Context, backendSub string, latest int64) (*pushEvent, bool) {
+	ev := &pushEvent{latest: latest}
 	tp := ""
 	sc, _ := obs.SpanFromContext(ctx)
 	if sc.Valid() {
@@ -890,31 +811,29 @@ func (h *sessionHub) newEvent(ctx context.Context, backendSub string, latest int
 		ev.at = time.Now()
 	}
 	ev.span = sc
-	payload, err := appendPushJSON(ev.pm.Payload()[:0], backendSub, latest, tp)
+	var buf [192]byte // fits any broker-minted id plus a traceparent
+	payload, err := appendPushJSON(buf[:0], backendSub, latest, tp)
 	if err != nil {
 		h.stats.failures.Add(1)
 		h.log.WarnContext(ctx, "encoding push notification failed",
 			slog.String("backend_sub", backendSub), slog.Any("error", err))
-		eventPool.Put(ev)
 		return nil, false
 	}
 	if err := ev.pm.Encode(wsock.OpText, payload); err != nil {
 		h.stats.failures.Add(1)
 		h.log.WarnContext(ctx, "preparing push frame failed",
 			slog.String("backend_sub", backendSub), slog.Any("error", err))
-		eventPool.Put(ev)
 		return nil, false
 	}
-	ev.refs.Store(int32(audience))
 	return ev, true
 }
 
 // broadcast fans one backend-subscription event out to every online
 // session interested in it. The audience is one index lookup — not a scan
-// of sessions — the payload is marshaled once and pre-framed once into a
-// pooled buffer, and per session the cost is a non-blocking enqueue, so
-// the arrival path never waits on a subscriber's socket. It returns how
-// many sessions accepted the marker.
+// of sessions — the payload is marshaled once and pre-framed once, and
+// per session the cost is a non-blocking enqueue, so the arrival path
+// never waits on a subscriber's socket. It returns how many sessions
+// accepted the marker.
 func (h *sessionHub) broadcast(ctx context.Context, backendSub string, latest int64) int {
 	h.mu.RLock()
 	audience := h.interests[backendSub]
@@ -922,7 +841,7 @@ func (h *sessionHub) broadcast(ctx context.Context, backendSub string, latest in
 		h.mu.RUnlock()
 		return 0
 	}
-	ev, ok := h.newEvent(ctx, backendSub, latest, len(audience))
+	ev, ok := h.newEvent(ctx, backendSub, latest)
 	if !ok {
 		h.mu.RUnlock()
 		return 0
@@ -947,7 +866,7 @@ func (h *sessionHub) broadcastTo(ctx context.Context, backendSub, subscriber, fr
 		h.mu.RUnlock()
 		return false
 	}
-	ev, ok := h.newEvent(ctx, backendSub, latest, 1)
+	ev, ok := h.newEvent(ctx, backendSub, latest)
 	if !ok {
 		h.mu.RUnlock()
 		return false

@@ -11,10 +11,10 @@ import (
 	"gobad/internal/wsock"
 )
 
-// newEvent builds a standalone pooled event for direct-queue tests.
+// newTestEvent builds a standalone event for direct-queue tests.
 func newTestEvent(t *testing.T, h *sessionHub, bs string, latest int64) *pushEvent {
 	t.Helper()
-	ev, ok := h.newEvent(context.Background(), bs, latest, 1)
+	ev, ok := h.newEvent(context.Background(), bs, latest)
 	if !ok {
 		t.Fatalf("newEvent(%s, %d) failed", bs, latest)
 	}
@@ -78,7 +78,6 @@ func TestSessionWriteQueueEdgeCases(t *testing.T) {
 				t.Fatalf("surviving marker = (%q, %v, %v), want fs3/3", fs, ev, ok)
 			}
 			s.wrote()
-			ev.release()
 		}},
 		{"SameSubCoalescesAtCapacityOne", func(t *testing.T) {
 			// Same frontend subscription at capacity one: latest-wins
@@ -100,12 +99,10 @@ func TestSessionWriteQueueEdgeCases(t *testing.T) {
 				t.Fatalf("surviving marker latest = %v, want 9", ev.latest)
 			}
 			s.wrote()
-			ev.release()
 		}},
 		{"EnqueueRacingClose", func(t *testing.T) {
 			// Concurrent enqueues against close: no panic, no marker
-			// accepted after close wins, and the queue is left empty (a
-			// closed session must not pin pooled events).
+			// accepted after close wins, and the queue is left empty.
 			hub, _ := newTestHub(0)
 			s, cNC := unscheduledSession(hub)
 			defer cNC.Close()

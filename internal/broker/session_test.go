@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -203,8 +205,7 @@ func TestSessionHubRegisterWhileOnline(t *testing.T) {
 // TestSessionEnqueueCloseRace hammers enqueue against close on the same
 // session. broadcast holds session pointers under the hub's read lock, so
 // an enqueue can race the close that an attach-replace or drop triggers;
-// every lost marker's event reference must still be released and no
-// marker may be accepted after close.
+// no marker may be accepted after close.
 func TestSessionEnqueueCloseRace(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		hub, _ := newTestHub(0)
@@ -218,10 +219,6 @@ func TestSessionEnqueueCloseRace(t *testing.T) {
 		if err := ev.pm.Encode(wsock.OpText, []byte(`{"type":"results"}`)); err != nil {
 			t.Fatal(err)
 		}
-		// Keep the event alive across every release in the race: the test
-		// reuses one event for all enqueues, so it must never hit zero and
-		// be recycled mid-race.
-		ev.refs.Store(1 << 30)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -246,47 +243,145 @@ func TestSessionEnqueueCloseRace(t *testing.T) {
 	}
 }
 
-// TestSessionHubChurn hammers attach/detach/replace concurrently with
-// broadcasts — the -race tier's target. Every attached pipe gets a raw
-// drainer so writers never stall.
+// TestSessionHubChurn runs every way a session enters and leaves the hub
+// — attach, replace by a re-attach of the same subscriber, detach,
+// write-failure drop, rebalance — against broadcast, broadcastTo and stats
+// scrapes, all concurrently, and checks what a lifecycle bug would break:
+// a conn only ever receives frames enqueued for its own subscriber,
+// markers per frontend sub never go backwards, and every enqueued marker
+// ends exactly one way. The hub does not count markers discarded when a
+// session closes, so that last term is bounded rather than equated.
 func TestSessionHubChurn(t *testing.T) {
-	hub, _ := newTestHub(0)
-	subscribers := []string{"a", "b", "c", "d"}
-
-	var churners sync.WaitGroup
-	for _, sub := range subscribers {
-		churners.Add(1)
-		go func(sub string) {
-			defer churners.Done()
-			interests := map[string]string{"bs-churn": "fs-" + sub}
-			for i := 0; i < 25; i++ {
-				sNC, cNC := net.Pipe()
-				go func() { _, _ = io.Copy(io.Discard, cNC) }()
-				conn := wsock.NewConn(sNC, false)
-				hub.attach(sub, conn, interests) // replaces (and closes) the previous session
-				if i%5 == 4 {
-					hub.detach(sub, conn)
-				}
-			}
-		}(sub)
+	const (
+		nSubs, nShared = 6, 3
+		rounds, quota  = 40, 300 // sessions per subscriber, events per producer (9 producers: 2700 events)
+		queueCap       = 2       // below the 3 interests, so overflow evicts
+	)
+	hub, delivered := newTestHub(queueCap)
+	ctx := context.Background()
+	name := func(kind string, i int) string { return kind + itoa(i) }
+	// Subscriber i follows its own backend sub and every shared one but
+	// i%nShared, so each shared audience leaves someone out. One more
+	// subscriber never reads: its queue backs up, so markers coalesce,
+	// overflow evicts, and its pending write fails when the pipe closes.
+	interests, stalled := make([]map[string]string, nSubs), map[string]string{}
+	for k := 0; k < nShared; k++ {
+		stalled[name("bs-shared", k)] = name("fs-stalled", k)
 	}
-
-	stop := make(chan struct{})
-	broadcasterDone := make(chan struct{})
-	go func() {
-		defer close(broadcasterDone)
-		ctx := context.Background()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				hub.broadcast(ctx, "bs-churn", int64(i))
+	for i := range interests {
+		interests[i] = map[string]string{name("bs-own", i): name("fs-own", i)}
+		for k := 0; k < nShared; k++ {
+			if k != i%nShared {
+				interests[i][name("bs-shared", k)] = name("fs-shared", k) + "-" + itoa(i)
 			}
 		}
-	}()
+	}
+	stalledNC := hubConn(t, hub, "stalled", stalled)
+
+	var received, accepted, moved atomic.Int64
+	var readers, churners, spinners sync.WaitGroup
+	read := func(i int, cNC net.Conn) {
+		defer readers.Done()
+		conn, last := wsock.NewConn(cNC, true), map[string]int64{}
+		for {
+			var n PushNotification
+			_, payload, err := conn.ReadMessage()
+			if err != nil {
+				return
+			}
+			if err := json.Unmarshal(payload, &n); err != nil {
+				t.Errorf("sub%d: undecodable frame %q: %v", i, payload, err)
+			}
+			if _, ok := interests[i][n.BackendSub]; !ok {
+				t.Errorf("sub%d received a frame for %q, which it never followed", i, n.BackendSub)
+			}
+			if n.LatestNS < last[n.BackendSub] {
+				t.Errorf("sub%d %s: marker went back from %d to %d", i, n.BackendSub, last[n.BackendSub], n.LatestNS)
+			}
+			last[n.BackendSub] = n.LatestNS
+			received.Add(1)
+		}
+	}
+	for i := 0; i < nSubs; i++ {
+		churners.Add(1)
+		go func() {
+			defer churners.Done()
+			for r := 0; r < rounds; r++ {
+				sNC, cNC := net.Pipe()
+				readers.Add(1)
+				go read(i, cNC)
+				conn := wsock.NewConn(sNC, false)
+				hub.attach(name("sub", i), conn, interests[i]) // replaces any live session
+				runtime.Gosched()
+				switch r % 4 {
+				case 0:
+					hub.detach(name("sub", i), conn)
+				case 1:
+					_ = cNC.Close() // the next write fails and drops the session
+				} // 2, 3: left for the next attach or the rebalancer
+			}
+		}()
+	}
+
+	// spin repeats step until the churn is over, and at least quota times.
+	done := make(chan struct{})
+	spin := func(step func(n int64)) {
+		spinners.Add(1)
+		go func() {
+			defer spinners.Done()
+			for n := int64(1); ; n++ {
+				select {
+				case <-done:
+					if n > quota {
+						return
+					}
+				default:
+				}
+				step(n)
+				runtime.Gosched() // let writers and readers in, or everything coalesces
+			}
+		}()
+	}
+	for i := 0; i < nSubs+nShared; i++ { // one producer per backend sub keeps its markers monotone
+		bs, sub := name("bs-shared", i-nSubs), ""
+		if i < nSubs {
+			bs, sub = name("bs-own", i), name("sub", i)
+		}
+		spin(func(n int64) {
+			if sub == "" || n%3 != 0 {
+				accepted.Add(int64(hub.broadcast(ctx, bs, n)))
+			} else if hub.broadcastTo(ctx, bs, sub, interests[i][bs], n) {
+				accepted.Add(1)
+			}
+		})
+	}
+	spin(func(n int64) { // rebalancer
+		mctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+		defer cancel()
+		moved.Add(int64(hub.rebalance(mctx, func(sub string) (string, bool) {
+			return "http://successor", sub == name("sub", int(n)%nSubs)
+		})))
+	})
+	spin(func(int64) { _ = hub.snapshot() }) // a /metrics scrape
 
 	churners.Wait()
-	close(stop)
-	<-broadcasterDone
+	close(done)
+	spinners.Wait()
+	_ = stalledNC.Close()
+	hub.rebalance(ctx, func(string) (string, bool) { return "", true }) // flush and close what is left
+	readers.Wait()
+	waitFor(t, func() bool { return int64(delivered.Value()) == received.Load() }, "delivered counter to settle")
+	hub.stop()
+
+	st := hub.snapshot()
+	if got := int64(st.Enqueued + st.Coalesced); got != accepted.Load() {
+		t.Errorf("enqueued %d + coalesced %d = %d, but the hub accepted %d markers", st.Enqueued, st.Coalesced, got, accepted.Load())
+	}
+	// Only the churned sessions and the stalled one ever hold markers.
+	discarded, most := int64(st.Enqueued)-received.Load()-int64(st.Failures)-int64(st.Dropped), int64((nSubs*rounds+1)*queueCap)
+	if discarded < 0 || discarded > most {
+		t.Errorf("enqueued %d != written %d + failed %d + evicted %d + discarded at close (%d outside [0, %d])",
+			st.Enqueued, received.Load(), st.Failures, st.Dropped, discarded, most)
+	}
+	t.Logf("paths taken: %+v, rebalanced %d", st, moved.Load())
 }

@@ -219,8 +219,8 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 	res.Goroutines = runtime.NumGoroutine()
 
 	// Churn: disconnect and re-attach a fraction of sessions with fresh
-	// interests, exercising detach/attach-replace and session recycling
-	// under load before anything is measured hot.
+	// interests, exercising detach/attach-replace under load before
+	// anything is measured hot.
 	churn := int(float64(cfg.Sessions) * cfg.ChurnFraction)
 	if churn > 0 {
 		progress("churning %d sessions", churn)

@@ -39,7 +39,7 @@ func newWarmEnv(t *testing.T, nKeys, rounds int) *warmEnv {
 		bdms.WithClock(env.clk.Now),
 		bdms.WithNotifier(bdms.NotifierFunc(func(subID, _ string, latest time.Duration) {
 			if env.a != nil {
-				_ = env.a.HandleNotification(subID, latest)
+				_ = env.a.HandleNotificationContext(context.Background(), subID, latest)
 			}
 		})),
 	)

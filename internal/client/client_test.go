@@ -51,7 +51,7 @@ func newStack(t *testing.T, policy core.Policy, budget int64) *stack {
 	b, err := broker.New(broker.Config{
 		ID:          "it-broker",
 		Backend:     bdms.NewClient(clusterSrv.URL, nil),
-		CallbackURL: brokerSrv.URL + "/callbacks/results",
+		CallbackURL: brokerSrv.URL + "/v1/callbacks/results",
 		Policy:      policy,
 		CacheBudget: budget,
 	})

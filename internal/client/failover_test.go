@@ -20,7 +20,7 @@ func newBrokerOn(t *testing.T, id, clusterURL string, svc *bcs.Service) (*broker
 	b, err := broker.New(broker.Config{
 		ID:          id,
 		Backend:     bdms.NewClient(clusterURL, nil),
-		CallbackURL: srv.URL + "/callbacks/results",
+		CallbackURL: srv.URL + "/v1/callbacks/results",
 		Policy:      core.LSC{},
 		CacheBudget: 1 << 20,
 		// Fabric without BCS/peers: ring views are installed directly by

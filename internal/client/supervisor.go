@@ -189,12 +189,12 @@ func (c *Client) tryBroker(brokerURL string) (*wsock.Conn, error) {
 			continue
 		}
 		channel, params := st.channel, st.params
-		resume := int64(st.lastTS)
+		resume := st.lastTS
 		c.mu.Unlock()
 		var out broker.SubscribeResponse
 		req := broker.SubscribeRequest{
 			Subscriber: c.subscriber, Channel: channel, Params: params,
-			ResumeNS: &resume,
+			ResumeToken: broker.FormatResumeToken(resume),
 		}
 		if err := httpx.DoJSON(c.http, http.MethodPost, brokerURL+"/v1/subscriptions", req, &out); err != nil {
 			_ = conn.Close()

@@ -64,7 +64,7 @@ func newTraceStack(t *testing.T) *traceStack {
 	owner, err := broker.New(broker.Config{
 		ID:          "owner",
 		Backend:     bdms.NewClient(st.clusterSrv.URL, nil),
-		CallbackURL: ownerSrv.URL + "/callbacks/results",
+		CallbackURL: ownerSrv.URL + "/v1/callbacks/results",
 		Policy:      core.LSC{},
 		CacheBudget: 1 << 20,
 	})
@@ -84,7 +84,7 @@ func newTraceStack(t *testing.T) *traceStack {
 	edge, err := broker.New(broker.Config{
 		ID:          "edge",
 		Backend:     bdms.NewClient(st.clusterSrv.URL, nil),
-		CallbackURL: edgeSrv.URL + "/callbacks/results",
+		CallbackURL: edgeSrv.URL + "/v1/callbacks/results",
 		Policy:      core.NC{},
 		Fabric:      &broker.FabricConfig{Peers: bdms.NewPeerClient(nil)},
 	})

@@ -23,7 +23,7 @@ func newTracedBrokerOn(t *testing.T, id, clusterURL string, svc *bcs.Service) (*
 	b, err := broker.New(broker.Config{
 		ID:          id,
 		Backend:     bdms.NewClient(clusterURL, nil),
-		CallbackURL: srv.URL + "/callbacks/results",
+		CallbackURL: srv.URL + "/v1/callbacks/results",
 		Policy:      core.LSC{},
 		CacheBudget: 1 << 20,
 		Fabric:      &broker.FabricConfig{},

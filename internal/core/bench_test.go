@@ -84,7 +84,7 @@ func BenchmarkGetResultsHit(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		// Retrieve the newest object only (the common notification-driven
 		// pattern); use a never-matching subscriber so nothing is consumed.
-		_, err := m.GetResults("c0000", "ghost", time.Duration(objs-1)*time.Second,
+		_, _, err := m.Retrieve(context.Background(), "c0000", "ghost", time.Duration(objs-1)*time.Second,
 			time.Duration(objs)*time.Second, time.Hour)
 		if err != nil {
 			b.Fatal(err)
@@ -151,7 +151,7 @@ func BenchmarkManagerGetParallel(b *testing.B) {
 	)
 	for _, shards := range []int{1, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			m, err := NewManager(Config{Policy: LSC{}, Budget: 1 << 40, Fetcher: nullFetcher}, WithShards(shards))
+			m, err := NewManager(Config{Policy: LSC{}, Budget: 1 << 40, Fetcher: nullFetcher, Shards: shards})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func BenchmarkManagerGetParallel(b *testing.B) {
 					// Newest object only: the common notification-driven
 					// retrieval. "ghost" never matches, so nothing is
 					// consumed and the working set stays put.
-					if _, err := m.GetResults(id, "ghost", time.Duration(objsPer-1)*time.Second,
+					if _, _, err := m.Retrieve(context.Background(), id, "ghost", time.Duration(objsPer-1)*time.Second,
 						time.Duration(objsPer)*time.Second, time.Hour); err != nil {
 						b.Fatal(err)
 					}
@@ -200,7 +200,7 @@ func BenchmarkManagerPutParallel(b *testing.B) {
 	const goroutines = 8
 	for _, shards := range []int{1, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			m, err := NewManager(Config{Policy: LSC{}, Budget: 1 << 40, Fetcher: nullFetcher}, WithShards(shards))
+			m, err := NewManager(Config{Policy: LSC{}, Budget: 1 << 40, Fetcher: nullFetcher, Shards: shards})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -30,7 +30,8 @@ func TestConcurrentShardInvariants(t *testing.T) {
 		Fetcher: FetcherFunc(func(context.Context, string, time.Duration, time.Duration, bool) ([]*Object, error) {
 			return nil, nil
 		}),
-	}, WithShards(8))
+		Shards: 8,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestConcurrentShardInvariants(t *testing.T) {
 				}
 				switch i % 5 {
 				case 1:
-					if _, err := m.GetResults(peer, sub, 0, now, now); err != nil {
+					if _, _, err := m.Retrieve(context.Background(), peer, sub, 0, now, now); err != nil {
 						t.Errorf("GetResults(%s): %v", peer, err)
 						return
 					}
@@ -96,7 +97,7 @@ func TestConcurrentShardInvariants(t *testing.T) {
 	// mark), oldest first.
 	end := time.Duration(opsPerG+1) * time.Millisecond
 	for _, ci := range infos {
-		objs, err := m.GetResults(ci.ID, "checker", 0, end, end)
+		objs, _, err := m.Retrieve(context.Background(), ci.ID, "checker", 0, end, end)
 		if err != nil {
 			t.Fatalf("GetResults(%s): %v", ci.ID, err)
 		}
@@ -143,7 +144,8 @@ func TestSingleflightCoalescesMisses(t *testing.T) {
 	// Under NC every GetResults goes straight to the fetcher with the
 	// identical (from, to, inclusive] range — the coalescing key.
 	get := func() ([]*Object, error) {
-		return m.GetResults("bs0", "sub", 0, 10, 10)
+		objs, _, err := m.Retrieve(context.Background(), "bs0", "sub", 0, 10, 10)
+		return objs, err
 	}
 
 	var wg sync.WaitGroup
@@ -221,7 +223,7 @@ func TestSingleflightSequentialDoesNotCoalesce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := m.GetResults("bs0", "sub", 0, 10, 10); err != nil {
+		if _, _, err := m.Retrieve(context.Background(), "bs0", "sub", 0, 10, 10); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -108,12 +108,6 @@ type Config struct {
 	// ratios and eviction order are identical for any shard count.
 	// <= 0 selects DefaultShards; 1 reproduces the single-mutex manager.
 	Shards int
-	// LinearVictimScan selects eviction victims by scanning every cache
-	// (O(N) per eviction) instead of the default lazy min-heap
-	// (O(log N)). Exists for the complexity ablation — the paper argues
-	// the heap makes tail-based eviction scale; the benchmark
-	// BenchmarkAblationVictimSelection quantifies it.
-	LinearVictimScan bool
 	// StaleServe degrades gracefully when the data cluster is
 	// unreachable: instead of failing a retrieval whose miss fetch
 	// errored, serve whatever the cache holds and mark the result stale
@@ -144,7 +138,6 @@ type Manager struct {
 	fetcher    Fetcher
 	ttlCfg     TTLConfig
 	stats      *metrics.CacheStats
-	linearScan bool
 	staleServe bool
 
 	shards []*managerShard
@@ -168,12 +161,8 @@ type Manager struct {
 // configured.
 var ErrNoFetcher = errors.New("core: cache miss but no fetcher configured")
 
-// NewManager validates cfg, applies opts on top of it and returns a ready
-// Manager.
-func NewManager(cfg Config, opts ...Option) (*Manager, error) {
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// NewManager validates cfg and returns a ready Manager.
+func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Policy == nil {
 		return nil, errors.New("core: Config.Policy is required")
 	}
@@ -194,7 +183,6 @@ func NewManager(cfg Config, opts ...Option) (*Manager, error) {
 		fetcher:    cfg.Fetcher,
 		ttlCfg:     cfg.TTL,
 		stats:      cfg.Stats,
-		linearScan: cfg.LinearVictimScan,
 		staleServe: cfg.StaleServe,
 		shards:     shards,
 	}, nil
@@ -465,15 +453,10 @@ func (m *Manager) evictOne(now time.Duration) bool {
 		}
 		sh := m.shards[best]
 		sh.mu.Lock()
-		var victim *ResultCache
-		if m.linearScan {
-			victim, _, _ = sh.linearVictim(m.policy, now)
-		} else {
+		victim := sh.victims.popFresh(nil)
+		if victim == nil {
+			sh.rebuildVictims(m.policy, now)
 			victim = sh.victims.popFresh(nil)
-			if victim == nil {
-				sh.rebuildVictims(m.policy, now)
-				victim = sh.victims.popFresh(nil)
-			}
 		}
 		if victim == nil || victim.tail == nil {
 			sh.mu.Unlock()
@@ -489,32 +472,12 @@ func (m *Manager) evictOne(now time.Duration) bool {
 // peekVictim returns the shard's lowest-scored non-empty cache without
 // removing its heap entry. Caller holds the shard lock.
 func (m *Manager) peekVictim(sh *managerShard, now time.Duration) (*ResultCache, float64, bool) {
-	if m.linearScan {
-		return sh.linearVictim(m.policy, now)
-	}
 	c, score, ok := sh.victims.peekFresh(nil)
 	if !ok {
 		sh.rebuildVictims(m.policy, now)
 		c, score, ok = sh.victims.peekFresh(nil)
 	}
 	return c, score, ok
-}
-
-// linearVictim scans the shard's caches for the smallest score (ablation
-// mode). Caller holds the shard lock.
-func (sh *managerShard) linearVictim(p Policy, now time.Duration) (*ResultCache, float64, bool) {
-	var best *ResultCache
-	var bestScore float64
-	for _, c := range sh.caches {
-		if c.n == 0 {
-			continue
-		}
-		s := p.Score(c, now)
-		if best == nil || s < bestScore || (s == bestScore && c.id < best.id) {
-			best, bestScore = c, s
-		}
-	}
-	return best, bestScore, best != nil
 }
 
 // rebuildVictims reconstructs the shard's victim heap from scratch
@@ -536,7 +499,7 @@ func (m *Manager) touch(sh *managerShard, c *ResultCache, now time.Duration) {
 	if c.n == 0 {
 		return
 	}
-	if m.policy.Evicts() && !m.linearScan {
+	if m.policy.Evicts() {
 		sh.victims.push(c, m.policy.Score(c, now))
 		// Compact if the lazy heap grew far beyond the live cache count.
 		if sh.victims.size() > 4*len(sh.caches)+64 {
@@ -615,20 +578,6 @@ func (m *Manager) recordSize(now time.Duration) {
 	m.lastSize = total
 	m.stats.CacheSize.Add(now, float64(delta))
 	m.sizeMu.Unlock()
-}
-
-// GetResults serves a subscriber's retrieval with a background context; it
-// is GetResultsContext without cancellation, kept so existing call sites
-// and single-threaded experiment code read naturally.
-func (m *Manager) GetResults(id, k string, from, to, now time.Duration) ([]*Object, error) {
-	return m.GetResultsContext(context.Background(), id, k, from, to, now)
-}
-
-// GetResultsContext is Retrieve without the serving metadata; stale serves
-// (StaleServe on) surface here as a short — but error-free — result.
-func (m *Manager) GetResultsContext(ctx context.Context, id, k string, from, to, now time.Duration) ([]*Object, error) {
-	objs, _, err := m.Retrieve(ctx, id, k, from, to, now)
-	return objs, err
 }
 
 // RetrievalInfo describes how Retrieve served a request.

@@ -114,7 +114,7 @@ func TestGetResultsAllCached(t *testing.T) {
 	m.Subscribe("bs1", "k1", 0)
 	putObj(t, m, f, "bs1", "o1", 10, 100, ts(10))
 	putObj(t, m, f, "bs1", "o2", 20, 100, ts(20))
-	got, err := m.GetResults("bs1", "k1", ts(0), ts(20), ts(21))
+	got, _, err := m.Retrieve(context.Background(), "bs1", "k1", ts(0), ts(20), ts(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +145,13 @@ func TestGetResultsConsumesDrainedObjects(t *testing.T) {
 	m.Subscribe("bs1", "k1", 0)
 	m.Subscribe("bs1", "k2", 0)
 	putObj(t, m, f, "bs1", "o1", 10, 100, ts(10))
-	if _, err := m.GetResults("bs1", "k1", ts(0), ts(10), ts(11)); err != nil {
+	if _, _, err := m.Retrieve(context.Background(), "bs1", "k1", ts(0), ts(10), ts(11)); err != nil {
 		t.Fatal(err)
 	}
 	if m.Cache("bs1").Len() != 1 {
 		t.Fatal("object should remain: k2 has not retrieved it")
 	}
-	if _, err := m.GetResults("bs1", "k2", ts(0), ts(10), ts(12)); err != nil {
+	if _, _, err := m.Retrieve(context.Background(), "bs1", "k2", ts(0), ts(10), ts(12)); err != nil {
 		t.Fatal(err)
 	}
 	if m.Cache("bs1").Len() != 0 {
@@ -177,7 +177,7 @@ func TestGetResultsPartialMiss(t *testing.T) {
 		t.Fatalf("expected o1 evicted; tail=%v len=%d", c.Tail().ID, c.Len())
 	}
 	// Request everything: o1 must come from the fetcher, o2/o3 from cache.
-	got, err := m.GetResults("bs1", "k1", ts(0), ts(30), ts(31))
+	got, _, err := m.Retrieve(context.Background(), "bs1", "k1", ts(0), ts(30), ts(31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestGetResultsAllMissed(t *testing.T) {
 	putObj(t, m, f, "bs1", "o2", 20, 100, ts(20)) // evicts o1
 	putObj(t, m, f, "bs1", "o3", 30, 100, ts(30)) // evicts o2
 	// Request only the old range (0, 20]: everything missed.
-	got, err := m.GetResults("bs1", "k1", ts(0), ts(20), ts(31))
+	got, _, err := m.Retrieve(context.Background(), "bs1", "k1", ts(0), ts(20), ts(31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestGetResultsMissedNotRecached(t *testing.T) {
 	putObj(t, m, f, "bs1", "o2", 20, 100, ts(20))
 	putObj(t, m, f, "bs1", "o3", 30, 100, ts(30)) // evicts o1
 	before := m.Cache("bs1").Len()
-	if _, err := m.GetResults("bs1", "k1", ts(0), ts(30), ts(31)); err != nil {
+	if _, _, err := m.Retrieve(context.Background(), "bs1", "k1", ts(0), ts(30), ts(31)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Cache("bs1").Len(); got > before {
@@ -231,11 +231,11 @@ func TestGetResultsMissedNotRecached(t *testing.T) {
 
 func TestGetResultsEmptyRange(t *testing.T) {
 	m, _, _ := newTestManager(t, LSC{}, 1<<20)
-	got, err := m.GetResults("bs1", "k1", ts(10), ts(10), ts(11))
+	got, _, err := m.Retrieve(context.Background(), "bs1", "k1", ts(10), ts(10), ts(11))
 	if err != nil || got != nil {
 		t.Errorf("empty range should return nil, nil; got %v, %v", got, err)
 	}
-	got, err = m.GetResults("bs1", "k1", ts(10), ts(5), ts(11))
+	got, _, err = m.Retrieve(context.Background(), "bs1", "k1", ts(10), ts(5), ts(11))
 	if err != nil || got != nil {
 		t.Errorf("inverted range should return nil, nil; got %v, %v", got, err)
 	}
@@ -246,7 +246,7 @@ func TestGetResultsNoCacheNoFetcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.GetResults("bs1", "k1", 0, ts(10), ts(11)); !errors.Is(err, ErrNoFetcher) {
+	if _, _, err := m.Retrieve(context.Background(), "bs1", "k1", 0, ts(10), ts(11)); !errors.Is(err, ErrNoFetcher) {
 		t.Errorf("err = %v, want ErrNoFetcher", err)
 	}
 }
@@ -254,7 +254,7 @@ func TestGetResultsNoCacheNoFetcher(t *testing.T) {
 func TestGetResultsFetcherError(t *testing.T) {
 	m, f, _ := newTestManager(t, LSC{}, 1<<20)
 	f.err = errors.New("backend down")
-	if _, err := m.GetResults("bs1", "k1", 0, ts(10), ts(11)); err == nil {
+	if _, _, err := m.Retrieve(context.Background(), "bs1", "k1", 0, ts(10), ts(11)); err == nil {
 		t.Error("fetch error should propagate")
 	}
 }
@@ -288,7 +288,7 @@ func TestEvictionLRUOrder(t *testing.T) {
 	putObj(t, m, f, "a", "a1", 10, 100, ts(10))
 	putObj(t, m, f, "b", "b1", 20, 100, ts(20))
 	// Access cache "a" making "b" least recently used.
-	if _, err := m.GetResults("a", "k1", ts(0), ts(10), ts(30)); err != nil {
+	if _, _, err := m.Retrieve(context.Background(), "a", "k1", ts(0), ts(10), ts(30)); err != nil {
 		t.Fatal(err)
 	}
 	// a1 was consumed by that retrieval (only subscriber) - re-add.
@@ -325,7 +325,7 @@ func TestUnsubscribeConsumesObjects(t *testing.T) {
 	m.Subscribe("bs", "k2", 0)
 	putObj(t, m, f, "bs", "o1", 10, 100, ts(10))
 	// k1 retrieves o1; k2 unsubscribes -> o1 drained -> consumed.
-	if _, err := m.GetResults("bs", "k1", ts(0), ts(10), ts(11)); err != nil {
+	if _, _, err := m.Retrieve(context.Background(), "bs", "k1", ts(0), ts(10), ts(11)); err != nil {
 		t.Fatal(err)
 	}
 	m.Unsubscribe("bs", "k2", ts(12))
@@ -368,7 +368,7 @@ func TestNCPolicyNeverCaches(t *testing.T) {
 	if m.TotalSize() != 0 || m.NumCaches() != 0 {
 		t.Error("NC must not cache anything")
 	}
-	got, err := m.GetResults("bs", "k1", ts(0), ts(10), ts(11))
+	got, _, err := m.Retrieve(context.Background(), "bs", "k1", ts(0), ts(10), ts(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestManyEvictionsStressHeap(t *testing.T) {
 		}
 		if step%7 == 0 {
 			sub := fmt.Sprintf("k%d", step%caches)
-			if _, err := m.GetResults(id, sub, 0, now, now); err != nil {
+			if _, _, err := m.Retrieve(context.Background(), id, sub, 0, now, now); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -112,7 +113,7 @@ func checkCompleteness(t *testing.T, seed int64, budget int64, p Policy) bool {
 				}
 				from := subs[s].marker[cid]
 				to := latest[cid]
-				objs, err := m.GetResults(cid, sid, from, to, now)
+				objs, _, err := m.Retrieve(context.Background(), cid, sid, from, to, now)
 				if err != nil {
 					t.Logf("get: %v", err)
 					return false
@@ -148,7 +149,7 @@ func checkCompleteness(t *testing.T, seed int64, budget int64, p Policy) bool {
 		for cid := range subs[s].joined {
 			from := subs[s].marker[cid]
 			to := latest[cid]
-			objs, err := m.GetResults(cid, sid, from, to, now)
+			objs, _, err := m.Retrieve(context.Background(), cid, sid, from, to, now)
 			if err != nil {
 				t.Logf("drain get: %v", err)
 				return false
@@ -216,7 +217,7 @@ func TestSizeAccountingProperty(t *testing.T) {
 					return false
 				}
 			case 3:
-				if _, err := m.GetResults(cid, sid, 0, latest[cid], now); err != nil {
+				if _, _, err := m.Retrieve(context.Background(), cid, sid, 0, latest[cid], now); err != nil {
 					return false
 				}
 			}
@@ -263,7 +264,7 @@ func TestTimestampOrderInvariant(t *testing.T) {
 				return false
 			}
 			if rng.Intn(3) == 0 {
-				if _, err := m.GetResults("c", "s", 0, latest, now); err != nil {
+				if _, _, err := m.Retrieve(context.Background(), "c", "s", 0, latest, now); err != nil {
 					return false
 				}
 			}

@@ -12,8 +12,7 @@ func newStaleManager(t *testing.T, budget int64) (*Manager, *memFetcher, *metric
 	t.Helper()
 	f := newMemFetcher()
 	stats := &metrics.CacheStats{}
-	m, err := NewManager(Config{Policy: LSC{}, Budget: budget, Fetcher: f, Stats: stats},
-		WithStaleServe(true))
+	m, err := NewManager(Config{Policy: LSC{}, Budget: budget, Fetcher: f, Stats: stats, StaleServe: true})
 	if err != nil {
 		t.Fatal(err)
 	}

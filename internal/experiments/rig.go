@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -83,13 +84,13 @@ type rigNotifier struct{ rig *Rig }
 
 func (n rigNotifier) Notify(subID, _ string, latest time.Duration) {
 	if n.rig.broker != nil {
-		_ = n.rig.broker.HandleNotification(subID, latest)
+		_ = n.rig.broker.HandleNotificationContext(context.Background(), subID, latest)
 	}
 }
 
 func (n rigNotifier) NotifyPush(subID, _ string, obj bdms.ResultObject) {
 	if n.rig.broker != nil {
-		_ = n.rig.broker.HandlePushedResult(subID, obj)
+		_ = n.rig.broker.HandlePushedResultContext(context.Background(), subID, obj)
 	}
 }
 
@@ -287,18 +288,18 @@ func (r *Rig) drainPending() {
 
 // retrieve performs one GetResults+Ack with modeled latency accounting.
 func (r *Rig) retrieve(subscriber, fs string) {
-	items, latest, err := r.broker.GetResults(subscriber, fs)
+	ret, err := r.broker.RetrieveContext(context.Background(), subscriber, fs)
 	if err != nil {
 		return
 	}
-	if latest > 0 {
-		_ = r.broker.Ack(subscriber, fs, latest)
+	if ret.Latest > 0 {
+		_ = r.broker.Ack(subscriber, fs, ret.Latest)
 	}
-	if len(items) == 0 {
+	if len(ret.Items) == 0 {
 		return
 	}
 	var total, missed int64
-	for _, it := range items {
+	for _, it := range ret.Items {
 		total += it.Size
 		if !it.FromCache {
 			missed += it.Size

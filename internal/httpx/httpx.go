@@ -1,7 +1,6 @@
 // Package httpx holds the small JSON-over-HTTP helpers shared by the data
-// cluster, broker and BCS servers and clients: JSON body codecs, the
-// unified v1 error envelope, and dual (versioned + legacy) route
-// registration.
+// cluster, broker and BCS servers and clients: JSON body codecs and the
+// unified v1 error envelope.
 package httpx
 
 import (
@@ -45,17 +44,11 @@ type ErrorInfo struct {
 }
 
 // ErrorEnvelope is the uniform JSON error payload returned by every v1
-// route (and, during the deprecation window, by the legacy aliases):
+// route:
 //
 //	{"error": {"code": "...", "message": "...", "retryable": false}}
 type ErrorEnvelope struct {
 	Error ErrorInfo `json:"error"`
-}
-
-// legacyErrorBody is the pre-v1 payload shape ({"error": "message"}); DoJSON
-// still decodes it so mixed-version deployments interoperate.
-type legacyErrorBody struct {
-	Error string `json:"error"`
 }
 
 // CodeForStatus maps an HTTP status to the default envelope code.
@@ -124,24 +117,6 @@ func ReadJSON(r *http.Request, v any) error {
 		return fmt.Errorf("httpx: decode request body: %w", err)
 	}
 	return nil
-}
-
-// Dual registers handler h under its versioned /v1 route and under the
-// legacy unversioned alias. pattern is a mux pattern WITHOUT the method,
-// e.g. "/v1/subscriptions/{id}"; legacy is the pre-v1 alias, e.g.
-// "/api/subscriptions/{id}". Legacy responses carry a "Deprecation: true"
-// header and a Link to the successor route so clients can migrate; the
-// aliases are kept for one release.
-func Dual(mux *http.ServeMux, method, pattern, legacy string, h http.HandlerFunc) {
-	mux.HandleFunc(method+" "+pattern, h)
-	if legacy == "" || legacy == pattern {
-		return
-	}
-	mux.HandleFunc(method+" "+legacy, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", pattern, "successor-version"))
-		h(w, r)
-	})
 }
 
 // DoJSON performs an HTTP request with a JSON body (nil for none) and
@@ -242,8 +217,8 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("HTTP %d", e.Status)
 }
 
-// decodeError parses a non-2xx body into a StatusError, accepting both the
-// v1 envelope and the legacy {"error": "msg"} shape.
+// decodeError parses a non-2xx body into a StatusError. A body that is not
+// the v1 envelope keeps the status-derived code and an empty message.
 func decodeError(status int, data []byte) *StatusError {
 	se := &StatusError{Status: status, Code: CodeForStatus(status), Retryable: retryableStatus(status)}
 	var env ErrorEnvelope
@@ -251,11 +226,6 @@ func decodeError(status int, data []byte) *StatusError {
 		se.Code = env.Error.Code
 		se.Message = env.Error.Message
 		se.Retryable = env.Error.Retryable
-		return se
-	}
-	var legacy legacyErrorBody
-	if json.Unmarshal(data, &legacy) == nil && legacy.Error != "" {
-		se.Message = legacy.Error
 	}
 	return se
 }

@@ -166,6 +166,8 @@ func TestDoJSONStatusError(t *testing.T) {
 	}
 }
 
+// TestDoJSONLegacyErrorBody: a pre-v1 {"error": "msg"} body is no longer
+// decoded; it yields a StatusError with the status-derived code only.
 func TestDoJSONLegacyErrorBody(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		WriteJSON(w, http.StatusNotFound, map[string]string{"error": "old shape"})
@@ -176,47 +178,8 @@ func TestDoJSONLegacyErrorBody(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("error is not a StatusError: %v", err)
 	}
-	if se.Message != "old shape" || se.Code != CodeNotFound {
-		t.Errorf("legacy body not decoded: %+v", se)
-	}
-}
-
-func TestDualRegistersBothRoutes(t *testing.T) {
-	mux := http.NewServeMux()
-	Dual(mux, http.MethodGet, "/v1/things", "/api/things", func(w http.ResponseWriter, _ *http.Request) {
-		WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	// Versioned route: plain 200, no deprecation headers.
-	resp, err := srv.Client().Get(srv.URL + "/v1/things")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/v1 status = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1 route must not carry a Deprecation header")
-	}
-
-	// Legacy alias: same handler, flagged deprecated with a successor link.
-	resp, err = srv.Client().Get(srv.URL + "/api/things")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("legacy status = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy alias must set Deprecation: true")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/things") ||
-		!strings.Contains(link, "successor-version") {
-		t.Errorf("legacy Link header = %q", link)
+	if se.Status != http.StatusNotFound || se.Code != CodeNotFound || se.Message != "" {
+		t.Errorf("non-envelope body: %+v", se)
 	}
 }
 

@@ -56,7 +56,7 @@ func liveStack(t *testing.T) (*bdms.Client, string, *broker.Broker) {
 	b, err := broker.New(broker.Config{
 		ID:          "live-broker",
 		Backend:     bdms.NewClient(clusterSrv.URL, nil),
-		CallbackURL: brokerSrv.URL + "/callbacks/results",
+		CallbackURL: brokerSrv.URL + "/v1/callbacks/results",
 		Policy:      core.LSC{},
 		CacheBudget: 1 << 20,
 	})

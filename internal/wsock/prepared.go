@@ -33,13 +33,10 @@ func NewPreparedMessage(op Opcode, payload []byte) (*PreparedMessage, error) {
 	return pm, nil
 }
 
-// Encode re-encodes pm in place, reusing its payload and frame buffers.
-// It exists for broadcast hot paths that recycle PreparedMessages through
-// a pool: once every write of the previous encoding has completed, the
-// same PreparedMessage (and its buffers) can carry the next event with
-// zero allocations. The caller owns the proof that no concurrent write is
-// in flight; a PreparedMessage that may still be visible to writers must
-// be treated as immutable exactly as before.
+// Encode encodes a message into pm in place, reusing whatever payload and
+// frame buffers pm already holds; it is how an embedded (zero-value)
+// PreparedMessage is filled. Re-encoding a PreparedMessage that writers
+// may still see is a data race: once shared it is immutable.
 func (pm *PreparedMessage) Encode(op Opcode, payload []byte) error {
 	if op != OpText && op != OpBinary {
 		return fmt.Errorf("%w: prepared messages need text or binary opcode", ErrProtocol)
