@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-json bench-smoke bench-guard bench-test soak fuzz-smoke chaos crash-matrix verify
+.PHONY: build vet lint test race bench bench-json bench-smoke bench-guard bench-test bench-vet soak fuzz-smoke chaos crash-matrix size verify
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,13 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) test -short ./...
 
+# The benchmark is frozen (BENCHMARK.json `paths`) and is its own module,
+# so tier-1 `go build ./...` never compiles it: vetting it here is what
+# catches a root-module API change the benchmark can no longer build
+# against.
+bench-vet:
+	cd bench && $(GO) vet ./...
+
 # Regression guard over the committed baselines, every row at one proc
 # like its baseline (-cpu 1 / GOMAXPROCS=1), so it passes on any box. The
 # fan-out benchmark (best of five runs, damping runner noise) is compared
@@ -122,7 +129,18 @@ chaos:
 crash-matrix:
 	CRASH_MATRIX=full $(GO) test -run='^TestStoreCrashMatrix$$' -v ./internal/bdms
 
-# Everything CI runs: build, vet, full test suite, then the race tier.
-# The chaos tier is its own CI step (it re-runs several suites race-enabled
-# with -count=2, which would double up here).
-verify: build vet test race
+# The numbers every simplicity PR reports in CHANGES.md, counted one way:
+# root-module (bench/ excluded) non-test and test lines, and exported
+# declarations per internal package as `go doc -all` lists them.
+size:
+	@echo "non-test lines $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@echo "test lines     $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@for p in $$($(GO) list ./internal/...); do \
+		echo "exported $${p#gobad/internal/} $$($(GO) doc -all $$p | grep -cE '^(func|type) ')"; \
+	done
+
+# Everything CI runs: build, vet (the frozen benchmark module included),
+# full test suite, then the race tier. The chaos tier is its own CI step
+# (it re-runs several suites race-enabled with -count=2, which would double
+# up here).
+verify: build vet bench-vet test race

@@ -30,10 +30,10 @@ func run() error {
 	// continuous channel: "alert me about emergencies of type $etype".
 	var brk *broker.Broker
 	cluster := bdms.NewCluster(
-		bdms.WithNotifier(bdms.NotifierFunc(func(subID, _ string, latest time.Duration) {
+		bdms.WithNotifier(bdms.NotifierFunc(func(ctx context.Context, subID, _ string, latest time.Duration) {
 			// In-process wiring: the cluster's webhook IS the broker.
 			if brk != nil {
-				_ = brk.HandleNotificationContext(context.Background(), subID, latest)
+				_ = brk.HandleNotificationContext(ctx, subID, latest, nil)
 			}
 		})),
 	)

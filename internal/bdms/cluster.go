@@ -19,43 +19,31 @@ import (
 // cluster invokes it outside its internal lock; implementations may block
 // (delivery then back-pressures ingestion) or queue internally.
 type Notifier interface {
-	// Notify signals that subscription subID (whose registered callback
-	// is callback) has new results up to latest.
-	Notify(subID, callback string, latest time.Duration)
-}
-
-// PushNotifier is the PUSH-model extension of Notifier (Section III: "the
-// actual content of the notification ... may contain the entire result
-// objects themselves and the results are immediately pushed to the broker
-// (PUSH model)"). Clusters configured WithPushModel deliver through it
-// when the notifier implements it, falling back to the PULL-model Notify
-// otherwise.
-type PushNotifier interface {
-	Notifier
-	// NotifyPush delivers the result object itself.
-	NotifyPush(subID, callback string, obj ResultObject)
-}
-
-// ContextNotifier is the trace-aware extension of Notifier: the context
-// carries the span of the publication that produced the results, so the
-// notification POST (and any redelivery of it) stays attributable to that
-// publication's trace. Clusters call it when the configured notifier
-// implements it, falling back to Notify otherwise.
-type ContextNotifier interface {
+	// NotifyContext signals that subscription subID (whose registered
+	// callback is callback) has new results up to latest. ctx carries the
+	// span of the publication that produced them, so the notification (and
+	// any redelivery of it) stays attributable to that publication's trace.
 	NotifyContext(ctx context.Context, subID, callback string, latest time.Duration)
 }
 
-// ContextPushNotifier is the trace-aware extension of PushNotifier.
-type ContextPushNotifier interface {
+// PushNotifier is a Notifier that can also carry the PUSH model (Section
+// III: "the actual content of the notification ... may contain the entire
+// result objects themselves and the results are immediately pushed to the
+// broker (PUSH model)"). Clusters configured WithPushModel deliver through
+// NotifyPushContext when the notifier has it and fall back to the
+// PULL-model NotifyContext otherwise.
+type PushNotifier interface {
+	Notifier
+	// NotifyPushContext delivers the result object itself.
 	NotifyPushContext(ctx context.Context, subID, callback string, obj ResultObject)
 }
 
 // NotifierFunc adapts a function to the Notifier interface.
-type NotifierFunc func(subID, callback string, latest time.Duration)
+type NotifierFunc func(ctx context.Context, subID, callback string, latest time.Duration)
 
-// Notify implements Notifier.
-func (f NotifierFunc) Notify(subID, callback string, latest time.Duration) {
-	f(subID, callback, latest)
+// NotifyContext implements Notifier.
+func (f NotifierFunc) NotifyContext(ctx context.Context, subID, callback string, latest time.Duration) {
+	f(ctx, subID, callback, latest)
 }
 
 // Clock supplies the cluster's notion of time as an offset from its epoch.
@@ -669,27 +657,20 @@ func (c *Cluster) appendResult(sub *subscription, rows []map[string]any, size in
 	return notification{subID: sub.id, callback: sub.callback, latest: ts, obj: obj}
 }
 
-// deliver fires pending notifications outside the lock. ctx carries the
-// publication's span; trace-aware notifiers keep the delivery attributed
-// to it, plain notifiers just ignore the context.
+// deliver fires pending notifications outside the lock, under the
+// publication's span: the result objects themselves under the push model
+// when the notifier can carry them, the latest timestamp otherwise.
 func (c *Cluster) deliver(ctx context.Context, pending []notification) {
 	if c.notifier == nil || len(pending) == 0 {
 		return
 	}
 	pusher, canPush := c.notifier.(PushNotifier)
-	ctxPusher, canPushCtx := c.notifier.(ContextPushNotifier)
-	ctxNotifier, canNotifyCtx := c.notifier.(ContextNotifier)
 	for _, n := range pending {
 		c.stats.Notifications.Inc()
-		switch {
-		case c.pushModel && canPushCtx:
-			ctxPusher.NotifyPushContext(ctx, n.subID, n.callback, n.obj)
-		case c.pushModel && canPush:
-			pusher.NotifyPush(n.subID, n.callback, n.obj)
-		case canNotifyCtx:
-			ctxNotifier.NotifyContext(ctx, n.subID, n.callback, n.latest)
-		default:
-			c.notifier.Notify(n.subID, n.callback, n.latest)
+		if c.pushModel && canPush {
+			pusher.NotifyPushContext(ctx, n.subID, n.callback, n.obj)
+		} else {
+			c.notifier.NotifyContext(ctx, n.subID, n.callback, n.latest)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package bdms
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -38,7 +39,7 @@ type collectNotifier struct {
 	notes []NotificationPayload
 }
 
-func (n *collectNotifier) Notify(subID, _ string, latest time.Duration) {
+func (n *collectNotifier) NotifyContext(_ context.Context, subID, _ string, latest time.Duration) {
 	n.mu.Lock()
 	n.notes = append(n.notes, NotificationPayload{SubscriptionID: subID, LatestNS: int64(latest)})
 	n.mu.Unlock()

@@ -16,26 +16,17 @@ import (
 // NotificationPayload is the JSON body POSTed to a subscription's callback
 // URL (the WebHook of Section III): "the data cluster invokes [it] to
 // notify the broker when results against that subscription are available".
-// Under the PULL model it carries a resource handle (the latest result
+// PUSH versus PULL is a property of the payload, not a second protocol:
+// under the PULL model it carries only a resource handle (the latest result
 // timestamp) and the broker fetches the results it wants; under the PUSH
-// model Result carries the result object itself.
+// model Results carries the result objects themselves.
 type NotificationPayload struct {
 	SubscriptionID string `json:"subscription_id"`
 	LatestNS       int64  `json:"latest_ns"`
-	// Result carries the result object itself under the PUSH model
-	// (nil under the PULL model).
-	Result *ResultObject `json:"result,omitempty"`
-	// Results carries a coalesced batch of pushed result objects, oldest
-	// first, when the notifier batches deliveries within a flush window;
-	// the receiver ingests the whole batch in one call. Result stays nil
-	// when Results is set.
+	// Results carries the pushed result objects, oldest first — one for an
+	// immediate push, several when the notifier coalesced a flush window;
+	// empty under the PULL model.
 	Results []ResultObject `json:"results,omitempty"`
-}
-
-// NotificationPayloadTo pairs a payload with its destination.
-type NotificationPayloadTo struct {
-	Callback string
-	Payload  NotificationPayload
 }
 
 // NotifierStats tallies a WebhookNotifier's delivery outcomes. At-least-once
@@ -90,7 +81,8 @@ func (s *NotifierStats) Collector() obs.Collector {
 // and the trace span minted at enqueue, so every retry of one notification
 // logs (and propagates) the same trace ID.
 type queueItem struct {
-	NotificationPayloadTo
+	callback string
+	payload  NotificationPayload
 	attempts int
 	span     obs.SpanContext
 	// rerouted marks an item already re-resolved once; a second dead
@@ -291,56 +283,37 @@ func realSleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Notify implements Notifier (PULL model): it enqueues the delivery (or
-// folds it into the pending batch when coalescing is on), dropping it when
-// the queue is full.
-func (n *WebhookNotifier) Notify(subID, callback string, latest time.Duration) {
-	n.NotifyContext(context.Background(), subID, callback, latest)
-}
-
-// NotifyContext implements ContextNotifier: the delivery (and every retry
-// of it) runs under the publication trace carried by ctx, minting a fresh
-// root only when ctx has none.
+// NotifyContext implements Notifier (PULL model): it enqueues the delivery
+// (or folds it into the pending batch when coalescing is on), dropping it
+// when the queue is full. The delivery (and every retry of it) runs under
+// the publication trace carried by ctx, minting a fresh root only when ctx
+// has none.
 func (n *WebhookNotifier) NotifyContext(ctx context.Context, subID, callback string, latest time.Duration) {
-	if callback == "" {
-		return
-	}
-	sc := originSpan(ctx)
-	if n.batchWindow > 0 {
-		n.addToBatch(sc, subID, callback, int64(latest), nil)
-		return
-	}
-	n.enqueueSpan(NotificationPayloadTo{
-		Callback: callback,
-		Payload:  NotificationPayload{SubscriptionID: subID, LatestNS: int64(latest)},
-	}, sc)
+	n.accept(ctx, subID, callback, int64(latest), nil)
 }
 
-// NotifyPush implements PushNotifier: the payload carries the result
+// NotifyPushContext implements PushNotifier: the payload carries the result
 // object itself; with coalescing on, results accumulate into one batched
 // POST per flush window.
-func (n *WebhookNotifier) NotifyPush(subID, callback string, obj ResultObject) {
-	n.NotifyPushContext(context.Background(), subID, callback, obj)
+func (n *WebhookNotifier) NotifyPushContext(ctx context.Context, subID, callback string, obj ResultObject) {
+	n.accept(ctx, subID, callback, int64(obj.Timestamp), []ResultObject{obj})
 }
 
-// NotifyPushContext implements ContextPushNotifier (see NotifyContext).
-func (n *WebhookNotifier) NotifyPushContext(ctx context.Context, subID, callback string, obj ResultObject) {
+// accept is the one intake: batch when coalescing is on, enqueue otherwise.
+func (n *WebhookNotifier) accept(ctx context.Context, subID, callback string, latest int64, results []ResultObject) {
 	if callback == "" {
 		return
 	}
 	sc := originSpan(ctx)
 	if n.batchWindow > 0 {
-		n.addToBatch(sc, subID, callback, int64(obj.Timestamp), &obj)
+		n.addToBatch(sc, subID, callback, latest, results)
 		return
 	}
-	n.enqueueSpan(NotificationPayloadTo{
-		Callback: callback,
-		Payload: NotificationPayload{
-			SubscriptionID: subID,
-			LatestNS:       int64(obj.Timestamp),
-			Result:         &obj,
-		},
-	}, sc)
+	n.enqueue(queueItem{
+		callback: callback,
+		payload:  NotificationPayload{SubscriptionID: subID, LatestNS: latest, Results: results},
+		span:     sc,
+	})
 }
 
 // originSpan derives the delivery's span from the originating context: a
@@ -359,7 +332,7 @@ func originSpan(ctx context.Context) obs.SpanContext {
 // The bucket adopts the first contributor's span: a coalesced batch is
 // attributed to the publication that opened it, so batch ingest at the
 // broker still joins a real publication trace.
-func (n *WebhookNotifier) addToBatch(sc obs.SpanContext, subID, callback string, latest int64, obj *ResultObject) {
+func (n *WebhookNotifier) addToBatch(sc obs.SpanContext, subID, callback string, latest int64, results []ResultObject) {
 	key := batchKey{subID: subID, callback: callback}
 	n.batchMu.Lock()
 	if n.batchClosed {
@@ -378,15 +351,12 @@ func (n *WebhookNotifier) addToBatch(sc obs.SpanContext, subID, callback string,
 	if latest > b.latest {
 		b.latest = latest
 	}
-	if obj != nil {
-		b.results = append(b.results, *obj)
-	}
+	b.results = append(b.results, results...)
 	n.batchMu.Unlock()
 }
 
-// flushBatch turns a bucket into one queued delivery. A single pushed
-// result keeps the legacy Result form; several ride in Results; a
-// PULL-only bucket carries just the (latest-wins) timestamp.
+// flushBatch turns a bucket into one queued delivery: the pushed results it
+// collected, or for a PULL-only bucket just the (latest-wins) timestamp.
 func (n *WebhookNotifier) flushBatch(key batchKey) {
 	n.batchMu.Lock()
 	b, ok := n.batches[key]
@@ -397,15 +367,11 @@ func (n *WebhookNotifier) flushBatch(key batchKey) {
 	delete(n.batches, key)
 	n.batchMu.Unlock()
 
-	payload := NotificationPayload{SubscriptionID: key.subID, LatestNS: b.latest}
-	switch len(b.results) {
-	case 0:
-	case 1:
-		payload.Result = &b.results[0]
-	default:
-		payload.Results = b.results
-	}
-	n.enqueueSpan(NotificationPayloadTo{Callback: key.callback, Payload: payload}, b.span)
+	n.enqueue(queueItem{
+		callback: key.callback,
+		payload:  NotificationPayload{SubscriptionID: key.subID, LatestNS: b.latest, Results: b.results},
+		span:     b.span,
+	})
 }
 
 // flushAllBatches drains every pending bucket immediately (shutdown path).
@@ -422,7 +388,7 @@ func (n *WebhookNotifier) flushAllBatches() {
 	}
 }
 
-func (n *WebhookNotifier) enqueueSpan(item NotificationPayloadTo, span obs.SpanContext) {
+func (n *WebhookNotifier) enqueue(item queueItem) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -432,7 +398,7 @@ func (n *WebhookNotifier) enqueueSpan(item NotificationPayloadTo, span obs.SpanC
 		return
 	}
 	select {
-	case n.queue <- queueItem{NotificationPayloadTo: item, span: span}:
+	case n.queue <- item:
 	default:
 		n.stats.Dropped.Add(1)
 	}
@@ -466,10 +432,6 @@ func (n *WebhookNotifier) isClosed() bool {
 // Stats returns the notifier's delivery tallies.
 func (n *WebhookNotifier) Stats() *NotifierStats { return n.stats }
 
-// Dropped reports how many notifications were shed at intake due to a full
-// queue.
-func (n *WebhookNotifier) Dropped() int { return int(n.stats.Dropped.Load()) }
-
 // Close flushes any pending batches, stops accepting notifications, drains
 // the queue (redeliveries pending at shutdown are counted lost rather than
 // retried) and waits for the workers to finish. Batch intake is closed
@@ -497,7 +459,7 @@ func (n *WebhookNotifier) worker() {
 	for item := range n.queue {
 		ctx := obs.ContextWithSpan(context.Background(), item.span)
 		post := time.Now()
-		err := httpx.DoJSONContext(ctx, n.client, http.MethodPost, item.Callback, item.Payload, nil)
+		err := httpx.DoJSONContext(ctx, n.client, http.MethodPost, item.callback, item.payload, nil)
 		n.stages.Observe(ctx, span.StageWebhook, span.OutcomeNone, time.Since(post))
 		if err == nil {
 			n.stats.Delivered.Add(1)
@@ -508,12 +470,12 @@ func (n *WebhookNotifier) worker() {
 		if item.attempts >= n.maxAttempts {
 			if next, ok := n.reroute(&item); ok {
 				n.logger.WarnContext(ctx, "webhook callback dead; rerouting to re-resolved broker",
-					"callback", item.Callback,
+					"callback", item.callback,
 					"new_callback", next,
-					"subscription_id", item.Payload.SubscriptionID,
+					"subscription_id", item.payload.SubscriptionID,
 					"attempts", item.attempts,
 					"error", err)
-				item.Callback = next
+				item.callback = next
 				item.attempts = 0
 				item.rerouted = true
 				n.stats.Rerouted.Add(1)
@@ -523,15 +485,15 @@ func (n *WebhookNotifier) worker() {
 			n.stats.Lost.Add(1)
 			n.stats.Abandoned.Add(1)
 			n.logger.WarnContext(ctx, "webhook delivery abandoned",
-				"callback", item.Callback,
-				"subscription_id", item.Payload.SubscriptionID,
+				"callback", item.callback,
+				"subscription_id", item.payload.SubscriptionID,
 				"attempts", item.attempts,
 				"error", err)
 			continue
 		}
 		n.logger.WarnContext(ctx, "webhook delivery failed; redelivering",
-			"callback", item.Callback,
-			"subscription_id", item.Payload.SubscriptionID,
+			"callback", item.callback,
+			"subscription_id", item.payload.SubscriptionID,
 			"attempt", item.attempts,
 			"error", err)
 		if !n.isClosed() {
@@ -548,8 +510,8 @@ func (n *WebhookNotifier) reroute(item *queueItem) (string, bool) {
 	if n.resolver == nil || item.rerouted {
 		return "", false
 	}
-	next, err := n.resolver(item.Callback)
-	if err != nil || next == "" || next == item.Callback {
+	next, err := n.resolver(item.callback)
+	if err != nil || next == "" || next == item.callback {
 		return "", false
 	}
 	return next, true
@@ -566,9 +528,4 @@ func (n *WebhookNotifier) backoff(attempts int) time.Duration {
 }
 
 // Interface compliance.
-var (
-	_ Notifier            = (*WebhookNotifier)(nil)
-	_ PushNotifier        = (*WebhookNotifier)(nil)
-	_ ContextNotifier     = (*WebhookNotifier)(nil)
-	_ ContextPushNotifier = (*WebhookNotifier)(nil)
-)
+var _ PushNotifier = (*WebhookNotifier)(nil)

@@ -1,6 +1,7 @@
 package bdms_test
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -52,9 +53,9 @@ func TestWebhookBatchCoalescesPush(t *testing.T) {
 
 	n := bdms.NewWebhookNotifier(1, 16, cb.Client(),
 		bdms.WithNotifierBatchWindow(30*time.Millisecond))
-	n.NotifyPush("sub-1", cb.URL, pushObj("r1", 1*time.Second))
-	n.NotifyPush("sub-1", cb.URL, pushObj("r2", 2*time.Second))
-	n.NotifyPush("sub-1", cb.URL, pushObj("r3", 3*time.Second))
+	n.NotifyPushContext(context.Background(), "sub-1", cb.URL, pushObj("r1", 1*time.Second))
+	n.NotifyPushContext(context.Background(), "sub-1", cb.URL, pushObj("r2", 2*time.Second))
+	n.NotifyPushContext(context.Background(), "sub-1", cb.URL, pushObj("r3", 3*time.Second))
 
 	deadline := time.Now().Add(5 * time.Second)
 	for n.Stats().Delivered.Load() == 0 && time.Now().Before(deadline) {
@@ -67,8 +68,8 @@ func TestWebhookBatchCoalescesPush(t *testing.T) {
 		t.Fatalf("POSTs = %d, want 1 coalesced delivery (payloads %+v)", len(got), got)
 	}
 	p := got[0]
-	if p.SubscriptionID != "sub-1" || p.LatestNS != int64(3*time.Second) || p.Result != nil {
-		t.Errorf("payload = %+v, want latest 3s with Results only", p)
+	if p.SubscriptionID != "sub-1" || p.LatestNS != int64(3*time.Second) {
+		t.Errorf("payload = %+v, want latest 3s", p)
 	}
 	if len(p.Results) != 3 || p.Results[0].ID != "r1" || p.Results[2].ID != "r3" {
 		t.Errorf("results = %+v, want r1..r3 oldest first", p.Results)
@@ -88,9 +89,9 @@ func TestWebhookBatchPullLatestWins(t *testing.T) {
 
 	n := bdms.NewWebhookNotifier(1, 16, cb.Client(),
 		bdms.WithNotifierBatchWindow(30*time.Millisecond))
-	n.Notify("sub-1", cb.URL, 1*time.Second)
-	n.Notify("sub-1", cb.URL, 3*time.Second)
-	n.Notify("sub-1", cb.URL, 2*time.Second)
+	n.NotifyContext(context.Background(), "sub-1", cb.URL, 1*time.Second)
+	n.NotifyContext(context.Background(), "sub-1", cb.URL, 3*time.Second)
+	n.NotifyContext(context.Background(), "sub-1", cb.URL, 2*time.Second)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for n.Stats().Delivered.Load() == 0 && time.Now().Before(deadline) {
@@ -103,31 +104,32 @@ func TestWebhookBatchPullLatestWins(t *testing.T) {
 		t.Fatalf("POSTs = %d, want 1", len(got))
 	}
 	p := got[0]
-	if p.LatestNS != int64(3*time.Second) || p.Result != nil || len(p.Results) != 0 {
+	if p.LatestNS != int64(3*time.Second) || len(p.Results) != 0 {
 		t.Errorf("payload = %+v, want bare latest 3s", p)
 	}
 }
 
-// TestWebhookBatchCloseFlushes: Close must not strand a pending batch —
-// and a batch holding a single pushed result keeps the legacy Result form
-// for receivers that predate the Results field.
+// TestWebhookBatchCloseFlushes: Close must not strand a pending batch, and
+// a single pushed result is a one-element Results whether it waited in a
+// batch (a window that never fires on its own) or went out immediately.
 func TestWebhookBatchCloseFlushes(t *testing.T) {
-	rec := &payloadRecorder{}
-	cb := httptest.NewServer(rec.handler())
-	defer cb.Close()
+	for _, window := range []time.Duration{time.Minute, 0} {
+		rec := &payloadRecorder{}
+		cb := httptest.NewServer(rec.handler())
 
-	n := bdms.NewWebhookNotifier(1, 16, cb.Client(),
-		bdms.WithNotifierBatchWindow(time.Minute)) // never fires on its own
-	n.NotifyPush("sub-1", cb.URL, pushObj("r1", 1*time.Second))
-	n.Close()
+		n := bdms.NewWebhookNotifier(1, 16, cb.Client(), bdms.WithNotifierBatchWindow(window))
+		n.NotifyPushContext(context.Background(), "sub-1", cb.URL, pushObj("r1", 1*time.Second))
+		n.Close()
+		cb.Close()
 
-	got := rec.snapshot()
-	if len(got) != 1 {
-		t.Fatalf("POSTs = %d, want 1 flushed on Close", len(got))
-	}
-	p := got[0]
-	if p.Result == nil || p.Result.ID != "r1" || len(p.Results) != 0 {
-		t.Errorf("payload = %+v, want legacy single-Result form", p)
+		got := rec.snapshot()
+		if len(got) != 1 {
+			t.Fatalf("window %v: POSTs = %d, want 1 flushed on Close", window, len(got))
+		}
+		p := got[0]
+		if p.LatestNS != int64(time.Second) || len(p.Results) != 1 || p.Results[0].ID != "r1" {
+			t.Errorf("window %v: payload = %+v, want the one result in Results", window, p)
+		}
 	}
 }
 
@@ -142,8 +144,8 @@ func TestWebhookBatchNotifyAfterClose(t *testing.T) {
 	n := bdms.NewWebhookNotifier(1, 16, cb.Client(),
 		bdms.WithNotifierBatchWindow(time.Minute))
 	n.Close()
-	n.Notify("sub-1", cb.URL, 1*time.Second)
-	n.NotifyPush("sub-1", cb.URL, pushObj("r1", 2*time.Second))
+	n.NotifyContext(context.Background(), "sub-1", cb.URL, 1*time.Second)
+	n.NotifyPushContext(context.Background(), "sub-1", cb.URL, pushObj("r1", 2*time.Second))
 
 	if got := n.Stats().Dropped.Load(); got != 2 {
 		t.Errorf("dropped = %d, want 2 post-close notifications shed", got)
@@ -171,7 +173,7 @@ func TestWebhookBatchCloseRaceAccounting(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < perSender; j++ {
-				n.Notify("sub-1", cb.URL, time.Duration(i*perSender+j))
+				n.NotifyContext(context.Background(), "sub-1", cb.URL, time.Duration(i*perSender+j))
 			}
 		}(i)
 	}
@@ -203,8 +205,8 @@ func TestWebhookBatchSeparateBuckets(t *testing.T) {
 
 	n := bdms.NewWebhookNotifier(1, 16, cb.Client(),
 		bdms.WithNotifierBatchWindow(30*time.Millisecond))
-	n.Notify("sub-1", cb.URL, 1*time.Second)
-	n.Notify("sub-2", cb.URL, 2*time.Second)
+	n.NotifyContext(context.Background(), "sub-1", cb.URL, 1*time.Second)
+	n.NotifyContext(context.Background(), "sub-2", cb.URL, 2*time.Second)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for n.Stats().Delivered.Load() < 2 && time.Now().Before(deadline) {

@@ -1,6 +1,7 @@
 package bdms
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -13,13 +14,13 @@ type pushCollector struct {
 	pushes []ResultObject
 }
 
-func (p *pushCollector) Notify(subID, _ string, latest time.Duration) {
+func (p *pushCollector) NotifyContext(_ context.Context, subID, _ string, latest time.Duration) {
 	p.mu.Lock()
 	p.pulls = append(p.pulls, NotificationPayload{SubscriptionID: subID, LatestNS: int64(latest)})
 	p.mu.Unlock()
 }
 
-func (p *pushCollector) NotifyPush(_, _ string, obj ResultObject) {
+func (p *pushCollector) NotifyPushContext(_ context.Context, _, _ string, obj ResultObject) {
 	p.mu.Lock()
 	p.pushes = append(p.pushes, obj)
 	p.mu.Unlock()
@@ -61,7 +62,7 @@ func TestPushModelDeliversResultObjects(t *testing.T) {
 }
 
 func TestPushModelFallsBackToPullForPlainNotifier(t *testing.T) {
-	// A notifier without NotifyPush gets PULL deliveries even when the
+	// A notifier without NotifyPushContext gets PULL deliveries even when the
 	// cluster is configured for PUSH.
 	col := &collectNotifier{}
 	c, clk := newTestCluster(t, WithNotifier(col), WithPushModel())

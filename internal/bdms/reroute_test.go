@@ -2,6 +2,7 @@ package bdms_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -48,7 +49,7 @@ func TestWebhookRerouteToLiveBroker(t *testing.T) {
 		bdms.WithNotifierMaxAttempts(2),
 		bdms.WithNotifierLogger(slog.New(slog.NewJSONHandler(&logBuf, nil))),
 		bdms.WithNotifierResolver(bdms.BCSCallbackResolver(bcs.NewClient(bcsSrv.URL, nil))))
-	n.Notify("sub-1", dead.URL+"/v1/callbacks/results", 7*time.Second)
+	n.NotifyContext(context.Background(), "sub-1", dead.URL+"/v1/callbacks/results", 7*time.Second)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for n.Stats().Delivered.Load() == 0 && time.Now().Before(deadline) {
@@ -97,7 +98,7 @@ func TestWebhookRerouteOnce(t *testing.T) {
 			resolves++
 			return dead.URL + fmt.Sprintf("/other/%d", resolves), nil
 		}))
-	n.Notify("sub-1", dead.URL+"/v1/callbacks/results", time.Second)
+	n.NotifyContext(context.Background(), "sub-1", dead.URL+"/v1/callbacks/results", time.Second)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for n.Stats().Abandoned.Load() == 0 && time.Now().Before(deadline) {

@@ -190,7 +190,7 @@ func TestWebhookRedelivery(t *testing.T) {
 		bdms.WithNotifierSleep(vs.sleep),
 		bdms.WithNotifierLogger(logger),
 		bdms.WithNotifierBackoff(50*time.Millisecond, time.Second))
-	n.Notify("sub-1", cb.URL, 7*time.Second)
+	n.NotifyContext(context.Background(), "sub-1", cb.URL, 7*time.Second)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for n.Stats().Delivered.Load() == 0 && time.Now().Before(deadline) {
@@ -229,7 +229,7 @@ func TestWebhookAttemptBudgetExhausted(t *testing.T) {
 	n := bdms.NewWebhookNotifier(1, 16, cb.Client(),
 		bdms.WithNotifierSleep(vs.sleep),
 		bdms.WithNotifierMaxAttempts(3))
-	n.Notify("sub-1", cb.URL, time.Second)
+	n.NotifyContext(context.Background(), "sub-1", cb.URL, time.Second)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for n.Stats().Lost.Load() == 0 && time.Now().Before(deadline) {

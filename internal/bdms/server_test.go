@@ -1,6 +1,7 @@
 package bdms
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -175,7 +176,7 @@ func TestWebhookNotifierDelivers(t *testing.T) {
 
 	n := NewWebhookNotifier(2, 64, cb.Client())
 	for i := 0; i < 10; i++ {
-		n.Notify("sub-1", cb.URL, time.Duration(i)*time.Second)
+		n.NotifyContext(context.Background(), "sub-1", cb.URL, time.Duration(i)*time.Second)
 	}
 	n.Close()
 
@@ -194,8 +195,8 @@ func TestWebhookNotifierDelivers(t *testing.T) {
 func TestWebhookNotifierEmptyCallback(t *testing.T) {
 	n := NewWebhookNotifier(1, 16, nil)
 	defer n.Close()
-	n.Notify("sub", "", time.Second) // must not enqueue or panic
-	if n.Dropped() != 0 {
+	n.NotifyContext(context.Background(), "sub", "", time.Second) // must not enqueue or panic
+	if n.Stats().Dropped.Load() != 0 {
 		t.Error("empty callback should be ignored, not dropped")
 	}
 }
@@ -203,8 +204,8 @@ func TestWebhookNotifierEmptyCallback(t *testing.T) {
 func TestWebhookNotifierCloseIdempotent(t *testing.T) {
 	n := NewWebhookNotifier(1, 16, nil)
 	n.Close()
-	n.Close()                    // second close must not panic
-	n.Notify("s", "http://x", 0) // post-close notify must not panic
+	n.Close()                                                 // second close must not panic
+	n.NotifyContext(context.Background(), "s", "http://x", 0) // post-close notify must not panic
 }
 
 func TestWebhookNotifierQueueSheds(t *testing.T) {
@@ -220,9 +221,9 @@ func TestWebhookNotifierQueueSheds(t *testing.T) {
 
 	n := NewWebhookNotifier(1, 16, cb.Client())
 	for i := 0; i < 200; i++ {
-		n.Notify("sub", cb.URL, time.Duration(i))
+		n.NotifyContext(context.Background(), "sub", cb.URL, time.Duration(i))
 	}
-	if n.Dropped() == 0 {
+	if n.Stats().Dropped.Load() == 0 {
 		t.Error("expected queue shedding under a blocked consumer")
 	}
 	once.Do(func() { close(release) })

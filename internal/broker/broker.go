@@ -34,28 +34,20 @@ import (
 
 // Backend is the data cluster abstraction the broker consumes (Section
 // III-A). *bdms.Cluster satisfies it directly (in-process deployments) and
-// *bdms.Client satisfies it over REST.
+// *bdms.Client satisfies it over REST. Result pulls take the context of the
+// request they serve — a webhook callback, a resume, a subscriber's
+// retrieval — so its deadline, cancellation and trace reach the cluster.
 type Backend interface {
 	Subscribe(channel string, params []any, callback string) (string, error)
 	Unsubscribe(subID string) error
-	Results(subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error)
-	LatestTimestamp(subID string) (time.Duration, error)
-}
-
-// ResultsBackendContext is implemented by backends whose result pulls can be
-// bound to a context (cancellation, deadlines). The broker upgrades to it
-// when available — the optional-interface pattern — so plain Backends keep
-// working unchanged. *bdms.Client implements it over REST.
-type ResultsBackendContext interface {
 	ResultsContext(ctx context.Context, subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error)
+	LatestTimestamp(subID string) (time.Duration, error)
 }
 
 // Interface compliance.
 var (
-	_ Backend               = (*bdms.Cluster)(nil)
-	_ Backend               = (*bdms.Client)(nil)
-	_ ResultsBackendContext = (*bdms.Cluster)(nil)
-	_ ResultsBackendContext = (*bdms.Client)(nil)
+	_ Backend = (*bdms.Cluster)(nil)
+	_ Backend = (*bdms.Client)(nil)
 )
 
 // Config configures a Broker.
@@ -585,66 +577,26 @@ func (b *Broker) finishResume(ctx context.Context, bs *backendSub, fsID string) 
 	if pending {
 		// A live notification racing the backfill can duplicate this push;
 		// harmless — GetResults over (fts, bts] is idempotent.
-		if b.push != nil {
-			b.fanout(ctx, bs.id, map[string]string{sub: fsID}, latest)
-		} else {
-			b.sessions.broadcastTo(ctx, bs.id, sub, fsID, int64(latest))
-		}
+		b.notifyAudience(ctx, bs, latest, sub, fsID)
 	}
 }
 
-// backfillGap pulls (bts, cluster-latest] into the result cache under the
-// pull lock. For a backend subscription just created with its marker
-// rewound to a resume token this is exactly the range the resuming
-// subscriber missed while its broker was down.
+// backfillGap advances bs to the cluster's newest result. For a backend
+// subscription just created with its marker rewound to a resume token this
+// pulls exactly the range the resuming subscriber missed while its broker
+// was down. On failure the marker stays behind: the next notification or a
+// miss-path fetch retries the range, so at-least-once still holds.
 func (b *Broker) backfillGap(ctx context.Context, bs *backendSub) {
-	bs.pullMu.Lock()
-	defer bs.pullMu.Unlock()
 	latest, err := b.backend.LatestTimestamp(bs.id)
+	if err == nil {
+		var pulled int // nothing is held, so every admitted object was pulled
+		_, pulled, err = b.advance(ctx, bs, latest, nil, false)
+		b.failover.Backfilled.Add(uint64(pulled))
+	}
 	if err != nil {
-		b.log.WarnContext(ctx, "resume backfill: latest-timestamp probe failed",
+		b.log.WarnContext(ctx, "resume backfill failed",
 			slog.String("backend_sub", bs.id), slog.Any("error", err))
-		return
 	}
-	b.mu.Lock()
-	from := bs.bts
-	b.mu.Unlock()
-	if latest <= from {
-		return
-	}
-	now := b.clock()
-	if _, isNC := b.manager.Policy().(core.NC); !isNC {
-		results, err := b.backendResults(ctx, bs.id, from, latest, true)
-		if err != nil {
-			// Leave the marker behind: the next notification or a miss-path
-			// fetch retries the range, so at-least-once still holds.
-			b.log.WarnContext(ctx, "resume backfill failed",
-				slog.String("backend_sub", bs.id),
-				slog.Duration("from", from), slog.Duration("to", latest),
-				slog.Any("error", err))
-			return
-		}
-		for _, r := range results {
-			obj := &core.Object{
-				ID: r.ID, Timestamp: r.Timestamp, Size: r.Size,
-				FetchLatency: b.fetchLatency(r.Size), Payload: r.Rows,
-			}
-			if err := b.manager.Put(bs.id, obj, now); err != nil {
-				b.log.WarnContext(ctx, "resume backfill: cache put failed",
-					slog.String("backend_sub", bs.id), slog.String("object", r.ID),
-					slog.Any("error", err))
-				return
-			}
-			b.stats.VolumeBytes.Add(float64(r.Size))
-			b.stats.FetchBytes.Add(float64(r.Size))
-			b.failover.Backfilled.Add(1)
-		}
-	}
-	b.mu.Lock()
-	if latest > bs.bts {
-		bs.bts = latest
-	}
-	b.mu.Unlock()
 }
 
 // Unsubscribe removes a frontend subscription; when the last attached
@@ -846,108 +798,178 @@ func (b *Broker) Ack(subscriber, fsID string, ts time.Duration) error {
 	return nil
 }
 
-// HandleNotificationContext reacts to the data cluster's webhook: pull the
-// new results (bts, latest] into the cache (PULL model), advance the
-// backend marker and push "new results" notifications to the attached
-// online subscribers. ctx bounds the pull from the data cluster; a
-// cancelled pull aborts before any object is admitted.
-func (b *Broker) HandleNotificationContext(ctx context.Context, backendSubID string, latest time.Duration) (err error) {
+// errUnknownBackendSub marks a notification for a backend subscription
+// this broker does not hold; the callback handler answers it 404.
+var errUnknownBackendSub = errors.New("broker: notification for unknown subscription")
+
+// HandleNotificationContext reacts to the data cluster's webhook. Under
+// the PULL model pushed is nil and latest names the newest result to pull;
+// under the PUSH model the notification carried the result objects
+// themselves (one or a coalesced batch, any order) and the marker moves to
+// the newest of them. Either way the results reach the cache through
+// advance, and the attached online subscribers are told once the marker
+// has moved. ctx bounds the pull from the data cluster; a cancelled pull
+// aborts before any object is admitted.
+func (b *Broker) HandleNotificationContext(ctx context.Context, backendSubID string, latest time.Duration, pushed []bdms.ResultObject) (err error) {
 	ctx, sp := b.traces.Start(ctx, "broker.notify")
 	sp.SetAttr("backend_sub", backendSubID)
 	defer func() {
 		sp.SetError(err)
 		sp.End()
 	}()
-	now := b.clock()
 	b.mu.Lock()
 	bs, ok := b.backendByID[backendSubID]
-	if !ok {
-		b.mu.Unlock()
-		return fmt.Errorf("broker: notification for unknown subscription %q", backendSubID)
-	}
 	b.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("%w %q", errUnknownBackendSub, backendSubID)
+	}
+	var held []*core.Object
+	if len(pushed) > 0 {
+		sp.SetAttr("pushed", strconv.Itoa(len(pushed)))
+		// A push vouches only for what it carries, so the target is the
+		// newest pushed object whatever latest says.
+		latest = 0
+		held = make([]*core.Object, len(pushed))
+		for i, r := range pushed {
+			held[i] = b.object(r)
+			if r.Timestamp > latest {
+				latest = r.Timestamp
+			}
+		}
+	}
+	moved, _, err := b.advance(ctx, bs, latest, held, false)
+	if moved {
+		b.notifyAudience(ctx, bs, latest, "", "")
+	}
+	return err
+}
 
-	// Serialize pulls per backend subscription: concurrent notifications
-	// must not interleave their Puts.
+// advance is Algorithm 1's NOTIFY routine and the broker's only one:
+// results enter the result cache, and a backend marker moves, here and
+// nowhere else (DESIGN.md §4.3.1). Every arrival route — webhook (PULL or
+// PUSH), resume backfill, warm install — hands it the target upTo and the
+// objects it already holds (none, one or many, any order).
+//
+// Under the subscription's pull lock, so concurrent arrivals never
+// interleave their Puts: an upTo at or below the marker is a stale or
+// duplicate arrival and a no-op. Otherwise held objects at or below the
+// marker are dropped and what is missing is pulled from the cluster — all
+// of (bts, upTo] when nothing is held, the gap below the oldest held object
+// otherwise (a ResultObject names no predecessor, so only a pull can rule a
+// gap out). A failed pull with nothing held, or a failed Put, returns the
+// error and leaves the marker behind, so a redelivery retries the range; a
+// failed gap pull below held objects does not stop them being cached (the
+// miss path serves the gap). FetchBytes counts the pulled objects only:
+// not fetching is the PUSH model's whole benefit. NC admits and pulls
+// nothing but still moves the marker.
+//
+// warm marks a snapshot install: its holes are the shipping broker's
+// evictions, so nothing is pulled, and its bytes were counted when that
+// broker first admitted them.
+//
+// It reports whether the marker moved and how many objects were admitted.
+func (b *Broker) advance(ctx context.Context, bs *backendSub, upTo time.Duration, held []*core.Object, warm bool) (moved bool, admitted int, err error) {
+	now := b.clock()
 	bs.pullMu.Lock()
 	defer bs.pullMu.Unlock()
 	b.mu.Lock()
 	from := bs.bts
 	b.mu.Unlock()
-	if latest <= from {
-		return nil // stale or duplicate notification
+	if upTo <= from {
+		return false, 0, nil
 	}
-
 	if _, isNC := b.manager.Policy().(core.NC); !isNC {
-		results, err := b.backendResults(ctx, backendSubID, from, latest, true)
-		if err != nil {
-			return fmt.Errorf("broker: pull results: %w", err)
+		byAge := func(i, j int) bool { return held[i].Timestamp < held[j].Timestamp }
+		if len(held) > 1 && !sort.SliceIsSorted(held, byAge) {
+			sort.Slice(held, byAge)
 		}
-		for _, r := range results {
-			obj := &core.Object{
-				ID:           r.ID,
-				Timestamp:    r.Timestamp,
-				Size:         r.Size,
-				FetchLatency: b.fetchLatency(r.Size),
-				Payload:      r.Rows,
+		for len(held) > 0 && held[0].Timestamp <= from {
+			held = held[1:]
+		}
+		var pulled []bdms.ResultObject
+		if !warm {
+			to, inclusive := upTo, true
+			if len(held) > 0 {
+				to, inclusive = held[0].Timestamp, false
 			}
-			if err := b.manager.Put(backendSubID, obj, now); err != nil {
-				return fmt.Errorf("broker: cache put: %w", err)
+			pulled, err = b.backendResults(ctx, bs.id, from, to, inclusive)
+			if err != nil && len(held) == 0 {
+				return false, 0, fmt.Errorf("broker: pull results: %w", err)
 			}
-			b.stats.VolumeBytes.Add(float64(r.Size))
-			b.stats.FetchBytes.Add(float64(r.Size))
+		}
+		objs := make([]*core.Object, 0, len(pulled)+len(held))
+		for _, r := range pulled {
+			objs = append(objs, b.object(r))
+		}
+		objs = append(objs, held...)
+		for i, o := range objs {
+			if err := b.manager.Put(bs.id, o, now); err != nil {
+				return false, admitted, fmt.Errorf("broker: cache put: %w", err)
+			}
+			admitted++
+			if warm {
+				continue
+			}
+			b.stats.VolumeBytes.Add(float64(o.Size))
+			if i < len(pulled) {
+				b.stats.FetchBytes.Add(float64(o.Size))
+			}
 		}
 	}
-
 	b.mu.Lock()
-	if latest > bs.bts {
-		bs.bts = latest
-	}
-	notifyList := b.notifyTargets(bs)
+	bs.bts = upTo
 	b.mu.Unlock()
-
-	b.fanout(ctx, backendSubID, notifyList, latest)
-	return nil
+	return true, admitted, nil
 }
 
-// notifyTargets snapshots bs.attached (subscriber -> frontend sub) for the
-// synchronous push-func delivery path. The WebSocket path resolves its
-// audience from the session hub's interest index instead, so when no
-// push-func is installed the per-event copy is skipped entirely. Called
-// with b.mu held.
-func (b *Broker) notifyTargets(bs *backendSub) map[string]string {
+// object builds the cache object for a result received from the cluster or
+// a peer, stamped with its estimated re-fetch latency l_ij.
+func (b *Broker) object(r bdms.ResultObject) *core.Object {
+	return &core.Object{
+		ID:           r.ID,
+		Timestamp:    r.Timestamp,
+		Size:         r.Size,
+		FetchLatency: b.fetchLatency(r.Size),
+		Payload:      r.Rows,
+	}
+}
+
+// notifyAudience pushes one "new results up to latest" event for bs: to
+// every attached subscriber, or — the resume re-arm — to subscriber alone
+// on its frontend subscription fsID. On the WebSocket path the audience is
+// resolved inside the session hub by its interest index — one map lookup
+// keyed by the backend subscription, no per-event copy of the attached set
+// — the payload is encoded once per event, and enqueueing never blocks;
+// delivery (and the Delivered counter) happens on the hub's pooled writer
+// goroutines. A push-func override (experiments) delivers synchronously,
+// one call per subscriber.
+func (b *Broker) notifyAudience(ctx context.Context, bs *backendSub, latest time.Duration, subscriber, fsID string) {
 	if b.push == nil {
-		return nil
-	}
-	targets := make(map[string]string, len(bs.attached))
-	for sub, fsID := range bs.attached {
-		targets[sub] = fsID
-	}
-	return targets
-}
-
-// fanout pushes one "new results" event to the attached subscribers. On
-// the WebSocket path the audience is resolved inside the session hub by
-// its interest index — one map lookup keyed by the backend subscription,
-// no per-event copy of the attached set — the payload is encoded once per
-// event, and enqueueing never blocks; delivery (and the Delivered counter)
-// happens on the hub's pooled writer goroutines. A push-func override
-// (experiments) keeps the synchronous per-subscriber form and is the only
-// consumer of targets; the WebSocket path ignores it (callers pass nil).
-func (b *Broker) fanout(ctx context.Context, backendSubID string, targets map[string]string, latest time.Duration) {
-	if b.push != nil {
-		for sub, fsID := range targets {
-			n := PushNotification{
-				Type: "results", FrontendSub: fsID,
-				BackendSub: backendSubID, LatestNS: int64(latest),
-			}
-			if b.push(sub, n) {
-				b.stats.Delivered.Inc()
-			}
+		if subscriber == "" {
+			b.sessions.broadcast(ctx, bs.id, int64(latest))
+		} else {
+			b.sessions.broadcastTo(ctx, bs.id, subscriber, fsID, int64(latest))
 		}
 		return
 	}
-	b.sessions.broadcast(ctx, backendSubID, int64(latest))
+	targets := map[string]string{subscriber: fsID}
+	if subscriber == "" {
+		b.mu.Lock()
+		targets = make(map[string]string, len(bs.attached))
+		for sub, fs := range bs.attached {
+			targets[sub] = fs
+		}
+		b.mu.Unlock()
+	}
+	for sub, fs := range targets {
+		n := PushNotification{
+			Type: "results", FrontendSub: fs,
+			BackendSub: bs.id, LatestNS: int64(latest),
+		}
+		if b.push(sub, n) {
+			b.stats.Delivered.Inc()
+		}
+	}
 }
 
 // SetPushFunc overrides notification delivery; the experiment rigs use it
@@ -957,163 +979,6 @@ func (b *Broker) SetPushFunc(fn func(subscriber string, n PushNotification) bool
 	b.push = fn
 }
 
-// HandlePushedResultContext reacts to a PUSH-model webhook: the
-// notification carried the result object itself, so the broker caches it
-// directly — no fetch round trip. Gaps (results the broker never saw, e.g.
-// shed push deliveries) are back-filled with one PULL of the missing range
-// first (bounded by ctx), keeping the cache's timestamp order intact.
-func (b *Broker) HandlePushedResultContext(ctx context.Context, backendSubID string, r bdms.ResultObject) (err error) {
-	ctx, sp := b.traces.Start(ctx, "broker.push_ingest")
-	sp.SetAttr("backend_sub", backendSubID)
-	defer func() {
-		sp.SetError(err)
-		sp.End()
-	}()
-	now := b.clock()
-	b.mu.Lock()
-	bs, ok := b.backendByID[backendSubID]
-	if !ok {
-		b.mu.Unlock()
-		return fmt.Errorf("broker: pushed result for unknown subscription %q", backendSubID)
-	}
-	b.mu.Unlock()
-
-	bs.pullMu.Lock()
-	defer bs.pullMu.Unlock()
-	b.mu.Lock()
-	from := bs.bts
-	b.mu.Unlock()
-	if r.Timestamp <= from {
-		return nil // duplicate push
-	}
-
-	if _, isNC := b.manager.Policy().(core.NC); !isNC {
-		// Back-fill any gap below the pushed object, then cache it.
-		if r.Timestamp > from {
-			missed, err := b.backendResults(ctx, backendSubID, from, r.Timestamp, false)
-			if err == nil {
-				for _, m := range missed {
-					obj := &core.Object{
-						ID: m.ID, Timestamp: m.Timestamp, Size: m.Size,
-						FetchLatency: b.fetchLatency(m.Size), Payload: m.Rows,
-					}
-					if err := b.manager.Put(backendSubID, obj, now); err == nil {
-						b.stats.VolumeBytes.Add(float64(m.Size))
-						b.stats.FetchBytes.Add(float64(m.Size))
-					}
-				}
-			}
-		}
-		obj := &core.Object{
-			ID: r.ID, Timestamp: r.Timestamp, Size: r.Size,
-			FetchLatency: b.fetchLatency(r.Size), Payload: r.Rows,
-		}
-		if err := b.manager.Put(backendSubID, obj, now); err != nil {
-			return fmt.Errorf("broker: cache pushed result: %w", err)
-		}
-		// Pushed bytes count toward the base volume but NOT FetchBytes:
-		// the PUSH model's benefit is exactly that the broker does not
-		// fetch them.
-		b.stats.VolumeBytes.Add(float64(r.Size))
-	}
-
-	b.mu.Lock()
-	if r.Timestamp > bs.bts {
-		bs.bts = r.Timestamp
-	}
-	notifyList := b.notifyTargets(bs)
-	b.mu.Unlock()
-
-	b.fanout(ctx, backendSubID, notifyList, r.Timestamp)
-	return nil
-}
-
-// HandlePushedResultsContext ingests a coalesced batch of pushed results
-// (the cluster-side notifier batches per callback within its flush window)
-// in one call: a single gap back-fill below the batch (bounded by ctx), one
-// cache Put per object and one notification fan-out for the whole batch.
-func (b *Broker) HandlePushedResultsContext(ctx context.Context, backendSubID string, rs []bdms.ResultObject) (err error) {
-	if len(rs) == 0 {
-		return nil
-	}
-	ctx, sp := b.traces.Start(ctx, "broker.push_ingest_batch")
-	sp.SetAttr("backend_sub", backendSubID)
-	sp.SetAttr("batch", strconv.Itoa(len(rs)))
-	defer func() {
-		sp.SetError(err)
-		sp.End()
-	}()
-	now := b.clock()
-	b.mu.Lock()
-	bs, ok := b.backendByID[backendSubID]
-	if !ok {
-		b.mu.Unlock()
-		return fmt.Errorf("broker: pushed results for unknown subscription %q", backendSubID)
-	}
-	b.mu.Unlock()
-
-	// Batches arrive oldest-first from the notifier, but sort defensively:
-	// Puts must be timestamp-ordered.
-	sorted := make([]bdms.ResultObject, len(rs))
-	copy(sorted, rs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Timestamp < sorted[j].Timestamp })
-
-	bs.pullMu.Lock()
-	defer bs.pullMu.Unlock()
-	b.mu.Lock()
-	from := bs.bts
-	b.mu.Unlock()
-	latest := sorted[len(sorted)-1].Timestamp
-	if latest <= from {
-		return nil // whole batch already ingested
-	}
-
-	if _, isNC := b.manager.Policy().(core.NC); !isNC {
-		// One back-fill below the oldest new object covers any gap for the
-		// entire batch; intra-batch gaps cannot exist because the notifier
-		// accumulates every pushed result in the window.
-		first := sorted[0].Timestamp
-		if first > from {
-			missed, err := b.backendResults(ctx, backendSubID, from, first, false)
-			if err == nil {
-				for _, m := range missed {
-					obj := &core.Object{
-						ID: m.ID, Timestamp: m.Timestamp, Size: m.Size,
-						FetchLatency: b.fetchLatency(m.Size), Payload: m.Rows,
-					}
-					if err := b.manager.Put(backendSubID, obj, now); err == nil {
-						b.stats.VolumeBytes.Add(float64(m.Size))
-						b.stats.FetchBytes.Add(float64(m.Size))
-					}
-				}
-			}
-		}
-		for _, r := range sorted {
-			if r.Timestamp <= from {
-				continue // duplicate of an already-ingested object
-			}
-			obj := &core.Object{
-				ID: r.ID, Timestamp: r.Timestamp, Size: r.Size,
-				FetchLatency: b.fetchLatency(r.Size), Payload: r.Rows,
-			}
-			if err := b.manager.Put(backendSubID, obj, now); err != nil {
-				return fmt.Errorf("broker: cache pushed result: %w", err)
-			}
-			b.stats.VolumeBytes.Add(float64(r.Size))
-		}
-	}
-
-	b.mu.Lock()
-	if latest > bs.bts {
-		bs.bts = latest
-	}
-	notifyList := b.notifyTargets(bs)
-	b.mu.Unlock()
-
-	b.fanout(ctx, backendSubID, notifyList, latest)
-	return nil
-}
-
 // fetchLatency estimates l_ij: the added latency of retrieving an object
 // of the given size from the data cluster.
 func (b *Broker) fetchLatency(size int64) time.Duration {
@@ -1121,8 +986,7 @@ func (b *Broker) fetchLatency(size int64) time.Duration {
 	return b.rtt + transfer
 }
 
-// backendResults pulls results from the data cluster, upgrading to the
-// context-aware call when the backend supports it. Pulls slower than
+// backendResults pulls results from the data cluster. Pulls slower than
 // b.slowFetch are logged with the request's trace, so a slow subscriber
 // retrieval can be followed into the cluster.
 func (b *Broker) backendResults(ctx context.Context, subID string, from, to time.Duration, inclusiveTo bool) (results []bdms.ResultObject, err error) {
@@ -1143,10 +1007,7 @@ func (b *Broker) backendResults(ctx context.Context, subID string, from, to time
 			)
 		}
 	}()
-	if bc, ok := b.backend.(ResultsBackendContext); ok {
-		return bc.ResultsContext(ctx, subID, from, to, inclusiveTo)
-	}
-	return b.backend.Results(subID, from, to, inclusiveTo)
+	return b.backend.ResultsContext(ctx, subID, from, to, inclusiveTo)
 }
 
 // fetchFromBackend is the core.Fetcher: re-fetch evicted/expired objects
@@ -1166,15 +1027,9 @@ func (b *Broker) fetchFromBackend(ctx context.Context, cacheID string, from, to 
 	if err != nil {
 		return nil, err
 	}
-	objs := make([]*core.Object, 0, len(results))
-	for _, r := range results {
-		objs = append(objs, &core.Object{
-			ID:           r.ID,
-			Timestamp:    r.Timestamp,
-			Size:         r.Size,
-			FetchLatency: b.fetchLatency(r.Size),
-			Payload:      r.Rows,
-		})
+	objs := make([]*core.Object, len(results))
+	for i, r := range results {
+		objs[i] = b.object(r)
 	}
 	return objs, nil
 }

@@ -42,9 +42,9 @@ func newTestEnv(t *testing.T, policy core.Policy, budget int64) *testEnv {
 	env := &testEnv{clk: &testClock{}}
 	env.cluster = bdms.NewCluster(
 		bdms.WithClock(env.clk.Now),
-		bdms.WithNotifier(bdms.NotifierFunc(func(subID, _ string, latest time.Duration) {
+		bdms.WithNotifier(bdms.NotifierFunc(func(ctx context.Context, subID, _ string, latest time.Duration) {
 			if env.broker != nil {
-				_ = env.broker.HandleNotificationContext(context.Background(), subID, latest)
+				_ = env.broker.HandleNotificationContext(ctx, subID, latest, nil)
 			}
 		})),
 	)
@@ -373,11 +373,11 @@ func TestStaleNotificationIgnored(t *testing.T) {
 	env.publish(t, "fire", 3)
 	// Replay an old notification; must be a no-op.
 	for _, bsInfo := range b.Manager().CacheInfos() {
-		if err := b.HandleNotificationContext(context.Background(), bsInfo.ID, time.Nanosecond); err != nil {
+		if err := b.HandleNotificationContext(context.Background(), bsInfo.ID, time.Nanosecond, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.HandleNotificationContext(context.Background(), "unknown-sub", time.Hour); err == nil {
+	if err := b.HandleNotificationContext(context.Background(), "unknown-sub", time.Hour, nil); err == nil {
 		t.Error("notification for unknown subscription should fail")
 	}
 }
@@ -496,7 +496,7 @@ func (failingBackend) Subscribe(string, []any, string) (string, error) {
 	return "", fmt.Errorf("backend down")
 }
 func (failingBackend) Unsubscribe(string) error { return fmt.Errorf("backend down") }
-func (failingBackend) Results(string, time.Duration, time.Duration, bool) ([]bdms.ResultObject, error) {
+func (failingBackend) ResultsContext(context.Context, string, time.Duration, time.Duration, bool) ([]bdms.ResultObject, error) {
 	return nil, fmt.Errorf("backend down")
 }
 func (failingBackend) LatestTimestamp(string) (time.Duration, error) {

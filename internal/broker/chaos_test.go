@@ -33,11 +33,11 @@ func TestChaosThirtyPercentClusterErrors(t *testing.T) {
 	var b *Broker
 	cluster := bdms.NewCluster(
 		bdms.WithClock(clk.Now),
-		bdms.WithNotifier(bdms.NotifierFunc(func(subID, _ string, latest time.Duration) {
+		bdms.WithNotifier(bdms.NotifierFunc(func(ctx context.Context, subID, _ string, latest time.Duration) {
 			if b != nil {
 				// A failed pull is not lost: the marker stays put and the
 				// next (cumulative) notification retries the whole range.
-				_ = b.HandleNotificationContext(context.Background(), subID, latest)
+				_ = b.HandleNotificationContext(ctx, subID, latest, nil)
 			}
 		})),
 	)

@@ -243,16 +243,10 @@ func (f *fabric) lookup(ctx context.Context, cacheID string, from, to time.Durat
 		f.b.stats.PeerMisses.Add(1)
 		return nil, false
 	}
-	objs := make([]*core.Object, 0, len(resp.Results))
-	for _, r := range resp.Results {
-		objs = append(objs, &core.Object{
-			ID:           r.ID,
-			Timestamp:    r.Timestamp,
-			Size:         r.Size,
-			FetchLatency: f.b.fetchLatency(r.Size),
-			Payload:      r.Rows,
-			Peer:         true,
-		})
+	objs := make([]*core.Object, len(resp.Results))
+	for i, r := range resp.Results {
+		objs[i] = f.b.object(r)
+		objs[i].Peer = true
 	}
 	f.b.stats.PeerHits.Add(1)
 	f.memoize(memoKey, objs, now)

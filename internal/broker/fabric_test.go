@@ -16,17 +16,10 @@ import (
 	"gobad/internal/core"
 )
 
-// countingBackend wraps the in-process cluster and counts result pulls —
-// both interface levels, so the broker's context upgrade cannot bypass the
-// counter.
+// countingBackend wraps the in-process cluster and counts result pulls.
 type countingBackend struct {
 	*bdms.Cluster
 	calls atomic.Int64
-}
-
-func (c *countingBackend) Results(subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error) {
-	c.calls.Add(1)
-	return c.Cluster.Results(subID, from, to, inclusiveTo)
 }
 
 func (c *countingBackend) ResultsContext(ctx context.Context, subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error) {
@@ -57,12 +50,12 @@ func newFabricEnv(t *testing.T) *fabricEnv {
 	var brokers []*Broker
 	env.cluster = bdms.NewCluster(
 		bdms.WithClock(env.clk.Now),
-		bdms.WithNotifier(bdms.NotifierFunc(func(subID, _ string, latest time.Duration) {
+		bdms.WithNotifier(bdms.NotifierFunc(func(ctx context.Context, subID, _ string, latest time.Duration) {
 			mu.Lock()
 			bs := append([]*Broker(nil), brokers...)
 			mu.Unlock()
 			for _, b := range bs {
-				_ = b.HandleNotificationContext(context.Background(), subID, latest) // each broker owns its own sub IDs
+				_ = b.HandleNotificationContext(ctx, subID, latest, nil) // each broker owns its own sub IDs
 			}
 		})),
 	)

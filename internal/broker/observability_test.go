@@ -25,9 +25,9 @@ import (
 func tracedPair(t *testing.T, policy core.Policy, budget int64) (brokerSrv *httptest.Server, brokerLog, clusterLog *bytes.Buffer, b *Broker) {
 	t.Helper()
 	var brokerRef *Broker
-	cluster := bdms.NewCluster(bdms.WithNotifier(bdms.NotifierFunc(func(subID, _ string, latest time.Duration) {
+	cluster := bdms.NewCluster(bdms.WithNotifier(bdms.NotifierFunc(func(ctx context.Context, subID, _ string, latest time.Duration) {
 		if brokerRef != nil {
-			_ = brokerRef.HandleNotificationContext(context.Background(), subID, latest)
+			_ = brokerRef.HandleNotificationContext(ctx, subID, latest, nil)
 		}
 	})))
 	if err := cluster.CreateDataset("EmergencyReports", bdms.Schema{}); err != nil {

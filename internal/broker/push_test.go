@@ -45,15 +45,15 @@ func newPushEnv(t *testing.T, policy core.Policy, budget int64) *testEnv {
 // pushAdapter delivers push notifications straight into the broker.
 type pushAdapter struct{ env *testEnv }
 
-func (a pushAdapter) Notify(subID, _ string, latest time.Duration) {
+func (a pushAdapter) NotifyContext(ctx context.Context, subID, _ string, latest time.Duration) {
 	if a.env.broker != nil {
-		_ = a.env.broker.HandleNotificationContext(context.Background(), subID, latest)
+		_ = a.env.broker.HandleNotificationContext(ctx, subID, latest, nil)
 	}
 }
 
-func (a pushAdapter) NotifyPush(subID, _ string, obj bdms.ResultObject) {
+func (a pushAdapter) NotifyPushContext(ctx context.Context, subID, _ string, obj bdms.ResultObject) {
 	if a.env.broker != nil {
-		_ = a.env.broker.HandlePushedResultContext(context.Background(), subID, obj)
+		_ = a.env.broker.HandleNotificationContext(ctx, subID, obj.Timestamp, []bdms.ResultObject{obj})
 	}
 }
 
@@ -107,7 +107,7 @@ func TestPushModelDuplicateIgnored(t *testing.T) {
 	if len(objs) != 1 {
 		t.Fatalf("results = %d", len(objs))
 	}
-	if err := b.HandlePushedResultContext(context.Background(), objs[0].SubscriptionID, objs[0]); err != nil {
+	if err := b.HandleNotificationContext(context.Background(), objs[0].SubscriptionID, objs[0].Timestamp, objs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Manager().Cache(objs[0].SubscriptionID).Len(); got != 1 {
@@ -117,7 +117,7 @@ func TestPushModelDuplicateIgnored(t *testing.T) {
 
 func TestPushModelUnknownSubscription(t *testing.T) {
 	env := newPushEnv(t, core.LSC{}, 1<<20)
-	err := env.broker.HandlePushedResultContext(context.Background(), "ghost", bdms.ResultObject{ID: "x", Timestamp: time.Second})
+	err := env.broker.HandleNotificationContext(context.Background(), "ghost", time.Second, []bdms.ResultObject{{ID: "x", Timestamp: time.Second}})
 	if err == nil {
 		t.Error("push for unknown subscription should fail")
 	}
@@ -169,11 +169,11 @@ func TestPushedBatchIngestsOnce(t *testing.T) {
 		{ID: "r1", SubscriptionID: bsID, Timestamp: 1 * time.Second, Size: 10},
 		{ID: "r3", SubscriptionID: bsID, Timestamp: 3 * time.Second, Size: 10},
 	}
-	if err := b.HandlePushedResultsContext(context.Background(), bsID, batch); err != nil {
+	if err := b.HandleNotificationContext(context.Background(), bsID, 3*time.Second, batch); err != nil {
 		t.Fatal(err)
 	}
 	// Redelivery of the same batch (at-least-once webhooks) is a no-op.
-	if err := b.HandlePushedResultsContext(context.Background(), bsID, batch); err != nil {
+	if err := b.HandleNotificationContext(context.Background(), bsID, 3*time.Second, batch); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Manager().Cache(bsID).Len(); got != 3 {

@@ -330,26 +330,23 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCallback is the webhook the data cluster invokes on new results.
+// An unknown subscription is 404; a failed cluster pull or cache put is 502
+// (retryable), so the notifier redelivers and the range is retried.
 func (s *Server) handleCallback(w http.ResponseWriter, r *http.Request) {
 	var p bdms.NotificationPayload
 	if err := httpx.ReadJSON(r, &p); err != nil {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var err error
+	err := s.broker.HandleNotificationContext(r.Context(), p.SubscriptionID, time.Duration(p.LatestNS), p.Results)
 	switch {
-	case len(p.Results) > 0:
-		err = s.broker.HandlePushedResultsContext(r.Context(), p.SubscriptionID, p.Results)
-	case p.Result != nil:
-		err = s.broker.HandlePushedResultContext(r.Context(), p.SubscriptionID, *p.Result)
-	default:
-		err = s.broker.HandleNotificationContext(r.Context(), p.SubscriptionID, time.Duration(p.LatestNS))
-	}
-	if err != nil {
+	case errors.Is(err, errUnknownBackendSub):
 		httpx.WriteError(w, http.StatusNotFound, "%v", err)
-		return
+	case err != nil:
+		httpx.WriteError(w, http.StatusBadGateway, "%v", err)
+	default:
+		httpx.WriteJSON(w, http.StatusOK, nil)
 	}
-	httpx.WriteJSON(w, http.StatusOK, nil)
 }
 
 // handlePeerResults answers a sibling broker's lookup for a fabric key,

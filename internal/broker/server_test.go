@@ -217,11 +217,11 @@ func TestServerPushCallback(t *testing.T) {
 	payload := bdms.NotificationPayload{
 		SubscriptionID: bsID,
 		LatestNS:       int64(42 * time.Second),
-		Result: &bdms.ResultObject{
+		Results: []bdms.ResultObject{{
 			ID: "pushed-1", SubscriptionID: bsID,
 			Timestamp: 42 * time.Second, Size: 64,
 			Rows: []map[string]any{{"etype": "fire"}},
-		},
+		}},
 	}
 	err := httpx.DoJSON(srv.Client(), http.MethodPost, srv.URL+"/v1/callbacks/results", payload, nil)
 	if err != nil {

@@ -263,45 +263,22 @@ func (b *Broker) consumeWarm(ctx context.Context, bs *backendSub) {
 }
 
 // applyWarmEntry loads one warm entry into a subscription's result cache
-// under the pull lock and advances the backend timestamp marker to the
-// predecessor's high-water mark, so the subsequent backfill fetches only
-// results produced after the handoff. Returns the objects loaded.
+// and advances the backend timestamp marker to the predecessor's
+// high-water mark, so the subsequent backfill fetches only results produced
+// after the handoff. Returns the objects loaded.
 func (b *Broker) applyWarmEntry(ctx context.Context, bs *backendSub, e bdms.CacheWarmEntry) int {
-	bs.pullMu.Lock()
-	defer bs.pullMu.Unlock()
-	b.mu.Lock()
-	from := bs.bts
-	b.mu.Unlock()
-	loaded := 0
-	if _, isNC := b.manager.Policy().(core.NC); !isNC {
-		now := b.clock()
-		objs := append([]bdms.CacheWarmObject(nil), e.Objects...)
-		sort.Slice(objs, func(i, j int) bool { return objs[i].TimestampNS < objs[j].TimestampNS })
-		for _, o := range objs {
-			ts := time.Duration(o.TimestampNS)
-			if ts <= from {
-				continue
-			}
-			obj := &core.Object{
-				ID: o.ID, Timestamp: ts, Size: o.Size,
-				FetchLatency: time.Duration(o.FetchLatencyNS), Payload: o.Rows,
-			}
-			if err := b.manager.Put(bs.id, obj, now); err != nil {
-				b.log.WarnContext(ctx, "warmup cache put failed",
-					slog.String("backend_sub", bs.id), slog.String("object", o.ID),
-					slog.Any("error", err))
-				break
-			}
-			loaded++
+	held := make([]*core.Object, len(e.Objects))
+	for i, o := range e.Objects {
+		held[i] = &core.Object{
+			ID: o.ID, Timestamp: time.Duration(o.TimestampNS), Size: o.Size,
+			FetchLatency: time.Duration(o.FetchLatencyNS), Payload: o.Rows,
 		}
+	}
+	_, loaded, err := b.advance(ctx, bs, time.Duration(e.BTSNS), held, true)
+	if err != nil {
+		b.log.WarnContext(ctx, "warmup install failed",
+			slog.String("backend_sub", bs.id), slog.Any("error", err))
 	}
 	b.warmupStats.ObjectsLoaded.Add(float64(loaded))
-	if bts := time.Duration(e.BTSNS); bts > from {
-		b.mu.Lock()
-		if bts > bs.bts {
-			bs.bts = bts
-		}
-		b.mu.Unlock()
-	}
 	return loaded
 }

@@ -37,9 +37,9 @@ func newWarmEnv(t *testing.T, nKeys, rounds int) *warmEnv {
 	}
 	env.cluster = bdms.NewCluster(
 		bdms.WithClock(env.clk.Now),
-		bdms.WithNotifier(bdms.NotifierFunc(func(subID, _ string, latest time.Duration) {
+		bdms.WithNotifier(bdms.NotifierFunc(func(ctx context.Context, subID, _ string, latest time.Duration) {
 			if env.a != nil {
-				_ = env.a.HandleNotificationContext(context.Background(), subID, latest)
+				_ = env.a.HandleNotificationContext(ctx, subID, latest, nil)
 			}
 		})),
 	)

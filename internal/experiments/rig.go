@@ -82,15 +82,15 @@ var _ trace.Target = (*Rig)(nil)
 // supporting both delivery models.
 type rigNotifier struct{ rig *Rig }
 
-func (n rigNotifier) Notify(subID, _ string, latest time.Duration) {
+func (n rigNotifier) NotifyContext(ctx context.Context, subID, _ string, latest time.Duration) {
 	if n.rig.broker != nil {
-		_ = n.rig.broker.HandleNotificationContext(context.Background(), subID, latest)
+		_ = n.rig.broker.HandleNotificationContext(ctx, subID, latest, nil)
 	}
 }
 
-func (n rigNotifier) NotifyPush(subID, _ string, obj bdms.ResultObject) {
+func (n rigNotifier) NotifyPushContext(ctx context.Context, subID, _ string, obj bdms.ResultObject) {
 	if n.rig.broker != nil {
-		_ = n.rig.broker.HandlePushedResultContext(context.Background(), subID, obj)
+		_ = n.rig.broker.HandleNotificationContext(ctx, subID, obj.Timestamp, []bdms.ResultObject{obj})
 	}
 }
 

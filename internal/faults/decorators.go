@@ -52,19 +52,12 @@ func Fetcher(in *Injector, target string, next core.Fetcher) core.Fetcher {
 type Backend interface {
 	Subscribe(channel string, params []any, callback string) (string, error)
 	Unsubscribe(subID string) error
-	Results(subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error)
+	ResultsContext(ctx context.Context, subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error)
 	LatestTimestamp(subID string) (time.Duration, error)
 }
 
-// resultsBackendContext is the broker's optional context-aware upgrade.
-type resultsBackendContext interface {
-	ResultsContext(ctx context.Context, subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error)
-}
-
 // FaultyBackend injects faults in front of a Backend, one target per
-// method: prefix+".subscribe", ".unsubscribe", ".results", ".latest". It
-// always exposes ResultsContext so the broker's optional-interface upgrade
-// holds whether or not the wrapped backend is context-aware.
+// method: prefix+".subscribe", ".unsubscribe", ".results", ".latest".
 type FaultyBackend struct {
 	in     *Injector
 	prefix string
@@ -93,24 +86,12 @@ func (b *FaultyBackend) Unsubscribe(subID string) error {
 	return b.next.Unsubscribe(subID)
 }
 
-// Results implements Backend.
-func (b *FaultyBackend) Results(subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error) {
-	if err := b.in.applyInProcess(context.Background(), b.prefix+".results"); err != nil {
-		return nil, err
-	}
-	return b.next.Results(subID, from, to, inclusiveTo)
-}
-
-// ResultsContext injects under the same ".results" target as Results and
-// delegates to the wrapped backend's context variant when it has one.
+// ResultsContext implements Backend.
 func (b *FaultyBackend) ResultsContext(ctx context.Context, subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error) {
 	if err := b.in.applyInProcess(ctx, b.prefix+".results"); err != nil {
 		return nil, err
 	}
-	if rc, ok := b.next.(resultsBackendContext); ok {
-		return rc.ResultsContext(ctx, subID, from, to, inclusiveTo)
-	}
-	return b.next.Results(subID, from, to, inclusiveTo)
+	return b.next.ResultsContext(ctx, subID, from, to, inclusiveTo)
 }
 
 // LatestTimestamp implements Backend.
@@ -147,19 +128,10 @@ func (b *CountingBackend) Unsubscribe(subID string) error {
 	return b.next.Unsubscribe(subID)
 }
 
-// Results implements Backend.
-func (b *CountingBackend) Results(subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error) {
-	b.results.Add(1)
-	return b.next.Results(subID, from, to, inclusiveTo)
-}
-
-// ResultsContext counts under the same tally as Results.
+// ResultsContext implements Backend.
 func (b *CountingBackend) ResultsContext(ctx context.Context, subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error) {
 	b.results.Add(1)
-	if rc, ok := b.next.(resultsBackendContext); ok {
-		return rc.ResultsContext(ctx, subID, from, to, inclusiveTo)
-	}
-	return b.next.Results(subID, from, to, inclusiveTo)
+	return b.next.ResultsContext(ctx, subID, from, to, inclusiveTo)
 }
 
 // LatestTimestamp implements Backend.
@@ -174,7 +146,7 @@ func (b *CountingBackend) Subscribes() int64 { return b.subscribes.Load() }
 // Unsubscribes returns the Unsubscribe call count.
 func (b *CountingBackend) Unsubscribes() int64 { return b.unsubscribes.Load() }
 
-// ResultFetches returns the Results/ResultsContext call count.
+// ResultFetches returns the ResultsContext call count.
 func (b *CountingBackend) ResultFetches() int64 { return b.results.Load() }
 
 // LatestProbes returns the LatestTimestamp call count.

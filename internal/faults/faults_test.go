@@ -311,18 +311,13 @@ func TestFetcherDecorator(t *testing.T) {
 	}
 }
 
-// fakeBackend is a minimal in-process Backend for decorator tests; it also
-// implements the context-aware Results upgrade.
-type fakeBackend struct{ results, ctxResults int }
+// fakeBackend is a minimal in-process Backend for decorator tests.
+type fakeBackend struct{ results int }
 
 func (f *fakeBackend) Subscribe(string, []any, string) (string, error) { return "sub1", nil }
 func (f *fakeBackend) Unsubscribe(string) error                        { return nil }
-func (f *fakeBackend) Results(string, time.Duration, time.Duration, bool) ([]bdms.ResultObject, error) {
-	f.results++
-	return nil, nil
-}
 func (f *fakeBackend) ResultsContext(context.Context, string, time.Duration, time.Duration, bool) ([]bdms.ResultObject, error) {
-	f.ctxResults++
+	f.results++
 	return nil, nil
 }
 func (f *fakeBackend) LatestTimestamp(string) (time.Duration, error) { return 0, nil }
@@ -339,9 +334,6 @@ func TestBackendDecorator(t *testing.T) {
 	if _, err := fb.Subscribe("ch", nil, "cb"); err != nil {
 		t.Fatalf("subscribe should pass: %v", err)
 	}
-	if _, err := fb.Results("sub1", 0, time.Second, false); !errors.Is(err, ErrInjected) {
-		t.Fatalf("results err = %v, want injected", err)
-	}
 	if _, err := fb.ResultsContext(context.Background(), "sub1", 0, time.Second, false); !errors.Is(err, ErrInjected) {
 		t.Fatalf("ResultsContext err = %v, want injected", err)
 	}
@@ -349,15 +341,14 @@ func TestBackendDecorator(t *testing.T) {
 		t.Fatalf("latest should pass: %v", err)
 	}
 	if next.results != 0 {
-		t.Error("faulted Results must not reach the backend")
+		t.Error("faulted ResultsContext must not reach the backend")
 	}
-	// Remove the fault (call range exhausted is simpler: new injector with
-	// none) and confirm ResultsContext upgrades to the context variant.
+	// With no fault planned the call passes through.
 	fb2 := WrapBackend(NewInjector(Plan{}), "cluster", next)
 	if _, err := fb2.ResultsContext(context.Background(), "sub1", 0, time.Second, false); err != nil {
 		t.Fatal(err)
 	}
-	if next.ctxResults != 1 {
-		t.Errorf("ctxResults = %d, want 1 (context upgrade taken)", next.ctxResults)
+	if next.results != 1 {
+		t.Errorf("results = %d, want 1 (passthrough)", next.results)
 	}
 }

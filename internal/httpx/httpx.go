@@ -109,8 +109,10 @@ func WriteErrorCode(w http.ResponseWriter, status int, code, format string, args
 	}})
 }
 
-// ReadJSON decodes the request body into v, rejecting unknown fields and
-// oversized bodies.
+// ReadJSON decodes the request body into v, reading at most MaxBodyBytes.
+// Unknown fields are ignored, not rejected: that is what lets a receiver
+// accept a newer or older peer's payload (a pre-"results" cluster's
+// "result" field degrades to a PULL notification at the broker).
 func ReadJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, MaxBodyBytes))
 	if err := dec.Decode(v); err != nil {
