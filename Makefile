@@ -56,6 +56,7 @@ soak:
 # benchmark is caught without paying for a full measurement run.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/broker ./internal/wsock ./internal/core
+	$(GO) test -run=NONE -bench='^BenchmarkNotifierBurst$$' -benchtime=1x ./internal/bdms
 
 # The live-stack benchmark's own tests (bench/ is its own module, outside
 # `go test ./...`): oracle, helpers and the one-second smoke runs.

@@ -25,6 +25,7 @@ import (
 	"gobad/internal/bcs"
 	"gobad/internal/bdms"
 	"gobad/internal/cliutil"
+	"gobad/internal/obs/span"
 	"gobad/internal/workload"
 )
 
@@ -34,7 +35,6 @@ func main() {
 	emergency := flag.Bool("emergency", true, "preload the city-emergency catalog (Table III)")
 	repTick := flag.Duration("repetitive-tick", time.Second, "how often repetitive channels are polled")
 	webhookAttempts := flag.Int("webhook-attempts", 8, "delivery attempts per webhook notification before it is abandoned")
-	webhookBatch := flag.Duration("webhook-batch-window", 0, "coalesce webhook notifications per (subscription, callback) for this window before one combined POST (0 = immediate)")
 	walPath := flag.String("wal", "", "single-file write-ahead log path (empty = in-memory only; prefer -wal-dir)")
 	walDir := flag.String("wal-dir", "", "segmented durability directory: WAL segments + periodic snapshots with log compaction (empty = off)")
 	walSync := flag.String("wal-sync", "interval", "WAL fsync policy: always (fsync per append) or interval (periodic fsync)")
@@ -45,13 +45,13 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write retained traces as JSON to this path on shutdown (\"-\" = stdout, empty = off)")
 	flag.Parse()
 
-	if err := run(*addr, *nodes, *emergency, *repTick, *webhookAttempts, *webhookBatch, *walPath, *walDir, *walSync, *snapshotInterval, *bcsURL, *logLevel, *debugAddr, *traceOut); err != nil {
+	if err := run(*addr, *nodes, *emergency, *repTick, *webhookAttempts, *walPath, *walDir, *walSync, *snapshotInterval, *bcsURL, *logLevel, *debugAddr, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "badcluster:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, nodes int, emergency bool, repTick time.Duration, webhookAttempts int, webhookBatch time.Duration, walPath, walDir, walSync string, snapshotInterval time.Duration, bcsURL, logLevel, debugAddr, traceOut string) error {
+func run(addr string, nodes int, emergency bool, repTick time.Duration, webhookAttempts int, walPath, walDir, walSync string, snapshotInterval time.Duration, bcsURL, logLevel, debugAddr, traceOut string) error {
 	observer, err := cliutil.NewObserver("badcluster", logLevel)
 	if err != nil {
 		return err
@@ -59,13 +59,16 @@ func run(addr string, nodes int, emergency bool, repTick time.Duration, webhookA
 	stopDebug := cliutil.StartDebug(debugAddr, observer.Logger)
 	defer stopDebug()
 	// Webhook deliveries are at-least-once: failures are WARN-logged with
-	// their trace ID, redelivered with backoff and tallied on /metrics.
+	// their trace ID, redelivered with backoff and tallied on /metrics; the
+	// notifier's queue wait and POST round trip are stages of the server's
+	// delivery-latency histogram.
 	notifierStats := &bdms.NotifierStats{}
+	stages := span.NewStages(span.DefaultSlowThreshold, observer.Logger)
 	notifierOpts := []bdms.NotifierOption{
 		bdms.WithNotifierLogger(observer.Logger),
 		bdms.WithNotifierMaxAttempts(webhookAttempts),
-		bdms.WithNotifierBatchWindow(webhookBatch),
 		bdms.WithNotifierStats(notifierStats),
+		bdms.WithNotifierStages(stages),
 	}
 	if bcsURL != "" {
 		// A dead broker's webhook callback is re-resolved through the BCS
@@ -138,7 +141,7 @@ func run(addr string, nodes int, emergency bool, repTick time.Duration, webhookA
 		}
 	}()
 
-	serverOpts := []bdms.ServerOption{bdms.WithObserver(observer)}
+	serverOpts := []bdms.ServerOption{bdms.WithObserver(observer), bdms.WithStages(stages)}
 	if store != nil {
 		serverOpts = append(serverOpts, bdms.WithStore(store))
 	}

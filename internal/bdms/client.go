@@ -246,6 +246,21 @@ func (c *Client) ResultsContext(ctx context.Context, subID string, from, to time
 	return out.Results, nil
 }
 
+// ResultsBatchContext fetches several result ranges in one round trip (at
+// most MaxResultRanges); the answers are parallel to ranges. The POST only
+// reads, so it retries like the GET it batches.
+func (c *Client) ResultsBatchContext(ctx context.Context, ranges []ResultRange) ([]RangeResults, error) {
+	var out ResultsBatchResponse
+	if err := c.do(ctx, http.MethodPost, c.base+"/v1/results:batch",
+		ResultsBatchRequest{Ranges: ranges}, &out, true); err != nil {
+		return nil, err
+	}
+	if len(out.Ranges) != len(ranges) {
+		return nil, fmt.Errorf("bdms: results batch answered %d of %d ranges", len(out.Ranges), len(ranges))
+	}
+	return out.Ranges, nil
+}
+
 // LatestTimestamp returns the newest result timestamp of a subscription.
 func (c *Client) LatestTimestamp(subID string) (time.Duration, error) {
 	return c.LatestTimestampContext(context.Background(), subID)

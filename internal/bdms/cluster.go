@@ -770,6 +770,10 @@ func (c *Cluster) NextRepetitiveRun() (time.Duration, bool) {
 func (c *Cluster) Results(subID string, from, to time.Duration, inclusiveTo bool) ([]ResultObject, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.resultsLocked(subID, from, to, inclusiveTo)
+}
+
+func (c *Cluster) resultsLocked(subID string, from, to time.Duration, inclusiveTo bool) ([]ResultObject, error) {
 	sub, ok := c.subs[subID]
 	if !ok {
 		return nil, fmt.Errorf("bdms: unknown subscription %q", subID)
@@ -792,6 +796,47 @@ func (c *Cluster) Results(subID string, from, to time.Duration, inclusiveTo bool
 // in-process cluster answers from memory without blocking I/O.
 func (c *Cluster) ResultsContext(_ context.Context, subID string, from, to time.Duration, inclusiveTo bool) ([]ResultObject, error) {
 	return c.Results(subID, from, to, inclusiveTo)
+}
+
+// ResultRange names the results of one subscription with Timestamp in
+// (FromNS, ToNS), or (FromNS, ToNS] when Inclusive is set.
+type ResultRange struct {
+	SubscriptionID string `json:"subscription_id"`
+	FromNS         int64  `json:"from_ns"`
+	ToNS           int64  `json:"to_ns"`
+	Inclusive      bool   `json:"inclusive,omitempty"`
+}
+
+// RangeResults answers one ResultRange: its results oldest first, or why
+// there are none (an unknown subscription) — one bad range does not fail
+// the others.
+type RangeResults struct {
+	Results []ResultObject `json:"results,omitempty"`
+	Error   string         `json:"error,omitempty"`
+}
+
+// MaxResultRanges bounds the ranges of one ResultsBatchContext call; a
+// caller with more splits them.
+const MaxResultRanges = 256
+
+// ResultsBatchContext is ResultsContext over several ranges in one call —
+// a broker pulling for every entry of a webhook envelope at once. The
+// answers are parallel to ranges.
+func (c *Cluster) ResultsBatchContext(_ context.Context, ranges []ResultRange) ([]RangeResults, error) {
+	if len(ranges) > MaxResultRanges {
+		return nil, fmt.Errorf("bdms: %d result ranges in one batch, at most %d", len(ranges), MaxResultRanges)
+	}
+	out := make([]RangeResults, len(ranges))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, r := range ranges {
+		results, err := c.resultsLocked(r.SubscriptionID, time.Duration(r.FromNS), time.Duration(r.ToNS), r.Inclusive)
+		if err != nil {
+			out[i].Error = err.Error()
+		}
+		out[i].Results = results
+	}
+	return out, nil
 }
 
 // LatestTimestamp returns the newest result timestamp of a subscription

@@ -2,6 +2,7 @@ package bdms
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -13,93 +14,136 @@ import (
 	"gobad/internal/obs/span"
 )
 
-// NotificationPayload is the JSON body POSTed to a subscription's callback
-// URL (the WebHook of Section III): "the data cluster invokes [it] to
-// notify the broker when results against that subscription are available".
-// PUSH versus PULL is a property of the payload, not a second protocol:
-// under the PULL model it carries only a resource handle (the latest result
-// timestamp) and the broker fetches the results it wants; under the PUSH
-// model Results carries the result objects themselves.
+// NotificationPayload is the JSON body POSTed to a broker's callback URL
+// (the WebHook of Section III): "the data cluster invokes [it] to notify
+// the broker when results against that subscription are available". PUSH
+// versus PULL is a property of an entry, not a second protocol: a PULL entry
+// carries only a resource handle (the latest result timestamp) and the
+// broker fetches the results it wants; a PUSH entry carries the result
+// objects themselves. One POST is an envelope — everything the notifier
+// held for that callback, one entry per subscription: the head entry in the
+// top-level fields, the others in More, so a single notification is the
+// envelope of one and reads as it always has.
 type NotificationPayload struct {
 	SubscriptionID string `json:"subscription_id"`
 	LatestNS       int64  `json:"latest_ns"`
-	// Results carries the pushed result objects, oldest first — one for an
-	// immediate push, several when the notifier coalesced a flush window;
-	// empty under the PULL model.
+	// Results carries the pushed result objects, oldest first; empty under
+	// the PULL model, and for a PUSH entry shed to fit the byte budget.
 	Results []ResultObject `json:"results,omitempty"`
+	// More holds the envelope's other entries; theirs is empty.
+	More []NotificationPayload `json:"more,omitempty"`
 }
 
-// NotifierStats tallies a WebhookNotifier's delivery outcomes. At-least-once
-// accounting: every accepted notification ends as exactly one of Delivered,
-// or Lost (abandoned after the attempt budget / shed on shutdown); Dropped
-// counts notifications never accepted — the intake queue was full, or they
-// arrived (or flushed) after shutdown began.
+// Entries returns the envelope's entries, head first.
+func (p NotificationPayload) Entries() []NotificationPayload {
+	more := p.More
+	p.More = nil
+	return append([]NotificationPayload{p}, more...)
+}
+
+// CallbackResponse is the 200 body a callback answers an envelope with:
+// the entries it could not take; every entry it does not list is delivered.
+// Any other status fails the whole envelope.
+type CallbackResponse struct {
+	Failed []FailedEntry `json:"failed,omitempty"`
+}
+
+// FailedEntry names one refused entry and why (an httpx error code). The
+// notifier redelivers every refusal alike — an unknown subscription may be
+// one whose Subscribe is still returning — so the code is for its log.
+type FailedEntry struct {
+	SubscriptionID string `json:"subscription_id"`
+	Code           string `json:"code"`
+}
+
+// envelopeByteBudget bounds the result bytes (ResultObject.Size) one
+// envelope carries — a quarter of what the receiver will read. A PUSH entry
+// that would exceed it goes out handle-only and the broker pulls.
+const envelopeByteBudget = httpx.MaxBodyBytes / 4
+
+// NotifierStats tallies a WebhookNotifier's outcomes. All but Posts and
+// Entries count notifications, however many shared a POST: every one handed
+// to the notifier ends as exactly one of Delivered, Dropped or Lost.
 type NotifierStats struct {
-	// Delivered counts successful callback POSTs.
+	// Delivered counts notifications a callback took.
 	Delivered atomic.Uint64
-	// Failed counts individual failed delivery attempts (one notification
-	// may fail several times before succeeding or being abandoned).
-	Failed atomic.Uint64
-	// Redelivered counts re-enqueues after a failed attempt.
-	Redelivered atomic.Uint64
-	// Dropped counts notifications shed at intake (full queue, or
-	// arriving/flushing after shutdown began).
+	// Failed counts failed attempts (a notification may fail several times)
+	// and Redelivered the returns to the outbox that followed.
+	Failed, Redelivered atomic.Uint64
+	// Dropped counts notifications never accepted: queueCap entries were
+	// pending, or shutdown had begun.
 	Dropped atomic.Uint64
-	// Lost counts notifications abandoned after exhausting the attempt
-	// budget or because the notifier shut down with redeliveries pending.
+	// Lost counts notifications out of attempts, or of redelivery at Close.
 	Lost atomic.Uint64
-	// Coalesced counts notifications merged into a pending batch instead
-	// of being POSTed individually (batching enabled).
+	// Coalesced counts notifications merged into a pending entry.
 	Coalesced atomic.Uint64
 	// Rerouted counts notifications whose dead callback was re-resolved to
-	// a live broker (fresh attempt budget) instead of being abandoned.
-	Rerouted atomic.Uint64
-	// Abandoned counts the subset of Lost that exhausted the attempt
-	// budget with no reroute possible — the callback is dead for good.
-	Abandoned atomic.Uint64
+	// a live broker's (fresh attempt budget); Abandoned the subset of Lost
+	// that ran out of attempts with no reroute left.
+	Rerouted, Abandoned atomic.Uint64
+	// Posts counts callback POSTs, Entries the entries they carried.
+	Posts, Entries atomic.Uint64
+	// Degraded counts PUSH entries sent handle-only for the byte budget.
+	Degraded atomic.Uint64
 }
 
 // Collector exports the delivery tallies as counter families.
 func (s *NotifierStats) Collector() obs.Collector {
 	return obs.CollectorFunc(func(emit func(obs.Family)) {
-		counter := func(name, help string, v uint64) {
+		counter := func(name, help string, v *atomic.Uint64) {
 			emit(obs.Family{Name: name, Help: help, Type: obs.CounterType,
-				Points: []obs.Point{{Value: float64(v)}}})
+				Points: []obs.Point{{Value: float64(v.Load())}}})
 		}
-		counter("bad_webhook_delivered_total", "Webhook notifications delivered.", s.Delivered.Load())
-		counter("bad_webhook_failed_total", "Failed webhook delivery attempts.", s.Failed.Load())
-		counter("bad_webhook_redelivered_total", "Webhook notifications re-enqueued after a failed attempt.", s.Redelivered.Load())
-		counter("bad_webhook_dropped_total", "Webhook notifications shed at intake (full queue).", s.Dropped.Load())
-		counter("bad_webhook_lost_total", "Webhook notifications abandoned after the attempt budget.", s.Lost.Load())
-		counter("bad_webhook_coalesced_total", "Webhook notifications merged into a pending batch.", s.Coalesced.Load())
-		counter("bad_webhook_rerouted_total", "Webhook notifications rerouted to a re-resolved broker callback.", s.Rerouted.Load())
-		counter("bad_webhook_abandoned_total", "Webhook notifications abandoned after the attempt budget with no reroute.", s.Abandoned.Load())
+		counter("bad_webhook_delivered_total", "Webhook notifications delivered.", &s.Delivered)
+		counter("bad_webhook_failed_total", "Failed webhook delivery attempts, per notification.", &s.Failed)
+		counter("bad_webhook_redelivered_total", "Webhook notifications put back after a failed attempt.", &s.Redelivered)
+		counter("bad_webhook_dropped_total", "Webhook notifications shed at intake (outboxes full).", &s.Dropped)
+		counter("bad_webhook_lost_total", "Webhook notifications abandoned after the attempt budget.", &s.Lost)
+		counter("bad_webhook_coalesced_total", "Webhook notifications merged into a pending entry of their subscription.", &s.Coalesced)
+		counter("bad_webhook_rerouted_total", "Webhook notifications rerouted to a re-resolved broker callback.", &s.Rerouted)
+		counter("bad_webhook_abandoned_total", "Webhook notifications abandoned after the attempt budget with no reroute.", &s.Abandoned)
+		counter("bad_webhook_posts_total", "Webhook callback POSTs (envelopes) sent.", &s.Posts)
+		counter("bad_webhook_envelope_entries_total", "Entries carried by webhook envelopes.", &s.Entries)
+		counter("bad_webhook_degraded_total", "PUSH entries sent handle-only to fit the envelope byte budget.", &s.Degraded)
 	})
 }
 
-// queueItem is one in-flight delivery: the payload plus its attempt count
-// and the trace span minted at enqueue, so every retry of one notification
-// logs (and propagates) the same trace ID.
-type queueItem struct {
-	callback string
-	payload  NotificationPayload
+// entry is what the notifier holds for one subscription at one callback:
+// every notification accepted since the last envelope left, merged.
+type entry struct {
+	sub      string
+	latest   int64
+	results  []ResultObject
+	bytes    int64  // Size sum of results
+	handle   bool   // a PUSH entry whose results were shed
+	count    uint64 // notifications merged in
 	attempts int
-	span     obs.SpanContext
-	// rerouted marks an item already re-resolved once; a second dead
+	// rerouted marks an entry already re-resolved once; a second dead
 	// callback abandons it instead of bouncing between brokers forever.
 	rerouted bool
+	// span is the first contributor's: every retry carries its trace.
+	span     obs.SpanContext
+	accepted time.Time
+}
+
+// outbox is one callback's pending entries, oldest first. It lives as long
+// as its drain goroutine, which POSTs them, an envelope at a time.
+type outbox struct {
+	pending []*entry
+	bySub   map[string]*entry
 }
 
 // WebhookNotifier delivers notifications by POSTing to each subscription's
-// callback URL with at-least-once semantics. Deliveries run on a fixed
-// worker pool fed by a bounded queue; a failed attempt is logged at WARN
-// (with its trace ID), counted, and re-enqueued after a capped exponential
-// backoff until the attempt budget is exhausted, at which point the
-// notification is counted as lost. Intake still sheds when the queue is
-// full — that is safe for the protocol: PULL notifications are cumulative
-// (only the latest timestamp matters) and a dropped PUSH is recovered by
-// the broker's next pull, because its backend marker still lags the
-// dropped object.
+// callback URL with at-least-once semantics. Notifications wait in their
+// callback's outbox, merged per subscription (PULL: latest wins; PUSH:
+// results append); one POST per callback is in flight, and what gathered
+// behind it leaves as the next envelope. A failed envelope — or the entries
+// a callback refused — is logged at WARN (with its trace ID), counted, and
+// put back after a capped exponential backoff that holds no worker, until
+// its attempt budget is spent and it is counted lost. Intake sheds past
+// queueCap entries — safe for the protocol: PULL notifications are
+// cumulative and a dropped PUSH is recovered by the broker's next pull,
+// because its marker still lags the dropped object.
 type WebhookNotifier struct {
 	client      *http.Client
 	logger      *slog.Logger
@@ -110,39 +154,16 @@ type WebhookNotifier struct {
 	stats       *NotifierStats
 	resolver    CallbackResolver
 	stages      *span.Stages
+	queueCap    int
+	sem         chan struct{} // a slot per POST in flight
+	ctx         context.Context
+	stop        context.CancelFunc // wakes backoff sleeps on Close
 
-	mu     sync.Mutex
-	queue  chan queueItem
-	wg     sync.WaitGroup
-	closed bool
-
-	// batchWindow > 0 coalesces notifications per (subscription, callback)
-	// for that long before one combined POST goes out; 0 keeps the
-	// immediate per-notification form.
-	batchWindow time.Duration
-	batchMu     sync.Mutex
-	batches     map[batchKey]*pendingBatch
-	// batchClosed stops addToBatch from opening new buckets; Close sets it
-	// (under batchMu) before the final flush so no batch can appear — and
-	// leak a live timer — after shutdown.
-	batchClosed bool
-}
-
-// batchKey identifies a coalescing bucket: one subscription's deliveries to
-// one callback URL.
-type batchKey struct {
-	subID    string
-	callback string
-}
-
-// pendingBatch accumulates one bucket's notifications during the flush
-// window. PULL notifications only advance latest (they are cumulative);
-// PUSH notifications also collect their result objects, oldest first.
-type pendingBatch struct {
-	latest  int64
-	results []ResultObject
-	span    obs.SpanContext
-	timer   *time.Timer
+	mu       sync.Mutex
+	outboxes map[string]*outbox
+	pending  int // entries held: in outboxes, in flight or backing off
+	closed   bool
+	wg       sync.WaitGroup
 }
 
 // NotifierOption tunes a WebhookNotifier.
@@ -190,37 +211,21 @@ func WithNotifierSleep(sleep func(ctx context.Context, d time.Duration) error) N
 	}
 }
 
-// WithNotifierBatchWindow coalesces notifications per (subscription,
-// callback) for the given window before one combined POST goes out: PULL
-// notifications collapse to the latest timestamp, PUSH notifications
-// accumulate into one Results batch the receiver ingests in a single
-// call. d <= 0 keeps immediate per-notification delivery.
-func WithNotifierBatchWindow(d time.Duration) NotifierOption {
-	return func(n *WebhookNotifier) {
-		if d > 0 {
-			n.batchWindow = d
-		}
-	}
-}
-
 // CallbackResolver re-resolves a dead callback URL — one that exhausted
 // the delivery attempt budget — to a live replacement. Returning an error
 // (or the same URL) abandons the notification instead.
 type CallbackResolver func(deadCallback string) (string, error)
 
-// WithNotifierResolver installs a dead-callback resolver: when a
-// notification exhausts its attempt budget, the notifier asks the resolver
-// for a replacement callback once and retries there with a fresh budget
-// (counted as rerouted) before giving up (counted as abandoned). Without a
-// resolver, exhaustion abandons immediately.
+// WithNotifierResolver installs a dead-callback resolver: entries out of
+// attempts are retried once at the replacement callback it names, with a
+// fresh budget (counted as rerouted), before the notifier gives up (counted
+// as abandoned). Without a resolver, exhaustion abandons immediately.
 func WithNotifierResolver(r CallbackResolver) NotifierOption {
-	return func(n *WebhookNotifier) {
-		n.resolver = r
-	}
+	return func(n *WebhookNotifier) { n.resolver = r }
 }
 
-// WithNotifierStages wires the per-stage delivery histogram: every webhook
-// POST round-trip is observed as the webhook_delivery stage.
+// WithNotifierStages wires the per-stage delivery histogram: a notification's
+// wait for its first POST is webhook_queue, a POST round-trip webhook_delivery.
 func WithNotifierStages(st *span.Stages) NotifierOption {
 	return func(n *WebhookNotifier) { n.stages = st }
 }
@@ -235,16 +240,10 @@ func WithNotifierStats(s *NotifierStats) NotifierOption {
 	}
 }
 
-// NewWebhookNotifier starts a notifier with the given number of delivery
-// workers (min 1) and queue capacity (min 16). Close must be called to
-// release the workers.
+// NewWebhookNotifier starts a notifier that POSTs to at most workers
+// callbacks at once (min 1) and holds at most queueCap entries (min 16).
+// Close must be called to drain it.
 func NewWebhookNotifier(workers, queueCap int, client *http.Client, opts ...NotifierOption) *WebhookNotifier {
-	if workers < 1 {
-		workers = 1
-	}
-	if queueCap < 16 {
-		queueCap = 16
-	}
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
@@ -254,72 +253,61 @@ func NewWebhookNotifier(workers, queueCap int, client *http.Client, opts ...Noti
 		maxAttempts: 8,
 		baseDelay:   100 * time.Millisecond,
 		maxDelay:    5 * time.Second,
+		sleep:       httpx.Sleep,
 		stats:       &NotifierStats{},
-		queue:       make(chan queueItem, queueCap),
-		batches:     make(map[batchKey]*pendingBatch),
+		queueCap:    max(queueCap, 16),
+		sem:         make(chan struct{}, max(workers, 1)),
+		outboxes:    make(map[string]*outbox),
 	}
-	n.sleep = realSleep
+	n.ctx, n.stop = context.WithCancel(context.Background())
 	for _, opt := range opts {
 		opt(n)
-	}
-	n.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go n.worker()
 	}
 	return n
 }
 
-func realSleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// NotifyContext implements Notifier (PULL model): it enqueues the delivery
-// (or folds it into the pending batch when coalescing is on), dropping it
-// when the queue is full. The delivery (and every retry of it) runs under
-// the publication trace carried by ctx, minting a fresh root only when ctx
-// has none.
+// NotifyContext implements Notifier (PULL model). The delivery (and every
+// retry of it) runs under the publication trace carried by ctx, minting a
+// fresh root only when ctx has none.
 func (n *WebhookNotifier) NotifyContext(ctx context.Context, subID, callback string, latest time.Duration) {
 	n.accept(ctx, subID, callback, int64(latest), nil)
 }
 
-// NotifyPushContext implements PushNotifier: the payload carries the result
-// object itself; with coalescing on, results accumulate into one batched
-// POST per flush window.
+// NotifyPushContext implements PushNotifier: the result object rides along.
 func (n *WebhookNotifier) NotifyPushContext(ctx context.Context, subID, callback string, obj ResultObject) {
 	n.accept(ctx, subID, callback, int64(obj.Timestamp), []ResultObject{obj})
 }
 
-// accept is the one intake: batch when coalescing is on, enqueue otherwise.
+// accept is the one intake: merge into the subscription's pending entry, or
+// open one, shedding when queueCap entries are held already.
 func (n *WebhookNotifier) accept(ctx context.Context, subID, callback string, latest int64, results []ResultObject) {
 	if callback == "" {
 		return
 	}
-	sc := originSpan(ctx)
-	if n.batchWindow > 0 {
-		n.addToBatch(sc, subID, callback, latest, results)
-		return
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var p *entry
+	if ob := n.outboxes[callback]; ob != nil {
+		p = ob.bySub[subID]
 	}
-	n.enqueue(queueItem{
-		callback: callback,
-		payload:  NotificationPayload{SubscriptionID: subID, LatestNS: latest, Results: results},
-		span:     sc,
-	})
+	switch {
+	case n.closed || (p == nil && n.pending >= n.queueCap):
+		n.stats.Dropped.Add(1)
+	case p != nil:
+		p.count++
+		n.stats.Coalesced.Add(1)
+		n.absorb(p, latest, results, false)
+	default:
+		n.pending++
+		e := &entry{sub: subID, count: 1, span: originSpan(ctx), accepted: time.Now()}
+		n.absorb(e, latest, results, false)
+		n.add(callback, e)
+	}
 }
 
 // originSpan derives the delivery's span from the originating context: a
-// child of the publication's span when there is one (so the webhook POST
-// and all its retries carry that publication's trace ID), a fresh root
-// otherwise.
+// child of the publication's span when there is one (so the POST and all
+// its retries carry that publication's trace ID), a fresh root otherwise.
 func originSpan(ctx context.Context) obs.SpanContext {
 	if sc, ok := obs.SpanFromContext(ctx); ok {
 		return sc.Child()
@@ -327,194 +315,205 @@ func originSpan(ctx context.Context) obs.SpanContext {
 	return obs.NewSpan()
 }
 
-// addToBatch folds one notification into its (subscription, callback)
-// bucket, opening the bucket — and arming its flush timer — on first use.
-// The bucket adopts the first contributor's span: a coalesced batch is
-// attributed to the publication that opened it, so batch ingest at the
-// broker still joins a real publication trace.
-func (n *WebhookNotifier) addToBatch(sc obs.SpanContext, subID, callback string, latest int64, results []ResultObject) {
-	key := batchKey{subID: subID, callback: callback}
-	n.batchMu.Lock()
-	if n.batchClosed {
-		n.batchMu.Unlock()
-		n.stats.Dropped.Add(1)
+// absorb merges a newer notification of p's subscription into it: latest
+// wins, results append — until the byte budget, or a handle-only
+// notification, degrades the entry to its handle and the broker pulls.
+func (n *WebhookNotifier) absorb(p *entry, latest int64, results []ResultObject, handle bool) {
+	p.latest = max(p.latest, latest)
+	if p.handle {
 		return
 	}
-	b, ok := n.batches[key]
-	if !ok {
-		b = &pendingBatch{span: sc}
-		b.timer = time.AfterFunc(n.batchWindow, func() { n.flushBatch(key) })
-		n.batches[key] = b
-	} else {
-		n.stats.Coalesced.Add(1)
+	p.results = append(p.results, results...)
+	for _, r := range results {
+		p.bytes += r.Size
 	}
-	if latest > b.latest {
-		b.latest = latest
+	if handle || p.bytes > envelopeByteBudget {
+		if len(p.results) > 0 {
+			n.stats.Degraded.Add(1)
+		}
+		p.results, p.bytes, p.handle = nil, 0, true
 	}
-	b.results = append(b.results, results...)
-	n.batchMu.Unlock()
 }
 
-// flushBatch turns a bucket into one queued delivery: the pushed results it
-// collected, or for a PULL-only bucket just the (latest-wins) timestamp.
-func (n *WebhookNotifier) flushBatch(key batchKey) {
-	n.batchMu.Lock()
-	b, ok := n.batches[key]
-	if !ok {
-		n.batchMu.Unlock()
+// add puts e into callback's outbox, opening it — and starting its drain —
+// if there is none. A failed entry coming back may find its subscription
+// pending again: it is the older of the two, so its results go in front and
+// its trace, age and attempts stand. Caller holds n.mu.
+func (n *WebhookNotifier) add(callback string, e *entry) {
+	ob := n.outboxes[callback]
+	if ob == nil {
+		ob = &outbox{bySub: make(map[string]*entry)}
+		n.outboxes[callback] = ob
+		n.wg.Add(1)
+		go n.drain(callback, ob)
+	}
+	if p := ob.bySub[e.sub]; p != nil {
+		*p, *e = *e, *p
+		p.count += e.count
+		p.rerouted = p.rerouted || e.rerouted
+		n.absorb(p, e.latest, e.results, e.handle)
+		n.pending--
 		return
 	}
-	delete(n.batches, key)
-	n.batchMu.Unlock()
-
-	n.enqueue(queueItem{
-		callback: key.callback,
-		payload:  NotificationPayload{SubscriptionID: key.subID, LatestNS: b.latest, Results: b.results},
-		span:     b.span,
-	})
+	ob.bySub[e.sub] = e
+	ob.pending = append(ob.pending, e)
 }
 
-// flushAllBatches drains every pending bucket immediately (shutdown path).
-func (n *WebhookNotifier) flushAllBatches() {
-	n.batchMu.Lock()
-	keys := make([]batchKey, 0, len(n.batches))
-	for key, b := range n.batches {
-		b.timer.Stop()
-		keys = append(keys, key)
-	}
-	n.batchMu.Unlock()
-	for _, key := range keys {
-		n.flushBatch(key)
+// drain POSTs ob's envelopes one after another until nothing is pending:
+// each is everything pending once a POST slot is free, less the results of
+// PUSH entries past the byte budget.
+func (n *WebhookNotifier) drain(callback string, ob *outbox) {
+	defer n.wg.Done()
+	for {
+		n.sem <- struct{}{}
+		n.mu.Lock()
+		batch := ob.pending
+		if len(batch) == 0 {
+			delete(n.outboxes, callback)
+			n.mu.Unlock()
+			<-n.sem
+			return
+		}
+		ob.pending = nil
+		clear(ob.bySub)
+		var bytes int64
+		for _, e := range batch {
+			if bytes += e.bytes; bytes > envelopeByteBudget {
+				bytes -= e.bytes
+				n.absorb(e, e.latest, nil, true)
+			}
+		}
+		n.mu.Unlock()
+		n.post(callback, batch)
+		<-n.sem
 	}
 }
 
-func (n *WebhookNotifier) enqueue(item queueItem) {
+// post sends one envelope, under its head entry's trace, and settles every
+// entry: delivered, or failed — all of them when the POST failed, those the
+// callback refused otherwise.
+func (n *WebhookNotifier) post(callback string, batch []*entry) {
+	ctx := obs.ContextWithSpan(context.Background(), batch[0].span)
+	start := time.Now()
+	entries := make([]NotificationPayload, len(batch))
+	for i, e := range batch {
+		entries[i] = NotificationPayload{SubscriptionID: e.sub, LatestNS: e.latest, Results: e.results}
+		if e.attempts == 0 {
+			n.stages.Observe(ctx, span.StageWebhookQueue, span.OutcomeNone, start.Sub(e.accepted))
+		}
+	}
+	payload := entries[0]
+	payload.More = entries[1:]
+	var resp CallbackResponse
+	err := httpx.DoJSONContext(ctx, n.client, http.MethodPost, callback, payload, &resp)
+	n.stages.Observe(ctx, span.StageWebhook, span.OutcomeNone, time.Since(start))
+	n.stats.Posts.Add(1)
+	n.stats.Entries.Add(uint64(len(batch)))
+	failed := batch
+	if err == nil {
+		failed = nil
+		refused := make(map[string]FailedEntry, len(resp.Failed))
+		for _, f := range resp.Failed {
+			refused[f.SubscriptionID] = f
+		}
+		for _, e := range batch {
+			if f, ok := refused[e.sub]; ok {
+				failed = append(failed, e)
+				err = fmt.Errorf("callback refused %s: %s", e.sub, f.Code)
+			} else {
+				n.stats.Delivered.Add(e.count)
+			}
+		}
+	}
+	n.mu.Lock()
+	n.pending -= len(batch) - len(failed)
+	n.mu.Unlock()
+	if len(failed) > 0 {
+		n.retry(ctx, callback, failed, err)
+	}
+}
+
+// retry settles the entries of a failed attempt. Those with attempts left
+// sit their backoff out of the outbox — no worker waits and the callback's
+// stream keeps moving — then return to it. The others go together to the
+// callback the resolver (if any) names, once per entry, or are abandoned.
+func (n *WebhookNotifier) retry(ctx context.Context, callback string, failed []*entry, cause error) {
+	var again, moved, lost []*entry
+	for _, e := range failed {
+		n.stats.Failed.Add(e.count)
+		switch e.attempts++; {
+		case e.attempts < n.maxAttempts:
+			again = append(again, e)
+		case e.rerouted || n.resolver == nil:
+			lost = append(lost, e)
+		default:
+			moved = append(moved, e)
+		}
+	}
+	warn := func(msg string, entries []*entry, args ...any) {
+		n.logger.WarnContext(ctx, msg, append(args, "callback", callback, "subscription_id", entries[0].sub,
+			"entries", len(entries), "attempts", entries[0].attempts, "error", cause)...)
+	}
+	if len(moved) > 0 {
+		if next, err := n.resolver(callback); err != nil || next == "" || next == callback {
+			lost = append(lost, moved...)
+		} else {
+			warn("webhook callback dead; rerouting to re-resolved broker", moved, "new_callback", next)
+			for _, e := range moved {
+				e.attempts, e.rerouted = 0, true
+			}
+			n.requeue(next, moved, &n.stats.Rerouted)
+		}
+	}
+	if len(lost) > 0 {
+		warn("webhook delivery abandoned", lost)
+		n.mu.Lock()
+		n.pending -= len(lost)
+		n.mu.Unlock()
+		for _, e := range lost {
+			n.stats.Lost.Add(e.count)
+			n.stats.Abandoned.Add(e.count)
+		}
+	}
+	if len(again) > 0 {
+		warn("webhook delivery failed; redelivering", again)
+		n.wg.Add(1) // on a drain goroutine, itself counted: Close is still waiting
+		go func() {
+			defer n.wg.Done()
+			_ = n.sleep(n.ctx, n.backoff(again[0].attempts)) // cut short by Close, which requeue sees
+			n.requeue(callback, again, &n.stats.Redelivered)
+		}()
+	}
+}
+
+// requeue puts entries into callback's outbox, counting their notifications
+// in tally; once Close has begun they are lost instead.
+func (n *WebhookNotifier) requeue(callback string, entries []*entry, tally *atomic.Uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
-		// A flush racing shutdown lands here; the notification is shed,
-		// not silently vanished.
-		n.stats.Dropped.Add(1)
-		return
+	for _, e := range entries {
+		if n.closed {
+			n.pending--
+			n.stats.Lost.Add(e.count)
+			continue
+		}
+		tally.Add(e.count)
+		n.add(callback, e)
 	}
-	select {
-	case n.queue <- item:
-	default:
-		n.stats.Dropped.Add(1)
-	}
-}
-
-// requeue puts a failed item back for another attempt; when the queue is
-// full or the notifier is shutting down the notification is lost instead.
-func (n *WebhookNotifier) requeue(item queueItem) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		n.stats.Lost.Add(1)
-		return
-	}
-	select {
-	case n.queue <- item:
-		n.stats.Redelivered.Add(1)
-	default:
-		n.stats.Lost.Add(1)
-	}
-}
-
-// isClosed reports whether Close has begun (workers skip backoff sleeps so
-// shutdown drains promptly).
-func (n *WebhookNotifier) isClosed() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.closed
 }
 
 // Stats returns the notifier's delivery tallies.
 func (n *WebhookNotifier) Stats() *NotifierStats { return n.stats }
 
-// Close flushes any pending batches, stops accepting notifications, drains
-// the queue (redeliveries pending at shutdown are counted lost rather than
-// retried) and waits for the workers to finish. Batch intake is closed
-// before the final flush, so a Notify racing Close either lands in a batch
-// that gets flushed here or is counted as dropped — never parked in a
-// bucket whose timer outlives the notifier.
+// Close stops accepting notifications, lets every outbox drain (entries
+// that fail now, or were backing off, are counted lost rather than
+// retried) and waits for the POSTs in flight.
 func (n *WebhookNotifier) Close() {
-	n.batchMu.Lock()
-	n.batchClosed = true
-	n.batchMu.Unlock()
-	n.flushAllBatches()
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
 	n.closed = true
-	close(n.queue)
 	n.mu.Unlock()
+	n.stop()
 	n.wg.Wait()
-}
-
-func (n *WebhookNotifier) worker() {
-	defer n.wg.Done()
-	for item := range n.queue {
-		ctx := obs.ContextWithSpan(context.Background(), item.span)
-		post := time.Now()
-		err := httpx.DoJSONContext(ctx, n.client, http.MethodPost, item.callback, item.payload, nil)
-		n.stages.Observe(ctx, span.StageWebhook, span.OutcomeNone, time.Since(post))
-		if err == nil {
-			n.stats.Delivered.Add(1)
-			continue
-		}
-		n.stats.Failed.Add(1)
-		item.attempts++
-		if item.attempts >= n.maxAttempts {
-			if next, ok := n.reroute(&item); ok {
-				n.logger.WarnContext(ctx, "webhook callback dead; rerouting to re-resolved broker",
-					"callback", item.callback,
-					"new_callback", next,
-					"subscription_id", item.payload.SubscriptionID,
-					"attempts", item.attempts,
-					"error", err)
-				item.callback = next
-				item.attempts = 0
-				item.rerouted = true
-				n.stats.Rerouted.Add(1)
-				n.requeue(item)
-				continue
-			}
-			n.stats.Lost.Add(1)
-			n.stats.Abandoned.Add(1)
-			n.logger.WarnContext(ctx, "webhook delivery abandoned",
-				"callback", item.callback,
-				"subscription_id", item.payload.SubscriptionID,
-				"attempts", item.attempts,
-				"error", err)
-			continue
-		}
-		n.logger.WarnContext(ctx, "webhook delivery failed; redelivering",
-			"callback", item.callback,
-			"subscription_id", item.payload.SubscriptionID,
-			"attempt", item.attempts,
-			"error", err)
-		if !n.isClosed() {
-			_ = n.sleep(ctx, n.backoff(item.attempts))
-		}
-		n.requeue(item)
-	}
-}
-
-// reroute asks the resolver (if any) for a live replacement callback once
-// per item. It reports the replacement and whether the item should retry
-// there instead of being abandoned.
-func (n *WebhookNotifier) reroute(item *queueItem) (string, bool) {
-	if n.resolver == nil || item.rerouted {
-		return "", false
-	}
-	next, err := n.resolver(item.callback)
-	if err != nil || next == "" || next == item.callback {
-		return "", false
-	}
-	return next, true
 }
 
 // backoff is the delay before redelivery attempt k+1: min(maxDelay,

@@ -31,7 +31,7 @@ func (rec *traceRecorder) handler() http.HandlerFunc {
 			httpx.WriteError(w, http.StatusBadGateway, "broker restarting")
 			return
 		}
-		w.WriteHeader(http.StatusOK)
+		httpx.WriteJSON(w, http.StatusOK, bdms.CallbackResponse{})
 	}
 }
 
@@ -85,38 +85,35 @@ func TestWebhookRetryPreservesTrace(t *testing.T) {
 	}
 }
 
-// TestWebhookBatchAdoptsFirstTrace: a coalesced batch POST carries the
-// trace of its FIRST contributor — later contributors join an in-flight
-// batch, they don't re-root it.
+// TestWebhookBatchAdoptsFirstTrace: an envelope's POST carries the trace
+// of its FIRST contributor — later contributors, whether they merge into
+// its entry or add one, join the envelope, they don't re-root it.
 func TestWebhookBatchAdoptsFirstTrace(t *testing.T) {
-	rec := &traceRecorder{}
-	cb := httptest.NewServer(rec.handler())
-	defer cb.Close()
+	g := newGatedCallback(t)
+	n := bdms.NewWebhookNotifier(1, 16, g.Client())
+	g.hold(t, n)
 
-	n := bdms.NewWebhookNotifier(1, 16, cb.Client(),
-		bdms.WithNotifierBatchWindow(30*time.Millisecond))
-
-	first := obs.NewSpan()
-	second := obs.NewSpan()
+	first, second, third := obs.NewSpan(), obs.NewSpan(), obs.NewSpan()
 	n.NotifyPushContext(obs.ContextWithSpan(context.Background(), first),
-		"sub-1", cb.URL, bdms.ResultObject{ID: "r1", SubscriptionID: "sub-1", Timestamp: time.Second})
+		"sub-1", g.URL, bdms.ResultObject{ID: "r1", SubscriptionID: "sub-1", Timestamp: time.Second})
 	n.NotifyPushContext(obs.ContextWithSpan(context.Background(), second),
-		"sub-1", cb.URL, bdms.ResultObject{ID: "r2", SubscriptionID: "sub-1", Timestamp: 2 * time.Second})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for n.Stats().Delivered.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+		"sub-1", g.URL, bdms.ResultObject{ID: "r2", SubscriptionID: "sub-1", Timestamp: 2 * time.Second})
+	n.NotifyContext(obs.ContextWithSpan(context.Background(), third), "sub-2", g.URL, 3*time.Second)
+	g.release <- nil
+	if got := g.next(t); len(got) != 2 {
+		t.Fatalf("envelope = %+v, want both subscriptions in one POST", got)
 	}
+	g.release <- nil
 	n.Close()
 
-	ids := rec.traceIDs(t)
-	if len(ids) != 1 {
-		t.Fatalf("deliveries = %d, want 1 coalesced batch", len(ids))
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	sc, ok := obs.ParseTraceparent(g.parents[1])
+	if !ok {
+		t.Fatalf("envelope carried unparseable traceparent %q", g.parents[1])
 	}
-	if ids[0] != first.TraceIDString() {
-		t.Errorf("batch trace = %s, want first contributor's %s", ids[0], first.TraceIDString())
-	}
-	if ids[0] == second.TraceIDString() {
-		t.Error("batch must not adopt a later contributor's trace")
+	if got := sc.TraceIDString(); got != first.TraceIDString() {
+		t.Errorf("envelope trace = %s, want first contributor's %s (not %s or %s)",
+			got, first.TraceIDString(), second.TraceIDString(), third.TraceIDString())
 	}
 }

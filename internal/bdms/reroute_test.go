@@ -31,7 +31,7 @@ func TestWebhookRerouteToLiveBroker(t *testing.T) {
 		case got <- r.URL.Path:
 		default:
 		}
-		w.WriteHeader(http.StatusOK)
+		httpx.WriteJSON(w, http.StatusOK, bdms.CallbackResponse{})
 	}))
 	defer live.Close()
 

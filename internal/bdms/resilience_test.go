@@ -179,7 +179,7 @@ func TestWebhookRedelivery(t *testing.T) {
 			httpx.WriteError(w, http.StatusBadGateway, "broker restarting")
 			return
 		}
-		w.WriteHeader(http.StatusOK)
+		httpx.WriteJSON(w, http.StatusOK, bdms.CallbackResponse{})
 	}))
 	defer cb.Close()
 

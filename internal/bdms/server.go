@@ -146,6 +146,7 @@ func (s *Server) routes() {
 	s.route(http.MethodDelete, "/v1/subscriptions/{id}", s.handleUnsubscribe)
 	s.route(http.MethodGet, "/v1/subscriptions/{id}/results", s.handleResults)
 	s.route(http.MethodGet, "/v1/subscriptions/{id}/latest", s.handleLatest)
+	s.route(http.MethodPost, "/v1/results:batch", s.handleResultsBatch)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -400,6 +401,31 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	httpx.WriteJSON(w, http.StatusOK, ResultsResponse{Results: results})
+}
+
+// ResultsBatchRequest is the POST /v1/results:batch payload: at most
+// MaxResultRanges ranges, answered in order.
+type ResultsBatchRequest struct {
+	Ranges []ResultRange `json:"ranges"`
+}
+
+// ResultsBatchResponse carries one answer per requested range.
+type ResultsBatchResponse struct {
+	Ranges []RangeResults `json:"ranges"`
+}
+
+func (s *Server) handleResultsBatch(w http.ResponseWriter, r *http.Request) {
+	var req ResultsBatchRequest
+	if err := httpx.ReadJSON(r, &req); err != nil {
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	out, err := s.cluster.ResultsBatchContext(r.Context(), req.Ranges)
+	if err != nil {
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	httpx.WriteJSON(w, http.StatusOK, ResultsBatchResponse{Ranges: out})
 }
 
 // LatestResponse carries a subscription's newest result timestamp.

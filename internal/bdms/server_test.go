@@ -2,6 +2,8 @@ package bdms
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -93,8 +95,9 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(results) != 1 || results[0].Rows[0]["etype"] != "fire" {
-		t.Errorf("results = %+v", results)
+		t.Fatalf("results = %+v", results)
 	}
+	wantID := results[0].ID
 	// Exclusive right end excludes the newest object.
 	results, err = client.Results(sub, 0, latest, false)
 	if err != nil {
@@ -102,6 +105,28 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	if len(results) != 0 {
 		t.Errorf("exclusive fetch returned %d", len(results))
+	}
+	// The same two ranges and an unknown subscription's in one batched
+	// call: answered in order, the bad range alone carrying an error.
+	batch, err := client.ResultsBatchContext(context.Background(), []ResultRange{
+		{SubscriptionID: sub, ToNS: int64(latest), Inclusive: true},
+		{SubscriptionID: sub, ToNS: int64(latest)},
+		{SubscriptionID: "nope", ToNS: int64(latest), Inclusive: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != 3 || len(batch[0].Results) != 1 || batch[0].Results[0].ID != wantID ||
+		len(batch[1].Results) != 0 || batch[0].Error+batch[1].Error != "" || batch[2].Error == "" {
+		t.Errorf("batched results = %+v", batch)
+	}
+	// More ranges than the cap are refused outright; the caller splits.
+	var se *httpx.StatusError
+	if _, err := client.ResultsBatchContext(context.Background(), make([]ResultRange, MaxResultRanges+1)); !errors.As(err, &se) || se.Status != http.StatusBadRequest {
+		t.Errorf("oversized batch: err = %v, want 400", err)
+	}
+	if _, err := client.ResultsBatchContext(context.Background(), make([]ResultRange, MaxResultRanges)); err != nil {
+		t.Errorf("batch at the cap: %v", err)
 	}
 
 	stats, err := client.Stats()
@@ -168,26 +193,28 @@ func TestWebhookNotifierDelivers(t *testing.T) {
 			t.Error(err)
 		}
 		mu.Lock()
-		got = append(got, p)
+		got = append(got, p.Entries()...)
 		mu.Unlock()
-		w.WriteHeader(http.StatusOK)
+		httpx.WriteJSON(w, http.StatusOK, CallbackResponse{})
 	}))
 	defer cb.Close()
 
+	// Ten subscriptions, one notification each: ten entries arrive, in
+	// however many envelopes the POSTs in flight made of them.
 	n := NewWebhookNotifier(2, 64, cb.Client())
 	for i := 0; i < 10; i++ {
-		n.NotifyContext(context.Background(), "sub-1", cb.URL, time.Duration(i)*time.Second)
+		n.NotifyContext(context.Background(), fmt.Sprintf("sub-%d", i), cb.URL, time.Duration(i)*time.Second)
 	}
 	n.Close()
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) != 10 {
-		t.Fatalf("delivered %d notifications, want 10", len(got))
+	if len(got) != 10 || n.Stats().Delivered.Load() != 10 {
+		t.Fatalf("delivered %d entries (%d counted), want 10", len(got), n.Stats().Delivered.Load())
 	}
-	for _, p := range got {
-		if p.SubscriptionID != "sub-1" {
-			t.Errorf("payload = %+v", p)
+	for i, p := range got {
+		if p.SubscriptionID != fmt.Sprintf("sub-%d", i) || p.LatestNS != int64(time.Duration(i)*time.Second) {
+			t.Errorf("entry %d = %+v", i, p)
 		}
 	}
 }
@@ -209,25 +236,41 @@ func TestWebhookNotifierCloseIdempotent(t *testing.T) {
 }
 
 func TestWebhookNotifierQueueSheds(t *testing.T) {
-	// A blocked callback server forces the queue to fill and shed.
+	// A blocked callback lets the outbox fill to queueCap entries and shed:
+	// the cap counts entries, so a subscription that already has one pending
+	// still merges into it, and a slow broker holds at most one entry per
+	// subscription.
 	release := make(chan struct{})
+	arrived := make(chan struct{}, 2)
 	var once sync.Once
 	cb := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		arrived <- struct{}{}
 		<-release
-		w.WriteHeader(http.StatusOK)
+		httpx.WriteJSON(w, http.StatusOK, CallbackResponse{})
 	}))
 	defer cb.Close()
 	defer once.Do(func() { close(release) })
 
 	n := NewWebhookNotifier(1, 16, cb.Client())
 	for i := 0; i < 200; i++ {
-		n.NotifyContext(context.Background(), "sub", cb.URL, time.Duration(i))
+		n.NotifyContext(context.Background(), fmt.Sprintf("sub-%d", i), cb.URL, time.Duration(i))
+		if i == 0 {
+			<-arrived // the first entry is in flight; the rest pile up behind it
+		}
 	}
-	if n.Stats().Dropped.Load() == 0 {
-		t.Error("expected queue shedding under a blocked consumer")
+	if got := n.Stats().Dropped.Load(); got != 200-16 {
+		t.Errorf("dropped = %d, want %d: all but queueCap entries shed under a blocked consumer", got, 200-16)
+	}
+	n.NotifyContext(context.Background(), "sub-15", cb.URL, time.Hour)
+	if s := n.Stats(); s.Coalesced.Load() != 1 || s.Dropped.Load() != 200-16 {
+		t.Errorf("coalesced %d dropped %d, want 1 and %d: a pending subscription merges at the cap",
+			s.Coalesced.Load(), s.Dropped.Load(), 200-16)
 	}
 	once.Do(func() { close(release) })
 	n.Close()
+	if got := n.Stats().Delivered.Load(); got != 17 {
+		t.Errorf("delivered = %d, want the 16 held entries' 17 notifications", got)
+	}
 }
 
 func TestClusterWithWebhookNotifierEndToEnd(t *testing.T) {
@@ -237,7 +280,7 @@ func TestClusterWithWebhookNotifierEndToEnd(t *testing.T) {
 		if err := httpx.ReadJSON(r, &p); err == nil {
 			received <- p
 		}
-		w.WriteHeader(http.StatusOK)
+		httpx.WriteJSON(w, http.StatusOK, CallbackResponse{})
 	}))
 	defer cb.Close()
 

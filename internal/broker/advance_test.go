@@ -1,11 +1,15 @@
 package broker
 
 import (
+	"bytes"
 	"context"
-	"errors"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,9 +57,17 @@ func newArrivalEnv(t *testing.T, n int) *arrivalEnv {
 	return e
 }
 
-// post sends one callback body and reports the handler's error, if any.
+// post sends one callback body — an envelope of one, unless it carries
+// more — and reports what the handler refused, as an error.
 func (e *arrivalEnv) post(body any) error {
-	return httpx.DoJSON(e.srv.Client(), http.MethodPost, e.srv.URL+"/v1/callbacks/results", body, nil)
+	var resp bdms.CallbackResponse
+	if err := httpx.DoJSON(e.srv.Client(), http.MethodPost, e.srv.URL+"/v1/callbacks/results", body, &resp); err != nil {
+		return err
+	}
+	if len(resp.Failed) > 0 {
+		return fmt.Errorf("callback refused %+v", resp.Failed)
+	}
+	return nil
 }
 
 func (e *arrivalEnv) must(err error) {
@@ -76,6 +88,32 @@ func (e *arrivalEnv) push(seed int64, lo, hi int) {
 	rs := append([]bdms.ResultObject(nil), e.r[lo:hi]...)
 	rand.New(rand.NewSource(seed)).Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
 	e.must(e.post(bdms.NotificationPayload{SubscriptionID: e.bs.id, LatestNS: int64(e.r[hi-1].Timestamp), Results: rs}))
+}
+
+// entry is one envelope entry for the env's subscription: a PULL for
+// r[hi-1], or with push the results r[lo:hi] themselves.
+func (e *arrivalEnv) entry(push bool, lo, hi int) bdms.NotificationPayload {
+	p := bdms.NotificationPayload{SubscriptionID: e.bs.id, LatestNS: int64(e.r[hi-1].Timestamp)}
+	if push {
+		p.Results = e.r[lo:hi]
+	}
+	return p
+}
+
+// envelope sends entries as one callback POST and returns the subscriptions
+// the handler reports failed (by a failed pull: no row names an unknown one).
+func (e *arrivalEnv) envelope(entries ...bdms.NotificationPayload) []string {
+	body := entries[0]
+	body.More = entries[1:]
+	var resp bdms.CallbackResponse
+	e.must(httpx.DoJSON(e.srv.Client(), http.MethodPost, e.srv.URL+"/v1/callbacks/results", body, &resp))
+	failed := make([]string, len(resp.Failed))
+	for i, f := range resp.Failed {
+		if failed[i] = f.SubscriptionID; f.Code != httpx.CodeInternal {
+			e.t.Errorf("failed entry %+v, want code internal (a failed pull)", f)
+		}
+	}
+	return failed
 }
 
 func (e *arrivalEnv) resume() {
@@ -165,23 +203,61 @@ func TestArrivalRoutesAreEquivalent(t *testing.T) {
 		{"old-shape body with result", func(e env) {
 			e.must(e.post(map[string]any{"subscription_id": e.bs.id, "latest_ns": e.r[5].Timestamp, "result": e.r[5]}))
 		}, 0, 6, 1},
-		// A failed cluster pull answers 502 retryable (not the 404 of an
-		// unknown subscription) and leaves the marker behind; the
-		// redelivery, and a duplicate of it, admit the range exactly once.
+		// A failed cluster pull is answered as a refused entry (internal, not
+		// the not_found of an unknown subscription) and leaves the marker
+		// behind; the redelivery, and a duplicate of it, admit the range
+		// exactly once.
 		{"failed pull, then redeliveries", func(e env) {
 			e.b.backend = faults.WrapBackend(faults.NewInjector(faults.Plan{Rules: []faults.Rule{
 				{Target: "cluster.results", Kind: faults.KindError, FromCall: 1, ToCall: 1},
 			}}), "cluster", e.b.backend)
-			var se *httpx.StatusError
-			err := e.post(bdms.NotificationPayload{SubscriptionID: e.bs.id, LatestNS: int64(e.r[5].Timestamp)})
-			if !errors.As(err, &se) || se.Status != http.StatusBadGateway || !se.Retryable {
-				e.t.Errorf("failed pull answered %v, want 502 retryable", err)
+			if failed := e.envelope(e.entry(false, 5, 6)); len(failed) != 1 || failed[0] != e.bs.id {
+				e.t.Errorf("failed pull refused %v, want %s", failed, e.bs.id)
 			}
 			if m := e.marker(); m != 0 {
 				e.t.Errorf("failed pull moved the marker to %v", m)
 			}
 			e.pull(5, 5)
 		}, 0, 6, 1},
+		// Envelopes: one POST, one entry per notification. The ranges of all
+		// its entries are pulled ahead in one batched call from the markers as
+		// they stood; an entry whose marker has moved since — here because an
+		// earlier entry of the same subscription moved it — must pull for
+		// itself, and what was fetched ahead for it is neither admitted nor
+		// counted.
+		{"envelope of six pull entries", func(e env) {
+			var entries []bdms.NotificationPayload
+			for i := range e.r {
+				entries = append(entries, e.entry(false, i, i+1))
+			}
+			e.envelope(entries...)
+		}, 0, 6, 6},
+		{"envelope of pushes 1, 4 and 6 with gaps", func(e env) {
+			e.envelope(e.entry(true, 0, 1), e.entry(true, 3, 4), e.entry(true, 5, 6))
+		}, 0, 3, 3},
+		{"envelope whose first entry voids the second's prefetch", func(e env) {
+			counted := faults.Count(e.b.backend)
+			e.b.backend = counted
+			e.envelope(e.entry(false, 0, 3), e.entry(false, 0, 6))
+			if got := counted.ResultFetches(); got != 2 {
+				t.Errorf("backend pulls = %d, want 2: the batch, then (r3, r6] again from the moved marker", got)
+			}
+		}, 0, 6, 2},
+		{"envelope whose batched pull fails, then its redelivery", func(e env) {
+			e.b.backend = faults.WrapBackend(faults.NewInjector(faults.Plan{Rules: []faults.Rule{
+				{Target: "cluster.results", Kind: faults.KindError, FromCall: 1, ToCall: 1},
+			}}), "cluster", e.b.backend)
+			entries := []bdms.NotificationPayload{e.entry(false, 0, 3), e.entry(false, 0, 6)}
+			if failed := e.envelope(entries...); len(failed) != 2 {
+				t.Errorf("failed entries = %v, want both: neither holds anything without its range", failed)
+			}
+			if m := e.marker(); m != 0 {
+				t.Errorf("failed batch moved the marker to %v", m)
+			}
+			if failed := e.envelope(entries...); len(failed) != 0 {
+				t.Errorf("redelivery failed entries %v", failed)
+			}
+		}, 0, 6, 2},
 	}
 	for _, rt := range routes {
 		t.Run(rt.name, func(t *testing.T) {
@@ -226,6 +302,11 @@ func TestConcurrentArrivals(t *testing.T) {
 				e.resume()
 			}
 		},
+		func(i int) { // overlapping envelopes: pulls and a gapped push, prefetched together
+			if i%6 == 0 && i+12 <= n {
+				e.envelope(e.entry(false, i, i+4), e.entry(true, i+6, i+8), e.entry(false, i, i+12))
+			}
+		},
 	}
 	var wg sync.WaitGroup
 	for _, route := range routes {
@@ -239,4 +320,153 @@ func TestConcurrentArrivals(t *testing.T) {
 	}
 	wg.Wait()
 	e.check(0)
+}
+
+// envelopeEnv is a broker holding one backend subscription per etype, each
+// with one result at the cluster and none at the broker; the cluster's own
+// notifier is muted.
+type envelopeEnv struct {
+	te      *testEnv
+	b       *Broker
+	counted *faults.CountingBackend
+	subs    []*backendSub
+	latest  []time.Duration
+	pushes  atomic.Int32
+}
+
+func newEnvelopeEnv(t *testing.T, etypes ...string) *envelopeEnv {
+	t.Helper()
+	te := newTestEnv(t, core.LSC{}, 1<<30)
+	e := &envelopeEnv{te: te, b: te.broker}
+	te.broker = nil // mutes the notifier
+	e.counted = faults.Count(e.b.backend)
+	e.b.backend = e.counted
+	e.b.SetPushFunc(func(string, PushNotification) bool { e.pushes.Add(1); return true })
+	for _, etype := range etypes {
+		if _, err := e.b.Subscribe("alice", "Alerts", []any{etype}); err != nil {
+			t.Fatal(err)
+		}
+		e.subs = append(e.subs, e.b.backendSubs[subKey("Alerts", []any{etype})])
+		te.publish(t, etype, 1)
+		e.latest = append(e.latest, te.clk.Now())
+	}
+	return e
+}
+
+// checkMarkers asserts which subscriptions advanced to their result.
+func (e *envelopeEnv) checkMarkers(t *testing.T, advanced func(i int) bool) {
+	t.Helper()
+	e.b.mu.Lock()
+	defer e.b.mu.Unlock()
+	for i, bs := range e.subs {
+		want := time.Duration(0)
+		if advanced(i) {
+			want = e.latest[i]
+		}
+		if bs.bts != want {
+			t.Errorf("marker of subscription %d (%s) = %v, want %v", i, bs.id, bs.bts, want)
+		}
+	}
+}
+
+// TestEnvelopeRedeliversOnlyFailedEntries drives the real notifier against
+// the real callback handler. An envelope carrying two good entries, one for
+// a subscription the broker does not hold and one whose range the cluster
+// refuses is answered per entry: the good ones advance once, on one batched
+// pull, and only the other two are redelivered — as a pair, until their
+// budget is spent.
+func TestEnvelopeRedeliversOnlyFailedEntries(t *testing.T) {
+	e := newEnvelopeEnv(t, "gate", "fire", "flood", "quake")
+	if err := e.te.cluster.Unsubscribe(e.subs[3].id); err != nil { // the cluster forgets "quake"
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var posts [][]string // the subscriptions of every POST's entries
+	arrived, gate := make(chan struct{}), make(chan struct{})
+	callback := NewServer(e.b).Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		raw, err := io.ReadAll(r.Body)
+		var p bdms.NotificationPayload
+		if err == nil {
+			err = json.Unmarshal(raw, &p)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		var ids []string
+		for _, entry := range p.Entries() {
+			ids = append(ids, entry.SubscriptionID)
+		}
+		mu.Lock()
+		posts = append(posts, ids)
+		first := len(posts) == 1
+		mu.Unlock()
+		if first { // held open while the envelope gathers behind it
+			close(arrived)
+			<-gate
+		}
+		r.Body = io.NopCloser(bytes.NewReader(raw))
+		callback.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	n := bdms.NewWebhookNotifier(2, 16, srv.Client(), bdms.WithNotifierMaxAttempts(2),
+		bdms.WithNotifierSleep(func(context.Context, time.Duration) error { return nil }))
+	ctx := context.Background()
+	n.NotifyContext(ctx, e.subs[0].id, srv.URL+"/v1/callbacks/results", e.latest[0])
+	<-arrived
+	for i, id := range []string{e.subs[1].id, e.subs[2].id, "ghost", e.subs[3].id} {
+		n.NotifyContext(ctx, id, srv.URL+"/v1/callbacks/results", e.latest[min(i+1, 3)])
+	}
+	close(gate)
+	for deadline := time.Now().Add(5 * time.Second); n.Stats().Lost.Load() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	n.Close()
+
+	pair := []string{"ghost", e.subs[3].id}
+	want := [][]string{{e.subs[0].id}, {e.subs[1].id, e.subs[2].id, "ghost", e.subs[3].id}, pair}
+	if !reflect.DeepEqual(posts, want) {
+		t.Errorf("POSTs carried %v, want %v", posts, want)
+	}
+	e.checkMarkers(t, func(i int) bool { return i < 3 })
+	if got := e.pushes.Load(); got != 3 {
+		t.Errorf("alice was pushed %d notifications, want 3: each good entry once", got)
+	}
+	if got := e.counted.ResultFetches(); got != 3 {
+		t.Errorf("backend pulls = %d, want 3: the gate's, the envelope's batch, the redelivered quake's", got)
+	}
+	s := n.Stats()
+	if s.Delivered.Load() != 3 || s.Failed.Load() != 4 || s.Redelivered.Load() != 2 || s.Abandoned.Load() != 2 || s.Posts.Load() != 3 {
+		t.Errorf("delivered %d failed %d redelivered %d abandoned %d posts %d, want 3/4/2/2/3",
+			s.Delivered.Load(), s.Failed.Load(), s.Redelivered.Load(), s.Abandoned.Load(), s.Posts.Load())
+	}
+}
+
+// TestEnvelopeSplitsBatchedPulls: an envelope with more entries than one
+// batched pull may carry ranges is served by as few calls as the cluster's
+// cap allows, and every entry still advances.
+func TestEnvelopeSplitsBatchedPulls(t *testing.T) {
+	const n = bdms.MaxResultRanges + 44
+	etypes := make([]string, n)
+	for i := range etypes {
+		etypes[i] = fmt.Sprintf("kind-%03d", i)
+	}
+	e := newEnvelopeEnv(t, etypes...)
+	entries := make([]bdms.NotificationPayload, n)
+	for i, bs := range e.subs {
+		entries[i] = bdms.NotificationPayload{SubscriptionID: bs.id, LatestNS: int64(e.latest[i])}
+	}
+	for i, err := range e.b.HandleEnvelopeContext(context.Background(), entries) {
+		if err != nil {
+			t.Errorf("entry %d: %v", i, err)
+		}
+	}
+	if got := e.counted.ResultFetches(); got != 2 {
+		t.Errorf("backend pulls = %d, want 2 for %d ranges at %d a call", got, n, bdms.MaxResultRanges)
+	}
+	e.checkMarkers(t, func(int) bool { return true })
+	if got := e.pushes.Load(); got != n {
+		t.Errorf("alice was pushed %d notifications, want %d", got, n)
+	}
 }

@@ -41,6 +41,9 @@ type Backend interface {
 	Subscribe(channel string, params []any, callback string) (string, error)
 	Unsubscribe(subID string) error
 	ResultsContext(ctx context.Context, subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error)
+	// ResultsBatchContext is ResultsContext over at most
+	// bdms.MaxResultRanges ranges in one call, answered in order.
+	ResultsBatchContext(ctx context.Context, ranges []bdms.ResultRange) ([]bdms.RangeResults, error)
 	LatestTimestamp(subID string) (time.Duration, error)
 }
 
@@ -590,7 +593,7 @@ func (b *Broker) backfillGap(ctx context.Context, bs *backendSub) {
 	latest, err := b.backend.LatestTimestamp(bs.id)
 	if err == nil {
 		var pulled int // nothing is held, so every admitted object was pulled
-		_, pulled, err = b.advance(ctx, bs, latest, nil, false)
+		_, pulled, err = b.advance(ctx, bs, latest, nil, false, nil)
 		b.failover.Backfilled.Add(uint64(pulled))
 	}
 	if err != nil {
@@ -810,7 +813,106 @@ var errUnknownBackendSub = errors.New("broker: notification for unknown subscrip
 // advance, and the attached online subscribers are told once the marker
 // has moved. ctx bounds the pull from the data cluster; a cancelled pull
 // aborts before any object is admitted.
-func (b *Broker) HandleNotificationContext(ctx context.Context, backendSubID string, latest time.Duration, pushed []bdms.ResultObject) (err error) {
+func (b *Broker) HandleNotificationContext(ctx context.Context, backendSubID string, latest time.Duration, pushed []bdms.ResultObject) error {
+	return b.notify(ctx, backendSubID, latest, pushed, nil)
+}
+
+// HandleEnvelopeContext reacts to a webhook envelope: each entry is one
+// notification, handled in order as HandleNotificationContext would, and
+// its error (nil when the entry was taken) is reported in its place. What
+// changes is the pulling: the ranges the entries need from the cluster —
+// (marker, latest] for a PULL entry, the gap below its oldest object for a
+// PUSH entry — are read from the current markers and fetched in one batched
+// call, which the entries' advances then share. An envelope that needs one
+// range or none is not worth a batch: its entry pulls for itself.
+func (b *Broker) HandleEnvelopeContext(ctx context.Context, entries []bdms.NotificationPayload) []error {
+	errs := make([]error, len(entries))
+	pre := make([]*prefetched, len(entries))
+	if len(entries) > 1 {
+		var sp *span.Span
+		ctx, sp = b.traces.Start(ctx, "broker.envelope")
+		sp.SetAttr("entries", strconv.Itoa(len(entries)))
+		sp.SetAttr("pulled_ranges", strconv.Itoa(b.prefetch(ctx, entries, pre)))
+		defer sp.End()
+	}
+	for i, e := range entries {
+		errs[i] = b.notify(ctx, e.SubscriptionID, time.Duration(e.LatestNS), e.Results, pre[i])
+	}
+	return errs
+}
+
+// prefetched is one entry's share of an envelope's batched pull: the range
+// asked for and the cluster's answer to it.
+type prefetched struct {
+	rng     bdms.ResultRange
+	results []bdms.ResultObject
+	err     error
+}
+
+// pullRange is what an arrival targeting upTo has to pull for subscription
+// id when the marker stands at from: all of (from, upTo], or — oldest being
+// the oldest object above the marker it holds (0: none) — the gap below it.
+func pullRange(id string, from, upTo, oldest time.Duration) bdms.ResultRange {
+	if oldest > 0 {
+		return bdms.ResultRange{SubscriptionID: id, FromNS: int64(from), ToNS: int64(oldest)}
+	}
+	return bdms.ResultRange{SubscriptionID: id, FromNS: int64(from), ToNS: int64(upTo), Inclusive: true}
+}
+
+// prefetch fills pre with the pulls the entries' advances are about to
+// make, fetched in batched calls of at most bdms.MaxResultRanges, and
+// reports how many ranges that was. Fewer than two are left to advance: one
+// range costs more batched than as the GET advance makes (loopback, one
+// result: 41 µs / 180 allocs against 34 µs / 152), two cost less (46 µs /
+// 221 against two GETs' 69 µs / 304).
+func (b *Broker) prefetch(ctx context.Context, entries []bdms.NotificationPayload, pre []*prefetched) int {
+	if _, isNC := b.manager.Policy().(core.NC); isNC {
+		return 0
+	}
+	var ranges []bdms.ResultRange
+	var owner []int // ranges[k] serves entries[owner[k]]
+	b.mu.Lock()
+	for i, e := range entries {
+		bs, ok := b.backendByID[e.SubscriptionID]
+		if !ok {
+			continue
+		}
+		upTo, oldest := time.Duration(e.LatestNS), time.Duration(0)
+		for j, r := range e.Results {
+			if j == 0 || r.Timestamp > upTo {
+				upTo = r.Timestamp
+			}
+			if r.Timestamp > bs.bts && (oldest == 0 || r.Timestamp < oldest) {
+				oldest = r.Timestamp
+			}
+		}
+		if upTo > bs.bts {
+			ranges, owner = append(ranges, pullRange(bs.id, bs.bts, upTo, oldest)), append(owner, i)
+		}
+	}
+	b.mu.Unlock()
+	if len(ranges) < 2 {
+		return 0
+	}
+	for lo := 0; lo < len(ranges); lo += bdms.MaxResultRanges {
+		chunk := ranges[lo:min(lo+bdms.MaxResultRanges, len(ranges))]
+		answers, err := b.backendResultsBatch(ctx, chunk)
+		for k, rng := range chunk {
+			p := &prefetched{rng: rng, err: err}
+			if err == nil {
+				if p.results = answers[k].Results; answers[k].Error != "" {
+					p.err = errors.New(answers[k].Error)
+				}
+			}
+			pre[owner[lo+k]] = p
+		}
+	}
+	return len(ranges)
+}
+
+// notify is one notification's arrival: advance, then tell the audience.
+// pre, if any, is the pull an envelope already made for it.
+func (b *Broker) notify(ctx context.Context, backendSubID string, latest time.Duration, pushed []bdms.ResultObject, pre *prefetched) (err error) {
 	ctx, sp := b.traces.Start(ctx, "broker.notify")
 	sp.SetAttr("backend_sub", backendSubID)
 	defer func() {
@@ -837,7 +939,7 @@ func (b *Broker) HandleNotificationContext(ctx context.Context, backendSubID str
 			}
 		}
 	}
-	moved, _, err := b.advance(ctx, bs, latest, held, false)
+	moved, _, err := b.advance(ctx, bs, latest, held, false, pre)
 	if moved {
 		b.notifyAudience(ctx, bs, latest, "", "")
 	}
@@ -867,8 +969,12 @@ func (b *Broker) HandleNotificationContext(ctx context.Context, backendSubID str
 // evictions, so nothing is pulled, and its bytes were counted when that
 // broker first admitted them.
 //
+// pre is the pull an envelope made ahead for this arrival from the marker it
+// read then; it stands in for the pull only if it is still the range to
+// pull — a concurrent arrival that moved the marker voids it.
+//
 // It reports whether the marker moved and how many objects were admitted.
-func (b *Broker) advance(ctx context.Context, bs *backendSub, upTo time.Duration, held []*core.Object, warm bool) (moved bool, admitted int, err error) {
+func (b *Broker) advance(ctx context.Context, bs *backendSub, upTo time.Duration, held []*core.Object, warm bool, pre *prefetched) (moved bool, admitted int, err error) {
 	now := b.clock()
 	bs.pullMu.Lock()
 	defer bs.pullMu.Unlock()
@@ -888,11 +994,15 @@ func (b *Broker) advance(ctx context.Context, bs *backendSub, upTo time.Duration
 		}
 		var pulled []bdms.ResultObject
 		if !warm {
-			to, inclusive := upTo, true
+			var oldest time.Duration
 			if len(held) > 0 {
-				to, inclusive = held[0].Timestamp, false
+				oldest = held[0].Timestamp
 			}
-			pulled, err = b.backendResults(ctx, bs.id, from, to, inclusive)
+			if rng := pullRange(bs.id, from, upTo, oldest); pre != nil && pre.rng == rng {
+				pulled, err = pre.results, pre.err
+			} else {
+				pulled, err = b.backendResults(ctx, bs.id, from, time.Duration(rng.ToNS), rng.Inclusive)
+			}
 			if err != nil && len(held) == 0 {
 				return false, 0, fmt.Errorf("broker: pull results: %w", err)
 			}
@@ -993,21 +1103,40 @@ func (b *Broker) backendResults(ctx context.Context, subID string, from, to time
 	start := time.Now()
 	ctx, sp := b.traces.Start(ctx, "broker.cluster_fetch")
 	sp.SetAttr("subscription", subID)
-	defer func() {
-		d := time.Since(start)
-		sp.SetError(err)
-		sp.End()
-		b.stages.Observe(ctx, span.StageBrokerPull, span.OutcomeNone, d)
-		if d >= b.slowFetch {
-			b.log.WarnContext(ctx, "slow backend fetch",
-				slog.String("subscription", subID),
-				slog.Duration("duration", d),
-				slog.Int("results", len(results)),
-				slog.Bool("failed", err != nil),
-			)
-		}
-	}()
+	defer func() { b.pulled(ctx, sp, start, subID, len(results), err) }()
 	return b.backend.ResultsContext(ctx, subID, from, to, inclusiveTo)
+}
+
+// backendResultsBatch is backendResults for an envelope's ranges: one
+// call, one span, one broker_pull observation.
+func (b *Broker) backendResultsBatch(ctx context.Context, ranges []bdms.ResultRange) (answers []bdms.RangeResults, err error) {
+	start := time.Now()
+	ctx, sp := b.traces.Start(ctx, "broker.cluster_fetch")
+	sp.SetAttr("ranges", strconv.Itoa(len(ranges)))
+	defer func() {
+		n := 0
+		for _, a := range answers {
+			n += len(a.Results)
+		}
+		b.pulled(ctx, sp, start, "envelope of "+strconv.Itoa(len(ranges)), n, err)
+	}()
+	return b.backend.ResultsBatchContext(ctx, ranges)
+}
+
+// pulled closes a backend pull's span and stage observation.
+func (b *Broker) pulled(ctx context.Context, sp *span.Span, start time.Time, what string, results int, err error) {
+	d := time.Since(start)
+	sp.SetError(err)
+	sp.End()
+	b.stages.Observe(ctx, span.StageBrokerPull, span.OutcomeNone, d)
+	if d >= b.slowFetch {
+		b.log.WarnContext(ctx, "slow backend fetch",
+			slog.String("subscription", what),
+			slog.Duration("duration", d),
+			slog.Int("results", results),
+			slog.Bool("failed", err != nil),
+		)
+	}
 }
 
 // fetchFromBackend is the core.Fetcher: re-fetch evicted/expired objects

@@ -499,6 +499,9 @@ func (failingBackend) Unsubscribe(string) error { return fmt.Errorf("backend dow
 func (failingBackend) ResultsContext(context.Context, string, time.Duration, time.Duration, bool) ([]bdms.ResultObject, error) {
 	return nil, fmt.Errorf("backend down")
 }
+func (failingBackend) ResultsBatchContext(context.Context, []bdms.ResultRange) ([]bdms.RangeResults, error) {
+	return nil, fmt.Errorf("backend down")
+}
 func (failingBackend) LatestTimestamp(string) (time.Duration, error) {
 	return 0, fmt.Errorf("backend down")
 }

@@ -329,24 +329,30 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleCallback is the webhook the data cluster invokes on new results.
-// An unknown subscription is 404; a failed cluster pull or cache put is 502
-// (retryable), so the notifier redelivers and the range is retried.
+// handleCallback is the webhook the data cluster invokes on new results:
+// one envelope, answered 200 with the entries the broker could not take —
+// not_found for an unknown subscription, internal for a failed cluster pull
+// or cache put (marker unchanged) — so the notifier redelivers those alone
+// and the range is retried. An envelope of one is answered the same way.
 func (s *Server) handleCallback(w http.ResponseWriter, r *http.Request) {
 	var p bdms.NotificationPayload
 	if err := httpx.ReadJSON(r, &p); err != nil {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	err := s.broker.HandleNotificationContext(r.Context(), p.SubscriptionID, time.Duration(p.LatestNS), p.Results)
-	switch {
-	case errors.Is(err, errUnknownBackendSub):
-		httpx.WriteError(w, http.StatusNotFound, "%v", err)
-	case err != nil:
-		httpx.WriteError(w, http.StatusBadGateway, "%v", err)
-	default:
-		httpx.WriteJSON(w, http.StatusOK, nil)
+	entries := p.Entries()
+	var resp bdms.CallbackResponse
+	for i, err := range s.broker.HandleEnvelopeContext(r.Context(), entries) {
+		if err == nil {
+			continue
+		}
+		code := httpx.CodeInternal
+		if errors.Is(err, errUnknownBackendSub) {
+			code = httpx.CodeNotFound
+		}
+		resp.Failed = append(resp.Failed, bdms.FailedEntry{SubscriptionID: entries[i].SubscriptionID, Code: code})
 	}
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handlePeerResults answers a sibling broker's lookup for a fabric key,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -118,7 +119,7 @@ func TestServerErrorStatuses(t *testing.T) {
 		{"GET", "/v1/subscriptions/nope/results?subscriber=x", "", http.StatusNotFound},
 		{"POST", "/v1/subscriptions/nope/ack", `{"subscriber":"x","timestamp_ns":1}`, http.StatusNotFound},
 		{"DELETE", "/v1/subscriptions/nope?subscriber=x", "", http.StatusNotFound},
-		{"POST", "/v1/callbacks/results", `{"subscription_id":"ghost","latest_ns":99}`, http.StatusNotFound},
+		{"POST", "/v1/callbacks/results", `not json`, http.StatusBadRequest},
 		{"GET", "/v1/ws", "", http.StatusBadRequest}, // missing subscriber
 	}
 	for _, c := range checks {
@@ -137,6 +138,14 @@ func TestServerErrorStatuses(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.want)
 		}
+	}
+	// A well-formed callback is always 200; what the broker could not take
+	// is in the body.
+	var refused bdms.CallbackResponse
+	err := httpx.DoJSON(srv.Client(), http.MethodPost, srv.URL+"/v1/callbacks/results",
+		bdms.NotificationPayload{SubscriptionID: "ghost", LatestNS: 99}, &refused)
+	if want := []bdms.FailedEntry{{SubscriptionID: "ghost", Code: httpx.CodeNotFound}}; err != nil || !reflect.DeepEqual(refused.Failed, want) {
+		t.Errorf("callback for an unknown subscription: %+v, %v; want %+v", refused.Failed, err, want)
 	}
 }
 

@@ -194,6 +194,13 @@ func (r *Retryer) sleep(ctx context.Context, d time.Duration) error {
 	if r.Sleep != nil {
 		return r.Sleep(ctx, d)
 	}
+	return Sleep(ctx, d)
+}
+
+// Sleep waits for d or until ctx is done, whichever is first, and reports
+// ctx's error in the second case. It is the default sleeper behind every
+// injectable backoff in the tree.
+func Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}

@@ -15,14 +15,15 @@ const DeliveryLatencyName = "bad_delivery_latency_seconds"
 // Delivery stages. The set is fixed — labels stay bounded no matter how
 // many subscriptions, channels or peers exist.
 const (
-	StageClusterEval = "cluster_eval"     // cluster: ingest -> subscriptions evaluated
-	StageWebhook     = "webhook_delivery" // cluster: notification POST round-trip
-	StageBrokerPull  = "broker_pull"      // broker: results fetch from the cluster
-	StagePeerLookup  = "peer_lookup"      // broker: fabric peer cache fetch
-	StageRetrieve    = "retrieve"         // broker: full cache resolution (outcome-labeled)
-	StageQueueWait   = "queue_wait"       // broker: push enqueue -> writer dequeue
-	StageWSWrite     = "ws_write"         // broker: WebSocket frame write (sim: broker->subscriber link)
-	StageClientAck   = "client_ack"       // client: results GET + ack POST round-trip
+	StageClusterEval  = "cluster_eval"     // cluster: ingest -> subscriptions evaluated
+	StageWebhookQueue = "webhook_queue"    // cluster: notification accepted -> its first POST starts
+	StageWebhook      = "webhook_delivery" // cluster: notification POST round-trip
+	StageBrokerPull   = "broker_pull"      // broker: results fetch from the cluster
+	StagePeerLookup   = "peer_lookup"      // broker: fabric peer cache fetch
+	StageRetrieve     = "retrieve"         // broker: full cache resolution (outcome-labeled)
+	StageQueueWait    = "queue_wait"       // broker: push enqueue -> writer dequeue
+	StageWSWrite      = "ws_write"         // broker: WebSocket frame write (sim: broker->subscriber link)
+	StageClientAck    = "client_ack"       // client: results GET + ack POST round-trip
 )
 
 // Cache outcomes for the retrieve stage; every other stage uses
