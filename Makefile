@@ -20,7 +20,7 @@ lint: vet
 test:
 	$(GO) test ./...
 
-# Race tier: the packages with concurrent cache paths (sharded manager,
+# Race tier: the packages with concurrent cache paths (cache manager,
 # singleflight, broker handlers), the lock-free measurement and
 # exposition primitives — ./internal/obs/... includes the span recorder's
 # concurrent ring — and the cluster's group-evaluation engine
@@ -131,11 +131,13 @@ crash-matrix:
 	CRASH_MATRIX=full $(GO) test -run='^TestStoreCrashMatrix$$' -v ./internal/bdms
 
 # The numbers every simplicity PR reports in CHANGES.md, counted one way:
-# root-module (bench/ excluded) non-test and test lines, and exported
-# declarations per internal package as `go doc -all` lists them.
+# root-module (bench/ excluded) non-test and test lines, command-line flag
+# definitions under cmd/ (every flag.<Type>( and flag.<Type>Var( call), and
+# exported declarations per internal package as `go doc -all` lists them.
 size:
 	@echo "non-test lines $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 	@echo "test lines     $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@echo "flags          $$(grep -rhoE '\bflag\.(Bool|Duration|Float64|Func|Int|Int64|String|Uint|Uint64)(Var)?\(' cmd --include='*.go' | wc -l)"
 	@for p in $$($(GO) list ./internal/...); do \
 		echo "exported $${p#gobad/internal/} $$($(GO) doc -all $$p | grep -cE '^(func|type) ')"; \
 	done

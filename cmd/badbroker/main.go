@@ -42,7 +42,6 @@ func main() {
 	policyName := flag.String("policy", "lsc", "caching policy: lru|lsc|lscz|lsd|exp|ttl|nc")
 	budgetStr := flag.String("budget", "64MB", "cache budget")
 	ttlInterval := flag.Duration("ttl-interval", time.Minute, "TTL recompute interval")
-	shards := flag.Int("cache-shards", 0, "cache manager lock stripes (0 = default)")
 	pushQueue := flag.Int("push-queue", 0, "per-session outbound notification queue bound (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful drain deadline on SIGTERM: queued pushes are flushed and sessions migrated within this bound")
 	cacheSnapshot := flag.String("cache-snapshot", "", "warm cache snapshot path: written on graceful shutdown and restored (readiness-gated) on the next start (empty = off)")
@@ -60,7 +59,7 @@ func main() {
 	flag.BoolVar(&res.staleServe, "stale-serve", true, "serve cached results stale (zero ack marker) when a cluster fetch fails")
 	flag.Parse()
 
-	if err := run(*addr, *public, *clusterURL, *bcsURL, *id, *policyName, *budgetStr, *ttlInterval, *shards, *pushQueue, *drainTimeout, *ringRefresh, *cacheSnapshot, *warmupMaxAge, *logLevel, *debugAddr, *traceOut, res); err != nil {
+	if err := run(*addr, *public, *clusterURL, *bcsURL, *id, *policyName, *budgetStr, *ttlInterval, *pushQueue, *drainTimeout, *ringRefresh, *cacheSnapshot, *warmupMaxAge, *logLevel, *debugAddr, *traceOut, res); err != nil {
 		fmt.Fprintln(os.Stderr, "badbroker:", err)
 		os.Exit(1)
 	}
@@ -78,7 +77,7 @@ type resilienceFlags struct {
 	staleServe      bool
 }
 
-func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttlInterval time.Duration, shards, pushQueue int, drainTimeout, ringRefresh time.Duration, cacheSnapshot string, warmupMaxAge time.Duration, logLevel, debugAddr, traceOut string, res resilienceFlags) error {
+func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttlInterval time.Duration, pushQueue int, drainTimeout, ringRefresh time.Duration, cacheSnapshot string, warmupMaxAge time.Duration, logLevel, debugAddr, traceOut string, res resilienceFlags) error {
 	observer, err := cliutil.NewObserver("badbroker", logLevel)
 	if err != nil {
 		return err
@@ -126,8 +125,12 @@ func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttl
 	// membership ring refreshes on a ticker (below), peer lookups get their
 	// own per-target circuit breakers, and HRW rebalance migrates sessions
 	// whenever membership changes.
+	var bcsClient *bcs.Client
+	if bcsURL != "" {
+		bcsClient = bcs.NewClient(bcsURL, nil)
+	}
 	var fabricCfg *broker.FabricConfig
-	if bcsURL != "" && ringRefresh > 0 {
+	if bcsClient != nil && ringRefresh > 0 {
 		peerBreakers := httpx.NewBreakerSet(httpx.BreakerConfig{
 			FailureThreshold: res.breakerFailures,
 			OpenTimeout:      res.breakerOpen,
@@ -138,7 +141,7 @@ func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttl
 			observer.Registry.MustRegister(peerBreakers.Collector())
 		}
 		fabricCfg = &broker.FabricConfig{
-			BCS:   bdms.NewBCSClient(bcsURL, nil),
+			BCS:   bcsClient,
 			Peers: bdms.NewPeerClient(nil, peerOpts...),
 		}
 	}
@@ -152,7 +155,6 @@ func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttl
 		Policy:       policy,
 		CacheBudget:  budget,
 		TTL:          core.TTLConfig{RecomputeInterval: ttlInterval},
-		CacheShards:  shards,
 		PushQueue:    pushQueue,
 		Logger:       observer.Logger,
 		StaleServe:   res.staleServe,
@@ -200,9 +202,7 @@ func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttl
 	}
 
 	var reg *broker.Registration
-	var bcsClient *bcs.Client
-	if bcsURL != "" {
-		bcsClient = bcs.NewClient(bcsURL, nil)
+	if bcsClient != nil {
 		reg, err = broker.RegisterWithBCS(b, bcsClient, public, 5*time.Second)
 		if err != nil {
 			return err

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	badcluster -addr :19002 -nodes 3 [-emergency]
+//	badcluster -addr :19002 [-emergency] [-wal-dir DIR]
 //
 // -emergency preloads the city-emergency catalog (datasets + Table III
 // channels) so brokers and clients can subscribe immediately.
@@ -31,12 +31,10 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":19002", "listen address")
-	nodes := flag.Int("nodes", 3, "storage nodes per dataset")
 	emergency := flag.Bool("emergency", true, "preload the city-emergency catalog (Table III)")
 	repTick := flag.Duration("repetitive-tick", time.Second, "how often repetitive channels are polled")
 	webhookAttempts := flag.Int("webhook-attempts", 8, "delivery attempts per webhook notification before it is abandoned")
-	walPath := flag.String("wal", "", "single-file write-ahead log path (empty = in-memory only; prefer -wal-dir)")
-	walDir := flag.String("wal-dir", "", "segmented durability directory: WAL segments + periodic snapshots with log compaction (empty = off)")
+	walDir := flag.String("wal-dir", "", "durability directory: WAL segments + periodic snapshots with log compaction (empty = in-memory only)")
 	walSync := flag.String("wal-sync", "interval", "WAL fsync policy: always (fsync per append) or interval (periodic fsync)")
 	snapshotInterval := flag.Duration("snapshot-interval", time.Minute, "how often -wal-dir state is snapshotted and the log compacted (0 = never)")
 	bcsURL := flag.String("bcs", "", "BCS base URL for rerouting webhooks whose broker died (empty = abandon after the attempt budget)")
@@ -45,13 +43,13 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write retained traces as JSON to this path on shutdown (\"-\" = stdout, empty = off)")
 	flag.Parse()
 
-	if err := run(*addr, *nodes, *emergency, *repTick, *webhookAttempts, *walPath, *walDir, *walSync, *snapshotInterval, *bcsURL, *logLevel, *debugAddr, *traceOut); err != nil {
+	if err := run(*addr, *emergency, *repTick, *webhookAttempts, *walDir, *walSync, *snapshotInterval, *bcsURL, *logLevel, *debugAddr, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "badcluster:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, nodes int, emergency bool, repTick time.Duration, webhookAttempts int, walPath, walDir, walSync string, snapshotInterval time.Duration, bcsURL, logLevel, debugAddr, traceOut string) error {
+func run(addr string, emergency bool, repTick time.Duration, webhookAttempts int, walDir, walSync string, snapshotInterval time.Duration, bcsURL, logLevel, debugAddr, traceOut string) error {
 	observer, err := cliutil.NewObserver("badcluster", logLevel)
 	if err != nil {
 		return err
@@ -79,11 +77,10 @@ func run(addr string, nodes int, emergency bool, repTick time.Duration, webhookA
 	notifier := bdms.NewWebhookNotifier(4, 1024, nil, notifierOpts...)
 	defer notifier.Close()
 	observer.Registry.MustRegister(notifierStats.Collector())
-	opts := []bdms.Option{bdms.WithNodes(nodes), bdms.WithNotifier(notifier)}
+	opts := []bdms.Option{bdms.WithNotifier(notifier)}
 	var cluster *bdms.Cluster
 	var store *bdms.Store
-	switch {
-	case walDir != "":
+	if walDir != "" {
 		policy, err := bdms.ParseSyncPolicy(walSync)
 		if err != nil {
 			return err
@@ -101,14 +98,7 @@ func run(addr string, nodes int, emergency bool, repTick time.Duration, webhookA
 		cluster = store.Cluster()
 		log.Printf("recovered store %s (sync=%s): datasets %v, %d subscriptions",
 			walDir, policy, cluster.DatasetNames(), cluster.NumSubscriptions())
-	case walPath != "":
-		var err error
-		cluster, err = bdms.OpenWAL(walPath, opts...)
-		if err != nil {
-			return err
-		}
-		log.Printf("recovered datasets from %s: %v", walPath, cluster.DatasetNames())
-	default:
+	} else {
 		cluster = bdms.NewCluster(opts...)
 	}
 
@@ -152,7 +142,7 @@ func run(addr string, nodes int, emergency bool, repTick time.Duration, webhookA
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	log.Printf("badcluster listening on %s (%d storage nodes)", addr, nodes)
+	log.Printf("badcluster listening on %s", addr)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

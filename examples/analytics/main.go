@@ -51,15 +51,14 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	walPath := filepath.Join(dir, "cluster.wal")
 
 	// --- Phase 1: a durable cluster ingests a burst of emergencies. ----
 	clk := &manualClock{}
-	wal, err := bdms.CreateWAL(walPath)
+	store, err := bdms.OpenStore(dir, bdms.StoreConfig{}, bdms.WithClock(clk.Now))
 	if err != nil {
 		return err
 	}
-	cluster := bdms.NewCluster(bdms.WithClock(clk.Now), bdms.WithWAL(wal))
+	cluster := store.Cluster()
 	if err := cluster.CreateDataset("EmergencyReports", bdms.Schema{}); err != nil {
 		return err
 	}
@@ -76,16 +75,18 @@ func run() error {
 		}
 	}
 	fmt.Printf("ingested %d publications (logged to %s)\n",
-		cluster.Dataset("EmergencyReports").Len(), filepath.Base(walPath))
-	if err := wal.Close(); err != nil {
+		cluster.Dataset("EmergencyReports").Len(), filepath.Base(dir))
+	if err := store.Close(); err != nil {
 		return err
 	}
 
 	// --- Phase 2: "crash" and recover from the log. --------------------
-	recovered, err := bdms.OpenWAL(walPath, bdms.WithClock(clk.Now))
+	store, err = bdms.OpenStore(dir, bdms.StoreConfig{}, bdms.WithClock(clk.Now))
 	if err != nil {
 		return err
 	}
+	defer store.Close()
+	recovered := store.Cluster()
 	fmt.Printf("recovered %d publications after restart\n",
 		recovered.Dataset("EmergencyReports").Len())
 

@@ -48,7 +48,7 @@ func run() error {
 	// --- Data cluster node -------------------------------------------
 	notifier := bdms.NewWebhookNotifier(4, 256, nil)
 	defer notifier.Close()
-	cluster := bdms.NewCluster(bdms.WithNodes(3), bdms.WithNotifier(notifier))
+	cluster := bdms.NewCluster(bdms.WithNotifier(notifier))
 	if err := cluster.CreateDataset("EmergencyReports", bdms.Schema{}); err != nil {
 		return err
 	}

@@ -163,3 +163,31 @@ func TestServerClientRoundTrip(t *testing.T) {
 		t.Error("placement with no brokers should fail over REST")
 	}
 }
+
+// TestClientEscapesBrokerID: a broker id is a path segment in heartbeat and
+// deregister, so an id with a slash or a query mark must still reach its
+// own registration (unescaped, the heartbeat 404s or 405s and the broker
+// silently ages out of placement).
+func TestClientEscapesBrokerID(t *testing.T) {
+	for _, id := range []string{"edge/1", "edge 1?x"} {
+		svc := NewService()
+		srv := httptest.NewServer(NewServer(svc).Handler())
+		client := NewClient(srv.URL, srv.Client())
+		if err := client.Register(id, "http://edge:9000"); err != nil {
+			t.Fatalf("%q: register: %v", id, err)
+		}
+		if err := client.HeartbeatState(id, 3, false); err != nil {
+			t.Errorf("%q: heartbeat: %v", id, err)
+		}
+		if got := svc.Brokers(); !svc.Live(id) || len(got) != 1 || got[0].Load != 3 {
+			t.Errorf("%q: live=%v, brokers after heartbeat = %+v", id, svc.Live(id), got)
+		}
+		if err := client.Deregister(id); err != nil {
+			t.Errorf("%q: deregister: %v", id, err)
+		}
+		if svc.Live(id) {
+			t.Errorf("%q: still live after deregister", id)
+		}
+		srv.Close()
+	}
+}

@@ -1,8 +1,10 @@
 package bcs
 
 import (
+	"context"
 	"fmt"
 	"net/http"
+	"net/url"
 	"time"
 
 	"gobad/internal/httpx"
@@ -193,12 +195,12 @@ func (c *Client) Heartbeat(id string, load int) error {
 // brokers stay registered but receive no placement.
 func (c *Client) HeartbeatState(id string, load int, warming bool) error {
 	return httpx.DoJSON(c.http, http.MethodPost,
-		c.base+"/v1/brokers/"+id+"/heartbeat", HeartbeatRequest{Load: load, Warming: warming}, nil)
+		c.base+"/v1/brokers/"+url.PathEscape(id)+"/heartbeat", HeartbeatRequest{Load: load, Warming: warming}, nil)
 }
 
 // Deregister removes a broker.
 func (c *Client) Deregister(id string) error {
-	return httpx.DoJSON(c.http, http.MethodDelete, c.base+"/v1/brokers/"+id, nil, nil)
+	return httpx.DoJSON(c.http, http.MethodDelete, c.base+"/v1/brokers/"+url.PathEscape(id), nil, nil)
 }
 
 // Brokers lists registered brokers.
@@ -225,4 +227,14 @@ func (c *Client) Ring() (RingView, error) {
 	var out RingView
 	err := httpx.DoJSON(c.http, http.MethodGet, c.base+"/v1/ring", nil, &out)
 	return out, err
+}
+
+// RingIfChanged fetches the membership view conditionally: the caller's
+// cached epoch rides as an If-None-Match tag, and an unchanged ring costs
+// a 304 with changed=false (the returned view is then the zero value —
+// keep using the cached one).
+func (c *Client) RingIfChanged(ctx context.Context, prevEpoch uint64) (view RingView, changed bool, err error) {
+	hdr := http.Header{"If-None-Match": []string{fmt.Sprintf(`"%d"`, prevEpoch)}}
+	status, _, err := httpx.DoJSONHeader(ctx, c.http, http.MethodGet, c.base+"/v1/ring", hdr, nil, &view)
+	return view, err == nil && status != http.StatusNotModified, err
 }

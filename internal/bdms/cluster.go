@@ -52,16 +52,6 @@ type Clock func() time.Duration
 // Option configures a Cluster.
 type Option func(*Cluster)
 
-// WithNodes sets how many storage nodes each dataset is partitioned
-// across (the paper's prototype ran a three-node cluster). Default 3.
-func WithNodes(n int) Option {
-	return func(c *Cluster) {
-		if n > 0 {
-			c.numNodes = n
-		}
-	}
-}
-
 // WithClock overrides the cluster clock (tests and simulation drivers).
 // The default clock is wall time since cluster creation.
 func WithClock(clk Clock) Option {
@@ -136,7 +126,6 @@ type subscription struct {
 // subscriptions + the matching routines that turn publications into
 // per-subscription results.
 type Cluster struct {
-	numNodes  int
 	clock     Clock
 	notifier  Notifier
 	pushModel bool
@@ -183,7 +172,6 @@ func (c *Cluster) SetLogger(l *slog.Logger) { c.logger = obs.WrapLogger(l) }
 // NewCluster returns a cluster with the given options applied.
 func NewCluster(opts ...Option) *Cluster {
 	c := &Cluster{
-		numNodes:   3,
 		datasets:   make(map[string]*Dataset),
 		channels:   make(map[string]*channel),
 		groups:     make(map[string]*channelGroups),
@@ -231,7 +219,7 @@ func (c *Cluster) CreateDataset(name string, schema Schema) error {
 	if err := c.logCreateDataset(name, schema, now); err != nil {
 		return err
 	}
-	c.datasets[name] = newDataset(name, schema, c.numNodes)
+	c.datasets[name] = newDataset(name, schema)
 	return nil
 }
 

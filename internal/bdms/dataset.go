@@ -2,8 +2,7 @@
 // big-data management system in the spirit of the AsterixDB+BAD backend the
 // paper builds on. It provides
 //
-//   - datasets with open or closed schema over JSON-model records,
-//     hash-partitioned across a configurable number of storage nodes;
+//   - datasets with open or closed schema over JSON-model records;
 //   - parameterized channels — declarative queries (internal/aql) with
 //     $parameters — in both flavors the paper describes: continuous
 //     channels that match each incoming publication as it is ingested, and
@@ -110,26 +109,19 @@ type Record struct {
 	Data map[string]any `json:"data"`
 }
 
-// Dataset stores the records of one publication stream, partitioned across
-// the cluster's storage nodes. It is safe for concurrent use.
+// Dataset stores the records of one publication stream in ingest (Seq)
+// order. It is safe for concurrent use.
 type Dataset struct {
 	name   string
 	schema Schema
 
 	mu     sync.RWMutex
-	nodes  []*storageNode
+	recs   []Record
 	nextSq uint64
 }
 
-func newDataset(name string, schema Schema, numNodes int) *Dataset {
-	if numNodes < 1 {
-		numNodes = 1
-	}
-	nodes := make([]*storageNode, numNodes)
-	for i := range nodes {
-		nodes[i] = &storageNode{id: i}
-	}
-	return &Dataset{name: name, schema: schema, nodes: nodes}
+func newDataset(name string, schema Schema) *Dataset {
+	return &Dataset{name: name, schema: schema}
 }
 
 // Name returns the dataset name.
@@ -137,9 +129,6 @@ func (d *Dataset) Name() string { return d.name }
 
 // Schema returns the dataset's declared schema.
 func (d *Dataset) Schema() Schema { return d.schema }
-
-// NumNodes returns how many storage nodes hold this dataset's partitions.
-func (d *Dataset) NumNodes() int { return len(d.nodes) }
 
 // Insert validates and stores a publication, returning its assigned
 // record.
@@ -161,48 +150,35 @@ func (d *Dataset) insertValidated(data map[string]any, at time.Duration) Record 
 	defer d.mu.Unlock()
 	d.nextSq++
 	rec := Record{Seq: d.nextSq, IngestedAt: at, Data: data}
-	node := d.nodes[partition(rec.Seq, len(d.nodes))]
-	node.append(rec)
+	d.recs = append(d.recs, rec)
 	return rec
 }
 
 // restoreRecords reloads snapshot state: the sequence high-water mark and
 // the stored records, which must be Seq-ordered (snapshots are written
-// from ScanSince, so they are). Partition placement is recomputed from
-// each record's Seq, so a restored dataset scans identically to the
-// original even if the node count changed between runs.
+// from ScanSince, so they are).
 func (d *Dataset) restoreRecords(nextSeq uint64, recs []Record) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.nextSq = nextSeq
-	for _, rec := range recs {
-		d.nodes[partition(rec.Seq, len(d.nodes))].append(rec)
-	}
+	d.recs = append(d.recs, recs...)
 }
 
 // Len returns the total number of stored records.
 func (d *Dataset) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	n := 0
-	for _, node := range d.nodes {
-		n += node.len()
-	}
-	return n
+	return len(d.recs)
 }
 
-// ScanSince gathers all records with Seq > afterSeq from every storage
-// node (scatter-gather), ordered by Seq. Repetitive channel executions use
-// it to evaluate only newly ingested publications.
+// ScanSince returns a copy of all records with Seq > afterSeq, ordered by
+// Seq. Repetitive channel executions use it to evaluate only newly
+// ingested publications.
 func (d *Dataset) ScanSince(afterSeq uint64) []Record {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	var out []Record
-	for _, node := range d.nodes {
-		out = append(out, node.since(afterSeq)...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	idx := sort.Search(len(d.recs), func(i int) bool { return d.recs[i].Seq > afterSeq })
+	return append([]Record(nil), d.recs[idx:]...)
 }
 
 // LastSeq returns the highest assigned sequence number.
@@ -210,34 +186,4 @@ func (d *Dataset) LastSeq() uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.nextSq
-}
-
-// partition maps a record sequence number to a storage node index.
-func partition(seq uint64, n int) int {
-	// Fibonacci hashing scrambles the sequential seq into a well-spread
-	// node index.
-	const k = 11400714819323198485
-	return int((seq * k) % uint64(n))
-}
-
-// storageNode is one partition holder. A node keeps its records in ingest
-// order, so per-node scans are append-ordered and the gather step is a
-// k-way merge (done with a sort for simplicity).
-type storageNode struct {
-	id   int
-	recs []Record
-}
-
-func (n *storageNode) append(r Record) { n.recs = append(n.recs, r) }
-
-func (n *storageNode) len() int { return len(n.recs) }
-
-// since returns records with Seq > afterSeq using binary search (records
-// are Seq-ordered within a node).
-func (n *storageNode) since(afterSeq uint64) []Record {
-	idx := sort.Search(len(n.recs), func(i int) bool { return n.recs[i].Seq > afterSeq })
-	if idx >= len(n.recs) {
-		return nil
-	}
-	return n.recs[idx:]
 }

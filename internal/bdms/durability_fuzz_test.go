@@ -48,15 +48,42 @@ func FuzzWALRecord(f *testing.F) {
 	})
 }
 
+// seedSnapshot is a snapshot as written before datasets lost their storage
+// nodes: it still carries num_nodes, which decoding now ignores.
+const seedSnapshot = `{"version":1,"seg":1,"taken_unix_ns":1,"clock_ns":5,"num_nodes":3,"sub_seq":2,` +
+	`"datasets":[{"name":"DS","schema":{},"next_seq":1,"records":[{"seq":1,"ts_ns":1,"data":{"x":1}}]}],` +
+	`"channels":[{"name":"Alerts","params":["etype"],"body":"select * from DS r where r.etype = $etype"}],` +
+	`"subs":[{"id":"bsub-000001","channel":"Alerts","params":["fire"],"last_ts_ns":1,"seq":1,"results":[]}]}`
+
+// TestRestoreSnapshotWithNumNodes: a snapshot from before the cut restores,
+// and the dataset scans complete and in Seq order.
+func TestRestoreSnapshotWithNumNodes(t *testing.T) {
+	snap, err := decodeSnapshot([]byte(seedSnapshot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCluster()
+	if err := c.restoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	want := snap.Datasets[0].Records
+	recs := c.Dataset("DS").ScanSince(0)
+	if len(want) == 0 || len(recs) != len(want) {
+		t.Fatalf("ScanSince(0) returned %d records, snapshot holds %d", len(recs), len(want))
+	}
+	for i, r := range recs {
+		if r.Seq != want[i].Seq || (i > 0 && r.Seq <= recs[i-1].Seq) {
+			t.Fatalf("record %d has seq %d, snapshot order says %d", i, r.Seq, want[i].Seq)
+		}
+	}
+}
+
 // FuzzCacheSnapshot decodes arbitrary bytes as a cluster snapshot file:
 // recovery skips undecodable snapshots, so decodeSnapshot must classify —
 // never panic — and every accepted snapshot must survive a JSON round
 // trip (what Compact would write next).
 func FuzzCacheSnapshot(f *testing.F) {
-	f.Add([]byte(`{"version":1,"seg":1,"taken_unix_ns":1,"clock_ns":5,"num_nodes":3,"sub_seq":2,` +
-		`"datasets":[{"name":"DS","schema":{},"next_seq":1,"records":[{"seq":1,"ts_ns":1,"data":{"x":1}}]}],` +
-		`"channels":[{"name":"Alerts","params":["etype"],"body":"select * from DS r where r.etype = $etype"}],` +
-		`"subs":[{"id":"bsub-000001","channel":"Alerts","params":["fire"],"last_ts_ns":1,"seq":1,"results":[]}]}`))
+	f.Add([]byte(seedSnapshot))
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`{"version":99}`))
 	f.Add([]byte(`{`))
@@ -78,7 +105,7 @@ func FuzzCacheSnapshot(f *testing.F) {
 		}
 		// Restoring into a fresh cluster must not panic either; errors are
 		// legitimate (dangling channel references, bad channel bodies).
-		c := NewCluster(WithNodes(3))
+		c := NewCluster()
 		_ = c.restoreSnapshot(snap)
 	})
 }

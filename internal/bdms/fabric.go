@@ -8,15 +8,14 @@ import (
 	"net/url"
 	"time"
 
-	"gobad/internal/bcs"
 	"gobad/internal/httpx"
 )
 
-// Fabric wire contracts: the typed clients for the redesigned /v1 BCS
-// surface (placement + ring) and for the broker-to-broker peer lookup
-// protocol. They live in bdms — the wire-type package brokers already
-// import — so broker, client and sim code all speak the same structs
-// instead of ad-hoc map[string]any bodies.
+// Fabric wire contracts: the typed client for the broker-to-broker peer
+// lookup protocol (the BCS side — placement and ring — is bcs.Client). It
+// lives in bdms — the wire-type package brokers already import — so broker,
+// client and sim code all speak the same structs instead of ad-hoc
+// map[string]any bodies.
 
 // PeerHopHeader guards against lookup chains: a broker answering a peer
 // request must serve only from its local cache, and the header makes the
@@ -69,94 +68,6 @@ func IsPeerCold(err error) bool {
 func IsPeerDraining(err error) bool {
 	var se *httpx.StatusError
 	return errors.As(err, &se) && se.Code == CodePeerDraining
-}
-
-// BCSClient is the typed client for the redesigned BCS fabric surface:
-// placement requests and conditional ring fetches. Like the cluster
-// Client it is resilience-aware through functional options.
-type BCSClient struct {
-	base  string
-	http  *http.Client
-	retry *httpx.Retryer
-	brk   *httpx.Breaker
-}
-
-// BCSClientOption configures a BCSClient.
-type BCSClientOption func(*BCSClient)
-
-// WithBCSRetryer enables retries with r's schedule. Both fabric calls are
-// pure reads (placement is deterministic), so every call may retry.
-func WithBCSRetryer(r *httpx.Retryer) BCSClientOption {
-	return func(c *BCSClient) { c.retry = r }
-}
-
-// WithBCSBreaker guards every call with b; while open, calls fail fast
-// with httpx.ErrBreakerOpen.
-func WithBCSBreaker(b *httpx.Breaker) BCSClientOption {
-	return func(c *BCSClient) { c.brk = b }
-}
-
-// NewBCSClient returns a fabric client for the BCS at baseURL. A nil
-// httpClient uses a 10s-timeout default.
-func NewBCSClient(baseURL string, httpClient *http.Client, opts ...BCSClientOption) *BCSClient {
-	if httpClient == nil {
-		httpClient = &http.Client{Timeout: 10 * time.Second}
-	}
-	c := &BCSClient{base: baseURL, http: httpClient}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c
-}
-
-// do runs one call through retry-around-breaker (both optional).
-func (c *BCSClient) do(ctx context.Context, call func(ctx context.Context) error) error {
-	op := call
-	if c.brk != nil {
-		op = func(ctx context.Context) error { return c.brk.Do(ctx, call) }
-	}
-	if c.retry == nil {
-		return op(ctx)
-	}
-	return c.retry.Do(ctx, op)
-}
-
-// Place asks for the broker owning subscriberKey. prevBroker (may be
-// empty) is the broker the caller last held; the response reports whether
-// placement moved away from it.
-func (c *BCSClient) Place(ctx context.Context, subscriberKey, prevBroker string) (bcs.PlacementResponse, error) {
-	var out bcs.PlacementResponse
-	err := c.do(ctx, func(ctx context.Context) error {
-		return httpx.DoJSONContext(ctx, c.http, http.MethodPost, c.base+"/v1/placement",
-			bcs.PlacementRequest{SubscriberKey: subscriberKey, PrevBroker: prevBroker}, &out)
-	})
-	return out, err
-}
-
-// Ring fetches the current membership view unconditionally.
-func (c *BCSClient) Ring(ctx context.Context) (bcs.RingView, error) {
-	var out bcs.RingView
-	err := c.do(ctx, func(ctx context.Context) error {
-		return httpx.DoJSONContext(ctx, c.http, http.MethodGet, c.base+"/v1/ring", nil, &out)
-	})
-	return out, err
-}
-
-// RingIfChanged fetches the membership view conditionally: the caller's
-// cached epoch rides as an If-None-Match tag, and an unchanged ring costs
-// a 304 with changed=false (the returned view is then the zero value —
-// keep using the cached one).
-func (c *BCSClient) RingIfChanged(ctx context.Context, prevEpoch uint64) (view bcs.RingView, changed bool, err error) {
-	err = c.do(ctx, func(ctx context.Context) error {
-		hdr := http.Header{"If-None-Match": []string{fmt.Sprintf(`"%d"`, prevEpoch)}}
-		status, _, err := httpx.DoJSONHeader(ctx, c.http, http.MethodGet, c.base+"/v1/ring", hdr, nil, &view)
-		if err != nil {
-			return err
-		}
-		changed = status != http.StatusNotModified
-		return nil
-	})
-	return view, changed, err
 }
 
 // PeerClient performs broker-to-broker peer lookups against whichever

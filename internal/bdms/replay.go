@@ -86,7 +86,7 @@ func (c *Cluster) applyCreateDataset(name string, schema *Schema) error {
 	if schema != nil {
 		s = *schema
 	}
-	c.datasets[name] = newDataset(name, s, c.numNodes)
+	c.datasets[name] = newDataset(name, s)
 	return nil
 }
 

@@ -388,7 +388,6 @@ type clusterSnapshot struct {
 	Seg         int           `json:"seg"`
 	TakenUnixNS int64         `json:"taken_unix_ns"`
 	ClockNS     int64         `json:"clock_ns"`
-	NumNodes    int           `json:"num_nodes"`
 	SubSeq      uint64        `json:"sub_seq"`
 	Datasets    []snapDataset `json:"datasets"`
 	Channels    []ChannelDef  `json:"channels"`
@@ -426,10 +425,9 @@ const snapshotVersion = 1
 // snapshotStateLocked captures the full cluster state. Caller holds c.mu.
 func (c *Cluster) snapshotStateLocked() *clusterSnapshot {
 	snap := &clusterSnapshot{
-		Version:  snapshotVersion,
-		ClockNS:  int64(c.clock()),
-		NumNodes: c.numNodes,
-		SubSeq:   c.subSeq,
+		Version: snapshotVersion,
+		ClockNS: int64(c.clock()),
+		SubSeq:  c.subSeq,
 	}
 	names := make([]string, 0, len(c.datasets))
 	for n := range c.datasets {
@@ -494,7 +492,7 @@ func (c *Cluster) restoreSnapshot(snap *clusterSnapshot) error {
 		if _, ok := c.datasets[sd.Name]; ok {
 			return fmt.Errorf("bdms: dataset %q %w", sd.Name, ErrExists)
 		}
-		ds := newDataset(sd.Name, sd.Schema, c.numNodes)
+		ds := newDataset(sd.Name, sd.Schema)
 		ds.restoreRecords(sd.NextSeq, sd.Records)
 		c.datasets[sd.Name] = ds
 	}

@@ -170,7 +170,7 @@ func TestStoreSnapshotTailEquivalence(t *testing.T) {
 
 	// Reference: the same workload on a plain in-memory cluster.
 	refClk := &testClock{}
-	ref := NewCluster(WithClock(refClk.Now), WithNodes(3))
+	ref := NewCluster(WithClock(refClk.Now))
 	refFire, refFlood := seedStoreWorkload(t, ref, refClk, events)
 	wantFire := resultsJSON(t, ref, refFire)
 	wantFlood := resultsJSON(t, ref, refFlood)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -134,36 +133,19 @@ type WAL struct {
 	mu     sync.Mutex
 	f      *os.File
 	w      *bufio.Writer
-	path   string
 	policy SyncPolicy
 	stats  *WALStats
 }
 
-// CreateWAL opens (creating if needed) the log file for appending with the
-// default interval sync policy.
-func CreateWAL(path string) (*WAL, error) {
-	return createWAL(path, SyncInterval, &WALStats{})
-}
-
+// createWAL opens (creating if needed) one log file for appending; the
+// store has already made its directory.
 func createWAL(path string, policy SyncPolicy, stats *WALStats) (*WAL, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("bdms: wal dir: %w", err)
-	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("bdms: open wal: %w", err)
 	}
-	if stats == nil {
-		stats = &WALStats{}
-	}
-	return &WAL{f: f, w: bufio.NewWriter(f), path: path, policy: policy, stats: stats}, nil
+	return &WAL{f: f, w: bufio.NewWriter(f), policy: policy, stats: stats}, nil
 }
-
-// Path returns the log file path.
-func (w *WAL) Path() string { return w.path }
-
-// Stats returns the log's counters.
-func (w *WAL) Stats() *WALStats { return w.stats }
 
 // append writes one record and flushes it to the OS (plus fsync under
 // SyncAlways).
@@ -247,39 +229,6 @@ func (w *WAL) Close() error {
 		return flushErr
 	}
 	return closeErr
-}
-
-// WithWAL attaches a write-ahead log to the cluster: every state mutation
-// is appended before being acknowledged.
-func WithWAL(w *WAL) Option {
-	return func(c *Cluster) { c.wal = w }
-}
-
-// OpenWAL replays the single-file log at path into a new cluster built
-// with opts (the WAL option is added automatically, so subsequent
-// operations keep appending). Missing files yield an empty, ready cluster.
-// A torn final record — a crash mid-append — is dropped with the file
-// truncated back to the last complete record, so the next append starts on
-// a clean line. For the segmented snapshot+compaction store use OpenStore.
-func OpenWAL(path string, opts ...Option) (*Cluster, error) {
-	stats := &WALStats{}
-	start := time.Now()
-	recs, err := readWALFile(path, stats, true)
-	if err != nil {
-		return nil, err
-	}
-	wal, err := createWAL(path, SyncInterval, stats)
-	if err != nil {
-		return nil, err
-	}
-	cluster := NewCluster(opts...)
-	if err := cluster.replayWAL(recs); err != nil {
-		return nil, err
-	}
-	stats.ReplayRecords.Add(float64(len(recs)))
-	stats.ReplaySeconds.Add(time.Since(start).Seconds())
-	cluster.wal = wal
-	return cluster, nil
 }
 
 // readWALFile parses every complete record of one log file. A torn final

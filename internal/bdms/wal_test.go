@@ -8,19 +8,37 @@ import (
 	"time"
 )
 
-func walPath(t *testing.T) string {
+// openWAL opens the store directory dir and hands back its cluster, which
+// carries the live log as c.wal; the store's tickers stop with the test.
+func openWAL(t *testing.T, dir string, opts ...Option) (*Cluster, error) {
 	t.Helper()
-	return filepath.Join(t.TempDir(), "cluster.wal")
+	s, err := OpenStore(dir, StoreConfig{}, opts...)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	return s.Cluster(), nil
+}
+
+// writeSegment plants content as the first log segment of a new store
+// directory and returns the directory.
+func writeSegment(t *testing.T, content string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(segPath(dir, 1), []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 func TestWALPersistsAndRecovers(t *testing.T) {
-	path := walPath(t)
-	wal, err := CreateWAL(path)
+	path := t.TempDir()
+	clk := &testClock{}
+	c, err := openWAL(t, path, WithClock(clk.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := &testClock{}
-	c := NewCluster(WithClock(clk.Now), WithWAL(wal))
+	wal := c.wal
 	if err := c.CreateDataset("EmergencyReports", Schema{
 		Fields: []Field{{Name: "etype", Type: TypeString}},
 	}); err != nil {
@@ -40,7 +58,7 @@ func TestWALPersistsAndRecovers(t *testing.T) {
 	}
 
 	// "Restart": replay into a fresh cluster.
-	recovered, err := OpenWAL(path, WithClock(clk.Now))
+	recovered, err := openWAL(t, path, WithClock(clk.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +80,7 @@ func TestWALPersistsAndRecovers(t *testing.T) {
 	if err := recovered.wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	again, err := OpenWAL(path, WithClock(clk.Now))
+	again, err := openWAL(t, path, WithClock(clk.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +93,7 @@ func TestWALPersistsAndRecovers(t *testing.T) {
 }
 
 func TestOpenWALMissingFile(t *testing.T) {
-	c, err := OpenWAL(filepath.Join(t.TempDir(), "does-not-exist.wal"))
+	c, err := openWAL(t, filepath.Join(t.TempDir(), "does-not-exist"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +107,10 @@ func TestOpenWALMissingFile(t *testing.T) {
 }
 
 func TestOpenWALToleratesTornTail(t *testing.T) {
-	path := walPath(t)
-	content := `{"kind":"dataset","dataset":"DS","schema":{},"at_ns":0}
+	path := writeSegment(t, `{"kind":"dataset","dataset":"DS","schema":{},"at_ns":0}
 {"kind":"ingest","dataset":"DS","data":{"x":1},"at_ns":1}
-{"kind":"ingest","dataset":"DS","data":{"x":2},"at_` // torn mid-record
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := OpenWAL(path)
+{"kind":"ingest","dataset":"DS","data":{"x":2},"at_`) // torn mid-record
+	c, err := openWAL(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +121,11 @@ func TestOpenWALToleratesTornTail(t *testing.T) {
 }
 
 func TestOpenWALRejectsMidFileCorruption(t *testing.T) {
-	path := walPath(t)
-	content := `{"kind":"dataset","dataset":"DS","schema":{},"at_ns":0}
+	path := writeSegment(t, `{"kind":"dataset","dataset":"DS","schema":{},"at_ns":0}
 GARBAGE NOT JSON
 {"kind":"ingest","dataset":"DS","data":{"x":2},"at_ns":2}
-`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenWAL(path); err == nil {
+`)
+	if _, err := openWAL(t, path); err == nil {
 		t.Error("mid-file corruption should fail recovery")
 	}
 }
@@ -123,43 +133,39 @@ GARBAGE NOT JSON
 // TestOpenWALRejectsRecordWithoutKind: a pre-PR 10 record (no kind) fails
 // recovery instead of being guessed to be a dataset creation or an ingest.
 func TestOpenWALRejectsRecordWithoutKind(t *testing.T) {
-	path := walPath(t)
-	content := `{"kind":"dataset","dataset":"DS","schema":{},"at_ns":0}
+	path := writeSegment(t, `{"kind":"dataset","dataset":"DS","schema":{},"at_ns":0}
 {"dataset":"DS","data":{"x":1},"at_ns":1}
-`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := OpenWAL(path)
+`)
+	_, err := openWAL(t, path)
 	if err == nil || !strings.Contains(err.Error(), `unknown wal record kind ""`) {
-		t.Errorf("OpenWAL = %v, want unknown wal record kind error", err)
+		t.Errorf("open = %v, want unknown wal record kind error", err)
 	}
 }
 
 func TestWALClosedAppendFails(t *testing.T) {
-	wal, err := CreateWAL(walPath(t))
+	c, err := openWAL(t, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	wal := c.wal
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.Close(); err != nil {
 		t.Errorf("double close should be fine: %v", err)
 	}
-	c := NewCluster(WithWAL(wal))
 	if err := c.CreateDataset("DS", Schema{}); err == nil {
 		t.Error("create against a closed WAL should fail")
 	}
 }
 
 func TestWALRejectedIngestNotLogged(t *testing.T) {
-	path := walPath(t)
-	wal, err := CreateWAL(path)
+	path := t.TempDir()
+	c, err := openWAL(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCluster(WithWAL(wal))
+	wal := c.wal
 	if err := c.CreateDataset("DS", Schema{
 		Fields: []Field{{Name: "must", Type: TypeString}},
 	}); err != nil {
@@ -174,7 +180,7 @@ func TestWALRejectedIngestNotLogged(t *testing.T) {
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := OpenWAL(path)
+	rec, err := openWAL(t, path)
 	if err != nil {
 		t.Fatalf("replay must not see rejected ingests: %v", err)
 	}

@@ -76,9 +76,6 @@ type Config struct {
 	// 10 MB/s (Table II).
 	BackendRTT       time.Duration
 	BackendBandwidth float64 // bytes per second
-	// CacheShards is the number of lock stripes of the cache manager;
-	// <= 0 selects core.DefaultShards.
-	CacheShards int
 	// Clock overrides the broker-local clock (tests/simulation); the
 	// default is wall time since construction.
 	Clock func() time.Duration
@@ -282,7 +279,6 @@ func New(cfg Config) (*Broker, error) {
 		Fetcher:    core.FetcherFunc(b.fetchFromBackend),
 		TTL:        cfg.TTL,
 		Stats:      b.stats,
-		Shards:     cfg.CacheShards,
 		StaleServe: cfg.StaleServe,
 	})
 	if err != nil {

@@ -28,7 +28,7 @@ import (
 type FabricConfig struct {
 	// BCS refreshes the membership ring (FabricTick). Optional: tests
 	// and embedded setups can install views directly with SetRing.
-	BCS *bdms.BCSClient
+	BCS *bcs.Client
 	// Peers performs broker-to-broker lookups; nil disables the peer
 	// tier (the fabric then only does placement/rebalance).
 	Peers *bdms.PeerClient

@@ -307,7 +307,7 @@ func TestFabricTick(t *testing.T) {
 		ID:      "edge",
 		Backend: cluster,
 		Policy:  core.NC{},
-		Fabric:  &FabricConfig{BCS: bdms.NewBCSClient(bcsSrv.URL, nil)},
+		Fabric:  &FabricConfig{BCS: bcs.NewClient(bcsSrv.URL, nil)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -218,9 +217,9 @@ func TestBrokerMetricsEndpoint(t *testing.T) {
 			t.Errorf("broker /metrics missing %s", name)
 		}
 	}
-	// Per-shard occupancy appears with shard labels.
-	if !strings.Contains(string(body), `bad_shard_bytes{shard="0"}`) {
-		t.Error("broker /metrics missing per-shard families")
+	// The manager's table size is exported next to its byte total.
+	if v, ok := parsed.Value("bad_cache_caches"); !ok || v < 1 {
+		t.Errorf("broker /metrics bad_cache_caches = %v (present %v), want >= 1", v, ok)
 	}
 	if v, _ := parsed.Value("bad_cache_requests_total"); v == 0 {
 		t.Error("requests counter should be live after a retrieval")

@@ -13,7 +13,7 @@ import (
 	"gobad/internal/metrics"
 )
 
-// Warm cache handoff: a draining broker serializes its shard managers'
+// Warm cache handoff: a draining broker serializes its cache manager's
 // warm entries and ships them to its HRW successor (and to a local
 // snapshot file), so a restarted or successor broker does not start
 // ice-cold and stampede the cluster with backfill fetches. Entries are

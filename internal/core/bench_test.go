@@ -139,92 +139,81 @@ func BenchmarkExpireDue(b *testing.B) {
 }
 
 // BenchmarkManagerGetParallel measures GET throughput with 8 goroutines
-// hammering fully cached ranges spread over many caches, comparing the
-// pre-sharding single-mutex layout (shards=1) against the lock-striped
-// default. The ops/sec ratio between the two sub-benchmarks is the
-// headline sharding win.
+// hammering fully cached ranges spread over many caches, all through the
+// manager's one mutex.
 func BenchmarkManagerGetParallel(b *testing.B) {
 	const (
 		caches     = 64
 		objsPer    = 64
 		goroutines = 8
 	)
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			m, err := NewManager(Config{Policy: LSC{}, Budget: 1 << 40, Fetcher: nullFetcher, Shards: shards})
-			if err != nil {
+	m, err := NewManager(Config{Policy: LSC{}, Budget: 1 << 40, Fetcher: nullFetcher})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]string, caches)
+	for c := 0; c < caches; c++ {
+		ids[c] = fmt.Sprintf("c%04d", c)
+		m.Subscribe(ids[c], "pin", 0)
+		for i := 0; i < objsPer; i++ {
+			obj := &Object{
+				ID:        fmt.Sprintf("o%d-%d", c, i),
+				Timestamp: time.Duration(i+1) * time.Second,
+				Size:      1 << 10,
+			}
+			if err := m.Put(ids[c], obj, time.Duration(i)*time.Second); err != nil {
 				b.Fatal(err)
 			}
-			ids := make([]string, caches)
-			for c := 0; c < caches; c++ {
-				ids[c] = fmt.Sprintf("c%04d", c)
-				m.Subscribe(ids[c], "pin", 0)
-				for i := 0; i < objsPer; i++ {
-					obj := &Object{
-						ID:        fmt.Sprintf("o%d-%d", c, i),
-						Timestamp: time.Duration(i+1) * time.Second,
-						Size:      1 << 10,
-					}
-					if err := m.Put(ids[c], obj, time.Duration(i)*time.Second); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			// RunParallel spawns SetParallelism * GOMAXPROCS goroutines.
-			b.SetParallelism((goroutines + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
-			var seq atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// Stride the caches differently per goroutine so shards=1
-				// sees full contention and shards=16 mostly none.
-				n := int(seq.Add(1)) * 7
-				for pb.Next() {
-					id := ids[n%caches]
-					n++
-					// Newest object only: the common notification-driven
-					// retrieval. "ghost" never matches, so nothing is
-					// consumed and the working set stays put.
-					if _, _, err := m.Retrieve(context.Background(), id, "ghost", time.Duration(objsPer-1)*time.Second,
-						time.Duration(objsPer)*time.Second, time.Hour); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
+		}
 	}
+	// RunParallel spawns SetParallelism * GOMAXPROCS goroutines.
+	b.SetParallelism((goroutines + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
+	var seq atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// Stride the caches differently per goroutine.
+		n := int(seq.Add(1)) * 7
+		for pb.Next() {
+			id := ids[n%caches]
+			n++
+			// Newest object only: the common notification-driven
+			// retrieval. "ghost" never matches, so nothing is
+			// consumed and the working set stays put.
+			if _, _, err := m.Retrieve(context.Background(), id, "ghost", time.Duration(objsPer-1)*time.Second,
+				time.Duration(objsPer)*time.Second, time.Hour); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkManagerPutParallel measures admission throughput with 8
-// goroutines writing disjoint caches (no eviction), shards=1 vs default.
+// goroutines writing disjoint caches (no eviction).
 func BenchmarkManagerPutParallel(b *testing.B) {
 	const goroutines = 8
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			m, err := NewManager(Config{Policy: LSC{}, Budget: 1 << 40, Fetcher: nullFetcher, Shards: shards})
-			if err != nil {
+	m, err := NewManager(Config{Policy: LSC{}, Budget: 1 << 40, Fetcher: nullFetcher})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetParallelism((goroutines + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
+	var seq atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// One private cache per goroutine: pushHead requires
+		// strictly increasing timestamps within a cache.
+		g := seq.Add(1)
+		id := fmt.Sprintf("w%03d", g)
+		i := 0
+		for pb.Next() {
+			i++
+			obj := &Object{
+				ID:        fmt.Sprintf("o%d-%d", g, i),
+				Timestamp: time.Duration(i) * time.Microsecond,
+				Size:      1 << 10,
+			}
+			if err := m.Put(id, obj, time.Duration(i)*time.Microsecond); err != nil {
 				b.Fatal(err)
 			}
-			b.SetParallelism((goroutines + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
-			var seq atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// One private cache per goroutine: pushHead requires
-				// strictly increasing timestamps within a cache.
-				g := seq.Add(1)
-				id := fmt.Sprintf("w%03d", g)
-				i := 0
-				for pb.Next() {
-					i++
-					obj := &Object{
-						ID:        fmt.Sprintf("o%d-%d", g, i),
-						Timestamp: time.Duration(i) * time.Microsecond,
-						Size:      1 << 10,
-					}
-					if err := m.Put(id, obj, time.Duration(i)*time.Microsecond); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 }

@@ -12,17 +12,17 @@ import (
 )
 
 // TestConcurrentShardInvariants hammers Put/GetResults/Subscribe/Unsubscribe
-// from 16 goroutines and then checks the shard invariants: the manager-wide
-// total never settles above the budget, the atomic total equals the sum of
-// the per-cache sizes, and every object a cache still accounts for is
-// retrievable (nothing lost between the shard maps, the heaps and the
-// byte accounting). Run with -race to also exercise the locking.
+// from 16 goroutines and then checks the table's invariants: the manager-wide
+// total never settles above the budget, the total equals the sum of the
+// per-cache sizes, and every object a cache still accounts for is
+// retrievable (nothing lost between the cache map, the heaps and the byte
+// accounting). Run with -race to also exercise the locking.
 func TestConcurrentShardInvariants(t *testing.T) {
 	const (
 		goroutines = 16
 		opsPerG    = 400
 		objSize    = 256
-		budget     = int64(48 << 10) // small enough to force cross-shard evictions
+		budget     = int64(48 << 10) // small enough to force evictions across caches
 	)
 	m, err := NewManager(Config{
 		Policy: LSC{},
@@ -30,7 +30,6 @@ func TestConcurrentShardInvariants(t *testing.T) {
 		Fetcher: FetcherFunc(func(context.Context, string, time.Duration, time.Duration, bool) ([]*Object, error) {
 			return nil, nil
 		}),
-		Shards: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +88,7 @@ func TestConcurrentShardInvariants(t *testing.T) {
 		sumBytes += ci.Bytes
 	}
 	if sumBytes != m.TotalSize() {
-		t.Errorf("sum of per-cache bytes %d != atomic total %d", sumBytes, m.TotalSize())
+		t.Errorf("sum of per-cache bytes %d != total %d", sumBytes, m.TotalSize())
 	}
 	// Every object still accounted for must be retrievable: a full-range
 	// GET by a never-subscribed reader returns exactly the cached objects
@@ -115,6 +114,68 @@ func TestConcurrentShardInvariants(t *testing.T) {
 		if bytes != ci.Bytes {
 			t.Errorf("cache %s: retrieved %d bytes, accounting says %d", ci.ID, bytes, ci.Bytes)
 		}
+	}
+}
+
+// TestBudgetNeverObservedExceeded races 8 writers (each also retrieving from
+// a peer's cache) against a goroutine spinning on TotalSize: under an
+// eviction policy neither that reader nor the recorded size metric may ever
+// see the cache above its budget — admission and the evictions it forces
+// are one critical section, not two.
+func TestBudgetNeverObservedExceeded(t *testing.T) {
+	const (
+		writers = 8
+		opsPerW = 2000
+		objSize = 256
+		budget  = int64(64 * objSize)
+	)
+	stats := &metrics.CacheStats{}
+	m, err := NewManager(Config{Policy: LSC{}, Budget: budget, Stats: stats, Fetcher: nullFetcher})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var worst int64 // the probe's alone until probe.Wait returns
+	var probe, wg sync.WaitGroup
+	probe.Add(1)
+	go func() {
+		defer probe.Done()
+		for !stop.Load() {
+			worst = max(worst, m.TotalSize())
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			own, peer := fmt.Sprintf("bs%02d", w), fmt.Sprintf("bs%02d", (w+1)%writers)
+			sub := fmt.Sprintf("sub%02d", w)
+			m.Subscribe(own, sub, 0)
+			m.Subscribe(peer, sub, 0)
+			for i := 0; i < opsPerW; i++ {
+				now := time.Duration(i+1) * time.Millisecond
+				obj := &Object{ID: fmt.Sprintf("o%02d-%d", w, i), Timestamp: now, Size: objSize}
+				if err := m.Put(own, obj, now); err != nil {
+					t.Errorf("Put(%s): %v", own, err)
+					return
+				}
+				if i%3 == 0 {
+					if _, _, err := m.Retrieve(context.Background(), peer, sub, 0, now, now); err != nil {
+						t.Errorf("Retrieve(%s): %v", peer, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	stop.Store(true)
+	probe.Wait()
+	if worst > budget {
+		t.Errorf("TotalSize read %d, above the budget %d", worst, budget)
+	}
+	if got := stats.CacheSize.Max(); got > float64(budget) {
+		t.Errorf("recorded cache size peaked at %v, above the budget %d", got, budget)
 	}
 }
 

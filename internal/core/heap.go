@@ -50,31 +50,38 @@ func (ch *cacheHeap) push(c *ResultCache, score float64) {
 // popFresh returns the non-stale, non-empty cache with the smallest score,
 // or nil if none remains. An entry is fresh iff its seq matches the cache's
 // current seq.
-func (ch *cacheHeap) popFresh(alive func(*ResultCache) bool) *ResultCache {
+func (ch *cacheHeap) popFresh() *ResultCache {
 	for ch.entries.Len() > 0 {
 		e := heap.Pop(&ch.entries).(heapEntry)
-		if e.seq != e.cache.seq || e.cache.n == 0 {
-			continue
+		if e.seq == e.cache.seq && e.cache.n > 0 {
+			return e.cache
 		}
-		if alive != nil && !alive(e.cache) {
-			continue
-		}
-		return e.cache
 	}
 	return nil
 }
 
 // peekFresh returns the best fresh entry without removing it.
-func (ch *cacheHeap) peekFresh(alive func(*ResultCache) bool) (*ResultCache, float64, bool) {
+func (ch *cacheHeap) peekFresh() (*ResultCache, float64, bool) {
 	for ch.entries.Len() > 0 {
 		e := ch.entries[0]
-		if e.seq != e.cache.seq || e.cache.n == 0 || (alive != nil && !alive(e.cache)) {
+		if e.seq != e.cache.seq || e.cache.n == 0 {
 			heap.Pop(&ch.entries)
 			continue
 		}
 		return e.cache, e.score, true
 	}
 	return nil, 0, false
+}
+
+// rebuild replaces the entries, stale ones included, with one fresh entry
+// per non-empty cache.
+func (ch *cacheHeap) rebuild(caches map[string]*ResultCache, score func(*ResultCache) float64) {
+	ch.entries = ch.entries[:0]
+	for _, c := range caches {
+		if c.n > 0 {
+			ch.push(c, score(c))
+		}
+	}
 }
 
 // size returns the number of (possibly stale) entries held.

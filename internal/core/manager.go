@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gobad/internal/metrics"
@@ -86,9 +85,6 @@ func (c *TTLConfig) fillDefaults() {
 	}
 }
 
-// DefaultShards is the shard count used when Config.Shards is zero.
-const DefaultShards = 16
-
 // Config configures a Manager.
 type Config struct {
 	// Policy is the caching policy; required.
@@ -102,12 +98,6 @@ type Config struct {
 	TTL TTLConfig
 	// Stats receives hit/miss/latency/cache-size accounting; optional.
 	Stats *metrics.CacheStats
-	// Shards is the number of lock stripes the cache table is split
-	// across; caches are assigned to shards by hashing their ID. Victim
-	// selection still picks the global minimum across shards, so hit
-	// ratios and eviction order are identical for any shard count.
-	// <= 0 selects DefaultShards; 1 reproduces the single-mutex manager.
-	Shards int
 	// StaleServe degrades gracefully when the data cluster is
 	// unreachable: instead of failing a retrieval whose miss fetch
 	// errored, serve whatever the cache holds and mark the result stale
@@ -115,23 +105,13 @@ type Config struct {
 	StaleServe bool
 }
 
-// managerShard is one lock stripe of the cache table: a subset of the caches
-// plus the eviction/expiry bookkeeping for exactly that subset. All fields
-// are guarded by mu.
-type managerShard struct {
-	mu      sync.Mutex
-	caches  map[string]*ResultCache
-	victims cacheHeap // by policy score (eviction policies)
-	expiry  cacheHeap // by tail expiry (TTL policy)
-}
-
 // Manager owns every result cache of one broker: it creates caches per
 // backend subscription, admits new result objects, serves subscriber
 // retrievals with Algorithm 1's range logic, and enforces the configured
-// caching policy. The cache table is split across lock-striped shards so
-// concurrent GET/PUT on different caches do not serialise on one mutex; the
-// byte budget stays manager-wide via an atomic total that per-shard
-// bookkeeping feeds.
+// caching policy. One mutex guards the cache table, both heaps and the byte
+// total, so an eviction policy is within its budget at every instant another
+// goroutine can look; miss fetches, their single-flight coalescing and the
+// stats counters run outside it.
 type Manager struct {
 	policy     Policy
 	budget     int64
@@ -140,20 +120,18 @@ type Manager struct {
 	stats      *metrics.CacheStats
 	staleServe bool
 
-	shards []*managerShard
-	total  atomic.Int64 // total cached bytes across all shards
+	flights flightGroup  // coalesces duplicate miss fetches
+	rhoTTL  metrics.Mean // sum_i(rho_i * T_i) observed at recomputes
 
-	flights flightGroup // coalesces duplicate miss fetches
-
-	ttlMu         sync.Mutex
-	lastRecompute time.Duration
-	rhoTTL        metrics.Mean // sum_i(rho_i * T_i) observed at recomputes
-
-	// sizeMu/lastSize turn recordSize into a delta feed so several
-	// managers (the multi-broker sim) can share one CacheStats: each
-	// manager adds only its own size change, and the shared CacheSize
-	// gauge tracks the fabric-wide total.
-	sizeMu   sync.Mutex
+	mu      sync.Mutex // guards every field below
+	caches  map[string]*ResultCache
+	victims cacheHeap // by policy score (eviction policies)
+	expiry  cacheHeap // by tail expiry (TTL policy)
+	total   int64     // total cached bytes
+	// lastSize turns recordSize into a delta feed so several managers
+	// (the multi-broker sim) can share one CacheStats: each manager adds
+	// only its own size change, and the shared CacheSize gauge tracks the
+	// fabric-wide total.
 	lastSize int64
 }
 
@@ -170,13 +148,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("core: Config.Budget must be positive for policy %s", cfg.Policy.Name())
 	}
 	cfg.TTL.fillDefaults()
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
-	shards := make([]*managerShard, cfg.Shards)
-	for i := range shards {
-		shards[i] = &managerShard{caches: make(map[string]*ResultCache)}
-	}
 	return &Manager{
 		policy:     cfg.Policy,
 		budget:     cfg.Budget,
@@ -184,7 +155,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		ttlCfg:     cfg.TTL,
 		stats:      cfg.Stats,
 		staleServe: cfg.StaleServe,
-		shards:     shards,
+		caches:     make(map[string]*ResultCache),
 	}, nil
 }
 
@@ -194,51 +165,18 @@ func (m *Manager) Policy() Policy { return m.policy }
 // Budget returns the allowed cache size B in bytes.
 func (m *Manager) Budget() int64 { return m.budget }
 
-// NumShards returns the number of lock stripes.
-func (m *Manager) NumShards() int { return len(m.shards) }
-
 // TotalSize returns the total bytes currently cached across all caches.
-func (m *Manager) TotalSize() int64 { return m.total.Load() }
+func (m *Manager) TotalSize() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.total
+}
 
 // NumCaches returns the number of result caches (backend subscriptions).
 func (m *Manager) NumCaches() int {
-	n := 0
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		n += len(sh.caches)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// ShardStats is a point-in-time summary of one lock stripe, exposed per
-// shard on /metrics so lock-stripe imbalance (one hot shard absorbing the
-// popular caches) is visible on a live broker.
-type ShardStats struct {
-	// Shard is the stripe index.
-	Shard int
-	// Caches is the number of result caches hashed onto this stripe.
-	Caches int
-	// Objects is the number of cached result objects across them.
-	Objects int
-	// Bytes is their total cached size.
-	Bytes int64
-}
-
-// ShardStatsSnapshot summarizes every shard, locking one stripe at a time.
-func (m *Manager) ShardStatsSnapshot() []ShardStats {
-	out := make([]ShardStats, len(m.shards))
-	for i, sh := range m.shards {
-		sh.mu.Lock()
-		st := ShardStats{Shard: i, Caches: len(sh.caches)}
-		for _, c := range sh.caches {
-			st.Objects += c.n
-			st.Bytes += c.size
-		}
-		sh.mu.Unlock()
-		out[i] = st
-	}
-	return out
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.caches)
 }
 
 // FlightStats reports the singleflight layer's lifetime tallies: leaders
@@ -248,25 +186,11 @@ func (m *Manager) FlightStats() (leaders, coalesced uint64) {
 	return m.flights.leaders.Load(), m.flights.coalesced.Load()
 }
 
-// shardFor maps a cache ID to its shard (FNV-1a over the ID).
-func (m *Manager) shardFor(id string) *managerShard {
-	if len(m.shards) == 1 {
-		return m.shards[0]
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return m.shards[h%uint32(len(m.shards))]
-}
-
 // Cache returns the cache for a backend subscription, or nil.
 func (m *Manager) Cache(id string) *ResultCache {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.caches[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.caches[id]
 }
 
 // TTLRecomputeInterval returns the configured TTL recompute period.
@@ -275,11 +199,7 @@ func (m *Manager) TTLRecomputeInterval() time.Duration { return m.ttlCfg.Recompu
 // RhoTTLSum returns the mean of sum_i(rho_i*T_i) observed at TTL
 // recomputations; per eq. (5) it should track the budget B (Fig. 5a's
 // "sum rho_i T_i" bar).
-func (m *Manager) RhoTTLSum() float64 {
-	m.ttlMu.Lock()
-	defer m.ttlMu.Unlock()
-	return m.rhoTTL.Mean()
-}
+func (m *Manager) RhoTTLSum() float64 { return m.rhoTTL.Mean() }
 
 // isNC reports whether caching is disabled.
 func (m *Manager) isNC() bool {
@@ -295,11 +215,9 @@ func (m *Manager) Subscribe(id, k string, now time.Duration) {
 	if m.isNC() {
 		return
 	}
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c := m.ensureCache(sh, id, now)
-	c.subs[k] = struct{}{}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.ensureCache(id, now).subs[k] = struct{}{}
 }
 
 // Unsubscribe detaches subscriber k from backend subscription id
@@ -310,11 +228,10 @@ func (m *Manager) Unsubscribe(id, k string, now time.Duration) {
 	if m.isNC() {
 		return
 	}
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	c := sh.caches[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := m.caches[id]
 	if c == nil {
-		sh.mu.Unlock()
 		return
 	}
 	delete(c.subs, k)
@@ -331,39 +248,36 @@ func (m *Manager) Unsubscribe(id, k string, now time.Duration) {
 	for _, o := range consumed {
 		m.dropObject(c, o, now, dropConsumed)
 	}
-	m.touch(sh, c, now)
-	sh.mu.Unlock()
+	m.touch(c, now)
 	m.recordSize(now)
 }
 
 // DropCache removes the entire cache of a backend subscription (used when
 // the broker tears the backend subscription down).
 func (m *Manager) DropCache(id string, now time.Duration) {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	c := sh.caches[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := m.caches[id]
 	if c == nil {
-		sh.mu.Unlock()
 		return
 	}
 	for c.tail != nil {
 		m.dropObject(c, c.tail, now, dropTeardown)
 	}
-	delete(sh.caches, id)
-	sh.mu.Unlock()
+	delete(m.caches, id)
 	m.recordSize(now)
 }
 
 // ensureCache returns the cache for id, creating it if missing. Caller
-// holds the shard lock.
-func (m *Manager) ensureCache(sh *managerShard, id string, now time.Duration) *ResultCache {
-	c := sh.caches[id]
+// holds m.mu.
+func (m *Manager) ensureCache(id string, now time.Duration) *ResultCache {
+	c := m.caches[id]
 	if c == nil {
 		c = newResultCache(id, now, m.ttlCfg.RateWindow, m.ttlCfg.RateAlpha)
 		if m.policy.StampTTL() {
 			c.ttl = m.ttlCfg.DefaultTTL
 		}
-		sh.caches[id] = c
+		m.caches[id] = c
 	}
 	return c
 }
@@ -380,9 +294,9 @@ func (m *Manager) Put(id string, obj *Object, now time.Duration) error {
 	if m.isNC() {
 		return nil
 	}
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	c := m.ensureCache(sh, id, now)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := m.ensureCache(id, now)
 	obj.CacheID = id
 	obj.insertedAt = now
 	if m.policy.StampTTL() {
@@ -399,126 +313,53 @@ func (m *Manager) Put(id string, obj *Object, now time.Duration) error {
 		obj.subs[k] = struct{}{}
 	}
 	if err := c.pushHead(obj); err != nil {
-		sh.mu.Unlock()
 		return err
 	}
-	m.total.Add(obj.Size)
+	m.total += obj.Size
 	c.arrival.Observe(now, float64(obj.Size))
-	m.touch(sh, c, now)
-	sh.mu.Unlock()
-
+	m.touch(c, now)
 	if m.policy.Evicts() {
-		m.evictUntilFits(now)
+		for m.total > m.budget && m.evictOne(now) {
+		}
 	}
-	// Record the size only after evictions so the tracked maximum is the
-	// post-admission steady size (eviction policies must never report a
-	// size above the budget).
+	// Recorded only after the evictions: an eviction policy must never
+	// report a size above its budget.
 	m.recordSize(now)
 	return nil
 }
 
-// evictUntilFits drops tail objects from the lowest-scored caches until the
-// total size is within the budget. Called without any shard lock held.
-func (m *Manager) evictUntilFits(now time.Duration) {
-	for m.total.Load() > m.budget {
-		if !m.evictOne(now) {
-			return // nothing cached anywhere
-		}
-	}
-}
-
-// evictOne removes one tail object from the globally lowest-scored cache.
-// It locks one shard at a time: a peek pass over every shard finds the
-// shard holding the global minimum (score ties broken by cache ID, so
-// eviction order matches the pre-sharding manager for any shard count),
-// then that shard is re-locked to pop and evict. Under concurrency the
-// peeked victim may vanish before the re-lock; the scan is then retried —
-// the intervening drop was progress by another goroutine, so the retry
-// loop terminates. Returns false only when no shard holds a victim.
+// evictOne drops the tail object of the lowest-scored cache (score ties
+// broken by cache ID) and reports whether there was one. Every non-empty
+// cache has a fresh heap entry (touch), so an exhausted heap means nothing
+// is cached. Caller holds m.mu.
 func (m *Manager) evictOne(now time.Duration) bool {
-	for {
-		best := -1
-		var bestScore float64
-		var bestID string
-		for i, sh := range m.shards {
-			sh.mu.Lock()
-			c, score, ok := m.peekVictim(sh, now)
-			if ok && (best < 0 || score < bestScore || (score == bestScore && c.id < bestID)) {
-				best, bestScore, bestID = i, score, c.id
-			}
-			sh.mu.Unlock()
-		}
-		if best < 0 {
-			return false
-		}
-		sh := m.shards[best]
-		sh.mu.Lock()
-		victim := sh.victims.popFresh(nil)
-		if victim == nil {
-			sh.rebuildVictims(m.policy, now)
-			victim = sh.victims.popFresh(nil)
-		}
-		if victim == nil || victim.tail == nil {
-			sh.mu.Unlock()
-			continue // raced with a concurrent drop; rescan
-		}
-		m.dropObject(victim, victim.tail, now, dropEvicted)
-		m.touch(sh, victim, now)
-		sh.mu.Unlock()
-		return true
+	victim := m.victims.popFresh()
+	if victim == nil {
+		return false
 	}
+	m.dropObject(victim, victim.tail, now, dropEvicted)
+	m.touch(victim, now)
+	return true
 }
 
-// peekVictim returns the shard's lowest-scored non-empty cache without
-// removing its heap entry. Caller holds the shard lock.
-func (m *Manager) peekVictim(sh *managerShard, now time.Duration) (*ResultCache, float64, bool) {
-	c, score, ok := sh.victims.peekFresh(nil)
-	if !ok {
-		sh.rebuildVictims(m.policy, now)
-		c, score, ok = sh.victims.peekFresh(nil)
-	}
-	return c, score, ok
-}
-
-// rebuildVictims reconstructs the shard's victim heap from scratch
-// (fallback when lazy entries were exhausted, and periodic compaction).
-// Caller holds the shard lock.
-func (sh *managerShard) rebuildVictims(p Policy, now time.Duration) {
-	sh.victims.entries = sh.victims.entries[:0]
-	for _, c := range sh.caches {
-		if c.n > 0 {
-			sh.victims.push(c, p.Score(c, now))
-		}
-	}
-}
-
-// touch invalidates c's heap entries and re-registers its current scores.
-// Caller holds the shard lock.
-func (m *Manager) touch(sh *managerShard, c *ResultCache, now time.Duration) {
+// touch invalidates c's heap entries and re-registers its current scores,
+// compacting a heap whose lazy entries far outnumber the live caches.
+// Caller holds m.mu.
+func (m *Manager) touch(c *ResultCache, now time.Duration) {
 	c.seq++
 	if c.n == 0 {
 		return
 	}
 	if m.policy.Evicts() {
-		sh.victims.push(c, m.policy.Score(c, now))
-		// Compact if the lazy heap grew far beyond the live cache count.
-		if sh.victims.size() > 4*len(sh.caches)+64 {
-			sh.rebuildVictims(m.policy, now)
+		m.victims.push(c, m.policy.Score(c, now))
+		if m.victims.size() > 4*len(m.caches)+64 {
+			m.victims.rebuild(m.caches, func(c *ResultCache) float64 { return m.policy.Score(c, now) })
 		}
 	}
 	if m.policy.AutoExpire() {
-		sh.expiry.push(c, float64(c.tail.expiresAt))
-		if sh.expiry.size() > 4*len(sh.caches)+64 {
-			sh.rebuildExpiry()
-		}
-	}
-}
-
-func (sh *managerShard) rebuildExpiry() {
-	sh.expiry.entries = sh.expiry.entries[:0]
-	for _, c := range sh.caches {
-		if c.n > 0 {
-			sh.expiry.push(c, float64(c.tail.expiresAt))
+		m.expiry.push(c, float64(c.tail.expiresAt))
+		if m.expiry.size() > 4*len(m.caches)+64 {
+			m.expiry.rebuild(m.caches, func(c *ResultCache) float64 { return float64(c.tail.expiresAt) })
 		}
 	}
 }
@@ -536,11 +377,11 @@ const (
 )
 
 // dropObject unlinks o from c and records holding time, cache size and the
-// reason counter. Caller holds c's shard lock. The caller is responsible
-// for calling touch(sh, c, now) afterwards (batched by some call sites).
+// reason counter. Caller holds m.mu and is responsible for calling
+// touch(c, now) afterwards (batched by some call sites).
 func (m *Manager) dropObject(c *ResultCache, o *Object, now time.Duration, reason dropReason) {
 	c.remove(o)
-	m.total.Add(-o.Size)
+	m.total -= o.Size
 	if reason == dropConsumed {
 		c.consumption.Observe(now, float64(o.Size))
 	} else if o.Timestamp > c.completeSince {
@@ -567,17 +408,13 @@ func (m *Manager) dropObject(c *ResultCache, o *Object, now time.Duration, reaso
 // (never mid-eviction) so the tracked maximum reflects steady
 // post-operation sizes. Deltas rather than absolute sets let several
 // managers share one CacheStats (the multi-broker sim): the gauge then
-// tracks the summed total.
+// tracks the summed total. Caller holds m.mu.
 func (m *Manager) recordSize(now time.Duration) {
 	if m.stats == nil {
 		return
 	}
-	total := m.total.Load()
-	m.sizeMu.Lock()
-	delta := total - m.lastSize
-	m.lastSize = total
-	m.stats.CacheSize.Add(now, float64(delta))
-	m.sizeMu.Unlock()
+	m.stats.CacheSize.Add(now, float64(m.total-m.lastSize))
+	m.lastSize = m.total
 }
 
 // RetrievalInfo describes how Retrieve served a request.
@@ -610,11 +447,10 @@ func (m *Manager) Retrieve(ctx context.Context, id, k string, from, to, now time
 	if to <= from {
 		return nil, RetrievalInfo{}, nil
 	}
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	c := sh.caches[id]
+	m.mu.Lock()
+	c := m.caches[id]
 	if m.isNC() || c == nil {
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		// Nothing cached: there is no stale copy to degrade to, so a
 		// fetch failure propagates even under StaleServe.
 		objs, err := m.fetchMissed(ctx, id, from, to, true)
@@ -659,9 +495,9 @@ func (m *Manager) Retrieve(ctx context.Context, id, k string, from, to, now time
 	for _, o := range consumed {
 		m.dropObject(c, o, now, dropConsumed)
 	}
-	m.touch(sh, c, now)
-	sh.mu.Unlock()
+	m.touch(c, now)
 	m.recordSize(now)
+	m.mu.Unlock()
 	if m.stats != nil {
 		m.stats.Requests.Add(float64(len(cached)))
 		m.stats.Hits.Add(float64(len(cached)))
@@ -701,10 +537,9 @@ func (m *Manager) Peek(id string, from, to time.Duration, inclusiveTo bool) ([]*
 	if to <= from || m.isNC() {
 		return nil, false
 	}
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c := sh.caches[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := m.caches[id]
 	if c == nil {
 		return nil, false
 	}
@@ -716,7 +551,7 @@ func (m *Manager) Peek(id string, from, to time.Duration, inclusiveTo bool) ([]*
 }
 
 // fetchMissed retrieves evicted/expired objects from the data cluster and
-// records miss accounting. It must be called WITHOUT any shard lock held
+// records miss accounting. It must be called WITHOUT m.mu held
 // (the fetch may be a network call). Concurrent calls for the same
 // (id, range) coalesce into one Fetcher.Fetch: every caller still counts
 // its own requests and miss bytes (each caller genuinely missed), but
@@ -761,63 +596,35 @@ func (m *Manager) fetchMissed(ctx context.Context, id string, from, to time.Dura
 // [MinTTL, MaxTTL]. It returns the new TTLs keyed by cache ID. Under
 // non-TTL-stamping policies the assigned TTLs are hypothetical — objects
 // are neither stamped nor expired — which is exactly what the Fig. 5(b)
-// holding-time-vs-TTL comparison needs for the eviction policies. The
-// recompute walks the shards twice (collect rates, then assign TTLs),
-// locking one shard at a time; concurrent recomputes are serialised.
+// holding-time-vs-TTL comparison needs for the eviction policies.
 func (m *Manager) RecomputeTTLs(now time.Duration) map[string]time.Duration {
-	m.ttlMu.Lock()
-	defer m.ttlMu.Unlock()
-	m.lastRecompute = now
-
-	type cr struct {
-		c   *ResultCache
-		rho float64
-		w   float64
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	type rated struct {
+		c      *ResultCache
+		rho, w float64
 	}
-	perShard := make([][]cr, len(m.shards))
+	rates := make([]rated, 0, len(m.caches))
 	var denom float64
-	total := 0
-	for i, sh := range m.shards {
-		sh.mu.Lock()
-		crs := make([]cr, 0, len(sh.caches))
-		for _, c := range sh.caches {
-			rho := c.GrowthRate(now)
-			var w float64
-			switch m.ttlCfg.Weighting {
-			case WeightUniform:
-				w = 1
-			default:
-				w = float64(len(c.subs))
-			}
-			crs = append(crs, cr{c: c, rho: rho, w: w})
-			denom += w * rho
+	for _, c := range m.caches {
+		r := rated{c: c, rho: c.GrowthRate(now), w: 1}
+		if m.ttlCfg.Weighting != WeightUniform {
+			r.w = float64(len(c.subs))
 		}
-		sh.mu.Unlock()
-		perShard[i] = crs
-		total += len(crs)
+		rates = append(rates, r)
+		denom += r.w * r.rho
 	}
-	out := make(map[string]time.Duration, total)
+	out := make(map[string]time.Duration, len(rates))
 	var rhoTTL float64
-	for i, sh := range m.shards {
-		sh.mu.Lock()
-		for _, e := range perShard[i] {
-			var ttl time.Duration
-			if denom <= 0 {
-				ttl = m.ttlCfg.DefaultTTL
-			} else {
-				ttl = time.Duration(e.w * float64(m.budget) / denom * float64(time.Second))
-			}
-			if ttl < m.ttlCfg.MinTTL {
-				ttl = m.ttlCfg.MinTTL
-			}
-			if ttl > m.ttlCfg.MaxTTL {
-				ttl = m.ttlCfg.MaxTTL
-			}
-			e.c.ttl = ttl
-			out[e.c.id] = ttl
-			rhoTTL += e.rho * ttl.Seconds()
+	for _, r := range rates {
+		ttl := m.ttlCfg.DefaultTTL
+		if denom > 0 {
+			ttl = time.Duration(r.w * float64(m.budget) / denom * float64(time.Second))
 		}
-		sh.mu.Unlock()
+		ttl = min(max(ttl, m.ttlCfg.MinTTL), m.ttlCfg.MaxTTL)
+		r.c.ttl = ttl
+		out[r.c.id] = ttl
+		rhoTTL += r.rho * ttl.Seconds()
 	}
 	m.rhoTTL.Observe(rhoTTL)
 	return out
@@ -831,22 +638,20 @@ func (m *Manager) ExpireDue(now time.Duration) int {
 	if !m.policy.AutoExpire() {
 		return 0
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	dropped := 0
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for {
-			c, score, ok := sh.expiry.peekFresh(nil)
-			if !ok || time.Duration(score) > now {
-				break
-			}
-			// Drop expired tails of this cache.
-			for c.tail != nil && c.tail.expiresAt <= now {
-				m.dropObject(c, c.tail, now, dropExpired)
-				dropped++
-			}
-			m.touch(sh, c, now)
+	for {
+		c, deadline, ok := m.expiry.peekFresh()
+		if !ok || time.Duration(deadline) > now {
+			break
 		}
-		sh.mu.Unlock()
+		// Drop expired tails of this cache.
+		for c.tail != nil && c.tail.expiresAt <= now {
+			m.dropObject(c, c.tail, now, dropExpired)
+			dropped++
+		}
+		m.touch(c, now)
 	}
 	m.recordSize(now)
 	return dropped
@@ -859,18 +664,10 @@ func (m *Manager) NextExpiry() (time.Duration, bool) {
 	if !m.policy.AutoExpire() {
 		return 0, false
 	}
-	var earliest time.Duration
-	found := false
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		_, score, ok := sh.expiry.peekFresh(nil)
-		sh.mu.Unlock()
-		if ok && (!found || time.Duration(score) < earliest) {
-			earliest = time.Duration(score)
-			found = true
-		}
-	}
-	return earliest, found
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, deadline, ok := m.expiry.peekFresh()
+	return time.Duration(deadline), ok
 }
 
 // CacheInfo is a point-in-time summary of one result cache, used by the
@@ -894,24 +691,21 @@ type CacheInfo struct {
 // CacheInfos returns a summary of every cache, sorted by ID.
 func (m *Manager) CacheInfos() []CacheInfo {
 	var out []CacheInfo
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for _, c := range sh.caches {
-			mean, n := c.holding.Mean(), c.holding.N()
-			out = append(out, CacheInfo{
-				ID:             c.id,
-				Objects:        c.n,
-				Bytes:          c.size,
-				Subscribers:    len(c.subs),
-				TTL:            c.ttl,
-				LastAccess:     c.lastAccess,
-				HoldingMean:    mean,
-				HoldingN:       n,
-				TTLStampedMean: c.ttlStamped.Mean(),
-			})
-		}
-		sh.mu.Unlock()
+	m.mu.Lock()
+	for _, c := range m.caches {
+		out = append(out, CacheInfo{
+			ID:             c.id,
+			Objects:        c.n,
+			Bytes:          c.size,
+			Subscribers:    len(c.subs),
+			TTL:            c.ttl,
+			LastAccess:     c.lastAccess,
+			HoldingMean:    c.holding.Mean(),
+			HoldingN:       c.holding.N(),
+			TTLStampedMean: c.ttlStamped.Mean(),
+		})
 	}
+	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

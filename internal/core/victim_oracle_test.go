@@ -10,20 +10,18 @@ import (
 )
 
 // linearVictim is the O(N) reference the lazy victim heap replaced: scan
-// every non-empty cache of every shard for the minimum (score, id). It
-// survives only here, as the heap's oracle.
+// every non-empty cache for the minimum (score, id). It survives only here,
+// as the heap's oracle.
 func linearVictim(m *Manager, now time.Duration) *ResultCache {
 	var best *ResultCache
 	var bestScore float64
-	for _, sh := range m.shards {
-		for _, c := range sh.caches {
-			if c.n == 0 {
-				continue
-			}
-			s := m.policy.Score(c, now)
-			if best == nil || s < bestScore || (s == bestScore && c.id < best.id) {
-				best, bestScore = c, s
-			}
+	for _, c := range m.caches {
+		if c.n == 0 {
+			continue
+		}
+		s := m.policy.Score(c, now)
+		if best == nil || s < bestScore || (s == bestScore && c.id < best.id) {
+			best, bestScore = c, s
 		}
 	}
 	return best
@@ -41,7 +39,7 @@ func TestHeapVictimMatchesLinearScan(t *testing.T) {
 		}
 		for seed := int64(1); seed <= 5; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			m, err := NewManager(Config{Policy: p, Budget: budget, Fetcher: newMemFetcher(), Shards: 4,
+			m, err := NewManager(Config{Policy: p, Budget: budget, Fetcher: newMemFetcher(),
 				TTL: TTLConfig{DefaultTTL: 40 * time.Second, MinTTL: time.Second}})
 			if err != nil {
 				t.Fatal(err)

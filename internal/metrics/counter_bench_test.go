@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The Counter sits inside every shard GET/PUT (hits, bytes, requests), so
+// The Counter sits inside every cache GET/PUT (hits, bytes, requests), so
 // its Add is a cache hot path. These benchmarks cover the serial and the
 // contended case; `go test -bench Counter -benchmem ./internal/metrics`.
 

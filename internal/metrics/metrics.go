@@ -21,8 +21,8 @@ import (
 //
 // The total is kept as the IEEE-754 bit pattern of a float64 inside an
 // atomic.Uint64 and updated by a compare-and-swap loop, so Add takes no
-// mutex: it sits inside every shard GET/PUT of the cache manager, where a
-// lock would serialise otherwise independent shards.
+// mutex: the cache manager bumps its counters on every GET, outside its own
+// lock, and a second lock there would serialise retrievals again.
 type Counter struct {
 	bits    atomic.Uint64 // math.Float64bits of the running total
 	n       atomic.Int64
@@ -375,7 +375,7 @@ type CacheStats struct {
 	// fetch failure (graceful degradation instead of a subscriber error).
 	StaleServed Counter
 	// PeerHits counts miss lookups answered by a sibling broker's cache
-	// (the fabric's two-tier path: local shard -> HRW-owner peer ->
+	// (the fabric's two-tier path: local cache -> HRW-owner peer ->
 	// cluster), sparing a cluster fetch.
 	PeerHits Counter
 	// PeerMisses counts miss lookups that consulted a sibling and fell

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strconv"
 	"time"
 
 	"gobad/internal/core"
@@ -69,32 +68,15 @@ func NewCacheStatsCollector(stats *metrics.CacheStats, now func() time.Duration)
 }
 
 // NewManagerCollector exports the cache manager's live structure: budget,
-// totals, per-shard occupancy and the singleflight coalescing tallies.
+// totals and the singleflight coalescing tallies.
 func NewManagerCollector(m *core.Manager) Collector {
 	return CollectorFunc(func(emit func(Family)) {
 		emit(Family{Name: "bad_cache_budget_bytes", Help: "Configured cache budget B.",
 			Type: GaugeType, Points: []Point{{Value: float64(m.Budget())}}})
-		emit(Family{Name: "bad_cache_total_bytes", Help: "Total cached bytes across all shards.",
+		emit(Family{Name: "bad_cache_total_bytes", Help: "Total cached bytes across all caches.",
 			Type: GaugeType, Points: []Point{{Value: float64(m.TotalSize())}}})
 		emit(Family{Name: "bad_cache_caches", Help: "Live result caches (backend subscriptions).",
 			Type: GaugeType, Points: []Point{{Value: float64(m.NumCaches())}}})
-
-		shards := m.ShardStatsSnapshot()
-		bytesPts := make([]Point, 0, len(shards))
-		cachePts := make([]Point, 0, len(shards))
-		objPts := make([]Point, 0, len(shards))
-		for _, st := range shards {
-			ls := []Label{{Name: "shard", Value: strconv.Itoa(st.Shard)}}
-			bytesPts = append(bytesPts, Point{Labels: ls, Value: float64(st.Bytes)})
-			cachePts = append(cachePts, Point{Labels: ls, Value: float64(st.Caches)})
-			objPts = append(objPts, Point{Labels: ls, Value: float64(st.Objects)})
-		}
-		emit(Family{Name: "bad_shard_bytes", Help: "Cached bytes per lock stripe.",
-			Type: GaugeType, Points: bytesPts})
-		emit(Family{Name: "bad_shard_caches", Help: "Result caches per lock stripe.",
-			Type: GaugeType, Points: cachePts})
-		emit(Family{Name: "bad_shard_objects", Help: "Cached objects per lock stripe.",
-			Type: GaugeType, Points: objPts})
 
 		leaders, coalesced := m.FlightStats()
 		emit(Family{Name: "bad_singleflight_leader_total", Help: "Miss fetches executed against the data cluster.",

@@ -80,8 +80,8 @@ type Family struct {
 }
 
 // Collector is the pull-style source of metric families; Collect is called
-// at scrape time, so collectors can read live state (cache manager shards,
-// runtime memstats) without maintaining push-side bookkeeping.
+// at scrape time, so collectors can read live state (the cache manager's
+// totals, runtime memstats) without maintaining push-side bookkeeping.
 type Collector interface {
 	Collect(emit func(Family))
 }

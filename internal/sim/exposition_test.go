@@ -85,7 +85,7 @@ func TestExpositionMatchesSnapshot(t *testing.T) {
 	if _, ok := parsed.Value("bad_cache_budget_bytes"); !ok {
 		t.Error("dump is missing bad_cache_budget_bytes")
 	}
-	if typ := parsed.Types["bad_shard_bytes"]; typ != obs.GaugeType {
-		t.Errorf("bad_shard_bytes TYPE = %q, want gauge", typ)
+	if typ := parsed.Types["bad_cache_caches"]; typ != obs.GaugeType {
+		t.Errorf("bad_cache_caches TYPE = %q, want gauge", typ)
 	}
 }
