@@ -318,30 +318,36 @@ func (b *Broker) Drain(ctx context.Context, successor string) int {
 }
 
 // AttachSession registers a subscriber's WebSocket connection with the
-// push hub and indexes it under the subscriber's current subscriptions
-// (the hub's interest index is what broadcast resolves audiences from).
-// Any previous session of the same subscriber is closed. It reports false
-// while the broker is draining: the connection is closed immediately with
-// a migrate frame naming the successor.
+// push hub, already indexed under the subscriber's current subscriptions
+// (the hub's interest index is what broadcast resolves audiences from):
+// session and index entries appear in one step, so the server can answer
+// the handshake afterwards and a connected client is owed every later
+// publish. Any previous session of the same subscriber is closed. It
+// reports false while the broker is draining: the connection is closed
+// immediately with a migrate frame naming the successor.
 func (b *Broker) AttachSession(subscriber string, conn *wsock.Conn) bool {
-	if !b.sessions.attach(subscriber, conn, nil) {
+	if !b.sessions.attach(subscriber, conn, b.interests(subscriber)) {
 		return false
 	}
-	// Index the session under the subscriber's interests. Ordering with a
-	// concurrent Subscribe is safe in both directions: a Subscribe that
-	// updated subIndex before this read is included here, one that updates
-	// it after necessarily finds the session attached and registers it
-	// itself (register is idempotent).
-	b.mu.Lock()
-	interests := make(map[string]string, len(b.subIndex[subscriber]))
-	for bsID, fsID := range b.subIndex[subscriber] {
-		interests[bsID] = fsID
-	}
-	b.mu.Unlock()
-	for bsID, fsID := range interests {
+	// A Subscribe that updated subIndex between that snapshot and the
+	// attach found no session to register with; one that updates it from
+	// here on finds the session and registers itself. Register is
+	// idempotent, so indexing the whole second snapshot is harmless.
+	for bsID, fsID := range b.interests(subscriber) {
 		b.sessions.register(subscriber, bsID, fsID)
 	}
 	return true
+}
+
+// interests snapshots a subscriber's backend sub -> frontend sub index.
+func (b *Broker) interests(subscriber string) map[string]string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make(map[string]string, len(b.subIndex[subscriber]))
+	for bsID, fsID := range b.subIndex[subscriber] {
+		out[bsID] = fsID
+	}
+	return out
 }
 
 // DetachSession removes the subscriber's session if it still owns conn
@@ -663,6 +669,11 @@ type Retrieval struct {
 	Stale bool
 }
 
+// errUnknownFrontendSub marks a retrieval of a frontend subscription this
+// broker does not hold for that subscriber; the results route answers it
+// 404 and every other retrieval failure 502.
+var errUnknownFrontendSub = errors.New("broker: unknown frontend subscription")
+
 // RetrieveContext implements Algorithm 1's GETRESULTS: it returns the
 // results of fsID's backend subscription in (fts, bts], serving from the
 // cache where possible. ctx bounds any miss re-fetch from the data cluster.
@@ -679,7 +690,7 @@ func (b *Broker) RetrieveContext(ctx context.Context, subscriber, fsID string) (
 	fs, ok := b.frontend[fsID]
 	if !ok || fs.subscriber != subscriber {
 		b.mu.Unlock()
-		return Retrieval{}, fmt.Errorf("broker: unknown frontend subscription %q", fsID)
+		return Retrieval{}, fmt.Errorf("%w %q", errUnknownFrontendSub, fsID)
 	}
 	bsID := fs.bs.id
 	from, to := fs.fts, fs.bs.bts

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"strconv"
@@ -225,14 +226,36 @@ type ResultsResponse struct {
 	Stale bool `json:"stale,omitempty"`
 }
 
+// handleGetResults is one retrieval: Algorithm 1's ACK for the previous
+// one, when the request carries it as ack=<timestamp_ns>, then GETRESULTS
+// over the (fts, bts] the ack left. A malformed ack is refused before
+// anything is retrieved or consumed; an unknown subscription is 404 and a
+// failed data-cluster fetch a retryable 502 (marker unchanged, the cached
+// part not handed out), so a client never mistakes a cluster outage for a
+// lost subscription.
 func (s *Server) handleGetResults(w http.ResponseWriter, r *http.Request) {
-	subscriber := r.URL.Query().Get("subscriber")
-	ret, err := s.broker.RetrieveContext(r.Context(), subscriber, r.PathValue("fs"))
-	if err != nil {
-		httpx.WriteError(w, http.StatusNotFound, "%v", err)
-		return
+	q := r.URL.Query()
+	subscriber, fs := q.Get("subscriber"), r.PathValue("fs")
+	if q.Has("ack") {
+		ts, err := strconv.ParseInt(q.Get("ack"), 10, 64)
+		if err != nil || ts < 0 {
+			httpx.WriteError(w, http.StatusBadRequest, "ack must be a non-negative timestamp in nanoseconds")
+			return
+		}
+		if err := s.ack(r.Context(), subscriber, fs, ts); err != nil {
+			httpx.WriteError(w, http.StatusNotFound, "%v", err)
+			return
+		}
 	}
-	httpx.WriteJSON(w, http.StatusOK, ResultsResponse{Results: ret.Items, LatestNS: int64(ret.Latest), Stale: ret.Stale})
+	ret, err := s.broker.RetrieveContext(r.Context(), subscriber, fs)
+	switch {
+	case errors.Is(err, errUnknownFrontendSub):
+		httpx.WriteError(w, http.StatusNotFound, "%v", err)
+	case err != nil:
+		httpx.WriteError(w, http.StatusBadGateway, "%v", err)
+	default:
+		httpx.WriteJSON(w, http.StatusOK, ResultsResponse{Results: ret.Items, LatestNS: int64(ret.Latest), Stale: ret.Stale})
+	}
 }
 
 // AckRequest advances a frontend subscription's marker.
@@ -241,26 +264,34 @@ type AckRequest struct {
 	TimestampNS int64  `json:"timestamp_ns"`
 }
 
+// handleAck is the explicit ACK route, for a caller that has no next
+// retrieval to carry the marker on.
 func (s *Server) handleAck(w http.ResponseWriter, r *http.Request) {
 	var req AckRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The ack is the trace's final leg: the client forwarded the push
-	// frame's traceparent, so this span closes the delivery end to end.
-	ctx, sp := s.obs.Traces.Start(r.Context(), "broker.client_ack")
-	sp.SetAttr("subscriber", req.Subscriber)
-	start := time.Now()
-	err := s.broker.Ack(req.Subscriber, r.PathValue("fs"), time.Duration(req.TimestampNS))
-	sp.SetError(err)
-	sp.End()
-	s.broker.stages.Observe(ctx, span.StageClientAck, span.OutcomeNone, time.Since(start))
-	if err != nil {
+	if err := s.ack(r.Context(), req.Subscriber, r.PathValue("fs"), req.TimestampNS); err != nil {
 		httpx.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	httpx.WriteJSON(w, http.StatusOK, nil)
+}
+
+// ack runs Broker.Ack under the delivery trace's closing span. The client
+// forwards the push frame's traceparent, so broker.client_ack and the
+// client_ack stage sample land in the delivery's trace whichever request
+// carried the marker.
+func (s *Server) ack(ctx context.Context, subscriber, fs string, ts int64) error {
+	ctx, sp := s.obs.Traces.Start(ctx, "broker.client_ack")
+	sp.SetAttr("subscriber", subscriber)
+	start := time.Now()
+	err := s.broker.Ack(subscriber, fs, time.Duration(ts))
+	sp.SetError(err)
+	sp.End()
+	s.broker.stages.Observe(ctx, span.StageClientAck, span.OutcomeNone, time.Since(start))
+	return err
 }
 
 func (s *Server) handleListSubs(w http.ResponseWriter, r *http.Request) {
@@ -313,14 +344,20 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusServiceUnavailable, "broker draining")
 		return
 	}
-	conn, err := wsock.Upgrade(w, r)
+	// Attach before the 101: the session and its interest-index entries
+	// exist before one byte of the response is written, so a client whose
+	// dial returned is owed every publish from then on.
+	conn, err := wsock.Hijack(w, r)
 	if err != nil {
-		return // Upgrade already wrote the error
+		return // Hijack already wrote the error
 	}
 	if !s.broker.AttachSession(subscriber, conn) {
-		return // drain raced the upgrade; attach sent the migrate frame
+		return // drain raced the handshake; attach answered 101 + migrate close
 	}
 	defer s.broker.DetachSession(subscriber, conn)
+	if err := conn.Accept(); err != nil {
+		return
+	}
 	for {
 		if _, _, err := conn.ReadMessage(); err != nil {
 			_ = conn.Close()

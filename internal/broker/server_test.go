@@ -240,3 +240,38 @@ func TestServerPushCallback(t *testing.T) {
 		t.Errorf("cache has %d objects after pushed callback, want 1", got)
 	}
 }
+
+// TestAttachBeforeHandshakeAnswer: the 101 is written only after the
+// session and its interest-index entries exist, so the moment a dial
+// returns — no wait, no poll — the subscriber is online and in the audience
+// of every subscription it held when it dialled.
+func TestAttachBeforeHandshakeAnswer(t *testing.T) {
+	env, srv := newHTTPEnv(t)
+	var subs []string
+	for _, etype := range []string{"fire", "flood", "quake"} {
+		fs, err := env.broker.Subscribe("alice", "Alerts", []any{etype})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, err := env.broker.BackendSubID("alice", fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, bs)
+	}
+	for round := 0; round < 20; round++ { // each dial replaces the previous session
+		conn, err := wsock.Dial(srv.URL+"/v1/ws?subscriber=alice", 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !env.broker.Online("alice") {
+			t.Fatalf("round %d: dial returned before the session was attached", round)
+		}
+		for _, bs := range subs {
+			if got := env.broker.sessions.audienceSize(bs); got != 1 {
+				t.Fatalf("round %d: audience of %s = %d when the dial returned, want 1", round, bs, got)
+			}
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+	}
+}

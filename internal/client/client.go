@@ -1,9 +1,9 @@
 // Package client implements the BAD client (subscriber) library: it asks
 // the Broker Coordination Service for a broker, subscribes to parameterized
 // channels through it, listens for push notifications over a WebSocket and
-// retrieves (then acknowledges) channel results. Retrieval latencies are
-// recorded so trace drivers can report the paper's subscriber-latency
-// metric.
+// retrieves channel results, each retrieval acknowledging the one before
+// it. Retrieval latencies are recorded so trace drivers can report the
+// paper's subscriber-latency metric.
 package client
 
 import (
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"time"
 
@@ -53,9 +54,9 @@ type Config struct {
 	// Sleep and Stats are consulted. nil uses 100ms base, 5s cap,
 	// unbounded attempts.
 	Retry *httpx.Retryer
-	// Traces records the client's retrieval and ack spans. Optional: nil
-	// still propagates trace context (the push frame's traceparent rides
-	// the GetResults and ack requests), it just records nothing locally.
+	// Traces records the client's retrieval spans. Optional: nil still
+	// propagates trace context (the push frame's traceparent rides the
+	// GetResults request), it just records nothing locally.
 	Traces *span.Recorder
 }
 
@@ -70,12 +71,12 @@ type subState struct {
 	fs      string
 	// lastTS is the delivered watermark: the newest result timestamp
 	// handed to the application from a complete (non-stale) retrieval.
-	// It is the resume token after failover, and the dedup bound for
-	// at-least-once redelivery.
+	// It is the ack the next retrieval carries, the resume token after
+	// failover, and the dedup bound for at-least-once redelivery.
 	lastTS time.Duration
 	// lastTrace is the trace context the most recent push frame carried;
-	// the next GetResults/ack round trip joins it, completing the
-	// end-to-end delivery trace.
+	// the next GetResults joins it, completing the end-to-end delivery
+	// trace.
 	lastTrace obs.SpanContext
 }
 
@@ -297,23 +298,28 @@ func (c *Client) Subscriptions() ([]string, error) {
 	return out["subscriptions"], nil
 }
 
-// GetResults retrieves all new results of a frontend subscription and
-// acknowledges them. The retrieval latency is recorded. At-least-once
-// redelivery after a failover resume is deduplicated here: results at or
-// below the subscription's delivered watermark (timestamps the application
-// already received) are dropped before being returned.
+// GetResults retrieves all new results of a frontend subscription in one
+// round trip. The request carries the subscription's delivered watermark
+// as ack=<ns>: the broker runs Algorithm 1's ACK for the previous
+// retrieval first and GETRESULTS over what that leaves, so the marker at
+// the broker trails the application by exactly one retrieval and nothing
+// is ever acknowledged that was not handed out. The retrieval latency is
+// recorded. At-least-once redelivery — after a failover resume, or of a
+// retrieval whose response was lost — is deduplicated here: results at or
+// below the watermark (timestamps the application already received) are
+// dropped before being returned.
 //
-// When results arrive but the ack round trip fails, the results are
-// returned WITH the error: the watermark has already advanced past them
-// (so a later redelivery is deduplicated away) and discarding them would
-// lose data. Callers must consume returned items even on error.
+// A subscription this client did not create has no watermark to carry, so
+// its retrieval is followed by an explicit ack POST. When that ack fails
+// the results are returned WITH the error; callers must consume returned
+// items even on error.
 func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 	start := time.Now()
 	// Snapshot broker URL, current frontend-sub ID and watermark in ONE
 	// critical section: a supervised failover commits all of them together,
 	// and a mixed pair (old subscription ID, new broker — or vice versa)
-	// would retrieve from one broker and ack at another that has never
-	// heard of the subscription.
+	// would carry one broker's watermark to a subscription another broker
+	// minted.
 	c.mu.Lock()
 	base, cur := c.brokerURL, fs
 	seen := time.Duration(-1)
@@ -326,16 +332,19 @@ func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 	}
 	c.mu.Unlock()
 	// Join the trace the push frame carried (when it carried one): the
-	// retrieval and ack round trips below then show up as client spans of
-	// the same end-to-end delivery trace, and their traceparent rides the
-	// requests so the broker's server spans link in too.
+	// retrieval below then shows up as a client span of the same
+	// end-to-end delivery trace, and its traceparent rides the request so
+	// the broker's server spans link in too.
 	ctx := context.Background()
 	if origin.Valid() {
 		ctx = obs.ContextWithSpan(ctx, origin)
 	}
 	var out broker.ResultsResponse
-	u := fmt.Sprintf("%s/v1/subscriptions/%s/results?subscriber=%s",
-		base, url.PathEscape(cur), url.QueryEscape(c.subscriber))
+	sub := base + "/v1/subscriptions/" + url.PathEscape(cur)
+	u := sub + "/results?subscriber=" + url.QueryEscape(c.subscriber)
+	if st != nil {
+		u += "&ack=" + strconv.FormatInt(int64(seen), 10)
+	}
 	rctx, rsp := c.traces.Start(ctx, "client.get_results")
 	rsp.SetAttr("subscription", fs)
 	err := httpx.DoJSONContext(rctx, c.http, http.MethodGet, u, nil, &out)
@@ -345,40 +354,34 @@ func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 		return nil, err
 	}
 	c.Latency.Observe(time.Since(start).Seconds())
-	results := out.Results
-	if st != nil {
-		kept := results[:0]
-		for _, item := range results {
-			if time.Duration(item.TimestampNS) > seen {
-				kept = append(kept, item)
+	if st == nil {
+		if out.LatestNS > 0 {
+			ack := broker.AckRequest{Subscriber: c.subscriber, TimestampNS: out.LatestNS}
+			actx, asp := c.traces.Start(ctx, "client.ack")
+			err := httpx.DoJSONContext(actx, c.http, http.MethodPost, sub+"/ack", ack, nil)
+			asp.SetError(err)
+			asp.End()
+			if err != nil {
+				return out.Results, fmt.Errorf("client: ack: %w", err)
 			}
 		}
-		results = kept
+		return out.Results, nil
 	}
-	if out.LatestNS > 0 {
-		if st != nil {
-			// Advance the watermark before the ack round trip: if the
-			// broker dies between delivery and ack, the resumed redelivery
-			// of this very range must still be deduplicated. A stale answer
-			// never reaches here (its marker is 0), so the watermark only
-			// moves on complete in-order deliveries.
-			c.mu.Lock()
-			if ts := time.Duration(out.LatestNS); ts > st.lastTS {
-				st.lastTS = ts
-			}
-			c.mu.Unlock()
-		}
-		ack := broker.AckRequest{Subscriber: c.subscriber, TimestampNS: out.LatestNS}
-		ackURL := base + "/v1/subscriptions/" + url.PathEscape(cur) + "/ack"
-		actx, asp := c.traces.Start(ctx, "client.ack")
-		err := httpx.DoJSONContext(actx, c.http, http.MethodPost, ackURL, ack, nil)
-		asp.SetError(err)
-		asp.End()
-		if err != nil {
-			return results, fmt.Errorf("client: ack: %w", err)
+	kept := out.Results[:0]
+	for _, item := range out.Results {
+		if time.Duration(item.TimestampNS) > seen {
+			kept = append(kept, item)
 		}
 	}
-	return results, nil
+	// The watermark is the next request's ack and the resume token after a
+	// failover. A stale answer never moves it (its marker is 0), so it
+	// only advances on complete in-order deliveries.
+	c.mu.Lock()
+	if ts := time.Duration(out.LatestNS); ts > st.lastTS {
+		st.lastTS = ts
+	}
+	c.mu.Unlock()
+	return kept, nil
 }
 
 // Listen opens the notification WebSocket (logging the subscriber in) and
@@ -469,7 +472,7 @@ func (c *Client) pump(conn *wsock.Conn, done chan struct{}) {
 		}
 		if n.Traceparent != "" {
 			// Remember the delivery's trace context so the follow-up
-			// GetResults/ack joins it. Latest-wins, matching the marker
+			// GetResults joins it. Latest-wins, matching the marker
 			// semantics: the newest frame supersedes queued ones.
 			if sc, ok := obs.ParseTraceparent(n.Traceparent); ok {
 				c.mu.Lock()

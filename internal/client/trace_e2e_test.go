@@ -158,12 +158,71 @@ func awaitSpans(t *testing.T, rec *span.Recorder, traceID string, names ...strin
 	}
 }
 
-// TestEndToEndDeliveryTrace drives ONE publication through the whole
+// publishTraced ingests one matching record under a fresh trace and
+// returns that trace's ID.
+func (st *traceStack) publishTraced(t *testing.T, body string) string {
+	t.Helper()
+	parent := obs.NewSpan()
+	req, err := http.NewRequest(http.MethodPost,
+		st.clusterSrv.URL+"/v1/datasets/EmergencyReports/records",
+		bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(obs.TraceparentHeader, parent.Traceparent())
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		t.Fatalf("ingest returned %d", resp.StatusCode)
+	}
+	return parent.TraceIDString()
+}
+
+// awaitPush receives the push frame of one traced publication and waits
+// until the owner can vouch for the full range, so the retrieval that
+// follows is served by the peer hop rather than the cluster fallback.
+func (st *traceStack) awaitPush(t *testing.T, traceID string) broker.PushNotification {
+	t.Helper()
+	var note broker.PushNotification
+	select {
+	case note = <-st.client.Notifications():
+	case <-time.After(10 * time.Second):
+		t.Fatal("publication never reached the client")
+	}
+	// The push frame itself carried the trace context end-to-end.
+	sc, ok := obs.ParseTraceparent(note.Traceparent)
+	if !ok {
+		t.Fatalf("push frame traceparent %q unparseable", note.Traceparent)
+	}
+	if sc.TraceIDString() != traceID {
+		t.Fatalf("push frame trace = %s, want the publication's %s", sc.TraceIDString(), traceID)
+	}
+	fk := broker.FabricKey("Alerts", []any{"fire"})
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok := st.owner.PeerResults(fk, 0, time.Duration(note.LatestNS), true); ok {
+			return note
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("owner never became able to vouch for the published range")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestEndToEndDeliveryTrace drives a publication through the whole
 // pipeline — cluster evaluation, webhook to the edge broker, WebSocket push,
-// peer-hop cache miss, client ack — and asserts that every hop joined the
-// single trace rooted at the ingest request, with stage timestamps in
+// peer-hop cache miss, client retrieval — and asserts that every hop joined
+// the single trace rooted at the ingest request, with stage timestamps in
 // pipeline order, and that the per-stage SLO histogram on the edge saw the
-// same decomposition.
+// same decomposition. The delivery's trace ends at the retrieval; its ack
+// rides the NEXT retrieval's request, so a second publication shows
+// broker.client_ack for the first as the first child of the second's GET.
 func TestEndToEndDeliveryTrace(t *testing.T) {
 	st := newTraceStack(t)
 
@@ -180,55 +239,9 @@ func TestEndToEndDeliveryTrace(t *testing.T) {
 	}
 
 	// Publish with an explicit traceparent: the trace ID below is the one
-	// identity every span in this test must carry.
-	parent := obs.NewSpan()
-	traceID := parent.TraceIDString()
-	req, err := http.NewRequest(http.MethodPost,
-		st.clusterSrv.URL+"/v1/datasets/EmergencyReports/records",
-		bytes.NewReader([]byte(`{"etype":"fire","severity":9}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(obs.TraceparentHeader, parent.Traceparent())
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		t.Fatalf("ingest returned %d", resp.StatusCode)
-	}
-
-	var note broker.PushNotification
-	select {
-	case note = <-st.client.Notifications():
-	case <-time.After(10 * time.Second):
-		t.Fatal("publication never reached the client")
-	}
-	// The push frame itself carried the trace context end-to-end.
-	sc, ok := obs.ParseTraceparent(note.Traceparent)
-	if !ok {
-		t.Fatalf("push frame traceparent %q unparseable", note.Traceparent)
-	}
-	if sc.TraceIDString() != traceID {
-		t.Fatalf("push frame trace = %s, want the publication's %s", sc.TraceIDString(), traceID)
-	}
-
-	// Wait until the owner can vouch for the full range, so the retrieval
-	// below is served by the peer hop rather than the cluster fallback.
-	fk := broker.FabricKey("Alerts", []any{"fire"})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := st.owner.PeerResults(fk, 0, time.Duration(note.LatestNS), true); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("owner never became able to vouch for the published range")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// identity every span of the first delivery must carry.
+	traceID := st.publishTraced(t, `{"etype":"fire","severity":9}`)
+	note := st.awaitPush(t, traceID)
 
 	items, err := st.client.GetResults(note.FrontendSub)
 	if err != nil {
@@ -242,27 +255,62 @@ func TestEndToEndDeliveryTrace(t *testing.T) {
 	}
 
 	// Assemble the one trace from all four recorders.
+	const resultsRoute = "http /v1/subscriptions/{fs}/results"
 	clusterSpans := awaitSpans(t, st.clusterRec, traceID, "cluster.ingest", "cluster.eval")
 	edgeSpans := awaitSpans(t, st.edgeRec, traceID,
-		"broker.notify", "session.ws_write", "cache.peer_hop", "fabric.peer_lookup", "broker.client_ack")
+		"broker.notify", "session.ws_write", resultsRoute, "cache.peer_hop", "fabric.peer_lookup")
 	awaitSpans(t, st.ownerRec, traceID, "http /v1/peer/results/{key}")
-	clientSpans := awaitSpans(t, st.clientRec, traceID, "client.get_results", "client.ack")
+	clientSpans := awaitSpans(t, st.clientRec, traceID, "client.get_results")
+	if _, ok := spansOf(st.clientRec, traceID)["client.ack"]; ok {
+		t.Error("a tracked retrieval recorded a client.ack span: the ack must ride the next GET")
+	}
 
 	// Stage timestamps run in pipeline order: evaluation before the broker
 	// saw the notification, before the socket write, before the client's
-	// retrieval, before the broker observed the ack.
+	// retrieval, before the broker's handler, before its cache resolution —
+	// where the delivery's trace ends.
 	order := []span.Record{
 		clusterSpans["cluster.eval"],
 		edgeSpans["broker.notify"],
 		edgeSpans["session.ws_write"],
 		clientSpans["client.get_results"],
-		edgeSpans["broker.client_ack"],
+		edgeSpans[resultsRoute],
+		edgeSpans["cache.peer_hop"],
 	}
 	for i := 1; i < len(order); i++ {
 		if order[i].StartNano < order[i-1].StartNano {
 			t.Errorf("stage %s started at %d, before upstream %s at %d",
 				order[i].Name, order[i].StartNano, order[i-1].Name, order[i-1].StartNano)
 		}
+	}
+	if got, want := edgeSpans["cache.peer_hop"].ParentID, edgeSpans[resultsRoute].SpanID; got != want {
+		t.Errorf("cache.peer_hop parent = %s, want the results handler %s", got, want)
+	}
+	// Delivery 1 is handed out but not yet acknowledged at the broker.
+	if m, err := st.edge.Marker("edna", note.FrontendSub); err != nil || int64(m) >= note.LatestNS {
+		t.Fatalf("edge marker after retrieval 1 = %d, %v; want below %d", m, err, note.LatestNS)
+	}
+
+	// Retrieval 2 carries the ack for delivery 1: broker.client_ack is the
+	// first child of its GET, ahead of the cache resolution, and the marker
+	// has reached delivery 1's timestamp.
+	trace2 := st.publishTraced(t, `{"etype":"fire","severity":3}`)
+	note2 := st.awaitPush(t, trace2)
+	if items, err := st.client.GetResults(note2.FrontendSub); err != nil || len(items) != 1 {
+		t.Fatalf("retrieval 2 = %d items, %v; want 1", len(items), err)
+	}
+	edge2 := awaitSpans(t, st.edgeRec, trace2, resultsRoute, "broker.client_ack", "cache.peer_hop")
+	get2, ack2, hop2 := edge2[resultsRoute], edge2["broker.client_ack"], edge2["cache.peer_hop"]
+	if ack2.ParentID != get2.SpanID || hop2.ParentID != get2.SpanID {
+		t.Errorf("retrieval 2: client_ack parent %s, cache parent %s, want both %s",
+			ack2.ParentID, hop2.ParentID, get2.SpanID)
+	}
+	if ack2.StartNano < get2.StartNano || hop2.StartNano < ack2.StartNano+ack2.DurationNS {
+		t.Errorf("retrieval 2: ack [%d +%d] must run inside the GET (from %d) and finish before the cache resolution (%d)",
+			ack2.StartNano, ack2.DurationNS, get2.StartNano, hop2.StartNano)
+	}
+	if m, _ := st.edge.Marker("edna", note.FrontendSub); int64(m) != note.LatestNS {
+		t.Errorf("edge marker after retrieval 2 = %d, want delivery 1's %d", m, note.LatestNS)
 	}
 
 	// The edge's /metrics exposes the same decomposition as labeled SLO

@@ -19,6 +19,7 @@ package span
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -79,10 +80,20 @@ const (
 	ReasonSampled = "sampled"
 )
 
+// rawTrace is a retained trace in the ring: the finished spans as they
+// ended, IDs still binary. Most traces are buffered, tail-sampled and
+// overwritten in the ring without ever being exported, so the hex forms a
+// Record carries are produced by Snapshot, not by End.
+type rawTrace struct {
+	id     [16]byte
+	reason string
+	spans  []*Span
+}
+
 // traceBuf buffers the spans of one in-flight trace until its last
 // locally-open span ends.
 type traceBuf struct {
-	spans   []Record
+	spans   []*Span
 	open    int
 	dropped int // spans beyond maxSpansPerTrace
 }
@@ -102,7 +113,7 @@ type Recorder struct {
 	mu          sync.Mutex
 	active      map[[16]byte]*traceBuf
 	activeOrder [][16]byte // insertion order, for overflow eviction
-	ring        []Trace    // circular, len == capacity once full
+	ring        []rawTrace // circular, len == capacity once full
 	ringNext    int
 
 	started   uint64 // spans started
@@ -185,8 +196,9 @@ func NewRecorder(service string, opts ...Option) *Recorder {
 }
 
 // Span is one in-flight span. Mutate it (SetAttr, SetError, SetName) only
-// from the goroutine that started it, then End it exactly once. A nil
-// *Span is a valid no-op.
+// from the goroutine that started it, then End it exactly once; an ended
+// span is immutable and is what the recorder buffers. A nil *Span is a
+// valid no-op.
 type Span struct {
 	rec       *Recorder
 	sc        obs.SpanContext
@@ -194,6 +206,7 @@ type Span struct {
 	hasParent bool
 	name      string
 	start     time.Time
+	dur       time.Duration
 	attrs     map[string]string
 	errMsg    string
 	ended     bool
@@ -305,22 +318,7 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	r := s.rec
-	end := r.now()
-	rec := Record{
-		TraceID:    s.sc.TraceIDString(),
-		SpanID:     s.sc.SpanIDString(),
-		Name:       s.name,
-		Service:    r.service,
-		StartNano:  s.start.UnixNano(),
-		DurationNS: end.Sub(s.start).Nanoseconds(),
-		Error:      s.errMsg,
-		Attrs:      s.attrs,
-	}
-	if s.hasParent {
-		var psc obs.SpanContext
-		psc.SpanID = s.parent
-		rec.ParentID = psc.SpanIDString()
-	}
+	s.dur = r.now().Sub(s.start)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -331,7 +329,7 @@ func (s *Span) End() {
 		return
 	}
 	if len(tb.spans) < r.maxSpans {
-		tb.spans = append(tb.spans, rec)
+		tb.spans = append(tb.spans, s)
 	} else {
 		tb.dropped++
 		r.dropped++
@@ -356,13 +354,14 @@ func (r *Recorder) finalizeLocked(id [16]byte, tb *traceBuf) {
 	reason := ""
 	var minStart, maxEnd int64
 	for i, sp := range tb.spans {
-		if sp.Error != "" {
+		if sp.errMsg != "" {
 			reason = ReasonError
 		}
-		if i == 0 || sp.StartNano < minStart {
-			minStart = sp.StartNano
+		start := sp.start.UnixNano()
+		if i == 0 || start < minStart {
+			minStart = start
 		}
-		if e := sp.StartNano + sp.DurationNS; i == 0 || e > maxEnd {
+		if e := start + sp.dur.Nanoseconds(); i == 0 || e > maxEnd {
 			maxEnd = e
 		}
 	}
@@ -379,7 +378,7 @@ func (r *Recorder) finalizeLocked(id [16]byte, tb *traceBuf) {
 		return
 	}
 	r.retained++
-	t := Trace{TraceID: tb.spans[0].TraceID, Reason: reason, Spans: tb.spans}
+	t := rawTrace{id: id, reason: reason, spans: tb.spans}
 	if len(r.ring) < r.capacity {
 		r.ring = append(r.ring, t)
 		r.ringNext = len(r.ring) % r.capacity
@@ -392,13 +391,14 @@ func (r *Recorder) finalizeLocked(id [16]byte, tb *traceBuf) {
 // Snapshot returns the retained traces, oldest first, with entries for
 // the same trace ID (a trace can finalize more than once when separate
 // request legs touch this process at different times) merged: spans
-// concatenated and sorted by start time, the strongest reason kept.
+// concatenated and sorted by start time, the strongest reason kept. This
+// is where span and trace IDs take their hex form.
 func (r *Recorder) Snapshot() []Trace {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	ordered := make([]Trace, 0, len(r.ring))
+	ordered := make([]rawTrace, 0, len(r.ring))
 	if len(r.ring) == r.capacity {
 		ordered = append(ordered, r.ring[r.ringNext:]...)
 		ordered = append(ordered, r.ring[:r.ringNext]...)
@@ -407,22 +407,34 @@ func (r *Recorder) Snapshot() []Trace {
 	}
 	r.mu.Unlock()
 
-	byID := make(map[string]int, len(ordered))
+	byID := make(map[[16]byte]int, len(ordered))
 	out := make([]Trace, 0, len(ordered))
 	for _, t := range ordered {
-		if i, ok := byID[t.TraceID]; ok {
-			merged := out[i]
-			merged.Spans = append(append([]Record{}, merged.Spans...), t.Spans...)
-			if reasonRank(t.Reason) > reasonRank(merged.Reason) {
-				merged.Reason = t.Reason
-			}
-			out[i] = merged
-			continue
+		i, ok := byID[t.id]
+		if !ok {
+			i = len(out)
+			byID[t.id] = i
+			out = append(out, Trace{TraceID: hex.EncodeToString(t.id[:])})
 		}
-		byID[t.TraceID] = len(out)
-		cp := t
-		cp.Spans = append([]Record{}, t.Spans...)
-		out = append(out, cp)
+		if reasonRank(t.reason) > reasonRank(out[i].Reason) {
+			out[i].Reason = t.reason
+		}
+		for _, sp := range t.spans {
+			rec := Record{
+				TraceID:    out[i].TraceID,
+				SpanID:     hex.EncodeToString(sp.sc.SpanID[:]),
+				Name:       sp.name,
+				Service:    r.service,
+				StartNano:  sp.start.UnixNano(),
+				DurationNS: sp.dur.Nanoseconds(),
+				Error:      sp.errMsg,
+				Attrs:      sp.attrs,
+			}
+			if sp.hasParent {
+				rec.ParentID = hex.EncodeToString(sp.parent[:])
+			}
+			out[i].Spans = append(out[i].Spans, rec)
+		}
 	}
 	for i := range out {
 		sort.SliceStable(out[i].Spans, func(a, b int) bool {

@@ -18,8 +18,12 @@ type Conn struct {
 	client bool // client connections mask outgoing frames
 
 	writeMu sync.Mutex
-	closeMu sync.Mutex
-	closed  bool
+	// handshake is a hijacked connection's unsent 101 response (nil once
+	// written, and on every other connection); see Hijack. Guarded by
+	// writeMu.
+	handshake []byte
+	closeMu   sync.Mutex
+	closed    bool
 	// peerCode/peerReason hold the status of a close frame received from
 	// the peer (0/"" until one arrives). The broker's graceful drain uses
 	// the reason to carry the successor broker URL, so clients read it
@@ -168,12 +172,18 @@ func (c *Conn) writeLocked(op Opcode, payload []byte) error {
 	if len(payload) > maxPooledFrame {
 		c.writeMu.Lock()
 		defer c.writeMu.Unlock()
+		if err := c.flushHandshake(); err != nil {
+			return err
+		}
 		return writeFrame(c.nc, op, payload, c.client, key)
 	}
 	bp := frameBufPool.Get().(*[]byte)
 	buf := appendFrame((*bp)[:0], op, payload, c.client, key)
 	c.writeMu.Lock()
-	_, err := c.nc.Write(buf)
+	err := c.flushHandshake()
+	if err == nil {
+		_, err = c.nc.Write(buf)
+	}
 	c.writeMu.Unlock()
 	*bp = buf[:0]
 	frameBufPool.Put(bp)
@@ -205,6 +215,7 @@ func (c *Conn) CloseWith(code uint16, reason string) error {
 	c.closeMu.Unlock()
 	if c.writeMu.TryLock() {
 		_ = c.nc.SetWriteDeadline(time.Now().Add(closeWriteTimeout))
+		_ = c.flushHandshake()
 		var key [4]byte
 		if c.client {
 			_, _ = rand.Read(key[:])

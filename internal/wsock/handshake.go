@@ -24,9 +24,29 @@ func acceptKey(clientKey string) string {
 }
 
 // Upgrade performs the server side of the WebSocket handshake on an
-// incoming HTTP request and returns the established connection. On failure
-// it writes the error response itself.
+// incoming HTTP request and returns the established connection: Hijack
+// followed by Accept. On failure it writes the error response itself.
 func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
+	c, err := Hijack(w, r)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Accept(); err != nil {
+		_ = c.nc.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// Hijack validates the handshake request and takes the connection over
+// without answering it: no byte of the 101 response has been written when
+// it returns. The response leaves ahead of the connection's first write,
+// whichever that is — Accept, a message, or a close frame — so a server
+// can register the connection where its messages originate first and
+// answer the peer second: whatever was sent to the connection since it
+// was registered is on the wire behind the 101. On failure Hijack writes
+// the error response itself.
+func Hijack(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "websocket: method must be GET", http.StatusMethodNotAllowed)
 		return nil, fmt.Errorf("%w: method %s", ErrProtocol, r.Method)
@@ -55,19 +75,34 @@ func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wsock: hijack: %w", err)
 	}
-	resp := "HTTP/1.1 101 Switching Protocols\r\n" +
+	c := newConn(nc, rw.Reader, false)
+	c.handshake = []byte("HTTP/1.1 101 Switching Protocols\r\n" +
 		"Upgrade: websocket\r\n" +
 		"Connection: Upgrade\r\n" +
-		"Sec-WebSocket-Accept: " + acceptKey(key) + "\r\n\r\n"
-	if _, err := rw.WriteString(resp); err != nil {
-		_ = nc.Close()
-		return nil, fmt.Errorf("wsock: write handshake response: %w", err)
+		"Sec-WebSocket-Accept: " + acceptKey(key) + "\r\n\r\n")
+	return c, nil
+}
+
+// Accept answers a hijacked handshake with the 101 response, unless an
+// earlier write on the connection already carried it.
+func (c *Conn) Accept() error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	if err := c.flushHandshake(); err != nil {
+		return fmt.Errorf("wsock: write handshake response: %w", err)
 	}
-	if err := rw.Flush(); err != nil {
-		_ = nc.Close()
-		return nil, fmt.Errorf("wsock: flush handshake response: %w", err)
+	return nil
+}
+
+// flushHandshake writes a hijacked connection's pending 101 response
+// ahead of the caller's own write. Caller holds writeMu.
+func (c *Conn) flushHandshake() error {
+	if c.handshake == nil {
+		return nil
 	}
-	return newConn(nc, rw.Reader, false), nil
+	_, err := c.nc.Write(c.handshake)
+	c.handshake = nil
+	return err
 }
 
 // headerContainsToken reports whether a comma-separated header contains a

@@ -70,6 +70,9 @@ func (c *Conn) WritePreparedMessage(pm *PreparedMessage) error {
 	c.closeMu.Unlock()
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
+	if err := c.flushHandshake(); err != nil {
+		return err
+	}
 	_, err := c.nc.Write(pm.frame)
 	return err
 }

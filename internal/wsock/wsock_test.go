@@ -396,3 +396,60 @@ func TestWriteMessageRejectsControlOpcodes(t *testing.T) {
 		t.Errorf("WriteMessage(OpPing) = %v, want ErrProtocol", err)
 	}
 }
+
+// TestHijackAnswersWithTheFirstWrite: a hijacked connection has sent
+// nothing; the 101 leaves ahead of whatever is written first — a message
+// from a writer that was handed the connection before the handler accepted
+// it, or a close frame — exactly once, and Accept after that is a no-op.
+func TestHijackAnswersWithTheFirstWrite(t *testing.T) {
+	firsts := map[string]func(c *Conn) error{
+		"message": func(c *Conn) error { return c.WriteMessage(OpText, []byte("owed since registration")) },
+		"prepared": func(c *Conn) error {
+			pm, err := NewPreparedMessage(OpText, []byte("owed since registration"))
+			if err != nil {
+				return err
+			}
+			return c.WritePreparedMessage(pm)
+		},
+		"close": func(c *Conn) error { return c.CloseWith(CloseServiceRestart, "http://successor") },
+	}
+	for name, first := range firsts {
+		t.Run(name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				conn, err := Hijack(w, r)
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				if err := first(conn); err != nil {
+					t.Errorf("first write: %v", err)
+				}
+				if err := conn.Accept(); err != nil {
+					t.Errorf("Accept after the first write: %v", err)
+				}
+				_ = conn.WriteMessage(OpText, []byte("second"))
+			}))
+			defer srv.Close()
+			conn, err := Dial(srv.URL, 5*time.Second)
+			if err != nil {
+				t.Fatalf("handshake not answered by the first write: %v", err)
+			}
+			defer conn.Close()
+			if name == "close" {
+				if _, _, err := conn.ReadMessage(); !errors.Is(err, ErrClosed) {
+					t.Fatalf("read = %v, want ErrClosed", err)
+				}
+				if code, reason := conn.CloseStatus(); code != CloseServiceRestart || reason != "http://successor" {
+					t.Errorf("close = (%d, %q), want the migrate frame", code, reason)
+				}
+				return
+			}
+			for _, want := range []string{"owed since registration", "second"} {
+				_, msg, err := conn.ReadMessage()
+				if err != nil || string(msg) != want {
+					t.Fatalf("read %q, %v; want %q (a second 101 would corrupt the stream)", msg, err, want)
+				}
+			}
+		})
+	}
+}
