@@ -45,17 +45,21 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -note "Grouped channel evaluation over the compiled engine: evals/rec equals signature groups G, not subscriptions S; geo/sigs=2000 is the live benchmark's eval_wide body and grid. Tree-walking evaluator before compilation (same cases, -cpu 1): geo/sigs=2000 1670000ns/op 9440allocs, subs=1000/sigs=10 110000ns/op 357allocs, subs=10000/sigs=100 280000ns/op 664allocs, subs=10000/sigs=1000 750000ns/op 4082allocs, batch 140000ns/op 333allocs." \
 		> BENCH_eval.json
 
-# Full soak run: stands up 10k then 100k simulated WebSocket sessions with
-# Zipf-skewed interest and 10% churn, measures RSS/session, dispatch
-# latency percentiles and allocs/op, and regenerates the committed
-# BENCH_soak.json baseline that bench-guard gates against.
+# Full soak run: BenchmarkSoak stands up 10k then 100k simulated WebSocket
+# sessions with Zipf-skewed interest and 10% churn and measures memory per
+# session, dispatch latency percentiles and allocs/op over 2000 dispatch
+# events; this regenerates the committed BENCH_soak.json baseline that
+# bench-guard gates against.
 soak:
-	GOMAXPROCS=1 $(GO) run ./cmd/badsoak -sessions 10000,100000 -out BENCH_soak.json
+	$(GO) test -run=NONE -bench='^BenchmarkSoak$$' -benchtime=2000x -cpu 1 ./internal/broker \
+		| $(GO) run ./cmd/benchjson -note "Session-hub soak: pooled writers over the interest-keyed index; 1000 backend subs, zipf s=0.90, 10% churn, seed 1, one dispatch event per iteration (constants of internal/broker/soak_bench_test.go). rss-bytes/session is taken inside a test binary whose heap the b.N=1 probe has already used: reused spans are zeroed, hence resident, so it reads heap-bytes/session plus stacks and runtime overhead. The standalone cmd/badsoak (deleted), a fresh process per run, left never-written buffer pages untouched and read 1268 rss-bytes/session on the 10k row, with 8.192 allocs/op (go test reports the integer), p50 2241ns, p99 33456ns. With sessions and events drawn from sync.Pools (deleted; GC-owned since) the 10k run read 5.7 allocs/event." \
+		> BENCH_soak.json
 
 # CI smoke: compile and run every delivery-path benchmark once, so a broken
-# benchmark is caught without paying for a full measurement run.
+# benchmark is caught without paying for a full measurement run (-short:
+# BenchmarkSoak at 10k sessions only).
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/broker ./internal/wsock ./internal/core
+	$(GO) test -short -run=NONE -bench=. -benchtime=1x ./internal/broker ./internal/wsock ./internal/core
 	$(GO) test -run=NONE -bench='^BenchmarkNotifierBurst$$' -benchtime=1x ./internal/bdms
 
 # The live-stack benchmark's own tests (bench/ is its own module, outside
@@ -71,24 +75,24 @@ bench-vet:
 	cd bench && $(GO) vet ./...
 
 # Regression guard over the committed baselines, every row at one proc
-# like its baseline (-cpu 1 / GOMAXPROCS=1), so it passes on any box. The
-# fan-out benchmark (best of five runs, damping runner noise) is compared
-# against BENCH_fanout.json; a fresh CI-sized 10k-session soak is compared
-# against BENCH_soak.json's 10k entry. Every guarded metric is printed as
+# like its baseline (-cpu 1), so it passes on any box: the fan-out
+# benchmark (best of five runs, damping runner noise) against
+# BENCH_fanout.json, the 10k-session soak against BENCH_soak.json, two
+# grouped-evaluation rows against BENCH_eval.json — all four read from the
+# one `go test -bench` stream on stdin. Every guarded metric is printed as
 # a diff row and all failures are reported together. Latency tolerances
 # are wide because single runs on shared runners are noisy — the gate
 # exists to catch the order-of-magnitude regressions (e.g. a return to
 # per-session writer goroutines), not scheduler jitter.
 bench-guard:
-	GOMAXPROCS=1 $(GO) run ./cmd/badsoak -sessions 10000 -q -out .soak_check.json
 	{ $(GO) test -run=NONE -bench='^BenchmarkFanout$$' -benchtime=200x -cpu 1 -count=5 ./internal/broker; \
+	  $(GO) test -run=NONE -bench='^BenchmarkSoak$$/^sessions=10000$$' -benchtime=2000x -cpu 1 ./internal/broker; \
 	  $(GO) test -run=NONE -bench='^BenchmarkIngestEval$$/^(subs=10000|geo)$$/^sigs=(100|2000)$$' -benchmem -cpu 1 -count=3 ./internal/bdms; } \
 		| $(GO) run ./cmd/benchguard \
-			-guard 'baseline=BENCH_fanout.json;bench=BenchmarkFanout;source=stdin;metrics=ns/op:0.20,p99-dispatch-ns:0.50,allocs/op:0.50' \
-			-guard 'baseline=BENCH_soak.json;bench=Soak/sessions=10000;source=.soak_check.json;metrics=p99-dispatch-ns:1.0,allocs/op:0.5,rss-bytes/session:0.35' \
-			-guard 'baseline=BENCH_eval.json;bench=BenchmarkIngestEval/subs=10000/sigs=100;source=stdin;metrics=ns/op:0.35,evals/rec:0.01' \
-			-guard 'baseline=BENCH_eval.json;bench=BenchmarkIngestEval/geo/sigs=2000;source=stdin;metrics=ns/op:0.35,allocs/op:0.10,evals/rec:0.01'
-	@rm -f .soak_check.json
+			-guard 'baseline=BENCH_fanout.json;bench=BenchmarkFanout;metrics=ns/op:0.20,p99-dispatch-ns:0.50,allocs/op:0.50' \
+			-guard 'baseline=BENCH_soak.json;bench=BenchmarkSoak/sessions=10000;metrics=p99-dispatch-ns:1.0,allocs/op:0.5,rss-bytes/session:0.35' \
+			-guard 'baseline=BENCH_eval.json;bench=BenchmarkIngestEval/subs=10000/sigs=100;metrics=ns/op:0.35,evals/rec:0.01' \
+			-guard 'baseline=BENCH_eval.json;bench=BenchmarkIngestEval/geo/sigs=2000;metrics=ns/op:0.35,allocs/op:0.10,evals/rec:0.01'
 
 # Fuzz smoke: a short bounded run of each native fuzz target (resume-token
 # and traceparent parsing, parameter-signature canonicalization, WAL

@@ -1,20 +1,20 @@
-// Command benchguard compares benchmark results against committed
-// baselines (BENCH_fanout.json, BENCH_soak.json) and fails when any
-// guarded metric regressed beyond its tolerance. It is the CI guard that
-// keeps the fan-out hot path and the session-hub soak numbers honest (see
-// `make bench-guard`).
+// Command benchguard compares `go test -bench` output on standard input
+// against committed baselines (BENCH_fanout.json, BENCH_soak.json,
+// BENCH_eval.json) and fails when any guarded metric regressed beyond its
+// tolerance. It is the CI guard that keeps the fan-out hot path, the
+// session-hub soak and the grouped evaluation honest (see `make
+// bench-guard`).
 //
 // Each -guard flag declares one guarded benchmark:
 //
-//	-guard 'baseline=BENCH_fanout.json;bench=BenchmarkFanout;source=stdin;metrics=ns/op:0.05,allocs/op:0.10'
-//	-guard 'baseline=BENCH_soak.json;bench=Soak/sessions=10000;source=.soak_check.json;metrics=p99-dispatch-ns:0.50'
+//	-guard 'baseline=BENCH_fanout.json;bench=BenchmarkFanout;metrics=ns/op:0.05,allocs/op:0.10'
+//	-guard 'baseline=BENCH_soak.json;bench=BenchmarkSoak/sessions=10000;metrics=p99-dispatch-ns:0.50'
 //
-// source=stdin parses `go test -bench` output from standard input
-// (best-of-N per metric when -count>1, damping scheduler noise without
-// hiding a real regression); any other source is a benchjson report file,
-// e.g. a fresh cmd/badsoak run. metrics lists metric:tolerance pairs,
-// where tolerance is the allowed fractional increase over the baseline
-// (all guarded metrics are lower-is-better).
+// The current value of a metric is the best of the result lines stdin
+// holds for the benchmark (best-of-N when -count>1, damping scheduler
+// noise without hiding a real regression). metrics lists metric:tolerance
+// pairs, where tolerance is the allowed fractional increase over the
+// baseline (all guarded metrics are lower-is-better).
 //
 // Every guard is evaluated and every metric printed as a diff row before
 // the verdict, so one run shows the full picture instead of stopping at
@@ -45,7 +45,6 @@ type report struct {
 type guard struct {
 	baseline string
 	bench    string
-	source   string // "stdin" or a benchjson report path
 	metrics  []metricSpec
 }
 
@@ -80,7 +79,7 @@ func (r row) failed() bool {
 
 func main() {
 	var specs []string
-	flag.Func("guard", "guard spec: baseline=FILE;bench=NAME;source=stdin|FILE;metrics=name:tol,...  (repeatable)", func(s string) error {
+	flag.Func("guard", "guard spec: baseline=FILE;bench=NAME;metrics=name:tol,...  (repeatable)", func(s string) error {
 		specs = append(specs, s)
 		return nil
 	})
@@ -91,32 +90,24 @@ func main() {
 	}
 
 	guards := make([]guard, 0, len(specs))
-	needStdin := false
 	for _, s := range specs {
 		g, err := parseGuard(s)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchguard:", err)
 			os.Exit(2)
 		}
-		if g.source == "stdin" {
-			needStdin = true
-		}
 		guards = append(guards, g)
 	}
 
-	var stdinResults map[string]map[string]float64
-	if needStdin {
-		var err error
-		stdinResults, err = parseBenchOutput(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchguard: reading stdin:", err)
-			os.Exit(1)
-		}
+	results, err := parseBenchOutput(os.Stdin)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchguard: reading stdin:", err)
+		os.Exit(1)
 	}
 
 	var rows []row
 	for _, g := range guards {
-		rows = append(rows, evaluate(g, stdinResults)...)
+		rows = append(rows, evaluate(g, results)...)
 	}
 
 	printTable(rows)
@@ -136,7 +127,7 @@ func main() {
 // parseGuard parses one -guard spec. Fields are ';'-separated key=value
 // pairs (split on the first '=', so bench names may contain '=').
 func parseGuard(spec string) (guard, error) {
-	g := guard{source: "stdin"}
+	var g guard
 	for _, field := range strings.Split(spec, ";") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -151,8 +142,6 @@ func parseGuard(spec string) (guard, error) {
 			g.baseline = val
 		case "bench":
 			g.bench = val
-		case "source":
-			g.source = val
 		case "metrics":
 			for _, m := range strings.Split(val, ",") {
 				name, tol, ok := strings.Cut(strings.TrimSpace(m), ":")
@@ -178,32 +167,18 @@ func parseGuard(spec string) (guard, error) {
 // evaluate resolves one guard's baseline and current values into rows,
 // one per guarded metric. Resolution failures become failing rows rather
 // than aborting, so the final table is complete.
-func evaluate(g guard, stdinResults map[string]map[string]float64) []row {
+func evaluate(g guard, results map[string]map[string]float64) []row {
 	rows := make([]row, 0, len(g.metrics))
 	base, baseErr := loadBench(g.baseline, g.bench)
-
-	var cur map[string]float64
-	var curErr string
-	if g.source == "stdin" {
-		cur = stdinResults[g.bench]
-		if cur == nil {
-			curErr = "no result line on stdin"
-		}
-	} else {
-		var err error
-		cur, err = loadBench(g.source, g.bench)
-		if err != nil {
-			curErr = err.Error()
-		}
-	}
+	cur := results[g.bench]
 
 	for _, m := range g.metrics {
 		r := row{bench: g.bench, metric: m.name, tolerance: m.tolerance}
 		switch {
 		case baseErr != nil:
 			r.err = baseErr.Error()
-		case curErr != "":
-			r.err = curErr
+		case cur == nil:
+			r.err = "no result line on stdin"
 		default:
 			var ok bool
 			if r.baseline, ok = base[m.name]; !ok {

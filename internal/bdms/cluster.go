@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"gobad/internal/aql"
-	"gobad/internal/metrics"
 	"gobad/internal/obs"
 	"gobad/internal/obs/span"
 )
@@ -78,28 +77,28 @@ func WithPushModel() Option {
 // ClusterStats counts the cluster's externally visible work.
 type ClusterStats struct {
 	// Ingested counts stored publications.
-	Ingested metrics.Counter
+	Ingested obs.Counter
 	// IngestBatches counts batch ingest requests (each storing one or
 	// more publications under a single lock acquisition and WAL flush).
-	IngestBatches metrics.Counter
+	IngestBatches obs.Counter
 	// ResultsProduced counts result objects generated across all
 	// subscriptions.
-	ResultsProduced metrics.Counter
+	ResultsProduced obs.Counter
 	// ResultBytes accumulates the encoded size of all produced results
 	// (the paper's 'Vol' baseline is derived from this).
-	ResultBytes metrics.Counter
+	ResultBytes obs.Counter
 	// Notifications counts webhook invocations.
-	Notifications metrics.Counter
+	Notifications obs.Counter
 	// FetchedBytes accumulates bytes served through Results calls.
-	FetchedBytes metrics.Counter
+	FetchedBytes obs.Counter
 	// EvalGroups counts channel evaluations executed — one per
 	// (channel, parameter signature) group per publication batch or
 	// repetitive tick, NOT one per subscription.
-	EvalGroups metrics.Counter
+	EvalGroups obs.Counter
 	// EvalSubsServed counts the subscriptions those evaluations served;
 	// EvalSubsServed / EvalGroups is the shared-evaluation ratio (how many
 	// subscriptions each channel execution covered on average).
-	EvalSubsServed metrics.Counter
+	EvalSubsServed obs.Counter
 }
 
 // subscription is one backend subscription: a channel instance bound to

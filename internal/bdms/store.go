@@ -12,7 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gobad/internal/metrics"
+	"gobad/internal/obs"
 	"gobad/internal/obs/span"
 )
 
@@ -69,16 +69,16 @@ type StoreConfig struct {
 // StoreStats counts snapshot activity.
 type StoreStats struct {
 	// SnapshotWrites counts completed snapshot+compaction cycles.
-	SnapshotWrites metrics.Counter
+	SnapshotWrites obs.Counter
 	// SnapshotBytes accumulates encoded snapshot sizes.
-	SnapshotBytes metrics.Counter
+	SnapshotBytes obs.Counter
 	// SnapshotErrors counts failed compactions.
-	SnapshotErrors metrics.Counter
+	SnapshotErrors obs.Counter
 	// BadSnapshots counts snapshot files that failed to decode during
 	// recovery (skipped in favor of an older one).
-	BadSnapshots metrics.Counter
+	BadSnapshots obs.Counter
 	// SegmentsPruned counts WAL segments removed by compaction.
-	SegmentsPruned metrics.Counter
+	SegmentsPruned obs.Counter
 }
 
 func segPath(dir string, seg int) string {

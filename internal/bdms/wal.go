@@ -9,7 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"gobad/internal/metrics"
+	"gobad/internal/obs"
 )
 
 // Durability: the data cluster persists its state to a write-ahead log so
@@ -112,19 +112,19 @@ func (p SyncPolicy) String() string {
 // exposed totals are per-process, not per-file.
 type WALStats struct {
 	// Appends counts append calls (a batch is one append).
-	Appends metrics.Counter
+	Appends obs.Counter
 	// Records counts appended records.
-	Records metrics.Counter
+	Records obs.Counter
 	// Fsyncs counts fsync calls issued by policy or explicit Sync.
-	Fsyncs metrics.Counter
+	Fsyncs obs.Counter
 	// AppendErrors counts appends that failed (encode or I/O).
-	AppendErrors metrics.Counter
+	AppendErrors obs.Counter
 	// TornTails counts truncated final records dropped during replay.
-	TornTails metrics.Counter
+	TornTails obs.Counter
 	// ReplayRecords counts records applied during startup replay.
-	ReplayRecords metrics.Counter
+	ReplayRecords obs.Counter
 	// ReplaySeconds accumulates time spent replaying at startup.
-	ReplaySeconds metrics.Counter
+	ReplaySeconds obs.Counter
 }
 
 // WAL is an append-only cluster-state log (one file; store.go rotates

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"context"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"gobad/internal/bcs"
 	"gobad/internal/bdms"
 	"gobad/internal/core"
-	"gobad/internal/metrics"
 	"gobad/internal/obs"
 	"gobad/internal/obs/span"
 )
@@ -50,7 +48,7 @@ type memoEntry struct {
 }
 
 // fabric is the broker's runtime fabric state: the current ring view, the
-// short-TTL peer-answer memo and the per-peer latency samples.
+// short-TTL peer-answer memo and the per-peer latency histograms.
 type fabric struct {
 	b   *Broker
 	cfg FabricConfig
@@ -58,9 +56,12 @@ type fabric struct {
 	mu   sync.Mutex
 	ring bcs.RingView
 	memo map[string]memoEntry
-	// peerLat samples per-peer lookup latency in seconds, keyed by the
-	// owning broker's ID.
-	peerLat map[string]*metrics.Sampler
+	// peers holds peerLat's children by owning broker ID, at most
+	// fabricPeerCap of them plus the overflow child.
+	peers map[string]*obs.Histogram
+	// peerLat is the per-peer lookup latency in seconds; the broker server
+	// registers it.
+	peerLat *obs.HistogramVec
 }
 
 func newFabric(b *Broker, cfg FabricConfig) *fabric {
@@ -68,10 +69,13 @@ func newFabric(b *Broker, cfg FabricConfig) *fabric {
 		cfg.MemoTTL = 2 * time.Second
 	}
 	return &fabric{
-		b:       b,
-		cfg:     cfg,
-		memo:    make(map[string]memoEntry),
-		peerLat: make(map[string]*metrics.Sampler),
+		b:     b,
+		cfg:   cfg,
+		memo:  make(map[string]memoEntry),
+		peers: make(map[string]*obs.Histogram),
+		peerLat: obs.NewHistogramVec("bad_peer_lookup_seconds",
+			"Broker-to-broker peer lookup latency, labeled by owning peer.",
+			span.DeliveryBuckets, "peer"),
 	}
 }
 
@@ -220,7 +224,6 @@ func (f *fabric) lookup(ctx context.Context, cacheID string, from, to time.Durat
 	f.mu.Lock()
 	if e, hit := f.memo[memoKey]; hit && now < e.expires {
 		f.mu.Unlock()
-		f.b.stats.PeerHits.Add(1)
 		return append([]*core.Object(nil), e.objs...), true
 	}
 	f.mu.Unlock()
@@ -283,69 +286,18 @@ const peerOverflowLabel = "_other"
 
 func (f *fabric) observePeer(peerID string, d time.Duration) {
 	f.mu.Lock()
-	s := f.peerLat[peerID]
-	if s == nil {
-		if len(f.peerLat) >= fabricPeerCap {
+	h := f.peers[peerID]
+	if h == nil {
+		if len(f.peers) >= fabricPeerCap {
 			peerID = peerOverflowLabel
-			s = f.peerLat[peerID]
 		}
-		if s == nil {
-			s = &metrics.Sampler{}
-			f.peerLat[peerID] = s
+		if h = f.peers[peerID]; h == nil {
+			h = f.peerLat.With(peerID)
+			f.peers[peerID] = h
 		}
 	}
 	f.mu.Unlock()
-	s.Observe(d.Seconds())
-}
-
-// FabricCollector exports the per-peer lookup latency summaries, labeled
-// by peer broker ID (at most fabricPeerCap distinct IDs plus the "_other"
-// overflow bucket). Registered by the broker server when the fabric is
-// enabled.
-func (b *Broker) FabricCollector() obs.Collector {
-	return obs.CollectorFunc(func(emit func(obs.Family)) {
-		f := b.fabric
-		if f == nil {
-			return
-		}
-		f.mu.Lock()
-		ids := make([]string, 0, len(f.peerLat))
-		for id := range f.peerLat {
-			ids = append(ids, id)
-		}
-		samplers := make(map[string]*metrics.Sampler, len(ids))
-		for _, id := range ids {
-			samplers[id] = f.peerLat[id]
-		}
-		f.mu.Unlock()
-		if len(ids) == 0 {
-			return
-		}
-		sort.Strings(ids)
-		pts := make([]obs.Point, 0, len(ids))
-		for _, id := range ids {
-			s := samplers[id]
-			n := s.N()
-			pts = append(pts, obs.Point{
-				Labels: []obs.Label{{Name: "peer", Value: id}},
-				Summary: &obs.SummarySnapshot{
-					Quantiles: map[float64]float64{
-						0.5:  s.Quantile(0.5),
-						0.95: s.Quantile(0.95),
-						0.99: s.Quantile(0.99),
-					},
-					Count: uint64(n),
-					Sum:   s.Mean() * float64(n),
-				},
-			})
-		}
-		emit(obs.Family{
-			Name:   "bad_peer_lookup_seconds",
-			Help:   "Broker-to-broker peer lookup latency, labeled by owning peer.",
-			Type:   obs.SummaryType,
-			Points: pts,
-		})
-	})
+	h.Observe(d.Seconds())
 }
 
 // PeerResults serves a sibling's lookup for fabric key fk strictly from

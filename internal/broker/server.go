@@ -52,8 +52,8 @@ func NewServer(b *Broker, opts ...ServerOption) *Server {
 	// The broker's cache accounting and manager structure are part of this
 	// server's exposition.
 	s.obs.Registry.MustRegister(
-		obs.NewCacheStatsCollector(b.Stats(), b.Now),
-		obs.NewManagerCollector(b.Manager()),
+		b.Stats().Collector(b.Now),
+		b.Manager(),
 		obs.GaugeFunc("bad_frontend_subscriptions", "Live frontend subscriptions.",
 			func() float64 { return float64(b.NumFrontendSubs()) }),
 		obs.GaugeFunc("bad_backend_subscriptions", "Deduplicated backend subscriptions.",
@@ -74,7 +74,7 @@ func NewServer(b *Broker, opts ...ServerOption) *Server {
 		obs.GaugeFunc("bad_push_queue_depth", "Pending push markers across live sessions.",
 			func() float64 { return float64(b.sessions.queueDepth()) }),
 		// Failover pipeline: resume/backfill/drain counters plus the (client
-		// side, zero here) reconnect-latency summary.
+		// side, empty here) reconnect-latency histogram.
 		b.failover.Collector(),
 		// Warm cache handoff: hit/miss on fresh backend subscriptions plus
 		// snapshot intake accounting and the pending stash depth.
@@ -94,7 +94,7 @@ func NewServer(b *Broker, opts ...ServerOption) *Server {
 			func() float64 { return float64(b.WarmStashSize()) }),
 	)
 	if b.FabricEnabled() {
-		s.obs.Registry.MustRegister(b.FabricCollector())
+		s.obs.Registry.MustRegister(b.fabric.peerLat)
 	}
 	s.routes()
 	return s

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gobad/internal/metrics"
 	"gobad/internal/obs"
 	"gobad/internal/obs/span"
 	"gobad/internal/wsock"
@@ -379,7 +378,7 @@ type sessionHub struct {
 	writers      int
 	writeTimeout time.Duration
 	log          *slog.Logger
-	delivered    *metrics.Counter
+	delivered    *obs.Counter
 	// traces/stages instrument the queue-wait and socket-write legs of
 	// traced deliveries; both may be nil (untraced hubs, benchmarks).
 	traces *span.Recorder
@@ -411,7 +410,7 @@ type sessionHub struct {
 	startOnce sync.Once
 }
 
-func newSessionHub(queueCap int, delivered *metrics.Counter, log *slog.Logger) *sessionHub {
+func newSessionHub(queueCap int, delivered *obs.Counter, log *slog.Logger) *sessionHub {
 	if queueCap <= 0 {
 		queueCap = DefaultPushQueue
 	}

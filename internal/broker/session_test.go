@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"gobad/internal/metrics"
+	"gobad/internal/obs"
 	"gobad/internal/wsock"
 )
 
@@ -60,8 +60,8 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func newTestHub(queueCap int) (*sessionHub, *metrics.Counter) {
-	delivered := &metrics.Counter{}
+func newTestHub(queueCap int) (*sessionHub, *obs.Counter) {
+	delivered := &obs.Counter{}
 	return newSessionHub(queueCap, delivered, nil), delivered
 }
 

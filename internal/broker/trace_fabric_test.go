@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -96,7 +97,7 @@ func keys(m map[string]span.Record) []string {
 	return out
 }
 
-// TestPeerLatencyLabelCardinalityBounded: the per-peer lookup summary
+// TestPeerLatencyLabelCardinalityBounded: the per-peer lookup histogram
 // tracks at most fabricPeerCap distinct peers; further peers share the
 // "_other" overflow bucket, so ring churn cannot grow the label set without
 // bound.
@@ -111,36 +112,50 @@ func TestPeerLatencyLabelCardinalityBounded(t *testing.T) {
 	// its own series, not the overflow bucket.
 	f.observePeer("peer-00", 2*time.Millisecond)
 
-	f.mu.Lock()
-	tracked := len(f.peerLat)
-	_, hasOverflow := f.peerLat[peerOverflowLabel]
-	f.mu.Unlock()
-	if tracked > fabricPeerCap+1 {
-		t.Errorf("tracked series = %d, want <= %d (cap + overflow)", tracked, fabricPeerCap+1)
-	}
-	if !hasOverflow {
-		t.Error("overflow bucket missing after exceeding the peer cap")
-	}
-
-	var points int
-	var overflowCount uint64
-	env.edge.FabricCollector().Collect(func(fam obs.Family) {
-		if fam.Name != "bad_peer_lookup_seconds" {
-			return
+	counts := map[string]uint64{}
+	f.peerLat.Collect(func(fam obs.Family) {
+		if fam.Name != "bad_peer_lookup_seconds" || fam.Type != obs.HistogramType {
+			t.Errorf("family = %s (%s), want the bad_peer_lookup_seconds histogram", fam.Name, fam.Type)
 		}
-		points = len(fam.Points)
 		for _, p := range fam.Points {
-			for _, l := range p.Labels {
-				if l.Name == "peer" && l.Value == peerOverflowLabel {
-					overflowCount = p.Summary.Count
-				}
+			if len(p.Labels) != 1 || p.Labels[0].Name != "peer" {
+				t.Errorf("labels = %v, want exactly {peer}", p.Labels)
+				continue
 			}
+			counts[p.Labels[0].Value] = p.Hist.Count
 		}
 	})
-	if points > fabricPeerCap+1 {
-		t.Errorf("exposition emits %d peer series, want <= %d", points, fabricPeerCap+1)
+	if len(counts) != fabricPeerCap+1 {
+		t.Errorf("exposition emits %d peer series, want %d (cap + overflow)", len(counts), fabricPeerCap+1)
 	}
-	if want := uint64(peers - fabricPeerCap); overflowCount != want {
-		t.Errorf("overflow bucket count = %d, want %d", overflowCount, want)
+	if got, want := counts[peerOverflowLabel], uint64(peers-fabricPeerCap); got != want {
+		t.Errorf("overflow bucket count = %d, want %d", got, want)
+	}
+	if got := counts["peer-00"]; got != 2 {
+		t.Errorf("peer-00 count = %d, want 2 (own series, both observations)", got)
+	}
+	if got := counts[fmt.Sprintf("peer-%02d", fabricPeerCap-1)]; got != 1 {
+		t.Errorf("last peer under the cap: count = %d, want 1", got)
+	}
+}
+
+// TestPeerLookupObservationsBounded: a broker lives for weeks, so 10⁵
+// lookups against one peer leave the retained heap flat — buckets, where a
+// sample kept per lookup would hold 800 KB.
+func TestPeerLookupObservationsBounded(t *testing.T) {
+	f := newFabricEnv(t).edge.fabric
+	liveHeap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	f.observePeer("peer", time.Millisecond)
+	before := liveHeap()
+	for i := 0; i < 100000; i++ {
+		f.observePeer("peer", time.Millisecond)
+	}
+	if grew := liveHeap() - before; grew > 256<<10 {
+		t.Errorf("10⁵ peer-lookup observations retained %d bytes", grew)
 	}
 }

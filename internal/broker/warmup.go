@@ -10,7 +10,7 @@ import (
 
 	"gobad/internal/bdms"
 	"gobad/internal/core"
-	"gobad/internal/metrics"
+	"gobad/internal/obs"
 )
 
 // Warm cache handoff: a draining broker serializes its cache manager's
@@ -30,21 +30,21 @@ import (
 // WarmupStats counts warm-handoff activity.
 type WarmupStats struct {
 	// Hits counts fresh backend subscriptions seeded from warm state.
-	Hits metrics.Counter
+	Hits obs.Counter
 	// Misses counts fresh backend subscriptions that started cold.
-	Misses metrics.Counter
+	Misses obs.Counter
 	// ObjectsLoaded counts cache objects restored from warm entries.
-	ObjectsLoaded metrics.Counter
+	ObjectsLoaded obs.Counter
 	// EntriesApplied counts snapshot entries applied onto live
 	// subscriptions at intake time.
-	EntriesApplied metrics.Counter
+	EntriesApplied obs.Counter
 	// EntriesStashed counts snapshot entries parked for future subscribes.
-	EntriesStashed metrics.Counter
+	EntriesStashed obs.Counter
 	// EntriesDropped counts snapshot entries rejected (stale snapshot or
 	// stash budget exhausted).
-	EntriesDropped metrics.Counter
+	EntriesDropped obs.Counter
 	// SnapshotsTaken counts SnapshotCache calls (drain handoffs).
-	SnapshotsTaken metrics.Counter
+	SnapshotsTaken obs.Counter
 }
 
 // Warm-handoff limits (Config overrides).

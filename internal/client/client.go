@@ -20,7 +20,6 @@ import (
 	"gobad/internal/bcs"
 	"gobad/internal/broker"
 	"gobad/internal/httpx"
-	"gobad/internal/metrics"
 	"gobad/internal/obs"
 	"gobad/internal/obs/span"
 	"gobad/internal/wsock"
@@ -113,8 +112,6 @@ type Client struct {
 
 	notifications chan broker.PushNotification
 
-	// Latency records GetResults round-trip times in seconds.
-	Latency metrics.Sampler
 	// failover tallies supervised reconnects and their latency.
 	failover *obs.FailoverStats
 	// traces records client-side spans (nil: propagate only).
@@ -165,7 +162,7 @@ func New(cfg Config) (*Client, error) {
 }
 
 // Failover exposes the client's supervised-reconnect tallies (reconnect
-// count and latency summary).
+// count and latency histogram).
 func (c *Client) Failover() *obs.FailoverStats { return c.failover }
 
 // Rediscover asks the BCS for a (possibly different) broker and fails the
@@ -303,18 +300,16 @@ func (c *Client) Subscriptions() ([]string, error) {
 // as ack=<ns>: the broker runs Algorithm 1's ACK for the previous
 // retrieval first and GETRESULTS over what that leaves, so the marker at
 // the broker trails the application by exactly one retrieval and nothing
-// is ever acknowledged that was not handed out. The retrieval latency is
-// recorded. At-least-once redelivery — after a failover resume, or of a
-// retrieval whose response was lost — is deduplicated here: results at or
-// below the watermark (timestamps the application already received) are
-// dropped before being returned.
+// is ever acknowledged that was not handed out. At-least-once redelivery
+// — after a failover resume, or of a retrieval whose response was lost — is
+// deduplicated here: results at or below the watermark (timestamps the
+// application already received) are dropped before being returned.
 //
 // A subscription this client did not create has no watermark to carry, so
 // its retrieval is followed by an explicit ack POST. When that ack fails
 // the results are returned WITH the error; callers must consume returned
 // items even on error.
 func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
-	start := time.Now()
 	// Snapshot broker URL, current frontend-sub ID and watermark in ONE
 	// critical section: a supervised failover commits all of them together,
 	// and a mixed pair (old subscription ID, new broker — or vice versa)
@@ -353,7 +348,6 @@ func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Latency.Observe(time.Since(start).Seconds())
 	if st == nil {
 		if out.LatestNS > 0 {
 			ack := broker.AckRequest{Subscriber: c.subscriber, TimestampNS: out.LatestNS}

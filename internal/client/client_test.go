@@ -149,9 +149,6 @@ func TestEndToEndNotifyAndRetrieve(t *testing.T) {
 	if items[0].Rows[0]["etype"] != "fire" {
 		t.Errorf("rows = %v", items[0].Rows)
 	}
-	if c.Latency.N() != 1 {
-		t.Errorf("latency samples = %d, want 1", c.Latency.N())
-	}
 
 	// A second retrieval (post-ack) returns nothing new.
 	items, err = c.GetResults(fs)
@@ -183,9 +180,17 @@ func TestOfflineSubscriberCatchesUp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Wait until all three webhook deliveries have landed at the broker.
+	// Wait until all three webhook deliveries have landed at the broker:
+	// bob is the cache's only subscriber, so it holds every result.
+	cached := func() int {
+		n := 0
+		for _, ci := range st.broker.Manager().CacheInfos() {
+			n += ci.Objects
+		}
+		return n
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for st.broker.Stats().VolumeBytes.Count() < 3 && time.Now().Before(deadline) {
+	for cached() < 3 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	items, err := c.GetResults(fs)

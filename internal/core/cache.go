@@ -41,8 +41,8 @@ type ResultCache struct {
 	completeSince time.Duration
 
 	// arrival and consumption estimate lambda_i and eta_i in bytes/s.
-	arrival     *metrics.RateEstimator
-	consumption *metrics.RateEstimator
+	arrival     *rateEstimator
+	consumption *rateEstimator
 
 	// holding tracks this cache's object holding times (seconds); the
 	// Fig. 5(b) analysis compares per-cache holding time with TTL.
@@ -63,8 +63,8 @@ func newResultCache(id string, now time.Duration, rateWindow time.Duration, rate
 		id:          id,
 		subs:        make(map[string]struct{}),
 		lastAccess:  now,
-		arrival:     metrics.NewRateEstimator(rateWindow, rateAlpha),
-		consumption: metrics.NewRateEstimator(rateWindow, rateAlpha),
+		arrival:     newRateEstimator(rateWindow, rateAlpha),
+		consumption: newRateEstimator(rateWindow, rateAlpha),
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gobad/internal/metrics"
+	"gobad/internal/obs"
 )
 
 // Fetcher retrieves result objects from the data cluster on a cache miss.
@@ -184,6 +185,20 @@ func (m *Manager) NumCaches() int {
 // in flight.
 func (m *Manager) FlightStats() (leaders, coalesced uint64) {
 	return m.flights.leaders.Load(), m.flights.coalesced.Load()
+}
+
+// Collect implements obs.Collector: the manager's live structure — budget,
+// totals and the singleflight coalescing tallies.
+func (m *Manager) Collect(emit func(obs.Family)) {
+	family := func(name, help string, typ obs.MetricType, v float64) {
+		emit(obs.Family{Name: name, Help: help, Type: typ, Points: []obs.Point{{Value: v}}})
+	}
+	family("bad_cache_budget_bytes", "Configured cache budget B.", obs.GaugeType, float64(m.Budget()))
+	family("bad_cache_total_bytes", "Total cached bytes across all caches.", obs.GaugeType, float64(m.TotalSize()))
+	family("bad_cache_caches", "Live result caches (backend subscriptions).", obs.GaugeType, float64(m.NumCaches()))
+	leaders, coalesced := m.FlightStats()
+	family("bad_singleflight_leader_total", "Miss fetches executed against the data cluster.", obs.CounterType, float64(leaders))
+	family("bad_singleflight_coalesced_total", "Miss fetches coalesced onto an in-flight leader.", obs.CounterType, float64(coalesced))
 }
 
 // Cache returns the cache for a backend subscription, or nil.

@@ -1,11 +1,11 @@
-package metrics
+package core
 
 import (
 	"sync"
 	"time"
 )
 
-// RateEstimator estimates a byte rate (bytes/second) from discrete arrival
+// rateEstimator estimates a byte rate (bytes/second) from discrete arrival
 // events using an exponentially weighted moving average over fixed windows.
 // The broker uses two estimators per result cache: one for the arrival rate
 // lambda_i (bytes of new results added) and one for the consumption rate
@@ -13,10 +13,10 @@ import (
 // Their clamped difference rho_i = max(0, lambda_i - eta_i) drives the TTL
 // computation of Section IV-B.
 //
-// RateEstimator works in virtual time (time.Duration offsets), so the same
+// rateEstimator works in virtual time (time.Duration offsets), so the same
 // code serves the live broker (wall-clock offsets) and the simulator.
 // It is safe for concurrent use.
-type RateEstimator struct {
+type rateEstimator struct {
 	mu sync.Mutex
 
 	window time.Duration // averaging window
@@ -28,24 +28,24 @@ type RateEstimator struct {
 	initialized bool
 }
 
-// NewRateEstimator returns an estimator that closes a window every window
+// newRateEstimator returns an estimator that closes a window every window
 // duration and folds it into an EWMA with smoothing factor alpha. A larger
 // alpha adapts faster; the paper's broker recomputes TTLs "every 5 minutes"
 // from moving averages, for which window=30s, alpha=0.3 works well.
-func NewRateEstimator(window time.Duration, alpha float64) *RateEstimator {
+func newRateEstimator(window time.Duration, alpha float64) *rateEstimator {
 	if window <= 0 {
 		window = 30 * time.Second
 	}
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.3
 	}
-	return &RateEstimator{window: window, alpha: alpha}
+	return &rateEstimator{window: window, alpha: alpha}
 }
 
 // Observe records that n bytes passed at virtual time at. Observations must
 // arrive with non-decreasing timestamps; stale timestamps are folded into
 // the current window.
-func (r *RateEstimator) Observe(at time.Duration, n float64) {
+func (r *rateEstimator) Observe(at time.Duration, n float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.rollWindows(at)
@@ -53,7 +53,7 @@ func (r *RateEstimator) Observe(at time.Duration, n float64) {
 }
 
 // Rate returns the estimated rate in bytes/second as of virtual time at.
-func (r *RateEstimator) Rate(at time.Duration) float64 {
+func (r *rateEstimator) Rate(at time.Duration) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.rollWindows(at)
@@ -70,7 +70,7 @@ func (r *RateEstimator) Rate(at time.Duration) float64 {
 }
 
 // rollWindows folds every completed window into the EWMA. Caller holds mu.
-func (r *RateEstimator) rollWindows(at time.Duration) {
+func (r *rateEstimator) rollWindows(at time.Duration) {
 	if at < r.windowStart {
 		return
 	}

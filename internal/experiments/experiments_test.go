@@ -146,7 +146,7 @@ func TestRigEndToEnd(t *testing.T) {
 	if rig.Broker().NumBackendSubs() >= rig.Broker().NumFrontendSubs() {
 		t.Error("suppression should merge frontend subscriptions")
 	}
-	if rig.Latency.N() == 0 {
+	if st.Latency.N() == 0 {
 		t.Error("no latency samples")
 	}
 	if st.HitRatio() <= 0 {

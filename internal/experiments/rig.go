@@ -14,7 +14,6 @@ import (
 	"gobad/internal/bdms"
 	"gobad/internal/broker"
 	"gobad/internal/core"
-	"gobad/internal/metrics"
 	"gobad/internal/trace"
 	"gobad/internal/workload"
 )
@@ -65,8 +64,6 @@ type Rig struct {
 
 	nextTTLDrive time.Duration
 
-	// Latency records modeled retrieval latencies in seconds.
-	Latency metrics.Sampler
 	// Retrievals counts GetResults calls that returned objects.
 	Retrievals int
 }
@@ -309,9 +306,7 @@ func (r *Rig) retrieve(subscriber, fs string) {
 	if missed > 0 {
 		lat += r.cfg.ClusterRTT.Seconds() + float64(missed)/r.cfg.ClusterBW
 	}
-	r.Latency.Observe(lat)
 	r.broker.Stats().Latency.Observe(lat)
-	r.broker.Stats().LatencySamples.Observe(lat)
 	r.Retrievals++
 }
 

@@ -16,6 +16,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"gobad/internal/httpx"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -195,25 +197,11 @@ func NewInjector(plan Plan, opts ...Option) *Injector {
 	}
 	epoch := time.Now()
 	in.clock = func() time.Duration { return time.Since(epoch) }
-	in.sleep = realSleep
+	in.sleep = httpx.Sleep
 	for _, opt := range opts {
 		opt(in)
 	}
 	return in
-}
-
-func realSleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // Decide counts one call against target and returns the fault to inject,

@@ -15,6 +15,7 @@ import (
 	"gobad/internal/bdms"
 	"gobad/internal/client"
 	"gobad/internal/metrics"
+	"gobad/internal/obs"
 	"gobad/internal/trace"
 )
 
@@ -46,7 +47,7 @@ type Player struct {
 	// Latency aggregates retrieval latencies across all subscribers.
 	Latency metrics.Sampler
 	// Retrievals counts notification-driven retrievals performed.
-	Retrievals metrics.Counter
+	Retrievals obs.Counter
 }
 
 var _ trace.Target = (*Player)(nil)

@@ -1,77 +1,35 @@
-// Package metrics provides the measurement primitives used by the BAD
-// broker, the discrete-event simulator and the experiment harness: simple
-// counters, running means, time-weighted averages (for cache-size-over-time
-// accounting), percentile sketches backed by exact samples, and the hit/miss
-// accounting bundle reported in the paper's evaluation (hit ratio, hit byte,
-// miss byte, fetch, subscriber latency, holding time).
+// Package metrics is the paper's evaluation bundle: CacheStats, the
+// per-broker accounting every figure of Sections V and VI is drawn from
+// (hit ratio, hit/miss/fetch/volume bytes, subscriber latency, holding
+// time, time-averaged cache size), its Snapshot for table rows and JSON,
+// and the three aggregates the bundle needs beyond a counter — Mean
+// (running mean), TimeWeighted (cache size over time) and Sampler (exact
+// quantiles of a finite run).
+//
+// Counts are obs.Counter, the module's one float counter; the bundle
+// exports itself through CacheStats.Collector, so internal/obs knows
+// nothing about this package. Sampler keeps every sample and therefore
+// belongs to runs that end — the simulator, the experiment rig, a trace
+// replay. A long-lived server observes latency into an obs.Histogram.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"gobad/internal/obs"
 )
 
-// Counter is a monotonically increasing float64 counter. The zero value is
-// ready to use. Counter is safe for concurrent use.
-//
-// The total is kept as the IEEE-754 bit pattern of a float64 inside an
-// atomic.Uint64 and updated by a compare-and-swap loop, so Add takes no
-// mutex: the cache manager bumps its counters on every GET, outside its own
-// lock, and a second lock there would serialise retrievals again.
-type Counter struct {
-	bits    atomic.Uint64 // math.Float64bits of the running total
-	n       atomic.Int64
-	dropped atomic.Int64
-}
-
-// Add increases the counter by v (which may be fractional) and reports
-// whether the delta was applied. Negative and NaN deltas are rejected so
-// byte counters stay monotone — but they are NOT silent: each rejection is
-// tallied and visible through Dropped, so byte-accounting bugs that produce
-// negative deltas cannot hide.
-func (c *Counter) Add(v float64) bool {
-	if v < 0 || math.IsNaN(v) {
-		c.dropped.Add(1)
-		return false
-	}
-	for {
-		old := c.bits.Load()
-		if c.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			break
-		}
-	}
-	c.n.Add(1)
-	return true
-}
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Dropped returns how many Add calls were rejected for carrying a negative
-// or NaN delta. A non-zero value indicates an accounting bug upstream.
-func (c *Counter) Dropped() int64 { return c.dropped.Load() }
-
-// Value returns the accumulated total.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// Count returns how many times Add/Inc was called.
-func (c *Counter) Count() int64 { return c.n.Load() }
-
-// Mean is an online arithmetic mean with variance tracking (Welford's
-// algorithm). The zero value is ready to use. Mean is safe for concurrent
+// Mean is an online arithmetic mean (incremental update, no sample
+// retention). The zero value is ready to use. Mean is safe for concurrent
 // use.
 type Mean struct {
 	mu   sync.Mutex
 	n    int64
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Observe records one sample.
@@ -79,19 +37,7 @@ func (m *Mean) Observe(x float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.n++
-	if m.n == 1 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
+	m.mean += (x - m.mean) / float64(m.n)
 }
 
 // N returns the number of samples observed.
@@ -106,33 +52,6 @@ func (m *Mean) Mean() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.mean
-}
-
-// Var returns the (population) variance of the observed samples.
-func (m *Mean) Var() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.n == 0 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// Std returns the population standard deviation.
-func (m *Mean) Std() float64 { return math.Sqrt(m.Var()) }
-
-// Min returns the smallest observed sample (0 if none).
-func (m *Mean) Min() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.min
-}
-
-// Max returns the largest observed sample (0 if none).
-func (m *Mean) Max() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.max
 }
 
 // TimeWeighted tracks a piecewise-constant quantity over (virtual or real)
@@ -224,72 +143,33 @@ func (w *TimeWeighted) Current() float64 {
 	return w.lastVal
 }
 
-// Sampler keeps observed samples so quantiles can be computed at the end of
-// a run. By default it retains every sample — for the population sizes used
-// in the evaluation (tens of thousands of retrievals) exact samples are
-// cheap and avoid sketch error, and sim runs stay paper-exact. Long-lived
-// deployments should bound memory with SetCap, which switches to uniform
-// reservoir sampling (Vitter's Algorithm R): retained samples stay a
-// uniform subset of everything observed, so quantiles remain unbiased.
-// The zero value is ready to use. Sampler is safe for concurrent use.
+// Sampler keeps every observed sample so quantiles can be computed at the
+// end of a run: for the population sizes used in the evaluation (tens of
+// thousands of retrievals) exact samples are cheap, avoid sketch error and
+// keep sim runs paper-exact. Its memory grows with the run, so it is for
+// runs that end; servers use obs.Histogram. The zero value is ready to use.
+// Sampler is safe for concurrent use.
 type Sampler struct {
 	mu      sync.Mutex
 	samples []float64
 	sorted  bool
-	cap     int
-	seen    int64
-	rng     *rand.Rand
+	sum     float64 // in observation order, whatever Quantile sorted since
 }
 
-// SetCap bounds the retained sample count to n (n <= 0 removes the bound,
-// restoring exact retention for samples observed from then on). seed drives
-// the reservoir's replacement choices so capped runs are reproducible.
-// Call it before observing; shrinking an already-overfull reservoir
-// truncates it.
-func (s *Sampler) SetCap(n int, seed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cap = n
-	s.rng = rand.New(rand.NewSource(seed))
-	if n > 0 && len(s.samples) > n {
-		s.samples = s.samples[:n]
-	}
-}
-
-// Observe records one sample. Uncapped it appends; capped and full it
-// replaces a uniformly chosen victim with probability cap/seen, keeping the
-// reservoir a uniform sample of the whole stream.
+// Observe records one sample.
 func (s *Sampler) Observe(x float64) {
 	s.mu.Lock()
-	s.seen++
-	if s.cap > 0 && len(s.samples) >= s.cap {
-		// The reservoir slot order may have been permuted by a Quantile
-		// sort; uniformity is order-independent, so that is harmless.
-		if j := s.rng.Int63n(s.seen); j < int64(s.cap) {
-			s.samples[j] = x
-			s.sorted = false
-		}
-		s.mu.Unlock()
-		return
-	}
 	s.samples = append(s.samples, x)
 	s.sorted = false
+	s.sum += x
 	s.mu.Unlock()
 }
 
-// N returns the number of retained samples (= observations when uncapped).
+// N returns the number of samples observed.
 func (s *Sampler) N() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.samples)
-}
-
-// Seen returns how many samples were observed, including ones the capped
-// reservoir has since displaced.
-func (s *Sampler) Seen() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seen
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank on the
@@ -317,18 +197,14 @@ func (s *Sampler) Quantile(q float64) float64 {
 	return s.samples[idx]
 }
 
-// Mean returns the arithmetic mean of all samples.
+// Mean returns the arithmetic mean of all samples (0 if none).
 func (s *Sampler) Mean() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.samples) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, x := range s.samples {
-		sum += x
-	}
-	return sum / float64(len(s.samples))
+	return s.sum / float64(len(s.samples))
 }
 
 // CacheStats bundles the per-run metrics reported in the paper's evaluation
@@ -336,51 +212,52 @@ func (s *Sampler) Mean() float64 {
 // simulation run; all components report into it.
 type CacheStats struct {
 	// Requests counts result objects requested by subscribers.
-	Requests Counter
+	Requests obs.Counter
 	// Hits counts result objects served from the broker cache.
-	Hits Counter
+	Hits obs.Counter
 	// HitBytes accumulates bytes served from the broker cache.
-	HitBytes Counter
+	HitBytes obs.Counter
 	// MissBytes accumulates bytes fetched from the data cluster due to
 	// cache misses (excludes the base volume used to populate caches).
-	MissBytes Counter
+	MissBytes obs.Counter
 	// FetchBytes accumulates all bytes fetched from the data cluster
 	// (base volume + miss re-fetches). Fig. 4(a) "fetch".
-	FetchBytes Counter
+	FetchBytes obs.Counter
 	// VolumeBytes accumulates the bytes produced by the data cluster in
 	// response to all subscriptions (the 'Vol' line in Fig. 4(a)).
-	VolumeBytes Counter
-	// Latency observes per-retrieval subscriber latency in seconds.
-	Latency Mean
-	// LatencySamples keeps exact latency samples for quantiles.
-	LatencySamples Sampler
+	VolumeBytes obs.Counter
+	// Latency keeps the per-retrieval subscriber latencies in seconds:
+	// mean and exact quantiles. Fig. 4(b). Fed by runs that end (the
+	// simulator, the experiment rig), never by a live broker.
+	Latency Sampler
 	// HoldingTime observes, in seconds, how long each object stayed
 	// cached (insert -> drop). Fig. 4(c).
 	HoldingTime Mean
 	// CacheSize tracks total cached bytes over time. Fig. 5(a).
 	CacheSize TimeWeighted
 	// Evictions counts objects dropped to make room (policy evictions).
-	Evictions Counter
+	Evictions obs.Counter
 	// Expirations counts objects dropped by TTL expiry.
-	Expirations Counter
+	Expirations obs.Counter
 	// Consumed counts objects dropped because every attached subscriber
 	// retrieved them.
-	Consumed Counter
+	Consumed obs.Counter
 	// Delivered counts notifications delivered to subscribers.
-	Delivered Counter
+	Delivered obs.Counter
 	// FetchErrors counts failed data-cluster fetches (the broker's
 	// degraded-path trigger).
-	FetchErrors Counter
+	FetchErrors obs.Counter
 	// StaleServed counts retrievals answered from the cache alone after a
 	// fetch failure (graceful degradation instead of a subscriber error).
-	StaleServed Counter
+	StaleServed obs.Counter
 	// PeerHits counts miss lookups answered by a sibling broker's cache
 	// (the fabric's two-tier path: local cache -> HRW-owner peer ->
-	// cluster), sparing a cluster fetch.
-	PeerHits Counter
+	// cluster), sparing a cluster fetch. Lookups executed, not callers:
+	// an answer replayed from the broker's short-TTL memo is not a lookup.
+	PeerHits obs.Counter
 	// PeerMisses counts miss lookups that consulted a sibling and fell
 	// through to the cluster anyway (owner cold, draining or dead).
-	PeerMisses Counter
+	PeerMisses obs.Counter
 }
 
 // HitRatio returns Hits/Requests (0 when no requests were made).
@@ -441,7 +318,7 @@ func (s *CacheStats) SnapshotAt(at time.Duration) Snapshot {
 		FetchBytes:   s.FetchBytes.Value(),
 		VolumeBytes:  s.VolumeBytes.Value(),
 		MeanLatency:  s.Latency.Mean(),
-		P95Latency:   s.LatencySamples.Quantile(0.95),
+		P95Latency:   s.Latency.Quantile(0.95),
 		HoldingTime:  s.HoldingTime.Mean(),
 		AvgCacheSize: s.CacheSize.Average(at),
 		MaxCacheSize: s.CacheSize.Max(),
@@ -455,6 +332,70 @@ func (s *CacheStats) SnapshotAt(at time.Duration) Snapshot {
 		PeerMisses:   s.PeerMisses.Value(),
 		PeerHitRatio: s.PeerHitRatio(),
 	}
+}
+
+// Collector exports every CacheStats field as scrape-time families. now
+// supplies the run clock used to close out the time-weighted cache-size
+// average; pass the broker's (or simulator's) clock.
+//
+// The emitted families mirror Snapshot field-for-field (the sim exposition
+// test diffs the two), so a Prometheus scrape and a /v1/stats snapshot can
+// never disagree about a run.
+func (s *CacheStats) Collector(now func() time.Duration) obs.Collector {
+	return obs.CollectorFunc(func(emit func(obs.Family)) {
+		counter := func(name, help string, c *obs.Counter) {
+			emit(obs.Family{Name: name, Help: help, Type: obs.CounterType, Points: []obs.Point{{Value: c.Value()}}})
+		}
+		gauge := func(name, help string, v float64) {
+			emit(obs.Family{Name: name, Help: help, Type: obs.GaugeType, Points: []obs.Point{{Value: v}}})
+		}
+		counter("bad_cache_requests_total", "Result objects requested by subscribers.", &s.Requests)
+		counter("bad_cache_hits_total", "Result objects served from the broker cache.", &s.Hits)
+		gauge("bad_cache_hit_ratio", "Hits/Requests over the whole run (Fig. 3).", s.HitRatio())
+		counter("bad_cache_hit_bytes_total", "Bytes served from the broker cache.", &s.HitBytes)
+		counter("bad_cache_miss_bytes_total", "Bytes re-fetched from the data cluster on cache misses.", &s.MissBytes)
+		counter("bad_cache_fetch_bytes_total", "All bytes fetched from the data cluster, base volume plus miss re-fetches (Fig. 4a 'fetch').", &s.FetchBytes)
+		counter("bad_cache_volume_bytes_total", "Bytes produced by the data cluster for all subscriptions (Fig. 4a 'Vol').", &s.VolumeBytes)
+		counter("bad_cache_evictions_total", "Objects dropped by policy eviction.", &s.Evictions)
+		counter("bad_cache_expirations_total", "Objects dropped by TTL expiry.", &s.Expirations)
+		counter("bad_cache_consumed_total", "Objects dropped because every attached subscriber retrieved them.", &s.Consumed)
+		counter("bad_notifications_delivered_total", "Notifications delivered to subscribers.", &s.Delivered)
+		counter("bad_cache_fetch_errors_total", "Failed data-cluster fetches.", &s.FetchErrors)
+		counter("bad_cache_stale_serves_total", "Retrievals served stale from cache after a fetch failure.", &s.StaleServed)
+		counter("bad_cache_peer_hits_total", "Miss lookups answered by a sibling broker's cache instead of the data cluster.", &s.PeerHits)
+		counter("bad_cache_peer_misses_total", "Miss lookups that consulted a sibling broker and fell through to the cluster.", &s.PeerMisses)
+		gauge("bad_cache_peer_hit_ratio", "Fraction of peer lookups the fabric absorbed without a cluster fetch.", s.PeerHitRatio())
+
+		at := now()
+		gauge("bad_cache_size_bytes", "Currently cached bytes.", s.CacheSize.Current())
+		gauge("bad_cache_size_bytes_avg", "Time-weighted average cached bytes (Fig. 5a).", s.CacheSize.Average(at))
+		gauge("bad_cache_size_bytes_max", "Largest cached byte total ever observed.", s.CacheSize.Max())
+		gauge("bad_cache_holding_time_seconds_mean", "Mean insert-to-drop holding time (Fig. 4c).", s.HoldingTime.Mean())
+
+		// Subscriber retrieval latency as a summary: mean via _sum/_count,
+		// tail via the exact sample quantiles. Only finite runs (the
+		// simulator, the experiment rig) observe it, so a process that never
+		// did — a live broker, whose per-stage latency is the
+		// bad_delivery_latency_seconds histogram — exports no empty family.
+		n := s.Latency.N()
+		if n == 0 {
+			return
+		}
+		emit(obs.Family{
+			Name: "bad_retrieval_latency_seconds",
+			Help: "Per-retrieval subscriber latency (Fig. 4b).",
+			Type: obs.SummaryType,
+			Points: []obs.Point{{Summary: &obs.SummarySnapshot{
+				Quantiles: map[float64]float64{
+					0.5:  s.Latency.Quantile(0.5),
+					0.95: s.Latency.Quantile(0.95),
+					0.99: s.Latency.Quantile(0.99),
+				},
+				Count: uint64(n),
+				Sum:   s.Latency.Mean() * float64(n),
+			}}},
+		})
+	})
 }
 
 // AverageSnapshots returns the element-wise arithmetic mean of several run

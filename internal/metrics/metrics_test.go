@@ -8,8 +8,13 @@ import (
 	"time"
 )
 
+// CacheStats' counts are obs.Counter; the cases below pin, on the bundle's
+// own fields, what the paper's byte accounting relies on: fractional
+// totals, monotonicity, and a rejected delta that is tallied, not silent.
+
 func TestCounterBasics(t *testing.T) {
-	var c Counter
+	var s CacheStats
+	c := &s.HitBytes
 	if got := c.Value(); got != 0 {
 		t.Fatalf("zero counter Value = %v, want 0", got)
 	}
@@ -18,35 +23,25 @@ func TestCounterBasics(t *testing.T) {
 	if got := c.Value(); got != 3.5 {
 		t.Errorf("Value = %v, want 3.5", got)
 	}
-	if got := c.Count(); got != 2 {
-		t.Errorf("Count = %v, want 2", got)
-	}
 }
 
 func TestCounterIgnoresNegative(t *testing.T) {
-	var c Counter
-	if !c.Add(10) {
-		t.Error("Add(10) should report applied")
-	}
-	if c.Add(-5) {
-		t.Error("Add(-5) should report rejected")
-	}
+	var s CacheStats
+	c := &s.HitBytes
+	c.Add(10)
+	c.Add(-5)
 	if got := c.Value(); got != 10 {
 		t.Errorf("Value = %v, want 10 (negative deltas ignored)", got)
 	}
 	if got := c.Dropped(); got != 1 {
 		t.Errorf("Dropped = %v, want 1", got)
 	}
-	if got := c.Count(); got != 1 {
-		t.Errorf("Count = %v, want 1 (rejected Add must not count)", got)
-	}
 }
 
 func TestCounterRejectsNaN(t *testing.T) {
-	var c Counter
-	if c.Add(math.NaN()) {
-		t.Error("Add(NaN) should report rejected")
-	}
+	var s CacheStats
+	c := &s.HitBytes
+	c.Add(math.NaN())
 	if got := c.Value(); got != 0 {
 		t.Errorf("Value = %v, want 0 after NaN", got)
 	}
@@ -56,7 +51,8 @@ func TestCounterRejectsNaN(t *testing.T) {
 }
 
 func TestCounterConcurrent(t *testing.T) {
-	var c Counter
+	var s CacheStats
+	c := &s.Requests
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -84,20 +80,11 @@ func TestMeanBasics(t *testing.T) {
 	if got := m.N(); got != 5 {
 		t.Errorf("N = %v, want 5", got)
 	}
-	if got, want := m.Var(), 2.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Var = %v, want %v", got, want)
-	}
-	if got := m.Min(); got != 1 {
-		t.Errorf("Min = %v, want 1", got)
-	}
-	if got := m.Max(); got != 5 {
-		t.Errorf("Max = %v, want 5", got)
-	}
 }
 
 func TestMeanEmpty(t *testing.T) {
 	var m Mean
-	if m.Mean() != 0 || m.Var() != 0 || m.Std() != 0 {
+	if m.Mean() != 0 || m.N() != 0 {
 		t.Error("empty Mean should report zeros")
 	}
 }
@@ -254,7 +241,6 @@ func TestSnapshotAt(t *testing.T) {
 	s.Hits.Add(5)
 	s.HitBytes.Add(1000)
 	s.Latency.Observe(0.2)
-	s.LatencySamples.Observe(0.2)
 	s.CacheSize.Set(0, 100)
 	s.CacheSize.Set(10*time.Second, 300)
 	snap := s.SnapshotAt(20 * time.Second)
@@ -305,67 +291,6 @@ func TestFormatBytes(t *testing.T) {
 		if got := FormatBytes(tt.in); got != tt.want {
 			t.Errorf("FormatBytes(%v) = %q, want %q", tt.in, got, tt.want)
 		}
-	}
-}
-
-func TestRateEstimatorSteadyRate(t *testing.T) {
-	r := NewRateEstimator(10*time.Second, 0.5)
-	// 100 bytes every second for 100 seconds => 100 B/s.
-	for i := 0; i <= 100; i++ {
-		r.Observe(time.Duration(i)*time.Second, 100)
-	}
-	got := r.Rate(100 * time.Second)
-	if math.Abs(got-100) > 5 {
-		t.Errorf("Rate = %v, want ~100", got)
-	}
-}
-
-func TestRateEstimatorEarlyPartialWindow(t *testing.T) {
-	r := NewRateEstimator(time.Minute, 0.3)
-	r.Observe(0, 600)
-	got := r.Rate(10 * time.Second) // 600 bytes over 10s = 60 B/s raw
-	if math.Abs(got-60) > 1e-9 {
-		t.Errorf("early Rate = %v, want 60", got)
-	}
-}
-
-func TestRateEstimatorDecaysToZero(t *testing.T) {
-	r := NewRateEstimator(time.Second, 0.5)
-	r.Observe(0, 1000)
-	// after many idle windows, the rate should decay to near zero
-	got := r.Rate(60 * time.Second)
-	if got > 1 {
-		t.Errorf("Rate after idle = %v, want < 1", got)
-	}
-}
-
-func TestRateEstimatorDefensiveDefaults(t *testing.T) {
-	r := NewRateEstimator(0, -1) // invalid args take defaults
-	r.Observe(0, 30)
-	if got := r.Rate(time.Second); got <= 0 {
-		t.Errorf("Rate = %v, want > 0", got)
-	}
-}
-
-func TestRateEstimatorNonNegativeProperty(t *testing.T) {
-	f := func(deltas []uint16, amounts []uint16) bool {
-		r := NewRateEstimator(5*time.Second, 0.4)
-		var at time.Duration
-		for i := range deltas {
-			at += time.Duration(deltas[i]) * time.Millisecond
-			amt := 0.0
-			if i < len(amounts) {
-				amt = float64(amounts[i])
-			}
-			r.Observe(at, amt)
-			if r.Rate(at) < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

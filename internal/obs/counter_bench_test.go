@@ -1,4 +1,4 @@
-package metrics
+package obs
 
 import (
 	"sync/atomic"
@@ -7,7 +7,7 @@ import (
 
 // The Counter sits inside every cache GET/PUT (hits, bytes, requests), so
 // its Add is a cache hot path. These benchmarks cover the serial and the
-// contended case; `go test -bench Counter -benchmem ./internal/metrics`.
+// contended case; `go test -bench Counter -benchmem ./internal/obs`.
 
 func BenchmarkCounterAdd(b *testing.B) {
 	var c Counter
@@ -15,8 +15,8 @@ func BenchmarkCounterAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Add(1)
 	}
-	if c.Count() != int64(b.N) {
-		b.Fatalf("count = %d, want %d", c.Count(), b.N)
+	if c.Value() != float64(b.N) {
+		b.Fatalf("value = %v, want %d", c.Value(), b.N)
 	}
 }
 

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sync/atomic"
-
-	"gobad/internal/metrics"
-)
+import "sync/atomic"
 
 // FailoverStats tallies the broker-failover pipeline. One bundle serves
 // both halves of the path: brokers count resumes, gap backfills and drained
@@ -28,13 +24,13 @@ type FailoverStats struct {
 	// because HRW placement moved them to another broker after a
 	// membership change (broker side).
 	RebalanceMigrated atomic.Uint64
-	// ReconnectSeconds samples the client-observed reconnect latency:
-	// connection loss to resumed subscriptions, in seconds.
-	ReconnectSeconds metrics.Sampler
+	// ReconnectSeconds observes the client-observed reconnect latency:
+	// connection loss to resumed subscriptions, in seconds (DefBuckets).
+	ReconnectSeconds Histogram
 }
 
-// Collector exports the failover tallies: four counters plus the
-// client-side reconnect-latency summary.
+// Collector exports the failover tallies: five counters plus the
+// client-side reconnect-latency histogram.
 func (s *FailoverStats) Collector() Collector {
 	return CollectorFunc(func(emit func(Family)) {
 		counter := func(name, help string, v uint64) {
@@ -57,20 +53,11 @@ func (s *FailoverStats) Collector() Collector {
 			"Sessions migrated to their new HRW owner after a ring membership change.",
 			s.RebalanceMigrated.Load())
 
-		n := s.ReconnectSeconds.N()
 		emit(Family{
-			Name: "bad_failover_reconnect_seconds",
-			Help: "Client-observed reconnect latency: connection loss to resumed subscriptions.",
-			Type: SummaryType,
-			Points: []Point{{Summary: &SummarySnapshot{
-				Quantiles: map[float64]float64{
-					0.5:  s.ReconnectSeconds.Quantile(0.5),
-					0.95: s.ReconnectSeconds.Quantile(0.95),
-					0.99: s.ReconnectSeconds.Quantile(0.99),
-				},
-				Count: uint64(n),
-				Sum:   s.ReconnectSeconds.Mean() * float64(n),
-			}}},
+			Name:   "bad_failover_reconnect_seconds",
+			Help:   "Client-observed reconnect latency: connection loss to resumed subscriptions.",
+			Type:   HistogramType,
+			Points: []Point{{Hist: s.ReconnectSeconds.Snapshot()}},
 		})
 	})
 }

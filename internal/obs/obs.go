@@ -6,10 +6,18 @@
 // lines, and an opt-in debug mux with pprof.
 //
 // The paper's evaluation (Figures 3-5, 7) is all per-broker cache
-// accounting; this package turns the same counters into a continuously
-// scrapable /metrics surface so hit ratio, eviction pressure and fetch
-// volume can be watched evolving on a live deployment instead of only as a
-// one-shot /v1/stats snapshot.
+// accounting; the counters it is kept in are this package's Counter, so the
+// same words feed a figure and a continuously scrapable /metrics surface:
+// hit ratio, eviction pressure and fetch volume can be watched evolving on
+// a live deployment instead of only as a one-shot /v1/stats snapshot.
+//
+// This is the module's one measurement kit and the bottom of its import
+// graph: Counter for every float count, Gauge, and Histogram for every
+// latency a long-lived server observes (constant memory). It imports no
+// other package of the module — whoever owns state exports it by
+// implementing Collector beside that state (metrics.CacheStats,
+// core.Manager, bdms.NotifierStats, …). Exact-sample quantiles, which grow
+// with the run, are internal/metrics' Sampler and belong to runs that end.
 //
 // Everything here is stdlib-only; the module has zero dependencies and this
 // package must keep it that way.
@@ -207,13 +215,23 @@ func mustValidNames(metric string, labels []string) {
 // ---- scalar instruments ----------------------------------------------------
 
 // Counter is a lock-free monotone float64 counter (IEEE-754 bits in an
-// atomic word, CAS-updated). The zero value is ready.
-type Counter struct{ bits atomic.Uint64 }
+// atomic word, CAS-updated, so Add takes no mutex: the cache manager bumps
+// its counters on every GET, outside its own lock). It is the one float
+// counter of the module — the paper's byte and object accounting, the
+// cluster's, the WAL's and the labelled counter vectors all use it. The
+// zero value is ready.
+type Counter struct {
+	bits    atomic.Uint64 // math.Float64bits of the running total
+	dropped atomic.Int64
+}
 
-// Add increases the counter by v; negative or NaN deltas are ignored so the
-// series stays monotone.
+// Add increases the counter by v. Negative and NaN deltas are rejected so
+// the series stays monotone, but not silently: each rejection is tallied
+// and visible through Dropped, so a byte-accounting bug that produces
+// negative deltas cannot hide.
 func (c *Counter) Add(v float64) {
 	if v < 0 || math.IsNaN(v) {
+		c.dropped.Add(1)
 		return
 	}
 	for {
@@ -229,6 +247,10 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the accumulated total.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
+
+// Dropped returns how many Add calls were rejected for carrying a negative
+// or NaN delta. A non-zero value indicates an accounting bug upstream.
+func (c *Counter) Dropped() int64 { return c.dropped.Load() }
 
 // Gauge is a lock-free float64 gauge. The zero value is ready.
 type Gauge struct{ bits atomic.Uint64 }
@@ -259,8 +281,10 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // matching the conventional Prometheus client defaults.
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// Histogram accumulates observations into cumulative buckets. Use
-// NewHistogram; the zero value has no buckets.
+// Histogram accumulates observations into cumulative buckets: constant
+// memory however long the process lives, which is why servers use it where
+// finite runs keep exact samples. The zero value is a histogram over
+// DefBuckets; NewHistogram selects other bounds.
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64
@@ -283,9 +307,17 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds))}
 }
 
+// initLocked gives the zero value its DefBuckets; the caller holds h.mu.
+func (h *Histogram) initLocked() {
+	if h.counts == nil {
+		h.bounds, h.counts = DefBuckets, make([]uint64, len(DefBuckets))
+	}
+}
+
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
+	h.initLocked()
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	if i < len(h.counts) {
 		h.counts[i]++
@@ -299,6 +331,7 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) Snapshot() *HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.initLocked()
 	cum := make([]uint64, len(h.counts))
 	var run uint64
 	for i, c := range h.counts {

@@ -7,18 +7,18 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"gobad/internal/metrics"
 )
 
 func TestCounterAndGauge(t *testing.T) {
 	var c Counter
 	c.Inc()
 	c.Add(2.5)
-	c.Add(-1) // negative adds are dropped: counters are monotone
+	c.Add(-1) // negative adds are dropped and tallied: counters are monotone
 	if got := c.Value(); got != 3.5 {
 		t.Errorf("Counter.Value = %v, want 3.5", got)
+	}
+	if got := c.Dropped(); got != 1 {
+		t.Errorf("Counter.Dropped = %v, want 1", got)
 	}
 	var g Gauge
 	g.Set(10)
@@ -47,6 +47,15 @@ func TestHistogramSnapshot(t *testing.T) {
 		if s.CumCounts[i] != want {
 			t.Errorf("CumCounts[%d] = %d, want %d", i, s.CumCounts[i], want)
 		}
+	}
+}
+
+func TestHistogramZeroValueUsesDefBuckets(t *testing.T) {
+	var h Histogram
+	h.Observe(0.02) // falls in DefBuckets' third bucket, le=0.025
+	s := h.Snapshot()
+	if len(s.UpperBounds) != len(DefBuckets) || s.CumCounts[1] != 0 || s.CumCounts[2] != 1 || s.Count != 1 {
+		t.Errorf("zero-value histogram: bounds %v, cumulative %v, count %d", s.UpperBounds, s.CumCounts, s.Count)
 	}
 }
 
@@ -203,55 +212,6 @@ func TestRegistryHandler(t *testing.T) {
 	}
 	if !strings.Contains(rr.Body.String(), "test_up 1") {
 		t.Errorf("body missing sample:\n%s", rr.Body.String())
-	}
-}
-
-func TestCacheStatsCollectorMirrorsSnapshot(t *testing.T) {
-	stats := &metrics.CacheStats{}
-	stats.Requests.Add(10)
-	stats.Hits.Add(4)
-	stats.HitBytes.Add(4096)
-	stats.MissBytes.Add(1024)
-	stats.FetchBytes.Add(5120)
-	stats.VolumeBytes.Add(4096)
-	stats.Evictions.Add(2)
-	stats.Latency.Observe(0.25)
-	stats.LatencySamples.Observe(0.25)
-	stats.CacheSize.Set(0, 100)
-	stats.CacheSize.Set(5*time.Second, 300)
-	at := 10 * time.Second
-
-	reg := NewRegistry()
-	reg.MustRegister(NewCacheStatsCollector(stats, func() time.Duration { return at }))
-	_, parsed := gatherText(t, reg)
-	snap := stats.SnapshotAt(at)
-
-	checks := map[string]float64{
-		"bad_cache_requests_total":            snap.Requests,
-		"bad_cache_hits_total":                snap.Hits,
-		"bad_cache_hit_ratio":                 snap.HitRatio,
-		"bad_cache_hit_bytes_total":           snap.HitBytes,
-		"bad_cache_miss_bytes_total":          snap.MissBytes,
-		"bad_cache_fetch_bytes_total":         snap.FetchBytes,
-		"bad_cache_volume_bytes_total":        snap.VolumeBytes,
-		"bad_cache_evictions_total":           snap.Evictions,
-		"bad_cache_peer_hits_total":           snap.PeerHits,
-		"bad_cache_peer_misses_total":         snap.PeerMisses,
-		"bad_cache_peer_hit_ratio":            snap.PeerHitRatio,
-		"bad_cache_size_bytes_avg":            snap.AvgCacheSize,
-		"bad_cache_size_bytes_max":            snap.MaxCacheSize,
-		"bad_cache_holding_time_seconds_mean": snap.HoldingTime,
-		`bad_retrieval_latency_seconds{quantile="0.95"}`: snap.P95Latency,
-	}
-	for key, want := range checks {
-		got, ok := parsed.Value(key)
-		if !ok {
-			t.Errorf("missing sample %s", key)
-			continue
-		}
-		if got != want {
-			t.Errorf("%s = %v, want %v", key, got, want)
-		}
 	}
 }
 

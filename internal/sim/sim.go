@@ -206,14 +206,12 @@ func Run(cfg Config) (Result, error) {
 // the manager's structural gauges.
 func (s *simulator) writeExposition(w io.Writer) error {
 	reg := obs.NewRegistry()
-	reg.MustRegister(
-		obs.NewCacheStatsCollector(s.stats, func() time.Duration { return s.cfg.Duration }),
-	)
+	reg.MustRegister(s.stats.Collector(func() time.Duration { return s.cfg.Duration }))
 	// The manager collector emits fixed family names, so only one can
 	// register; with a multi-broker fabric the structural gauges come from
 	// the first broker's manager and the remaining brokers are summarized by
 	// the shared cache-stats bundle above.
-	reg.MustRegister(obs.NewManagerCollector(s.managers[0]))
+	reg.MustRegister(s.managers[0])
 	reg.MustRegister(s.stageHist)
 	return reg.WriteText(w)
 }
@@ -457,7 +455,6 @@ func (s *simulator) handleRetrieve(k, i int32) {
 	}
 	s.stageHist.With(span.StageRetrieve, outcome).Observe(latency)
 	s.stats.Latency.Observe(latency)
-	s.stats.LatencySamples.Observe(latency)
 	s.stats.Delivered.Add(float64(len(objs)))
 }
 
