@@ -201,11 +201,11 @@ func benchTrace(b *testing.B) *trace.Trace {
 	return tr
 }
 
-func benchPrototype(b *testing.B, metric func(experiments.PrototypeCell) float64, unit string) {
+func benchPrototype(b *testing.B, col experiments.MetricColumn, unit string) {
 	b.Helper()
 	tr := benchTrace(b)
 	budgets := []int64{128 << 10, 1 << 20}
-	var sweep *experiments.PrototypeSweep
+	var sweep *experiments.Sweep
 	for n := 0; n < b.N; n++ {
 		var err error
 		sweep, err = experiments.RunPrototypeSweep(experiments.PrototypeSweepConfig{
@@ -218,23 +218,23 @@ func benchPrototype(b *testing.B, metric func(experiments.PrototypeCell) float64
 		}
 	}
 	for name, byBudget := range sweep.Cells {
-		b.ReportMetric(metric(byBudget[budgets[0]]), name+"_"+unit)
+		b.ReportMetric(col.Value(byBudget[budgets[0]]), name+"_"+unit)
 	}
 }
 
 // BenchmarkFig7HitRatio regenerates Fig. 7(a) at the small cache size.
 func BenchmarkFig7HitRatio(b *testing.B) {
-	benchPrototype(b, func(c experiments.PrototypeCell) float64 { return c.HitRatio }, "hit")
+	benchPrototype(b, experiments.ColHitRatio, "hit")
 }
 
 // BenchmarkFig7Latency regenerates Fig. 7(b).
 func BenchmarkFig7Latency(b *testing.B) {
-	benchPrototype(b, func(c experiments.PrototypeCell) float64 { return c.MeanLatency }, "lat_s")
+	benchPrototype(b, experiments.ColLatency, "lat_s")
 }
 
 // BenchmarkFig7BytesFetched regenerates Fig. 7(c).
 func BenchmarkFig7BytesFetched(b *testing.B) {
-	benchPrototype(b, func(c experiments.PrototypeCell) float64 { return c.FetchedBytes / (1 << 20) }, "fetchMB")
+	benchPrototype(b, experiments.ColFetch, "fetchMB")
 }
 
 // BenchmarkTable3ChannelMatching measures the Table III emergency channel

@@ -1,7 +1,9 @@
 // Command badclient is an interactive BAD subscriber: it discovers a
 // broker (directly or through the BCS), subscribes to a parameterized
 // channel, and tails notifications — retrieving and printing enriched
-// results as they arrive.
+// results as they arrive. The connection is supervised: across a broker
+// failure or drain it reconnects, resubscribes and resumes (through the
+// BCS with -bcs, against the same broker with -broker).
 //
 // Usage:
 //
@@ -30,16 +32,15 @@ func main() {
 	channel := flag.String("channel", "", "channel to subscribe to (required)")
 	paramsJSON := flag.String("params", "[]", "channel parameters as a JSON array")
 	watch := flag.Duration("watch", time.Minute, "how long to tail notifications")
-	reconnect := flag.Bool("reconnect", false, "supervise the connection: reconnect, resubscribe and resume across broker failures (requires -bcs)")
 	flag.Parse()
 
-	if err := run(*brokerURL, *bcsURL, *subscriber, *channel, *paramsJSON, *watch, *reconnect); err != nil {
+	if err := run(*brokerURL, *bcsURL, *subscriber, *channel, *paramsJSON, *watch); err != nil {
 		fmt.Fprintln(os.Stderr, "badclient:", err)
 		os.Exit(1)
 	}
 }
 
-func run(brokerURL, bcsURL, subscriber, channel, paramsJSON string, watch time.Duration, reconnect bool) error {
+func run(brokerURL, bcsURL, subscriber, channel, paramsJSON string, watch time.Duration) error {
 	if subscriber == "" || channel == "" {
 		return fmt.Errorf("-subscriber and -channel are required")
 	}
@@ -47,21 +48,17 @@ func run(brokerURL, bcsURL, subscriber, channel, paramsJSON string, watch time.D
 	if err := json.Unmarshal([]byte(paramsJSON), &params); err != nil {
 		return fmt.Errorf("bad -params: %w", err)
 	}
-	cfg := client.Config{Subscriber: subscriber, BrokerURL: brokerURL}
+	cfg := client.Config{
+		Subscriber: subscriber, BrokerURL: brokerURL,
+		OnConnState: func(s client.ConnState, broker string) {
+			fmt.Printf("connection %s (broker %s)\n", s, broker)
+		},
+	}
 	if brokerURL == "" {
 		if bcsURL == "" {
 			return fmt.Errorf("need -broker or -bcs")
 		}
 		cfg.BCS = bcs.NewClient(bcsURL, nil)
-	}
-	if reconnect {
-		if cfg.BCS == nil {
-			return fmt.Errorf("-reconnect requires -bcs (broker rediscovery)")
-		}
-		cfg.Reconnect = true
-		cfg.OnConnState = func(s client.ConnState, broker string) {
-			fmt.Printf("connection %s (broker %s)\n", s, broker)
-		}
 	}
 	c, err := client.New(cfg)
 	if err != nil {

@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"gobad/internal/core"
 	"gobad/internal/experiments"
 	"gobad/internal/metrics"
 	"gobad/internal/trace"
@@ -47,7 +46,7 @@ func run(fig string, scale float64, runs int, seed int64, csvDir string) error {
 	start := time.Now()
 	want := func(name string) bool { return fig == "all" || fig == name }
 
-	var simSweep *experiments.SimSweep
+	var simSweep *experiments.Sweep
 	needSim := want("fig3") || want("fig4") || want("fig5a") || want("fig5b")
 	if needSim {
 		base := experiments.DefaultSimBase(scale)
@@ -128,19 +127,15 @@ func run(fig string, scale float64, runs int, seed int64, csvDir string) error {
 			Trace:   tr,
 			Budgets: budgets,
 			Seed:    seed,
-			Policies: []core.Policy{
-				core.NC{}, core.LRU{}, core.LSC{}, core.TTL{},
-			},
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Println(protoSweep.FormatTable("Fig 7(a)", "hit_ratio"))
-		fmt.Println(protoSweep.FormatTable("Fig 7(b)", "latency_s"))
-		fmt.Println(protoSweep.FormatTable("Fig 7(c)", "fetched_MB"))
-		anyCell := protoSweep.Cells["LSC"][budgets[0]]
+		fmt.Println(protoSweep.FormatTable("Fig 7(a)", experiments.ColHitRatio))
+		fmt.Println(protoSweep.FormatTable("Fig 7(b)", experiments.ColLatency))
+		fmt.Println(protoSweep.FormatTable("Fig 7(c)", experiments.ColFetch))
 		fmt.Printf("subscription suppression: %d frontend -> %d backend subscriptions\n\n",
-			anyCell.FrontendSubs, anyCell.BackendSubs)
+			protoSweep.FrontendSubs, protoSweep.BackendSubs)
 	}
 
 	if !strings.Contains("fig3 fig4 fig5a fig5b fig7 all", fig) {
@@ -151,7 +146,7 @@ func run(fig string, scale float64, runs int, seed int64, csvDir string) error {
 }
 
 // writeCSVs dumps one CSV per simulation sub-figure.
-func writeCSVs(dir string, sweep *experiments.SimSweep) error {
+func writeCSVs(dir string, sweep *experiments.Sweep) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

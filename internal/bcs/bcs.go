@@ -109,16 +109,11 @@ func (s *Service) Register(id, address string) error {
 	return nil
 }
 
-// Heartbeat refreshes a broker's liveness and load.
-func (s *Service) Heartbeat(id string, load int) error {
-	return s.HeartbeatState(id, load, false)
-}
-
-// HeartbeatState is Heartbeat with the broker's readiness: warming brokers
-// stay registered and live but are excluded from placement until a
+// Heartbeat refreshes a broker's liveness, load and readiness: warming
+// brokers stay registered and live but are excluded from placement until a
 // heartbeat reports them ready (which bumps the ring epoch via the live-set
 // fingerprint, so cached ring views notice).
-func (s *Service) HeartbeatState(id string, load int, warming bool) error {
+func (s *Service) Heartbeat(id string, load int, warming bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.brokers[id]

@@ -49,10 +49,10 @@ func TestRegisterAndAssign(t *testing.T) {
 		t.Errorf("assigned %s, want b1", b.ID)
 	}
 	// b1 reports higher load: b2 wins.
-	if err := s.Heartbeat("b1", 100); err != nil {
+	if err := s.Heartbeat("b1", 100, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Heartbeat("b2", 5); err != nil {
+	if err := s.Heartbeat("b2", 5, false); err != nil {
 		t.Fatal(err)
 	}
 	b, _, err = s.Place("")
@@ -74,7 +74,7 @@ func TestAssignSkipsDeadBrokers(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)
-	if err := s.Heartbeat("b2", 50); err != nil {
+	if err := s.Heartbeat("b2", 50, false); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(8 * time.Second) // b1's heartbeat now 13s old, b2's 8s old
@@ -93,7 +93,7 @@ func TestAssignSkipsDeadBrokers(t *testing.T) {
 
 func TestHeartbeatUnknown(t *testing.T) {
 	s := NewService()
-	if err := s.Heartbeat("nope", 0); err == nil {
+	if err := s.Heartbeat("nope", 0, false); err == nil {
 		t.Error("unknown broker heartbeat should fail")
 	}
 }
@@ -136,10 +136,10 @@ func TestServerClientRoundTrip(t *testing.T) {
 	if err := client.Register("b1", "http://b1:9000"); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Heartbeat("b1", 7); err != nil {
+	if err := client.Heartbeat("b1", 7, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Heartbeat("ghost", 1); err == nil {
+	if err := client.Heartbeat("ghost", 1, false); err == nil {
 		t.Error("unknown broker heartbeat should fail over REST")
 	}
 	brokers, err := client.Brokers()
@@ -176,7 +176,7 @@ func TestClientEscapesBrokerID(t *testing.T) {
 		if err := client.Register(id, "http://edge:9000"); err != nil {
 			t.Fatalf("%q: register: %v", id, err)
 		}
-		if err := client.HeartbeatState(id, 3, false); err != nil {
+		if err := client.Heartbeat(id, 3, false); err != nil {
 			t.Errorf("%q: heartbeat: %v", id, err)
 		}
 		if got := svc.Brokers(); !svc.Live(id) || len(got) != 1 || got[0].Load != 3 {

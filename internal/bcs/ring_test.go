@@ -185,10 +185,10 @@ func TestServicePlacementAndEpoch(t *testing.T) {
 	// without any register/deregister call.
 	ringBefore := s.Ring()
 	clk.Advance(2 * time.Second)
-	if err := s.Heartbeat("b1", 0); err != nil {
+	if err := s.Heartbeat("b1", 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Heartbeat("b2", 0); err != nil {
+	if err := s.Heartbeat("b2", 0, false); err != nil {
 		t.Fatal(err)
 	}
 	// b3 never heartbeat after the advance: it is now stale.
@@ -215,10 +215,10 @@ func TestServicePlaceEmptyKeyLeastLoaded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Heartbeat("b1", 50); err != nil {
+	if err := s.Heartbeat("b1", 50, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Heartbeat("b2", 3); err != nil {
+	if err := s.Heartbeat("b2", 3, false); err != nil {
 		t.Fatal(err)
 	}
 	b, _, err := s.Place("")

@@ -99,7 +99,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := s.svc.HeartbeatState(r.PathValue("id"), req.Load, req.Warming); err != nil {
+	if err := s.svc.Heartbeat(r.PathValue("id"), req.Load, req.Warming); err != nil {
 		httpx.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
@@ -186,14 +186,9 @@ func (c *Client) Register(id, address string) error {
 		RegisterRequest{ID: id, Address: address}, nil)
 }
 
-// Heartbeat refreshes a broker's liveness.
-func (c *Client) Heartbeat(id string, load int) error {
-	return c.HeartbeatState(id, load, false)
-}
-
-// HeartbeatState is Heartbeat carrying the broker's readiness; warming
+// Heartbeat refreshes a broker's liveness, load and readiness; warming
 // brokers stay registered but receive no placement.
-func (c *Client) HeartbeatState(id string, load int, warming bool) error {
+func (c *Client) Heartbeat(id string, load int, warming bool) error {
 	return httpx.DoJSON(c.http, http.MethodPost,
 		c.base+"/v1/brokers/"+url.PathEscape(id)+"/heartbeat", HeartbeatRequest{Load: load, Warming: warming}, nil)
 }

@@ -23,7 +23,7 @@ func TestWarmingBrokerExcludedFromPlacement(t *testing.T) {
 	}
 	epochReady := s.Ring().Epoch
 
-	if err := s.HeartbeatState("b", 0, true); err != nil {
+	if err := s.Heartbeat("b", 0, true); err != nil {
 		t.Fatal(err)
 	}
 	view := s.Ring()
@@ -47,7 +47,7 @@ func TestWarmingBrokerExcludedFromPlacement(t *testing.T) {
 	}
 
 	// Ready again: back in the ring, epoch bumped a second time.
-	if err := s.HeartbeatState("b", 0, false); err != nil {
+	if err := s.Heartbeat("b", 0, false); err != nil {
 		t.Fatal(err)
 	}
 	after := s.Ring()
@@ -72,7 +72,7 @@ func TestWarmingBrokerExcludedFromPlacement(t *testing.T) {
 	// Everyone warming: nothing to hand out, callers get the same error an
 	// empty ring gives.
 	for _, id := range []string{"a", "b", "c"} {
-		if err := s.HeartbeatState(id, 0, true); err != nil {
+		if err := s.Heartbeat(id, 0, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,14 +92,14 @@ func TestHeartbeatKeepsWarmingLive(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		now += 8 * time.Second
-		if err := s.HeartbeatState("a", 0, true); err != nil {
+		if err := s.Heartbeat("a", 0, true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !s.Live("a") {
 		t.Error("warming broker with fresh heartbeats must stay live")
 	}
-	if err := s.HeartbeatState("a", 0, false); err != nil {
+	if err := s.Heartbeat("a", 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(s.Ring().Brokers); got != 1 {

@@ -711,6 +711,16 @@ func (c *Cluster) RunRepetitiveDue() int {
 	if len(due) == 0 {
 		return executions
 	}
+	// The groups came out of two maps; co-due groups append their results
+	// and notify in this order, and a broker cache near its budget evicts
+	// by it, so it must not vary from run to run.
+	sort.Slice(due, func(i, j int) bool {
+		a, b := due[i].g, due[j].g
+		if a.ch.def.Name != b.ch.def.Name {
+			return a.ch.def.Name < b.ch.def.Name
+		}
+		return a.sig < b.sig
+	})
 	var tasks []*evalTask
 	for _, d := range due {
 		e := tableEntry{consts: d.g.consts, g: d.g}

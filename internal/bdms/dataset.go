@@ -130,18 +130,6 @@ func (d *Dataset) Name() string { return d.name }
 // Schema returns the dataset's declared schema.
 func (d *Dataset) Schema() Schema { return d.schema }
 
-// Insert validates and stores a publication, returning its assigned
-// record.
-func (d *Dataset) Insert(data map[string]any, at time.Duration) (Record, error) {
-	if data == nil {
-		return Record{}, fmt.Errorf("bdms: nil record for dataset %s", d.name)
-	}
-	if err := d.schema.Validate(data); err != nil {
-		return Record{}, err
-	}
-	return d.insertValidated(data, at), nil
-}
-
 // insertValidated stores a publication the caller has already validated
 // against the schema. The batch ingest path validates whole batches up
 // front (atomically) and must not pay per-record re-validation here.

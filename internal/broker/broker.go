@@ -99,10 +99,6 @@ type Config struct {
 	// placement, session rebalance and broker-to-broker peer lookup on
 	// cache misses. nil runs the broker standalone.
 	Fabric *FabricConfig
-	// WarmupMaxBytes bounds the warm cache snapshot shipped on drain and
-	// the intake stash of not-yet-consumed warm entries; <= 0 selects
-	// DefaultWarmupMaxBytes.
-	WarmupMaxBytes int64
 	// WarmupMaxAge is how stale an incoming warm snapshot may be before
 	// it is rejected wholesale; <= 0 selects DefaultWarmupMaxAge.
 	WarmupMaxAge time.Duration
@@ -257,7 +253,7 @@ func New(cfg Config) (*Broker, error) {
 		slowFetch:   time.Second,
 		failover:    &obs.FailoverStats{},
 		subFlights:  make(map[string]*subFlight),
-		warm:        newWarmStore(cfg.WarmupMaxBytes),
+		warm:        newWarmStore(),
 	}
 	b.warmupMaxAge = cfg.WarmupMaxAge
 	if b.warmupMaxAge <= 0 {
@@ -1188,10 +1184,8 @@ func (b *Broker) FrontendSubscriptions(subscriber string) []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var out []string
-	for id, fs := range b.frontend {
-		if fs.subscriber == subscriber {
-			out = append(out, id)
-		}
+	for _, id := range b.subIndex[subscriber] {
+		out = append(out, id)
 	}
 	sort.Strings(out)
 	return out

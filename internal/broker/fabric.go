@@ -30,17 +30,20 @@ type FabricConfig struct {
 	// Peers performs broker-to-broker lookups; nil disables the peer
 	// tier (the fabric then only does placement/rebalance).
 	Peers *bdms.PeerClient
-	// MemoTTL bounds how long a peer answer is reused for an identical
-	// range before the sibling is asked again — the "populate the local
-	// cache with a short TTL" rule, kept outside the result cache so the
-	// paper's no-re-cache invariant for missed objects stays intact.
-	// <= 0 selects 2s.
-	MemoTTL time.Duration
 }
 
-// fabricMemoCap bounds the peer-answer memo; at the cap, expired entries
-// are collected and, failing that, an arbitrary entry is evicted.
-const fabricMemoCap = 1024
+const (
+	// fabricMemoTTL bounds how long a peer answer is reused for an
+	// identical range before the sibling is asked again — the "populate
+	// the local cache with a short TTL" rule, kept outside the result
+	// cache so the paper's no-re-cache invariant for missed objects stays
+	// intact.
+	fabricMemoTTL = 2 * time.Second
+	// fabricMemoCap bounds the peer-answer memo; at the cap, expired
+	// entries are collected and, failing that, an arbitrary entry is
+	// evicted.
+	fabricMemoCap = 1024
+)
 
 type memoEntry struct {
 	objs    []*core.Object
@@ -65,9 +68,6 @@ type fabric struct {
 }
 
 func newFabric(b *Broker, cfg FabricConfig) *fabric {
-	if cfg.MemoTTL <= 0 {
-		cfg.MemoTTL = 2 * time.Second
-	}
 	return &fabric{
 		b:     b,
 		cfg:   cfg,
@@ -256,7 +256,7 @@ func (f *fabric) lookup(ctx context.Context, cacheID string, from, to time.Durat
 	return objs, true
 }
 
-// memoize stores a peer answer for MemoTTL, bounding the table size.
+// memoize stores a peer answer for fabricMemoTTL, bounding the table size.
 func (f *fabric) memoize(key string, objs []*core.Object, now time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -273,7 +273,7 @@ func (f *fabric) memoize(key string, objs []*core.Object, now time.Duration) {
 			delete(f.memo, k)
 		}
 	}
-	f.memo[key] = memoEntry{objs: objs, expires: now + f.cfg.MemoTTL}
+	f.memo[key] = memoEntry{objs: objs, expires: now + fabricMemoTTL}
 }
 
 // fabricPeerCap bounds how many distinct peer IDs get their own latency

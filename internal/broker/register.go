@@ -30,7 +30,7 @@ func RegisterWithBCS(b *Broker, bcsClient *bcs.Client, address string, interval 
 	}
 	// Report readiness immediately: a broker that registers while still
 	// warming must not receive placement before its first ticker beat.
-	_ = bcsClient.HeartbeatState(b.ID(), b.NumSubscribers(), b.Warming())
+	_ = bcsClient.Heartbeat(b.ID(), b.NumSubscribers(), b.Warming())
 	reg := &Registration{stop: make(chan struct{})}
 	reg.done.Add(1)
 	go func() {
@@ -48,7 +48,7 @@ func RegisterWithBCS(b *Broker, bcsClient *bcs.Client, address string, interval 
 				// means the BCS no longer knows this broker — it restarted
 				// and lost its registry — so re-register immediately:
 				// placement serves this broker again without operator help.
-				err := bcsClient.HeartbeatState(b.ID(), b.NumSubscribers(), b.Warming())
+				err := bcsClient.Heartbeat(b.ID(), b.NumSubscribers(), b.Warming())
 				var se *httpx.StatusError
 				if errors.As(err, &se) && se.Status == http.StatusNotFound {
 					_ = bcsClient.Register(b.ID(), address)

@@ -661,7 +661,9 @@ func (h *sessionHub) detach(subscriber string, conn *wsock.Conn) {
 	}
 }
 
-// drop removes a session after a write failure.
+// drop removes a session after a write failure. The close is not the
+// normal one: a stalled subscriber that still reads it must reconnect and
+// resume, where a normal close (a replaced session) tells it to stay away.
 func (h *sessionHub) drop(s *session) {
 	h.mu.Lock()
 	if h.sessions[s.subscriber] == s {
@@ -669,7 +671,7 @@ func (h *sessionHub) drop(s *session) {
 		h.unlink(s)
 	}
 	h.mu.Unlock()
-	s.close()
+	s.closeWith(wsock.CloseGoingAway, "")
 }
 
 // online reports whether the subscriber has a live connection.

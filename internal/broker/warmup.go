@@ -47,14 +47,16 @@ type WarmupStats struct {
 	SnapshotsTaken obs.Counter
 }
 
-// Warm-handoff limits (Config overrides).
+// Warm-handoff limits.
 const (
-	// DefaultWarmupMaxBytes bounds a snapshot's (and the stash's) payload
-	// volume.
+	// DefaultWarmupMaxBytes bounds the payload volume of the warm cache
+	// snapshot shipped on drain and of the intake stash of
+	// not-yet-consumed warm entries.
 	DefaultWarmupMaxBytes = 32 << 20
 	// DefaultWarmupMaxAge is how stale a snapshot may be before intake
 	// rejects it — warm state older than this would poison resume markers
-	// with a horizon the cluster has long moved past.
+	// with a horizon the cluster has long moved past (Config.WarmupMaxAge
+	// overrides it).
 	DefaultWarmupMaxAge = 5 * time.Minute
 )
 
@@ -72,11 +74,8 @@ type warmStore struct {
 	maxBytes int64
 }
 
-func newWarmStore(maxBytes int64) *warmStore {
-	if maxBytes <= 0 {
-		maxBytes = DefaultWarmupMaxBytes
-	}
-	return &warmStore{entries: make(map[string]*warmEntry), maxBytes: maxBytes}
+func newWarmStore() *warmStore {
+	return &warmStore{entries: make(map[string]*warmEntry), maxBytes: DefaultWarmupMaxBytes}
 }
 
 // put stashes an entry, reporting false when the budget is exhausted.

@@ -303,7 +303,8 @@ func TestInstallWarmupAppliesToLiveSubscription(t *testing.T) {
 // TestWarmStoreBudget: the stash refuses entries past its byte budget and
 // counts the drop.
 func TestWarmStoreBudget(t *testing.T) {
-	w := newWarmStore(200)
+	w := newWarmStore()
+	w.maxBytes = 200
 	small := bdms.CacheWarmEntry{FabricKey: "k1", Channel: "Alerts"}
 	if !w.put(small) {
 		t.Fatal("small entry should fit")

@@ -11,8 +11,6 @@ import (
 	"gobad/internal/bcs"
 	"gobad/internal/bdms"
 	"gobad/internal/broker"
-	"gobad/internal/core"
-	"gobad/internal/faults"
 	"gobad/internal/httpx"
 )
 
@@ -24,44 +22,15 @@ type chaosEnv struct {
 	notifStats *bdms.NotifierStats
 	clusterSrv *httptest.Server
 	svc        *bcs.Service
-	b1, b2     *broker.Broker
-	srv1, srv2 *httptest.Server
-	// kill1 severs broker-1 whole — listener, HTTP conns and the hijacked
-	// WebSockets httptest stops tracking.
-	kill1  *faults.KillableListener
-	client *Client
+	b1, b2     *testBroker
+	client     *Client
 
 	stateMu sync.Mutex
 	states  []ConnState
+	// connected receives the broker URL of every StateConnected report.
+	connected chan string
 
 	published int
-}
-
-// newKillableBrokerOn is newBrokerOn with the server behind a
-// faults.KillableListener, so the test can kill the broker outright.
-func newKillableBrokerOn(t *testing.T, id, clusterURL string, svc *bcs.Service) (*broker.Broker, *httptest.Server, *faults.KillableListener) {
-	t.Helper()
-	srv := httptest.NewUnstartedServer(nil)
-	kl := faults.NewKillableListener(srv.Listener)
-	srv.Listener = kl
-	srv.Start()
-	t.Cleanup(kl.Kill)
-	b, err := broker.New(broker.Config{
-		ID:          id,
-		Backend:     bdms.NewClient(clusterURL, nil),
-		CallbackURL: srv.URL + "/v1/callbacks/results",
-		Policy:      core.LSC{},
-		CacheBudget: 1 << 20,
-		Fabric:      &broker.FabricConfig{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Config.Handler = broker.NewServer(b).Handler()
-	if err := svc.Register(id, srv.URL); err != nil {
-		t.Fatal(err)
-	}
-	return b, srv, kl
 }
 
 func newChaosEnv(t *testing.T) *chaosEnv {
@@ -73,7 +42,8 @@ func newChaosEnv(t *testing.T) *chaosEnv {
 // known placement.
 func newChaosEnvFor(t *testing.T, subscriber string) *chaosEnv {
 	t.Helper()
-	env := &chaosEnv{}
+	// Sized for the reports one drill makes; a full channel drops them.
+	env := &chaosEnv{connected: make(chan string, 16)}
 
 	env.notifStats = &bdms.NotifierStats{}
 	notifier := bdms.NewWebhookNotifier(2, 256, nil,
@@ -98,12 +68,9 @@ func newChaosEnvFor(t *testing.T, subscriber string) *chaosEnv {
 	bcsSrv := httptest.NewServer(bcs.NewServer(env.svc).Handler())
 	t.Cleanup(bcsSrv.Close)
 	// HRW must place the subscriber on broker-1 (asserted so a hash change
-	// fails loudly here rather than in the failover assertions). Broker-1
-	// serves through a killable listener so the test can sever it like a
-	// process death — WebSockets included.
-	env.b1, env.srv1, env.kill1 = newKillableBrokerOn(t, "broker-1", env.clusterSrv.URL, env.svc)
-	env.b2, env.srv2 = newBrokerOn(t, "broker-2", env.clusterSrv.URL, env.svc)
-	t.Cleanup(env.srv2.Close)
+	// fails loudly here rather than in the failover assertions).
+	env.b1 = newBrokerOn(t, "broker-1", env.clusterSrv.URL, env.svc)
+	env.b2 = newBrokerOn(t, "broker-2", env.clusterSrv.URL, env.svc)
 	if got := env.svc.Ring().OwnerID(subscriber); got != "broker-1" {
 		t.Fatalf("HRW owner of %q = %s, want broker-1 (pick a key owned by broker-1)", subscriber, got)
 	}
@@ -111,12 +78,17 @@ func newChaosEnvFor(t *testing.T, subscriber string) *chaosEnv {
 	c, err := New(Config{
 		Subscriber: subscriber,
 		BCS:        bcs.NewClient(bcsSrv.URL, nil),
-		Reconnect:  true,
 		Retry:      &httpx.Retryer{BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond},
-		OnConnState: func(s ConnState, _ string) {
+		OnConnState: func(s ConnState, brokerURL string) {
 			env.stateMu.Lock()
 			env.states = append(env.states, s)
 			env.stateMu.Unlock()
+			if s == StateConnected {
+				select {
+				case env.connected <- brokerURL:
+				default:
+				}
+			}
 		},
 	})
 	if err != nil {
@@ -124,8 +96,8 @@ func newChaosEnvFor(t *testing.T, subscriber string) *chaosEnv {
 	}
 	t.Cleanup(c.Close)
 	env.client = c
-	if c.BrokerURL() != env.srv1.URL {
-		t.Fatalf("assigned %s, want broker-1 at %s", c.BrokerURL(), env.srv1.URL)
+	if c.BrokerURL() != env.b1.srv.URL {
+		t.Fatalf("assigned %s, want broker-1 at %s", c.BrokerURL(), env.b1.srv.URL)
 	}
 	if err := c.Listen(); err != nil {
 		t.Fatal(err)
@@ -161,20 +133,42 @@ func (env *chaosEnv) sawState(want ConnState) bool {
 	return false
 }
 
+// awaitConnected blocks until the supervisor reports the session
+// established on brokerURL.
+func (env *chaosEnv) awaitConnected(t *testing.T, brokerURL string) {
+	t.Helper()
+	deadline := time.After(20 * time.Second)
+	for {
+		select {
+		case got := <-env.connected:
+			if got == brokerURL {
+				return
+			}
+		case <-deadline:
+			t.Fatalf("never connected to %s (client on %s)", brokerURL, env.client.BrokerURL())
+		}
+	}
+}
+
 // collect drains notifications and retrieves results until the delivered
 // stream holds want items, failing the test at the deadline. Retrieval
 // errors during an outage window are expected (the resumed session
 // re-pushes a marker for anything outstanding) but any items returned
-// alongside an error are consumed per the GetResults contract.
+// alongside an error are consumed per the GetResults contract. Every
+// notification must name fs, the ID Subscribe returned: failover never
+// changes the application's handle.
 func collect(t *testing.T, env *chaosEnv, fs string, got *[]broker.ResultItem, want int) {
 	t.Helper()
 	deadline := time.After(20 * time.Second)
 	for len(*got) < want {
 		select {
 		case n := <-env.client.Notifications():
-			items, err := env.client.GetResults(n.FrontendSub)
+			if n.FrontendSub != fs {
+				t.Fatalf("notification for subscription %q, want %q", n.FrontendSub, fs)
+			}
+			items, err := env.client.GetResults(fs)
 			if err != nil {
-				t.Logf("collect: GetResults(%s): %v", n.FrontendSub, err)
+				t.Logf("collect: GetResults(%s): %v", fs, err)
 			}
 			// Items that arrive with an error (failed ack) are already past
 			// the client's dedup watermark — consume them, or they are lost.
@@ -241,15 +235,15 @@ func TestSupervisedFailoverBrokerKill(t *testing.T) {
 	if err := env.svc.Deregister("broker-1"); err != nil {
 		t.Fatal(err)
 	}
-	env.kill1.Kill()
+	env.b1.kill()
 
 	// The gap: published while the client is disconnected; recovered by
 	// the resume backfill on broker-2.
 	env.publish(t, 5)
 	collect(t, env, fs, &got, 15)
 
-	if env.client.BrokerURL() != env.srv2.URL {
-		t.Fatalf("client on %s after kill, want broker-2 at %s", env.client.BrokerURL(), env.srv2.URL)
+	if env.client.BrokerURL() != env.b2.srv.URL {
+		t.Fatalf("client on %s after kill, want broker-2 at %s", env.client.BrokerURL(), env.b2.srv.URL)
 	}
 
 	// Live tail through the new broker.
@@ -289,7 +283,7 @@ func TestSupervisedRollingDrain(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if migrated := env.b1.Drain(ctx, env.srv2.URL); migrated != 1 {
+	if migrated := env.b1.Drain(ctx, env.b2.srv.URL); migrated != 1 {
 		t.Fatalf("Drain migrated %d sessions, want 1", migrated)
 	}
 	if env.b1.Failover().DrainMigrated.Load() != 1 {
@@ -303,8 +297,8 @@ func TestSupervisedRollingDrain(t *testing.T) {
 	if !env.sawState(StateMigrated) {
 		t.Error("supervisor never reported StateMigrated — drain frame was missed")
 	}
-	if env.client.BrokerURL() != env.srv2.URL {
-		t.Fatalf("client on %s after drain, want broker-2 at %s", env.client.BrokerURL(), env.srv2.URL)
+	if env.client.BrokerURL() != env.b2.srv.URL {
+		t.Fatalf("client on %s after drain, want broker-2 at %s", env.client.BrokerURL(), env.b2.srv.URL)
 	}
 	if env.client.Failover().Resumes.Load() == 0 && env.b2.Failover().Resumes.Load() == 0 {
 		t.Error("no resume recorded on the successor after migration")
@@ -343,7 +337,7 @@ func TestRebalanceOnJoin(t *testing.T) {
 	t.Cleanup(func() {
 		if t.Failed() {
 			t.Logf("diag: srv1=%s srv2=%s subs b1=%d b2=%d client=%s notifier del=%d fail=%d redel=%d drop=%d lost=%d",
-				env.srv1.URL, env.srv2.URL,
+				env.b1.srv.URL, env.b2.srv.URL,
 				env.b1.NumSubscribers(), env.b2.NumSubscribers(),
 				env.client.BrokerURL(),
 				env.notifStats.Delivered.Load(), env.notifStats.Failed.Load(),
@@ -359,12 +353,11 @@ func TestRebalanceOnJoin(t *testing.T) {
 	// Broker-3 joins the fabric; broker-1 observes the new ring and
 	// rebalances. Our subscriber's owner moved, so exactly one session
 	// migrates — broker-2's untouched keys stay put.
-	b3, srv3 := newBrokerOn(t, "broker-3", env.clusterSrv.URL, env.svc)
-	t.Cleanup(srv3.Close)
+	b3 := newBrokerOn(t, "broker-3", env.clusterSrv.URL, env.svc)
 	t.Cleanup(func() {
 		if t.Failed() {
 			t.Logf("diag3: srv3=%s b3subs=%d b3resumes=%d b3backfilled=%d clientresumes=%d clientreconnects=%d",
-				srv3.URL, b3.NumSubscribers(), b3.Failover().Resumes.Load(),
+				b3.srv.URL, b3.NumSubscribers(), b3.Failover().Resumes.Load(),
 				b3.Failover().Backfilled.Load(), env.client.Failover().Resumes.Load(),
 				env.client.Failover().Reconnects.Load())
 		}
@@ -396,8 +389,8 @@ func TestRebalanceOnJoin(t *testing.T) {
 	if !env.sawState(StateMigrated) {
 		t.Error("supervisor never reported StateMigrated — rebalance frame was missed")
 	}
-	if env.client.BrokerURL() != srv3.URL {
-		t.Fatalf("client on %s after rebalance, want broker-3 at %s", env.client.BrokerURL(), srv3.URL)
+	if env.client.BrokerURL() != b3.srv.URL {
+		t.Fatalf("client on %s after rebalance, want broker-3 at %s", env.client.BrokerURL(), b3.srv.URL)
 	}
 	if b3.NumSubscribers() != 1 {
 		t.Errorf("broker-3 subscribers = %d, want 1", b3.NumSubscribers())

@@ -36,17 +36,9 @@ type Config struct {
 	BCS *bcs.Client
 	// HTTPClient overrides the HTTP client (tests).
 	HTTPClient *http.Client
-	// Reconnect enables the connection supervisor: when the notification
-	// socket dies, the client automatically reconnects (with jittered
-	// exponential backoff), rediscovers a broker through the BCS when the
-	// old one is gone, re-establishes every subscription with its resume
-	// token and keeps the one Notifications() channel flowing — the
-	// application never sees the failover. A broker drain's migrate frame
-	// is honored immediately, without backoff.
-	Reconnect bool
-	// OnConnState observes supervised connection-state transitions
-	// (Connected, Reconnecting, Migrated) with the broker URL involved.
-	// Called from the supervisor goroutine; must not block.
+	// OnConnState observes connection-state transitions (Connected,
+	// Reconnecting, Migrated) with the broker URL involved. Called from
+	// the supervisor goroutine; must not block.
 	OnConnState func(state ConnState, brokerURL string)
 	// Retry shapes the supervisor's reconnect backoff; only BaseDelay,
 	// MaxDelay, MaxAttempts (>0 bounds the attempts per outage), Rand,
@@ -93,7 +85,6 @@ type Client struct {
 
 	mu     sync.Mutex
 	ws     *wsock.Conn
-	wsDone chan struct{}
 	closed bool
 	// bsToFS routes push notifications: the WebSocket wire form carries
 	// the shared backend subscription ID, which maps back to this
@@ -103,12 +94,12 @@ type Client struct {
 	// subs tracks subscription state by app-visible frontend sub ID.
 	subs map[string]*subState
 
-	// supervision state (Reconnect mode).
-	supervise bool
-	onState   func(ConnState, string)
-	retry     *httpx.Retryer
-	cancel    context.CancelFunc
-	supDone   chan struct{}
+	// supervision state: cancel and supDone are set while a supervisor
+	// goroutine (Listen) is running.
+	onState func(ConnState, string)
+	retry   *httpx.Retryer
+	cancel  context.CancelFunc
+	supDone chan struct{}
 
 	notifications chan broker.PushNotification
 
@@ -152,7 +143,6 @@ func New(cfg Config) (*Client, error) {
 		bsToFS:        make(map[string]string),
 		fsToBS:        make(map[string]string),
 		subs:          make(map[string]*subState),
-		supervise:     cfg.Reconnect,
 		onState:       cfg.OnConnState,
 		retry:         cfg.Retry,
 		notifications: make(chan broker.PushNotification, 64),
@@ -164,39 +154,6 @@ func New(cfg Config) (*Client, error) {
 // Failover exposes the client's supervised-reconnect tallies (reconnect
 // count and latency histogram).
 func (c *Client) Failover() *obs.FailoverStats { return c.failover }
-
-// Rediscover asks the BCS for a (possibly different) broker and fails the
-// client over to it: the notification socket is closed, the broker URL is
-// swapped, and — because broker state is per-node — subscriptions are
-// re-established on the new broker from the given list of (channel,
-// params) pairs. It requires the client to have been created with a BCS.
-//
-// This implements the failure-handling direction the paper's conclusion
-// sketches: when a broker dies, its subscribers re-home through the BCS;
-// results remain available because the data cluster stores them durably.
-func (c *Client) Rediscover(resubscribe []Resubscription) error {
-	if c.bcs == nil {
-		return errors.New("client: Rediscover requires a BCS")
-	}
-	placed, err := c.place()
-	if err != nil {
-		return fmt.Errorf("client: broker rediscovery: %w", err)
-	}
-	c.Logout()
-	c.mu.Lock()
-	c.brokerURL = placed.Broker.Address
-	// Broker state is per-node; the old broker's subscription IDs are void.
-	c.bsToFS = make(map[string]string)
-	c.fsToBS = make(map[string]string)
-	c.subs = make(map[string]*subState)
-	c.mu.Unlock()
-	for _, r := range resubscribe {
-		if _, err := c.Subscribe(r.Channel, r.Params); err != nil {
-			return fmt.Errorf("client: resubscribe %s: %w", r.Channel, err)
-		}
-	}
-	return nil
-}
 
 // place asks the BCS where this subscriber belongs, reporting the broker
 // we last sat on as prev_broker, and remembers the answer for the next
@@ -215,19 +172,13 @@ func (c *Client) place() (bcs.PlacementResponse, error) {
 	return resp, nil
 }
 
-// Resubscription names a subscription to re-establish after failover.
-type Resubscription struct {
-	Channel string
-	Params  []any
-}
-
 // Subscriber returns the client's identity.
 func (c *Client) Subscriber() string { return c.subscriber }
 
 // BrokerURL returns the resolved broker address.
 func (c *Client) BrokerURL() string { return c.base() }
 
-// base returns the current broker URL under the lock (Rediscover may swap
+// base returns the current broker URL under the lock (a failover swaps
 // it).
 func (c *Client) base() string {
 	c.mu.Lock()
@@ -379,17 +330,17 @@ func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 }
 
 // Listen opens the notification WebSocket (logging the subscriber in) and
-// pumps incoming notifications into Notifications. It returns once the
-// socket is established. Without Reconnect the pump runs until Close or a
-// connection error; with Reconnect the supervisor keeps the stream alive
-// across broker failures, restarts and drains.
+// returns once the socket is established. From then on a supervisor pumps
+// incoming notifications into Notifications and keeps the stream alive
+// across broker failures, restarts and drains (see superviseLoop) until
+// Logout or Close.
 func (c *Client) Listen() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return errors.New("client: closed")
 	}
-	if c.ws != nil || c.supDone != nil {
+	if c.supDone != nil {
 		c.mu.Unlock()
 		return nil // already listening
 	}
@@ -401,16 +352,9 @@ func (c *Client) Listen() error {
 		return err
 	}
 	c.mu.Lock()
-	if c.closed || c.ws != nil || c.supDone != nil {
+	if c.closed || c.supDone != nil {
 		c.mu.Unlock()
 		_ = conn.Close()
-		return nil
-	}
-	if !c.supervise {
-		c.ws = conn
-		c.wsDone = make(chan struct{})
-		go c.pump(conn, c.wsDone)
-		c.mu.Unlock()
 		return nil
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -432,8 +376,8 @@ func (c *Client) dialWS(brokerURL string) (*wsock.Conn, error) {
 	return conn, nil
 }
 
-func (c *Client) pump(conn *wsock.Conn, done chan struct{}) {
-	defer close(done)
+// pump forwards the socket's notifications until it dies.
+func (c *Client) pump(conn *wsock.Conn) {
 	for {
 		_, payload, err := conn.ReadMessage()
 		if err != nil {
@@ -451,8 +395,7 @@ func (c *Client) pump(conn *wsock.Conn, done chan struct{}) {
 		if n.FrontendSub == "" && n.BackendSub != "" {
 			// The shared wire form names the backend subscription; restore
 			// this subscriber's frontend view of it. No mapping (a push
-			// racing the Subscribe response, or maps cleared by Rediscover
-			// while this pump drains) means the notification cannot be
+			// racing the Subscribe response) means the notification cannot be
 			// routed — drop it rather than deliver an empty FrontendSub;
 			// markers are cumulative, so the next one or GetResults
 			// catches the subscriber up.
@@ -490,30 +433,24 @@ func (c *Client) Notifications() <-chan broker.PushNotification { return c.notif
 
 // Logout closes the notification socket (the subscriber goes offline) but
 // keeps all subscriptions alive — cached results keep accumulating at the
-// broker, which is exactly the asynchrony broker caching enables. In
-// supervised mode Logout also stops the supervisor (an intentional logout
-// is not a failure to recover from); Listen starts it again.
+// broker, which is exactly the asynchrony broker caching enables. It also
+// stops the supervisor (an intentional logout is not a failure to recover
+// from); Listen starts it again.
 func (c *Client) Logout() {
-	// Cancel first: the supervisor checks the context before adopting a
-	// freshly reconnected socket, so after this point it can only shut
-	// down, never race a new connection into c.ws.
+	// Cancel before taking the socket: the supervisor checks the context
+	// under the same lock before adopting a freshly reconnected socket, so
+	// from here it can only shut down, never race a new connection into
+	// c.ws.
 	c.mu.Lock()
-	cancel := c.cancel
-	c.cancel = nil
-	c.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if c.cancel != nil {
+		c.cancel()
+		c.cancel = nil
 	}
-	c.mu.Lock()
-	conn, done := c.ws, c.wsDone
-	supDone := c.supDone
-	c.ws, c.wsDone, c.supDone = nil, nil, nil
+	conn, supDone := c.ws, c.supDone
+	c.ws, c.supDone = nil, nil
 	c.mu.Unlock()
 	if conn != nil {
 		_ = conn.Close()
-	}
-	if done != nil {
-		<-done
 	}
 	if supDone != nil {
 		<-supDone

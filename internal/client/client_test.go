@@ -16,6 +16,7 @@ import (
 type stack struct {
 	clusterURL string
 	brokerURL  string
+	brokerSrv  *httptest.Server
 	bcsURL     string
 	cluster    *bdms.Cluster
 	broker     *broker.Broker
@@ -73,6 +74,7 @@ func newStack(t *testing.T, policy core.Policy, budget int64) *stack {
 	return &stack{
 		clusterURL: clusterSrv.URL,
 		brokerURL:  brokerSrv.URL,
+		brokerSrv:  brokerSrv,
 		bcsURL:     bcsSrv.URL,
 		cluster:    cluster,
 		broker:     brk,

@@ -329,7 +329,7 @@ func TestBrokerKilledBetweenRetrievals(t *testing.T) {
 	if err := env.svc.Deregister("broker-1"); err != nil {
 		t.Fatal(err)
 	}
-	env.kill1.Kill()
+	env.b1.kill()
 	env.publish(t, 2)
 	collect(t, env, fs, &got, 5)
 	verifyStream(t, got, 5)

@@ -1,7 +1,9 @@
 package client
 
 import (
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,14 +11,29 @@ import (
 	"gobad/internal/bdms"
 	"gobad/internal/broker"
 	"gobad/internal/core"
+	"gobad/internal/faults"
 )
+
+// testBroker is one live broker of a test fabric: the broker, its HTTP
+// wrapper (whose span recorder the trace tests inspect) and its server.
+type testBroker struct {
+	*broker.Broker
+	hs  *broker.Server
+	srv *httptest.Server
+	// kill severs the broker whole, like a process death — listener, HTTP
+	// conns and the hijacked WebSockets httptest stops tracking.
+	kill func()
+}
 
 // newBrokerOn starts a broker server against the given cluster and
 // registers it with the BCS service.
-func newBrokerOn(t *testing.T, id, clusterURL string, svc *bcs.Service) (*broker.Broker, *httptest.Server) {
+func newBrokerOn(t *testing.T, id, clusterURL string, svc *bcs.Service) *testBroker {
 	t.Helper()
 	srv := httptest.NewUnstartedServer(nil)
+	kl := faults.NewKillableListener(srv.Listener)
+	srv.Listener = kl
 	srv.Start()
+	t.Cleanup(func() { kl.Kill(); srv.Close() })
 	b, err := broker.New(broker.Config{
 		ID:          id,
 		Backend:     bdms.NewClient(clusterURL, nil),
@@ -30,81 +47,36 @@ func newBrokerOn(t *testing.T, id, clusterURL string, svc *bcs.Service) (*broker
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Config.Handler = broker.NewServer(b).Handler()
+	hs := broker.NewServer(b)
+	srv.Config.Handler = hs.Handler()
 	if err := svc.Register(id, srv.URL); err != nil {
 		t.Fatal(err)
 	}
-	return b, srv
+	return &testBroker{Broker: b, hs: hs, srv: srv, kill: kl.Kill}
 }
 
+// TestBrokerFailoverThroughBCS kills a subscriber's broker before its
+// first delivery: the supervisor re-homes the session through the BCS with
+// the resume token Subscribe seeded, and what was published while the
+// broker was dead arrives exactly once through the successor, under the
+// subscription ID the application already holds.
 func TestBrokerFailoverThroughBCS(t *testing.T) {
-	// Shared backend.
-	notifier := bdms.NewWebhookNotifier(2, 128, nil)
-	t.Cleanup(notifier.Close)
-	cluster := bdms.NewCluster(bdms.WithNotifier(notifier))
-	clusterSrv := httptest.NewServer(bdms.NewServer(cluster).Handler())
-	t.Cleanup(clusterSrv.Close)
-	if err := cluster.CreateDataset("EmergencyReports", bdms.Schema{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.DefineChannel(bdms.ChannelDef{
-		Name:   "Alerts",
-		Params: []string{"etype"},
-		Body:   "select * from EmergencyReports r where r.etype = $etype",
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// BCS with two registered brokers. Placement is HRW by subscriber key:
-	// "bob" deterministically owns to broker-1 (asserted below so a hash
-	// change fails loudly here, not in the failover assertions).
-	svc := bcs.NewService()
-	bcsSrv := httptest.NewServer(bcs.NewServer(svc).Handler())
-	t.Cleanup(bcsSrv.Close)
-	_, srv1 := newBrokerOn(t, "broker-1", clusterSrv.URL, svc)
-	b2, srv2 := newBrokerOn(t, "broker-2", clusterSrv.URL, svc)
-	t.Cleanup(srv2.Close)
-	if got := svc.Ring().OwnerID("bob"); got != "broker-1" {
-		t.Fatalf("HRW owner of %q = %s, want broker-1 (pick a key owned by broker-1)", "bob", got)
-	}
-
-	c, err := New(Config{
-		Subscriber: "bob",
-		BCS:        bcs.NewClient(bcsSrv.URL, nil),
-	})
+	env := newChaosEnv(t)
+	c := env.client
+	fs, err := c.Subscribe("Alerts", []any{"fire"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if c.BrokerURL() != srv1.URL {
-		t.Fatalf("assigned %s, want broker-1 at %s", c.BrokerURL(), srv1.URL)
-	}
-	if err := c.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Subscribe("Alerts", []any{"fire"}); err != nil {
-		t.Fatal(err)
-	}
 
-	// broker-1 dies.
-	srv1.Close()
-	if err := svc.Deregister("broker-1"); err != nil {
+	if err := env.svc.Deregister("broker-1"); err != nil {
 		t.Fatal(err)
 	}
+	env.b1.kill()
+	env.publish(t, 1) // while broker-1 is dead
 
-	// Operations against the dead broker fail; the client fails over.
-	if _, err := c.Subscriptions(); err == nil {
-		t.Fatal("dead broker should error")
-	}
-	err = c.Rediscover([]Resubscription{{Channel: "Alerts", Params: []any{"fire"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.BrokerURL() != srv2.URL {
-		t.Fatalf("failed over to %s, want broker-2 at %s", c.BrokerURL(), srv2.URL)
-	}
-	if err := c.Listen(); err != nil {
-		t.Fatal(err)
+	env.awaitConnected(t, env.b2.srv.URL)
+	if c.BrokerURL() != env.b2.srv.URL {
+		t.Fatalf("failed over to %s, want broker-2 at %s", c.BrokerURL(), env.b2.srv.URL)
 	}
 	subs, err := c.Subscriptions()
 	if err != nil {
@@ -114,35 +86,78 @@ func TestBrokerFailoverThroughBCS(t *testing.T) {
 		t.Fatalf("resubscribed %d, want 1", len(subs))
 	}
 
-	// End-to-end through the new broker: a publication reaches bob.
-	if _, err := bdms.NewClient(clusterSrv.URL, nil).Ingest("EmergencyReports", map[string]any{
-		"etype": "fire", "severity": 2.0,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case n := <-c.Notifications():
-		items, err := c.GetResults(n.FrontendSub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(items) != 1 {
-			t.Fatalf("got %d results after failover", len(items))
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("no notification through the failover broker")
-	}
-	if b2.NumSubscribers() != 1 {
-		t.Errorf("broker-2 subscribers = %d", b2.NumSubscribers())
+	var got []broker.ResultItem
+	collect(t, env, fs, &got, 1)
+	// The live tail after it: a duplicate of the gap result would show up
+	// here as a third item or a repeated severity.
+	env.publish(t, 1)
+	collect(t, env, fs, &got, 2)
+	verifyStream(t, got, 2)
+	if env.b2.NumSubscribers() != 1 {
+		t.Errorf("broker-2 subscribers = %d", env.b2.NumSubscribers())
 	}
 }
 
-func TestRediscoverWithoutBCS(t *testing.T) {
-	c, err := New(Config{Subscriber: "x", BrokerURL: "http://127.0.0.1:1"})
-	if err != nil {
+// TestReplacedSessionStopsSupervision attaches two clients as one
+// subscriber. The broker closes the older session normally when the newer
+// one attaches; the older client's supervisor must take that as final — a
+// reconnect would replace its replacer, and the two would take turns
+// without backoff.
+func TestReplacedSessionStopsSupervision(t *testing.T) {
+	st := newStack(t, core.LSC{}, 1<<20)
+	var attaches atomic.Int32
+	inner := st.brokerSrv.Config.Handler
+	st.brokerSrv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/ws" {
+			attaches.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	})
+	listen := func() (*Client, chan struct{}) {
+		c, err := New(Config{Subscriber: "alice", BrokerURL: st.brokerURL})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		if err := c.Listen(); err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c, c.supDone
+	}
+	ended := func(who string, supDone chan struct{}) {
+		t.Helper()
+		select {
+		case <-supDone:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s client still supervised after being replaced", who)
+		}
+	}
+
+	older, olderDone := listen()
+	newer, newerDone := listen()
+	ended("older", olderDone)
+	if got := attaches.Load(); got != 2 {
+		t.Fatalf("%d attaches after one replacement, want 2 (reconnect storm)", got)
+	}
+	if !st.broker.Online("alice") {
+		t.Fatal("the replacing session is not online")
+	}
+
+	// Ended, not closed: Listen supervises again (and now replaces the
+	// replacer, whose supervisor ends the same way).
+	if err := older.Listen(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Rediscover(nil); err == nil {
-		t.Error("Rediscover without BCS should fail")
+	ended("newer", newerDone)
+	if got := attaches.Load(); got != 3 {
+		t.Fatalf("%d attaches after two replacements, want 3", got)
+	}
+	newer.mu.Lock()
+	restartable := newer.supDone == nil && newer.cancel == nil
+	newer.mu.Unlock()
+	if !restartable {
+		t.Error("ended supervisor left its state behind; Listen would be a no-op")
 	}
 }

@@ -38,9 +38,7 @@ func TestLoadSpreadsAcrossBrokers(t *testing.T) {
 
 	brokers := make([]*broker.Broker, 2)
 	for i := range brokers {
-		b, srv := newBrokerOn(t, fmt.Sprintf("lb-broker-%d", i), clusterSrv.URL, svc)
-		t.Cleanup(srv.Close)
-		brokers[i] = b
+		brokers[i] = newBrokerOn(t, fmt.Sprintf("lb-broker-%d", i), clusterSrv.URL, svc).Broker
 	}
 
 	// Subscribers arrive one at a time; after each arrival the chosen
@@ -68,7 +66,7 @@ func TestLoadSpreadsAcrossBrokers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range brokers {
-			if err := svc.Heartbeat(b.ID(), b.NumSubscribers()); err != nil {
+			if err := svc.Heartbeat(b.ID(), b.NumSubscribers(), false); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -13,8 +13,8 @@ import (
 	"gobad/internal/wsock"
 )
 
-// ConnState is a supervised connection's lifecycle state, reported through
-// Config.OnConnState.
+// ConnState is the notification connection's lifecycle state, reported
+// through Config.OnConnState.
 type ConnState int
 
 const (
@@ -49,34 +49,47 @@ func (c *Client) setState(state ConnState, brokerURL string) {
 	}
 }
 
-// superviseLoop owns the notification socket for the client's lifetime:
+// superviseLoop owns the notification socket from Listen to Logout/Close:
 // pump until the socket dies, then reconnect — honoring a drain's migrate
-// frame first, falling back to BCS rediscovery under jittered exponential
-// backoff — resubscribe everything with resume tokens and pump again. It
-// exits only on Close/Logout (context cancelled) or when a bounded retry
-// budget (Config.Retry.MaxAttempts) is exhausted.
+// frame first, falling back to BCS rediscovery (without a BCS, the
+// last-known broker) under jittered exponential backoff — resubscribe
+// everything with resume tokens and pump again. Besides Logout/Close
+// (context cancelled) it ends in two cases, after either of which Listen
+// starts it again: the broker closed the session normally, which it only
+// does to a session replaced by a newer attach of the same subscriber
+// (reconnecting would replace the replacer, and the two would take turns
+// forever), or a bounded retry budget (Config.Retry.MaxAttempts) ran out.
 func (c *Client) superviseLoop(ctx context.Context, conn *wsock.Conn, supDone chan struct{}) {
-	defer close(supDone)
-	for {
-		pumpDone := make(chan struct{})
+	defer func() {
 		c.mu.Lock()
-		if c.closed || ctx.Err() != nil {
+		if c.supDone == supDone { // not a Logout: nobody else will clear it
+			c.cancel()
+			c.cancel, c.supDone = nil, nil
+		}
+		c.mu.Unlock()
+		close(supDone)
+	}()
+	for {
+		c.mu.Lock()
+		if ctx.Err() != nil { // Logout, or the Logout inside Close
 			c.mu.Unlock()
 			_ = conn.Close()
 			return
 		}
 		c.ws = conn
-		c.wsDone = pumpDone
 		c.mu.Unlock()
 		c.setState(StateConnected, c.base())
 
-		c.pump(conn, pumpDone) // blocks until the socket dies
+		c.pump(conn) // blocks until the socket dies
 
-		if ctx.Err() != nil || c.isClosed() {
+		if ctx.Err() != nil {
 			return
 		}
 		lost := time.Now()
 		code, reason := conn.CloseStatus()
+		if code == wsock.CloseNormal {
+			return
+		}
 		next, err := c.reconnect(ctx, code, reason)
 		if err != nil {
 			return
@@ -85,12 +98,6 @@ func (c *Client) superviseLoop(ctx context.Context, conn *wsock.Conn, supDone ch
 		c.failover.ReconnectSeconds.Observe(time.Since(lost).Seconds())
 		conn = next
 	}
-}
-
-func (c *Client) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
 }
 
 // reconnect re-establishes the session after a socket loss. A drain's
@@ -220,20 +227,5 @@ func (c *Client) tryBroker(brokerURL string) (*wsock.Conn, error) {
 	}
 	c.mu.Unlock()
 
-	// The resume backfill arms a catch-up push marker server-side, but the
-	// socket attach runs in the broker's WS handler goroutine and can lose
-	// the race against the resubscribe POST above — the marker is then
-	// dropped and, with no further publications, the backfilled range would
-	// sit undelivered. Nudge the application to poll each resumed
-	// subscription once: GetResults is idempotent, so a duplicate wake is
-	// harmless while a missed one strands results.
-	for _, p := range placed {
-		select {
-		case c.notifications <- broker.PushNotification{
-			Type: "results", FrontendSub: p.appID, BackendSub: p.bs,
-		}:
-		default: // app is behind; it will poll when it drains the queue
-		}
-	}
 	return conn, nil
 }

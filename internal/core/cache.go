@@ -98,22 +98,11 @@ func (c *ResultCache) LastAccess() time.Duration { return c.lastAccess }
 // TTL returns the cache's currently assigned time-to-live T_i.
 func (c *ResultCache) TTL() time.Duration { return c.ttl }
 
-// CompleteSince returns the coverage mark: retrieval ranges that start at
-// or after it are served entirely from the cache.
-func (c *ResultCache) CompleteSince() time.Duration { return c.completeSince }
-
 // HoldingTime returns the mean time (seconds) objects dropped from this
 // cache were held, and how many drops were observed.
 func (c *ResultCache) HoldingTime() (mean float64, n int64) {
 	return c.holding.Mean(), c.holding.N()
 }
-
-// ArrivalRate returns the estimated result arrival rate lambda_i in bytes/s
-// as of virtual time now.
-func (c *ResultCache) ArrivalRate(now time.Duration) float64 { return c.arrival.Rate(now) }
-
-// ConsumptionRate returns the estimated consumption rate eta_i in bytes/s.
-func (c *ResultCache) ConsumptionRate(now time.Duration) float64 { return c.consumption.Rate(now) }
 
 // GrowthRate returns rho_i = max(0, lambda_i - eta_i) in bytes/s.
 func (c *ResultCache) GrowthRate(now time.Duration) float64 {

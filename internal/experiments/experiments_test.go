@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -58,8 +60,10 @@ func TestRunSimSweepValidation(t *testing.T) {
 	}
 }
 
+// TestFormatTable: a simulator cell and a prototype (Rig) cell are the same
+// type and print through the same table code.
 func TestFormatTable(t *testing.T) {
-	sweep, err := RunSimSweep(SimSweepConfig{
+	simSweep, err := RunSimSweep(SimSweepConfig{
 		Base:     testSimBase(),
 		Budgets:  []int64{2 << 20},
 		Runs:     1,
@@ -68,13 +72,36 @@ func TestFormatTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range []MetricColumn{
-		ColHitRatio, ColHitByte, ColMissByte, ColFetch, ColLatency,
-		ColHolding, ColAvgSize, ColMaxSize,
+	rigSweep, err := RunPrototypeSweep(PrototypeSweepConfig{
+		Trace:    smallTrace(t),
+		Budgets:  []int64{2 << 20},
+		Policies: []core.Policy{core.LSC{}},
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		sweep *Sweep
+		cols  []MetricColumn
+	}{
+		{"sim", simSweep, []MetricColumn{
+			ColHitRatio, ColHitByte, ColMissByte, ColFetch, ColLatency,
+			ColHolding, ColAvgSize, ColMaxSize,
+		}},
+		{"rig", rigSweep, []MetricColumn{ColHitRatio, ColLatency, ColFetch}},
 	} {
-		tab := sweep.FormatTable("fig", col)
-		if !strings.Contains(tab, "LSC") || !strings.Contains(tab, col.Name) {
-			t.Errorf("table missing content:\n%s", tab)
+		cell := tc.sweep.Cells["LSC"][2<<20]
+		for _, col := range tc.cols {
+			tab := tc.sweep.FormatTable("fig", col)
+			want := fmt.Sprintf("LSC     %14.4f\n", col.Value(cell))
+			if !strings.Contains(tab, want) || !strings.Contains(tab, col.Name) {
+				t.Errorf("%s %s: table lacks row %q:\n%s", tc.name, col.Name, want, tab)
+			}
+			if col.Value(cell) <= 0 {
+				t.Errorf("%s %s = %v, want a measured value", tc.name, col.Name, col.Value(cell))
+			}
 		}
 	}
 }
@@ -113,12 +140,15 @@ func TestHoldingTTLCorrelationEmpty(t *testing.T) {
 	}
 }
 
-func smallTrace(t *testing.T) *trace.Trace {
+func smallTrace(t *testing.T) *trace.Trace { return genTrace(t, 40, 60, 4) }
+
+// genTrace generates a ten-minute trace of the given population.
+func genTrace(t *testing.T, subscribers, unique, perSubscriber int) *trace.Trace {
 	t.Helper()
 	gen := trace.DefaultGenConfig()
-	gen.Subscribers = 40
-	gen.UniqueSubscriptions = 60
-	gen.SubsPerSubscriber = 4
+	gen.Subscribers = subscribers
+	gen.UniqueSubscriptions = unique
+	gen.SubsPerSubscriber = perSubscriber
 	gen.Duration = 10 * time.Minute
 	tr, err := trace.Generate(gen)
 	if err != nil {
@@ -171,8 +201,8 @@ func TestRunPrototypeSweepOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc := sweep.Cells["NC"][1<<20]
-	lsc := sweep.Cells["LSC"][1<<20]
+	nc := sweep.Cells["NC"][1<<20].Metrics
+	lsc := sweep.Cells["LSC"][1<<20].Metrics
 	if nc.HitRatio != 0 {
 		t.Errorf("NC hit ratio = %v, want 0", nc.HitRatio)
 	}
@@ -183,19 +213,52 @@ func TestRunPrototypeSweepOrdering(t *testing.T) {
 		t.Errorf("caching should reduce latency: LSC %.4f vs NC %.4f",
 			lsc.MeanLatency, nc.MeanLatency)
 	}
-	if lsc.FetchedBytes >= nc.FetchedBytes {
+	if lsc.FetchBytes >= nc.FetchBytes {
 		t.Errorf("caching should reduce cluster fetches: LSC %.0f vs NC %.0f",
-			lsc.FetchedBytes, nc.FetchedBytes)
+			lsc.FetchBytes, nc.FetchBytes)
 	}
-	tab := sweep.FormatTable("fig7a", "hit_ratio")
-	if !strings.Contains(tab, "NC") || !strings.Contains(tab, "LSC") {
-		t.Errorf("table:\n%s", tab)
+	if sweep.BackendSubs == 0 || sweep.BackendSubs >= sweep.FrontendSubs {
+		t.Errorf("suppression: %d frontend -> %d backend subscriptions",
+			sweep.FrontendSubs, sweep.BackendSubs)
+	}
+}
+
+// TestPrototypeSweepDeterministic: the same trace swept twice gives
+// identical cells, at a budget small enough that LRU evicts and TTL
+// expires — where the order co-due repetitive groups notify in decides the
+// victims. The population is the smallest that showed the map-order
+// difference on every pair of sweeps before that order was fixed.
+func TestPrototypeSweepDeterministic(t *testing.T) {
+	cfg := PrototypeSweepConfig{
+		Trace:    genTrace(t, 80, 120, 6),
+		Budgets:  []int64{16 << 10},
+		Policies: []core.Policy{core.LRU{}, core.TTL{}},
+		Seed:     1,
+	}
+	first, err := RunPrototypeSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := RunPrototypeSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lru, ttl := first.Cells["LRU"][16<<10].Metrics, first.Cells["TTL"][16<<10].Metrics
+	if lru.Evictions == 0 || ttl.Expirations == 0 {
+		t.Fatalf("budget too large to exercise replacement: LRU evictions %v, TTL expirations %v",
+			lru.Evictions, ttl.Expirations)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("two sweeps of one trace differ:\n%+v\n%+v", first.Cells, second.Cells)
 	}
 }
 
 func TestRunPrototypeSweepValidation(t *testing.T) {
-	if _, err := RunPrototypeSweep(PrototypeSweepConfig{}); err == nil {
+	if _, err := RunPrototypeSweep(PrototypeSweepConfig{Trace: smallTrace(t)}); err == nil {
 		t.Error("missing budgets should fail")
+	}
+	if _, err := RunPrototypeSweep(PrototypeSweepConfig{Budgets: []int64{1 << 20}}); err == nil {
+		t.Error("missing trace should fail")
 	}
 }
 

@@ -23,28 +23,29 @@ type RigConfig struct {
 	// Policy and CacheBudget configure the broker cache.
 	Policy      core.Policy
 	CacheBudget int64
-	// TTL tunes TTL policies; the rig defaults RecomputeInterval to 1m
-	// (prototype-scale workloads need faster adaptation than 5m).
-	TTL core.TTLConfig
-	// Channels is the catalog registered at the cluster; defaults to
-	// workload.EmergencyChannels.
-	Channels []workload.ChannelSpec
-	// Shelters seeds the Shelters reference dataset.
-	Shelters int
 	// Seed drives shelter placement.
 	Seed int64
 	// PushModel makes the cluster deliver result objects inside the
 	// notifications (Section III's PUSH model) instead of handles the
 	// broker pulls against (the default PULL model).
 	PushModel bool
-
-	// Network model for latency accounting (the rig runs in virtual
-	// time, so retrieval latencies are modeled, not measured).
-	SubRTT     time.Duration // broker <-> subscriber, default 250ms
-	SubBW      float64       // default 1 MB/s
-	ClusterRTT time.Duration // broker <-> cluster, default 500ms
-	ClusterBW  float64       // default 10 MB/s
 }
+
+// The rig's fixed parameters.
+const (
+	// rigShelters seeds the Shelters reference dataset.
+	rigShelters = 25
+	// Network model for latency accounting (the rig runs in virtual time,
+	// so retrieval latencies are modeled, not measured).
+	rigSubRTT     = 250 * time.Millisecond // broker <-> subscriber
+	rigSubBW      = 1 << 20                // 1 MB/s
+	rigClusterRTT = 500 * time.Millisecond // broker <-> cluster
+	rigClusterBW  = 10 << 20               // 10 MB/s
+)
+
+// rigTTL tunes TTL policies: prototype-scale workloads need faster
+// adaptation than the simulator's 5m recompute.
+var rigTTL = core.TTLConfig{RecomputeInterval: time.Minute, DefaultTTL: time.Minute}
 
 // Rig is the in-process prototype deployment: a data cluster and a broker
 // wired directly (no HTTP), sharing a virtual clock, driven by an activity
@@ -98,28 +99,6 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("experiments: RigConfig.Policy is required")
 	}
-	if cfg.SubRTT <= 0 {
-		cfg.SubRTT = 250 * time.Millisecond
-	}
-	if cfg.SubBW <= 0 {
-		cfg.SubBW = 1 << 20
-	}
-	if cfg.ClusterRTT <= 0 {
-		cfg.ClusterRTT = 500 * time.Millisecond
-	}
-	if cfg.ClusterBW <= 0 {
-		cfg.ClusterBW = 10 << 20
-	}
-	if cfg.TTL.RecomputeInterval <= 0 {
-		cfg.TTL.RecomputeInterval = time.Minute
-	}
-	if cfg.TTL.DefaultTTL <= 0 {
-		cfg.TTL.DefaultTTL = time.Minute
-	}
-	if cfg.Shelters <= 0 {
-		cfg.Shelters = 25
-	}
-
 	r := &Rig{
 		cfg:     cfg,
 		online:  make(map[string]bool),
@@ -141,9 +120,9 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 		Backend:          r.cluster,
 		Policy:           cfg.Policy,
 		CacheBudget:      cfg.CacheBudget,
-		TTL:              cfg.TTL,
-		BackendRTT:       cfg.ClusterRTT,
-		BackendBandwidth: cfg.ClusterBW,
+		TTL:              rigTTL,
+		BackendRTT:       rigClusterRTT,
+		BackendBandwidth: rigClusterBW,
 		Clock:            func() time.Duration { return r.now() },
 	})
 	if err != nil {
@@ -161,9 +140,6 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 // Broker exposes the rig's broker (stats inspection).
 func (r *Rig) Broker() *broker.Broker { return r.broker }
 
-// Cluster exposes the rig's data cluster.
-func (r *Rig) Cluster() *bdms.Cluster { return r.cluster }
-
 func (r *Rig) now() time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -179,11 +155,7 @@ func (r *Rig) seedCatalog() error {
 	if err := r.cluster.CreateDataset("Shelters", bdms.Schema{}); err != nil {
 		return err
 	}
-	channels := r.cfg.Channels
-	if len(channels) == 0 {
-		channels = workload.EmergencyChannels()
-	}
-	for _, spec := range channels {
+	for _, spec := range workload.EmergencyChannels() {
 		if err := r.cluster.DefineChannel(bdms.ChannelDef{
 			Name:   spec.Name,
 			Params: spec.Params,
@@ -194,10 +166,7 @@ func (r *Rig) seedCatalog() error {
 		}
 	}
 	shelterRng := workloadRng(r.cfg.Seed)
-	shelters := workload.ShelterCatalog(shelterRng, r.cfg.Shelters)
-	if len(shelters) == 0 {
-		return nil
-	}
+	shelters := workload.ShelterCatalog(shelterRng, rigShelters)
 	batch := make([]map[string]any, 0, len(shelters))
 	for _, s := range shelters {
 		batch = append(batch, map[string]any{
@@ -239,7 +208,7 @@ func (r *Rig) AdvanceTo(t time.Duration) {
 		r.setClock(next)
 		if r.cfg.Policy.StampTTL() && next == r.nextTTLDrive {
 			r.broker.DriveTTL()
-			r.nextTTLDrive += r.cfg.TTL.RecomputeInterval
+			r.nextTTLDrive += rigTTL.RecomputeInterval
 			r.drainPending()
 			continue
 		}
@@ -302,9 +271,9 @@ func (r *Rig) retrieve(subscriber, fs string) {
 			missed += it.Size
 		}
 	}
-	lat := r.cfg.SubRTT.Seconds() + float64(total)/r.cfg.SubBW
+	lat := rigSubRTT.Seconds() + float64(total)/rigSubBW
 	if missed > 0 {
-		lat += r.cfg.ClusterRTT.Seconds() + float64(missed)/r.cfg.ClusterBW
+		lat += rigClusterRTT.Seconds() + float64(missed)/rigClusterBW
 	}
 	r.broker.Stats().Latency.Observe(lat)
 	r.Retrievals++

@@ -23,7 +23,7 @@ var simPolicies = []core.Policy{
 	core.LRU{}, core.LSC{}, core.LSCz{}, core.LSD{}, core.EXP{}, core.TTL{},
 }
 
-// PrototypePolicies adds the no-cache baseline used in Fig. 7.
+// prototypePolicies adds the no-cache baseline used in Fig. 7.
 var prototypePolicies = []core.Policy{
 	core.NC{}, core.LRU{}, core.LSC{}, core.TTL{},
 }
@@ -42,25 +42,56 @@ type SimSweepConfig struct {
 	Policies []core.Policy
 }
 
-// Cell is one (policy, budget) data point averaged over runs.
+// Cell is one (policy, budget) data point: a simulation averaged over its
+// runs, or one replay of the trace against the prototype.
 type Cell struct {
-	Policy    string
-	Budget    int64
-	Metrics   metrics.Snapshot
+	Policy  string
+	Budget  int64
+	Metrics metrics.Snapshot
+	// RhoTTLSum and PerCache (from the first run only) come from the
+	// simulator; the prototype leaves them zero.
 	RhoTTLSum float64
-	PerCache  []sim.CacheSummary // from the first run only
+	PerCache  []sim.CacheSummary
 }
 
-// SimSweep is the full Fig. 3/4 data set.
-type SimSweep struct {
+// Sweep is one policy x budget grid: the Fig. 3/4/5 data set from the
+// simulator or the Fig. 7 data set from the prototype.
+type Sweep struct {
 	Budgets []int64
 	Cells   map[string]map[int64]Cell // policy -> budget -> cell
 	// Vol is the total produced volume (identical across policies).
 	Vol float64
+	// FrontendSubs and BackendSubs are the prototype's subscription
+	// suppression at the end of the trace (identical across cells); the
+	// simulator leaves them zero.
+	FrontendSubs, BackendSubs int
+}
+
+// runGrid fills a sweep with run's cell for every (policy, budget).
+func runGrid(policies []core.Policy, budgets []int64, run func(core.Policy, int64) (Cell, error)) (*Sweep, error) {
+	out := &Sweep{
+		Budgets: budgets,
+		Cells:   make(map[string]map[int64]Cell, len(policies)),
+	}
+	for _, p := range policies {
+		out.Cells[p.Name()] = make(map[int64]Cell, len(budgets))
+		for _, budget := range budgets {
+			cell, err := run(p, budget)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s@%d: %w", p.Name(), budget, err)
+			}
+			cell.Policy, cell.Budget = p.Name(), budget
+			out.Cells[p.Name()][budget] = cell
+			if cell.Metrics.VolumeBytes > out.Vol {
+				out.Vol = cell.Metrics.VolumeBytes
+			}
+		}
+	}
+	return out, nil
 }
 
 // RunSimSweep executes the policy x budget x seed grid.
-func RunSimSweep(cfg SimSweepConfig) (*SimSweep, error) {
+func RunSimSweep(cfg SimSweepConfig) (*Sweep, error) {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 3
 	}
@@ -71,42 +102,27 @@ func RunSimSweep(cfg SimSweepConfig) (*SimSweep, error) {
 	if len(cfg.Budgets) == 0 {
 		return nil, fmt.Errorf("experiments: SimSweepConfig.Budgets is required")
 	}
-	out := &SimSweep{
-		Budgets: cfg.Budgets,
-		Cells:   make(map[string]map[int64]Cell, len(policies)),
-	}
-	for _, p := range policies {
-		out.Cells[p.Name()] = make(map[int64]Cell, len(cfg.Budgets))
-		for _, budget := range cfg.Budgets {
-			var snaps []metrics.Snapshot
-			var rhoT float64
-			var perCache []sim.CacheSummary
-			for run := 0; run < cfg.Runs; run++ {
-				rc := cfg.Base
-				rc.Policy = p
-				rc.CacheBudget = budget
-				rc.Seed = workload.DeriveSeed(cfg.Base.Seed, "run", run)
-				res, err := sim.Run(rc)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s@%d run %d: %w", p.Name(), budget, run, err)
-				}
-				snaps = append(snaps, res.Metrics)
-				rhoT += res.RhoTTLSum / float64(cfg.Runs)
-				if run == 0 {
-					perCache = res.PerCache
-				}
+	return runGrid(policies, cfg.Budgets, func(p core.Policy, budget int64) (Cell, error) {
+		var cell Cell
+		var snaps []metrics.Snapshot
+		for run := 0; run < cfg.Runs; run++ {
+			rc := cfg.Base
+			rc.Policy = p
+			rc.CacheBudget = budget
+			rc.Seed = workload.DeriveSeed(cfg.Base.Seed, "run", run)
+			res, err := sim.Run(rc)
+			if err != nil {
+				return Cell{}, fmt.Errorf("run %d: %w", run, err)
 			}
-			avg := metrics.AverageSnapshots(snaps)
-			out.Cells[p.Name()][budget] = Cell{
-				Policy: p.Name(), Budget: budget,
-				Metrics: avg, RhoTTLSum: rhoT, PerCache: perCache,
-			}
-			if avg.VolumeBytes > out.Vol {
-				out.Vol = avg.VolumeBytes
+			snaps = append(snaps, res.Metrics)
+			cell.RhoTTLSum += res.RhoTTLSum / float64(cfg.Runs)
+			if run == 0 {
+				cell.PerCache = res.PerCache
 			}
 		}
-	}
-	return out, nil
+		cell.Metrics = metrics.AverageSnapshots(snaps)
+		return cell, nil
+	})
 }
 
 // MetricColumn extracts one figure's y-value from a cell.
@@ -141,7 +157,7 @@ var (
 
 // FormatTable renders one figure as an aligned text table: one row per
 // policy, one column per budget.
-func (s *SimSweep) FormatTable(title string, col MetricColumn) string {
+func (s *Sweep) FormatTable(title string, col MetricColumn) string {
 	var b strings.Builder
 	header := col.Name
 	if col.Unit != "" {
@@ -153,12 +169,7 @@ func (s *SimSweep) FormatTable(title string, col MetricColumn) string {
 		fmt.Fprintf(&b, "%14s", metrics.FormatBytes(float64(budget)))
 	}
 	b.WriteString("\n")
-	var names []string
-	for name := range s.Cells {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool { return policyRank(names[i]) < policyRank(names[j]) })
-	for _, name := range names {
+	for _, name := range s.policies() {
 		fmt.Fprintf(&b, "%-8s", name)
 		for _, budget := range s.Budgets {
 			fmt.Fprintf(&b, "%14.4f", col.Value(s.Cells[name][budget]))
@@ -170,19 +181,14 @@ func (s *SimSweep) FormatTable(title string, col MetricColumn) string {
 
 // FormatCSV renders one figure as CSV (header: policy,<budget>,...), for
 // downstream plotting tools.
-func (s *SimSweep) FormatCSV(col MetricColumn) string {
+func (s *Sweep) FormatCSV(col MetricColumn) string {
 	var b strings.Builder
 	b.WriteString("policy")
 	for _, budget := range s.Budgets {
 		fmt.Fprintf(&b, ",%d", budget)
 	}
 	b.WriteString("\n")
-	var names []string
-	for name := range s.Cells {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool { return policyRank(names[i]) < policyRank(names[j]) })
-	for _, name := range names {
+	for _, name := range s.policies() {
 		b.WriteString(name)
 		for _, budget := range s.Budgets {
 			fmt.Fprintf(&b, ",%g", col.Value(s.Cells[name][budget]))
@@ -190,6 +196,16 @@ func (s *SimSweep) FormatCSV(col MetricColumn) string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// policies lists the sweep's policies in legend order.
+func (s *Sweep) policies() []string {
+	names := make([]string, 0, len(s.Cells))
+	for name := range s.Cells {
+		names = append(names, name)
+	}
+	sort.Slice(names, func(i, j int) bool { return policyRank(names[i]) < policyRank(names[j]) })
+	return names
 }
 
 // policyRank orders policies as the paper's legends do.
@@ -205,8 +221,7 @@ func policyRank(name string) int {
 
 // PrototypeSweepConfig parameterizes Fig. 7.
 type PrototypeSweepConfig struct {
-	// Trace drives every configuration identically; generated from
-	// trace.DefaultGenConfig when nil.
+	// Trace drives every configuration identically (required).
 	Trace *trace.Trace
 	// Budgets is the cache-size axis (the paper shows gains from 100KB).
 	Budgets []int64
@@ -216,108 +231,33 @@ type PrototypeSweepConfig struct {
 	Seed int64
 }
 
-// PrototypeCell is one Fig. 7 data point.
-type PrototypeCell struct {
-	Policy       string
-	Budget       int64
-	HitRatio     float64
-	MeanLatency  float64
-	FetchedBytes float64 // bytes fetched from the cluster by the broker
-	FrontendSubs int
-	BackendSubs  int
-}
-
-// PrototypeSweep is the Fig. 7 data set.
-type PrototypeSweep struct {
-	Budgets []int64
-	Cells   map[string]map[int64]PrototypeCell
-}
-
 // RunPrototypeSweep replays the trace against the in-process prototype for
 // every (policy, budget) combination.
-func RunPrototypeSweep(cfg PrototypeSweepConfig) (*PrototypeSweep, error) {
-	if len(cfg.Budgets) == 0 {
-		return nil, fmt.Errorf("experiments: PrototypeSweepConfig.Budgets is required")
+func RunPrototypeSweep(cfg PrototypeSweepConfig) (*Sweep, error) {
+	if len(cfg.Budgets) == 0 || cfg.Trace == nil {
+		return nil, fmt.Errorf("experiments: PrototypeSweepConfig.Budgets and Trace are required")
 	}
 	policies := cfg.Policies
 	if len(policies) == 0 {
 		policies = prototypePolicies
 	}
-	tr := cfg.Trace
-	if tr == nil {
-		gen := trace.DefaultGenConfig()
-		gen.Seed = cfg.Seed
-		var err error
-		tr, err = trace.Generate(gen)
+	var frontend, backend int
+	out, err := runGrid(policies, cfg.Budgets, func(p core.Policy, budget int64) (Cell, error) {
+		rig, err := NewRig(RigConfig{Policy: p, CacheBudget: budget, Seed: cfg.Seed})
 		if err != nil {
-			return nil, err
+			return Cell{}, err
 		}
-	}
-	out := &PrototypeSweep{
-		Budgets: cfg.Budgets,
-		Cells:   make(map[string]map[int64]PrototypeCell, len(policies)),
-	}
-	for _, p := range policies {
-		out.Cells[p.Name()] = make(map[int64]PrototypeCell, len(cfg.Budgets))
-		for _, budget := range cfg.Budgets {
-			rig, err := NewRig(RigConfig{
-				Policy:      p,
-				CacheBudget: budget,
-				Seed:        cfg.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := trace.Play(tr, rig); err != nil {
-				return nil, fmt.Errorf("experiments: %s@%d: %w", p.Name(), budget, err)
-			}
-			st := rig.Broker().Stats()
-			out.Cells[p.Name()][budget] = PrototypeCell{
-				Policy:       p.Name(),
-				Budget:       budget,
-				HitRatio:     st.HitRatio(),
-				MeanLatency:  st.Latency.Mean(),
-				FetchedBytes: st.FetchBytes.Value(),
-				FrontendSubs: rig.Broker().NumFrontendSubs(),
-				BackendSubs:  rig.Broker().NumBackendSubs(),
-			}
+		if err := trace.Play(cfg.Trace, rig); err != nil {
+			return Cell{}, err
 		}
+		frontend, backend = rig.Broker().NumFrontendSubs(), rig.Broker().NumBackendSubs()
+		return Cell{Metrics: rig.Broker().Stats().SnapshotAt(rig.now())}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	out.FrontendSubs, out.BackendSubs = frontend, backend
 	return out, nil
-}
-
-// FormatTable renders one Fig. 7 panel.
-func (s *PrototypeSweep) FormatTable(title, metric string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", title, metric)
-	fmt.Fprintf(&b, "%-8s", "policy")
-	for _, budget := range s.Budgets {
-		fmt.Fprintf(&b, "%14s", metrics.FormatBytes(float64(budget)))
-	}
-	b.WriteString("\n")
-	var names []string
-	for name := range s.Cells {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool { return policyRank(names[i]) < policyRank(names[j]) })
-	for _, name := range names {
-		fmt.Fprintf(&b, "%-8s", name)
-		for _, budget := range s.Budgets {
-			cell := s.Cells[name][budget]
-			var v float64
-			switch metric {
-			case "hit_ratio":
-				v = cell.HitRatio
-			case "latency_s":
-				v = cell.MeanLatency
-			case "fetched_MB":
-				v = cell.FetchedBytes / (1 << 20)
-			}
-			fmt.Fprintf(&b, "%14.4f", v)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }
 
 // Fig5BPoint pairs a cache's TTL with its observed holding time.

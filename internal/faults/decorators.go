@@ -117,8 +117,8 @@ func (b *FaultyBackend) LatestTimestamp(subID string) (time.Duration, error) {
 // handoff keeps the successor's range fetches under N". Counters are
 // atomics; read them with the accessor methods.
 type CountingBackend struct {
-	next                                     Backend
-	subscribes, unsubscribes, results, lates atomic.Int64
+	next                              Backend
+	subscribes, unsubscribes, results atomic.Int64
 }
 
 // Count decorates next with per-method call counters.
@@ -150,9 +150,8 @@ func (b *CountingBackend) ResultsBatchContext(ctx context.Context, ranges []bdms
 	return b.next.ResultsBatchContext(ctx, ranges)
 }
 
-// LatestTimestamp implements Backend.
+// LatestTimestamp implements Backend (uncounted: nothing asserts on it).
 func (b *CountingBackend) LatestTimestamp(subID string) (time.Duration, error) {
-	b.lates.Add(1)
 	return b.next.LatestTimestamp(subID)
 }
 
@@ -164,6 +163,3 @@ func (b *CountingBackend) Unsubscribes() int64 { return b.unsubscribes.Load() }
 
 // ResultFetches returns the results call count, a batched pull being one.
 func (b *CountingBackend) ResultFetches() int64 { return b.results.Load() }
-
-// LatestProbes returns the LatestTimestamp call count.
-func (b *CountingBackend) LatestProbes() int64 { return b.lates.Load() }

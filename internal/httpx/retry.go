@@ -41,8 +41,7 @@ func (s *RetryStats) Collector() obs.Collector {
 // jitter (delay = rand * min(MaxDelay, BaseDelay<<attempt)). It retries only
 // errors Retryable reports as transient — notably the v1 error envelope's
 // retryable flag — and it honors the server's Retry-After hint as a floor
-// under the computed delay. The zero value retries nothing; use NewRetryer
-// for the production defaults.
+// under the computed delay. The zero value retries nothing.
 //
 // Rand and Sleep are injectable so tests drive the schedule with a seeded
 // source and a virtual clock (no wall-clock sleeps). A Retryer is safe for
@@ -66,12 +65,6 @@ type Retryer struct {
 
 	randMu      sync.Mutex
 	defaultRand *rand.Rand
-}
-
-// NewRetryer returns a Retryer with the production defaults: 4 attempts,
-// 100ms base delay, 5s cap.
-func NewRetryer() *Retryer {
-	return &Retryer{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second}
 }
 
 // Retryable classifies an error as transient: the v1 envelope's retryable

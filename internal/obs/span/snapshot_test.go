@@ -18,7 +18,6 @@ const goldenTraces = `{
   "service": "badbroker",
   "spans_started": 3,
   "traces_retained": 1,
-  "traces_discarded": 0,
   "spans_dropped": 0,
   "traces": [
     {
@@ -73,7 +72,7 @@ const goldenTraces = `{
 // remote parent, one child with attributes, one failed child.
 func TestDebugTracesGolden(t *testing.T) {
 	clk := newTestClock()
-	r := NewRecorder("badbroker", withClock(clk.Now))
+	r := clocked("badbroker", clk)
 	id := func(b byte) (out [8]byte) {
 		for i := range out {
 			out[i] = b + byte(i)

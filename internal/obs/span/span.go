@@ -1,14 +1,14 @@
 // Package span turns the traceparent plumbing in internal/obs into a real
-// span subsystem: explicit start/end with parent links and attributes, a
-// bounded per-process ring of finished traces, and tail-based sampling
-// that always retains slow and error traces. It stays stdlib-only — the
-// module has zero dependencies and this package must keep it that way.
+// span subsystem: explicit start/end with parent links and attributes and
+// a bounded per-process ring of finished traces, each labelled error, slow
+// or ordinary. It stays stdlib-only — the module has zero dependencies and
+// this package must keep it that way.
 //
 // The design is deliberately small. A Recorder buffers the spans of each
 // in-flight trace; when the last locally-open span of a trace ends, the
-// whole trace is either retained (error anywhere, total duration over the
-// slow threshold, or head-sampled from the trace ID) or discarded. A
-// process can therefore answer "show me the slow deliveries" from memory
+// whole trace enters the ring with its reason (error anywhere, total
+// duration over the slow threshold, or neither), overwriting the oldest.
+// A process can therefore answer "show me the slow deliveries" from memory
 // without shipping every span to a backend.
 //
 // Every method on Recorder and Span is nil-receiver safe, so call sites
@@ -18,13 +18,11 @@ package span
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -33,7 +31,7 @@ import (
 	"gobad/internal/obs"
 )
 
-// Defaults for NewRecorder; override with the With* options.
+// The bounds every Recorder runs with.
 const (
 	// DefaultCapacity bounds the ring of retained (finished) traces.
 	DefaultCapacity = 256
@@ -43,8 +41,8 @@ const (
 	// DefaultMaxSpansPerTrace bounds one trace's span buffer so a
 	// runaway loop cannot hold the recorder's memory hostage.
 	DefaultMaxSpansPerTrace = 512
-	// DefaultSlowThreshold marks a trace slow (and therefore always
-	// retained) when its local wall-clock footprint reaches it.
+	// DefaultSlowThreshold marks a trace slow when its local wall-clock
+	// footprint reaches it.
 	DefaultSlowThreshold = 250 * time.Millisecond
 )
 
@@ -63,17 +61,16 @@ type Record struct {
 }
 
 // Trace is a retained trace: every span this process recorded for one
-// trace ID, plus why the tail sampler kept it.
+// trace ID, plus what kind of trace it is.
 type Trace struct {
 	TraceID string `json:"trace_id"`
-	// Reason is why the trace survived tail sampling: "error", "slow"
-	// or "sampled".
+	// Reason classifies the trace: "error", "slow" or "sampled" (neither).
 	Reason string   `json:"reason"`
 	Spans  []Record `json:"spans"`
 }
 
-// Retention reasons, strongest first: an error anywhere in the trace wins
-// over slow, which wins over the head-sample decision.
+// Reasons, strongest first: an error anywhere in the trace wins over slow,
+// which wins over sampled (an ordinary trace).
 const (
 	ReasonError   = "error"
 	ReasonSlow    = "slow"
@@ -81,7 +78,7 @@ const (
 )
 
 // rawTrace is a retained trace in the ring: the finished spans as they
-// ended, IDs still binary. Most traces are buffered, tail-sampled and
+// ended, IDs still binary. Most traces are buffered, retained and
 // overwritten in the ring without ever being exported, so the hex forms a
 // Record carries are produced by Snapshot, not by End.
 type rawTrace struct {
@@ -104,7 +101,6 @@ type traceBuf struct {
 type Recorder struct {
 	service   string
 	slow      time.Duration
-	sampleBar uint64 // retain when trace ID low bits <= bar; 0 = never
 	capacity  int
 	maxActive int
 	maxSpans  int
@@ -116,83 +112,23 @@ type Recorder struct {
 	ring        []rawTrace // circular, len == capacity once full
 	ringNext    int
 
-	started   uint64 // spans started
-	retained  uint64 // traces kept by the tail sampler
-	discarded uint64 // traces finished but not kept
-	dropped   uint64 // spans lost to buffer bounds
-}
-
-// Option configures a Recorder.
-type Option func(*Recorder)
-
-// WithCapacity bounds the ring of retained traces (n <= 0 keeps the
-// default).
-func WithCapacity(n int) Option {
-	return func(r *Recorder) {
-		if n > 0 {
-			r.capacity = n
-		}
-	}
-}
-
-// WithMaxActive bounds the number of in-flight traces buffered at once.
-func WithMaxActive(n int) Option {
-	return func(r *Recorder) {
-		if n > 0 {
-			r.maxActive = n
-		}
-	}
-}
-
-// WithSampleRatio sets the head-sample fraction of ordinary traces (no
-// error, under the slow threshold) that the tail sampler retains. The
-// decision is deterministic in the trace ID, so every process keeps the
-// same subset of a shared trace. 0 keeps only slow and error traces; 1
-// (the default) keeps everything the ring can hold.
-func WithSampleRatio(f float64) Option {
-	return func(r *Recorder) { r.sampleBar = sampleBar(f) }
-}
-
-// WithSlowThreshold sets the trace duration at which a trace is always
-// retained regardless of the sample ratio. d <= 0 disables the slow
-// check.
-func WithSlowThreshold(d time.Duration) Option {
-	return func(r *Recorder) { r.slow = d }
-}
-
-// withClock overrides the wall clock (tests).
-func withClock(now func() time.Time) Option {
-	return func(r *Recorder) { r.now = now }
-}
-
-func sampleBar(f float64) uint64 {
-	switch {
-	case f <= 0:
-		return 0
-	case f >= 1:
-		return math.MaxUint64
-	default:
-		return uint64(f * float64(math.MaxUint64))
-	}
+	started  uint64 // spans started
+	retained uint64 // traces finished and put in the ring
+	dropped  uint64 // spans lost to buffer bounds
 }
 
 // NewRecorder builds a Recorder whose exported spans carry service as
 // their service name.
-func NewRecorder(service string, opts ...Option) *Recorder {
-	r := &Recorder{
+func NewRecorder(service string) *Recorder {
+	return &Recorder{
 		service:   service,
 		slow:      DefaultSlowThreshold,
-		sampleBar: sampleBar(1),
 		capacity:  DefaultCapacity,
 		maxActive: DefaultMaxActive,
 		maxSpans:  DefaultMaxSpansPerTrace,
 		now:       time.Now,
+		active:    make(map[[16]byte]*traceBuf),
 	}
-	for _, opt := range opts {
-		opt(r)
-	}
-	r.active = make(map[[16]byte]*traceBuf)
-	return r
 }
 
 // Span is one in-flight span. Mutate it (SetAttr, SetError, SetName) only
@@ -310,8 +246,7 @@ func (s *Span) SetError(err error) {
 }
 
 // End finishes the span and, if it was the trace's last locally-open
-// span, runs the tail-sampling decision for the whole trace. End is
-// idempotent.
+// span, moves the whole trace into the ring. End is idempotent.
 func (s *Span) End() {
 	if s == nil || s.ended {
 		return
@@ -348,10 +283,10 @@ func (s *Span) End() {
 	r.finalizeLocked(s.sc.TraceID, tb)
 }
 
-// finalizeLocked decides retention for a finished trace. Caller holds
-// r.mu.
+// finalizeLocked classifies a finished trace (tb holds at least the span
+// that just ended) and puts it in the ring. Caller holds r.mu.
 func (r *Recorder) finalizeLocked(id [16]byte, tb *traceBuf) {
-	reason := ""
+	reason := ReasonSampled
 	var minStart, maxEnd int64
 	for i, sp := range tb.spans {
 		if sp.errMsg != "" {
@@ -365,17 +300,8 @@ func (r *Recorder) finalizeLocked(id [16]byte, tb *traceBuf) {
 			maxEnd = e
 		}
 	}
-	if reason == "" && r.slow > 0 && len(tb.spans) > 0 &&
-		time.Duration(maxEnd-minStart) >= r.slow {
+	if reason != ReasonError && time.Duration(maxEnd-minStart) >= r.slow {
 		reason = ReasonSlow
-	}
-	if reason == "" && r.sampleBar > 0 &&
-		binary.BigEndian.Uint64(id[8:]) <= r.sampleBar {
-		reason = ReasonSampled
-	}
-	if reason == "" || len(tb.spans) == 0 {
-		r.discarded++
-		return
 	}
 	r.retained++
 	t := rawTrace{id: id, reason: reason, spans: tb.spans}
@@ -462,7 +388,6 @@ type Export struct {
 	Service        string  `json:"service"`
 	SpansStarted   uint64  `json:"spans_started"`
 	TracesRetained uint64  `json:"traces_retained"`
-	TracesDropped  uint64  `json:"traces_discarded"`
 	SpansDropped   uint64  `json:"spans_dropped"`
 	Traces         []Trace `json:"traces"`
 }
@@ -478,7 +403,6 @@ func (r *Recorder) export() Export {
 		Service:        r.service,
 		SpansStarted:   r.started,
 		TracesRetained: r.retained,
-		TracesDropped:  r.discarded,
 		SpansDropped:   r.dropped,
 		Traces:         traces,
 	}
@@ -513,14 +437,12 @@ func (r *Recorder) Collector() obs.Collector {
 			return
 		}
 		r.mu.Lock()
-		started, retained, discarded, dropped := r.started, r.retained, r.discarded, r.dropped
+		started, retained, dropped := r.started, r.retained, r.dropped
 		r.mu.Unlock()
 		emit(obs.Family{Name: "bad_trace_spans_started_total", Help: "Spans started by the in-process recorder.",
 			Type: obs.CounterType, Points: []obs.Point{{Value: float64(started)}}})
-		emit(obs.Family{Name: "bad_traces_retained_total", Help: "Traces kept by the tail sampler (error, slow, or head-sampled).",
+		emit(obs.Family{Name: "bad_traces_retained_total", Help: "Finished traces put in the ring (error, slow, or sampled).",
 			Type: obs.CounterType, Points: []obs.Point{{Value: float64(retained)}}})
-		emit(obs.Family{Name: "bad_traces_discarded_total", Help: "Traces finished but discarded by the tail sampler.",
-			Type: obs.CounterType, Points: []obs.Point{{Value: float64(discarded)}}})
 		emit(obs.Family{Name: "bad_trace_spans_dropped_total", Help: "Spans lost to recorder buffer bounds.",
 			Type: obs.CounterType, Points: []obs.Point{{Value: float64(dropped)}}})
 	})

@@ -23,9 +23,16 @@ func newTestClock() *testClock {
 func (c *testClock) Now() time.Time          { return c.now }
 func (c *testClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 
+// clocked is NewRecorder on a test clock.
+func clocked(service string, clk *testClock) *Recorder {
+	r := NewRecorder(service)
+	r.now = clk.Now
+	return r
+}
+
 func TestSpanParentLinksAndAttrs(t *testing.T) {
 	clk := newTestClock()
-	r := NewRecorder("test", withClock(clk.Now))
+	r := clocked("test", clk)
 
 	ctx, root := r.Start(context.Background(), "root")
 	root.SetAttr("channel", "nearby")
@@ -73,9 +80,8 @@ func TestSpanParentLinksAndAttrs(t *testing.T) {
 
 func TestTailSamplingRetainsErrorAndSlow(t *testing.T) {
 	clk := newTestClock()
-	// Ratio 0: ordinary traces are discarded; only error and slow survive.
-	r := NewRecorder("test", withClock(clk.Now),
-		WithSampleRatio(0), WithSlowThreshold(100*time.Millisecond))
+	r := clocked("test", clk)
+	r.slow = 100 * time.Millisecond
 
 	_, fast := r.Start(context.Background(), "fast")
 	clk.Advance(time.Millisecond)
@@ -91,8 +97,8 @@ func TestTailSamplingRetainsErrorAndSlow(t *testing.T) {
 	slow.End()
 
 	traces := r.Snapshot()
-	if len(traces) != 2 {
-		t.Fatalf("got %d traces, want 2 (error + slow): %+v", len(traces), traces)
+	if len(traces) != 3 {
+		t.Fatalf("got %d traces, want 3 (ordinary + error + slow): %+v", len(traces), traces)
 	}
 	reasons := map[string]string{}
 	for _, tr := range traces {
@@ -104,11 +110,14 @@ func TestTailSamplingRetainsErrorAndSlow(t *testing.T) {
 	if reasons["slow"] != ReasonSlow {
 		t.Errorf("slow trace reason = %q", reasons["slow"])
 	}
+	if reasons["fast"] != ReasonSampled {
+		t.Errorf("ordinary trace reason = %q", reasons["fast"])
+	}
 }
 
 func TestTailSamplingDefaultKeepsAll(t *testing.T) {
 	clk := newTestClock()
-	r := NewRecorder("test", withClock(clk.Now))
+	r := clocked("test", clk)
 	_, s := r.Start(context.Background(), "fast")
 	s.End()
 	traces := r.Snapshot()
@@ -119,7 +128,8 @@ func TestTailSamplingDefaultKeepsAll(t *testing.T) {
 
 func TestRingBounded(t *testing.T) {
 	clk := newTestClock()
-	r := NewRecorder("test", withClock(clk.Now), WithCapacity(4))
+	r := clocked("test", clk)
+	r.capacity = 4
 	var last string
 	for i := 0; i < 10; i++ {
 		_, s := r.Start(context.Background(), "s")
@@ -139,7 +149,8 @@ func TestRingBounded(t *testing.T) {
 
 func TestActiveTraceEviction(t *testing.T) {
 	clk := newTestClock()
-	r := NewRecorder("test", withClock(clk.Now), WithMaxActive(2))
+	r := clocked("test", clk)
+	r.maxActive = 2
 	_, a := r.Start(context.Background(), "a")
 	_, b := r.Start(context.Background(), "b")
 	_, c := r.Start(context.Background(), "c") // evicts a's buffer
@@ -228,7 +239,7 @@ func TestEndIdempotentAndLateMutationIgnored(t *testing.T) {
 
 func TestHandlerAndDumpJSON(t *testing.T) {
 	clk := newTestClock()
-	r := NewRecorder("badbroker", withClock(clk.Now))
+	r := clocked("badbroker", clk)
 	ctx, root := r.Start(context.Background(), "http /v1/subscriptions")
 	_, child := r.Start(ctx, "cache.local_hit")
 	clk.Advance(2 * time.Millisecond)
@@ -271,7 +282,7 @@ func TestHandlerAndDumpJSON(t *testing.T) {
 
 func TestSnapshotMergesRevisitedTrace(t *testing.T) {
 	clk := newTestClock()
-	r := NewRecorder("test", withClock(clk.Now))
+	r := clocked("test", clk)
 	// First leg: webhook arrives, span opens and closes -> finalized.
 	ctx, leg1 := r.Start(context.Background(), "broker.notify")
 	clk.Advance(time.Millisecond)
@@ -295,8 +306,8 @@ func TestSnapshotMergesRevisitedTrace(t *testing.T) {
 }
 
 func TestCollectorCounters(t *testing.T) {
-	r := NewRecorder("test", WithSampleRatio(0), WithSlowThreshold(0))
-	_, s := r.Start(context.Background(), "discarded")
+	r := NewRecorder("test")
+	_, s := r.Start(context.Background(), "ordinary")
 	s.End()
 	reg := obs.NewRegistry()
 	reg.MustRegister(r.Collector())
@@ -307,8 +318,7 @@ func TestCollectorCounters(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"bad_trace_spans_started_total 1",
-		"bad_traces_discarded_total 1",
-		"bad_traces_retained_total 0",
+		"bad_traces_retained_total 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -196,15 +196,16 @@ const closeWriteTimeout = 250 * time.Millisecond
 
 // Close performs the closing handshake (best effort) and closes the
 // underlying connection. It is safe to call multiple times and concurrently
-// with reads and writes: when another goroutine is blocked mid-write on a
-// stalled peer, the handshake is skipped and the connection is torn down
-// directly, which also unblocks that writer.
+// with reads and writes: a write in flight is bounded by closeWriteTimeout,
+// so a goroutine blocked mid-write on a stalled peer fails by then and the
+// connection is torn down without the close frame such a peer would not
+// have read; any other peer gets the frame.
 func (c *Conn) Close() error { return c.CloseWith(CloseNormal, "") }
 
 // CloseWith is Close with an explicit status code and reason in the close
-// frame (best effort, like Close). The broker's graceful drain sends
-// (CloseServiceRestart, successorURL) so clients fail over to the named
-// broker without consulting the BCS.
+// frame. The broker's graceful drain sends (CloseServiceRestart,
+// successorURL) so clients fail over to the named broker without
+// consulting the BCS.
 func (c *Conn) CloseWith(code uint16, reason string) error {
 	c.closeMu.Lock()
 	if c.closed {
@@ -213,16 +214,17 @@ func (c *Conn) CloseWith(code uint16, reason string) error {
 	}
 	c.closed = true
 	c.closeMu.Unlock()
-	if c.writeMu.TryLock() {
-		_ = c.nc.SetWriteDeadline(time.Now().Add(closeWriteTimeout))
-		_ = c.flushHandshake()
-		var key [4]byte
-		if c.client {
-			_, _ = rand.Read(key[:])
-		}
-		_ = writeFrame(c.nc, OpClose, closePayload(code, reason), c.client, key)
-		c.writeMu.Unlock()
+	// The deadline bounds a write already blocked as well as ours, so the
+	// lock is ours within the timeout.
+	_ = c.nc.SetWriteDeadline(time.Now().Add(closeWriteTimeout))
+	c.writeMu.Lock()
+	_ = c.flushHandshake()
+	var key [4]byte
+	if c.client {
+		_, _ = rand.Read(key[:])
 	}
+	_ = writeFrame(c.nc, OpClose, closePayload(code, reason), c.client, key)
+	c.writeMu.Unlock()
 	return c.nc.Close()
 }
 
