@@ -9,6 +9,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"log"
 	"math/rand"
@@ -124,7 +125,11 @@ func run() error {
 	}
 	fmt.Println("\nSeverityDigest (severe emergencies since subscription, by type):")
 	for _, res := range results {
-		for _, row := range res.Rows {
+		var rows []map[string]any
+		if err := json.Unmarshal(res.Rows, &rows); err != nil {
+			return err
+		}
+		for _, row := range rows {
 			fmt.Printf("  %-10v %3.0f reports, mean severity %.2f\n",
 				row["etype"], row["reports"], row["mean_severity"])
 		}

@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 	"time"
@@ -99,8 +100,12 @@ func run() error {
 			if it.FromCache {
 				src = "broker cache"
 			}
+			var rows []map[string]any
+			if err := json.Unmarshal(it.Rows, &rows); err != nil {
+				return err
+			}
 			fmt.Printf("%s received %s (%d bytes) from the %s: %v\n",
-				sub.name, it.ID, it.Size, src, it.Rows[0]["message"])
+				sub.name, it.ID, it.Size, src, rows[0]["message"])
 		}
 		if err := b.Ack(sub.name, sub.fs, ret.Latest); err != nil {
 			return err

@@ -76,7 +76,7 @@ type RegisterRequest struct {
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	if err := s.svc.Register(req.ID, req.Address); err != nil {
@@ -96,7 +96,7 @@ type HeartbeatRequest struct {
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	if err := s.svc.Heartbeat(r.PathValue("id"), req.Load, req.Warming); err != nil {
@@ -138,7 +138,7 @@ type PlacementResponse struct {
 func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 	var req PlacementRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	b, epoch, err := s.svc.Place(req.SubscriberKey)

@@ -127,19 +127,54 @@ type ResultObject struct {
 	// Timestamp is the cluster-time production timestamp; strictly
 	// increasing within a subscription.
 	Timestamp time.Duration `json:"timestamp"`
-	// Rows are the matched (and enriched) records.
-	Rows []map[string]any `json:"rows"`
-	// Size is the JSON-encoded size of Rows in bytes.
+	// Rows are the matched (and enriched) records, JSON-encoded: by the
+	// evaluation that produced them for the WAL and a PUSH notification,
+	// and the same way for a range read. Broker caches, peers and warm-up
+	// handoffs carry these bytes unchanged, and only a subscriber decodes
+	// them.
+	Rows json.RawMessage `json:"rows"`
+	// Size is len(Rows): the encoded size in bytes.
 	Size int64 `json:"size"`
 }
 
-// encodeSize computes the serialized size of a result payload.
-func encodeSize(rows []map[string]any) int64 {
-	b, err := json.Marshal(rows)
-	if err != nil {
-		return 0
+// storedResult is a result as its subscription's result dataset keeps it:
+// a ResultObject without the encoding. Its rows alias what the evaluation
+// matched — a star projection shares the stored publication records — so
+// a dataset holds no copy of them; the encoding lives as long as the
+// commit needs it (the WAL record, a PUSH notification), and a range read
+// makes it again, off the cluster lock.
+type storedResult struct {
+	id, subID string // subID: the subscription that produced it
+	ts        time.Duration
+	rows      []map[string]any
+	size      int64
+}
+
+// encodeResults answers a range read: each stored result with its rows
+// encoded, as the evaluation encoded them when it committed.
+func encodeResults(stored []storedResult) ([]ResultObject, error) {
+	if len(stored) == 0 {
+		return nil, nil
 	}
-	return int64(len(b))
+	out := make([]ResultObject, len(stored))
+	for i, r := range stored {
+		rows, err := json.Marshal(r.rows)
+		if err != nil {
+			return nil, fmt.Errorf("bdms: encode result %s: %w", r.id, err)
+		}
+		out[i] = ResultObject{ID: r.id, SubscriptionID: r.subID, Timestamp: r.ts, Rows: rows, Size: r.size}
+	}
+	return out, nil
+}
+
+// storeResult decodes a logged or snapshotted result object back into the
+// form a result dataset keeps.
+func storeResult(obj ResultObject) (storedResult, error) {
+	var rows []map[string]any
+	if err := json.Unmarshal(obj.Rows, &rows); err != nil {
+		return storedResult{}, fmt.Errorf("bdms: result %s rows: %w", obj.ID, err)
+	}
+	return storedResult{id: obj.ID, subID: obj.SubscriptionID, ts: obj.Timestamp, rows: rows, size: obj.Size}, nil
 }
 
 // lookupPathParts resolves a pre-split path inside a record.

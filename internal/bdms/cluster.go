@@ -116,7 +116,7 @@ type subscription struct {
 	group     *evalGroup
 	memberIdx int
 
-	results []ResultObject // ordered by Timestamp
+	results []storedResult // ordered by Timestamp
 	lastTS  time.Duration
 	seq     uint64
 }
@@ -387,7 +387,7 @@ func (c *Cluster) Subscribe(channelName string, params []any, callback string) (
 		// history its predecessor had already pulled — resume tokens keep
 		// addressing real results across broker deaths.
 		eq := g.members[0]
-		sub.results = append([]ResultObject(nil), eq.results...)
+		sub.results = append([]storedResult(nil), eq.results...)
 		sub.lastTS = eq.lastTS
 	}
 	c.subs[sub.id] = sub
@@ -602,7 +602,7 @@ func (c *Cluster) commitEval(ctx context.Context, tasks []*evalTask, now time.Du
 			continue
 		}
 		for _, sub := range t.g.members {
-			pending = append(pending, c.appendResult(sub, t.rows, t.size, now))
+			pending = append(pending, c.appendResult(sub, t, now))
 		}
 	}
 	// Persist the produced result objects before any notification leaves
@@ -620,11 +620,11 @@ type notification struct {
 }
 
 // appendResult stores a new result object for sub and returns the
-// notification to deliver. The rows slice and its encoded size are shared
-// across every member of the evaluation group (results are immutable once
-// produced, so sharing is safe — no per-member deep copy). Caller holds
-// the lock.
-func (c *Cluster) appendResult(sub *subscription, rows []map[string]any, size int64, now time.Duration) notification {
+// notification to deliver. The rows and their encoding are shared across
+// every member of the evaluation group (results are immutable once
+// produced, so sharing is safe — no per-member copy). Caller holds the
+// lock.
+func (c *Cluster) appendResult(sub *subscription, t *evalTask, now time.Duration) notification {
 	ts := now
 	if ts <= sub.lastTS {
 		ts = sub.lastTS + time.Nanosecond
@@ -635,10 +635,10 @@ func (c *Cluster) appendResult(sub *subscription, rows []map[string]any, size in
 		ID:             fmt.Sprintf("%s-r%06d", sub.id, sub.seq),
 		SubscriptionID: sub.id,
 		Timestamp:      ts,
-		Rows:           rows,
-		Size:           size,
+		Rows:           t.enc,
+		Size:           int64(len(t.enc)),
 	}
-	sub.results = append(sub.results, obj)
+	sub.results = append(sub.results, storedResult{id: obj.ID, subID: sub.id, ts: ts, rows: t.rows, size: obj.Size})
 	c.stats.ResultsProduced.Inc()
 	c.stats.ResultBytes.Add(float64(obj.Size))
 	return notification{subID: sub.id, callback: sub.callback, latest: ts, obj: obj}
@@ -766,26 +766,31 @@ func (c *Cluster) NextRepetitiveRun() (time.Duration, bool) {
 // is the broker's fetch path.
 func (c *Cluster) Results(subID string, from, to time.Duration, inclusiveTo bool) ([]ResultObject, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resultsLocked(subID, from, to, inclusiveTo)
+	stored, err := c.resultsLocked(subID, from, to, inclusiveTo)
+	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return encodeResults(stored)
 }
 
-func (c *Cluster) resultsLocked(subID string, from, to time.Duration, inclusiveTo bool) ([]ResultObject, error) {
+// resultsLocked copies out the stored results of a range; the caller
+// encodes them once it has released the lock. Caller holds c.mu.
+func (c *Cluster) resultsLocked(subID string, from, to time.Duration, inclusiveTo bool) ([]storedResult, error) {
 	sub, ok := c.subs[subID]
 	if !ok {
 		return nil, fmt.Errorf("bdms: unknown subscription %q", subID)
 	}
 	// Binary search the ordered result list for the range start.
-	idx := sort.Search(len(sub.results), func(i int) bool { return sub.results[i].Timestamp > from })
-	var out []ResultObject
-	for _, r := range sub.results[idx:] {
-		if r.Timestamp > to || (r.Timestamp == to && !inclusiveTo) {
+	idx := sort.Search(len(sub.results), func(i int) bool { return sub.results[i].ts > from })
+	end := idx
+	for ; end < len(sub.results); end++ {
+		if r := sub.results[end]; r.ts > to || (r.ts == to && !inclusiveTo) {
 			break
 		}
-		out = append(out, r)
-		c.stats.FetchedBytes.Add(float64(r.Size))
+		c.stats.FetchedBytes.Add(float64(sub.results[end].size))
 	}
-	return out, nil
+	return append([]storedResult(nil), sub.results[idx:end]...), nil
 }
 
 // ResultsContext is Results with a context parameter, satisfying the
@@ -824,14 +829,20 @@ func (c *Cluster) ResultsBatchContext(_ context.Context, ranges []ResultRange) (
 		return nil, fmt.Errorf("bdms: %d result ranges in one batch, at most %d", len(ranges), MaxResultRanges)
 	}
 	out := make([]RangeResults, len(ranges))
+	stored := make([][]storedResult, len(ranges))
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	for i, r := range ranges {
-		results, err := c.resultsLocked(r.SubscriptionID, time.Duration(r.FromNS), time.Duration(r.ToNS), r.Inclusive)
-		if err != nil {
+		var err error
+		if stored[i], err = c.resultsLocked(r.SubscriptionID, time.Duration(r.FromNS), time.Duration(r.ToNS), r.Inclusive); err != nil {
 			out[i].Error = err.Error()
 		}
-		out[i].Results = results
+	}
+	c.mu.Unlock()
+	for i := range out {
+		var err error
+		if out[i].Results, err = encodeResults(stored[i]); err != nil {
+			out[i].Error = err.Error()
+		}
 	}
 	return out, nil
 }

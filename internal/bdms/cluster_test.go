@@ -2,6 +2,7 @@ package bdms
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -228,8 +229,8 @@ func TestContinuousChannelMatching(t *testing.T) {
 	if len(fire) != 1 {
 		t.Fatalf("fire sub got %d results, want 1", len(fire))
 	}
-	if fire[0].Rows[0]["etype"] != "fire" {
-		t.Errorf("row = %v", fire[0].Rows[0])
+	if row := rowsOf(t, fire[0])[0]; row["etype"] != "fire" {
+		t.Errorf("row = %v", row)
 	}
 	if fire[0].Size <= 0 {
 		t.Error("result size should be positive")
@@ -286,8 +287,8 @@ func TestRepetitiveChannelExecution(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("got %d result objects, want 1 (one per execution)", len(res))
 	}
-	if len(res[0].Rows) != 2 {
-		t.Errorf("digest rows = %d, want 2 (severity >= 3)", len(res[0].Rows))
+	if n := len(rowsOf(t, res[0])); n != 2 {
+		t.Errorf("digest rows = %d, want 2 (severity >= 3)", n)
 	}
 	// A second execution with no new publications produces nothing.
 	clk.Advance(10 * time.Second)
@@ -309,9 +310,19 @@ func TestRepetitiveChannelExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res3) != 2 || len(res3[len(res3)-1].Rows) != 1 {
+	if len(res3) != 2 || len(rowsOf(t, res3[len(res3)-1])) != 1 {
 		t.Errorf("incremental execution wrong: %d objects", len(res3))
 	}
+}
+
+// rowsOf decodes a result object's rows, as a subscriber does.
+func rowsOf(t *testing.T, r ResultObject) []map[string]any {
+	t.Helper()
+	var rows []map[string]any
+	if err := json.Unmarshal(r.Rows, &rows); err != nil {
+		t.Fatalf("result %s rows %q: %v", r.ID, r.Rows, err)
+	}
+	return rows
 }
 
 func mustIngest(t *testing.T, c *Cluster, ds string, data map[string]any) {
@@ -496,12 +507,12 @@ func TestEnrichedNotifications(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("got %d results", len(res))
 	}
-	row := res[0].Rows[0]
-	shelters, ok := row["shelters"].([]map[string]any)
+	row := rowsOf(t, res[0])[0]
+	shelters, ok := row["shelters"].([]any)
 	if !ok {
 		t.Fatalf("enrichment missing or wrong type: %T", row["shelters"])
 	}
-	if len(shelters) != 1 || shelters[0]["shelter_id"] != "near" {
+	if len(shelters) != 1 || shelters[0].(map[string]any)["shelter_id"] != "near" {
 		t.Errorf("enrichment = %v, want only the near shelter", shelters)
 	}
 	// The original stored record must not have been mutated.
@@ -619,7 +630,7 @@ func TestAggregateDigestChannel(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("digest executions = %d, want 1", len(res))
 	}
-	rows := res[0].Rows
+	rows := rowsOf(t, res[0])
 	if len(rows) != 2 {
 		t.Fatalf("digest groups = %v", rows)
 	}

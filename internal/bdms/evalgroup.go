@@ -1,6 +1,8 @@
 package bdms
 
 import (
+	"encoding/json"
+	"fmt"
 	"time"
 
 	"gobad/internal/aql"
@@ -174,7 +176,7 @@ func (c *Cluster) leaveGroup(sub *subscription) {
 type evalTask struct {
 	g    *evalGroup
 	rows []map[string]any
-	size int64
+	enc  json.RawMessage // rows' encoding; len(enc) is every member's Size
 	err  error
 }
 
@@ -194,9 +196,15 @@ func evaluate(ch *channel, e tableEntry, frames []aql.Frame, enrichDS map[string
 	if err != nil {
 		return &evalTask{g: e.g, err: err}
 	}
-	// Encoded size is shared by every member's result object; compute it
-	// once, off-lock.
-	return &evalTask{g: e.g, rows: rows, size: encodeSize(rows)}
+	// One encoding serves every member's WAL record and notification, and
+	// its length is their size: made once, off-lock. Rows JSON cannot
+	// carry (a NaN or an infinity) fail the group like any other
+	// evaluation error.
+	enc, err := json.Marshal(rows)
+	if err != nil {
+		return &evalTask{g: e.g, err: fmt.Errorf("bdms: encode result rows: %w", err)}
+	}
+	return &evalTask{g: e.g, rows: rows, enc: enc}
 }
 
 // recordData is the JSON-model view of recs that aql evaluates.

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http/httptest"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -182,11 +181,11 @@ func TestRepetitiveSameParamsRunOneEvaluation(t *testing.T) {
 	if len(resA) != 1 || len(resB) != 1 {
 		t.Fatalf("results = %d/%d objects, want 1/1", len(resA), len(resB))
 	}
-	if !reflect.DeepEqual(resA[0].Rows, resB[0].Rows) {
+	if !bytes.Equal(resA[0].Rows, resB[0].Rows) {
 		t.Error("group members must receive identical rows")
 	}
-	if len(resA[0].Rows) != 2 {
-		t.Errorf("digest rows = %d, want 2", len(resA[0].Rows))
+	if n := len(rowsOf(t, resA[0])); n != 2 {
+		t.Errorf("digest rows = %d, want 2", n)
 	}
 	if notes.count() != 2 {
 		t.Errorf("notifications = %d, want 2 (one per member)", notes.count())
@@ -238,8 +237,8 @@ func TestIngestBatchProducesOneResultPerGroup(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("result objects = %d, want 1 (amortized over the batch)", len(res))
 	}
-	if len(res[0].Rows) != 2 {
-		t.Errorf("rows = %d, want 2 fire reports", len(res[0].Rows))
+	if n := len(rowsOf(t, res[0])); n != 2 {
+		t.Errorf("rows = %d, want 2 fire reports", n)
 	}
 	if notes.count() != 1 {
 		t.Errorf("notifications = %d, want 1", notes.count())
@@ -312,7 +311,7 @@ func TestBatchIngestEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 1 || len(res[0].Rows) != 2 {
+	if len(res) != 1 || len(rowsOf(t, res[0])) != 2 {
 		t.Fatalf("results = %+v, want one object with 2 rows", res)
 	}
 	// A bad batch is a 400, not a partial store.
@@ -598,10 +597,7 @@ func testGroupedEvalEquivalence(t *testing.T, seed int64) {
 				id, rs.chName, len(res), len(rs.batches))
 		}
 		for i := range res {
-			got, err := json.Marshal(res[i].Rows)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := res[i].Rows
 			want, err := json.Marshal(rs.batches[i])
 			if err != nil {
 				t.Fatal(err)
@@ -609,7 +605,7 @@ func testGroupedEvalEquivalence(t *testing.T, seed int64) {
 			if string(got) != string(want) {
 				t.Fatalf("sub %s (%s) result %d:\n got %s\nwant %s", id, rs.chName, i, got, want)
 			}
-			if res[i].Size != encodeSize(res[i].Rows) {
+			if res[i].Size != int64(len(want)) {
 				t.Errorf("sub %s result %d: Size %d != encoded size", id, i, res[i].Size)
 			}
 		}
@@ -642,7 +638,7 @@ func ownBatches(c *Cluster, subID string) int {
 	defer c.mu.Unlock()
 	own := 0
 	for _, obj := range c.subs[subID].results {
-		if obj.SubscriptionID == subID {
+		if obj.subID == subID {
 			own++
 		}
 	}

@@ -2,6 +2,7 @@ package bdms
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -141,11 +142,11 @@ func (c *PeerClient) Results(ctx context.Context, baseURL, fabricKey string, aft
 // size, payload rows) plus the fetch latency the predecessor measured (the
 // LSD/LSC policies weigh entries by it).
 type CacheWarmObject struct {
-	ID             string           `json:"id"`
-	TimestampNS    int64            `json:"ts_ns"`
-	Size           int64            `json:"size"`
-	FetchLatencyNS int64            `json:"fetch_latency_ns,omitempty"`
-	Rows           []map[string]any `json:"rows"`
+	ID             string          `json:"id"`
+	TimestampNS    int64           `json:"ts_ns"`
+	Size           int64           `json:"size"`
+	FetchLatencyNS int64           `json:"fetch_latency_ns,omitempty"`
+	Rows           json.RawMessage `json:"rows"`
 }
 
 // CacheWarmEntry is the warm state of one backend subscription's result

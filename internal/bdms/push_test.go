@@ -53,8 +53,8 @@ func TestPushModelDeliversResultObjects(t *testing.T) {
 	col.mu.Lock()
 	obj := col.pushes[0]
 	col.mu.Unlock()
-	if len(obj.Rows) != 1 || obj.Rows[0]["etype"] != "fire" {
-		t.Errorf("pushed object rows = %v", obj.Rows)
+	if rows := rowsOf(t, obj); len(rows) != 1 || rows[0]["etype"] != "fire" {
+		t.Errorf("pushed object rows = %s", obj.Rows)
 	}
 	if obj.Size <= 0 {
 		t.Error("pushed object should carry its size")

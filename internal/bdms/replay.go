@@ -160,7 +160,7 @@ func (c *Cluster) applySubscribe(subID, channelName string, params []any, callba
 	}
 	if g, created := c.joinGroup(sub); !created {
 		eq := g.members[0]
-		sub.results = append([]ResultObject(nil), eq.results...)
+		sub.results = append([]storedResult(nil), eq.results...)
 		sub.lastTS = eq.lastTS
 	}
 	c.subs[sub.id] = sub
@@ -186,13 +186,17 @@ func (c *Cluster) applyResult(subID string, obj *ResultObject) error {
 	if obj == nil {
 		return fmt.Errorf("bdms: result record without object")
 	}
+	r, err := storeResult(*obj)
+	if err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sub, ok := c.subs[subID]
 	if !ok {
 		return fmt.Errorf("bdms: result for unknown subscription %q", subID)
 	}
-	sub.results = append(sub.results, *obj)
+	sub.results = append(sub.results, r)
 	if obj.Timestamp > sub.lastTS {
 		sub.lastTS = obj.Timestamp
 	}

@@ -1,0 +1,125 @@
+package bdms
+
+import (
+	"slices"
+	"strconv"
+
+	"gobad/internal/httpx"
+)
+
+// The documents that carry result rows on the ingest and pull paths — a
+// WAL result record, the results and results:batch bodies — are appended
+// here field by field, as encoding/json writes them, with each result's
+// rows spliced in. The rows are json.Marshal output already (evaluate
+// made them, or encodeResults for a range read): compact and escaped.
+// Handed back to encoding/json as a RawMessage they would be re-scanned
+// byte by byte to compact what is compact, which on the WAL's result
+// records, under the cluster lock, cost more than encoding the rows had.
+// TestResultsBodiesMatchEncodingJSON holds every one to encoding/json's
+// bytes.
+
+// appendResultObject appends obj as encoding/json writes a ResultObject.
+// No rows is null, as a nil RawMessage is.
+func appendResultObject(dst []byte, obj ResultObject) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = httpx.AppendJSONString(dst, obj.ID)
+	dst = append(dst, `,"subscription_id":`...)
+	dst = httpx.AppendJSONString(dst, obj.SubscriptionID)
+	dst = append(dst, `,"timestamp":`...)
+	dst = strconv.AppendInt(dst, int64(obj.Timestamp), 10)
+	dst = append(dst, `,"rows":`...)
+	if len(obj.Rows) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, obj.Rows...)
+	}
+	dst = append(dst, `,"size":`...)
+	dst = strconv.AppendInt(dst, obj.Size, 10)
+	return append(dst, '}')
+}
+
+// appendResultObjects appends a []ResultObject: null when nil.
+func appendResultObjects(dst []byte, objs []ResultObject) []byte {
+	if objs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, obj := range objs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendResultObject(dst, obj)
+	}
+	return append(dst, ']')
+}
+
+// appendResultRecord appends a WAL result record as logResults makes it:
+// kind, at_ns, sub and result set, nothing else.
+func appendResultRecord(dst []byte, rec walRecord) []byte {
+	dst = append(dst, `{"kind":"`+walKindResult+`","at_ns":`...)
+	dst = strconv.AppendInt(dst, rec.AtNS, 10)
+	if rec.Sub != "" {
+		dst = append(dst, `,"sub":`...)
+		dst = httpx.AppendJSONString(dst, rec.Sub)
+	}
+	if rec.Result != nil {
+		dst = append(dst, `,"result":`...)
+		dst = appendResultObject(dst, *rec.Result)
+	}
+	return append(dst, '}')
+}
+
+// appendResultsResponse appends the results route's body, newline
+// included.
+func appendResultsResponse(dst []byte, results []ResultObject) []byte {
+	dst = slices.Grow(dst, resultsSize(results))
+	dst = append(dst, `{"results":`...)
+	dst = appendResultObjects(dst, results)
+	return append(dst, "}\n"...)
+}
+
+// appendResultsBatchResponse appends the results:batch route's body,
+// newline included.
+func appendResultsBatchResponse(dst []byte, ranges []RangeResults) []byte {
+	size := 0
+	for _, r := range ranges {
+		size += resultsSize(r.Results) + len(r.Error)
+	}
+	dst = slices.Grow(dst, size)
+	dst = append(dst, `{"ranges":`...)
+	if ranges == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, r := range ranges {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, '{')
+			if len(r.Results) > 0 {
+				dst = append(dst, `"results":`...)
+				dst = appendResultObjects(dst, r.Results)
+			}
+			if r.Error != "" {
+				if len(r.Results) > 0 {
+					dst = append(dst, ',')
+				}
+				dst = append(dst, `"error":`...)
+				dst = httpx.AppendJSONString(dst, r.Error)
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "}\n"...)
+}
+
+// resultsSize is what appending objs will take, give or take escapes in
+// the IDs.
+func resultsSize(objs []ResultObject) int {
+	n := 32
+	for _, obj := range objs {
+		n += 80 + len(obj.ID) + len(obj.SubscriptionID) + len(obj.Rows)
+	}
+	return n
+}

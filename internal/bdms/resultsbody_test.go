@@ -1,0 +1,137 @@
+package bdms
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"testing"
+	"time"
+)
+
+// TestResultsBodiesMatchEncodingJSON: the WAL's result records and the
+// results and results:batch bodies, appended with their rows spliced in,
+// are the bytes encoding/json writes for them — rows being json.Marshal
+// output, as evaluate and encodeResults make them.
+func TestResultsBodiesMatchEncodingJSON(t *testing.T) {
+	rows := func(rs ...map[string]any) json.RawMessage {
+		b, err := json.Marshal(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	fire := rows(map[string]any{"etype": "fire", "severity": 3.0})
+	nested := rows(map[string]any{
+		"etype":    "fire",
+		"location": map[string]any{"lat": 33.64, "lon": -117.84},
+		"shelters": []any{map[string]any{"id": "s<1>&", "beds": 12.0}, nil, true},
+		"note":     "a\u2028b \u00e9\x01",
+	}, map[string]any{"etype": "flood", "big": 1e21, "tiny": 1e-7})
+	obj := func(id, sub string, ts time.Duration, rows json.RawMessage) ResultObject {
+		return ResultObject{ID: id, SubscriptionID: sub, Timestamp: ts, Rows: rows, Size: int64(len(rows))}
+	}
+	objs := []ResultObject{
+		obj("bsub-000001-r000001", "bsub-000001", 1, fire),
+		obj("bsub-000001-r000002", "bsub-000001", 2, nested),
+		obj(`q"b\s<x>&`+"\u2028\x00\xff", "sub\u00e9", 3, fire),
+		obj("no-rows", "bsub-000002", 4, nil),
+	}
+	encode := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	for _, o := range objs {
+		for _, sub := range []string{o.SubscriptionID, ""} {
+			o := o
+			rec := walRecord{Kind: walKindResult, Sub: sub, Result: &o, AtNS: int64(o.Timestamp)}
+			want, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendResultRecord(nil, rec); !bytes.Equal(got, want) {
+				t.Errorf("result record:\n got %s\nwant %s", got, want)
+			}
+		}
+	}
+
+	for _, results := range [][]ResultObject{nil, {}, objs[:1], objs} {
+		want := encode(ResultsResponse{Results: results})
+		if got := appendResultsResponse(nil, results); !bytes.Equal(got, want) {
+			t.Errorf("results body:\n got %s\nwant %s", got, want)
+		}
+	}
+
+	for _, ranges := range [][]RangeResults{nil, {}, {
+		{Results: objs[:2]},
+		{Error: `bdms: unknown subscription "x<y>"`},
+		{Results: objs[2:], Error: "partial"},
+		{Results: []ResultObject{}},
+		{},
+	}} {
+		want := encode(ResultsBatchResponse{Ranges: ranges})
+		if got := appendResultsBatchResponse(nil, ranges); !bytes.Equal(got, want) {
+			t.Errorf("results:batch body:\n got %s\nwant %s", got, want)
+		}
+	}
+}
+
+// TestWALResultRecordsSpliced: a WAL written through commitEval holds, for
+// each result, the line encoding/json writes for its record.
+func TestWALResultRecordsSpliced(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := st.Cluster()
+	if err := c.CreateDataset("DS", Schema{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DefineChannel(ChannelDef{Name: "Ch", Params: []string{"k"},
+		Body: "select * from DS r where r.k = $k"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "a"} {
+		if _, err := c.Subscribe("Ch", []any{k}, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.IngestBatch("DS", []map[string]any{
+		{"k": "a", "note": "<&>\u2028"}, {"k": "b", "n": 1e21}, {"k": "a", "nested": map[string]any{"x": []any{1.0, nil}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := readWALFile(segPath(dir, 1), &WALStats{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(segPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	results := 0
+	for i, rec := range seg {
+		if rec.Kind != walKindResult {
+			continue
+		}
+		results++
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw[i], want) {
+			t.Errorf("logged %s\nencoding/json %s", raw[i], want)
+		}
+	}
+	if results != 3 {
+		t.Errorf("%d result records, want 3", results)
+	}
+}

@@ -192,7 +192,7 @@ type CreateDatasetRequest struct {
 func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	var req CreateDatasetRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	if err := s.cluster.CreateDataset(req.Name, req.Schema); err != nil {
@@ -216,7 +216,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var data map[string]any
 	if err := httpx.ReadJSON(r, &data); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	rec, err := s.cluster.IngestContext(r.Context(), name, data)
@@ -246,7 +246,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req BatchIngestRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	recs, err := s.cluster.IngestBatchContext(r.Context(), name, req.Records)
@@ -264,7 +264,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDefineChannel(w http.ResponseWriter, r *http.Request) {
 	var def channelDefWire
 	if err := httpx.ReadJSON(r, &def); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	if err := s.cluster.DefineChannel(def.toDef()); err != nil {
@@ -335,7 +335,7 @@ type QueryResponse struct {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	rows, err := s.cluster.Query(req.Statement, req.Params)
@@ -361,7 +361,7 @@ type SubscribeResponse struct {
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req SubscribeRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	id, err := s.cluster.Subscribe(req.Channel, req.Params, req.Callback)
@@ -400,7 +400,8 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusOK, ResultsResponse{Results: results})
+	// ResultsResponse{Results: results}, its rows spliced in.
+	httpx.WriteJSONBody(w, http.StatusOK, appendResultsResponse(nil, results))
 }
 
 // ResultsBatchRequest is the POST /v1/results:batch payload: at most
@@ -417,7 +418,7 @@ type ResultsBatchResponse struct {
 func (s *Server) handleResultsBatch(w http.ResponseWriter, r *http.Request) {
 	var req ResultsBatchRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	out, err := s.cluster.ResultsBatchContext(r.Context(), req.Ranges)
@@ -425,7 +426,8 @@ func (s *Server) handleResultsBatch(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusOK, ResultsBatchResponse{Ranges: out})
+	// ResultsBatchResponse{Ranges: out}, its rows spliced in.
+	httpx.WriteJSONBody(w, http.StatusOK, appendResultsBatchResponse(nil, out))
 }
 
 // LatestResponse carries a subscription's newest result timestamp.

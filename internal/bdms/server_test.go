@@ -94,7 +94,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 || results[0].Rows[0]["etype"] != "fire" {
+	if len(results) != 1 || rowsOf(t, results[0])[0]["etype"] != "fire" {
 		t.Fatalf("results = %+v", results)
 	}
 	wantID := results[0].ID

@@ -410,6 +410,9 @@ type snapSub struct {
 	LastTSNS int64          `json:"last_ts_ns"`
 	Seq      uint64         `json:"seq"`
 	Results  []ResultObject `json:"results"`
+	// stored is the result dataset as captured under the cluster lock;
+	// writeSnapshot encodes it into Results outside the lock.
+	stored []storedResult
 }
 
 // snapGroup persists repetitive-group progress (continuous groups carry
@@ -460,7 +463,7 @@ func (c *Cluster) snapshotStateLocked() *clusterSnapshot {
 		snap.Subs = append(snap.Subs, snapSub{
 			ID: id, Channel: sub.ch.def.Name, Params: params, Callback: sub.callback,
 			LastTSNS: int64(sub.lastTS), Seq: sub.seq,
-			Results: append([]ResultObject(nil), sub.results...),
+			stored: append([]storedResult(nil), sub.results...),
 		})
 	}
 	for chName, cg := range c.groups {
@@ -518,7 +521,14 @@ func (c *Cluster) restoreSnapshot(snap *clusterSnapshot) error {
 		canon := canonicalParams(bound)
 		sub := &subscription{
 			id: ss.ID, ch: ch, params: canon, callback: ss.Callback,
-			results: ss.Results, lastTS: time.Duration(ss.LastTSNS), seq: ss.Seq,
+			lastTS: time.Duration(ss.LastTSNS), seq: ss.Seq,
+		}
+		for _, obj := range ss.Results {
+			r, err := storeResult(obj)
+			if err != nil {
+				return err
+			}
+			sub.results = append(sub.results, r)
 		}
 		c.joinGroup(sub)
 		c.subs[sub.id] = sub
@@ -561,6 +571,13 @@ func decodeSnapshot(b []byte) (*clusterSnapshot, error) {
 // writeSnapshot persists a snapshot via temp file + fsync + atomic rename
 // and returns the encoded size.
 func writeSnapshot(path string, snap *clusterSnapshot) (int, error) {
+	for i := range snap.Subs {
+		results, err := encodeResults(snap.Subs[i].stored)
+		if err != nil {
+			return 0, err
+		}
+		snap.Subs[i].Results = results
+	}
 	b, err := json.Marshal(snap)
 	if err != nil {
 		return 0, fmt.Errorf("bdms: encode snapshot: %w", err)

@@ -135,6 +135,8 @@ type WAL struct {
 	w      *bufio.Writer
 	policy SyncPolicy
 	stats  *WALStats
+	// line is the result records' encoding buffer, reused under mu.
+	line []byte
 }
 
 // createWAL opens (creating if needed) one log file for appending; the
@@ -174,11 +176,19 @@ func (w *WAL) appendLocked(recs []walRecord) error {
 		return fmt.Errorf("bdms: wal closed")
 	}
 	for _, rec := range recs {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("bdms: wal encode: %w", err)
+		var line []byte
+		if rec.Kind == walKindResult {
+			// Most of the log's bytes: rows spliced in, not re-scanned.
+			w.line = append(appendResultRecord(w.line[:0], rec), '\n')
+			line = w.line
+		} else {
+			b, err := json.Marshal(rec)
+			if err != nil {
+				return fmt.Errorf("bdms: wal encode: %w", err)
+			}
+			line = append(b, '\n')
 		}
-		if _, err := w.w.Write(append(b, '\n')); err != nil {
+		if _, err := w.w.Write(line); err != nil {
 			return fmt.Errorf("bdms: wal write: %w", err)
 		}
 	}

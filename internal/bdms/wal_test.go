@@ -1,8 +1,11 @@
 package bdms
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -188,4 +191,58 @@ func TestWALRejectedIngestNotLogged(t *testing.T) {
 		t.Errorf("recovered %d records, want 0", got)
 	}
 	_ = rec.wal.Close()
+}
+
+// TestParentWALReplays: a log segment written before result rows became
+// bytes (testdata/wal-parent: PR 24's tree, continuous, enriched, shared,
+// batched and repetitive results whose rows hold HTML-significant
+// characters, U+2028, non-ASCII, control bytes and 1e21) replays into the
+// result datasets that tree held — same objects, same Size, and rows that
+// are the bytes its encoding/json wrote for them, whose length Size is.
+func TestParentWALReplays(t *testing.T) {
+	seg, err := os.ReadFile("testdata/wal-parent/wal-000001.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile("testdata/wal-parent/results.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		Subs    map[string]string         `json:"subs"`
+		Results map[string][]ResultObject `json:"results"`
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	c, err := openWAL(t, writeSegment(t, string(seg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, id := range want.Subs {
+		got, err := c.Results(id, 0, 1<<62, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp := want.Results[name]
+		for i := range exp { // results.json is indented; the parent held compact rows
+			var buf bytes.Buffer
+			if err := json.Compact(&buf, exp[i].Rows); err != nil {
+				t.Fatal(err)
+			}
+			exp[i].Rows = buf.Bytes()
+		}
+		if !reflect.DeepEqual(got, exp) {
+			t.Errorf("%s replayed as\n%+v\nwant\n%+v", name, got, exp)
+		}
+		for _, r := range got {
+			if r.Size != int64(len(r.Rows)) || !strings.Contains(string(seg), string(r.Rows)) {
+				t.Errorf("%s: Size %d, %d rows bytes, or rows not the logged bytes", r.ID, r.Size, len(r.Rows))
+			}
+		}
+	}
+	if len(want.Results["fire-a"]) != 3 || len(want.Results["digest"]) != 1 {
+		t.Fatalf("testdata holds %d fire and %d digest results, want 3 and 1",
+			len(want.Results["fire-a"]), len(want.Results["digest"]))
+	}
 }

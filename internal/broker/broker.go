@@ -640,7 +640,8 @@ func (b *Broker) Unsubscribe(subscriber, fsID string) error {
 	return nil
 }
 
-// ResultItem is one result object as delivered to a subscriber.
+// ResultItem is one result object as a subscriber decodes it from the
+// results route.
 type ResultItem struct {
 	ID          string           `json:"id"`
 	TimestampNS int64            `json:"timestamp_ns"`
@@ -651,10 +652,21 @@ type ResultItem struct {
 	FromCache bool `json:"from_cache"`
 }
 
+// Item is one result object of a retrieval: a ResultItem before the
+// subscriber's decode, its rows still the bytes the cluster encoded (the
+// cache's own bytes: read-only).
+type Item struct {
+	ID          string
+	TimestampNS int64
+	Size        int64
+	Rows        json.RawMessage
+	FromCache   bool
+}
+
 // Retrieval is a retrieval's full answer.
 type Retrieval struct {
 	// Items are the results, oldest first.
-	Items []ResultItem
+	Items []Item
 	// Latest is the marker the subscriber should Ack; it stays 0 when
 	// nothing may be acked (fetch failure or stale serve), so the
 	// undelivered range is retried on the next retrieval.
@@ -707,22 +719,21 @@ func (b *Broker) RetrieveContext(ctx context.Context, subscriber, fsID string) (
 	objs, info, err := b.manager.Retrieve(ctx, bsID, subscriber, from, to, now)
 
 	outcome := retrieveOutcome(objs, info)
-	sp.SetName("cache." + outcome)
+	sp.SetName(cacheSpanNames[outcome])
 	sp.SetAttr("objects", strconv.Itoa(len(objs)))
 	sp.SetError(err)
 	sp.End()
 	b.stages.Observe(ctx, span.StageRetrieve, outcome, time.Since(resolveStart))
 
-	items := make([]ResultItem, 0, len(objs))
-	for _, o := range objs {
-		rows, _ := o.Payload.([]map[string]any)
-		items = append(items, ResultItem{
+	items := make([]Item, len(objs))
+	for i, o := range objs {
+		items[i] = Item{
 			ID:          o.ID,
 			TimestampNS: int64(o.Timestamp),
 			Size:        o.Size,
-			Rows:        rows,
+			Rows:        o.Payload,
 			FromCache:   o.CacheID != "", // fetched objects carry no cache id
-		})
+		}
 	}
 	if err != nil {
 		// Partial answer: cached items only. Returning to as the marker
@@ -737,6 +748,14 @@ func (b *Broker) RetrieveContext(ctx context.Context, subscriber, fsID string) (
 		return Retrieval{Items: items, Stale: true}, nil
 	}
 	return Retrieval{Items: items, Latest: to}, nil
+}
+
+// cacheSpanNames names the cache-resolution span after each outcome.
+var cacheSpanNames = map[string]string{
+	span.OutcomeLocalHit:     "cache." + span.OutcomeLocalHit,
+	span.OutcomePeerHop:      "cache." + span.OutcomePeerHop,
+	span.OutcomeClusterFetch: "cache." + span.OutcomeClusterFetch,
+	span.OutcomeStaleServe:   "cache." + span.OutcomeStaleServe,
 }
 
 // retrieveOutcome classifies how a retrieval's objects were resolved,

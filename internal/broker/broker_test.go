@@ -2,6 +2,7 @@ package broker
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -169,8 +170,8 @@ func TestNotificationPullCacheAndRetrieve(t *testing.T) {
 		if !it.FromCache {
 			t.Errorf("result %s should come from the cache", it.ID)
 		}
-		if len(it.Rows) != 1 || it.Rows[0]["etype"] != "fire" {
-			t.Errorf("rows = %v", it.Rows)
+		if rows := rowsOf(t, it); len(rows) != 1 || rows[0]["etype"] != "fire" {
+			t.Errorf("rows = %s", it.Rows)
 		}
 	}
 	if ret.Latest == 0 {
@@ -182,6 +183,16 @@ func TestNotificationPullCacheAndRetrieve(t *testing.T) {
 	if b.Stats().VolumeBytes.Value() <= 0 {
 		t.Error("volume bytes should account the base pull")
 	}
+}
+
+// rowsOf decodes a retrieved item's rows, as the subscriber does.
+func rowsOf(t *testing.T, it Item) []map[string]any {
+	t.Helper()
+	var rows []map[string]any
+	if err := json.Unmarshal(it.Rows, &rows); err != nil {
+		t.Fatalf("item %s rows %q: %v", it.ID, it.Rows, err)
+	}
+	return rows
 }
 
 func TestAckAdvancesMarker(t *testing.T) {

@@ -329,10 +329,9 @@ func (b *Broker) PeerResults(fk string, from, to time.Duration, inclusiveTo bool
 	}
 	results := make([]bdms.ResultObject, 0, len(objs))
 	for _, o := range objs {
-		rows, _ := o.Payload.([]map[string]any)
 		results = append(results, bdms.ResultObject{
 			ID: o.ID, SubscriptionID: id, Timestamp: o.Timestamp,
-			Rows: rows, Size: o.Size,
+			Rows: o.Payload, Size: o.Size,
 		})
 	}
 	return bdms.PeerResultsResponse{Results: results, LatestNS: int64(bts), Complete: true}, true

@@ -152,8 +152,8 @@ func TestPeerLookupServesFromSibling(t *testing.T) {
 		t.Fatalf("got %d results via peer, want 3", len(ret.Items))
 	}
 	for i, item := range ret.Items {
-		if sev, _ := item.Rows[0]["severity"].(float64); sev != float64(i+1) {
-			t.Errorf("result %d severity %v, want %d", i, item.Rows[0]["severity"], i+1)
+		if sev, _ := rowsOf(t, item)[0]["severity"].(float64); sev != float64(i+1) {
+			t.Errorf("result %d severity %v, want %d", i, sev, i+1)
 		}
 	}
 	if got := env.edgeCalls.calls.Load(); got != before {

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,5 +234,70 @@ func TestAckRoutesAreEquivalent(t *testing.T) {
 		if markers[0][2] != markers[0][1] || seqs[0][2].Latest == 0 {
 			t.Errorf("shared=%v: the empty retrieval must return the standing marker: %+v", shared, seqs[0][2])
 		}
+	}
+}
+
+// hitEnv is a broker holding one cached result object of about 700 bytes
+// for alice and bob — bob's pending retrieval keeps it cached, so alice
+// can retrieve it again and again, each time a hit — and the path of
+// alice's retrieval.
+func hitEnv(t *testing.T) (*Broker, string) {
+	t.Helper()
+	env := newTestEnv(t, core.LSC{}, 1<<20)
+	fs, err := env.broker.Subscribe("alice", "Alerts", []any{"fire"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.broker.Subscribe("bob", "Alerts", []any{"fire"}); err != nil {
+		t.Fatal(err)
+	}
+	env.clk.Advance(time.Second)
+	if _, err := env.cluster.Ingest("EmergencyReports", map[string]any{
+		"etype": "fire", "severity": 3.0, "location": map[string]any{"lat": 33.64, "lon": -117.84},
+		"message": strings.Repeat("structure fire near campus; ", 22),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if size := env.broker.Manager().TotalSize(); size < 650 || size > 750 {
+		t.Fatalf("cached object is %d bytes, want about 700", size)
+	}
+	return env.broker, "/v1/subscriptions/" + fs + "/results?subscriber=alice"
+}
+
+// raceBuild reports a -race test binary, whose instrumentation allocates
+// on its own.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestResultsRouteHitAllocs bounds what the results route costs to serve
+// one cached ~700-byte object, middleware included.
+func TestResultsRouteHitAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector allocates on its own")
+	}
+	b, path := hitEnv(t)
+	h := NewServer(b).Handler()
+	get := func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"from_cache":true`) {
+			t.Fatalf("retrieval = %d %s, want a cache hit", w.Code, w.Body)
+		}
+	}
+	get()
+	allocs := testing.AllocsPerRun(100, get)
+	// 34, the httptest request and recorder included. The parent spent 68:
+	// its middleware's 20 against 7 now (TestWrapAllocs), the query map,
+	// the span name, and the cached rows decoded into maps and encoded
+	// again through encoding/json.
+	if allocs > 35 {
+		t.Errorf("results route hit = %v allocs, want at most 35", allocs)
 	}
 }

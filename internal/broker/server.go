@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"gobad/internal/bdms"
@@ -177,7 +179,7 @@ type SubscribeResponse struct {
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req SubscribeRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	resume := NoResume
@@ -234,10 +236,10 @@ type ResultsResponse struct {
 // part not handed out), so a client never mistakes a cluster outage for a
 // lost subscription.
 func (s *Server) handleGetResults(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	subscriber, fs := q.Get("subscriber"), r.PathValue("fs")
-	if q.Has("ack") {
-		ts, err := strconv.ParseInt(q.Get("ack"), 10, 64)
+	subscriber, _ := queryValue(r.URL.RawQuery, "subscriber")
+	fs := r.PathValue("fs")
+	if ack, ok := queryValue(r.URL.RawQuery, "ack"); ok {
+		ts, err := strconv.ParseInt(ack, 10, 64)
 		if err != nil || ts < 0 {
 			httpx.WriteError(w, http.StatusBadRequest, "ack must be a non-negative timestamp in nanoseconds")
 			return
@@ -254,8 +256,31 @@ func (s *Server) handleGetResults(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		httpx.WriteError(w, http.StatusBadGateway, "%v", err)
 	default:
-		httpx.WriteJSON(w, http.StatusOK, ResultsResponse{Results: ret.Items, LatestNS: int64(ret.Latest), Stale: ret.Stale})
+		httpx.WriteJSONBody(w, http.StatusOK, appendResults(make([]byte, 0, resultsBodySize(ret)), ret))
 	}
+}
+
+// queryValue is url.Values' Get and Has over a raw query, without building
+// the map the results route would otherwise parse on every retrieval: the
+// first value of key, and whether key is present. Pairs url.ParseQuery
+// drops (a semicolon, a bad escape) are skipped the same way.
+func queryValue(raw, key string) (string, bool) {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil || k != key {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err == nil {
+			return v, true
+		}
+	}
+	return "", false
 }
 
 // AckRequest advances a frontend subscription's marker.
@@ -269,7 +294,7 @@ type AckRequest struct {
 func (s *Server) handleAck(w http.ResponseWriter, r *http.Request) {
 	var req AckRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	if err := s.ack(r.Context(), req.Subscriber, r.PathValue("fs"), req.TimestampNS); err != nil {
@@ -374,7 +399,7 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCallback(w http.ResponseWriter, r *http.Request) {
 	var p bdms.NotificationPayload
 	if err := httpx.ReadJSON(r, &p); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	entries := p.Entries()
@@ -443,7 +468,7 @@ func (s *Server) handlePeerWarmup(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, 2*DefaultWarmupMaxBytes)
 	var snap bdms.CacheSnapshot
 	if err := httpx.ReadJSON(r, &snap); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteReadError(w, err)
 		return
 	}
 	httpx.WriteJSON(w, http.StatusOK, s.broker.InstallWarmup(r.Context(), snap))

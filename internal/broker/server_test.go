@@ -229,7 +229,7 @@ func TestServerPushCallback(t *testing.T) {
 		Results: []bdms.ResultObject{{
 			ID: "pushed-1", SubscriptionID: bsID,
 			Timestamp: 42 * time.Second, Size: 64,
-			Rows: []map[string]any{{"etype": "fire"}},
+			Rows: json.RawMessage(`[{"etype":"fire"}]`),
 		}},
 	}
 	err := httpx.DoJSON(srv.Client(), http.MethodPost, srv.URL+"/v1/callbacks/results", payload, nil)

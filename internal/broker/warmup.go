@@ -178,13 +178,9 @@ func (b *Broker) SnapshotCache() bdms.CacheSnapshot {
 			Params: c.bs.params, BTSNS: int64(c.bts),
 		}
 		for _, o := range objs {
-			rows, ok := o.Payload.([]map[string]any)
-			if !ok {
-				continue
-			}
 			entry.Objects = append(entry.Objects, bdms.CacheWarmObject{
 				ID: o.ID, TimestampNS: int64(o.Timestamp), Size: o.Size,
-				FetchLatencyNS: int64(o.FetchLatency), Rows: rows,
+				FetchLatencyNS: int64(o.FetchLatency), Rows: o.Payload,
 			})
 		}
 		budget += warmEntryBytes(entry)

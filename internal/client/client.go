@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -286,14 +287,27 @@ func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 		ctx = obs.ContextWithSpan(ctx, origin)
 	}
 	var out broker.ResultsResponse
-	sub := base + "/v1/subscriptions/" + url.PathEscape(cur)
-	u := sub + "/results?subscriber=" + url.QueryEscape(c.subscriber)
+	// One allocation for the URL; sub, the subscription's own URL, is a
+	// prefix of it.
+	fsPath, who := url.PathEscape(cur), url.QueryEscape(c.subscriber)
+	var u strings.Builder
+	u.Grow(len(base) + len(fsPath) + len(who) + 64)
+	u.WriteString(base)
+	u.WriteString("/v1/subscriptions/")
+	u.WriteString(fsPath)
+	subLen := u.Len()
+	u.WriteString("/results?subscriber=")
+	u.WriteString(who)
 	if st != nil {
-		u += "&ack=" + strconv.FormatInt(int64(seen), 10)
+		var ack [20]byte
+		u.WriteString("&ack=")
+		u.Write(strconv.AppendInt(ack[:0], int64(seen), 10))
 	}
+	results := u.String()
+	sub := results[:subLen]
 	rctx, rsp := c.traces.Start(ctx, "client.get_results")
 	rsp.SetAttr("subscription", fs)
-	err := httpx.DoJSONContext(rctx, c.http, http.MethodGet, u, nil, &out)
+	err := httpx.DoJSONContext(rctx, c.http, http.MethodGet, results, nil, &out)
 	rsp.SetError(err)
 	rsp.End()
 	if err != nil {

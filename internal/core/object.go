@@ -38,8 +38,9 @@ type Object struct {
 	// FetchLatency is the estimated time to retrieve this object from the
 	// data cluster instead of the cache (l_ij); the LSD policy uses it.
 	FetchLatency time.Duration
-	// Payload is the opaque result content (JSON rows, typically).
-	Payload any
+	// Payload is the result content as the data cluster encoded it (the
+	// JSON rows); it is served as these bytes, never re-encoded.
+	Payload []byte
 	// Peer marks an object that a sibling broker's cache served on a
 	// miss, rather than the data cluster. Miss accounting still counts it
 	// (the local cache genuinely missed) but it is excluded from cluster

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -94,6 +95,14 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// WriteJSONBody writes body, a JSON document appended by hand (newline
+// included), as WriteJSON writes an encoded one.
+func WriteJSONBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
 // WriteError writes the unified error envelope, deriving the code and
 // retryability from the status.
 func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -109,16 +118,92 @@ func WriteErrorCode(w http.ResponseWriter, status int, code, format string, args
 	}})
 }
 
-// ReadJSON decodes the request body into v, reading at most MaxBodyBytes.
-// Unknown fields are ignored, not rejected: that is what lets a receiver
-// accept a newer or older peer's payload (a pre-"results" cluster's
-// "result" field degrades to a PULL notification at the broker).
+// TooLargeError reports a body that did not fit in MaxBodyBytes. It names
+// the bound and the URL, so a response that outgrew it (a deep backlog in
+// one results answer) reads as exactly that, not as corrupt JSON.
+type TooLargeError struct {
+	URL   string
+	Limit int64
+}
+
+// Error implements error.
+func (e *TooLargeError) Error() string {
+	return fmt.Sprintf("httpx: body of %s exceeds the %d-byte limit", e.URL, e.Limit)
+}
+
+// limitedBody hands out at most MaxBodyBytes of a body and then reads one
+// byte past the bound: EOF there is the body's end, a byte is a
+// *TooLargeError.
+type limitedBody struct {
+	r    io.Reader
+	left int64 // bytes still handed out
+	url  string
+}
+
+func (l *limitedBody) Read(p []byte) (int, error) {
+	if l.left <= 0 {
+		var one [1]byte
+		if _, err := io.ReadFull(l.r, one[:]); err != nil {
+			return 0, err // io.EOF: the body ended at the bound
+		}
+		return 0, &TooLargeError{URL: l.url, Limit: MaxBodyBytes}
+	}
+	if int64(len(p)) > l.left {
+		p = p[:l.left]
+	}
+	n, err := l.r.Read(p)
+	l.left -= int64(n)
+	return n, err
+}
+
+// readBody reads a whole body of at most MaxBodyBytes. size is the length
+// the sender declared (-1: unknown): a known length is read into one
+// buffer of that size (+1, so EOF is seen without growing it) instead of
+// growing one from 512 bytes.
+func readBody(body io.Reader, size int64, url string) ([]byte, error) {
+	l := limitedBody{r: body, left: MaxBodyBytes, url: url}
+	capacity := int64(512)
+	if size >= 0 && size <= MaxBodyBytes {
+		capacity = size + 1
+	}
+	buf := make([]byte, 0, capacity)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := l.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// ReadJSON decodes the request body into v, reading at most MaxBodyBytes;
+// a larger body fails with a *TooLargeError (WriteReadError answers it
+// 413). Unknown fields are ignored, not rejected: that is what lets a
+// receiver accept a newer or older peer's payload (a pre-"results"
+// cluster's "result" field degrades to a PULL notification at the broker).
 func ReadJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, MaxBodyBytes))
+	dec := json.NewDecoder(&limitedBody{r: r.Body, left: MaxBodyBytes, url: r.RequestURI})
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("httpx: decode request body: %w", err)
 	}
 	return nil
+}
+
+// WriteReadError answers a ReadJSON failure: 413 for a body over
+// MaxBodyBytes, 400 for anything else.
+func WriteReadError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *TooLargeError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	WriteError(w, status, "%v", err)
 }
 
 // DoJSON performs an HTTP request with a JSON body (nil for none) and
@@ -178,7 +263,7 @@ func DoJSONHeader(ctx context.Context, client *http.Client, method, url string, 
 		return 0, nil, fmt.Errorf("httpx: %s %s: %w", method, url, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes))
+	data, err := readBody(resp.Body, resp.ContentLength, url)
 	if err != nil {
 		return resp.StatusCode, resp.Header, fmt.Errorf("httpx: read response: %w", err)
 	}

@@ -1,10 +1,12 @@
 package httpx
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -189,5 +191,82 @@ func TestCodeForStatusDefaults(t *testing.T) {
 	}
 	if got := CodeForStatus(http.StatusTeapot); got != CodeBadRequest {
 		t.Errorf("418 -> %q", got)
+	}
+}
+
+// jsonOfSize is a JSON document of exactly n bytes: {"x":"aaa…"}.
+func jsonOfSize(n int) []byte {
+	b := []byte(`{"x":"`)
+	b = append(b, strings.Repeat("a", n-len(b)-2)...)
+	return append(b, `"}`...)
+}
+
+// TestBodyOverLimitIsTyped: a body of MaxBodyBytes+1 fails with a
+// *TooLargeError naming the bound and the URL — on a response, whether or
+// not its length was declared, and on a request, which WriteReadError
+// answers 413 — while a body of exactly MaxBodyBytes still decodes.
+func TestBodyOverLimitIsTyped(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		size    int
+		chunked bool
+		fits    bool
+	}{
+		{"at the limit, declared", MaxBodyBytes, false, true},
+		{"over the limit, declared", MaxBodyBytes + 1, false, false},
+		{"over the limit, chunked", MaxBodyBytes + 1, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := jsonOfSize(tc.size)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				if !tc.chunked {
+					w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+				}
+				_, _ = w.Write(body)
+			}))
+			defer srv.Close()
+			var out map[string]string
+			err := DoJSON(srv.Client(), http.MethodGet, srv.URL+"/v1/deep", nil, &out)
+			checkTooLarge(t, err, tc.fits, srv.URL+"/v1/deep")
+			if tc.fits && len(out["x"]) != tc.size-8 {
+				t.Errorf("decoded %d bytes of x, want %d", len(out["x"]), tc.size-8)
+			}
+
+			req := httptest.NewRequest(http.MethodPost, "/v1/subscriptions", bytes.NewReader(body))
+			err = ReadJSON(req, &out)
+			checkTooLarge(t, err, tc.fits, "/v1/subscriptions")
+			if !tc.fits {
+				rec := httptest.NewRecorder()
+				WriteReadError(rec, err)
+				if rec.Code != http.StatusRequestEntityTooLarge {
+					t.Errorf("WriteReadError answered %d, want 413", rec.Code)
+				}
+			}
+		})
+	}
+	rec := httptest.NewRecorder()
+	WriteReadError(rec, ReadJSON(httptest.NewRequest(http.MethodPost, "/", strings.NewReader("{broken")), new(any)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("broken JSON answered %d, want 400", rec.Code)
+	}
+}
+
+func checkTooLarge(t *testing.T, err error, fits bool, url string) {
+	t.Helper()
+	if fits {
+		if err != nil {
+			t.Errorf("body at the limit: %v", err)
+		}
+		return
+	}
+	var tooLarge *TooLargeError
+	if !errors.As(err, &tooLarge) {
+		t.Fatalf("err = %v, want a *TooLargeError", err)
+	}
+	if tooLarge.Limit != MaxBodyBytes || tooLarge.URL != url {
+		t.Errorf("TooLargeError = %+v, want limit %d and URL %s", tooLarge, MaxBodyBytes, url)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "16777216") || !strings.Contains(msg, url) {
+		t.Errorf("message %q names neither the limit nor the URL", msg)
 	}
 }

@@ -65,12 +65,16 @@ func (o *Observer) MetricsHandler() http.Handler { return o.Registry.Handler() }
 // Wrap instruments one route: it joins (or starts) the request's trace from
 // the traceparent header, injects a request ID, records per-route metrics
 // and emits a structured access line. route should be the mux pattern, so
-// metric cardinality stays bounded by the route table.
+// metric cardinality stays bounded by the route table. The span name and
+// the route's share of the HTTP metrics are taken here, once, not per
+// request.
 func (o *Observer) Wrap(route string, h http.HandlerFunc) http.HandlerFunc {
+	name := "http " + route
+	metrics := o.HTTP.Route(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		done := o.HTTP.Begin()
-		defer done()
+		o.HTTP.Begin()
+		defer o.HTTP.End()
 
 		// Trace: continue the caller's trace when the header parses,
 		// otherwise become the root. Either way this server handles the
@@ -80,7 +84,7 @@ func (o *Observer) Wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 		if parent, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
 			ctx = obs.ContextWithSpan(ctx, parent)
 		}
-		ctx, sp := o.Traces.Start(ctx, "http "+route)
+		ctx, sp := o.Traces.Start(ctx, name)
 		sp.SetAttr("method", r.Method)
 		reqID := r.Header.Get(RequestIDHeader)
 		if reqID == "" {
@@ -93,12 +97,12 @@ func (o *Observer) Wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 		h(rec, r.WithContext(ctx))
 
 		status := rec.status()
-		sp.SetAttr("status", strconv.Itoa(status))
+		sp.SetAttr("status", statusString(status))
 		if status >= 500 {
 			sp.SetError(fmt.Errorf("http %d", status))
 		}
 		sp.End()
-		o.HTTP.Observe(route, r.Method, status, time.Since(start))
+		metrics.Observe(r.Method, status, time.Since(start))
 		level := slog.LevelDebug
 		if status >= 500 {
 			level = slog.LevelError
@@ -112,6 +116,22 @@ func (o *Observer) Wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 			slog.Duration("duration", time.Since(start)),
 		)
 	}
+}
+
+// statusStrings holds the decimal form of every status code a server can
+// answer, so a span's status attribute costs no strconv allocation.
+var statusStrings = func() (s [600]string) {
+	for code := 100; code < len(s); code++ {
+		s[code] = strconv.Itoa(code)
+	}
+	return s
+}()
+
+func statusString(code int) string {
+	if code >= 100 && code < len(statusStrings) {
+		return statusStrings[code]
+	}
+	return strconv.Itoa(code)
 }
 
 // statusRecorder captures the status code and body size while passing

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -109,6 +110,43 @@ func TestWrapAccessLogCarriesTrace(t *testing.T) {
 	if line["status"] != float64(http.StatusOK) {
 		t.Errorf("status = %v", line["status"])
 	}
+}
+
+// TestWrapAllocs bounds what instrumenting a route costs a request that
+// arrives with a traceparent, around a handler that does nothing.
+func TestWrapAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector allocates on its own")
+	}
+	o := NewObserver("badbroker", nil)
+	h := o.Wrap("/v1/subscriptions/{fs}/results", func(http.ResponseWriter, *http.Request) {})
+	r := httptest.NewRequest(http.MethodGet, "/v1/subscriptions/fs-1/results", nil)
+	r.Header.Set(obs.TraceparentHeader, obs.NewSpan().Traceparent())
+	w := httptest.NewRecorder()
+	h(w, r) // the route's series exist from here on
+	allocs := testing.AllocsPerRun(200, func() { h(w, r) })
+	// Seven: the remote parent's and the server span's context nodes, the
+	// span, the request ID, its context node and its response header
+	// value, and the request copy WithContext makes. The parent spent 20:
+	// a closure for the in-flight gauge, two context.WithValue pairs, the
+	// span name, the span with its trace buffer, slot and attribute map,
+	// the request ID's hex, the status code's string twice and the label
+	// key of a series lookup.
+	if allocs > 8 {
+		t.Errorf("Wrap around a no-op handler = %v allocs, want at most 8", allocs)
+	}
+}
+
+// raceBuild reports a -race test binary, whose instrumentation allocates
+// on its own.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 func TestDoJSONContextForwardsTrace(t *testing.T) {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -30,14 +31,50 @@ func NewHTTPMetrics(reg *Registry) *HTTPMetrics {
 	return m
 }
 
-// Begin marks a request in flight; call the returned func when it ends.
-func (m *HTTPMetrics) Begin() func() {
-	m.inflight.Inc()
-	return m.inflight.Dec
+// Begin marks a request in flight; End marks it done.
+func (m *HTTPMetrics) Begin() { m.inflight.Inc() }
+
+// End ends what Begin started.
+func (m *HTTPMetrics) End() { m.inflight.Dec() }
+
+// Route returns one route pattern's share of the families; a server takes
+// it once, when it registers the route.
+func (m *HTTPMetrics) Route(route string) *RouteMetrics {
+	return &RouteMetrics{m: m, route: route, requests: make(map[methodCode]*Counter)}
+}
+
+// RouteMetrics records the requests one route serves. Each series is
+// resolved from its family the first time the route observes it and kept,
+// so a request builds no label key; a series still appears on /metrics
+// only once it has been observed, as it did when every request looked its
+// series up.
+type RouteMetrics struct {
+	m     *HTTPMetrics
+	route string
+
+	mu       sync.Mutex
+	latency  *Histogram
+	requests map[methodCode]*Counter
+}
+
+type methodCode struct {
+	method string
+	code   int
 }
 
 // Observe records one served request.
-func (m *HTTPMetrics) Observe(route, method string, code int, d time.Duration) {
-	m.requests.With(route, method, strconv.Itoa(code)).Inc()
-	m.latency.With(route).Observe(d.Seconds())
+func (r *RouteMetrics) Observe(method string, code int, d time.Duration) {
+	r.mu.Lock()
+	c := r.requests[methodCode{method, code}]
+	if c == nil {
+		c = r.m.requests.With(r.route, method, strconv.Itoa(code))
+		r.requests[methodCode{method, code}] = c
+	}
+	if r.latency == nil {
+		r.latency = r.m.latency.With(r.route)
+	}
+	h := r.latency
+	r.mu.Unlock()
+	c.Inc()
+	h.Observe(d.Seconds())
 }

@@ -379,14 +379,24 @@ func (v *vec[T]) with(labelValues ...string) *T {
 		panic(fmt.Sprintf("obs: metric %q expects %d label values, got %d",
 			v.name, len(v.labels), len(labelValues)))
 	}
-	key := strings.Join(labelValues, "\xff")
+	// The key is built on the stack and looked up without conversion; it
+	// becomes a string only for a child seen the first time.
+	var buf [128]byte
+	key := buf[:0]
+	for i, lv := range labelValues {
+		if i > 0 {
+			key = append(key, '\xff')
+		}
+		key = append(key, lv...)
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	c, ok := v.children[key]
+	c, ok := v.children[string(key)]
 	if !ok {
+		k := string(key)
 		c = &child[T]{labelValues: append([]string(nil), labelValues...), inst: v.make()}
-		v.children[key] = c
-		v.order = append(v.order, key)
+		v.children[k] = c
+		v.order = append(v.order, k)
 	}
 	return c.inst
 }

@@ -88,11 +88,13 @@ type rawTrace struct {
 }
 
 // traceBuf buffers the spans of one in-flight trace until its last
-// locally-open span ends.
+// locally-open span ends. The first spans land in inline, so a request's
+// trace (its server span and the two or three below it) grows nothing.
 type traceBuf struct {
 	spans   []*Span
 	open    int
 	dropped int // spans beyond maxSpansPerTrace
+	inline  [4]*Span
 }
 
 // Recorder collects spans into per-trace buffers and retains finished
@@ -135,6 +137,10 @@ func NewRecorder(service string) *Recorder {
 // from the goroutine that started it, then End it exactly once; an ended
 // span is immutable and is what the recorder buffers. A nil *Span is a
 // valid no-op.
+//
+// A span is one allocation: its first attributes live in attrBuf, and the
+// span that opens a trace carries that trace's buffer in buf. Attributes
+// become a map only when exported.
 type Span struct {
 	rec       *Recorder
 	sc        obs.SpanContext
@@ -143,10 +149,16 @@ type Span struct {
 	name      string
 	start     time.Time
 	dur       time.Duration
-	attrs     map[string]string
+	attrs     []attr
 	errMsg    string
 	ended     bool
+	attrBuf   [4]attr
+	buf       traceBuf
 }
+
+// attr is one key/value attribute; a later SetAttr of the same key
+// replaces the value in place.
+type attr struct{ key, value string }
 
 // Start begins a span named name as a child of the span context carried
 // by ctx (minting a new root trace when ctx has none) and returns ctx
@@ -187,6 +199,7 @@ func (r *Recorder) startWith(ctx context.Context, name string, sc obs.SpanContex
 		name:      name,
 		start:     r.now(),
 	}
+	s.attrs = s.attrBuf[:0]
 	r.mu.Lock()
 	r.started++
 	tb := r.active[sc.TraceID]
@@ -199,7 +212,8 @@ func (r *Recorder) startWith(ctx context.Context, name string, sc obs.SpanContex
 			}
 			delete(r.active, oldest)
 		}
-		tb = &traceBuf{}
+		tb = &s.buf
+		tb.spans = tb.inline[:0]
 		r.active[sc.TraceID] = tb
 		r.activeOrder = append(r.activeOrder, sc.TraceID)
 	}
@@ -221,10 +235,13 @@ func (s *Span) SetAttr(key, value string) {
 	if s == nil || s.ended {
 		return
 	}
-	if s.attrs == nil {
-		s.attrs = make(map[string]string, 4)
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			s.attrs[i].value = value
+			return
+		}
 	}
-	s.attrs[key] = value
+	s.attrs = append(s.attrs, attr{key, value})
 }
 
 // SetName renames the span; cache-resolution spans use it once the
@@ -354,7 +371,12 @@ func (r *Recorder) Snapshot() []Trace {
 				StartNano:  sp.start.UnixNano(),
 				DurationNS: sp.dur.Nanoseconds(),
 				Error:      sp.errMsg,
-				Attrs:      sp.attrs,
+			}
+			if len(sp.attrs) > 0 {
+				rec.Attrs = make(map[string]string, len(sp.attrs))
+				for _, a := range sp.attrs {
+					rec.Attrs[a.key] = a.value
+				}
 			}
 			if sp.hasParent {
 				rec.ParentID = hex.EncodeToString(sp.parent[:])

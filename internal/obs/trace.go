@@ -102,38 +102,69 @@ func mustRandom(b []byte) {
 	}
 }
 
-type ctxKey int
+type ctxKey uint8
 
 const (
 	ctxKeySpan ctxKey = iota
 	ctxKeyRequestID
 )
 
+// valueCtx is the context node this package installs for each of its
+// keys: one allocation, where context.WithValue costs a node plus the
+// boxed value, and Value answers the node's key with the node itself — a
+// pointer, so reading the value back boxes nothing either. A request a
+// server handles installs two span contexts and a request ID.
+type valueCtx[T any] struct {
+	context.Context
+	key ctxKey
+	val T
+}
+
+func (c *valueCtx[T]) Value(key any) any {
+	if key == c.key {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
+// fromContext returns the value installed under key, if any.
+func fromContext[T any](ctx context.Context, key ctxKey) (T, bool) {
+	c, ok := ctx.Value(key).(*valueCtx[T])
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	return c.val, true
+}
+
 // ContextWithSpan attaches a span context.
 func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, ctxKeySpan, sc)
+	return &valueCtx[SpanContext]{ctx, ctxKeySpan, sc}
 }
 
 // SpanFromContext returns the attached span context, if any.
 func SpanFromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(ctxKeySpan).(SpanContext)
+	sc, ok := fromContext[SpanContext](ctx, ctxKeySpan)
 	return sc, ok && sc.Valid()
 }
 
 // ContextWithRequestID attaches a per-request ID.
 func ContextWithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxKeyRequestID, id)
+	return &valueCtx[string]{ctx, ctxKeyRequestID, id}
 }
 
 // RequestIDFromContext returns the attached request ID ("" if none).
 func RequestIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
+	id, _ := fromContext[string](ctx, ctxKeyRequestID)
 	return id
 }
 
-// NewRequestID mints a 16-hex-digit random request ID.
+// NewRequestID mints a 16-hex-digit random request ID: one allocation, the
+// string.
 func NewRequestID() string {
 	var b [8]byte
+	var h [16]byte
 	mustRandom(b[:])
-	return hex.EncodeToString(b[:])
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
