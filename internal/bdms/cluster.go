@@ -28,8 +28,8 @@ type Notifier interface {
 // PushNotifier is a Notifier that can also carry the PUSH model (Section
 // III: "the actual content of the notification ... may contain the entire
 // result objects themselves and the results are immediately pushed to the
-// broker (PUSH model)"). Clusters configured WithPushModel deliver through
-// NotifyPushContext when the notifier has it and fall back to the
+// broker (PUSH model)"). A cluster delivers through NotifyPushContext when
+// its notifier has it, unless configured WithPullModel, and through the
 // PULL-model NotifyContext otherwise.
 type PushNotifier interface {
 	Notifier
@@ -66,12 +66,13 @@ func WithNotifier(n Notifier) Option {
 	return func(c *Cluster) { c.notifier = n }
 }
 
-// WithPushModel makes notifications carry the result objects themselves
-// (PUSH model) when the configured Notifier supports it; the default is
-// the PULL model, where notifications carry only a resource handle and the
-// broker fetches the results it wants.
-func WithPushModel() Option {
-	return func(c *Cluster) { c.pushModel = true }
+// WithPullModel makes notifications carry only a resource handle — the
+// latest result timestamp — so the broker fetches the results it wants
+// (PULL model, the paper's comparison point). The default is the PUSH
+// model: notifications carry the result objects themselves when the
+// configured Notifier supports it.
+func WithPullModel() Option {
+	return func(c *Cluster) { c.pullModel = true }
 }
 
 // ClusterStats counts the cluster's externally visible work.
@@ -127,7 +128,7 @@ type subscription struct {
 type Cluster struct {
 	clock     Clock
 	notifier  Notifier
-	pushModel bool
+	pullModel bool
 
 	wal *WAL
 
@@ -435,7 +436,7 @@ func (c *Cluster) NumEvalGroups() int {
 
 // Ingest stores a publication and runs continuous-channel matching against
 // it; matching subscriptions get a new result object and their callbacks
-// are notified.
+// are notified before it returns.
 func (c *Cluster) Ingest(dataset string, data map[string]any) (Record, error) {
 	return c.IngestContext(context.Background(), dataset, data)
 }
@@ -445,10 +446,11 @@ func (c *Cluster) Ingest(dataset string, data map[string]any) (Record, error) {
 // trace, and every notification it produces is delivered under the same
 // trace, so one publication is one trace end to end.
 func (c *Cluster) IngestContext(ctx context.Context, dataset string, data map[string]any) (Record, error) {
-	recs, err := c.ingest(ctx, dataset, []map[string]any{data}, false)
+	recs, out, err := c.ingest(ctx, dataset, []map[string]any{data}, false)
 	if err != nil {
 		return Record{}, err
 	}
+	c.deliver(out)
 	return recs[0], nil
 }
 
@@ -462,10 +464,20 @@ func (c *Cluster) IngestBatch(dataset string, batch []map[string]any) ([]Record,
 
 // IngestBatchContext is IngestBatch carrying the caller's trace.
 func (c *Cluster) IngestBatchContext(ctx context.Context, dataset string, batch []map[string]any) ([]Record, error) {
-	if len(batch) == 0 {
-		return nil, fmt.Errorf("bdms: empty batch for dataset %s", dataset)
+	recs, out, err := c.ingest(ctx, dataset, batch, true)
+	if err != nil {
+		return nil, err
 	}
-	return c.ingest(ctx, dataset, batch, true)
+	c.deliver(out)
+	return recs, nil
+}
+
+// notices are a publication's notifications, held until its publisher has
+// been answered, with the context — the publication's trace — they are
+// delivered under.
+type notices struct {
+	ctx     context.Context
+	pending []notification
 }
 
 // ingest is the shared publication pipeline:
@@ -475,11 +487,17 @@ func (c *Cluster) IngestBatchContext(ctx context.Context, dataset string, batch 
 //	         positions its equality index selects)
 //	unlock : scan: one compiled-predicate call per candidate group
 //	lock   : append each matching group's shared rows to its members
-//	unlock : deliver notifications
+//	unlock : return the records and the notifications
 //
 // The global mutex covers only index/state mutation; the channel queries —
-// the expensive part — run on snapshots outside it.
-func (c *Cluster) ingest(ctx context.Context, dataset string, batch []map[string]any, isBatch bool) (recs []Record, err error) {
+// the expensive part — run on snapshots outside it. The caller delivers the
+// notifications: the exported Ingest methods before they return, the HTTP
+// handlers once the publisher's answer is on the wire, so a push fan-out
+// does not hold the answer up. Either way the results are in the WAL first.
+func (c *Cluster) ingest(ctx context.Context, dataset string, batch []map[string]any, isBatch bool) (recs []Record, out notices, err error) {
+	if isBatch && len(batch) == 0 {
+		return nil, notices{}, fmt.Errorf("bdms: empty batch for dataset %s", dataset)
+	}
 	ctx, sp := c.traces.Start(ctx, "cluster.ingest")
 	sp.SetAttr("dataset", dataset)
 	if isBatch {
@@ -494,27 +512,27 @@ func (c *Cluster) ingest(ctx context.Context, dataset string, batch []map[string
 	ds, ok := c.datasets[dataset]
 	if !ok {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("bdms: unknown dataset %q", dataset)
+		return nil, notices{}, fmt.Errorf("bdms: unknown dataset %q", dataset)
 	}
 	// Validate the whole batch before storing anything: a batch is
 	// accepted or rejected atomically.
 	for i, data := range batch {
 		if data == nil {
 			c.mu.Unlock()
-			return nil, fmt.Errorf("bdms: nil record at batch index %d for dataset %s", i, dataset)
+			return nil, notices{}, fmt.Errorf("bdms: nil record at batch index %d for dataset %s", i, dataset)
 		}
 		if err := ds.schema.Validate(data); err != nil {
 			c.mu.Unlock()
 			if isBatch {
-				return nil, fmt.Errorf("bdms: batch index %d: %w", i, err)
+				return nil, notices{}, fmt.Errorf("bdms: batch index %d: %w", i, err)
 			}
-			return nil, err
+			return nil, notices{}, err
 		}
 	}
 	// Log before acknowledging (write-ahead); one flush for the batch.
 	if err := c.logIngestBatch(dataset, batch, now); err != nil {
 		c.mu.Unlock()
-		return nil, err
+		return nil, notices{}, err
 	}
 	recs = make([]Record, len(batch))
 	for i, data := range batch {
@@ -541,9 +559,9 @@ func (c *Cluster) ingest(ctx context.Context, dataset string, batch []map[string
 		evalSp.SetAttr("errors", fmt.Sprintf("%d", failed))
 		evalSp.End()
 		c.stages.Observe(ctx, span.StageClusterEval, span.OutcomeNone, time.Since(evalStart))
-		c.deliver(ctx, pending)
+		out = notices{ctx: ctx, pending: pending}
 	}
-	return recs, nil
+	return recs, out, nil
 }
 
 // collectScans snapshots, for a freshly inserted batch, the scan table of
@@ -622,19 +640,23 @@ type notification struct {
 // appendResult stores a new result object for sub and returns the
 // notification to deliver. The rows and their encoding are shared across
 // every member of the evaluation group (results are immutable once
-// produced, so sharing is safe — no per-member copy). Caller holds the
-// lock.
+// produced, so sharing is safe — no per-member copy). The object names its
+// predecessor, sub's newest result until now (0: none), for a broker to
+// prove it missed nothing; the lock that orders sub's results makes that
+// exact. Caller holds the lock.
 func (c *Cluster) appendResult(sub *subscription, t *evalTask, now time.Duration) notification {
 	ts := now
 	if ts <= sub.lastTS {
 		ts = sub.lastTS + time.Nanosecond
 	}
+	prev := sub.lastTS
 	sub.lastTS = ts
 	sub.seq++
 	obj := ResultObject{
 		ID:             fmt.Sprintf("%s-r%06d", sub.id, sub.seq),
 		SubscriptionID: sub.id,
 		Timestamp:      ts,
+		PrevNS:         int64(prev),
 		Rows:           t.enc,
 		Size:           int64(len(t.enc)),
 	}
@@ -644,20 +666,20 @@ func (c *Cluster) appendResult(sub *subscription, t *evalTask, now time.Duration
 	return notification{subID: sub.id, callback: sub.callback, latest: ts, obj: obj}
 }
 
-// deliver fires pending notifications outside the lock, under the
-// publication's span: the result objects themselves under the push model
-// when the notifier can carry them, the latest timestamp otherwise.
-func (c *Cluster) deliver(ctx context.Context, pending []notification) {
-	if c.notifier == nil || len(pending) == 0 {
+// deliver fires a commit's notifications outside the lock, under the
+// publication's span: the result objects themselves when the notifier can
+// carry them (PUSH, the default), the latest timestamp otherwise.
+func (c *Cluster) deliver(out notices) {
+	if c.notifier == nil || len(out.pending) == 0 {
 		return
 	}
 	pusher, canPush := c.notifier.(PushNotifier)
-	for _, n := range pending {
+	for _, n := range out.pending {
 		c.stats.Notifications.Inc()
-		if c.pushModel && canPush {
-			pusher.NotifyPushContext(ctx, n.subID, n.callback, n.obj)
+		if canPush && !c.pullModel {
+			pusher.NotifyPushContext(out.ctx, n.subID, n.callback, n.obj)
 		} else {
-			c.notifier.NotifyContext(ctx, n.subID, n.callback, n.latest)
+			c.notifier.NotifyContext(out.ctx, n.subID, n.callback, n.latest)
 		}
 	}
 }
@@ -735,7 +757,7 @@ func (c *Cluster) RunRepetitiveDue() int {
 	// root a trace of their own.
 	ctx, sp := c.traces.Start(context.Background(), "cluster.repetitive")
 	pending, _ := c.commitEval(ctx, tasks, now)
-	c.deliver(ctx, pending)
+	c.deliver(notices{ctx: ctx, pending: pending})
 	sp.End()
 	return executions
 }

@@ -2,6 +2,7 @@ package bdms
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -19,11 +20,14 @@ import (
 // the broker when results against that subscription are available". PUSH
 // versus PULL is a property of an entry, not a second protocol: a PULL entry
 // carries only a resource handle (the latest result timestamp) and the
-// broker fetches the results it wants; a PUSH entry carries the result
-// objects themselves. One POST is an envelope — everything the notifier
+// broker fetches the results it wants; a PUSH entry — the default — carries
+// the result objects themselves, each naming its predecessor (prev_ns), so
+// the broker can tell without asking the cluster that nothing lies between
+// its marker and them. One POST is an envelope — everything the notifier
 // held for that callback, one entry per subscription: the head entry in the
 // top-level fields, the others in More, so a single notification is the
-// envelope of one and reads as it always has.
+// envelope of one and reads as it always has. The notifier appends it by
+// hand (appendNotificationPayload), the pushed rows spliced in.
 type NotificationPayload struct {
 	SubscriptionID string `json:"subscription_id"`
 	LatestNS       int64  `json:"latest_ns"`
@@ -142,8 +146,8 @@ type outbox struct {
 // put back after a capped exponential backoff that holds no worker, until
 // its attempt budget is spent and it is counted lost. Intake sheds past
 // queueCap entries — safe for the protocol: PULL notifications are
-// cumulative and a dropped PUSH is recovered by the broker's next pull,
-// because its marker still lags the dropped object.
+// cumulative, and a dropped PUSH leaves the next pushed result naming a
+// predecessor above the broker's marker, so the broker pulls the gap.
 type WebhookNotifier struct {
 	client      *http.Client
 	logger      *slog.Logger
@@ -396,16 +400,19 @@ func (n *WebhookNotifier) post(callback string, batch []*entry) {
 	ctx := obs.ContextWithSpan(context.Background(), batch[0].span)
 	start := time.Now()
 	entries := make([]NotificationPayload, len(batch))
+	size := 0
 	for i, e := range batch {
 		entries[i] = NotificationPayload{SubscriptionID: e.sub, LatestNS: e.latest, Results: e.results}
+		size += 64 + len(e.sub) + resultsSize(e.results) + 32*len(e.results) // 32: prev_ns
 		if e.attempts == 0 {
 			n.stages.Observe(ctx, span.StageWebhookQueue, span.OutcomeNone, start.Sub(e.accepted))
 		}
 	}
 	payload := entries[0]
 	payload.More = entries[1:]
+	body := appendNotificationPayload(make([]byte, 0, size), payload)
 	var resp CallbackResponse
-	err := httpx.DoJSONContext(ctx, n.client, http.MethodPost, callback, payload, &resp)
+	err := httpx.DoJSONContext(ctx, n.client, http.MethodPost, callback, json.RawMessage(body), &resp)
 	n.stages.Observe(ctx, span.StageWebhook, span.OutcomeNone, time.Since(start))
 	n.stats.Posts.Add(1)
 	n.stats.Entries.Add(uint64(len(batch)))

@@ -7,14 +7,15 @@ import (
 	"gobad/internal/httpx"
 )
 
-// The documents that carry result rows on the ingest and pull paths — a
-// WAL result record, the results and results:batch bodies — are appended
-// here field by field, as encoding/json writes them, with each result's
-// rows spliced in. The rows are json.Marshal output already (evaluate
-// made them, or encodeResults for a range read): compact and escaped.
-// Handed back to encoding/json as a RawMessage they would be re-scanned
-// byte by byte to compact what is compact, which on the WAL's result
-// records, under the cluster lock, cost more than encoding the rows had.
+// The documents that carry result rows on the ingest, push and pull paths —
+// a WAL result record, the webhook envelope, the results and results:batch
+// bodies — are appended here field by field, as encoding/json writes them,
+// with each result's rows spliced in. The rows are json.Marshal output
+// already (evaluate made them, or encodeResults for a range read): compact
+// and escaped. Handed back to encoding/json as a RawMessage they would be
+// re-scanned byte by byte to compact what is compact, which on the WAL's
+// result records, under the cluster lock, cost more than encoding the rows
+// had.
 // TestResultsBodiesMatchEncodingJSON holds every one to encoding/json's
 // bytes.
 
@@ -27,6 +28,10 @@ func appendResultObject(dst []byte, obj ResultObject) []byte {
 	dst = httpx.AppendJSONString(dst, obj.SubscriptionID)
 	dst = append(dst, `,"timestamp":`...)
 	dst = strconv.AppendInt(dst, int64(obj.Timestamp), 10)
+	if obj.PrevNS != 0 {
+		dst = append(dst, `,"prev_ns":`...)
+		dst = strconv.AppendInt(dst, obj.PrevNS, 10)
+	}
 	dst = append(dst, `,"rows":`...)
 	if len(obj.Rows) == 0 {
 		dst = append(dst, "null"...)
@@ -65,6 +70,30 @@ func appendResultRecord(dst []byte, rec walRecord) []byte {
 	if rec.Result != nil {
 		dst = append(dst, `,"result":`...)
 		dst = appendResultObject(dst, *rec.Result)
+	}
+	return append(dst, '}')
+}
+
+// appendNotificationPayload appends a webhook envelope, its entries' pushed
+// results spliced in.
+func appendNotificationPayload(dst []byte, p NotificationPayload) []byte {
+	dst = append(dst, `{"subscription_id":`...)
+	dst = httpx.AppendJSONString(dst, p.SubscriptionID)
+	dst = append(dst, `,"latest_ns":`...)
+	dst = strconv.AppendInt(dst, p.LatestNS, 10)
+	if len(p.Results) > 0 {
+		dst = append(dst, `,"results":`...)
+		dst = appendResultObjects(dst, p.Results)
+	}
+	if len(p.More) > 0 {
+		dst = append(dst, `,"more":[`...)
+		for i, e := range p.More {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendNotificationPayload(dst, e)
+		}
+		dst = append(dst, ']')
 	}
 	return append(dst, '}')
 }

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// TestResultsBodiesMatchEncodingJSON: the WAL's result records and the
-// results and results:batch bodies, appended with their rows spliced in,
-// are the bytes encoding/json writes for them — rows being json.Marshal
-// output, as evaluate and encodeResults make them.
+// TestResultsBodiesMatchEncodingJSON: the WAL's result records, the webhook
+// envelope and the results and results:batch bodies, appended with their
+// rows spliced in, are the bytes encoding/json writes for them — rows being
+// json.Marshal output, as evaluate and encodeResults make them.
 func TestResultsBodiesMatchEncodingJSON(t *testing.T) {
 	rows := func(rs ...map[string]any) json.RawMessage {
 		b, err := json.Marshal(rs)
@@ -44,7 +44,11 @@ func TestResultsBodiesMatchEncodingJSON(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	for _, o := range objs {
+	stamped := append([]ResultObject(nil), objs...)
+	for i := 1; i < len(stamped); i++ {
+		stamped[i].PrevNS = int64(stamped[i-1].Timestamp)
+	}
+	for _, o := range append(objs[:len(objs):len(objs)], stamped...) {
 		for _, sub := range []string{o.SubscriptionID, ""} {
 			o := o
 			rec := walRecord{Kind: walKindResult, Sub: sub, Result: &o, AtNS: int64(o.Timestamp)}
@@ -65,6 +69,28 @@ func TestResultsBodiesMatchEncodingJSON(t *testing.T) {
 		}
 	}
 
+	// Webhook envelopes: a PULL entry, PUSH entries with and without
+	// prev_ns, a handle-only entry (a PUSH shed to its handle reads as a
+	// PULL), entries in more, IDs that need escaping.
+	pull := NotificationPayload{SubscriptionID: "bsub-000001", LatestNS: 42}
+	pushed := NotificationPayload{SubscriptionID: "bsub-000001", LatestNS: 4, Results: stamped}
+	unstamped := NotificationPayload{SubscriptionID: `q"b\s<x>&` + " ", LatestNS: 3, Results: objs[2:3]}
+	handle := NotificationPayload{SubscriptionID: "bsub-000003", LatestNS: 1 << 40, Results: []ResultObject{}}
+	for _, p := range []NotificationPayload{
+		pull, pushed, unstamped, handle,
+		{SubscriptionID: pull.SubscriptionID, LatestNS: pull.LatestNS, More: []NotificationPayload{pushed, unstamped, handle}},
+		{SubscriptionID: pushed.SubscriptionID, LatestNS: pushed.LatestNS, Results: pushed.Results, More: []NotificationPayload{pull}},
+		{SubscriptionID: "x", More: []NotificationPayload{}},
+	} {
+		want, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendNotificationPayload(nil, p); !bytes.Equal(got, want) {
+			t.Errorf("webhook envelope:\n got %s\nwant %s", got, want)
+		}
+	}
+
 	for _, ranges := range [][]RangeResults{nil, {}, {
 		{Results: objs[:2]},
 		{Error: `bdms: unknown subscription "x<y>"`},
@@ -80,7 +106,8 @@ func TestResultsBodiesMatchEncodingJSON(t *testing.T) {
 }
 
 // TestWALResultRecordsSpliced: a WAL written through commitEval holds, for
-// each result, the line encoding/json writes for its record.
+// each result, the line encoding/json writes for its record — without the
+// predecessor the result's notification names.
 func TestWALResultRecordsSpliced(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir, StoreConfig{})
@@ -100,10 +127,12 @@ func TestWALResultRecordsSpliced(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.IngestBatch("DS", []map[string]any{
-		{"k": "a", "note": "<&>\u2028"}, {"k": "b", "n": 1e21}, {"k": "a", "nested": map[string]any{"x": []any{1.0, nil}}},
-	}); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if _, err := c.IngestBatch("DS", []map[string]any{
+			{"k": "a", "note": "<&>\u2028"}, {"k": "b", "n": 1e21}, {"k": "a", "nested": map[string]any{"x": []any{1.0, nil}}},
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -130,8 +159,11 @@ func TestWALResultRecordsSpliced(t *testing.T) {
 		if !bytes.Equal(raw[i], want) {
 			t.Errorf("logged %s\nencoding/json %s", raw[i], want)
 		}
+		if rec.Result.PrevNS != 0 {
+			t.Errorf("logged %s names its predecessor", raw[i])
+		}
 	}
-	if results != 3 {
-		t.Errorf("%d result records, want 3", results)
+	if results != 6 {
+		t.Errorf("%d result records, want 6", results)
 	}
 }

@@ -1,6 +1,7 @@
 package bdms
 
 import (
+	"encoding/json"
 	"net/http"
 	"strconv"
 	"time"
@@ -219,12 +220,26 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteReadError(w, err)
 		return
 	}
-	rec, err := s.cluster.IngestContext(r.Context(), name, data)
+	recs, out, err := s.cluster.ingest(r.Context(), name, []map[string]any{data}, false)
 	if err != nil {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusCreated, IngestResponse{Seq: rec.Seq, IngestedNS: int64(rec.IngestedAt)})
+	answerCreated(w, IngestResponse{Seq: recs[0].Seq, IngestedNS: int64(recs[0].IngestedAt)})
+	s.cluster.deliver(out)
+}
+
+// answerCreated writes v as a 201 with its length and flushes it, so the
+// publisher has its answer before the publication's notifications leave —
+// a push fan-out started first would land on it.
+func answerCreated(w http.ResponseWriter, v any) {
+	body, _ := json.Marshal(v) // numbers only: cannot fail
+	body = append(body, '\n')
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	httpx.WriteJSONBody(w, http.StatusCreated, body)
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
 }
 
 // BatchIngestRequest is the POST /v1/datasets/{name}/records:batch
@@ -249,7 +264,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteReadError(w, err)
 		return
 	}
-	recs, err := s.cluster.IngestBatchContext(r.Context(), name, req.Records)
+	recs, out, err := s.cluster.ingest(r.Context(), name, req.Records, true)
 	if err != nil {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -258,7 +273,8 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	for i, rec := range recs {
 		resp.Seqs[i] = rec.Seq
 	}
-	httpx.WriteJSON(w, http.StatusCreated, resp)
+	answerCreated(w, resp)
+	s.cluster.deliver(out)
 }
 
 func (s *Server) handleDefineChannel(w http.ResponseWriter, r *http.Request) {

@@ -401,7 +401,9 @@ func (c *Cluster) logUnsubscribe(subID string, at time.Duration) error {
 // (subscription, result) so per-subscription result datasets replay
 // exactly. Best-effort by design: the in-memory state is the source of
 // truth for live traffic, so a failed append degrades durability, not
-// delivery — the failure is still visible through AppendErrors.
+// delivery — the failure is still visible through AppendErrors. A record
+// leaves the object's predecessor out: a notification does not outlive a
+// restart, and replay rebuilds each subscription's newest timestamp.
 func (c *Cluster) logResults(pending []notification, at time.Duration) {
 	if c.wal == nil || len(pending) == 0 {
 		return
@@ -409,6 +411,7 @@ func (c *Cluster) logResults(pending []notification, at time.Duration) {
 	recs := make([]walRecord, len(pending))
 	for i, n := range pending {
 		obj := n.obj
+		obj.PrevNS = 0
 		recs[i] = walRecord{Kind: walKindResult, Sub: n.subID, Result: &obj, AtNS: int64(at)}
 	}
 	_ = c.wal.appendBatch(recs)

@@ -85,9 +85,45 @@ func (e *arrivalEnv) pull(idx ...int) {
 
 // push sends r[lo:hi] as one PUSH notification, in a seeded random order.
 func (e *arrivalEnv) push(seed int64, lo, hi int) {
-	rs := append([]bdms.ResultObject(nil), e.r[lo:hi]...)
+	e.pushAll(seed, append([]bdms.ResultObject(nil), e.r[lo:hi]...))
+}
+
+// pushAll sends rs, shuffled, as one PUSH notification for the newest of
+// them.
+func (e *arrivalEnv) pushAll(seed int64, rs []bdms.ResultObject) {
+	latest := rs[0].Timestamp
+	for _, r := range rs {
+		latest = max(latest, r.Timestamp)
+	}
 	rand.New(rand.NewSource(seed)).Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
-	e.must(e.post(bdms.NotificationPayload{SubscriptionID: e.bs.id, LatestNS: int64(e.r[hi-1].Timestamp), Results: rs}))
+	e.must(e.post(bdms.NotificationPayload{SubscriptionID: e.bs.id, LatestNS: int64(latest), Results: rs}))
+}
+
+// stamped is r[lo:hi] as the cluster pushes them: each naming its
+// predecessor, r[0] none (the subscription's first result).
+func (e *arrivalEnv) stamped(lo, hi int) []bdms.ResultObject {
+	rs := append([]bdms.ResultObject(nil), e.r[lo:hi]...)
+	for i := range rs {
+		if lo+i > 0 {
+			rs[i].PrevNS = int64(e.r[lo+i-1].Timestamp)
+		}
+	}
+	return rs
+}
+
+// pushStamped is push with the objects stamped as the cluster pushes them.
+func (e *arrivalEnv) pushStamped(seed int64, lo, hi int) { e.pushAll(seed, e.stamped(lo, hi)) }
+
+// pulls runs fn against a counting backend and requires it to have called
+// the cluster for results want times.
+func (e *arrivalEnv) pulls(want int64, fn func()) {
+	e.t.Helper()
+	counted := faults.Count(e.b.backend)
+	e.b.backend = counted
+	fn()
+	if got := counted.ResultFetches(); got != want {
+		e.t.Errorf("backend pulls = %d, want %d", got, want)
+	}
 }
 
 // entry is one envelope entry for the env's subscription: a PULL for
@@ -160,6 +196,10 @@ func bytesOf(rs []bdms.ResultObject) float64 {
 // TestArrivalRoutesAreEquivalent: the same six results reach one backend
 // subscription by every route the broker has, and the cache, the marker,
 // the byte accounting and the subscriber's retrieval cannot tell which.
+// Stamped pushes — each result naming its predecessor, as the cluster
+// pushes them — make no call to the cluster once the marker has reached
+// the predecessor of the oldest; everything they cannot prove pulls its
+// gap once.
 func TestArrivalRoutesAreEquivalent(t *testing.T) {
 	type env = *arrivalEnv
 	routes := []struct {
@@ -172,6 +212,8 @@ func TestArrivalRoutesAreEquivalent(t *testing.T) {
 	}{
 		{"six pulls", func(e env) { e.pull(0, 1, 2, 3, 4, 5) }, 0, 6, 6},
 		{"one pull for the newest", func(e env) { e.pull(5) }, 0, 6, 1},
+		// Pushes that name no predecessor, as a cluster from before prev_ns
+		// sends them: each pulls the gap below it, so the result is the same.
 		{"six single pushes", func(e env) {
 			for i := range e.r {
 				e.push(0, i, i+1)
@@ -243,6 +285,58 @@ func TestArrivalRoutesAreEquivalent(t *testing.T) {
 				t.Errorf("backend pulls = %d, want 2: the batch, then (r3, r6] again from the moved marker", got)
 			}
 		}, 0, 6, 2},
+		// Stamped pushes. The first result names no predecessor, so it pulls
+		// its (empty) gap; from then on nothing is asked of the cluster.
+		{"stamped single pushes, the first pulling its gap", func(e env) {
+			e.pulls(1, func() {
+				for i := range e.r {
+					e.pushStamped(0, i, i+1)
+				}
+			})
+		}, 0, 0, 6},
+		{"stamped single pushes after the first", func(e env) {
+			e.pull(0)
+			e.pulls(0, func() {
+				for i := 1; i < len(e.r); i++ {
+					e.pushStamped(0, i, i+1)
+				}
+			})
+		}, 0, 1, 6},
+		{"stamped pushes merged in one entry", func(e env) { // as the outbox merges them, shuffled
+			e.pull(0)
+			e.pulls(0, func() { e.pushStamped(3, 1, 6) })
+		}, 0, 1, 2},
+		{"stamped entries in one envelope", func(e env) {
+			e.pull(0)
+			e.pulls(0, func() {
+				first, second := e.entry(true, 1, 3), e.entry(true, 3, 6)
+				first.Results, second.Results = e.stamped(1, 3), e.stamped(3, 6)
+				e.envelope(first, second)
+			})
+		}, 0, 1, 3},
+		// What a stamped push cannot prove is pulled, once.
+		{"stamped pushes around one shed at intake", func(e env) {
+			e.pull(0)
+			e.pulls(1, func() {
+				for _, i := range []int{1, 2, 4, 5} { // r[3]'s notification was shed
+					e.pushStamped(0, i, i+1)
+				}
+			})
+		}, 0, 2, 5},
+		{"stamped entry with a hole in the middle", func(e env) {
+			e.pull(0)
+			e.pulls(1, func() { // r[4] names r[3], which is not there: r[1:4] is pulled
+				e.pushAll(5, append(e.stamped(1, 3), e.stamped(4, 6)...))
+			})
+		}, 0, 4, 2},
+		{"stamped entry beside a handle-only one past the byte budget", func(e env) {
+			e.pull(0)
+			e.pulls(1, func() { // the notifier shed the objects of r[3:6]: the handle pulls them
+				pushed := e.entry(true, 1, 3)
+				pushed.Results = e.stamped(1, 3)
+				e.envelope(pushed, e.entry(false, 3, 6))
+			})
+		}, 0, 4, 3},
 		{"envelope whose batched pull fails, then its redelivery", func(e env) {
 			e.b.backend = faults.WrapBackend(faults.NewInjector(faults.Plan{Rules: []faults.Rule{
 				{Target: "cluster.results", Kind: faults.KindError, FromCall: 1, ToCall: 1},
@@ -297,6 +391,12 @@ func TestConcurrentArrivals(t *testing.T) {
 				e.push(int64(i), i, i+16)
 			}
 		},
+		func(i int) { e.pushStamped(0, i, i+1) },
+		func(i int) { // overlapping stamped windows, each shuffled
+			if i%5 == 0 && i+10 <= n {
+				e.pushStamped(int64(i), i, i+10)
+			}
+		},
 		func(i int) {
 			if i%30 == 0 {
 				e.resume()
@@ -305,6 +405,14 @@ func TestConcurrentArrivals(t *testing.T) {
 		func(i int) { // overlapping envelopes: pulls and a gapped push, prefetched together
 			if i%6 == 0 && i+12 <= n {
 				e.envelope(e.entry(false, i, i+4), e.entry(true, i+6, i+8), e.entry(false, i, i+12))
+			}
+		},
+		func(i int) { // overlapping envelopes of stamped entries, one with a hole
+			if i%7 == 0 && i+12 <= n {
+				first, second := e.entry(true, i, i+4), e.entry(true, i+4, i+12)
+				first.Results = e.stamped(i, i+4)
+				second.Results = append(e.stamped(i+4, i+6), e.stamped(i+7, i+12)...)
+				e.envelope(first, second)
 			}
 		},
 	}

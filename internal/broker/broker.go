@@ -13,11 +13,14 @@
 package broker
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -591,7 +594,7 @@ func (b *Broker) backfillGap(ctx context.Context, bs *backendSub) {
 	latest, err := b.backend.LatestTimestamp(bs.id)
 	if err == nil {
 		var pulled int // nothing is held, so every admitted object was pulled
-		_, pulled, err = b.advance(ctx, bs, latest, nil, false, nil)
+		_, pulled, err = b.advance(ctx, bs, latest, nil, 0, false, nil)
 		b.failover.Backfilled.Add(uint64(pulled))
 	}
 	if err != nil {
@@ -831,10 +834,11 @@ var errUnknownBackendSub = errors.New("broker: notification for unknown subscrip
 // the PULL model pushed is nil and latest names the newest result to pull;
 // under the PUSH model the notification carried the result objects
 // themselves (one or a coalesced batch, any order) and the marker moves to
-// the newest of them. Either way the results reach the cache through
-// advance, and the attached online subscribers are told once the marker
-// has moved. ctx bounds the pull from the data cluster; a cancelled pull
-// aborts before any object is admitted.
+// the newest of them; objects that name their predecessors back to the
+// marker need no pull at all (chain). Either way the results reach the
+// cache through advance, and the attached online subscribers are told once
+// the marker has moved. ctx bounds the pull from the data cluster; a
+// cancelled pull aborts before any object is admitted.
 func (b *Broker) HandleNotificationContext(ctx context.Context, backendSubID string, latest time.Duration, pushed []bdms.ResultObject) error {
 	return b.notify(ctx, backendSubID, latest, pushed, nil)
 }
@@ -844,9 +848,10 @@ func (b *Broker) HandleNotificationContext(ctx context.Context, backendSubID str
 // its error (nil when the entry was taken) is reported in its place. What
 // changes is the pulling: the ranges the entries need from the cluster —
 // (marker, latest] for a PULL entry, the gap below its oldest object for a
-// PUSH entry — are read from the current markers and fetched in one batched
-// call, which the entries' advances then share. An envelope that needs one
-// range or none is not worth a batch: its entry pulls for itself.
+// PUSH entry whose chain does not reach the marker — are read from the
+// current markers and fetched in one batched call, which the entries'
+// advances then share. An envelope that needs one range or none is not
+// worth a batch: its entry pulls for itself.
 func (b *Broker) HandleEnvelopeContext(ctx context.Context, entries []bdms.NotificationPayload) []error {
 	errs := make([]error, len(entries))
 	pre := make([]*prefetched, len(entries))
@@ -900,12 +905,14 @@ func (b *Broker) prefetch(ctx context.Context, entries []bdms.NotificationPayloa
 			continue
 		}
 		upTo, oldest := time.Duration(e.LatestNS), time.Duration(0)
-		for j, r := range e.Results {
-			if j == 0 || r.Timestamp > upTo {
-				upTo = r.Timestamp
+		if len(e.Results) > 0 {
+			run, cover := chain(e.Results)
+			if 0 < cover && cover <= bs.bts {
+				continue
 			}
-			if r.Timestamp > bs.bts && (oldest == 0 || r.Timestamp < oldest) {
-				oldest = r.Timestamp
+			upTo = run[len(run)-1].Timestamp
+			if k := sort.Search(len(run), func(k int) bool { return run[k].Timestamp > bs.bts }); k < len(run) {
+				oldest = run[k].Timestamp
 			}
 		}
 		if upTo > bs.bts {
@@ -932,6 +939,37 @@ func (b *Broker) prefetch(ctx context.Context, entries []bdms.NotificationPayloa
 	return len(ranges)
 }
 
+// chain reads what a pushed entry proves. Sorted by timestamp, its newest
+// objects form a run in which each names the one before it as its
+// predecessor (prev_ns), so the run is every result of the subscription in
+// (cover, newest], cover being the predecessor the run's oldest names. The
+// cover is 0 — nothing proven — when some object in the run names none: the
+// subscription's first result, or a cluster that does not stamp them. An
+// object naming a predecessor that is not the object before it marks a
+// hole, and the run starts above it: what lies below is pulled, the hole
+// with it. pushed is not modified.
+func chain(pushed []bdms.ResultObject) (run []bdms.ResultObject, cover time.Duration) {
+	byAge := func(a, b bdms.ResultObject) int { return cmp.Compare(a.Timestamp, b.Timestamp) }
+	if !slices.IsSortedFunc(pushed, byAge) {
+		pushed = slices.Clone(pushed)
+		slices.SortFunc(pushed, byAge)
+	}
+	start, proven := 0, true
+	for i := len(pushed) - 1; i > 0 && start == 0; i-- {
+		switch prev := time.Duration(pushed[i].PrevNS); {
+		case prev == 0:
+			proven = false
+		case prev != pushed[i-1].Timestamp:
+			start = i
+		}
+	}
+	run = pushed[start:]
+	if !proven {
+		return run, 0
+	}
+	return run, time.Duration(run[0].PrevNS)
+}
+
 // notify is one notification's arrival: advance, then tell the audience.
 // pre, if any, is the pull an envelope already made for it.
 func (b *Broker) notify(ctx context.Context, backendSubID string, latest time.Duration, pushed []bdms.ResultObject, pre *prefetched) (err error) {
@@ -948,21 +986,27 @@ func (b *Broker) notify(ctx context.Context, backendSubID string, latest time.Du
 		return fmt.Errorf("%w %q", errUnknownBackendSub, backendSubID)
 	}
 	var held []*core.Object
+	var cover time.Duration
 	if len(pushed) > 0 {
 		sp.SetAttr("pushed", strconv.Itoa(len(pushed)))
+		pushed, cover = chain(pushed)
 		// A push vouches only for what it carries, so the target is the
 		// newest pushed object whatever latest says.
-		latest = 0
+		latest = pushed[len(pushed)-1].Timestamp
 		held = make([]*core.Object, len(pushed))
 		for i, r := range pushed {
 			held[i] = b.object(r)
-			if r.Timestamp > latest {
-				latest = r.Timestamp
-			}
 		}
 	}
-	moved, _, err := b.advance(ctx, bs, latest, held, false, pre)
+	moved, _, err := b.advance(ctx, bs, latest, held, cover, false, pre)
 	if moved {
+		// The fan-out readies the hub's writers, then each session's reader,
+		// as a chain of direct hand-offs that Go's scheduler runs ahead of
+		// its run queue. Yield first, so goroutines already waiting there are
+		// not held up behind the burst: a PUSH callback is polled together
+		// with the publisher's answer that caused it, and without this yield
+		// that answer waited for the whole fan-out (DESIGN.md §4.3.1).
+		runtime.Gosched()
 		b.notifyAudience(ctx, bs, latest, "", "")
 	}
 	return err
@@ -979,13 +1023,15 @@ func (b *Broker) notify(ctx context.Context, backendSubID string, latest time.Du
 // duplicate arrival and a no-op. Otherwise held objects at or below the
 // marker are dropped and what is missing is pulled from the cluster — all
 // of (bts, upTo] when nothing is held, the gap below the oldest held object
-// otherwise (a ResultObject names no predecessor, so only a pull can rule a
-// gap out). A failed pull with nothing held, or a failed Put, returns the
-// error and leaves the marker behind, so a redelivery retries the range; a
-// failed gap pull below held objects does not stop them being cached (the
-// miss path serves the gap). FetchBytes counts the pulled objects only:
-// not fetching is the PUSH model's whole benefit. NC admits and pulls
-// nothing but still moves the marker.
+// otherwise — unless cover proves there is nothing missing: the held
+// objects are every result in (cover, upTo], so with 0 < cover <= bts the
+// PUSH arrival needs no call to the cluster at all (chain). A failed pull
+// with nothing held, or a failed Put, returns the error and leaves the
+// marker behind, so a redelivery retries the range; a failed gap pull below
+// held objects does not stop them being cached (the miss path serves the
+// gap). FetchBytes counts the pulled objects only: not fetching is the PUSH
+// model's whole benefit. NC admits and pulls nothing but still moves the
+// marker.
 //
 // warm marks a snapshot install: its holes are the shipping broker's
 // evictions, so nothing is pulled, and its bytes were counted when that
@@ -996,7 +1042,7 @@ func (b *Broker) notify(ctx context.Context, backendSubID string, latest time.Du
 // pull — a concurrent arrival that moved the marker voids it.
 //
 // It reports whether the marker moved and how many objects were admitted.
-func (b *Broker) advance(ctx context.Context, bs *backendSub, upTo time.Duration, held []*core.Object, warm bool, pre *prefetched) (moved bool, admitted int, err error) {
+func (b *Broker) advance(ctx context.Context, bs *backendSub, upTo time.Duration, held []*core.Object, cover time.Duration, warm bool, pre *prefetched) (moved bool, admitted int, err error) {
 	now := b.clock()
 	bs.pullMu.Lock()
 	defer bs.pullMu.Unlock()
@@ -1015,7 +1061,7 @@ func (b *Broker) advance(ctx context.Context, bs *backendSub, upTo time.Duration
 			held = held[1:]
 		}
 		var pulled []bdms.ResultObject
-		if !warm {
+		if !warm && (cover <= 0 || cover > from) {
 			var oldest time.Duration
 			if len(held) > 0 {
 				oldest = held[0].Timestamp

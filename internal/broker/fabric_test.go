@@ -172,6 +172,42 @@ func TestPeerLookupServesFromSibling(t *testing.T) {
 	}
 }
 
+// An owner whose own subscriber consumed a range does not vouch for it:
+// the consumption moved its coverage mark, so the edge's lookup is a peer
+// miss and the edge pulls the range from the cluster instead of being told
+// it is empty.
+func TestPeerLookupOverConsumedRange(t *testing.T) {
+	env := newFabricEnv(t)
+	olga, err := env.owner.Subscribe("olga", "Alerts", []any{"fire"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := env.edge.Subscribe("edna", "Alerts", []any{"fire"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.publish(t, "fire", 1)
+	env.publish(t, "fire", 2)
+	if ret, err := env.owner.RetrieveContext(context.Background(), "olga", olga); err != nil || len(ret.Items) != 2 {
+		t.Fatalf("olga's retrieval = %+v, %v; want both results", ret, err)
+	}
+
+	before := env.edgeCalls.calls.Load()
+	ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ret.Items) != 2 {
+		t.Fatalf("edna got %d results, want 2", len(ret.Items))
+	}
+	if got := env.edgeCalls.calls.Load() - before; got != 1 {
+		t.Errorf("miss path pulled from the cluster %d times, want 1", got)
+	}
+	if h, m := env.edge.Stats().PeerHits.Value(), env.edge.Stats().PeerMisses.Value(); h != 0 || m != 1 {
+		t.Errorf("peer hits %v, misses %v; want 0 and 1", h, m)
+	}
+}
+
 // K concurrent identical misses collapse into exactly one peer request:
 // the lookup rides inside the manager's singleflight and the short-TTL
 // memo absorbs stragglers.

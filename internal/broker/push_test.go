@@ -2,20 +2,24 @@ package broker
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"gobad/internal/bdms"
 	"gobad/internal/core"
+	"gobad/internal/faults"
 )
 
-// newPushEnv wires an in-process PUSH-model cluster to a broker.
+// newPushEnv wires an in-process cluster to a broker through a notifier
+// that carries pushes, so the cluster's default PUSH model applies.
 func newPushEnv(t *testing.T, policy core.Policy, budget int64) *testEnv {
 	t.Helper()
 	env := &testEnv{clk: &testClock{}}
 	env.cluster = bdms.NewCluster(
 		bdms.WithClock(env.clk.Now),
-		bdms.WithPushModel(),
 		bdms.WithNotifier(pushAdapter{env: env}),
 	)
 	if err := env.cluster.CreateDataset("EmergencyReports", bdms.Schema{}); err != nil {
@@ -57,22 +61,31 @@ func (a pushAdapter) NotifyPushContext(ctx context.Context, subID, _ string, obj
 	}
 }
 
+// TestPushModelCachesWithoutFetching: the cluster's pushes name their
+// predecessors, so after the subscription's first result — which names none
+// and pulls its empty gap — nothing is asked of the cluster.
 func TestPushModelCachesWithoutFetching(t *testing.T) {
 	env := newPushEnv(t, core.LSC{}, 1<<20)
 	b := env.broker
+	counted := faults.Count(b.backend)
+	b.backend = counted
 	fs, err := b.Subscribe("alice", "Alerts", []any{"fire"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	env.publish(t, "fire", 3)
 	env.publish(t, "fire", 4)
+	env.publish(t, "fire", 5)
+	if got := counted.ResultFetches(); got != 1 {
+		t.Errorf("backend pulls = %d, want 1: the first result's gap", got)
+	}
 
 	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ret.Items) != 2 {
-		t.Fatalf("got %d results, want 2", len(ret.Items))
+	if len(ret.Items) != 3 {
+		t.Fatalf("got %d results, want 3", len(ret.Items))
 	}
 	for _, it := range ret.Items {
 		if !it.FromCache {
@@ -151,6 +164,70 @@ func TestPushModelBackfillsGaps(t *testing.T) {
 	_ = bsID
 }
 
+// TestPushAboveResumeTokenPullsGapOnce: a backend subscription created for
+// a resuming subscriber starts its marker at the token, below results this
+// broker never saw. While its backfill has not landed, a push above that
+// marker cannot prove the range below it: the broker pulls the gap, once,
+// and the subscriber gets everything past its token.
+func TestPushAboveResumeTokenPullsGapOnce(t *testing.T) {
+	env := newPushEnv(t, core.LSC{}, 1<<20)
+	b := env.broker
+	// Another broker's subscription keeps the result dataset at the cluster.
+	if _, err := env.cluster.Subscribe("Alerts", []any{"fire"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := b.Subscribe("alice", "Alerts", []any{"fire"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.publish(t, "fire", 1)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
+	if err != nil || len(ret.Items) != 1 {
+		t.Fatalf("first retrieval = %+v, %v", ret, err)
+	}
+	token := ret.Latest
+	env.publish(t, "fire", 2)
+	if err := b.Unsubscribe("alice", fs); err != nil {
+		t.Fatal(err)
+	}
+	env.publish(t, "fire", 3) // while alice is gone
+
+	// The resume's backfill fails, so the marker stays at the token.
+	counted := faults.Count(b.backend)
+	b.backend = faults.WrapBackend(faults.NewInjector(faults.Plan{Rules: []faults.Rule{
+		{Target: "cluster.results", Kind: faults.KindError, FromCall: 1, ToCall: 1},
+	}}), "cluster", counted)
+	if fs, err = b.SubscribeResume(context.Background(), "alice", "Alerts", []any{"fire"}, token); err != nil {
+		t.Fatal(err)
+	}
+	if got := counted.ResultFetches(); got != 0 {
+		t.Fatalf("backfill reached the cluster %d times, want its one call refused", got)
+	}
+	env.publish(t, "fire", 4) // pushed naming result 3, above the marker
+	if got := counted.ResultFetches(); got != 1 {
+		t.Errorf("backend pulls = %d, want 1: the gap below the push", got)
+	}
+	ret, err = b.RetrieveContext(context.Background(), "alice", fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sevs []float64
+	for _, it := range ret.Items {
+		var rows []map[string]any
+		if err := json.Unmarshal(it.Rows, &rows); err != nil {
+			t.Fatal(err)
+		}
+		sev, _ := rows[0]["severity"].(float64)
+		sevs = append(sevs, sev)
+		if !it.FromCache {
+			t.Errorf("%s not served from the cache", it.ID)
+		}
+	}
+	if !reflect.DeepEqual(sevs, []float64{2, 3, 4}) {
+		t.Errorf("resumed retrieval = severities %v, want [2 3 4]", sevs)
+	}
+}
+
 // TestPushedBatchIngestsOnce: a coalesced webhook batch (Results array)
 // lands in the cache with one call — every object cached, the backend
 // marker advanced to the batch's newest timestamp, and a redelivered batch
@@ -217,4 +294,42 @@ func cacheIDOf(t *testing.T, b *Broker) string {
 		t.Fatalf("expected 1 cache, got %d", len(infos))
 	}
 	return infos[0].ID
+}
+
+// TestChainCover: what a pushed entry proves, case by case — the run of
+// objects each naming the one before it, and the predecessor its oldest
+// names (0: nothing proven).
+func TestChainCover(t *testing.T) {
+	obj := func(ts, prev int64) bdms.ResultObject {
+		return bdms.ResultObject{ID: fmt.Sprint(ts), Timestamp: time.Duration(ts), PrevNS: prev}
+	}
+	for _, c := range []struct {
+		name   string
+		pushed []bdms.ResultObject
+		run    []int64 // timestamps of the run
+		cover  time.Duration
+	}{
+		{"one stamped", []bdms.ResultObject{obj(5, 3)}, []int64{5}, 3},
+		{"first result names none", []bdms.ResultObject{obj(1, 0), obj(2, 1)}, []int64{1, 2}, 0},
+		{"intact, unsorted", []bdms.ResultObject{obj(7, 5), obj(5, 3), obj(9, 7)}, []int64{5, 7, 9}, 3},
+		{"hole in the middle", []bdms.ResultObject{obj(3, 2), obj(4, 3), obj(6, 5), obj(7, 6)}, []int64{6, 7}, 5},
+		{"hole below the newest", []bdms.ResultObject{obj(3, 2), obj(6, 5)}, []int64{6}, 5},
+		{"none stamped: unproven, kept whole", []bdms.ResultObject{obj(4, 0), obj(2, 0), obj(3, 0)}, []int64{2, 3, 4}, 0},
+		{"an unstamped link unproves the run", []bdms.ResultObject{obj(2, 1), obj(3, 0), obj(4, 3)}, []int64{2, 3, 4}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := append([]bdms.ResultObject(nil), c.pushed...)
+			run, cover := chain(c.pushed)
+			var got []int64
+			for _, r := range run {
+				got = append(got, int64(r.Timestamp))
+			}
+			if !reflect.DeepEqual(got, c.run) || cover != c.cover {
+				t.Errorf("chain = run %v cover %v, want %v and %v", got, cover, c.run, c.cover)
+			}
+			if !reflect.DeepEqual(c.pushed, before) {
+				t.Error("chain reordered its argument")
+			}
+		})
+	}
 }

@@ -114,7 +114,8 @@ func TestResultsRouteStatuses(t *testing.T) {
 // hit/byte accounting cannot tell the two apart — a retrieval whose
 // response the subscriber never saw included, whether another subscriber
 // still has its results pending or the lost response was their last
-// consumer's (then the retry finds them consumed on either route).
+// consumer's (then the retry re-fetches them from the cluster on either
+// route).
 func TestAckRoutesAreEquivalent(t *testing.T) {
 	type step struct {
 		Items   []string // result ids the GET returned
@@ -189,9 +190,12 @@ func TestAckRoutesAreEquivalent(t *testing.T) {
 				}
 				st := step{Latest: out.LatestNS, Objects: cachedObjects(b),
 					Hits: b.Stats().Hits.Value(), Bytes: b.Stats().HitBytes.Value()}
+				// Only the retry of a lost retrieval alice alone had pending
+				// misses: the lost GET consumed it.
+				refetch := len(seq) == 4 && !shared
 				for _, it := range out.Results {
-					if !it.FromCache {
-						t.Errorf("%s: %s was not served from the cache", r.name, it.ID)
+					if it.FromCache == refetch {
+						t.Errorf("%s: %s served from the cache: %v, want %v", r.name, it.ID, it.FromCache, !refetch)
 					}
 					st.Items = append(st.Items, it.ID)
 				}
@@ -206,10 +210,10 @@ func TestAckRoutesAreEquivalent(t *testing.T) {
 			t.Errorf("shared=%v: retrieval sequences differ:\n%s: %+v\n%s: %+v",
 				shared, routes[0].name, seqs[0], routes[1].name, seqs[1])
 		}
-		// The retry of the lost retrieval serves its result again while bob
-		// has it pending, and finds it consumed when alice was the last.
-		if got := len(seqs[0][4].Items); (got == 1) != shared {
-			t.Errorf("shared=%v: retry of the lost retrieval returned %d results", shared, got)
+		// The retry of the lost retrieval serves its result again, from the
+		// cache while bob has it pending, from the cluster otherwise.
+		if got := len(seqs[0][4].Items); got != 1 {
+			t.Errorf("shared=%v: retry of the lost retrieval returned %d results, want 1", shared, got)
 		}
 		// Marker sequence: the POST route acknowledges a retrieval at once
 		// (a lost one never), the GET route with the next request — the

@@ -227,12 +227,11 @@ func TestGetResultsIsOneRoundTrip(t *testing.T) {
 // TestLostResultsResponse: the response to GET k+1 — which carried the ack
 // for retrieval k — is lost once. The ack it applied is idempotent, the
 // retry carries the same ack, and nothing of retrieval k reaches the
-// application twice. What the retry returns is what a lost GET response
-// has always cost, because the cache consumes at GET: a result another
-// subscriber still has pending is served again; a result whose LAST
-// consumer's response was lost is neither re-served nor re-fetched (the
-// known limit DESIGN §4.6 records — consumption does not advance the
-// cache's coverage mark).
+// application twice. The retry is answered whole although the cache
+// consumes at GET: a result another subscriber still has pending is served
+// again from the cache; a result whose LAST consumer's response was lost
+// was dropped from the cache, which moved its coverage mark, so the retry
+// misses and re-fetches it from the cluster.
 func TestLostResultsResponse(t *testing.T) {
 	for _, shared := range []bool{true, false} {
 		name := "sole consumer"
@@ -280,15 +279,13 @@ func TestLostResultsResponse(t *testing.T) {
 			if got := env.marker(t); got != w1 {
 				t.Errorf("marker after the retry = %v, want %v (the repeated ack is a no-op)", got, w1)
 			}
-			if shared {
-				if !sameSeverities(retry, 2) {
-					t.Errorf("retry returned %v, want [2]: still cached for bob, served again, result 1 not repeated", severities(retry))
-				}
-			} else if len(retry) != 0 || env.watermark() == w1 {
-				// Pinned, not endorsed: result 2 was consumed by the GET
-				// whose response was lost.
-				t.Errorf("retry returned %v with watermark %v (was %v); the known limit is an empty answer past result 2",
-					severities(retry), env.watermark(), w1)
+			if !sameSeverities(retry, 2) {
+				t.Errorf("retry returned %v, want [2] and result 1 not repeated", severities(retry))
+			} else if retry[0].FromCache != shared {
+				t.Errorf("retry served result 2 from the cache: %v, want %v (cached for bob, re-fetched otherwise)", retry[0].FromCache, shared)
+			}
+			if env.watermark() == w1 {
+				t.Errorf("watermark still %v after the retry delivered result 2", w1)
 			}
 
 			// The stream continues whole from here either way.

@@ -32,12 +32,12 @@ type ResultCache struct {
 	ttl time.Duration
 
 	// completeSince is the coverage mark: the largest timestamp of any
-	// object ever evicted or expired from this cache. The cache is
-	// guaranteed to hold every not-yet-consumed result with a timestamp
+	// object ever dropped from this cache — evicted, expired or consumed.
+	// The cache is guaranteed to hold every result with a timestamp
 	// strictly greater than the mark, so retrievals above it need no
-	// backend fetch. (Consumed objects are never re-requested: a
-	// subscriber's retrieval marker starts at its subscription time, so
-	// it can only ever ask for objects whose pending set it was part of.)
+	// backend fetch. A consumed object counts: the response that consumed
+	// it can be lost, and the subscriber's retry must then miss and
+	// re-fetch it rather than be told the range is empty.
 	completeSince time.Duration
 
 	// arrival and consumption estimate lambda_i and eta_i in bytes/s.

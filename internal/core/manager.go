@@ -399,9 +399,12 @@ func (m *Manager) dropObject(c *ResultCache, o *Object, now time.Duration, reaso
 	m.total -= o.Size
 	if reason == dropConsumed {
 		c.consumption.Observe(now, float64(o.Size))
-	} else if o.Timestamp > c.completeSince {
-		// Evicted/expired objects leave a gap that future retrievals
-		// must fill from the data cluster.
+	}
+	if o.Timestamp > c.completeSince {
+		// Every dropped object leaves a gap that future retrievals must
+		// fill from the data cluster — a consumed one too: the GET that
+		// consumed it may never have reached its subscriber, whose retry
+		// asks for it again.
 		c.completeSince = o.Timestamp
 	}
 	c.holding.Observe((now - o.insertedAt).Seconds())

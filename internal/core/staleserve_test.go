@@ -48,16 +48,17 @@ func TestRetrieveStaleServe(t *testing.T) {
 		t.Errorf("fetch errors = %v, want 1", stats.FetchErrors.Value())
 	}
 
-	// Cluster recovers: the full range is served again, nothing lost.
+	// Cluster recovers: the full range is served again, nothing lost. The
+	// stale read consumed o2/o3, and its marker of 0 acknowledged nothing,
+	// so the recovery read fetches them again with the o1 the failure
+	// withheld (at-least-once: the subscriber drops what it already has).
 	f.err = nil
 	got, info, err = m.Retrieve(context.Background(), "bs1", "k1", ts(0), ts(30), ts(32))
 	if err != nil || info.Stale {
 		t.Fatalf("recovered retrieve: err=%v info=%+v", err, info)
 	}
-	// o2/o3 were already delivered by the stale read (and consumed); the
-	// recovery read delivers exactly the range the failure withheld.
-	if len(got) != 1 || got[0].ID != "o1" {
-		t.Fatalf("recovered got %v, want [o1]", ids(got))
+	if len(got) != 3 || got[0].ID != "o1" || got[2].ID != "o3" {
+		t.Fatalf("recovered got %v, want [o1 o2 o3]", ids(got))
 	}
 }
 

@@ -27,7 +27,8 @@ type RigConfig struct {
 	Seed int64
 	// PushModel makes the cluster deliver result objects inside the
 	// notifications (Section III's PUSH model) instead of handles the
-	// broker pulls against (the default PULL model).
+	// broker pulls against. The rig's default is the PULL model, the
+	// paper's comparison point, though a cluster's is PUSH.
 	PushModel bool
 }
 
@@ -110,8 +111,8 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 		// in-process.
 		bdms.WithNotifier(rigNotifier{rig: r}),
 	}
-	if cfg.PushModel {
-		clusterOpts = append(clusterOpts, bdms.WithPushModel())
+	if !cfg.PushModel {
+		clusterOpts = append(clusterOpts, bdms.WithPullModel())
 	}
 	r.cluster = bdms.NewCluster(clusterOpts...)
 

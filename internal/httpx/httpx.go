@@ -226,10 +226,13 @@ func DoJSONContext(ctx context.Context, client *http.Client, method, url string,
 // If-None-Match tag — and the response status and headers are returned
 // alongside the decode. A 304 Not Modified is a success with out left
 // untouched, so conditional fetches branch on the status instead of
-// unwrapping errors.
+// unwrapping errors. An in that is a json.RawMessage is sent as it is: it
+// must be compact JSON already (a document appended by hand).
 func DoJSONHeader(ctx context.Context, client *http.Client, method, url string, hdr http.Header, in, out any) (int, http.Header, error) {
 	var body io.Reader
-	if in != nil {
+	if raw, ok := in.(json.RawMessage); ok {
+		body = bytes.NewReader(raw)
+	} else if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
 			return 0, nil, fmt.Errorf("httpx: encode request: %w", err)
