@@ -34,14 +34,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Delivery-pipeline benchmarks as a committed JSON artifact, at -cpu 1
-# like the eval rows; the results route's round trip runs longer, being
-# a loopback HTTP exchange. The comparators that used to run beside
+# like the eval rows; the results round trips (over HTTP and over the
+# notification socket) run longer, being loopback exchanges. The comparators that used to run beside
 # BenchmarkFanout are deleted; their numbers live in the note.
 bench-json:
 	{ $(GO) test -run=NONE -bench='BenchmarkFanout|BenchmarkObjectsInRange|BenchmarkWritePrepared|BenchmarkWriteMessage' \
 		-benchmem -benchtime=200x -cpu 1 -count=3 ./internal/broker ./internal/wsock ./internal/core; \
-	  $(GO) test -run=NONE -bench='^BenchmarkResultsRouteHit$$' -benchmem -benchtime=5000x -cpu 1 -count=5 ./internal/broker; } \
-		| $(GO) run ./cmd/benchjson -note "Fanout is the pooled-writer interest-keyed hub (1000 drained subscribers plus one stalled) with GC-owned sessions and events. Same hub with sessions and events drawn from sync.Pools (deleted; it cost three use-after-release bugs and moved no live metric): 44166ns/0allocs, p99 97454ns. Goroutine-per-session hub before the writer pool: 201824ns/57allocs, p99 595609ns. Original synchronous per-subscriber dispatch loop (BenchmarkFanoutLegacySync, deleted; drained subscribers only): 2420618ns/2000allocs, p99 4733616ns. objectsInRange pre-change: span=1 4513ns/1alloc, span=16 4963ns/5allocs, span=256 6647ns/9allocs. ResultsRouteHit is client.GetResults against an httptest broker serving one cached 700-byte object to each of 32 subscribers; before rows stayed bytes and spans left the allocator (PR 25), same box: 47407ns/181allocs." \
+	  $(GO) test -run=NONE -bench='^BenchmarkResults(Route|Socket)Hit$$' -benchmem -benchtime=5000x -cpu 1 -count=5 ./internal/broker; } \
+		| $(GO) run ./cmd/benchjson -note "Fanout is the pooled-writer interest-keyed hub (1000 drained subscribers plus one stalled) with GC-owned sessions and events. Same hub with sessions and events drawn from sync.Pools (deleted; it cost three use-after-release bugs and moved no live metric): 44166ns/0allocs, p99 97454ns. Goroutine-per-session hub before the writer pool: 201824ns/57allocs, p99 595609ns. Original synchronous per-subscriber dispatch loop (BenchmarkFanoutLegacySync, deleted; drained subscribers only): 2420618ns/2000allocs, p99 4733616ns. objectsInRange pre-change: span=1 4513ns/1alloc, span=16 4963ns/5allocs, span=256 6647ns/9allocs. ResultsRouteHit is client.GetResults against an httptest broker serving one cached 700-byte object to each of 32 subscribers; before rows stayed bytes and spans left the allocator, same box: 47407ns/181allocs. ResultsSocketHit is the same with every subscriber Listening, so each retrieval is one frame each way on its notification socket, the push frames' decode included." \
 		> BENCH_fanout.json
 	$(GO) test -run=NONE -bench='BenchmarkIngestEval' -benchmem -cpu 1 -count=3 ./internal/bdms \
 		| $(GO) run ./cmd/benchjson -note "Grouped channel evaluation over the compiled engine: evals/rec equals signature groups G, not subscriptions S; geo/sigs=2000 is the live benchmark's eval_wide body and grid. Tree-walking evaluator before compilation (same cases, -cpu 1): geo/sigs=2000 1670000ns/op 9440allocs, subs=1000/sigs=10 110000ns/op 357allocs, subs=10000/sigs=100 280000ns/op 664allocs, subs=10000/sigs=1000 750000ns/op 4082allocs, batch 140000ns/op 333allocs." \
@@ -78,10 +78,11 @@ bench-vet:
 
 # Regression guard over the committed baselines, every row at one proc
 # like its baseline (-cpu 1), so it passes on any box: the fan-out
-# benchmark and the results route's whole hit round trip (best of five
-# runs each, damping runner noise) against BENCH_fanout.json, the
+# benchmark and the results' whole hit round trip, over HTTP and over the
+# notification socket (best of five runs each, damping runner noise),
+# against BENCH_fanout.json, the
 # 10k-session soak against BENCH_soak.json, two grouped-evaluation rows
-# against BENCH_eval.json — all five read from the one `go test -bench`
+# against BENCH_eval.json — all six read from the one `go test -bench`
 # stream on stdin. Every guarded metric is printed as
 # a diff row and all failures are reported together. Latency tolerances
 # are wide because single runs on shared runners are noisy — the gate
@@ -89,12 +90,13 @@ bench-vet:
 # per-session writer goroutines), not scheduler jitter.
 bench-guard:
 	{ $(GO) test -run=NONE -bench='^BenchmarkFanout$$' -benchtime=200x -cpu 1 -count=5 ./internal/broker; \
-	  $(GO) test -run=NONE -bench='^BenchmarkResultsRouteHit$$' -benchmem -benchtime=5000x -cpu 1 -count=5 ./internal/broker; \
+	  $(GO) test -run=NONE -bench='^BenchmarkResults(Route|Socket)Hit$$' -benchmem -benchtime=5000x -cpu 1 -count=5 ./internal/broker; \
 	  $(GO) test -run=NONE -bench='^BenchmarkSoak$$/^sessions=10000$$' -benchtime=2000x -cpu 1 ./internal/broker; \
 	  $(GO) test -run=NONE -bench='^BenchmarkIngestEval$$/^(subs=10000|geo)$$/^sigs=(100|2000)$$' -benchmem -cpu 1 -count=3 ./internal/bdms; } \
 		| $(GO) run ./cmd/benchguard \
 			-guard 'baseline=BENCH_fanout.json;bench=BenchmarkFanout;metrics=ns/op:0.20,p99-dispatch-ns:0.50,allocs/op:0.50' \
 			-guard 'baseline=BENCH_fanout.json;bench=BenchmarkResultsRouteHit;metrics=allocs/op:0.10,ns/op:0.35' \
+			-guard 'baseline=BENCH_fanout.json;bench=BenchmarkResultsSocketHit;metrics=allocs/op:0.10,ns/op:0.35' \
 			-guard 'baseline=BENCH_soak.json;bench=BenchmarkSoak/sessions=10000;metrics=p99-dispatch-ns:1.0,allocs/op:0.5,rss-bytes/session:0.35' \
 			-guard 'baseline=BENCH_eval.json;bench=BenchmarkIngestEval/subs=10000/sigs=100;metrics=ns/op:0.35,evals/rec:0.01' \
 			-guard 'baseline=BENCH_eval.json;bench=BenchmarkIngestEval/geo/sigs=2000;metrics=ns/op:0.35,allocs/op:0.10,evals/rec:0.01'

@@ -63,6 +63,24 @@ func tracedPair(t *testing.T, policy core.Policy, budget int64) (brokerSrv *http
 	return brokerSrv, brokerLog, clusterLog, b
 }
 
+// awaitNotified waits until the broker has taken the cluster's
+// notification of a result for fs: the cluster answers an ingest over HTTP
+// before it notifies.
+func awaitNotified(t *testing.T, b *Broker, fs string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		b.mu.Lock()
+		bts := b.frontend[fs].bs.bts
+		b.mu.Unlock()
+		if bts > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the broker never took the cluster's notification")
+		}
+	}
+}
+
 // logLinesWithTrace scans JSON log lines and returns those carrying the
 // given trace id.
 func logLinesWithTrace(t *testing.T, buf *bytes.Buffer, traceID string) []map[string]any {
@@ -93,12 +111,12 @@ func TestTracePropagatesBrokerToCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Produce one result (the cluster's notifier advances the broker's
-	// marker synchronously).
+	// Produce one result.
 	cluster := b.backend.(*bdms.Client)
 	if _, err := cluster.Ingest("EmergencyReports", map[string]any{"etype": "fire", "severity": 3.0}); err != nil {
 		t.Fatal(err)
 	}
+	awaitNotified(t, b, fs)
 
 	parent := obs.NewSpan()
 	req, err := http.NewRequest(http.MethodGet,
@@ -154,6 +172,7 @@ func TestSlowFetchWarningCarriesTrace(t *testing.T) {
 	if _, err := cluster.Ingest("EmergencyReports", map[string]any{"etype": "flood", "severity": 1.0}); err != nil {
 		t.Fatal(err)
 	}
+	awaitNotified(t, b, fs)
 
 	parent := obs.NewSpan()
 	req, _ := http.NewRequest(http.MethodGet,

@@ -23,7 +23,15 @@ import (
 // do; every 32 retrievals one new ~700-byte object is pushed into the
 // cache (off the clock), so each retrieval is served exactly one object
 // from the cache.
-func BenchmarkResultsRouteHit(b *testing.B) {
+func BenchmarkResultsRouteHit(b *testing.B) { benchmarkResultsHit(b, false) }
+
+// BenchmarkResultsSocketHit is BenchmarkResultsRouteHit with every
+// subscriber Listening, so each retrieval is a frame on its notification
+// socket; the push frames each new object fans out are read and decoded
+// while the clock runs, as a listening subscriber's are.
+func BenchmarkResultsSocketHit(b *testing.B) { benchmarkResultsHit(b, true) }
+
+func benchmarkResultsHit(b *testing.B, listen bool) {
 	const fanout = 32
 	cluster := bdms.NewCluster()
 	if err := cluster.CreateDataset("EmergencyReports", bdms.Schema{}); err != nil {
@@ -46,8 +54,14 @@ func BenchmarkResultsRouteHit(b *testing.B) {
 			BrokerURL: srv.URL, HTTPClient: srv.Client()}); err != nil {
 			b.Fatal(err)
 		}
+		defer subs[i].Close()
 		if fss[i], err = subs[i].Subscribe("Alerts", []any{"fire"}); err != nil {
 			b.Fatal(err)
+		}
+		if listen {
+			if err := subs[i].Listen(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	bsID, err := brk.BackendSubID("sub-00", fss[0])

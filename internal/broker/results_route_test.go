@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"gobad/internal/core"
 	"gobad/internal/faults"
 	"gobad/internal/httpx"
+	"gobad/internal/wsock"
 )
 
 // cachedObjects sums the objects held across the broker's caches.
@@ -28,7 +30,9 @@ func cachedObjects(b *Broker) int {
 
 // TestResultsRouteStatuses: the results route tells an unknown subscription
 // (404) from a data-cluster outage (retryable 502) from a malformed ack
-// (400), and none of the three moves the marker or touches the cache.
+// (400), and none of the three moves the marker or touches the cache —
+// asked over HTTP or as a frame on the subscriber's notification socket,
+// whose reply carries the same status and envelope.
 func TestResultsRouteStatuses(t *testing.T) {
 	// A budget of one and a half objects: the second result evicts the
 	// first, so a retrieval from alice's marker has a cached part and a
@@ -59,59 +63,85 @@ func TestResultsRouteStatuses(t *testing.T) {
 	b.backend = faults.WrapBackend(faults.NewInjector(faults.Plan{Rules: []faults.Rule{
 		{Target: "cluster.results", Kind: faults.KindError},
 	}}), "cluster", b.backend)
+	sockets := map[string]*wsock.Conn{"alice": dialSession(t, srv, "alice"), "mallory": dialSession(t, srv, "mallory")}
 
 	cases := []struct {
-		name, path string
-		status     int
-		code       string
-		retryable  bool
+		name, subscriber, fs, ack string // ack: the query's ack=, "" for none
+		status                    int
+		code                      string
+		retryable                 bool
 	}{
-		{"unknown subscription", "/v1/subscriptions/nope/results?subscriber=alice", http.StatusNotFound, httpx.CodeNotFound, false},
-		{"another subscriber's subscription", "/v1/subscriptions/" + fs + "/results?subscriber=mallory", http.StatusNotFound, httpx.CodeNotFound, false},
-		{"backend fetch failure", "/v1/subscriptions/" + fs + "/results?subscriber=alice", http.StatusBadGateway, httpx.CodeInternal, true},
-		{"malformed ack", "/v1/subscriptions/" + fs + "/results?subscriber=alice&ack=soon", http.StatusBadRequest, httpx.CodeBadRequest, false},
-		{"negative ack", "/v1/subscriptions/" + fs + "/results?subscriber=alice&ack=-5", http.StatusBadRequest, httpx.CodeBadRequest, false},
-		{"ack for an unknown subscription", "/v1/subscriptions/nope/results?subscriber=alice&ack=5", http.StatusNotFound, httpx.CodeNotFound, false},
+		{"unknown subscription", "alice", "nope", "", http.StatusNotFound, httpx.CodeNotFound, false},
+		{"another subscriber's subscription", "mallory", fs, "", http.StatusNotFound, httpx.CodeNotFound, false},
+		{"backend fetch failure", "alice", fs, "", http.StatusBadGateway, httpx.CodeInternal, true},
+		{"malformed ack", "alice", fs, "soon", http.StatusBadRequest, httpx.CodeBadRequest, false},
+		{"negative ack", "alice", fs, "-5", http.StatusBadRequest, httpx.CodeBadRequest, false},
+		{"ack for an unknown subscription", "alice", "nope", "5", http.StatusNotFound, httpx.CodeNotFound, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			requests := b.Stats().Requests.Value()
-			resp, err := srv.Client().Get(srv.URL + c.path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			var env httpx.ErrorEnvelope
-			if err := json.Unmarshal(body, &env); err != nil {
-				t.Fatalf("body %q is not the error envelope: %v", body, err)
-			}
-			if resp.StatusCode != c.status || env.Error.Code != c.code || env.Error.Retryable != c.retryable {
-				t.Errorf("answer = %d %+v, want %d %s retryable=%v", resp.StatusCode, env.Error, c.status, c.code, c.retryable)
-			}
-			if m, err := b.Marker("alice", fs); err != nil || m != 0 {
-				t.Errorf("marker = %v, %v; want 0: a refused retrieval acknowledges nothing", m, err)
-			}
-			if got := cachedObjects(b); got != 1 {
-				t.Errorf("cached objects = %d, want 1", got)
-			}
-			// Only the backend failure got as far as the cache.
-			wantReq := requests
-			if c.status == http.StatusBadGateway {
-				wantReq++
-			}
-			if got := b.Stats().Requests.Value(); got != wantReq {
-				t.Errorf("objects requested from the cache = %v, want %v", got, wantReq)
+			for _, socket := range []bool{false, true} {
+				requests := b.Stats().Requests.Value()
+				var reply struct {
+					Status int             `json:"status"`
+					Error  httpx.ErrorInfo `json:"error"`
+				}
+				if socket {
+					ack := ""
+					if c.ack != "" {
+						ack = `,"ack":` + c.ack
+						if _, err := strconv.Atoi(c.ack); err != nil {
+							ack = `,"ack":` + strconv.Quote(c.ack)
+						}
+					}
+					body := socketGet(t, sockets[c.subscriber], fmt.Sprintf(`{"get":%q,"id":1%s}`, c.fs, ack))
+					if err := json.Unmarshal(body, &reply); err != nil || !strings.HasPrefix(string(body), `{"re":1,`) {
+						t.Fatalf("socket reply %q is not the error reply: %v", body, err)
+					}
+				} else {
+					path := "/v1/subscriptions/" + c.fs + "/results?subscriber=" + c.subscriber
+					if c.ack != "" {
+						path += "&ack=" + c.ack
+					}
+					resp, err := srv.Client().Get(srv.URL + path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					body, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err := json.Unmarshal(body, &reply); err != nil {
+						t.Fatalf("body %q is not the error envelope: %v", body, err)
+					}
+					reply.Status = resp.StatusCode
+				}
+				if reply.Status != c.status || reply.Error.Code != c.code || reply.Error.Retryable != c.retryable {
+					t.Errorf("socket=%v: answer = %d %+v, want %d %s retryable=%v", socket, reply.Status, reply.Error, c.status, c.code, c.retryable)
+				}
+				if m, err := b.Marker("alice", fs); err != nil || m != 0 {
+					t.Errorf("socket=%v: marker = %v, %v; want 0: a refused retrieval acknowledges nothing", socket, m, err)
+				}
+				if got := cachedObjects(b); got != 1 {
+					t.Errorf("socket=%v: cached objects = %d, want 1", socket, got)
+				}
+				// Only the backend failure got as far as the cache.
+				wantReq := requests
+				if c.status == http.StatusBadGateway {
+					wantReq++
+				}
+				if got := b.Stats().Requests.Value(); got != wantReq {
+					t.Errorf("socket=%v: objects requested from the cache = %v, want %v", socket, got, wantReq)
+				}
 			}
 		})
 	}
 }
 
-// TestAckRoutesAreEquivalent: Algorithm 1's ACK reaches the broker either
-// as its own POST after each retrieval or as ack= on the next GET. The
-// markers trail by one retrieval on the second route and by none on the
-// first; what every GET returns, what the cache holds after it and the
-// hit/byte accounting cannot tell the two apart — a retrieval whose
+// TestAckRoutesAreEquivalent: Algorithm 1's ACK reaches the broker as its
+// own POST after each retrieval, as ack= on the next GET, or as the ack of
+// the next retrieval frame on the notification socket. The markers trail
+// by one retrieval on the last two routes and by none on the first; what
+// every retrieval returns, what the cache holds after it and the hit/byte
+// accounting cannot tell the three apart — a retrieval whose
 // response the subscriber never saw included, whether another subscriber
 // still has its results pending or the lost response was their last
 // consumer's (then the retry re-fetches them from the cluster on either
@@ -124,6 +154,7 @@ func TestAckRoutesAreEquivalent(t *testing.T) {
 		Hits    float64
 		Bytes   float64
 	}
+	sockets := map[string]*wsock.Conn{} // alice's, by broker
 	routes := []struct {
 		name string
 		// get performs one retrieval given the watermark the last
@@ -151,6 +182,17 @@ func TestAckRoutesAreEquivalent(t *testing.T) {
 			u := fmt.Sprintf("%s/v1/subscriptions/%s/results?subscriber=alice&ack=%d", srv.URL, fs, prev)
 			if err := httpx.DoJSON(srv.Client(), http.MethodGet, u, nil, &out); err != nil {
 				t.Fatal(err)
+			}
+			return out
+		}},
+		{"socket frame", func(t *testing.T, srv *httptest.Server, fs string, prev int64, _ bool) ResultsResponse {
+			if sockets[srv.URL] == nil {
+				sockets[srv.URL] = dialSession(t, srv, "alice")
+			}
+			var out ResultsResponse
+			body := socketGet(t, sockets[srv.URL], fmt.Sprintf(`{"get":%q,"id":1,"ack":%d}`, fs, prev))
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatalf("reply %q: %v", body, err)
 			}
 			return out
 		}},
@@ -206,9 +248,14 @@ func TestAckRoutesAreEquivalent(t *testing.T) {
 			seqs = append(seqs, seq)
 			markers = append(markers, marks)
 		}
-		if !reflect.DeepEqual(seqs[0], seqs[1]) {
-			t.Errorf("shared=%v: retrieval sequences differ:\n%s: %+v\n%s: %+v",
-				shared, routes[0].name, seqs[0], routes[1].name, seqs[1])
+		for r := 1; r < len(routes); r++ {
+			if !reflect.DeepEqual(seqs[0], seqs[r]) {
+				t.Errorf("shared=%v: retrieval sequences differ:\n%s: %+v\n%s: %+v",
+					shared, routes[0].name, seqs[0], routes[r].name, seqs[r])
+			}
+			if r > 1 && !reflect.DeepEqual(markers[1], markers[r]) {
+				t.Errorf("shared=%v: %s markers %v, want the GET route's %v", shared, routes[r].name, markers[r], markers[1])
+			}
 		}
 		// The retry of the lost retrieval serves its result again, from the
 		// cache while bob has it pending, from the cluster otherwise.
@@ -243,8 +290,8 @@ func TestAckRoutesAreEquivalent(t *testing.T) {
 
 // hitEnv is a broker holding one cached result object of about 700 bytes
 // for alice and bob — bob's pending retrieval keeps it cached, so alice
-// can retrieve it again and again, each time a hit — and the path of
-// alice's retrieval.
+// can retrieve it again and again, each time a hit — and alice's
+// subscription.
 func hitEnv(t *testing.T) (*Broker, string) {
 	t.Helper()
 	env := newTestEnv(t, core.LSC{}, 1<<20)
@@ -265,7 +312,7 @@ func hitEnv(t *testing.T) (*Broker, string) {
 	if size := env.broker.Manager().TotalSize(); size < 650 || size > 750 {
 		t.Fatalf("cached object is %d bytes, want about 700", size)
 	}
-	return env.broker, "/v1/subscriptions/" + fs + "/results?subscriber=alice"
+	return env.broker, fs
 }
 
 // raceBuild reports a -race test binary, whose instrumentation allocates
@@ -286,7 +333,8 @@ func TestResultsRouteHitAllocs(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the race detector allocates on its own")
 	}
-	b, path := hitEnv(t)
+	b, fs := hitEnv(t)
+	path := "/v1/subscriptions/" + fs + "/results?subscriber=alice"
 	h := NewServer(b).Handler()
 	get := func() {
 		w := httptest.NewRecorder()

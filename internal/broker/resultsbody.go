@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"encoding/json"
+	"fmt"
 	"strconv"
 
 	"gobad/internal/httpx"
@@ -32,7 +34,7 @@ func appendResults(dst []byte, ret Retrieval) []byte {
 		dst = strconv.AppendInt(dst, it.Size, 10)
 		// ResultItem.Rows is omitempty: rows that decode to no rows are
 		// left out, as encoding/json leaves out an empty slice.
-		if s := string(it.Rows); s != "" && s != "null" && s != "[]" {
+		if r := it.Rows; len(r) > 0 && string(r) != "null" && string(r) != "[]" {
 			dst = append(dst, `,"rows":`...)
 			dst = append(dst, it.Rows...)
 		}
@@ -46,6 +48,22 @@ func appendResults(dst []byte, ret Retrieval) []byte {
 		dst = append(dst, `,"stale":true`...)
 	}
 	return append(dst, "}\n"...)
+}
+
+// appendResultsReply appends a socket retrieval's reply: appendResults'
+// body with the request's id spliced in as "re" before the closing brace.
+func appendResultsReply(dst []byte, ret Retrieval, id int64) []byte {
+	dst = appendResults(dst, ret)
+	dst = append(dst[:len(dst)-len("}\n")], `,"re":`...)
+	dst = strconv.AppendInt(dst, id, 10)
+	return append(dst, "}\n"...)
+}
+
+// errorReply is a socket retrieval's error reply: the status the results
+// route answers and its error envelope, {"re":id,"status":s,"error":{...}}.
+func errorReply(id int64, status int, err error) []byte {
+	env, _ := json.Marshal(httpx.ErrorInfoFor(status, err.Error()))
+	return fmt.Appendf(nil, `{"re":%d,"status":%d,"error":%s}`, id, status, env)
 }
 
 // resultsBodySize is what appendResults will need for ret, give or take

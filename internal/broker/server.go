@@ -2,7 +2,10 @@ package broker
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -25,7 +28,11 @@ type Server struct {
 	broker *Broker
 	mux    *http.ServeMux
 	obs    *httpx.Observer
+	// results instruments the retrievals socket frames carry.
+	results *httpx.Route
 }
+
+const resultsRoute = "/v1/subscriptions/{fs}/results"
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
@@ -46,6 +53,7 @@ func NewServer(b *Broker, opts ...ServerOption) *Server {
 	if s.obs == nil {
 		s.obs = httpx.NewObserver("badbroker", nil)
 	}
+	s.results = s.obs.Route(resultsRoute)
 	// Wire the delivery-path tracing: the broker records spans into the
 	// observer's ring and feeds the per-stage delivery-latency histogram.
 	stages := span.NewStages(span.DefaultSlowThreshold, s.obs.Logger)
@@ -121,7 +129,7 @@ func (s *Server) routes() {
 	s.mux.Handle("GET /v1/debug/traces", s.obs.Traces.Handler())
 	s.route(http.MethodPost, "/v1/subscriptions", s.handleSubscribe)
 	s.route(http.MethodDelete, "/v1/subscriptions/{fs}", s.handleUnsubscribe)
-	s.route(http.MethodGet, "/v1/subscriptions/{fs}/results", s.handleGetResults)
+	s.route(http.MethodGet, resultsRoute, s.handleGetResults)
 	s.route(http.MethodPost, "/v1/subscriptions/{fs}/ack", s.handleAck)
 	s.route(http.MethodGet, "/v1/subscribers/{id}/subscriptions", s.handleListSubs)
 	s.route(http.MethodGet, "/v1/stats", s.handleStats)
@@ -228,36 +236,48 @@ type ResultsResponse struct {
 	Stale bool `json:"stale,omitempty"`
 }
 
-// handleGetResults is one retrieval: Algorithm 1's ACK for the previous
-// one, when the request carries it as ack=<timestamp_ns>, then GETRESULTS
-// over the (fts, bts] the ack left. A malformed ack is refused before
+// handleGetResults is one retrieval over HTTP, its ack in the query as
+// ack=<timestamp_ns> (see retrieve).
+func (s *Server) handleGetResults(w http.ResponseWriter, r *http.Request) {
+	subscriber, _ := queryValue(r.URL.RawQuery, "subscriber")
+	raw, acked := queryValue(r.URL.RawQuery, "ack")
+	ack, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil {
+		ack = -1 // malformed: refused like a negative one
+	}
+	ret, status, err := s.retrieve(r.Context(), subscriber, r.PathValue("fs"), ack, acked)
+	if err != nil {
+		httpx.WriteError(w, status, "%v", err)
+		return
+	}
+	httpx.WriteJSONBody(w, status, appendResults(make([]byte, 0, resultsBodySize(ret)), ret))
+}
+
+// retrieve is one retrieval, over HTTP or the notification socket alike:
+// Algorithm 1's ACK for the previous one when the request carries it
+// (acked), then GETRESULTS over the (fts, bts] the ack left. It returns the
+// status to answer with. A malformed or negative ack is 400, refused before
 // anything is retrieved or consumed; an unknown subscription is 404 and a
 // failed data-cluster fetch a retryable 502 (marker unchanged, the cached
 // part not handed out), so a client never mistakes a cluster outage for a
 // lost subscription.
-func (s *Server) handleGetResults(w http.ResponseWriter, r *http.Request) {
-	subscriber, _ := queryValue(r.URL.RawQuery, "subscriber")
-	fs := r.PathValue("fs")
-	if ack, ok := queryValue(r.URL.RawQuery, "ack"); ok {
-		ts, err := strconv.ParseInt(ack, 10, 64)
-		if err != nil || ts < 0 {
-			httpx.WriteError(w, http.StatusBadRequest, "ack must be a non-negative timestamp in nanoseconds")
-			return
+func (s *Server) retrieve(ctx context.Context, subscriber, fs string, ack int64, acked bool) (Retrieval, int, error) {
+	if acked {
+		if ack < 0 {
+			return Retrieval{}, http.StatusBadRequest, errors.New("ack must be a non-negative timestamp in nanoseconds")
 		}
-		if err := s.ack(r.Context(), subscriber, fs, ts); err != nil {
-			httpx.WriteError(w, http.StatusNotFound, "%v", err)
-			return
+		if err := s.ack(ctx, subscriber, fs, ack); err != nil {
+			return Retrieval{}, http.StatusNotFound, err
 		}
 	}
-	ret, err := s.broker.RetrieveContext(r.Context(), subscriber, fs)
+	ret, err := s.broker.RetrieveContext(ctx, subscriber, fs)
 	switch {
 	case errors.Is(err, errUnknownFrontendSub):
-		httpx.WriteError(w, http.StatusNotFound, "%v", err)
+		return ret, http.StatusNotFound, err
 	case err != nil:
-		httpx.WriteError(w, http.StatusBadGateway, "%v", err)
-	default:
-		httpx.WriteJSONBody(w, http.StatusOK, appendResults(make([]byte, 0, resultsBodySize(ret)), ret))
+		return ret, http.StatusBadGateway, err
 	}
+	return ret, http.StatusOK, nil
 }
 
 // queryValue is url.Values' Get and Has over a raw query, without building
@@ -355,8 +375,10 @@ func (s *Server) handleCaches(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleWS upgrades a subscriber's notification socket. The query parameter
-// "subscriber" names the session. The connection is read-pumped so pings
-// and client close frames are honored; incoming text messages are ignored.
+// "subscriber" names the session. The read loop honors pings and close
+// frames and serves each message as a retrieval request of that subscriber
+// (serveGet), one at a time, as a keep-alive connection serves its
+// requests. A message over 64 KiB closes the socket.
 func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 	subscriber := r.URL.Query().Get("subscriber")
 	if subscriber == "" {
@@ -380,15 +402,71 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 		return // drain raced the handshake; attach answered 101 + migrate close
 	}
 	defer s.broker.DetachSession(subscriber, conn)
+	conn.SetMaxMessageSize(64 << 10) // a retrieval request is under 1 KiB
 	if err := conn.Accept(); err != nil {
 		return
 	}
 	for {
-		if _, _, err := conn.ReadMessage(); err != nil {
+		_, msg, err := conn.ReadMessage()
+		if err != nil {
 			_ = conn.Close()
 			return
 		}
+		// A failed reply drops the session as a failed push write does; a
+		// socket the hub closed (replaced, migrated) is no failure.
+		if err := s.serveGet(conn, subscriber, msg); err != nil {
+			if !errors.Is(err, wsock.ErrClosed) {
+				s.broker.sessions.stats.failures.Add(1)
+				s.obs.Logger.Warn("results reply failed; dropping session",
+					slog.String("subscriber", subscriber), slog.Any("error", err))
+			}
+			_ = conn.CloseWith(wsock.CloseGoingAway, "")
+			return
+		}
 	}
+}
+
+// getRequest is a retrieval request on the notification socket: the results
+// route's request as JSON, with an id the reply names as "re".
+type getRequest struct {
+	Get string `json:"get"`
+	ID  int64  `json:"id"`
+	Ack int64  `json:"ack"`
+	TP  string `json:"tp"`
+}
+
+// serveGet answers one retrieval request from subscriber's socket as the
+// results route would, under its span, series and access line (method WS):
+// the body with "re" spliced in, else an error reply; 413 for a body over
+// httpx.MaxBodyBytes, which the client could not read. The reply skips the
+// session's marker ring (DESIGN §4.7).
+func (s *Server) serveGet(conn *wsock.Conn, subscriber string, msg []byte) error {
+	start := time.Now()
+	s.obs.HTTP.Begin()
+	defer s.obs.HTTP.End()
+	var req getRequest
+	err := json.Unmarshal(msg, &req)
+	ctx, sp, _ := s.results.Begin(context.Background(), req.TP, "", "WS")
+	sp.SetAttr("transport", "ws")
+	ret, status := Retrieval{}, http.StatusBadRequest
+	if err == nil {
+		ret, status, err = s.retrieve(ctx, subscriber, req.Get, req.Ack, true)
+	}
+	var reply []byte
+	if err == nil {
+		reply = appendResultsReply(make([]byte, 0, resultsBodySize(ret)+24), ret, req.ID)
+		if len(reply) > httpx.MaxBodyBytes {
+			status, err = http.StatusRequestEntityTooLarge,
+				fmt.Errorf("results reply of %d bytes exceeds the %d-byte limit", len(reply), httpx.MaxBodyBytes)
+		}
+	}
+	if err != nil {
+		reply = errorReply(req.ID, status, err)
+	}
+	_ = conn.SetWriteDeadline(time.Now().Add(DefaultPushWriteTimeout))
+	werr := conn.WriteMessage(wsock.OpText, reply)
+	s.results.End(ctx, sp, "WS", "/v1/ws", status, int64(len(reply)), start)
+	return werr
 }
 
 // handleCallback is the webhook the data cluster invokes on new results:

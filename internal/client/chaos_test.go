@@ -3,8 +3,10 @@ package client
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,6 +26,8 @@ type chaosEnv struct {
 	svc        *bcs.Service
 	b1, b2     *testBroker
 	client     *Client
+	// gets counts the client's results GETs.
+	gets atomic.Int64
 
 	stateMu sync.Mutex
 	states  []ConnState
@@ -39,8 +43,8 @@ func newChaosEnv(t *testing.T) *chaosEnv {
 
 // newChaosEnvFor builds the rig for a specific subscriber key; the key must
 // be HRW-owned by broker-1 so the kill/drain/rebalance tests start from a
-// known placement.
-func newChaosEnvFor(t *testing.T, subscriber string) *chaosEnv {
+// known placement. b1opts adjust broker-1's configuration.
+func newChaosEnvFor(t *testing.T, subscriber string, b1opts ...func(*broker.Config)) *chaosEnv {
 	t.Helper()
 	// Sized for the reports one drill makes; a full channel drops them.
 	env := &chaosEnv{connected: make(chan string, 16)}
@@ -69,7 +73,7 @@ func newChaosEnvFor(t *testing.T, subscriber string) *chaosEnv {
 	t.Cleanup(bcsSrv.Close)
 	// HRW must place the subscriber on broker-1 (asserted so a hash change
 	// fails loudly here rather than in the failover assertions).
-	env.b1 = newBrokerOn(t, "broker-1", env.clusterSrv.URL, env.svc)
+	env.b1 = newBrokerOn(t, "broker-1", env.clusterSrv.URL, env.svc, b1opts...)
 	env.b2 = newBrokerOn(t, "broker-2", env.clusterSrv.URL, env.svc)
 	if got := env.svc.Ring().OwnerID(subscriber); got != "broker-1" {
 		t.Fatalf("HRW owner of %q = %s, want broker-1 (pick a key owned by broker-1)", subscriber, got)
@@ -78,6 +82,7 @@ func newChaosEnvFor(t *testing.T, subscriber string) *chaosEnv {
 	c, err := New(Config{
 		Subscriber: subscriber,
 		BCS:        bcs.NewClient(bcsSrv.URL, nil),
+		HTTPClient: &http.Client{Timeout: 30 * time.Second, Transport: countGets{&env.gets}},
 		Retry:      &httpx.Retryer{BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond},
 		OnConnState: func(s ConnState, brokerURL string) {
 			env.stateMu.Lock()
@@ -297,6 +302,9 @@ func TestSupervisedRollingDrain(t *testing.T) {
 	if !env.sawState(StateMigrated) {
 		t.Error("supervisor never reported StateMigrated — drain frame was missed")
 	}
+	// The drained broker still answers retrievals, so the stream can be
+	// whole before the supervisor has committed the successor.
+	env.awaitConnected(t, env.b2.srv.URL)
 	if env.client.BrokerURL() != env.b2.srv.URL {
 		t.Fatalf("client on %s after drain, want broker-2 at %s", env.client.BrokerURL(), env.b2.srv.URL)
 	}
@@ -389,6 +397,7 @@ func TestRebalanceOnJoin(t *testing.T) {
 	if !env.sawState(StateMigrated) {
 		t.Error("supervisor never reported StateMigrated — rebalance frame was missed")
 	}
+	env.awaitConnected(t, b3.srv.URL) // broker-1 still answers retrievals meanwhile
 	if env.client.BrokerURL() != b3.srv.URL {
 		t.Fatalf("client on %s after rebalance, want broker-3 at %s", env.client.BrokerURL(), b3.srv.URL)
 	}

@@ -7,6 +7,8 @@
 package client
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -103,6 +105,10 @@ type Client struct {
 	supDone chan struct{}
 
 	notifications chan broker.PushNotification
+	// replies holds the GetResults calls waiting for a reply on the
+	// notification socket, by request id (guarded by mu).
+	replies map[int64]pendingReply
+	lastID  int64
 
 	// failover tallies supervised reconnects and their latency.
 	failover *obs.FailoverStats
@@ -147,6 +153,7 @@ func New(cfg Config) (*Client, error) {
 		onState:       cfg.OnConnState,
 		retry:         cfg.Retry,
 		notifications: make(chan broker.PushNotification, 64),
+		replies:       make(map[int64]pendingReply),
 		failover:      &obs.FailoverStats{},
 		traces:        cfg.Traces,
 	}, nil
@@ -249,7 +256,7 @@ func (c *Client) Subscriptions() ([]string, error) {
 
 // GetResults retrieves all new results of a frontend subscription in one
 // round trip. The request carries the subscription's delivered watermark
-// as ack=<ns>: the broker runs Algorithm 1's ACK for the previous
+// as its ack: the broker runs Algorithm 1's ACK for the previous
 // retrieval first and GETRESULTS over what that leaves, so the marker at
 // the broker trails the application by exactly one retrieval and nothing
 // is ever acknowledged that was not handed out. At-least-once redelivery
@@ -257,25 +264,37 @@ func (c *Client) Subscriptions() ([]string, error) {
 // deduplicated here: results at or below the watermark (timestamps the
 // application already received) are dropped before being returned.
 //
+// While Listen's socket is up the request rides it (getOverSocket); if the
+// socket dies first, it is made once more as a GET with ack=<ns>, the
+// same ack: the ack is idempotent and the watermark drops what is served
+// again. Without a socket it is that GET alone.
+//
 // A subscription this client did not create has no watermark to carry, so
-// its retrieval is followed by an explicit ack POST. When that ack fails
-// the results are returned WITH the error; callers must consume returned
-// items even on error.
+// its retrieval is a GET followed by an explicit ack POST. When that ack
+// fails the results are returned WITH the error; callers must consume
+// returned items even on error.
 func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
-	// Snapshot broker URL, current frontend-sub ID and watermark in ONE
-	// critical section: a supervised failover commits all of them together,
-	// and a mixed pair (old subscription ID, new broker — or vice versa)
-	// would carry one broker's watermark to a subscription another broker
-	// minted.
+	// Snapshot broker URL, socket, current frontend-sub ID and watermark in
+	// ONE critical section: a supervised failover commits all of them
+	// together, and a mixed pair (old subscription ID, new broker — or vice
+	// versa) would carry one broker's watermark to a subscription another
+	// broker minted. A reply's waiter is registered in it too, so a socket
+	// that dies from here on releases it (pump).
 	c.mu.Lock()
 	base, cur := c.brokerURL, fs
 	seen := time.Duration(-1)
 	var origin obs.SpanContext
+	var wait pendingReply
 	st := c.subs[fs]
 	if st != nil {
 		cur = st.fs
 		seen = st.lastTS
 		origin = st.lastTrace
+		if c.ws != nil {
+			c.lastID++
+			wait = pendingReply{id: c.lastID, conn: c.ws, ch: make(chan []byte, 1)}
+			c.replies[wait.id] = wait
+		}
 	}
 	c.mu.Unlock()
 	// Join the trace the push frame carried (when it carried one): the
@@ -287,27 +306,17 @@ func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 		ctx = obs.ContextWithSpan(ctx, origin)
 	}
 	var out broker.ResultsResponse
-	// One allocation for the URL; sub, the subscription's own URL, is a
-	// prefix of it.
-	fsPath, who := url.PathEscape(cur), url.QueryEscape(c.subscriber)
-	var u strings.Builder
-	u.Grow(len(base) + len(fsPath) + len(who) + 64)
-	u.WriteString(base)
-	u.WriteString("/v1/subscriptions/")
-	u.WriteString(fsPath)
-	subLen := u.Len()
-	u.WriteString("/results?subscriber=")
-	u.WriteString(who)
-	if st != nil {
-		var ack [20]byte
-		u.WriteString("&ack=")
-		u.Write(strconv.AppendInt(ack[:0], int64(seen), 10))
-	}
-	results := u.String()
-	sub := results[:subLen]
 	rctx, rsp := c.traces.Start(ctx, "client.get_results")
 	rsp.SetAttr("subscription", fs)
-	err := httpx.DoJSONContext(rctx, c.http, http.MethodGet, results, nil, &out)
+	err := errSocketLost
+	if wait.ch != nil {
+		err = c.getOverSocket(rctx, wait, base, cur, seen, &out)
+	}
+	var results string
+	if errors.Is(err, errSocketLost) {
+		results = c.resultsURL(base, cur, seen, st != nil)
+		err = httpx.DoJSONContext(rctx, c.http, http.MethodGet, results, nil, &out)
+	}
 	rsp.SetError(err)
 	rsp.End()
 	if err != nil {
@@ -317,6 +326,7 @@ func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 		if out.LatestNS > 0 {
 			ack := broker.AckRequest{Subscriber: c.subscriber, TimestampNS: out.LatestNS}
 			actx, asp := c.traces.Start(ctx, "client.ack")
+			sub, _, _ := strings.Cut(results, "/results?")
 			err := httpx.DoJSONContext(actx, c.http, http.MethodPost, sub+"/ack", ack, nil)
 			asp.SetError(err)
 			asp.End()
@@ -341,6 +351,106 @@ func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 	}
 	c.mu.Unlock()
 	return kept, nil
+}
+
+// resultsURL is the results route's URL for subscription cur at base,
+// carrying ack when acked. One allocation.
+func (c *Client) resultsURL(base, cur string, ack time.Duration, acked bool) string {
+	fsPath, who := url.PathEscape(cur), url.QueryEscape(c.subscriber)
+	var u strings.Builder
+	u.Grow(len(base) + len(fsPath) + len(who) + 64)
+	u.WriteString(base)
+	u.WriteString("/v1/subscriptions/")
+	u.WriteString(fsPath)
+	u.WriteString("/results?subscriber=")
+	u.WriteString(who)
+	if acked {
+		var buf [20]byte
+		u.WriteString("&ack=")
+		u.Write(strconv.AppendInt(buf[:0], int64(ack), 10))
+	}
+	return u.String()
+}
+
+// pendingReply is a GetResults call waiting for the reply to request id
+// on conn: ch receives it, or is closed when conn dies first.
+type pendingReply struct {
+	id   int64
+	conn *wsock.Conn
+	ch   chan []byte
+}
+
+// errSocketLost: the socket died before a retrieval's reply arrived.
+var errSocketLost = errors.New("client: notification socket lost")
+
+// getOverSocket makes one retrieval on the notification socket, the frame
+// {"get":fs,"id":n,"ack":ns[,"tp":...]}, waiting no longer than the HTTP
+// client's Timeout. The reply is the results route's body with "re":n, or
+// {"re":n,"status":s,"error":{...}}, which becomes the route's error.
+func (c *Client) getOverSocket(ctx context.Context, wait pendingReply, base, cur string, ack time.Duration, out *broker.ResultsResponse) error {
+	req := append(make([]byte, 0, 160), `{"get":`...)
+	req = httpx.AppendJSONString(req, cur)
+	req = append(req, `,"id":`...)
+	req = strconv.AppendInt(req, wait.id, 10)
+	req = append(req, `,"ack":`...)
+	req = strconv.AppendInt(req, int64(ack), 10)
+	if sc, ok := obs.SpanFromContext(ctx); ok {
+		req = append(append(append(req, `,"tp":"`...), sc.Child().Traceparent()...), '"')
+	}
+	var timeout <-chan time.Time
+	if d := c.http.Timeout; d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		timeout = t.C
+	}
+	var body []byte
+	err := wait.conn.WriteMessage(wsock.OpText, append(req, '}'))
+	if err == nil {
+		select {
+		case body = <-wait.ch:
+		case <-timeout:
+			err = fmt.Errorf("client: no reply to the retrieval of %s within %v", cur, c.http.Timeout)
+		}
+	}
+	if err != nil || body == nil { // not sent, timed out, or the socket died
+		c.mu.Lock()
+		delete(c.replies, wait.id)
+		c.mu.Unlock()
+		return cmp.Or(err, errSocketLost)
+	}
+	if !bytes.HasPrefix(body, []byte(`{"re":`)) {
+		if err := json.Unmarshal(body, out); err != nil {
+			return fmt.Errorf("client: decode results reply: %w", err)
+		}
+		return nil
+	}
+	var e struct {
+		Status int             `json:"status"`
+		Error  httpx.ErrorInfo `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil {
+		return fmt.Errorf("client: decode results reply: %w", err)
+	}
+	if e.Status == http.StatusRequestEntityTooLarge {
+		return &httpx.TooLargeError{URL: c.resultsURL(base, cur, ack, true), Limit: httpx.MaxBodyBytes}
+	}
+	return fmt.Errorf("client: retrieval of %s: %w", cur, &httpx.StatusError{
+		Status: e.Status, Code: e.Error.Code, Message: e.Error.Message, Retryable: e.Error.Retryable})
+}
+
+// replyID is the request id a retrieval reply on the notification socket
+// names: first in an error reply, last in a results body, so a row's own
+// "re" key is never taken for it. ok is false for a push notification.
+func replyID(p []byte) (id int64, ok bool) {
+	if rest, found := bytes.CutPrefix(p, []byte(`{"re":`)); found {
+		p, _, _ = bytes.Cut(rest, []byte(","))
+	} else if i := bytes.LastIndex(p, []byte(`,"re":`)); i >= 0 {
+		p = bytes.TrimSuffix(p[i+len(`,"re":`):], []byte("}\n"))
+	} else {
+		return 0, false
+	}
+	id, err := strconv.ParseInt(string(p), 10, 64)
+	return id, err == nil
 }
 
 // Listen opens the notification WebSocket (logging the subscriber in) and
@@ -390,7 +500,8 @@ func (c *Client) dialWS(brokerURL string) (*wsock.Conn, error) {
 	return conn, nil
 }
 
-// pump forwards the socket's notifications until it dies.
+// pump forwards the socket's notifications to Notifications and each
+// retrieval reply, undecoded, to its GetResults call, until the socket dies.
 func (c *Client) pump(conn *wsock.Conn) {
 	for {
 		_, payload, err := conn.ReadMessage()
@@ -399,8 +510,24 @@ func (c *Client) pump(conn *wsock.Conn) {
 			if c.ws == conn {
 				c.ws = nil
 			}
+			for id, p := range c.replies {
+				if p.conn == conn {
+					close(p.ch)
+					delete(c.replies, id)
+				}
+			}
 			c.mu.Unlock()
 			return
+		}
+		if id, ok := replyID(payload); ok {
+			c.mu.Lock()
+			p, waiting := c.replies[id]
+			delete(c.replies, id)
+			c.mu.Unlock()
+			if waiting {
+				p.ch <- payload // buffered, and this is its one send
+			}
+			continue
 		}
 		var n broker.PushNotification
 		if err := json.Unmarshal(payload, &n); err != nil {

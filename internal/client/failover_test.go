@@ -26,15 +26,15 @@ type testBroker struct {
 }
 
 // newBrokerOn starts a broker server against the given cluster and
-// registers it with the BCS service.
-func newBrokerOn(t *testing.T, id, clusterURL string, svc *bcs.Service) *testBroker {
+// registers it with the BCS service; opts adjust its configuration.
+func newBrokerOn(t *testing.T, id, clusterURL string, svc *bcs.Service, opts ...func(*broker.Config)) *testBroker {
 	t.Helper()
 	srv := httptest.NewUnstartedServer(nil)
 	kl := faults.NewKillableListener(srv.Listener)
 	srv.Listener = kl
 	srv.Start()
 	t.Cleanup(func() { kl.Kill(); srv.Close() })
-	b, err := broker.New(broker.Config{
+	cfg := broker.Config{
 		ID:          id,
 		Backend:     bdms.NewClient(clusterURL, nil),
 		CallbackURL: srv.URL + "/v1/callbacks/results",
@@ -43,7 +43,11 @@ func newBrokerOn(t *testing.T, id, clusterURL string, svc *bcs.Service) *testBro
 		// Fabric without BCS/peers: ring views are installed directly by
 		// the tests that exercise rebalancing.
 		Fabric: &broker.FabricConfig{},
-	})
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	b, err := broker.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

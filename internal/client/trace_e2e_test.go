@@ -286,6 +286,11 @@ func TestEndToEndDeliveryTrace(t *testing.T) {
 	if got, want := edgeSpans["cache.peer_hop"].ParentID, edgeSpans[resultsRoute].SpanID; got != want {
 		t.Errorf("cache.peer_hop parent = %s, want the results handler %s", got, want)
 	}
+	// The listening client retrieved over its notification socket, under the
+	// results route's own span.
+	if attrs := edgeSpans[resultsRoute].Attrs; attrs["transport"] != "ws" || attrs["method"] != "WS" {
+		t.Errorf("results span attrs = %v, want transport=ws and method=WS", attrs)
+	}
 	// Delivery 1 is handed out but not yet acknowledged at the broker.
 	if m, err := st.edge.Marker("edna", note.FrontendSub); err != nil || int64(m) >= note.LatestNS {
 		t.Fatalf("edge marker after retrieval 1 = %d, %v; want below %d", m, err, note.LatestNS)

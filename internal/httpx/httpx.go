@@ -109,6 +109,12 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteErrorCode(w, status, CodeForStatus(status), format, args...)
 }
 
+// ErrorInfoFor is the envelope body WriteError writes for status, for a
+// transport that carries the status itself (a WebSocket reply).
+func ErrorInfoFor(status int, message string) ErrorInfo {
+	return ErrorInfo{Code: CodeForStatus(status), Message: message, Retryable: retryableStatus(status)}
+}
+
 // WriteErrorCode writes the unified error envelope with an explicit code.
 func WriteErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
 	WriteJSON(w, status, ErrorEnvelope{Error: ErrorInfo{

@@ -2,6 +2,7 @@ package httpx
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"log/slog"
 	"net"
@@ -65,57 +66,72 @@ func (o *Observer) MetricsHandler() http.Handler { return o.Registry.Handler() }
 // Wrap instruments one route: it joins (or starts) the request's trace from
 // the traceparent header, injects a request ID, records per-route metrics
 // and emits a structured access line. route should be the mux pattern, so
-// metric cardinality stays bounded by the route table. The span name and
-// the route's share of the HTTP metrics are taken here, once, not per
-// request.
+// metric cardinality stays bounded by the route table.
 func (o *Observer) Wrap(route string, h http.HandlerFunc) http.HandlerFunc {
-	name := "http " + route
-	metrics := o.HTTP.Route(route)
+	rt := o.Route(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		o.HTTP.Begin()
 		defer o.HTTP.End()
-
-		// Trace: continue the caller's trace when the header parses,
-		// otherwise become the root. Either way this server handles the
-		// request in a fresh child span, recorded (when a recorder is
-		// configured) into the ring behind /v1/debug/traces.
-		ctx := r.Context()
-		if parent, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-			ctx = obs.ContextWithSpan(ctx, parent)
-		}
-		ctx, sp := o.Traces.Start(ctx, name)
-		sp.SetAttr("method", r.Method)
-		reqID := r.Header.Get(RequestIDHeader)
-		if reqID == "" {
-			reqID = obs.NewRequestID()
-		}
-		ctx = obs.ContextWithRequestID(ctx, reqID)
+		ctx, sp, reqID := rt.Begin(r.Context(), r.Header.Get(obs.TraceparentHeader), r.Header.Get(RequestIDHeader), r.Method)
 		w.Header().Set(RequestIDHeader, reqID)
-
 		rec := &statusRecorder{ResponseWriter: w}
 		h(rec, r.WithContext(ctx))
-
-		status := rec.status()
-		sp.SetAttr("status", statusString(status))
-		if status >= 500 {
-			sp.SetError(fmt.Errorf("http %d", status))
-		}
-		sp.End()
-		metrics.Observe(r.Method, status, time.Since(start))
-		level := slog.LevelDebug
-		if status >= 500 {
-			level = slog.LevelError
-		}
-		o.Logger.LogAttrs(ctx, level, "http request",
-			slog.String("route", route),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", status),
-			slog.Int64("bytes", rec.bytes),
-			slog.Duration("duration", time.Since(start)),
-		)
+		rt.End(ctx, sp, r.Method, r.URL.Path, rec.status(), rec.bytes, start)
 	}
+}
+
+// Route is one route's instrumentation, its span name and metric series
+// taken once. Wrap brackets each HTTP request with Begin and End; a server
+// answering the route over another transport (a WebSocket frame) does too.
+type Route struct {
+	o       *Observer
+	route   string
+	name    string
+	metrics *obs.RouteMetrics
+}
+
+// Route returns the instrumentation of the route with mux pattern route.
+func (o *Observer) Route(route string) *Route {
+	return &Route{o: o, route: route, name: "http " + route, metrics: o.HTTP.Route(route)}
+}
+
+// Begin opens one request's server span, a child of traceparent when it
+// parses, else a new root. The returned context carries the span and the
+// request ID: reqID or, when that is empty, a fresh one.
+func (rt *Route) Begin(ctx context.Context, traceparent, reqID, method string) (context.Context, *span.Span, string) {
+	if parent, ok := obs.ParseTraceparent(traceparent); ok {
+		ctx = obs.ContextWithSpan(ctx, parent)
+	}
+	ctx, sp := rt.o.Traces.Start(ctx, rt.name)
+	sp.SetAttr("method", method)
+	if reqID == "" {
+		reqID = obs.NewRequestID()
+	}
+	return obs.ContextWithRequestID(ctx, reqID), sp, reqID
+}
+
+// End closes what Begin opened: the span's status, the route's series and
+// the access line of a request answered status with n body bytes.
+func (rt *Route) End(ctx context.Context, sp *span.Span, method, path string, status int, n int64, start time.Time) {
+	sp.SetAttr("status", statusString(status))
+	if status >= 500 {
+		sp.SetError(fmt.Errorf("http %d", status))
+	}
+	sp.End()
+	rt.metrics.Observe(method, status, time.Since(start))
+	level := slog.LevelDebug
+	if status >= 500 {
+		level = slog.LevelError
+	}
+	rt.o.Logger.LogAttrs(ctx, level, "http request",
+		slog.String("route", rt.route),
+		slog.String("method", method),
+		slog.String("path", path),
+		slog.Int("status", status),
+		slog.Int64("bytes", n),
+		slog.Duration("duration", time.Since(start)),
+	)
 }
 
 // statusStrings holds the decimal form of every status code a server can
