@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-json bench-smoke bench-guard bench-test bench-vet soak fuzz-smoke chaos crash-matrix size verify
+.PHONY: build vet lint test race bench bench-json bench-smoke bench-guard bench-test bench-vet soak fuzz-smoke chaos crash-matrix repro-check size verify
 
 build:
 	$(GO) build ./...
@@ -142,6 +142,13 @@ chaos:
 # full history.
 crash-matrix:
 	CRASH_MATRIX=full $(GO) test -run='^TestStoreCrashMatrix$$' -v ./internal/bdms
+
+# The paper's figures, pinned: every simulation sweep and the Fig. 7
+# prototype rig are deterministic, so `badrepro -fig all` must reproduce
+# the committed repro_output.txt digit for digit, its wall-clock
+# `# done in` line aside (about three minutes on two cores).
+repro-check:
+	$(GO) run ./cmd/badrepro -fig all | diff -I '^# done in' repro_output.txt -
 
 # The numbers every simplicity PR reports in CHANGES.md, counted one way:
 # root-module (bench/ excluded) non-test and test lines, command-line flag

@@ -42,10 +42,8 @@ func main() {
 	policyName := flag.String("policy", "lsc", "caching policy: lru|lsc|lscz|lsd|exp|ttl|nc")
 	budgetStr := flag.String("budget", "64MB", "cache budget")
 	ttlInterval := flag.Duration("ttl-interval", time.Minute, "TTL recompute interval")
-	pushQueue := flag.Int("push-queue", 0, "per-session outbound notification queue bound (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful drain deadline on SIGTERM: queued pushes are flushed and sessions migrated within this bound")
 	cacheSnapshot := flag.String("cache-snapshot", "", "warm cache snapshot path: written on graceful shutdown and restored (readiness-gated) on the next start (empty = off)")
-	warmupMaxAge := flag.Duration("warmup-max-age", 5*time.Minute, "reject warm cache snapshots older than this")
 	ringRefresh := flag.Duration("ring-refresh", 5*time.Second, "fabric ring refresh interval (requires -bcs; 0 disables the fabric)")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
 	debugAddr := flag.String("debug-addr", "", "debug listen address for pprof and /debug/runtime (empty = off)")
@@ -59,7 +57,7 @@ func main() {
 	flag.BoolVar(&res.staleServe, "stale-serve", true, "serve cached results stale (zero ack marker) when a cluster fetch fails")
 	flag.Parse()
 
-	if err := run(*addr, *public, *clusterURL, *bcsURL, *id, *policyName, *budgetStr, *ttlInterval, *pushQueue, *drainTimeout, *ringRefresh, *cacheSnapshot, *warmupMaxAge, *logLevel, *debugAddr, *traceOut, res); err != nil {
+	if err := run(*addr, *public, *clusterURL, *bcsURL, *id, *policyName, *budgetStr, *ttlInterval, *drainTimeout, *ringRefresh, *cacheSnapshot, *logLevel, *debugAddr, *traceOut, res); err != nil {
 		fmt.Fprintln(os.Stderr, "badbroker:", err)
 		os.Exit(1)
 	}
@@ -77,7 +75,7 @@ type resilienceFlags struct {
 	staleServe      bool
 }
 
-func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttlInterval time.Duration, pushQueue int, drainTimeout, ringRefresh time.Duration, cacheSnapshot string, warmupMaxAge time.Duration, logLevel, debugAddr, traceOut string, res resilienceFlags) error {
+func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttlInterval, drainTimeout, ringRefresh time.Duration, cacheSnapshot string, logLevel, debugAddr, traceOut string, res resilienceFlags) error {
 	observer, err := cliutil.NewObserver("badbroker", logLevel)
 	if err != nil {
 		return err
@@ -147,17 +145,15 @@ func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttl
 	}
 
 	b, err := broker.New(broker.Config{
-		ID:           id,
-		Backend:      bdms.NewClient(clusterURL, nil, clientOpts...),
-		CallbackURL:  public + "/v1/callbacks/results",
-		Fabric:       fabricCfg,
-		WarmupMaxAge: warmupMaxAge,
-		Policy:       policy,
-		CacheBudget:  budget,
-		TTL:          core.TTLConfig{RecomputeInterval: ttlInterval},
-		PushQueue:    pushQueue,
-		Logger:       observer.Logger,
-		StaleServe:   res.staleServe,
+		ID:          id,
+		Backend:     bdms.NewClient(clusterURL, nil, clientOpts...),
+		CallbackURL: public + "/v1/callbacks/results",
+		Fabric:      fabricCfg,
+		Policy:      policy,
+		CacheBudget: budget,
+		TTL:         core.TTLConfig{RecomputeInterval: ttlInterval},
+		Logger:      observer.Logger,
+		StaleServe:  res.staleServe,
 	})
 	if err != nil {
 		return err

@@ -87,11 +87,12 @@ func run() error {
 	}
 
 	// 5. Both subscribers retrieve — each gets the result, alice's and
-	// bob's retrievals share the single cached copy.
+	// bob's retrievals share the single cached copy. A retrieval carries
+	// the ack of the one before it (Latest); these are the first, so 0.
 	for _, sub := range []struct{ name, fs string }{
 		{"alice", fsAlice}, {"bob", fsBob},
 	} {
-		ret, err := b.RetrieveContext(context.Background(), sub.name, sub.fs)
+		ret, err := b.RetrieveContext(context.Background(), sub.name, sub.fs, 0)
 		if err != nil {
 			return err
 		}
@@ -106,9 +107,6 @@ func run() error {
 			}
 			fmt.Printf("%s received %s (%d bytes) from the %s: %v\n",
 				sub.name, it.ID, it.Size, src, rows[0]["message"])
-		}
-		if err := b.Ack(sub.name, sub.fs, ret.Latest); err != nil {
-			return err
 		}
 	}
 

@@ -14,18 +14,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
-	"gobad/internal/bdms"
-	"gobad/internal/broker"
 	"gobad/internal/core"
 	"gobad/internal/experiments"
-	"gobad/internal/liveplay"
 	"gobad/internal/trace"
-	"gobad/internal/workload"
 )
 
 func main() {
@@ -34,113 +28,10 @@ func main() {
 	budgetKB := flag.Int64("budget-kb", 256, "cache budget in KB")
 	out := flag.String("out", "", "also write the trace as JSONL to this file")
 	seed := flag.Int64("seed", 1, "random seed")
-	live := flag.Bool("live", false, "replay against a real loopback HTTP deployment (wall-clock, sped up) instead of the virtual-time rig")
-	speedup := flag.Float64("speedup", 60, "trace-time compression for -live playback")
 	flag.Parse()
-	if *live {
-		if err := runLive(*subscribers, *duration, *budgetKB, *seed, *speedup); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if err := run(*subscribers, *duration, *budgetKB, *out, *seed); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// runLive replays the trace over real HTTP + WebSockets.
-func runLive(subscribers int, duration time.Duration, budgetKB, seed int64, speedup float64) error {
-	gen := trace.DefaultGenConfig()
-	gen.Seed = seed
-	gen.Subscribers = subscribers
-	gen.UniqueSubscriptions = subscribers * 4
-	gen.Duration = duration
-	tr, err := trace.Generate(gen)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("generated %d activities; replaying LIVE at %.0fx (about %v of wall time)\n",
-		tr.Len(), speedup, time.Duration(float64(duration)/speedup).Round(time.Second))
-
-	// Loopback deployment.
-	notifier := bdms.NewWebhookNotifier(4, 512, nil)
-	defer notifier.Close()
-	cluster := bdms.NewCluster(bdms.WithNotifier(notifier))
-	for _, ds := range []string{"EmergencyReports", "Shelters"} {
-		if err := cluster.CreateDataset(ds, bdms.Schema{}); err != nil {
-			return err
-		}
-	}
-	for _, spec := range workload.EmergencyChannels() {
-		if err := cluster.DefineChannel(bdms.ChannelDef{
-			Name: spec.Name, Params: spec.Params, Body: spec.Body, Period: spec.Period,
-		}); err != nil {
-			return err
-		}
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		ticker := time.NewTicker(200 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				cluster.RunRepetitiveDue()
-			}
-		}
-	}()
-	clusterLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	clusterSrv := &http.Server{Handler: bdms.NewServer(cluster).Handler(), ReadHeaderTimeout: 10 * time.Second}
-	go func() { _ = clusterSrv.Serve(clusterLn) }()
-	defer clusterSrv.Close()
-	clusterURL := "http://" + clusterLn.Addr().String()
-
-	brokerLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	brokerURL := "http://" + brokerLn.Addr().String()
-	b, err := broker.New(broker.Config{
-		ID:          "replay-broker",
-		Backend:     bdms.NewClient(clusterURL, nil),
-		CallbackURL: brokerURL + "/v1/callbacks/results",
-		Policy:      core.LSC{},
-		CacheBudget: budgetKB << 10,
-	})
-	if err != nil {
-		return err
-	}
-	brokerSrv := &http.Server{Handler: broker.NewServer(b).Handler(), ReadHeaderTimeout: 10 * time.Second}
-	go func() { _ = brokerSrv.Serve(brokerLn) }()
-	defer brokerSrv.Close()
-
-	player, err := liveplay.NewPlayer(liveplay.Config{
-		Cluster:   bdms.NewClient(clusterURL, nil),
-		BrokerURL: brokerURL,
-		Speedup:   speedup,
-	})
-	if err != nil {
-		return err
-	}
-	defer player.Close()
-	start := time.Now()
-	if err := trace.Play(tr, player); err != nil {
-		return err
-	}
-	time.Sleep(500 * time.Millisecond) // drain in-flight notifications
-	player.Close()
-	st := b.Stats()
-	fmt.Printf("live replay finished in %v\n", time.Since(start).Round(time.Millisecond))
-	fmt.Printf("  %d frontend -> %d backend subscriptions\n", b.NumFrontendSubs(), b.NumBackendSubs())
-	fmt.Printf("  hit ratio %.3f, %d notification-driven retrievals, median wall latency %.1fms\n",
-		st.HitRatio(), int(player.Retrievals.Value()), player.Latency.Quantile(0.5)*1000)
-	return nil
 }
 
 func run(subscribers int, duration time.Duration, budgetKB int64, out string, seed int64) error {

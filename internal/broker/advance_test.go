@@ -364,7 +364,7 @@ func TestArrivalRoutesAreEquivalent(t *testing.T) {
 			if got := int(e.pushes.Load()); got != rt.pushes {
 				t.Errorf("alice was pushed %d notifications, want %d", got, rt.pushes)
 			}
-			ret, err := e.b.RetrieveContext(context.Background(), "alice", e.fs)
+			ret, err := e.b.RetrieveContext(context.Background(), "alice", e.fs, 0)
 			if err != nil || len(ret.Items) != 6 || ret.Latest != e.r[5].Timestamp {
 				t.Fatalf("retrieval = %+v, %v; want six results up to %v", ret, err, e.r[5].Timestamp)
 			}

@@ -93,18 +93,10 @@ type Config struct {
 	// missed range — the older objects are re-delivered once the
 	// cluster recovers (at-least-once, possible duplicates).
 	StaleServe bool
-	// PushQueue bounds each WebSocket session's outbound notification
-	// queue (distinct frontend subscriptions with a pending marker);
-	// <= 0 selects DefaultPushQueue. Markers beyond the bound evict the
-	// oldest pending one (latest-wins, recoverable via GetResults).
-	PushQueue int
 	// Fabric connects the broker to the cooperative edge fabric: HRW
 	// placement, session rebalance and broker-to-broker peer lookup on
 	// cache misses. nil runs the broker standalone.
 	Fabric *FabricConfig
-	// WarmupMaxAge is how stale an incoming warm snapshot may be before
-	// it is rejected wholesale; <= 0 selects DefaultWarmupMaxAge.
-	WarmupMaxAge time.Duration
 }
 
 // Broker is a BAD broker node.
@@ -159,9 +151,8 @@ type Broker struct {
 	subFlights map[string]*subFlight
 	// warm is the bounded stash of handed-off cache entries awaiting a
 	// matching subscribe; warmupStats tallies hits/misses/intake.
-	warm         *warmStore
-	warmupStats  WarmupStats
-	warmupMaxAge time.Duration
+	warm        *warmStore
+	warmupStats WarmupStats
 	// warming is the cold-start readiness state: true while the broker is
 	// still restoring warm state, reported on /v1/healthz and excluded
 	// from BCS placement.
@@ -258,11 +249,7 @@ func New(cfg Config) (*Broker, error) {
 		subFlights:  make(map[string]*subFlight),
 		warm:        newWarmStore(),
 	}
-	b.warmupMaxAge = cfg.WarmupMaxAge
-	if b.warmupMaxAge <= 0 {
-		b.warmupMaxAge = DefaultWarmupMaxAge
-	}
-	b.sessions = newSessionHub(cfg.PushQueue, &b.stats.Delivered, b.log)
+	b.sessions = newSessionHub(DefaultPushQueue, &b.stats.Delivered, b.log)
 	if cfg.Fabric != nil {
 		b.fabric = newFabric(b, *cfg.Fabric)
 	}
@@ -670,8 +657,8 @@ type Item struct {
 type Retrieval struct {
 	// Items are the results, oldest first.
 	Items []Item
-	// Latest is the marker the subscriber should Ack; it stays 0 when
-	// nothing may be acked (fetch failure or stale serve), so the
+	// Latest is the ack the subscriber's next retrieval carries; it stays
+	// 0 when nothing may be acked (fetch failure or stale serve), so the
 	// undelivered range is retried on the next retrieval.
 	Latest time.Duration
 	// Stale reports a degraded answer: the backend fetch failed and
@@ -681,31 +668,54 @@ type Retrieval struct {
 }
 
 // errUnknownFrontendSub marks a retrieval of a frontend subscription this
-// broker does not hold for that subscriber; the results route answers it
-// 404 and every other retrieval failure 502.
-var errUnknownFrontendSub = errors.New("broker: unknown frontend subscription")
+// broker does not hold for that subscriber, errNegativeAck one carrying a
+// negative ack. The results route answers them 404 and 400 and every other
+// retrieval failure 502 (retrievalStatus).
+var (
+	errUnknownFrontendSub = errors.New("broker: unknown frontend subscription")
+	errNegativeAck        = errors.New("broker: ack must be a non-negative timestamp in nanoseconds")
+)
 
-// RetrieveContext implements Algorithm 1's GETRESULTS: it returns the
-// results of fsID's backend subscription in (fts, bts], serving from the
-// cache where possible. ctx bounds any miss re-fetch from the data cluster.
-// The subscriber must Ack the returned latest timestamp to advance its
-// marker.
+// RetrieveContext is one retrieval of Algorithm 1: the ACK of the previous
+// retrieval, then GETRESULTS over the (fts, bts] it leaves, serving from
+// the cache where possible. ack is the Latest the subscriber's previous
+// retrieval returned; it moves fsID's marker never backwards and never
+// past bts, so 0 (nothing retrieved yet) and a repeated ack are no-ops. A
+// negative ack is refused before anything is retrieved or consumed. ctx
+// bounds any miss re-fetch from the data cluster.
 //
 // Under StaleServe a backend-fetch failure degrades instead of erroring:
 // the cached portion is returned with Stale set and a zero marker, so the
 // subscriber sees results — never an error — while the missed older range
 // stays pending for redelivery.
-func (b *Broker) RetrieveContext(ctx context.Context, subscriber, fsID string) (Retrieval, error) {
-	now := b.clock()
-	b.mu.Lock()
-	fs, ok := b.frontend[fsID]
-	if !ok || fs.subscriber != subscriber {
-		b.mu.Unlock()
-		return Retrieval{}, fmt.Errorf("%w %q", errUnknownFrontendSub, fsID)
+func (b *Broker) RetrieveContext(ctx context.Context, subscriber, fsID string, ack time.Duration) (Retrieval, error) {
+	if ack < 0 {
+		return Retrieval{}, errNegativeAck
 	}
-	bsID := fs.bs.id
-	from, to := fs.fts, fs.bs.bts
+	now := b.clock()
+	// The ACK closes the previous delivery's trace: the client forwards
+	// that delivery's push traceparent, so broker.client_ack and the
+	// client_ack stage sample land in it.
+	actx, asp := b.traces.Start(ctx, "broker.client_ack")
+	asp.SetAttr("subscriber", subscriber)
+	ackStart := time.Now()
+	var bsID string
+	var from, to time.Duration
+	var err error
+	b.mu.Lock()
+	if fs, ok := b.frontend[fsID]; ok && fs.subscriber == subscriber {
+		fs.fts = max(fs.fts, min(ack, fs.bs.bts))
+		bsID, from, to = fs.bs.id, fs.fts, fs.bs.bts
+	} else {
+		err = fmt.Errorf("%w %q", errUnknownFrontendSub, fsID)
+	}
 	b.mu.Unlock()
+	asp.SetError(err)
+	asp.End()
+	b.stages.Observe(actx, span.StageClientAck, span.OutcomeNone, time.Since(ackStart))
+	if err != nil {
+		return Retrieval{}, err
+	}
 
 	// Cache resolution runs in its own span, renamed to the outcome once
 	// it is known (cache.local_hit / cache.peer_hop / cache.cluster_fetch
@@ -806,24 +816,6 @@ func (b *Broker) Marker(subscriber, fsID string) (time.Duration, error) {
 		return 0, fmt.Errorf("broker: unknown frontend subscription %q", fsID)
 	}
 	return fs.fts, nil
-}
-
-// Ack advances fsID's retrieval marker to ts (never backwards, never past
-// the backend marker).
-func (b *Broker) Ack(subscriber, fsID string, ts time.Duration) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	fs, ok := b.frontend[fsID]
-	if !ok || fs.subscriber != subscriber {
-		return fmt.Errorf("broker: unknown frontend subscription %q", fsID)
-	}
-	if ts > fs.bs.bts {
-		ts = fs.bs.bts
-	}
-	if ts > fs.fts {
-		fs.fts = ts
-	}
-	return nil
 }
 
 // errUnknownBackendSub marks a notification for a backend subscription

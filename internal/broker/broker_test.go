@@ -3,6 +3,7 @@ package broker
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -159,7 +160,7 @@ func TestNotificationPullCacheAndRetrieve(t *testing.T) {
 	env.publish(t, "flood", 2) // does not match
 	env.publish(t, "fire", 5)
 
-	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +196,8 @@ func rowsOf(t *testing.T, it Item) []map[string]any {
 	return rows
 }
 
+// TestAckAdvancesMarker: the ack a retrieval carries moves the marker
+// before its GETRESULTS — never backwards, never past bts.
 func TestAckAdvancesMarker(t *testing.T) {
 	env := newTestEnv(t, core.LSC{}, 1<<20)
 	b := env.broker
@@ -203,28 +206,38 @@ func TestAckAdvancesMarker(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.publish(t, "fire", 3)
-	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs, 0)
 	if err != nil || len(ret.Items) != 1 {
 		t.Fatalf("items=%v err=%v", ret.Items, err)
 	}
-	if err := b.Ack("alice", fs, ret.Latest); err != nil {
-		t.Fatal(err)
+	latest := ret.Latest
+	marker := func() time.Duration {
+		t.Helper()
+		m, err := b.Marker("alice", fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	// After ack, the same range yields nothing.
-	ret, err = b.RetrieveContext(context.Background(), "alice", fs)
-	if err != nil {
-		t.Fatal(err)
+	if m := marker(); m != 0 {
+		t.Errorf("marker before any ack = %v, want 0", m)
 	}
-	if len(ret.Items) != 0 {
-		t.Errorf("post-ack retrieval returned %d items", len(ret.Items))
-	}
-	// Ack beyond bts clamps.
-	if err := b.Ack("alice", fs, ret.Latest+time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	// Ack backwards is ignored.
-	if err := b.Ack("alice", fs, 0); err != nil {
-		t.Fatal(err)
+	// Carrying the ack, the same range yields nothing.
+	for _, ack := range []time.Duration{
+		latest,
+		latest + time.Hour, // beyond bts: clamps
+		0,                  // backwards: ignored
+	} {
+		ret, err = b.RetrieveContext(context.Background(), "alice", fs, ack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ret.Items) != 0 {
+			t.Errorf("retrieval carrying ack %v returned %d items", ack, len(ret.Items))
+		}
+		if m := marker(); m != latest {
+			t.Errorf("marker after ack %v = %v, want %v", ack, m, latest)
+		}
 	}
 }
 
@@ -240,7 +253,7 @@ func TestLateJoinerOnlySeesNewResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ret, err := b.RetrieveContext(context.Background(), "bob", fsBob)
+	ret, err := b.RetrieveContext(context.Background(), "bob", fsBob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +261,7 @@ func TestLateJoinerOnlySeesNewResults(t *testing.T) {
 		t.Errorf("late joiner got %d pre-join results, want 0", len(ret.Items))
 	}
 	env.publish(t, "fire", 4)
-	ret, err = b.RetrieveContext(context.Background(), "bob", fsBob)
+	ret, err = b.RetrieveContext(context.Background(), "bob", fsBob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +281,7 @@ func TestCacheMissRefetchesFromCluster(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		env.publish(t, "fire", float64(i+1))
 	}
-	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +298,6 @@ func TestCacheMissRefetchesFromCluster(t *testing.T) {
 	}
 	if fetched == 0 {
 		t.Error("with budget 200 some results must be re-fetched")
-	}
-	if err := b.Ack("alice", fs, ret.Latest); err != nil {
-		t.Fatal(err)
 	}
 	if b.Stats().MissBytes.Value() <= 0 {
 		t.Error("miss bytes should be accounted")
@@ -338,11 +348,23 @@ func TestUnsubscribeValidation(t *testing.T) {
 
 func TestGetResultsValidation(t *testing.T) {
 	env := newTestEnv(t, core.LSC{}, 1<<20)
-	if _, err := env.broker.RetrieveContext(context.Background(), "alice", "nope"); err == nil {
+	if _, err := env.broker.RetrieveContext(context.Background(), "alice", "nope", 0); err == nil {
 		t.Error("unknown fs should fail")
 	}
-	if err := env.broker.Ack("alice", "nope", 0); err == nil {
-		t.Error("ack of unknown fs should fail")
+	// A negative ack is refused before anything is retrieved or consumed.
+	fs, err := env.broker.Subscribe("alice", "Alerts", []any{"fire"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.publish(t, "fire", 3)
+	if _, err := env.broker.RetrieveContext(context.Background(), "alice", fs, -1); !errors.Is(err, errNegativeAck) {
+		t.Errorf("negative ack: %v, want errNegativeAck", err)
+	}
+	if got := env.broker.Stats().Requests.Value(); got != 0 {
+		t.Errorf("objects requested from the cache = %v, want 0", got)
+	}
+	if ret, err := env.broker.RetrieveContext(context.Background(), "alice", fs, 0); err != nil || len(ret.Items) != 1 {
+		t.Errorf("retrieval after the refused one = %v, %v; want the result", ret.Items, err)
 	}
 }
 
@@ -355,7 +377,7 @@ func TestNCPolicyFetchesEverythingFromCluster(t *testing.T) {
 	}
 	env.publish(t, "fire", 3)
 	env.publish(t, "fire", 4)
-	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +430,7 @@ func TestTTLPolicyExpiryThroughBroker(t *testing.T) {
 		t.Errorf("expired %d objects, want 1", n)
 	}
 	// Expired object must still be retrievable from the cluster.
-	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +513,7 @@ func TestGetResultsPartialFetchError(t *testing.T) {
 	}
 	// Detach the backend by swapping in a failing one.
 	b.backend = failingBackend{}
-	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs, 0)
 	if err == nil {
 		t.Fatal("backend failure should surface")
 	}

@@ -82,25 +82,21 @@ func TestChaosThirtyPercentClusterErrors(t *testing.T) {
 		}
 		published++
 	}
+	var ack time.Duration // the last retrieval's Latest, carried by the next
 	retrieve := func(label string) {
 		t.Helper()
-		ret, err := b.RetrieveContext(context.Background(), "alice", fsID)
+		ret, err := b.RetrieveContext(context.Background(), "alice", fsID, ack)
 		if err != nil {
 			t.Fatalf("%s: subscriber-visible error (stale-serve promises zero): %v", label, err)
 		}
 		for _, it := range ret.Items {
 			delivered[it.ID] = true
 		}
+		ack = ret.Latest
 		if ret.Stale {
 			staleRetrievals++
 			if ret.Latest != 0 {
 				t.Fatalf("%s: stale retrieval carries marker %v, must be 0 so the missed range is retried", label, ret.Latest)
-			}
-			return
-		}
-		if ret.Latest > 0 {
-			if err := b.Ack("alice", fsID, ret.Latest); err != nil {
-				t.Fatal(err)
 			}
 		}
 	}

@@ -144,7 +144,7 @@ func TestPeerLookupServesFromSibling(t *testing.T) {
 	}
 
 	before := env.edgeCalls.calls.Load()
-	ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs)
+	ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +188,12 @@ func TestPeerLookupOverConsumedRange(t *testing.T) {
 	}
 	env.publish(t, "fire", 1)
 	env.publish(t, "fire", 2)
-	if ret, err := env.owner.RetrieveContext(context.Background(), "olga", olga); err != nil || len(ret.Items) != 2 {
+	if ret, err := env.owner.RetrieveContext(context.Background(), "olga", olga, 0); err != nil || len(ret.Items) != 2 {
 		t.Fatalf("olga's retrieval = %+v, %v; want both results", ret, err)
 	}
 
 	before := env.edgeCalls.calls.Load()
-	ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs)
+	ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestPeerLookupSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs)
+			ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs, 0)
 			errs[i], counts[i] = err, len(ret.Items)
 		}(i)
 	}
@@ -311,7 +311,7 @@ func TestPeerTaxonomy(t *testing.T) {
 	}
 
 	before := env.edgeCalls.calls.Load()
-	ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs)
+	ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func TestBrokerMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.publish(t, "fire", 3)
-	if _, err := env.broker.RetrieveContext(context.Background(), "alice", env.broker.FrontendSubscriptions("alice")[0]); err != nil {
+	if _, err := env.broker.RetrieveContext(context.Background(), "alice", env.broker.FrontendSubscriptions("alice")[0], 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -80,7 +80,7 @@ func TestPushModelCachesWithoutFetching(t *testing.T) {
 		t.Errorf("backend pulls = %d, want 1: the first result's gap", got)
 	}
 
-	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +91,6 @@ func TestPushModelCachesWithoutFetching(t *testing.T) {
 		if !it.FromCache {
 			t.Error("pushed results should be cached")
 		}
-	}
-	if err := b.Ack("alice", fs, ret.Latest); err != nil {
-		t.Fatal(err)
 	}
 	// The PUSH model's point: results entered the cache without any
 	// fetch from the cluster.
@@ -154,7 +151,7 @@ func TestPushModelBackfillsGaps(t *testing.T) {
 	// (etype "x" does not match, so craft the gap via direct results.)
 	env.publishWithoutNotify(t, "fire", 2)
 	env.publish(t, "fire", 3)
-	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +178,7 @@ func TestPushAboveResumeTokenPullsGapOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.publish(t, "fire", 1)
-	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs, 0)
 	if err != nil || len(ret.Items) != 1 {
 		t.Fatalf("first retrieval = %+v, %v", ret, err)
 	}
@@ -207,7 +204,7 @@ func TestPushAboveResumeTokenPullsGapOnce(t *testing.T) {
 	if got := counted.ResultFetches(); got != 1 {
 		t.Errorf("backend pulls = %d, want 1: the gap below the push", got)
 	}
-	ret, err = b.RetrieveContext(context.Background(), "alice", fs)
+	ret, err = b.RetrieveContext(context.Background(), "alice", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +253,7 @@ func TestPushedBatchIngestsOnce(t *testing.T) {
 	if got := b.Manager().Cache(bsID).Len(); got != 3 {
 		t.Errorf("cache has %d objects after duplicate batch, want 3", got)
 	}
-	ret, err := b.RetrieveContext(context.Background(), "alice", fs)
+	ret, err := b.RetrieveContext(context.Background(), "alice", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +262,6 @@ func TestPushedBatchIngestsOnce(t *testing.T) {
 	}
 	if ret.Latest != 3*time.Second {
 		t.Errorf("latest = %v, want 3s", ret.Latest)
-	}
-	if err := b.Ack("alice", fs, ret.Latest); err != nil {
-		t.Fatal(err)
 	}
 	// Pushed batches must not trigger fetches: the batch itself carried
 	// everything.

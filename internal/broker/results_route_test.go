@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -136,19 +137,18 @@ func TestResultsRouteStatuses(t *testing.T) {
 	}
 }
 
-// TestAckRoutesAreEquivalent: Algorithm 1's ACK reaches the broker as its
-// own POST after each retrieval, as ack= on the next GET, or as the ack of
-// the next retrieval frame on the notification socket. The markers trail
-// by one retrieval on the last two routes and by none on the first; what
-// every retrieval returns, what the cache holds after it and the hit/byte
-// accounting cannot tell the three apart — a retrieval whose
-// response the subscriber never saw included, whether another subscriber
-// still has its results pending or the lost response was their last
-// consumer's (then the retry re-fetches them from the cluster on either
-// route).
+// TestAckRoutesAreEquivalent: Algorithm 1's ACK rides the next retrieval,
+// as ack= on the GET, as the ack of a retrieval frame on the notification
+// socket, or as RetrieveContext's ack in process. What every retrieval
+// returns, what the cache holds after it, the hit/byte accounting and the
+// markers — trailing by one retrieval — cannot tell the three apart: a
+// retrieval whose response the subscriber never saw included, whether
+// another subscriber still has its results pending or the lost response was
+// their last consumer's (then the retry re-fetches them from the cluster on
+// every route).
 func TestAckRoutesAreEquivalent(t *testing.T) {
 	type step struct {
-		Items   []string // result ids the GET returned
+		Items   []string // result ids the retrieval returned
 		Latest  int64
 		Objects int
 		Hits    float64
@@ -157,47 +157,42 @@ func TestAckRoutesAreEquivalent(t *testing.T) {
 	sockets := map[string]*wsock.Conn{} // alice's, by broker
 	routes := []struct {
 		name string
-		// get performs one retrieval given the watermark the last
-		// retrieval the subscriber saw returned, acknowledging by this
-		// row's route; a lost retrieval's response is never seen, so
-		// nothing can be acknowledged from it.
-		get func(t *testing.T, srv *httptest.Server, fs string, prev int64, lost bool) ResultsResponse
+		// get performs one retrieval carrying ack, the watermark the last
+		// retrieval the subscriber saw returned.
+		get func(t *testing.T, b *Broker, srv *httptest.Server, fs string, ack int64) ResultsResponse
 	}{
-		{"explicit POST /ack", func(t *testing.T, srv *httptest.Server, fs string, _ int64, lost bool) ResultsResponse {
+		{"ack= on the GET", func(t *testing.T, _ *Broker, srv *httptest.Server, fs string, ack int64) ResultsResponse {
 			var out ResultsResponse
-			u := srv.URL + "/v1/subscriptions/" + fs
-			if err := httpx.DoJSON(srv.Client(), http.MethodGet, u+"/results?subscriber=alice", nil, &out); err != nil {
-				t.Fatal(err)
-			}
-			if out.LatestNS > 0 && !lost {
-				if err := httpx.DoJSON(srv.Client(), http.MethodPost, u+"/ack",
-					AckRequest{Subscriber: "alice", TimestampNS: out.LatestNS}, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return out
-		}},
-		{"ack= on the next GET", func(t *testing.T, srv *httptest.Server, fs string, prev int64, _ bool) ResultsResponse {
-			var out ResultsResponse
-			u := fmt.Sprintf("%s/v1/subscriptions/%s/results?subscriber=alice&ack=%d", srv.URL, fs, prev)
+			u := fmt.Sprintf("%s/v1/subscriptions/%s/results?subscriber=alice&ack=%d", srv.URL, fs, ack)
 			if err := httpx.DoJSON(srv.Client(), http.MethodGet, u, nil, &out); err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}},
-		{"socket frame", func(t *testing.T, srv *httptest.Server, fs string, prev int64, _ bool) ResultsResponse {
+		{"socket frame", func(t *testing.T, _ *Broker, srv *httptest.Server, fs string, ack int64) ResultsResponse {
 			if sockets[srv.URL] == nil {
 				sockets[srv.URL] = dialSession(t, srv, "alice")
 			}
 			var out ResultsResponse
-			body := socketGet(t, sockets[srv.URL], fmt.Sprintf(`{"get":%q,"id":1,"ack":%d}`, fs, prev))
+			body := socketGet(t, sockets[srv.URL], fmt.Sprintf(`{"get":%q,"id":1,"ack":%d}`, fs, ack))
 			if err := json.Unmarshal(body, &out); err != nil {
 				t.Fatalf("reply %q: %v", body, err)
 			}
 			return out
 		}},
+		{"RetrieveContext in process", func(t *testing.T, b *Broker, _ *httptest.Server, fs string, ack int64) ResultsResponse {
+			ret, err := b.RetrieveContext(context.Background(), "alice", fs, time.Duration(ack))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out ResultsResponse
+			if err := json.Unmarshal(appendResults(nil, ret), &out); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}},
 	}
-	// Retrievals of two results, one, none (an empty GET), one whose
+	// Retrievals of two results, one, none (an empty retrieval), one whose
 	// response is lost, its retry, then one more.
 	steps := []struct {
 		publishes int
@@ -205,7 +200,6 @@ func TestAckRoutesAreEquivalent(t *testing.T) {
 	}{{2, false}, {1, false}, {0, false}, {1, true}, {0, false}, {1, false}}
 	for _, shared := range []bool{true, false} {
 		var seqs [][]step
-		var markers [][]time.Duration
 		for _, r := range routes {
 			env, srv := newHTTPEnv(t)
 			b := env.broker
@@ -220,20 +214,16 @@ func TestAckRoutesAreEquivalent(t *testing.T) {
 				}
 			}
 			var seq []step
-			var marks []time.Duration
-			prev := int64(0)
+			ack := int64(0)
 			for _, s := range steps {
 				for i := 0; i < s.publishes; i++ {
 					env.publish(t, "fire", float64(len(seq)))
 				}
-				out := r.get(t, srv, fs, prev, s.lost)
-				if !s.lost {
-					prev = out.LatestNS
-				}
+				out := r.get(t, b, srv, fs, ack)
 				st := step{Latest: out.LatestNS, Objects: cachedObjects(b),
 					Hits: b.Stats().Hits.Value(), Bytes: b.Stats().HitBytes.Value()}
 				// Only the retry of a lost retrieval alice alone had pending
-				// misses: the lost GET consumed it.
+				// misses: the lost one consumed it.
 				refetch := len(seq) == 4 && !shared
 				for _, it := range out.Results {
 					if it.FromCache == refetch {
@@ -242,19 +232,22 @@ func TestAckRoutesAreEquivalent(t *testing.T) {
 					st.Items = append(st.Items, it.ID)
 				}
 				seq = append(seq, st)
-				m, _ := b.Marker("alice", fs)
-				marks = append(marks, m)
+				// The marker is the ack this retrieval carried.
+				if m, _ := b.Marker("alice", fs); m != time.Duration(ack) {
+					t.Errorf("shared=%v %s: marker after retrieval %d = %v, want its ack %v", shared, r.name, len(seq)-1, m, ack)
+				}
+				// A lost response is never seen: nothing can be acknowledged
+				// from it.
+				if !s.lost {
+					ack = out.LatestNS
+				}
 			}
 			seqs = append(seqs, seq)
-			markers = append(markers, marks)
 		}
 		for r := 1; r < len(routes); r++ {
 			if !reflect.DeepEqual(seqs[0], seqs[r]) {
 				t.Errorf("shared=%v: retrieval sequences differ:\n%s: %+v\n%s: %+v",
 					shared, routes[0].name, seqs[0], routes[r].name, seqs[r])
-			}
-			if r > 1 && !reflect.DeepEqual(markers[1], markers[r]) {
-				t.Errorf("shared=%v: %s markers %v, want the GET route's %v", shared, routes[r].name, markers[r], markers[1])
 			}
 		}
 		// The retry of the lost retrieval serves its result again, from the
@@ -262,27 +255,7 @@ func TestAckRoutesAreEquivalent(t *testing.T) {
 		if got := len(seqs[0][4].Items); got != 1 {
 			t.Errorf("shared=%v: retry of the lost retrieval returned %d results, want 1", shared, got)
 		}
-		// Marker sequence: the POST route acknowledges a retrieval at once
-		// (a lost one never), the GET route with the next request — the
-		// same values, one step later.
-		for k := range steps {
-			want := time.Duration(seqs[0][k].Latest)
-			if steps[k].lost {
-				want = markers[0][k-1]
-			}
-			if got := markers[0][k]; got != want {
-				t.Errorf("shared=%v POST route: marker after retrieval %d = %v, want %v", shared, k, got, want)
-			}
-			want = 0
-			if k > 0 {
-				want = markers[0][k-1]
-			}
-			if got := markers[1][k]; got != want {
-				t.Errorf("shared=%v GET route: marker after retrieval %d = %v, want the POST route's after %d, %v",
-					shared, k, got, k-1, want)
-			}
-		}
-		if markers[0][2] != markers[0][1] || seqs[0][2].Latest == 0 {
+		if seqs[0][2].Latest != seqs[0][1].Latest || seqs[0][2].Latest == 0 {
 			t.Errorf("shared=%v: the empty retrieval must return the standing marker: %+v", shared, seqs[0][2])
 		}
 	}

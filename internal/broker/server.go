@@ -21,7 +21,7 @@ import (
 )
 
 // Server exposes the broker's two HTTP surfaces: the client-facing REST API
-// (subscribe/unsubscribe/getresults/ack + WebSocket push) and the
+// (subscribe/unsubscribe/getresults + WebSocket push) and the
 // cluster-facing webhook callback, plus the Prometheus exposition at
 // /metrics.
 type Server struct {
@@ -130,7 +130,6 @@ func (s *Server) routes() {
 	s.route(http.MethodPost, "/v1/subscriptions", s.handleSubscribe)
 	s.route(http.MethodDelete, "/v1/subscriptions/{fs}", s.handleUnsubscribe)
 	s.route(http.MethodGet, resultsRoute, s.handleGetResults)
-	s.route(http.MethodPost, "/v1/subscriptions/{fs}/ack", s.handleAck)
 	s.route(http.MethodGet, "/v1/subscribers/{id}/subscriptions", s.handleListSubs)
 	s.route(http.MethodGet, "/v1/stats", s.handleStats)
 	s.route(http.MethodGet, "/v1/caches", s.handleCaches)
@@ -237,47 +236,40 @@ type ResultsResponse struct {
 }
 
 // handleGetResults is one retrieval over HTTP, its ack in the query as
-// ack=<timestamp_ns> (see retrieve).
+// ack=<timestamp_ns>, an absent one read as 0 (see Broker.RetrieveContext).
 func (s *Server) handleGetResults(w http.ResponseWriter, r *http.Request) {
 	subscriber, _ := queryValue(r.URL.RawQuery, "subscriber")
-	raw, acked := queryValue(r.URL.RawQuery, "ack")
-	ack, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		ack = -1 // malformed: refused like a negative one
+	var ack int64
+	if raw, ok := queryValue(r.URL.RawQuery, "ack"); ok {
+		var err error
+		if ack, err = strconv.ParseInt(raw, 10, 64); err != nil {
+			ack = -1 // malformed: refused like a negative one
+		}
 	}
-	ret, status, err := s.retrieve(r.Context(), subscriber, r.PathValue("fs"), ack, acked)
+	ret, err := s.broker.RetrieveContext(r.Context(), subscriber, r.PathValue("fs"), time.Duration(ack))
 	if err != nil {
-		httpx.WriteError(w, status, "%v", err)
+		httpx.WriteError(w, retrievalStatus(err), "%v", err)
 		return
 	}
-	httpx.WriteJSONBody(w, status, appendResults(make([]byte, 0, resultsBodySize(ret)), ret))
+	httpx.WriteJSONBody(w, http.StatusOK, appendResults(make([]byte, 0, resultsBodySize(ret)), ret))
 }
 
-// retrieve is one retrieval, over HTTP or the notification socket alike:
-// Algorithm 1's ACK for the previous one when the request carries it
-// (acked), then GETRESULTS over the (fts, bts] the ack left. It returns the
-// status to answer with. A malformed or negative ack is 400, refused before
-// anything is retrieved or consumed; an unknown subscription is 404 and a
-// failed data-cluster fetch a retryable 502 (marker unchanged, the cached
-// part not handed out), so a client never mistakes a cluster outage for a
-// lost subscription.
-func (s *Server) retrieve(ctx context.Context, subscriber, fs string, ack int64, acked bool) (Retrieval, int, error) {
-	if acked {
-		if ack < 0 {
-			return Retrieval{}, http.StatusBadRequest, errors.New("ack must be a non-negative timestamp in nanoseconds")
-		}
-		if err := s.ack(ctx, subscriber, fs, ack); err != nil {
-			return Retrieval{}, http.StatusNotFound, err
-		}
-	}
-	ret, err := s.broker.RetrieveContext(ctx, subscriber, fs)
+// retrievalStatus is the status a retrieval is answered with, over HTTP or
+// the notification socket alike: 400 for a negative ack, refused before
+// anything is retrieved or consumed; 404 for an unknown subscription; a
+// retryable 502 for a failed data-cluster fetch (marker unchanged, the
+// cached part not handed out), so a client never mistakes a cluster outage
+// for a lost subscription.
+func retrievalStatus(err error) int {
 	switch {
+	case err == nil:
+		return http.StatusOK
+	case errors.Is(err, errNegativeAck):
+		return http.StatusBadRequest
 	case errors.Is(err, errUnknownFrontendSub):
-		return ret, http.StatusNotFound, err
-	case err != nil:
-		return ret, http.StatusBadGateway, err
+		return http.StatusNotFound
 	}
-	return ret, http.StatusOK, nil
+	return http.StatusBadGateway
 }
 
 // queryValue is url.Values' Get and Has over a raw query, without building
@@ -301,42 +293,6 @@ func queryValue(raw, key string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// AckRequest advances a frontend subscription's marker.
-type AckRequest struct {
-	Subscriber  string `json:"subscriber"`
-	TimestampNS int64  `json:"timestamp_ns"`
-}
-
-// handleAck is the explicit ACK route, for a caller that has no next
-// retrieval to carry the marker on.
-func (s *Server) handleAck(w http.ResponseWriter, r *http.Request) {
-	var req AckRequest
-	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteReadError(w, err)
-		return
-	}
-	if err := s.ack(r.Context(), req.Subscriber, r.PathValue("fs"), req.TimestampNS); err != nil {
-		httpx.WriteError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	httpx.WriteJSON(w, http.StatusOK, nil)
-}
-
-// ack runs Broker.Ack under the delivery trace's closing span. The client
-// forwards the push frame's traceparent, so broker.client_ack and the
-// client_ack stage sample land in the delivery's trace whichever request
-// carried the marker.
-func (s *Server) ack(ctx context.Context, subscriber, fs string, ts int64) error {
-	ctx, sp := s.obs.Traces.Start(ctx, "broker.client_ack")
-	sp.SetAttr("subscriber", subscriber)
-	start := time.Now()
-	err := s.broker.Ack(subscriber, fs, time.Duration(ts))
-	sp.SetError(err)
-	sp.End()
-	s.broker.stages.Observe(ctx, span.StageClientAck, span.OutcomeNone, time.Since(start))
-	return err
 }
 
 func (s *Server) handleListSubs(w http.ResponseWriter, r *http.Request) {
@@ -450,7 +406,8 @@ func (s *Server) serveGet(conn *wsock.Conn, subscriber string, msg []byte) error
 	sp.SetAttr("transport", "ws")
 	ret, status := Retrieval{}, http.StatusBadRequest
 	if err == nil {
-		ret, status, err = s.retrieve(ctx, subscriber, req.Get, req.Ack, true)
+		ret, err = s.broker.RetrieveContext(ctx, subscriber, req.Get, time.Duration(req.Ack))
+		status = retrievalStatus(err)
 	}
 	var reply []byte
 	if err == nil {

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -56,12 +57,12 @@ func TestServerSubscribeFlow(t *testing.T) {
 	if len(results.Results) != 1 || !results.Results[0].FromCache {
 		t.Fatalf("results = %+v", results)
 	}
-	// Ack over HTTP.
-	err = httpx.DoJSON(srv.Client(), http.MethodPost,
-		srv.URL+"/v1/subscriptions/"+subResp.FrontendSub+"/ack",
-		AckRequest{Subscriber: "alice", TimestampNS: results.LatestNS}, nil)
-	if err != nil {
+	// The next GET carries the ack: nothing is served again.
+	if err := httpx.DoJSON(srv.Client(), http.MethodGet, fmt.Sprintf("%s&ack=%d", u, results.LatestNS), nil, &results); err != nil {
 		t.Fatal(err)
+	}
+	if len(results.Results) != 0 {
+		t.Fatalf("results after the ack = %+v, want none", results)
 	}
 	// List.
 	var subs map[string][]string
@@ -117,7 +118,7 @@ func TestServerErrorStatuses(t *testing.T) {
 		{"POST", "/v1/subscriptions", `{"subscriber":"","channel":""}`, http.StatusBadRequest},
 		{"POST", "/v1/subscriptions", `not json`, http.StatusBadRequest},
 		{"GET", "/v1/subscriptions/nope/results?subscriber=x", "", http.StatusNotFound},
-		{"POST", "/v1/subscriptions/nope/ack", `{"subscriber":"x","timestamp_ns":1}`, http.StatusNotFound},
+		{"GET", "/v1/subscriptions/nope/results?subscriber=x&ack=1", "", http.StatusNotFound},
 		{"DELETE", "/v1/subscriptions/nope?subscriber=x", "", http.StatusNotFound},
 		{"POST", "/v1/callbacks/results", `not json`, http.StatusBadRequest},
 		{"GET", "/v1/ws", "", http.StatusBadRequest}, // missing subscriber

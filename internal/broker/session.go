@@ -2,13 +2,14 @@ package broker
 
 import (
 	"context"
-	"encoding/json"
 	"log/slog"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"gobad/internal/httpx"
 	"gobad/internal/obs"
 	"gobad/internal/obs/span"
 	"gobad/internal/wsock"
@@ -74,61 +75,19 @@ type pushEvent struct {
 	at time.Time
 }
 
-// appendPushJSON hand-encodes the shared wire form of a push notification
-// ({"type":"results","bs":...,"latest_ns":...[,"tp":...]}) into dst. The
-// two strings are broker-minted identifiers and a hex traceparent, so the
-// fast path escapes nothing; a string that does need escaping falls back
-// to encoding/json for the whole payload.
-func appendPushJSON(dst []byte, backendSub string, latest int64, tp string) ([]byte, error) {
-	if !jsonPlain(backendSub) || !jsonPlain(tp) {
-		note := PushNotification{Type: "results", BackendSub: backendSub, LatestNS: latest, Traceparent: tp}
-		enc, err := json.Marshal(note)
-		if err != nil {
-			return dst, err
-		}
-		return append(dst, enc...), nil
-	}
-	dst = append(dst, `{"type":"results","bs":"`...)
-	dst = append(dst, backendSub...)
-	dst = append(dst, `","latest_ns":`...)
-	dst = appendInt(dst, latest)
+// appendPushJSON appends the shared wire form of a push notification,
+// {"type":"results","bs":...,"latest_ns":...[,"tp":...]}, to dst: the bytes
+// json.Marshal writes for that PushNotification, without its allocations.
+func appendPushJSON(dst []byte, backendSub string, latest int64, tp string) []byte {
+	dst = append(dst, `{"type":"results","bs":`...)
+	dst = httpx.AppendJSONString(dst, backendSub)
+	dst = append(dst, `,"latest_ns":`...)
+	dst = strconv.AppendInt(dst, latest, 10)
 	if tp != "" {
-		dst = append(dst, `,"tp":"`...)
-		dst = append(dst, tp...)
-		dst = append(dst, '"')
+		dst = append(dst, `,"tp":`...)
+		dst = httpx.AppendJSONString(dst, tp)
 	}
-	dst = append(dst, '}')
-	return dst, nil
-}
-
-// jsonPlain reports whether s can be embedded in a JSON string verbatim.
-func jsonPlain(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			return false
-		}
-	}
-	return true
-}
-
-// appendInt appends the decimal form of v (no allocation).
-func appendInt(dst []byte, v int64) []byte {
-	if v < 0 {
-		dst = append(dst, '-')
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(dst, buf[i:]...)
+	return append(dst, '}')
 }
 
 // pushStats tallies the asynchronous delivery pipeline's outcomes.
@@ -813,14 +772,7 @@ func (h *sessionHub) newEvent(ctx context.Context, backendSub string, latest int
 	}
 	ev.span = sc
 	var buf [192]byte // fits any broker-minted id plus a traceparent
-	payload, err := appendPushJSON(buf[:0], backendSub, latest, tp)
-	if err != nil {
-		h.stats.failures.Add(1)
-		h.log.WarnContext(ctx, "encoding push notification failed",
-			slog.String("backend_sub", backendSub), slog.Any("error", err))
-		return nil, false
-	}
-	if err := ev.pm.Encode(wsock.OpText, payload); err != nil {
+	if err := ev.pm.Encode(wsock.OpText, appendPushJSON(buf[:0], backendSub, latest, tp)); err != nil {
 		h.stats.failures.Add(1)
 		h.log.WarnContext(ctx, "preparing push frame failed",
 			slog.String("backend_sub", backendSub), slog.Any("error", err))

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -14,6 +15,42 @@ import (
 	"gobad/internal/obs"
 	"gobad/internal/wsock"
 )
+
+// TestPushFrameMatchesMarshal: the hand-appended push frame is the bytes
+// json.Marshal writes for the same PushNotification — strings needing
+// escapes and invalid UTF-8 included, with and without a traceparent — and
+// appending it into a stack buffer allocates nothing.
+func TestPushFrameMatchesMarshal(t *testing.T) {
+	const traceparent = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	for _, bs := range []string{
+		"bsub-000001", `say "hi"`, `back\slash`, "<a>&b", "naïve → ünïcode",
+		"bad\xffutf8", "tab\tnl\n", "sep\u2028",
+	} {
+		for _, tp := range []string{"", traceparent, "<&>"} {
+			for _, latest := range []int64{0, 1234567890123, -7} {
+				want, err := json.Marshal(PushNotification{Type: "results", BackendSub: bs, LatestNS: latest, Traceparent: tp})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := appendPushJSON(nil, bs, latest, tp); !bytes.Equal(got, want) {
+					t.Errorf("appendPushJSON(%q, %d, %q) = %s, want %s", bs, latest, tp, got, want)
+				}
+			}
+		}
+	}
+	if raceBuild() {
+		return // the race detector allocates on its own
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		var buf [192]byte
+		if len(appendPushJSON(buf[:0], "bsub-000001", 1234567890123, traceparent)) == 0 {
+			t.Fatal("empty frame")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("appendPushJSON into a stack buffer = %v allocs, want 0", allocs)
+	}
+}
 
 // hubConn attaches a fresh in-memory session to the hub, indexed under the
 // given interests (backend sub -> frontend sub), and returns the client

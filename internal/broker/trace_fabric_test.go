@@ -48,7 +48,7 @@ func TestPeerLookupSharesTrace(t *testing.T) {
 
 	parent := obs.NewSpan()
 	ctx := obs.ContextWithSpan(context.Background(), parent)
-	ret, err := env.edge.RetrieveContext(ctx, "edna", fs)
+	ret, err := env.edge.RetrieveContext(ctx, "edna", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

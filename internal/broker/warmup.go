@@ -53,11 +53,10 @@ const (
 	// snapshot shipped on drain and of the intake stash of
 	// not-yet-consumed warm entries.
 	DefaultWarmupMaxBytes = 32 << 20
-	// DefaultWarmupMaxAge is how stale a snapshot may be before intake
-	// rejects it — warm state older than this would poison resume markers
-	// with a horizon the cluster has long moved past (Config.WarmupMaxAge
-	// overrides it).
-	DefaultWarmupMaxAge = 5 * time.Minute
+	// warmupMaxAge is how stale a snapshot may be before intake rejects
+	// it — warm state older than this would poison resume markers with a
+	// horizon the cluster has long moved past.
+	warmupMaxAge = 5 * time.Minute
 )
 
 // warmEntry is one stashed snapshot entry awaiting a matching subscribe.
@@ -208,7 +207,7 @@ func (b *Broker) InstallWarmup(ctx context.Context, snap bdms.CacheSnapshot) bdm
 		sp.SetError(fmt.Errorf("broker: unsupported cache snapshot version %d", snap.Version))
 		return resp
 	}
-	if age := time.Since(time.Unix(0, snap.TakenUnixNS)); age > b.warmupMaxAge {
+	if age := time.Since(time.Unix(0, snap.TakenUnixNS)); age > warmupMaxAge {
 		resp.Dropped = len(snap.Entries)
 		b.warmupStats.EntriesDropped.Add(float64(resp.Dropped))
 		b.log.WarnContext(ctx, "rejecting stale warm snapshot",

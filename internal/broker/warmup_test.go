@@ -116,7 +116,7 @@ func (env *warmEnv) resumeAll(t *testing.T, b *Broker, count *faults.CountingBac
 				errCh <- fmt.Errorf("%s: %w", sub, err)
 				return
 			}
-			ret, err := b.RetrieveContext(context.Background(), sub, fs)
+			ret, err := b.RetrieveContext(context.Background(), sub, fs, 0)
 			if err != nil {
 				errCh <- fmt.Errorf("%s retrieve: %w", sub, err)
 				return
@@ -288,7 +288,7 @@ func TestInstallWarmupAppliesToLiveSubscription(t *testing.T) {
 	if resp.Applied != 1 || resp.Stashed != 0 {
 		t.Errorf("intake = %+v, want 1 applied", resp)
 	}
-	ret, err := b.RetrieveContext(context.Background(), "early", fs)
+	ret, err := b.RetrieveContext(context.Background(), "early", fs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,10 +269,9 @@ func (c *Client) Subscriptions() ([]string, error) {
 // same ack: the ack is idempotent and the watermark drops what is served
 // again. Without a socket it is that GET alone.
 //
-// A subscription this client did not create has no watermark to carry, so
-// its retrieval is a GET followed by an explicit ack POST. When that ack
-// fails the results are returned WITH the error; callers must consume
-// returned items even on error.
+// A subscription this client did not create is adopted on its first
+// retrieval: it gets a watermark (ack 0 first, then each answer's
+// latest_ns) but no channel, so a failover does not carry it over.
 func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 	// Snapshot broker URL, socket, current frontend-sub ID and watermark in
 	// ONE critical section: a supervised failover commits all of them
@@ -281,20 +280,17 @@ func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 	// broker minted. A reply's waiter is registered in it too, so a socket
 	// that dies from here on releases it (pump).
 	c.mu.Lock()
-	base, cur := c.brokerURL, fs
-	seen := time.Duration(-1)
-	var origin obs.SpanContext
-	var wait pendingReply
 	st := c.subs[fs]
-	if st != nil {
-		cur = st.fs
-		seen = st.lastTS
-		origin = st.lastTrace
-		if c.ws != nil {
-			c.lastID++
-			wait = pendingReply{id: c.lastID, conn: c.ws, ch: make(chan []byte, 1)}
-			c.replies[wait.id] = wait
-		}
+	if st == nil {
+		st = &subState{fs: fs}
+		c.subs[fs] = st
+	}
+	base, cur, seen, origin := c.brokerURL, st.fs, st.lastTS, st.lastTrace
+	var wait pendingReply
+	if c.ws != nil {
+		c.lastID++
+		wait = pendingReply{id: c.lastID, conn: c.ws, ch: make(chan []byte, 1)}
+		c.replies[wait.id] = wait
 	}
 	c.mu.Unlock()
 	// Join the trace the push frame carried (when it carried one): the
@@ -312,29 +308,13 @@ func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 	if wait.ch != nil {
 		err = c.getOverSocket(rctx, wait, base, cur, seen, &out)
 	}
-	var results string
 	if errors.Is(err, errSocketLost) {
-		results = c.resultsURL(base, cur, seen, st != nil)
-		err = httpx.DoJSONContext(rctx, c.http, http.MethodGet, results, nil, &out)
+		err = httpx.DoJSONContext(rctx, c.http, http.MethodGet, c.resultsURL(base, cur, seen), nil, &out)
 	}
 	rsp.SetError(err)
 	rsp.End()
 	if err != nil {
 		return nil, err
-	}
-	if st == nil {
-		if out.LatestNS > 0 {
-			ack := broker.AckRequest{Subscriber: c.subscriber, TimestampNS: out.LatestNS}
-			actx, asp := c.traces.Start(ctx, "client.ack")
-			sub, _, _ := strings.Cut(results, "/results?")
-			err := httpx.DoJSONContext(actx, c.http, http.MethodPost, sub+"/ack", ack, nil)
-			asp.SetError(err)
-			asp.End()
-			if err != nil {
-				return out.Results, fmt.Errorf("client: ack: %w", err)
-			}
-		}
-		return out.Results, nil
 	}
 	kept := out.Results[:0]
 	for _, item := range out.Results {
@@ -354,8 +334,8 @@ func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 }
 
 // resultsURL is the results route's URL for subscription cur at base,
-// carrying ack when acked. One allocation.
-func (c *Client) resultsURL(base, cur string, ack time.Duration, acked bool) string {
+// carrying ack. One allocation.
+func (c *Client) resultsURL(base, cur string, ack time.Duration) string {
 	fsPath, who := url.PathEscape(cur), url.QueryEscape(c.subscriber)
 	var u strings.Builder
 	u.Grow(len(base) + len(fsPath) + len(who) + 64)
@@ -364,11 +344,9 @@ func (c *Client) resultsURL(base, cur string, ack time.Duration, acked bool) str
 	u.WriteString(fsPath)
 	u.WriteString("/results?subscriber=")
 	u.WriteString(who)
-	if acked {
-		var buf [20]byte
-		u.WriteString("&ack=")
-		u.Write(strconv.AppendInt(buf[:0], int64(ack), 10))
-	}
+	var buf [20]byte
+	u.WriteString("&ack=")
+	u.Write(strconv.AppendInt(buf[:0], int64(ack), 10))
 	return u.String()
 }
 
@@ -432,7 +410,7 @@ func (c *Client) getOverSocket(ctx context.Context, wait pendingReply, base, cur
 		return fmt.Errorf("client: decode results reply: %w", err)
 	}
 	if e.Status == http.StatusRequestEntityTooLarge {
-		return &httpx.TooLargeError{URL: c.resultsURL(base, cur, ack, true), Limit: httpx.MaxBodyBytes}
+		return &httpx.TooLargeError{URL: c.resultsURL(base, cur, ack), Limit: httpx.MaxBodyBytes}
 	}
 	return fmt.Errorf("client: retrieval of %s: %w", cur, &httpx.StatusError{
 		Status: e.Status, Code: e.Error.Code, Message: e.Error.Message, Retryable: e.Error.Retryable})

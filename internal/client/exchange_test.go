@@ -204,8 +204,9 @@ func TestGetResultsIsOneRoundTrip(t *testing.T) {
 		t.Errorf("5 retrievals made %d GETs and %d ack POSTs, want 5 and 0", gets, acks)
 	}
 
-	// A subscription the client holds no watermark for has nothing to
-	// carry: its retrieval is the explicit two-request exchange.
+	// A subscription the client did not create is adopted on its first
+	// retrieval: two retrievals are two GETs, the second carrying the
+	// first's answer as its ack, and nothing reaches the application twice.
 	fs, err := env.broker.Subscribe("alice", "Alerts", []any{"flood"})
 	if err != nil {
 		t.Fatal(err)
@@ -214,13 +215,22 @@ func TestGetResultsIsOneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if items, err := env.client.GetResults(fs); err != nil || len(items) != 1 {
-		t.Fatalf("untracked retrieval = %d items, %v; want 1", len(items), err)
+		t.Fatalf("adopted subscription's first retrieval = %d items, %v; want 1", len(items), err)
 	}
-	if gets, acks := env.tr.counts(); gets != 6 || acks != 1 {
-		t.Errorf("untracked retrieval: %d GETs and %d ack POSTs in total, want 6 and 1", gets, acks)
+	if m, _ := env.broker.Marker("alice", fs); m != 0 {
+		t.Errorf("marker after the adopted subscription's first retrieval = %v, want 0 (its ack)", m)
 	}
-	if m, _ := env.broker.Marker("alice", fs); m == 0 {
-		t.Error("untracked retrieval left its marker unacknowledged")
+	env.client.mu.Lock()
+	adopted := env.client.subs[fs].lastTS
+	env.client.mu.Unlock()
+	if items, err := env.client.GetResults(fs); err != nil || len(items) != 0 {
+		t.Fatalf("adopted subscription's second retrieval = %v, %v; want nothing again", severities(items), err)
+	}
+	if m, _ := env.broker.Marker("alice", fs); m != adopted || m == 0 {
+		t.Errorf("marker after the second retrieval = %v, want the first's latest %v", m, adopted)
+	}
+	if gets, acks := env.tr.counts(); gets != 7 || acks != 0 {
+		t.Errorf("adopted subscription: %d GETs and %d ack POSTs in total, want 7 and 0", gets, acks)
 	}
 }
 

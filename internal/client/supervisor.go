@@ -170,9 +170,10 @@ func (c *Client) reconnectPolicy() *httpx.Retryer {
 
 // tryBroker fails the session over to brokerURL: dial the notification
 // socket first (so resume push markers armed during resubscription are
-// caught, not missed), then re-establish every tracked subscription with
-// its resume token, then commit the new broker URL and routing maps. Any
-// failure closes the socket and reports the error; nothing is committed.
+// caught, not missed), then re-establish every subscription this client
+// created with its resume token, then commit the new broker URL and
+// routing maps. Any failure closes the socket and reports the error;
+// nothing is committed.
 func (c *Client) tryBroker(brokerURL string) (*wsock.Conn, error) {
 	conn, err := c.dialWS(brokerURL)
 	if err != nil {
@@ -191,7 +192,7 @@ func (c *Client) tryBroker(brokerURL string) (*wsock.Conn, error) {
 	for _, appID := range appIDs {
 		c.mu.Lock()
 		st := c.subs[appID]
-		if st == nil { // unsubscribed while reconnecting
+		if st == nil || st.channel == "" { // unsubscribed while reconnecting, or adopted
 			c.mu.Unlock()
 			continue
 		}

@@ -65,6 +65,9 @@ type Rig struct {
 	fsByKey map[string]string
 
 	nextTTLDrive time.Duration
+	// acks holds each frontend subscription's last Latest: the ack its
+	// next retrieval carries.
+	acks map[string]time.Duration
 
 	// Retrievals counts GetResults calls that returned objects.
 	Retrievals int
@@ -104,6 +107,7 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 		cfg:     cfg,
 		online:  make(map[string]bool),
 		fsByKey: make(map[string]string),
+		acks:    make(map[string]time.Duration),
 	}
 	clusterOpts := []bdms.Option{
 		bdms.WithClock(func() time.Duration { return r.now() }),
@@ -253,15 +257,14 @@ func (r *Rig) drainPending() {
 	}
 }
 
-// retrieve performs one GetResults+Ack with modeled latency accounting.
+// retrieve performs one retrieval, carrying the previous one's ack, with
+// modeled latency accounting.
 func (r *Rig) retrieve(subscriber, fs string) {
-	ret, err := r.broker.RetrieveContext(context.Background(), subscriber, fs)
+	ret, err := r.broker.RetrieveContext(context.Background(), subscriber, fs, r.acks[fs])
 	if err != nil {
 		return
 	}
-	if ret.Latest > 0 {
-		_ = r.broker.Ack(subscriber, fs, ret.Latest)
-	}
+	r.acks[fs] = ret.Latest
 	if len(ret.Items) == 0 {
 		return
 	}
@@ -322,6 +325,7 @@ func (r *Rig) Unsubscribe(subscriber, channel string, params []any) error {
 	if !ok {
 		return fmt.Errorf("experiments: unsubscribe for unknown subscription %s", key)
 	}
+	delete(r.acks, fs)
 	return r.broker.Unsubscribe(subscriber, fs)
 }
 

@@ -9,8 +9,8 @@
 // Counts are obs.Counter, the module's one float counter; the bundle
 // exports itself through CacheStats.Collector, so internal/obs knows
 // nothing about this package. Sampler keeps every sample and therefore
-// belongs to runs that end — the simulator, the experiment rig, a trace
-// replay. A long-lived server observes latency into an obs.Histogram.
+// belongs to runs that end — the simulator and the experiment rig. A
+// long-lived server observes latency into an obs.Histogram.
 package metrics
 
 import (

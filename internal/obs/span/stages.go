@@ -23,7 +23,7 @@ const (
 	StageRetrieve     = "retrieve"         // broker: full cache resolution (outcome-labeled)
 	StageQueueWait    = "queue_wait"       // broker: push enqueue -> writer dequeue
 	StageWSWrite      = "ws_write"         // broker: WebSocket frame write (sim: broker->subscriber link)
-	StageClientAck    = "client_ack"       // broker: Algorithm 1's ACK, as carried by the next results GET or the explicit POST
+	StageClientAck    = "client_ack"       // broker: Algorithm 1's ACK, as carried by the next retrieval
 )
 
 // Cache outcomes for the retrieve stage; every other stage uses
