@@ -41,7 +41,7 @@ bench-json:
 	{ $(GO) test -run=NONE -bench='BenchmarkFanout|BenchmarkObjectsInRange|BenchmarkWritePrepared|BenchmarkWriteMessage' \
 		-benchmem -benchtime=200x -cpu 1 -count=3 ./internal/broker ./internal/wsock ./internal/core; \
 	  $(GO) test -run=NONE -bench='^BenchmarkResults(Route|Socket)Hit$$' -benchmem -benchtime=5000x -cpu 1 -count=5 ./internal/broker; } \
-		| $(GO) run ./cmd/benchjson -note "Fanout is the pooled-writer interest-keyed hub (1000 drained subscribers plus one stalled) with GC-owned sessions and events. Same hub with sessions and events drawn from sync.Pools (deleted; it cost three use-after-release bugs and moved no live metric): 44166ns/0allocs, p99 97454ns. Goroutine-per-session hub before the writer pool: 201824ns/57allocs, p99 595609ns. Original synchronous per-subscriber dispatch loop (BenchmarkFanoutLegacySync, deleted; drained subscribers only): 2420618ns/2000allocs, p99 4733616ns. objectsInRange pre-change: span=1 4513ns/1alloc, span=16 4963ns/5allocs, span=256 6647ns/9allocs. ResultsRouteHit is client.GetResults against an httptest broker serving one cached 700-byte object to each of 32 subscribers; before rows stayed bytes and spans left the allocator, same box: 47407ns/181allocs. ResultsSocketHit is the same with every subscriber Listening, so each retrieval is one frame each way on its notification socket, the push frames' decode included." \
+		| $(GO) run ./cmd/benchjson -note "Fanout is the pooled-writer interest-keyed hub (1000 drained subscribers plus one stalled) with GC-owned sessions and events. Same hub with sessions and events drawn from sync.Pools (deleted; it cost three use-after-release bugs and moved no live metric): 44166ns/0allocs, p99 97454ns. Goroutine-per-session hub before the writer pool: 201824ns/57allocs, p99 595609ns. Original synchronous per-subscriber dispatch loop (BenchmarkFanoutLegacySync, deleted; drained subscribers only): 2420618ns/2000allocs, p99 4733616ns. objectsInRange pre-change: span=1 4513ns/1alloc, span=16 4963ns/5allocs, span=256 6647ns/9allocs. ResultsRouteHit is client.GetResults against an httptest broker serving one cached 700-byte object to each of 32 subscribers; before rows stayed bytes and spans left the allocator, same box: 47407ns/181allocs. ResultsSocketHit is the same with every subscriber Listening, so each retrieval is one frame each way on its notification socket, the push frames' decode included. Before the notification socket's frames stopped going through encoding/json (the HTTP fallback's decode shares that reader): RouteHit 12639B/133allocs, SocketHit 7280B/83allocs." \
 		> BENCH_fanout.json
 	$(GO) test -run=NONE -bench='BenchmarkIngestEval' -benchmem -cpu 1 -count=3 ./internal/bdms \
 		| $(GO) run ./cmd/benchjson -note "Grouped channel evaluation over the compiled engine: evals/rec equals signature groups G, not subscriptions S; geo/sigs=2000 is the live benchmark's eval_wide body and grid. Tree-walking evaluator before compilation (same cases, -cpu 1): geo/sigs=2000 1670000ns/op 9440allocs, subs=1000/sigs=10 110000ns/op 357allocs, subs=10000/sigs=100 280000ns/op 664allocs, subs=10000/sigs=1000 750000ns/op 4082allocs, batch 140000ns/op 333allocs." \
@@ -103,13 +103,15 @@ bench-guard:
 
 # Fuzz smoke: a short bounded run of each native fuzz target (resume-token
 # and traceparent parsing, the spliced bodies' JSON string encoder against
-# encoding/json, parameter-signature canonicalization, WAL
+# encoding/json, the notification socket's frame reader (FuzzWireDecode)
+# against encoding/json, parameter-signature canonicalization, WAL
 # crash-tail recovery, cache-snapshot decoding, the compiled AQL engine
 # against its reference interpreter) so CI exercises the corpora plus a
 # few seconds of mutation without turning into a fuzzing farm.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzCompiledEval$$' -fuzztime=10s ./internal/aql
 	$(GO) test -run=NONE -fuzz='^FuzzParseResumeToken$$' -fuzztime=10s ./internal/broker
+	$(GO) test -run=NONE -fuzz='^FuzzWireDecode$$' -fuzztime=10s ./internal/broker
 	$(GO) test -run=NONE -fuzz='^FuzzAppendJSONString$$' -fuzztime=10s ./internal/httpx
 	$(GO) test -run=NONE -fuzz='^FuzzParseTraceparent$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run=NONE -fuzz='^FuzzParamSignature$$' -fuzztime=10s ./internal/bdms

@@ -631,7 +631,10 @@ func (b *Broker) Unsubscribe(subscriber, fsID string) error {
 }
 
 // ResultItem is one result object as a subscriber decodes it from the
-// results route.
+// results route. Decoded by ResultsResponse.UnmarshalJSON, its strings
+// that needed no unquoting — ID, row keys and string values — share one
+// copy of the whole reply (up to httpx.MaxBodyBytes): strings.Clone what
+// you keep long after the rest is dropped.
 type ResultItem struct {
 	ID          string           `json:"id"`
 	TimestampNS int64            `json:"timestamp_ns"`

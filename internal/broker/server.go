@@ -2,7 +2,6 @@ package broker
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -391,6 +390,24 @@ type getRequest struct {
 	TP  string `json:"tp"`
 }
 
+// AppendGetRequest appends the retrieval request frame a listening client
+// sends on its notification socket, {"get":fs,"id":id,"ack":ack[,"tp":tp]}
+// with "tp" left out when empty: the one writer of what serveGet decodes
+// into a getRequest.
+func AppendGetRequest(dst []byte, fs string, id, ack int64, tp string) []byte {
+	dst = append(dst, `{"get":`...)
+	dst = httpx.AppendJSONString(dst, fs)
+	dst = append(dst, `,"id":`...)
+	dst = strconv.AppendInt(dst, id, 10)
+	dst = append(dst, `,"ack":`...)
+	dst = strconv.AppendInt(dst, ack, 10)
+	if tp != "" {
+		dst = append(dst, `,"tp":`...)
+		dst = httpx.AppendJSONString(dst, tp)
+	}
+	return append(dst, '}')
+}
+
 // serveGet answers one retrieval request from subscriber's socket as the
 // results route would, under its span, series and access line (method WS):
 // the body with "re" spliced in, else an error reply; 413 for a body over
@@ -401,7 +418,7 @@ func (s *Server) serveGet(conn *wsock.Conn, subscriber string, msg []byte) error
 	s.obs.HTTP.Begin()
 	defer s.obs.HTTP.End()
 	var req getRequest
-	err := json.Unmarshal(msg, &req)
+	err := req.UnmarshalJSON(msg)
 	ctx, sp, _ := s.results.Begin(context.Background(), req.TP, "", "WS")
 	sp.SetAttr("transport", "ws")
 	ret, status := Retrieval{}, http.StatusBadRequest

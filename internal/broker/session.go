@@ -21,7 +21,9 @@ import (
 // in "bs" and omits "fs", so one encoded payload serves every subscriber
 // attached to that backend subscription; the client library maps "bs" back
 // to its own frontend subscription and fills FrontendSub before handing the
-// notification to the application.
+// notification to the application. Decoded by UnmarshalJSON, its strings
+// that needed no unquoting share one copy of the frame: strings.Clone what
+// you keep long after the rest is dropped.
 type PushNotification struct {
 	Type string `json:"type"`
 	// FrontendSub identifies the receiving subscriber's frontend

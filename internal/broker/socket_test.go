@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,11 +47,21 @@ func socketGet(t *testing.T, conn *wsock.Conn, frame string) []byte {
 	}
 }
 
-// slowListener hands out connections whose every write first sleeps: a
-// subscriber that reads slowly, as the broker's writers see it.
+// slowListener hands out connections whose every write first sleeps — a
+// subscriber that reads slowly, as the broker's writers see it — and,
+// while hold is set, waits for release before that.
 type slowListener struct {
 	net.Listener
-	delay time.Duration
+	delay   time.Duration
+	hold    *atomic.Bool
+	release chan struct{}
+}
+
+// open lets held writes through, once.
+func (l slowListener) open() {
+	if l.hold.Swap(false) {
+		close(l.release)
+	}
 }
 
 func (l slowListener) Accept() (net.Conn, error) {
@@ -58,17 +69,31 @@ func (l slowListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return slowConn{c, l.delay}, nil
+	return slowConn{c, l}, nil
 }
 
 type slowConn struct {
 	net.Conn
-	delay time.Duration
+	l slowListener
 }
 
 func (c slowConn) Write(p []byte) (int, error) {
-	time.Sleep(c.delay)
+	if c.l.hold.Load() {
+		<-c.l.release
+	}
+	time.Sleep(c.l.delay)
 	return c.Conn.Write(p)
+}
+
+// inFlight is the broker's in-flight request gauge: its notification
+// sockets plus the retrievals being served on them.
+func inFlight(s *Server) float64 {
+	for _, f := range s.Observer().Registry.Gather() {
+		if f.Name == "http_requests_in_flight" {
+			return f.Points[0].Value
+		}
+	}
+	return 0
 }
 
 // TestSocketReplyLane: a retrieval's reply skips the session's marker ring.
@@ -76,7 +101,8 @@ func (c slowConn) Write(p []byte) (int, error) {
 // 20 ms, the reply is written after the write in progress and at most one
 // more — the pool writer may take the socket's write lock once more before
 // sync.Mutex hands it to the reply, which has waited over a millisecond —
-// not after the 128 queued frames.
+// not after the 128 queued frames. Writes wait until the broker is serving
+// the request, so every push frame counted was written after it arrived.
 func TestSocketReplyLane(t *testing.T) {
 	env := newTestEnv(t, core.LSC{}, 1<<20)
 	fs, err := env.broker.Subscribe("alice", "Alerts", []any{"fire"})
@@ -84,13 +110,18 @@ func TestSocketReplyLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.publish(t, "fire", 1)
-	srv := httptest.NewUnstartedServer(NewServer(env.broker).Handler())
-	srv.Listener = slowListener{srv.Listener, 20 * time.Millisecond}
+	s := NewServer(env.broker)
+	srv := httptest.NewUnstartedServer(s.Handler())
+	sl := slowListener{srv.Listener, 20 * time.Millisecond, new(atomic.Bool), make(chan struct{})}
+	srv.Listener = sl
 	srv.Start()
 	t.Cleanup(srv.Close)
 	conn := dialSession(t, srv, "alice")
+	sl.hold.Store(true)
+	t.Cleanup(sl.open)
 
-	// One marker in the writer's hands, DefaultPushQueue more in the ring.
+	// One marker in the writer's hands, held at the gate, then
+	// DefaultPushQueue more in the ring.
 	h := env.broker.sessions
 	for i := 0; i <= DefaultPushQueue; i++ {
 		bs := fmt.Sprintf("bs-%03d", i)
@@ -98,13 +129,25 @@ func TestSocketReplyLane(t *testing.T) {
 		if h.broadcast(context.Background(), bs, int64(i+1)) != 1 {
 			t.Fatalf("marker %d not queued", i)
 		}
+		for deadline := time.Now().Add(10 * time.Second); i == 0 && h.queueDepth() != 0; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no writer took the first marker")
+			}
+		}
 	}
 	if depth := h.queueDepth(); depth != DefaultPushQueue {
 		t.Fatalf("ring holds %d markers, want %d", depth, DefaultPushQueue)
 	}
+	sockets := inFlight(s)
 	if err := conn.WriteMessage(wsock.OpText, []byte(fmt.Sprintf(`{"get":%q,"id":1,"ack":0}`, fs))); err != nil {
 		t.Fatal(err)
 	}
+	for deadline := time.Now().Add(10 * time.Second); inFlight(s) == sockets; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the broker never began serving the request")
+		}
+	}
+	sl.open()
 	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +225,12 @@ func TestSocketHitAllocs(t *testing.T) {
 	}
 	get()
 	allocs := testing.AllocsPerRun(100, get)
-	// 26, both ends and this test's frame included; the largest shares are
-	// the three spans with their contexts (6) and the request's decode (5).
-	// Over HTTP the broker's handler alone spends 34 on the same hit
-	// (TestResultsRouteHitAllocs), before net/http's request and response.
-	if allocs > 27 {
-		t.Errorf("socket hit = %v allocs, want at most 27", allocs)
+	// 21, both ends and this test's frame included; the largest share is
+	// the three spans with their contexts (6), and the request's decode is
+	// one, the frame's string. Over HTTP the broker's handler alone spends
+	// 34 on the same hit (TestResultsRouteHitAllocs), before net/http's
+	// request and response.
+	if allocs > 22 {
+		t.Errorf("socket hit = %v allocs, want at most 22", allocs)
 	}
 }

@@ -272,6 +272,9 @@ func (c *Client) Subscriptions() ([]string, error) {
 // A subscription this client did not create is adopted on its first
 // retrieval: it gets a watermark (ack 0 first, then each answer's
 // latest_ns) but no channel, so a failover does not carry it over.
+//
+// The items' strings share the reply's memory (broker.ResultItem):
+// strings.Clone an ID or row value kept long after the items.
 func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 	// Snapshot broker URL, socket, current frontend-sub ID and watermark in
 	// ONE critical section: a supervised failover commits all of them
@@ -366,15 +369,11 @@ var errSocketLost = errors.New("client: notification socket lost")
 // client's Timeout. The reply is the results route's body with "re":n, or
 // {"re":n,"status":s,"error":{...}}, which becomes the route's error.
 func (c *Client) getOverSocket(ctx context.Context, wait pendingReply, base, cur string, ack time.Duration, out *broker.ResultsResponse) error {
-	req := append(make([]byte, 0, 160), `{"get":`...)
-	req = httpx.AppendJSONString(req, cur)
-	req = append(req, `,"id":`...)
-	req = strconv.AppendInt(req, wait.id, 10)
-	req = append(req, `,"ack":`...)
-	req = strconv.AppendInt(req, int64(ack), 10)
+	tp := ""
 	if sc, ok := obs.SpanFromContext(ctx); ok {
-		req = append(append(append(req, `,"tp":"`...), sc.Child().Traceparent()...), '"')
+		tp = sc.Child().Traceparent()
 	}
+	req := broker.AppendGetRequest(make([]byte, 0, 160), cur, wait.id, int64(ack), tp)
 	var timeout <-chan time.Time
 	if d := c.http.Timeout; d > 0 {
 		t := time.NewTimer(d)
@@ -382,22 +381,24 @@ func (c *Client) getOverSocket(ctx context.Context, wait pendingReply, base, cur
 		timeout = t.C
 	}
 	var body []byte
-	err := wait.conn.WriteMessage(wsock.OpText, append(req, '}'))
-	if err == nil {
+	var err error
+	// A request the socket cannot take finds it closed or broken: the
+	// socket is lost, as when it dies before the reply.
+	if wait.conn.WriteMessage(wsock.OpText, req) == nil {
 		select {
 		case body = <-wait.ch:
 		case <-timeout:
 			err = fmt.Errorf("client: no reply to the retrieval of %s within %v", cur, c.http.Timeout)
 		}
 	}
-	if err != nil || body == nil { // not sent, timed out, or the socket died
+	if body == nil { // not sent, timed out, or the socket died
 		c.mu.Lock()
 		delete(c.replies, wait.id)
 		c.mu.Unlock()
 		return cmp.Or(err, errSocketLost)
 	}
 	if !bytes.HasPrefix(body, []byte(`{"re":`)) {
-		if err := json.Unmarshal(body, out); err != nil {
+		if err := out.UnmarshalJSON(body); err != nil {
 			return fmt.Errorf("client: decode results reply: %w", err)
 		}
 		return nil
@@ -508,7 +509,7 @@ func (c *Client) pump(conn *wsock.Conn) {
 			continue
 		}
 		var n broker.PushNotification
-		if err := json.Unmarshal(payload, &n); err != nil {
+		if err := n.UnmarshalJSON(payload); err != nil {
 			continue
 		}
 		if n.FrontendSub == "" && n.BackendSub != "" {

@@ -2,8 +2,12 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"runtime/debug"
 	"strings"
 	"sync/atomic"
@@ -14,6 +18,7 @@ import (
 	"gobad/internal/broker"
 	"gobad/internal/core"
 	"gobad/internal/httpx"
+	"gobad/internal/wsock"
 )
 
 // countGets counts the results GETs that pass through it.
@@ -164,6 +169,32 @@ func TestSocketRetrievalFallsBackOnce(t *testing.T) {
 	}
 }
 
+// TestSocketWriteFailureFallsBack: a retrieval whose request the socket
+// cannot take — closed after GetResults took it, before the pump saw it
+// die — is made once more, over HTTP.
+func TestSocketWriteFailureFallsBack(t *testing.T) {
+	p := newCachedPair(t, json.RawMessage(`[{"etype":"fire"}]`))
+	dead, err := wsock.Dial(p.alice.BrokerURL()+"/v1/ws?subscriber=ghost", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = dead.Close()
+	p.alice.mu.Lock()
+	live := p.alice.ws
+	p.alice.ws = dead
+	p.alice.mu.Unlock()
+	items, err := p.alice.GetResults(p.fsA)
+	p.alice.mu.Lock()
+	p.alice.ws = live
+	p.alice.mu.Unlock()
+	if err != nil || len(items) != 1 {
+		t.Fatalf("GetResults = %d items, %v; want the cached object", len(items), err)
+	}
+	if n := p.gets.Load(); n != 1 {
+		t.Errorf("the retrieval made %d HTTP requests, want exactly 1", n)
+	}
+}
+
 // TestSocketErrorsMatchHTTP: a retrieval over the notification socket
 // fails as the same retrieval over HTTP does — a cluster outage as a
 // retryable 502 *httpx.StatusError, an unknown subscription as a 404, a
@@ -251,6 +282,136 @@ func TestSocketErrorsMatchHTTP(t *testing.T) {
 		var tl *httpx.TooLargeError
 		return errors.As(err, &tl) && tl.Limit == httpx.MaxBodyBytes && strings.Contains(tl.URL, "/results?")
 	})
+}
+
+// cachedPair is one result object, its rows the given bytes, cached at a
+// broker for two subscribers of one backend subscription: alice, listening,
+// who retrieves over her notification socket, and hal, who never listens
+// and retrieves over HTTP. Until hal retrieves, the object stays cached for
+// alice's repeated retrievals. gets counts alice's results GETs.
+type cachedPair struct {
+	alice, hal *Client
+	fsA, fsH   string
+	gets       atomic.Int64
+}
+
+func newCachedPair(t *testing.T, rows json.RawMessage) *cachedPair {
+	t.Helper()
+	cluster := bdms.NewCluster()
+	if err := cluster.CreateDataset("EmergencyReports", bdms.Schema{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.DefineChannel(bdms.ChannelDef{Name: "Alerts", Params: []string{"etype"},
+		Body: "select * from EmergencyReports r where r.etype = $etype"}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := broker.New(broker.Config{ID: "broker-1", Backend: cluster, Policy: core.LSC{}, CacheBudget: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(broker.NewServer(b).Handler())
+	t.Cleanup(srv.Close)
+	p := &cachedPair{}
+	if p.alice, err = New(Config{Subscriber: "alice", BrokerURL: srv.URL,
+		HTTPClient: &http.Client{Transport: countGets{&p.gets}}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.alice.Close)
+	if p.hal, err = New(Config{Subscriber: "hal", BrokerURL: srv.URL}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.hal.Close)
+	if p.fsA, err = p.alice.Subscribe("Alerts", []any{"fire"}); err != nil {
+		t.Fatal(err)
+	}
+	if p.fsH, err = p.hal.Subscribe("Alerts", []any{"fire"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.alice.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	bs, err := b.BackendSubID("alice", p.fsA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.HandleNotificationContext(context.Background(), bs, time.Second, []bdms.ResultObject{{
+		ID: bs + "-r000001", SubscriptionID: bs, Timestamp: time.Second, Rows: rows, Size: int64(len(rows)),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	awaitNotification(t, p.alice, 0) // her socket is pumping: she retrieves over it
+	return p
+}
+
+// TestSocketAndHTTPDecodeAlike: the same cached object retrieved over the
+// notification socket and over HTTP decodes to the same items, its rows
+// what encoding/json makes of the cluster's row bytes — escapes, non-ASCII,
+// nesting, extreme numbers and null included.
+func TestSocketAndHTTPDecodeAlike(t *testing.T) {
+	rows := json.RawMessage(`[{"etype":"fire","msg":"\"q\" \\ \u003cb\u003e \u0026 \u2028 \ud83d\ude00 é日本","n":null,` +
+		`"big":1.7976931348623157e308,"neg":-9007199254740993,"tiny":-5e-324,"zero":-0,"t":true,` +
+		`"nested":{"list":[1,[2,{"k":"v"}],{},[]],"obj":{"deep":{"x":-1.5e10}}}},{}]`)
+	var want []map[string]any
+	if err := json.Unmarshal(rows, &want); err != nil {
+		t.Fatal(err)
+	}
+	p := newCachedPair(t, rows)
+	overSocket, err := p.alice.GetResults(p.fsA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := p.gets.Load(); n != 0 {
+		t.Fatalf("the listening subscriber made %d HTTP retrievals, want none", n)
+	}
+	overHTTP, err := p.hal.GetResults(p.fsH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(overSocket) != 1 || !reflect.DeepEqual(overSocket[0].Rows, want) {
+		t.Fatalf("over the socket: %#v\nwant rows %#v", overSocket, want)
+	}
+	if !reflect.DeepEqual(overSocket, overHTTP) {
+		t.Fatalf("over the socket %#v\nover HTTP %#v", overSocket, overHTTP)
+	}
+}
+
+// TestSocketRetrievalAllocs bounds one GetResults over the notification
+// socket that the cache answers with a one-row object of about 700 bytes:
+// the request frame, the broker's retrieval and reply, and the reply's
+// decode into the row's map, both ends in this process.
+func TestSocketRetrievalAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector allocates on its own")
+	}
+	rows, err := json.Marshal([]map[string]any{{"etype": "fire", "severity": 3.0,
+		"location": map[string]any{"lat": 33.64, "lon": -117.84},
+		"message":  strings.Repeat("structure fire near campus; ", 22)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newCachedPair(t, rows)
+	get := func() {
+		// Rewound, the watermark acks nothing and keeps nothing out: each
+		// retrieval is served the same cached object.
+		p.alice.mu.Lock()
+		p.alice.subs[p.fsA].lastTS = 0
+		p.alice.mu.Unlock()
+		items, err := p.alice.GetResults(p.fsA)
+		if err != nil || len(items) != 1 || !items[0].FromCache || len(items[0].Rows) != 1 {
+			panic(fmt.Sprintf("retrieval = %+v, %v; want the cached one-row object", items, err))
+		}
+	}
+	get()
+	allocs := testing.AllocsPerRun(100, get)
+	if n := p.gets.Load(); n != 0 {
+		t.Fatalf("%d retrievals went over HTTP, want none", n)
+	}
+	// 40, of which the reply's decode is 12: the frame's one string, the
+	// items and rows slices, the row's two maps (two each) and its five
+	// boxed values.
+	if allocs > 41 {
+		t.Errorf("socket retrieval = %v allocs, want at most 41", allocs)
+	}
 }
 
 // raceBuild reports a -race test binary.
