@@ -40,11 +40,11 @@ bench:
 bench-json:
 	{ $(GO) test -run=NONE -bench='BenchmarkFanout|BenchmarkObjectsInRange|BenchmarkWritePrepared|BenchmarkWriteMessage' \
 		-benchmem -benchtime=200x -cpu 1 -count=3 ./internal/broker ./internal/wsock ./internal/core; \
-	  $(GO) test -run=NONE -bench='^BenchmarkResults(Route|Socket)Hit$$' -benchmem -benchtime=5000x -cpu 1 -count=5 ./internal/broker; } \
-		| $(GO) run ./cmd/benchjson -note "Fanout is the pooled-writer interest-keyed hub (1000 drained subscribers plus one stalled) with GC-owned sessions and events. Same hub with sessions and events drawn from sync.Pools (deleted; it cost three use-after-release bugs and moved no live metric): 44166ns/0allocs, p99 97454ns. Goroutine-per-session hub before the writer pool: 201824ns/57allocs, p99 595609ns. Original synchronous per-subscriber dispatch loop (BenchmarkFanoutLegacySync, deleted; drained subscribers only): 2420618ns/2000allocs, p99 4733616ns. objectsInRange pre-change: span=1 4513ns/1alloc, span=16 4963ns/5allocs, span=256 6647ns/9allocs. ResultsRouteHit is client.GetResults against an httptest broker serving one cached 700-byte object to each of 32 subscribers; before rows stayed bytes and spans left the allocator, same box: 47407ns/181allocs. ResultsSocketHit is the same with every subscriber Listening, so each retrieval is one frame each way on its notification socket, the push frames' decode included. Before the notification socket's frames stopped going through encoding/json (the HTTP fallback's decode shares that reader): RouteHit 12639B/133allocs, SocketHit 7280B/83allocs." \
+	  $(GO) test -run=NONE -bench='^Benchmark(Results(Route|Socket)Hit|HandleCallback)$$' -benchmem -benchtime=5000x -cpu 1 -count=5 ./internal/broker; } \
+		| $(GO) run ./cmd/benchjson -note "Fanout is the pooled-writer interest-keyed hub (1000 drained subscribers plus one stalled) with GC-owned sessions and events. Same hub with sessions and events drawn from sync.Pools (deleted; it cost three use-after-release bugs and moved no live metric): 44166ns/0allocs, p99 97454ns. Goroutine-per-session hub before the writer pool: 201824ns/57allocs, p99 595609ns. Original synchronous per-subscriber dispatch loop (BenchmarkFanoutLegacySync, deleted; drained subscribers only): 2420618ns/2000allocs, p99 4733616ns. objectsInRange pre-change: span=1 4513ns/1alloc, span=16 4963ns/5allocs, span=256 6647ns/9allocs. ResultsRouteHit is client.GetResults against an httptest broker serving one cached 700-byte object to each of 32 subscribers; before rows stayed bytes and spans left the allocator, same box: 47407ns/181allocs. ResultsSocketHit is the same with every subscriber Listening, so each retrieval is one frame each way on its notification socket, the push frames' decode included. Before the notification socket's frames stopped going through encoding/json (the HTTP fallback's decode shares that reader): RouteHit 12639B/133allocs, SocketHit 7280B/83allocs. HandleCallback is the broker's webhook route on a 4-entry envelope with pushed rows, its results cached after the first round; with the envelope decoded by encoding/json: 14345B/89allocs." \
 		> BENCH_fanout.json
 	$(GO) test -run=NONE -bench='BenchmarkIngestEval' -benchmem -cpu 1 -count=3 ./internal/bdms \
-		| $(GO) run ./cmd/benchjson -note "Grouped channel evaluation over the compiled engine: evals/rec equals signature groups G, not subscriptions S; geo/sigs=2000 is the live benchmark's eval_wide body and grid. Tree-walking evaluator before compilation (same cases, -cpu 1): geo/sigs=2000 1670000ns/op 9440allocs, subs=1000/sigs=10 110000ns/op 357allocs, subs=10000/sigs=100 280000ns/op 664allocs, subs=10000/sigs=1000 750000ns/op 4082allocs, batch 140000ns/op 333allocs." \
+		| $(GO) run ./cmd/benchjson -note "Grouped channel evaluation over the compiled engine: evals/rec equals signature groups G, not subscriptions S; geo/sigs=2000 is the live benchmark's eval_wide body and grid. Tree-walking evaluator before compilation (same cases, -cpu 1): geo/sigs=2000 1670000ns/op 9440allocs, subs=1000/sigs=10 110000ns/op 357allocs, subs=10000/sigs=100 280000ns/op 664allocs, subs=10000/sigs=1000 750000ns/op 4082allocs, batch 140000ns/op 333allocs. geo/sigs=2000 while evaluation encoded its rows, and indexKey its keys, with encoding/json: 7245B/op 126allocs." \
 		> BENCH_eval.json
 
 # Full soak run: BenchmarkSoak stands up 10k then 100k simulated WebSocket
@@ -79,10 +79,11 @@ bench-vet:
 # Regression guard over the committed baselines, every row at one proc
 # like its baseline (-cpu 1), so it passes on any box: the fan-out
 # benchmark and the results' whole hit round trip, over HTTP and over the
-# notification socket (best of five runs each, damping runner noise),
-# against BENCH_fanout.json, the
+# notification socket (best of five runs each, damping runner noise), and
+# the webhook route's envelope decode (allocations only), against
+# BENCH_fanout.json, the
 # 10k-session soak against BENCH_soak.json, two grouped-evaluation rows
-# against BENCH_eval.json — all six read from the one `go test -bench`
+# against BENCH_eval.json — all seven read from the one `go test -bench`
 # stream on stdin. Every guarded metric is printed as
 # a diff row and all failures are reported together. Latency tolerances
 # are wide because single runs on shared runners are noisy — the gate
@@ -90,29 +91,28 @@ bench-vet:
 # per-session writer goroutines), not scheduler jitter.
 bench-guard:
 	{ $(GO) test -run=NONE -bench='^BenchmarkFanout$$' -benchtime=200x -cpu 1 -count=5 ./internal/broker; \
-	  $(GO) test -run=NONE -bench='^BenchmarkResults(Route|Socket)Hit$$' -benchmem -benchtime=5000x -cpu 1 -count=5 ./internal/broker; \
+	  $(GO) test -run=NONE -bench='^Benchmark(Results(Route|Socket)Hit|HandleCallback)$$' -benchmem -benchtime=5000x -cpu 1 -count=5 ./internal/broker; \
 	  $(GO) test -run=NONE -bench='^BenchmarkSoak$$/^sessions=10000$$' -benchtime=2000x -cpu 1 ./internal/broker; \
 	  $(GO) test -run=NONE -bench='^BenchmarkIngestEval$$/^(subs=10000|geo)$$/^sigs=(100|2000)$$' -benchmem -cpu 1 -count=3 ./internal/bdms; } \
 		| $(GO) run ./cmd/benchguard \
 			-guard 'baseline=BENCH_fanout.json;bench=BenchmarkFanout;metrics=ns/op:0.20,p99-dispatch-ns:0.50,allocs/op:0.50' \
 			-guard 'baseline=BENCH_fanout.json;bench=BenchmarkResultsRouteHit;metrics=allocs/op:0.10,ns/op:0.35' \
 			-guard 'baseline=BENCH_fanout.json;bench=BenchmarkResultsSocketHit;metrics=allocs/op:0.10,ns/op:0.35' \
+			-guard 'baseline=BENCH_fanout.json;bench=BenchmarkHandleCallback;metrics=allocs/op:0.10' \
 			-guard 'baseline=BENCH_soak.json;bench=BenchmarkSoak/sessions=10000;metrics=p99-dispatch-ns:1.0,allocs/op:0.5,rss-bytes/session:0.35' \
 			-guard 'baseline=BENCH_eval.json;bench=BenchmarkIngestEval/subs=10000/sigs=100;metrics=ns/op:0.35,evals/rec:0.01' \
 			-guard 'baseline=BENCH_eval.json;bench=BenchmarkIngestEval/geo/sigs=2000;metrics=ns/op:0.35,allocs/op:0.10,evals/rec:0.01'
 
 # Fuzz smoke: a short bounded run of each native fuzz target (resume-token
-# and traceparent parsing, the spliced bodies' JSON string encoder against
-# encoding/json, the notification socket's frame reader (FuzzWireDecode)
-# against encoding/json, parameter-signature canonicalization, WAL
+# and traceparent parsing, the JSON codec's writers and every document
+# reader (FuzzWire) against encoding/json, parameter-signature canonicalization, WAL
 # crash-tail recovery, cache-snapshot decoding, the compiled AQL engine
 # against its reference interpreter) so CI exercises the corpora plus a
 # few seconds of mutation without turning into a fuzzing farm.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzCompiledEval$$' -fuzztime=10s ./internal/aql
 	$(GO) test -run=NONE -fuzz='^FuzzParseResumeToken$$' -fuzztime=10s ./internal/broker
-	$(GO) test -run=NONE -fuzz='^FuzzWireDecode$$' -fuzztime=10s ./internal/broker
-	$(GO) test -run=NONE -fuzz='^FuzzAppendJSONString$$' -fuzztime=10s ./internal/httpx
+	$(GO) test -run=NONE -fuzz='^FuzzWire$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzParseTraceparent$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run=NONE -fuzz='^FuzzParamSignature$$' -fuzztime=10s ./internal/bdms
 	$(GO) test -run=NONE -fuzz='^FuzzWALRecord$$' -fuzztime=10s ./internal/bdms

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gobad/internal/aql"
+	"gobad/internal/wire"
 )
 
 // EnrichSpec declares one enrichment attached to a channel: a secondary
@@ -163,7 +164,7 @@ func encodeResults(stored []storedResult) ([]ResultObject, error) {
 	}
 	out := make([]ResultObject, len(stored))
 	for i, r := range stored {
-		rows, err := json.Marshal(r.rows)
+		rows, err := wire.Marshal(r.rows)
 		if err != nil {
 			return nil, fmt.Errorf("bdms: encode result %s: %w", r.id, err)
 		}

@@ -2,12 +2,14 @@ package bdms
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
 	"time"
 
 	"gobad/internal/httpx"
+	"gobad/internal/wire"
 )
 
 // Client is the Go client for the cluster REST API; the broker's
@@ -129,7 +131,7 @@ func (c *Client) Ingest(dataset string, data map[string]any) (IngestResponse, er
 func (c *Client) IngestContext(ctx context.Context, dataset string, data map[string]any) (IngestResponse, error) {
 	var out IngestResponse
 	err := c.do(ctx, http.MethodPost,
-		fmt.Sprintf("%s/v1/datasets/%s/records", c.base, url.PathEscape(dataset)), data, &out, false)
+		fmt.Sprintf("%s/v1/datasets/%s/records", c.base, url.PathEscape(dataset)), requestBody(data, data), &out, false)
 	return out, err
 }
 
@@ -145,8 +147,20 @@ func (c *Client) IngestBatchContext(ctx context.Context, dataset string, records
 	var out BatchIngestResponse
 	err := c.do(ctx, http.MethodPost,
 		fmt.Sprintf("%s/v1/datasets/%s/records:batch", c.base, url.PathEscape(dataset)),
-		BatchIngestRequest{Records: records}, &out, false)
+		requestBody(map[string]any{"records": records}, BatchIngestRequest{Records: records}), &out, false)
 	return out, err
+}
+
+// requestBody is what an ingest call hands DoJSONHeader for the request v:
+// its encoding, as the json.RawMessage DoJSONHeader sends unchanged, made
+// from body, v's JSON-model twin (the same bytes), without reflection; or,
+// when v cannot be encoded, v itself, for DoJSONHeader to fail on as it
+// always has.
+func requestBody(body, v any) any {
+	if b, err := wire.Marshal(body); err == nil {
+		return json.RawMessage(b)
+	}
+	return v
 }
 
 // DefineChannel registers a channel.
@@ -240,7 +254,7 @@ func (c *Client) ResultsContext(ctx context.Context, subID string, from, to time
 	var out ResultsResponse
 	u := fmt.Sprintf("%s/v1/subscriptions/%s/results?from_ns=%d&to_ns=%d&inclusive=%t",
 		c.base, url.PathEscape(subID), int64(from), int64(to), inclusiveTo)
-	if err := c.do(ctx, http.MethodGet, u, nil, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodGet, u, nil, &resultsReply{&out}, true); err != nil {
 		return nil, err
 	}
 	return out.Results, nil
@@ -252,7 +266,7 @@ func (c *Client) ResultsContext(ctx context.Context, subID string, from, to time
 func (c *Client) ResultsBatchContext(ctx context.Context, ranges []ResultRange) ([]RangeResults, error) {
 	var out ResultsBatchResponse
 	if err := c.do(ctx, http.MethodPost, c.base+"/v1/results:batch",
-		ResultsBatchRequest{Ranges: ranges}, &out, true); err != nil {
+		ResultsBatchRequest{Ranges: ranges}, &resultsBatchReply{&out}, true); err != nil {
 		return nil, err
 	}
 	if len(out.Ranges) != len(ranges) {

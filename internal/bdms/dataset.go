@@ -105,7 +105,10 @@ type Record struct {
 	Seq uint64 `json:"seq"`
 	// IngestedAt is the cluster-time ingest timestamp.
 	IngestedAt time.Duration `json:"ingested_at"`
-	// Data is the publication payload.
+	// Data is the publication payload. Ingested over REST, its keys and
+	// strings that needed no unquoting are substrings of one string copy
+	// of the request body, which a batch's records share; a kept string
+	// keeps that copy alive (strings.Clone one to hold it alone).
 	Data map[string]any `json:"data"`
 }
 

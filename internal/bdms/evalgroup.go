@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gobad/internal/aql"
+	"gobad/internal/wire"
 )
 
 // Shared channel evaluation. Subscriptions of one channel are grouped by
@@ -200,7 +201,7 @@ func evaluate(ch *channel, e tableEntry, frames []aql.Frame, enrichDS map[string
 	// its length is their size: made once, off-lock. Rows JSON cannot
 	// carry (a NaN or an infinity) fail the group like any other
 	// evaluation error.
-	enc, err := json.Marshal(rows)
+	enc, err := wire.Marshal(rows)
 	if err != nil {
 		return &evalTask{g: e.g, err: fmt.Errorf("bdms: encode result rows: %w", err)}
 	}

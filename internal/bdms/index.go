@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"gobad/internal/aql"
+	"gobad/internal/wire"
 )
 
 // Predicate indexing: continuous channels are matched against every
@@ -86,9 +87,13 @@ func indexKey(v any) (string, bool) {
 	if v == nil {
 		return "", false
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return "", false
+	var buf [64]byte
+	b, ok := wire.AppendValue(buf[:0], v)
+	if !ok {
+		var err error
+		if b, err = json.Marshal(v); err != nil {
+			return "", false
+		}
 	}
 	return string(b), true
 }

@@ -38,13 +38,6 @@ type NotificationPayload struct {
 	More []NotificationPayload `json:"more,omitempty"`
 }
 
-// Entries returns the envelope's entries, head first.
-func (p NotificationPayload) Entries() []NotificationPayload {
-	more := p.More
-	p.More = nil
-	return append([]NotificationPayload{p}, more...)
-}
-
 // CallbackResponse is the 200 body a callback answers an envelope with:
 // the entries it could not take; every entry it does not list is delivered.
 // Any other status fails the whole envelope.

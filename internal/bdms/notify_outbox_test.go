@@ -21,8 +21,8 @@ import (
 // not a race it hopes to win.
 type gatedCallback struct {
 	*httptest.Server
-	arrived chan bdms.NotificationPayload // one per POST, sent before it blocks
-	release chan any                      // one answer per POST: nil, an int status, or a bdms.CallbackResponse
+	arrived chan []bdms.NotificationPayload // entries, one per POST, sent before it blocks
+	release chan any                        // one answer per POST: nil, an int status, or a bdms.CallbackResponse
 
 	mu      sync.Mutex
 	parents []string
@@ -30,10 +30,10 @@ type gatedCallback struct {
 
 func newGatedCallback(t *testing.T) *gatedCallback {
 	t.Helper()
-	g := &gatedCallback{arrived: make(chan bdms.NotificationPayload, 64), release: make(chan any, 64)}
+	g := &gatedCallback{arrived: make(chan []bdms.NotificationPayload, 64), release: make(chan any, 64)}
 	g.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var p bdms.NotificationPayload
-		if err := httpx.ReadJSON(r, &p); err != nil {
+		p, err := bdms.ReadCallback(r)
+		if err != nil {
 			httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -60,7 +60,7 @@ func (g *gatedCallback) next(t *testing.T) []bdms.NotificationPayload {
 	t.Helper()
 	select {
 	case p := <-g.arrived:
-		return p.Entries()
+		return p
 	case <-time.After(5 * time.Second):
 		t.Fatal("no POST reached the callback")
 		return nil

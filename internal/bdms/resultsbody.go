@@ -4,28 +4,29 @@ import (
 	"slices"
 	"strconv"
 
-	"gobad/internal/httpx"
+	"gobad/internal/wire"
 )
 
 // The documents that carry result rows on the ingest, push and pull paths —
-// a WAL result record, the webhook envelope, the results and results:batch
-// bodies — are appended here field by field, as encoding/json writes them,
-// with each result's rows spliced in. The rows are json.Marshal output
-// already (evaluate made them, or encodeResults for a range read): compact
-// and escaped. Handed back to encoding/json as a RawMessage they would be
-// re-scanned byte by byte to compact what is compact, which on the WAL's
-// result records, under the cluster lock, cost more than encoding the rows
-// had.
-// TestResultsBodiesMatchEncodingJSON holds every one to encoding/json's
-// bytes.
+// a WAL result or ingest record, the webhook envelope, the results and
+// results:batch bodies — are appended here field by field, as
+// encoding/json writes them, with each result's rows spliced in and an
+// ingest's data written by wire.AppendValue. The rows are json.Marshal's
+// bytes already (evaluate made them, or encodeResults for a range read):
+// compact and escaped. Handed back to encoding/json as a RawMessage they
+// would be re-scanned byte by byte to compact what is compact, which on
+// the WAL's result records, under the cluster lock, cost more than
+// encoding the rows had. TestResultsBodiesMatchEncodingJSON and
+// TestWireWritersTakeDirectPath hold every one to encoding/json's bytes;
+// their readers are in wireread.go.
 
 // appendResultObject appends obj as encoding/json writes a ResultObject.
 // No rows is null, as a nil RawMessage is.
 func appendResultObject(dst []byte, obj ResultObject) []byte {
 	dst = append(dst, `{"id":`...)
-	dst = httpx.AppendJSONString(dst, obj.ID)
+	dst = wire.AppendJSONString(dst, obj.ID)
 	dst = append(dst, `,"subscription_id":`...)
-	dst = httpx.AppendJSONString(dst, obj.SubscriptionID)
+	dst = wire.AppendJSONString(dst, obj.SubscriptionID)
 	dst = append(dst, `,"timestamp":`...)
 	dst = strconv.AppendInt(dst, int64(obj.Timestamp), 10)
 	if obj.PrevNS != 0 {
@@ -65,7 +66,7 @@ func appendResultRecord(dst []byte, rec walRecord) []byte {
 	dst = strconv.AppendInt(dst, rec.AtNS, 10)
 	if rec.Sub != "" {
 		dst = append(dst, `,"sub":`...)
-		dst = httpx.AppendJSONString(dst, rec.Sub)
+		dst = wire.AppendJSONString(dst, rec.Sub)
 	}
 	if rec.Result != nil {
 		dst = append(dst, `,"result":`...)
@@ -74,11 +75,31 @@ func appendResultRecord(dst []byte, rec walRecord) []byte {
 	return append(dst, '}')
 }
 
+// appendIngestRecord appends a WAL ingest record as logIngest and
+// logIngestBatch make it — kind, dataset, data and at_ns, nothing else —
+// or returns false when the codec declines its data.
+func appendIngestRecord(dst []byte, rec walRecord) ([]byte, bool) {
+	dst = append(dst, `{"kind":"`+walKindIngest+`"`...)
+	if rec.Dataset != "" {
+		dst = append(dst, `,"dataset":`...)
+		dst = wire.AppendJSONString(dst, rec.Dataset)
+	}
+	if len(rec.Data) > 0 {
+		var ok bool
+		if dst, ok = wire.AppendValue(append(dst, `,"data":`...), rec.Data); !ok {
+			return dst, false
+		}
+	}
+	dst = append(dst, `,"at_ns":`...)
+	dst = strconv.AppendInt(dst, rec.AtNS, 10)
+	return append(dst, '}'), true
+}
+
 // appendNotificationPayload appends a webhook envelope, its entries' pushed
 // results spliced in.
 func appendNotificationPayload(dst []byte, p NotificationPayload) []byte {
 	dst = append(dst, `{"subscription_id":`...)
-	dst = httpx.AppendJSONString(dst, p.SubscriptionID)
+	dst = wire.AppendJSONString(dst, p.SubscriptionID)
 	dst = append(dst, `,"latest_ns":`...)
 	dst = strconv.AppendInt(dst, p.LatestNS, 10)
 	if len(p.Results) > 0 {
@@ -134,7 +155,7 @@ func appendResultsBatchResponse(dst []byte, ranges []RangeResults) []byte {
 					dst = append(dst, ',')
 				}
 				dst = append(dst, `"error":`...)
-				dst = httpx.AppendJSONString(dst, r.Error)
+				dst = wire.AppendJSONString(dst, r.Error)
 			}
 			dst = append(dst, '}')
 		}

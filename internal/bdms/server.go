@@ -213,10 +213,14 @@ type IngestResponse struct {
 	IngestedNS int64  `json:"ingested_ns"`
 }
 
+// handleIngest stores one record, read by readRecord: the stored record's
+// strings share one string copy of the body (a batch's records one copy
+// between them, in handleIngestBatch), which the dataset keeps as long as
+// it keeps one of them.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var data map[string]any
-	if err := httpx.ReadJSON(r, &data); err != nil {
+	data, err := readRecord(r)
+	if err != nil {
 		httpx.WriteReadError(w, err)
 		return
 	}
@@ -259,12 +263,12 @@ type BatchIngestResponse struct {
 
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req BatchIngestRequest
-	if err := httpx.ReadJSON(r, &req); err != nil {
+	batch, err := readBatch(r)
+	if err != nil {
 		httpx.WriteReadError(w, err)
 		return
 	}
-	recs, out, err := s.cluster.ingest(r.Context(), name, req.Records, true)
+	recs, out, err := s.cluster.ingest(r.Context(), name, batch, true)
 	if err != nil {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return

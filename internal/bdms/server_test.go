@@ -188,12 +188,12 @@ func TestWebhookNotifierDelivers(t *testing.T) {
 	var mu sync.Mutex
 	var got []NotificationPayload
 	cb := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var p NotificationPayload
-		if err := httpx.ReadJSON(r, &p); err != nil {
+		entries, err := ReadCallback(r)
+		if err != nil {
 			t.Error(err)
 		}
 		mu.Lock()
-		got = append(got, p.Entries()...)
+		got = append(got, entries...)
 		mu.Unlock()
 		httpx.WriteJSON(w, http.StatusOK, CallbackResponse{})
 	}))

@@ -177,9 +177,16 @@ func (w *WAL) appendLocked(recs []walRecord) error {
 	}
 	for _, rec := range recs {
 		var line []byte
-		if rec.Kind == walKindResult {
+		ok := false
+		switch rec.Kind {
+		case walKindResult:
 			// Most of the log's bytes: rows spliced in, not re-scanned.
-			w.line = append(appendResultRecord(w.line[:0], rec), '\n')
+			w.line, ok = appendResultRecord(w.line[:0], rec), true
+		case walKindIngest:
+			w.line, ok = appendIngestRecord(w.line[:0], rec)
+		}
+		if ok {
+			w.line = append(w.line, '\n')
 			line = w.line
 		} else {
 			b, err := json.Marshal(rec)

@@ -3,7 +3,6 @@ package broker
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -442,7 +441,7 @@ type envelopeEnv struct {
 	pushes  atomic.Int32
 }
 
-func newEnvelopeEnv(t *testing.T, etypes ...string) *envelopeEnv {
+func newEnvelopeEnv(t testing.TB, etypes ...string) *envelopeEnv {
 	t.Helper()
 	te := newTestEnv(t, core.LSC{}, 1<<30)
 	e := &envelopeEnv{te: te, b: te.broker}
@@ -494,15 +493,15 @@ func TestEnvelopeRedeliversOnlyFailedEntries(t *testing.T) {
 	callback := NewServer(e.b).Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		raw, err := io.ReadAll(r.Body)
-		var p bdms.NotificationPayload
+		var entries []bdms.NotificationPayload
 		if err == nil {
-			err = json.Unmarshal(raw, &p)
+			entries, err = bdms.ReadCallback(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(raw)))
 		}
 		if err != nil {
 			t.Error(err)
 		}
 		var ids []string
-		for _, entry := range p.Entries() {
+		for _, entry := range entries {
 			ids = append(ids, entry.SubscriptionID)
 		}
 		mu.Lock()

@@ -39,7 +39,7 @@ type testEnv struct {
 	broker  *Broker
 }
 
-func newTestEnv(t *testing.T, policy core.Policy, budget int64) *testEnv {
+func newTestEnv(t testing.TB, policy core.Policy, budget int64) *testEnv {
 	t.Helper()
 	env := &testEnv{clk: &testClock{}}
 	env.cluster = bdms.NewCluster(
@@ -75,7 +75,7 @@ func newTestEnv(t *testing.T, policy core.Policy, budget int64) *testEnv {
 	return env
 }
 
-func (env *testEnv) publish(t *testing.T, etype string, sev float64) {
+func (env *testEnv) publish(t testing.TB, etype string, sev float64) {
 	t.Helper()
 	env.clk.Advance(time.Second)
 	_, err := env.cluster.Ingest("EmergencyReports", map[string]any{

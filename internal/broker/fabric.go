@@ -79,8 +79,8 @@ func newFabric(b *Broker, cfg FabricConfig) *fabric {
 	}
 }
 
-// FabricEnabled reports whether the broker participates in the fabric.
-func (b *Broker) FabricEnabled() bool { return b.fabric != nil }
+// fabricEnabled reports whether the broker participates in the fabric.
+func (b *Broker) fabricEnabled() bool { return b.fabric != nil }
 
 // SetRing installs a membership view (monotonic by epoch: stale views are
 // ignored) and reports whether the view changed. Production brokers get

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"gobad/internal/httpx"
+	"gobad/internal/wire"
 )
 
 // The results route's body writer. One cached result object serves every
@@ -15,7 +16,7 @@ import (
 // would, and splices each item's rows in as the bytes the cache holds.
 // (Routing those bytes through encoding/json as a RawMessage would still
 // re-scan every byte of them.) TestResultsBodyMatchesEncodingJSON holds it
-// to encoding/json's output, and FuzzAppendJSONString (httpx) its string
+// to encoding/json's output, and FuzzWire (internal/wire) its string
 // encoder.
 
 // appendResults appends the JSON body of ret's ResultsResponse, newline
@@ -27,7 +28,7 @@ func appendResults(dst []byte, ret Retrieval) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"id":`...)
-		dst = httpx.AppendJSONString(dst, it.ID)
+		dst = wire.AppendJSONString(dst, it.ID)
 		dst = append(dst, `,"timestamp_ns":`...)
 		dst = strconv.AppendInt(dst, it.TimestampNS, 10)
 		dst = append(dst, `,"size":`...)

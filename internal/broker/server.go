@@ -16,6 +16,7 @@ import (
 	"gobad/internal/metrics"
 	"gobad/internal/obs"
 	"gobad/internal/obs/span"
+	"gobad/internal/wire"
 	"gobad/internal/wsock"
 )
 
@@ -102,7 +103,7 @@ func NewServer(b *Broker, opts ...ServerOption) *Server {
 		obs.GaugeFunc("bad_warmup_stash_entries", "Warm entries awaiting a matching subscribe.",
 			func() float64 { return float64(b.WarmStashSize()) }),
 	)
-	if b.FabricEnabled() {
+	if b.fabricEnabled() {
 		s.obs.Registry.MustRegister(b.fabric.peerLat)
 	}
 	s.routes()
@@ -396,14 +397,14 @@ type getRequest struct {
 // into a getRequest.
 func AppendGetRequest(dst []byte, fs string, id, ack int64, tp string) []byte {
 	dst = append(dst, `{"get":`...)
-	dst = httpx.AppendJSONString(dst, fs)
+	dst = wire.AppendJSONString(dst, fs)
 	dst = append(dst, `,"id":`...)
 	dst = strconv.AppendInt(dst, id, 10)
 	dst = append(dst, `,"ack":`...)
 	dst = strconv.AppendInt(dst, ack, 10)
 	if tp != "" {
 		dst = append(dst, `,"tp":`...)
-		dst = httpx.AppendJSONString(dst, tp)
+		dst = wire.AppendJSONString(dst, tp)
 	}
 	return append(dst, '}')
 }
@@ -417,25 +418,24 @@ func (s *Server) serveGet(conn *wsock.Conn, subscriber string, msg []byte) error
 	start := time.Now()
 	s.obs.HTTP.Begin()
 	defer s.obs.HTTP.End()
-	var req getRequest
-	err := req.UnmarshalJSON(msg)
-	ctx, sp, _ := s.results.Begin(context.Background(), req.TP, "", "WS")
+	fs, id, ack, tp, err := ParseGetRequest(msg)
+	ctx, sp, _ := s.results.Begin(context.Background(), tp, "", "WS")
 	sp.SetAttr("transport", "ws")
 	ret, status := Retrieval{}, http.StatusBadRequest
 	if err == nil {
-		ret, err = s.broker.RetrieveContext(ctx, subscriber, req.Get, time.Duration(req.Ack))
+		ret, err = s.broker.RetrieveContext(ctx, subscriber, fs, time.Duration(ack))
 		status = retrievalStatus(err)
 	}
 	var reply []byte
 	if err == nil {
-		reply = appendResultsReply(make([]byte, 0, resultsBodySize(ret)+24), ret, req.ID)
+		reply = appendResultsReply(make([]byte, 0, resultsBodySize(ret)+24), ret, id)
 		if len(reply) > httpx.MaxBodyBytes {
 			status, err = http.StatusRequestEntityTooLarge,
 				fmt.Errorf("results reply of %d bytes exceeds the %d-byte limit", len(reply), httpx.MaxBodyBytes)
 		}
 	}
 	if err != nil {
-		reply = errorReply(req.ID, status, err)
+		reply = errorReply(id, status, err)
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(DefaultPushWriteTimeout))
 	werr := conn.WriteMessage(wsock.OpText, reply)
@@ -449,12 +449,11 @@ func (s *Server) serveGet(conn *wsock.Conn, subscriber string, msg []byte) error
 // or cache put (marker unchanged) — so the notifier redelivers those alone
 // and the range is retried. An envelope of one is answered the same way.
 func (s *Server) handleCallback(w http.ResponseWriter, r *http.Request) {
-	var p bdms.NotificationPayload
-	if err := httpx.ReadJSON(r, &p); err != nil {
+	entries, err := bdms.ReadCallback(r)
+	if err != nil {
 		httpx.WriteReadError(w, err)
 		return
 	}
-	entries := p.Entries()
 	var resp bdms.CallbackResponse
 	for i, err := range s.broker.HandleEnvelopeContext(r.Context(), entries) {
 		if err == nil {

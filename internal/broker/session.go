@@ -9,9 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gobad/internal/httpx"
 	"gobad/internal/obs"
 	"gobad/internal/obs/span"
+	"gobad/internal/wire"
 	"gobad/internal/wsock"
 )
 
@@ -82,12 +82,12 @@ type pushEvent struct {
 // json.Marshal writes for that PushNotification, without its allocations.
 func appendPushJSON(dst []byte, backendSub string, latest int64, tp string) []byte {
 	dst = append(dst, `{"type":"results","bs":`...)
-	dst = httpx.AppendJSONString(dst, backendSub)
+	dst = wire.AppendJSONString(dst, backendSub)
 	dst = append(dst, `,"latest_ns":`...)
 	dst = strconv.AppendInt(dst, latest, 10)
 	if tp != "" {
 		dst = append(dst, `,"tp":`...)
-		dst = httpx.AppendJSONString(dst, tp)
+		dst = wire.AppendJSONString(dst, tp)
 	}
 	return append(dst, '}')
 }

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gobad/internal/wire"
 )
 
 // sameDecode fails t unless a decode gave the value and the error text
@@ -24,27 +27,34 @@ func sameDecode[T any](t *testing.T, what string, data []byte, got T, gotErr err
 
 // checkWireDecode holds the three frame decoders to encoding/json on data
 // (a type error named for the decoded type, not the alias; see
-// TestWireDecodeErrorsNameTheType): each UnmarshalJSON called directly, as the socket's readers call it, and
-// ResultsResponse's through json.Unmarshal too, as the HTTP fallback
-// reaches it.
+// TestWireDecodeErrorsNameTheType): each UnmarshalJSON called directly, as
+// the socket's readers call it, and ResultsResponse's through
+// json.Unmarshal too, as the HTTP fallback reaches it. FuzzWireDecode runs
+// it on any bytes; FuzzWire (internal/wire) holds the same readers beside
+// the cluster leg's documents.
 func checkWireDecode(t *testing.T, data []byte) {
 	t.Helper()
 	var rr, viaJSON ResultsResponse
 	var rrWant resultsResponseFields
-	err, wantErr := rr.UnmarshalJSON(data), declinedErr[ResultsResponse, resultsResponseFields](json.Unmarshal(data, &rrWant))
+	err, wantErr := rr.UnmarshalJSON(data), wire.RenameTypeError[ResultsResponse, resultsResponseFields](json.Unmarshal(data, &rrWant))
 	sameDecode(t, "ResultsResponse", data, rr, err, ResultsResponse(rrWant), wantErr)
 	err = json.Unmarshal(data, &viaJSON)
 	sameDecode(t, "json.Unmarshal into ResultsResponse", data, viaJSON, err, ResultsResponse(rrWant), wantErr)
 
 	var n PushNotification
 	var nWant pushFields
-	err, wantErr = n.UnmarshalJSON(data), declinedErr[PushNotification, pushFields](json.Unmarshal(data, &nWant))
+	err, wantErr = n.UnmarshalJSON(data), wire.RenameTypeError[PushNotification, pushFields](json.Unmarshal(data, &nWant))
 	sameDecode(t, "PushNotification", data, n, err, PushNotification(nWant), wantErr)
 
-	var g getRequest
-	var gWant getRequestFields
-	err, wantErr = g.UnmarshalJSON(data), declinedErr[getRequest, getRequestFields](json.Unmarshal(data, &gWant))
-	sameDecode(t, "getRequest", data, g, err, getRequest(gWant), wantErr)
+	var g, gWant getRequest
+	g.Get, g.ID, g.Ack, g.TP, err = ParseGetRequest(data)
+	wantErr = json.Unmarshal(data, &gWant)
+	sameDecode(t, "getRequest", data, g, err, gWant, wantErr)
+}
+
+func parseGetRequest(frame []byte) error {
+	_, _, _, _, err := ParseGetRequest(frame)
+	return err
 }
 
 // TestWireDecodeErrorsNameTheType: a mismatched frame's error is the text
@@ -65,9 +75,9 @@ func TestWireDecodeErrorsNameTheType(t *testing.T) {
 		{func(b []byte) error { return json.Unmarshal(b, new(ResultsResponse)) }, `{"stale":1}`, "json: cannot unmarshal number into Go struct field ResultsResponse.stale of type bool"},
 		{new(PushNotification).UnmarshalJSON, `[]`, "json: cannot unmarshal array into Go value of type broker.PushNotification"},
 		{new(PushNotification).UnmarshalJSON, `{"bs":true}`, "json: cannot unmarshal bool into Go struct field PushNotification.bs of type string"},
-		{new(getRequest).UnmarshalJSON, `[]`, "json: cannot unmarshal array into Go value of type broker.getRequest"},
-		{new(getRequest).UnmarshalJSON, `{"get":1}`, "json: cannot unmarshal number into Go struct field getRequest.get of type string"},
-		{new(getRequest).UnmarshalJSON, `{"ack":1.5}`, "json: cannot unmarshal number 1.5 into Go struct field getRequest.ack of type int64"},
+		{parseGetRequest, `[]`, "json: cannot unmarshal array into Go value of type broker.getRequest"},
+		{parseGetRequest, `{"get":1}`, "json: cannot unmarshal number into Go struct field getRequest.get of type string"},
+		{parseGetRequest, `{"ack":1.5}`, "json: cannot unmarshal number 1.5 into Go struct field getRequest.ack of type int64"},
 	} {
 		if err := c.decode([]byte(c.in)); err == nil || err.Error() != c.want {
 			t.Errorf("decode %s: %v\nwant %s", c.in, err, c.want)
@@ -141,8 +151,10 @@ func FuzzWireDecode(f *testing.F) {
 }
 
 // TestWireWritersTakeDirectPath: every frame the writers produce — over
-// random IDs, rows, markers and traceparents — is read by the direct path,
-// never handed to encoding/json, and decodes as encoding/json decodes it.
+// random IDs, rows, markers and traceparents, the rows written by
+// wire.AppendValue as evaluate writes them — is read by the direct path,
+// never handed to encoding/json, and decodes as encoding/json decodes it;
+// AppendValue's rows and the push frame are json.Marshal's bytes.
 func TestWireWritersTakeDirectPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
@@ -152,25 +164,30 @@ func TestWireWritersTakeDirectPath(t *testing.T) {
 			for k := rng.Intn(3); k > 0; k-- {
 				rows = append(rows, randObject(rng, 0))
 			}
-			raw, err := json.Marshal(rows)
-			if err != nil {
-				t.Fatal(err)
+			raw, ok := wire.AppendValue(nil, rows)
+			if want, err := json.Marshal(rows); !ok || err != nil || !bytes.Equal(raw, want) {
+				t.Fatalf("AppendValue(%#v) = %s, %v; json.Marshal %s, %v", rows, raw, ok, want, err)
 			}
 			ret.Items = append(ret.Items, Item{ID: randString(rng), TimestampNS: randInt(rng),
 				Size: randInt(rng), Rows: raw, FromCache: rng.Intn(2) == 0})
 		}
+		bs, latest, tp := "bs"+randString(rng), randInt(rng), randTP(rng) // a backend subscription is never ""
+		push := appendPushJSON(nil, bs, latest, tp)
+		if want, _ := json.Marshal(PushNotification{Type: "results", BackendSub: bs, LatestNS: latest, Traceparent: tp}); !bytes.Equal(push, want) {
+			t.Fatalf("appendPushJSON(%q, %d, %q) = %s, want %s", bs, latest, tp, push, want)
+		}
 		frames := []struct {
 			what string
-			read func(*wireReader) bool
+			read func(*wire.Reader) bool
 			data []byte
 		}{
-			{"results body", func(r *wireReader) bool { return r.resultsResponse(new(ResultsResponse)) }, appendResults(nil, ret)},
-			{"results reply", func(r *wireReader) bool { return r.resultsResponse(new(ResultsResponse)) }, appendResultsReply(nil, ret, randInt(rng))},
-			{"push frame", func(r *wireReader) bool { return r.push(new(PushNotification)) }, appendPushJSON(nil, randString(rng), randInt(rng), randTP(rng))},
-			{"request frame", func(r *wireReader) bool { return r.getRequest(new(getRequest)) }, AppendGetRequest(nil, randString(rng), randInt(rng), randInt(rng), randTP(rng))},
+			{"results body", func(r *wire.Reader) bool { return readResultsResponse(r, new(ResultsResponse)) }, appendResults(nil, ret)},
+			{"results reply", func(r *wire.Reader) bool { return readResultsResponse(r, new(ResultsResponse)) }, appendResultsReply(nil, ret, randInt(rng))},
+			{"push frame", func(r *wire.Reader) bool { return readPush(r, new(PushNotification)) }, push},
+			{"request frame", func(r *wire.Reader) bool { return readGetRequest(r, new(getRequest)) }, AppendGetRequest(nil, randString(rng), randInt(rng), randInt(rng), randTP(rng))},
 		}
 		for _, fr := range frames {
-			if r := (wireReader{src: string(fr.data)}); !fr.read(&r) || !r.end() {
+			if r := wire.NewReader(string(fr.data)); !fr.read(&r) || !r.End() {
 				t.Fatalf("%s %q fell back to encoding/json", fr.what, fr.data)
 			}
 			checkWireDecode(t, fr.data)

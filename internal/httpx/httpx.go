@@ -194,12 +194,39 @@ func readBody(body io.Reader, size int64, url string) ([]byte, error) {
 // receiver accept a newer or older peer's payload (a pre-"results"
 // cluster's "result" field degrades to a PULL notification at the broker).
 func ReadJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(&limitedBody{r: r.Body, left: MaxBodyBytes, url: r.RequestURI})
-	if err := dec.Decode(v); err != nil {
+	return decodeBody(&limitedBody{r: r.Body, left: MaxBodyBytes, url: r.RequestURI}, v)
+}
+
+func decodeBody(body io.Reader, v any) error {
+	if err := json.NewDecoder(body).Decode(v); err != nil {
 		return fmt.Errorf("httpx: decode request body: %w", err)
 	}
 	return nil
 }
+
+// ReadJSONWith is ReadJSON for a route with a reader of its own: the body,
+// read whole under the same bound, is handed to read as one string, and
+// only a body read declines (returning false, v untouched) is decoded into
+// v — by ReadJSON's json.Decoder over the same bytes and the same read
+// error, so a declined body gets ReadJSON's value and error, trailing
+// bytes after the first value accepted and a body over MaxBodyBytes
+// refused with a *TooLargeError.
+func ReadJSONWith(r *http.Request, v any, read func(body string) bool) error {
+	body, err := readBody(r.Body, r.ContentLength, r.RequestURI)
+	if err == nil && read(string(body)) {
+		return nil
+	}
+	src := io.Reader(bytes.NewReader(body))
+	if err != nil {
+		src = io.MultiReader(src, errReader{err})
+	}
+	return decodeBody(src, v)
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // WriteReadError answers a ReadJSON failure: 413 for a body over
 // MaxBodyBytes, 400 for anything else.
