@@ -128,10 +128,10 @@ type ResultObject struct {
 	// Timestamp is the cluster-time production timestamp; strictly
 	// increasing within a subscription.
 	Timestamp time.Duration `json:"timestamp"`
-	// PrevNS is the Timestamp of the subscription's previous result, 0 when
-	// unknown (its first result). Only a PUSH notification carries it: with
-	// it a broker proves it holds every result above its marker without
-	// asking the cluster. The WAL and range reads leave it 0.
+	// PrevNS is the Timestamp of the subscription's previous result; 0: the
+	// first result, which nothing precedes. Only a PUSH notification carries
+	// it: with it a broker proves it holds every result above its marker
+	// without asking the cluster. The WAL and range reads leave it 0.
 	PrevNS int64 `json:"prev_ns,omitempty"`
 	// Rows are the matched (and enriched) records, JSON-encoded: by the
 	// evaluation that produced them for the WAL and a PUSH notification,

@@ -242,14 +242,9 @@ func (c *Client) UnsubscribeContext(ctx context.Context, subID string) error {
 		c.base+"/v1/subscriptions/"+url.PathEscape(subID), nil, nil, true)
 }
 
-// Results fetches a subscription's result objects in (from, to) or
-// (from, to] when inclusiveTo is set.
-func (c *Client) Results(subID string, from, to time.Duration, inclusiveTo bool) ([]ResultObject, error) {
-	return c.ResultsContext(context.Background(), subID, from, to, inclusiveTo)
-}
-
-// ResultsContext is Results bound to ctx, so broker miss fetches and
-// notification pulls can carry deadlines.
+// ResultsContext fetches a subscription's result objects in (from, to) or
+// (from, to] when inclusiveTo is set, bound to ctx, so broker miss fetches
+// and notification pulls carry deadlines.
 func (c *Client) ResultsContext(ctx context.Context, subID string, from, to time.Duration, inclusiveTo bool) ([]ResultObject, error) {
 	var out ResultsResponse
 	u := fmt.Sprintf("%s/v1/subscriptions/%s/results?from_ns=%d&to_ns=%d&inclusive=%t",
@@ -258,21 +253,6 @@ func (c *Client) ResultsContext(ctx context.Context, subID string, from, to time
 		return nil, err
 	}
 	return out.Results, nil
-}
-
-// ResultsBatchContext fetches several result ranges in one round trip (at
-// most MaxResultRanges); the answers are parallel to ranges. The POST only
-// reads, so it retries like the GET it batches.
-func (c *Client) ResultsBatchContext(ctx context.Context, ranges []ResultRange) ([]RangeResults, error) {
-	var out ResultsBatchResponse
-	if err := c.do(ctx, http.MethodPost, c.base+"/v1/results:batch",
-		ResultsBatchRequest{Ranges: ranges}, &resultsBatchReply{&out}, true); err != nil {
-		return nil, err
-	}
-	if len(out.Ranges) != len(ranges) {
-		return nil, fmt.Errorf("bdms: results batch answered %d of %d ranges", len(out.Ranges), len(ranges))
-	}
-	return out.Ranges, nil
 }
 
 // LatestTimestamp returns the newest result timestamp of a subscription.

@@ -785,22 +785,13 @@ func (c *Cluster) NextRepetitiveRun() (time.Duration, bool) {
 
 // Results returns a subscription's result objects with Timestamp in
 // (from, to) — or (from, to] when inclusiveTo is set — oldest first. This
-// is the broker's fetch path.
+// is the broker's fetch path. The range is copied out under the lock and
+// encoded once it is released.
 func (c *Cluster) Results(subID string, from, to time.Duration, inclusiveTo bool) ([]ResultObject, error) {
 	c.mu.Lock()
-	stored, err := c.resultsLocked(subID, from, to, inclusiveTo)
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return encodeResults(stored)
-}
-
-// resultsLocked copies out the stored results of a range; the caller
-// encodes them once it has released the lock. Caller holds c.mu.
-func (c *Cluster) resultsLocked(subID string, from, to time.Duration, inclusiveTo bool) ([]storedResult, error) {
 	sub, ok := c.subs[subID]
 	if !ok {
+		c.mu.Unlock()
 		return nil, fmt.Errorf("bdms: unknown subscription %q", subID)
 	}
 	// Binary search the ordered result list for the range start.
@@ -812,7 +803,9 @@ func (c *Cluster) resultsLocked(subID string, from, to time.Duration, inclusiveT
 		}
 		c.stats.FetchedBytes.Add(float64(sub.results[end].size))
 	}
-	return append([]storedResult(nil), sub.results[idx:end]...), nil
+	stored := append([]storedResult(nil), sub.results[idx:end]...)
+	c.mu.Unlock()
+	return encodeResults(stored)
 }
 
 // ResultsContext is Results with a context parameter, satisfying the
@@ -820,53 +813,6 @@ func (c *Cluster) resultsLocked(subID string, from, to time.Duration, inclusiveT
 // in-process cluster answers from memory without blocking I/O.
 func (c *Cluster) ResultsContext(_ context.Context, subID string, from, to time.Duration, inclusiveTo bool) ([]ResultObject, error) {
 	return c.Results(subID, from, to, inclusiveTo)
-}
-
-// ResultRange names the results of one subscription with Timestamp in
-// (FromNS, ToNS), or (FromNS, ToNS] when Inclusive is set.
-type ResultRange struct {
-	SubscriptionID string `json:"subscription_id"`
-	FromNS         int64  `json:"from_ns"`
-	ToNS           int64  `json:"to_ns"`
-	Inclusive      bool   `json:"inclusive,omitempty"`
-}
-
-// RangeResults answers one ResultRange: its results oldest first, or why
-// there are none (an unknown subscription) — one bad range does not fail
-// the others.
-type RangeResults struct {
-	Results []ResultObject `json:"results,omitempty"`
-	Error   string         `json:"error,omitempty"`
-}
-
-// MaxResultRanges bounds the ranges of one ResultsBatchContext call; a
-// caller with more splits them.
-const MaxResultRanges = 256
-
-// ResultsBatchContext is ResultsContext over several ranges in one call —
-// a broker pulling for every entry of a webhook envelope at once. The
-// answers are parallel to ranges.
-func (c *Cluster) ResultsBatchContext(_ context.Context, ranges []ResultRange) ([]RangeResults, error) {
-	if len(ranges) > MaxResultRanges {
-		return nil, fmt.Errorf("bdms: %d result ranges in one batch, at most %d", len(ranges), MaxResultRanges)
-	}
-	out := make([]RangeResults, len(ranges))
-	stored := make([][]storedResult, len(ranges))
-	c.mu.Lock()
-	for i, r := range ranges {
-		var err error
-		if stored[i], err = c.resultsLocked(r.SubscriptionID, time.Duration(r.FromNS), time.Duration(r.ToNS), r.Inclusive); err != nil {
-			out[i].Error = err.Error()
-		}
-	}
-	c.mu.Unlock()
-	for i := range out {
-		var err error
-		if out[i].Results, err = encodeResults(stored[i]); err != nil {
-			out[i].Error = err.Error()
-		}
-	}
-	return out, nil
 }
 
 // LatestTimestamp returns the newest result timestamp of a subscription

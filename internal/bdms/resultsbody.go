@@ -8,8 +8,8 @@ import (
 )
 
 // The documents that carry result rows on the ingest, push and pull paths —
-// a WAL result or ingest record, the webhook envelope, the results and
-// results:batch bodies — are appended here field by field, as
+// a WAL result or ingest record, the webhook envelope, the results body —
+// are appended here field by field, as
 // encoding/json writes them, with each result's rows spliced in and an
 // ingest's data written by wire.AppendValue. The rows are json.Marshal's
 // bytes already (evaluate made them, or encodeResults for a range read):
@@ -125,42 +125,6 @@ func appendResultsResponse(dst []byte, results []ResultObject) []byte {
 	dst = slices.Grow(dst, resultsSize(results))
 	dst = append(dst, `{"results":`...)
 	dst = appendResultObjects(dst, results)
-	return append(dst, "}\n"...)
-}
-
-// appendResultsBatchResponse appends the results:batch route's body,
-// newline included.
-func appendResultsBatchResponse(dst []byte, ranges []RangeResults) []byte {
-	size := 0
-	for _, r := range ranges {
-		size += resultsSize(r.Results) + len(r.Error)
-	}
-	dst = slices.Grow(dst, size)
-	dst = append(dst, `{"ranges":`...)
-	if ranges == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, r := range ranges {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, '{')
-			if len(r.Results) > 0 {
-				dst = append(dst, `"results":`...)
-				dst = appendResultObjects(dst, r.Results)
-			}
-			if r.Error != "" {
-				if len(r.Results) > 0 {
-					dst = append(dst, ',')
-				}
-				dst = append(dst, `"error":`...)
-				dst = wire.AppendJSONString(dst, r.Error)
-			}
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
 	return append(dst, "}\n"...)
 }
 

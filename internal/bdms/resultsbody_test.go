@@ -9,9 +9,9 @@ import (
 )
 
 // TestResultsBodiesMatchEncodingJSON: the WAL's result records, the webhook
-// envelope and the results and results:batch bodies, appended with their
-// rows spliced in, are the bytes encoding/json writes for them — rows being
-// json.Marshal output, as evaluate and encodeResults make them.
+// envelope and the results body, appended with their rows spliced in, are
+// the bytes encoding/json writes for them — rows being json.Marshal output,
+// as evaluate and encodeResults make them.
 func TestResultsBodiesMatchEncodingJSON(t *testing.T) {
 	rows := func(rs ...map[string]any) json.RawMessage {
 		b, err := json.Marshal(rs)
@@ -88,19 +88,6 @@ func TestResultsBodiesMatchEncodingJSON(t *testing.T) {
 		}
 		if got := appendNotificationPayload(nil, p); !bytes.Equal(got, want) {
 			t.Errorf("webhook envelope:\n got %s\nwant %s", got, want)
-		}
-	}
-
-	for _, ranges := range [][]RangeResults{nil, {}, {
-		{Results: objs[:2]},
-		{Error: `bdms: unknown subscription "x<y>"`},
-		{Results: objs[2:], Error: "partial"},
-		{Results: []ResultObject{}},
-		{},
-	}} {
-		want := encode(ResultsBatchResponse{Ranges: ranges})
-		if got := appendResultsBatchResponse(nil, ranges); !bytes.Equal(got, want) {
-			t.Errorf("results:batch body:\n got %s\nwant %s", got, want)
 		}
 	}
 }

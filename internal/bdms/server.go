@@ -147,7 +147,6 @@ func (s *Server) routes() {
 	s.route(http.MethodDelete, "/v1/subscriptions/{id}", s.handleUnsubscribe)
 	s.route(http.MethodGet, "/v1/subscriptions/{id}/results", s.handleResults)
 	s.route(http.MethodGet, "/v1/subscriptions/{id}/latest", s.handleLatest)
-	s.route(http.MethodPost, "/v1/results:batch", s.handleResultsBatch)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -422,32 +421,6 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	// ResultsResponse{Results: results}, its rows spliced in.
 	httpx.WriteJSONBody(w, http.StatusOK, appendResultsResponse(nil, results))
-}
-
-// ResultsBatchRequest is the POST /v1/results:batch payload: at most
-// MaxResultRanges ranges, answered in order.
-type ResultsBatchRequest struct {
-	Ranges []ResultRange `json:"ranges"`
-}
-
-// ResultsBatchResponse carries one answer per requested range.
-type ResultsBatchResponse struct {
-	Ranges []RangeResults `json:"ranges"`
-}
-
-func (s *Server) handleResultsBatch(w http.ResponseWriter, r *http.Request) {
-	var req ResultsBatchRequest
-	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteReadError(w, err)
-		return
-	}
-	out, err := s.cluster.ResultsBatchContext(r.Context(), req.Ranges)
-	if err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// ResultsBatchResponse{Ranges: out}, its rows spliced in.
-	httpx.WriteJSONBody(w, http.StatusOK, appendResultsBatchResponse(nil, out))
 }
 
 // LatestResponse carries a subscription's newest result timestamp.

@@ -90,43 +90,27 @@ func TestServerEndToEnd(t *testing.T) {
 	if latest == 0 {
 		t.Fatal("no result timestamp after matching ingest")
 	}
-	results, err := client.Results(sub, 0, latest, true)
+	results, err := client.ResultsContext(context.Background(), sub, 0, latest, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 1 || rowsOf(t, results[0])[0]["etype"] != "fire" {
 		t.Fatalf("results = %+v", results)
 	}
-	wantID := results[0].ID
 	// Exclusive right end excludes the newest object.
-	results, err = client.Results(sub, 0, latest, false)
+	results, err = client.ResultsContext(context.Background(), sub, 0, latest, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 0 {
 		t.Errorf("exclusive fetch returned %d", len(results))
 	}
-	// The same two ranges and an unknown subscription's in one batched
-	// call: answered in order, the bad range alone carrying an error.
-	batch, err := client.ResultsBatchContext(context.Background(), []ResultRange{
-		{SubscriptionID: sub, ToNS: int64(latest), Inclusive: true},
-		{SubscriptionID: sub, ToNS: int64(latest)},
-		{SubscriptionID: "nope", ToNS: int64(latest), Inclusive: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 3 || len(batch[0].Results) != 1 || batch[0].Results[0].ID != wantID ||
-		len(batch[1].Results) != 0 || batch[0].Error+batch[1].Error != "" || batch[2].Error == "" {
-		t.Errorf("batched results = %+v", batch)
-	}
-	// More ranges than the cap are refused outright; the caller splits.
+	// A range is read one GET at a time: there is no batched route.
 	var se *httpx.StatusError
-	if _, err := client.ResultsBatchContext(context.Background(), make([]ResultRange, MaxResultRanges+1)); !errors.As(err, &se) || se.Status != http.StatusBadRequest {
-		t.Errorf("oversized batch: err = %v, want 400", err)
-	}
-	if _, err := client.ResultsBatchContext(context.Background(), make([]ResultRange, MaxResultRanges)); err != nil {
-		t.Errorf("batch at the cap: %v", err)
+	err = client.do(context.Background(), http.MethodPost, client.base+"/v1/results:batch",
+		map[string]any{"ranges": []any{}}, nil, false)
+	if !errors.As(err, &se) || se.Status != http.StatusNotFound {
+		t.Errorf("POST /v1/results:batch: err = %v, want 404", err)
 	}
 
 	stats, err := client.Stats()
@@ -156,7 +140,7 @@ func TestServerErrorPaths(t *testing.T) {
 	if _, err := client.Subscribe("nope", nil, ""); err == nil {
 		t.Error("unknown channel should fail")
 	}
-	if _, err := client.Results("nope", 0, 0, true); err == nil {
+	if _, err := client.ResultsContext(context.Background(), "nope", 0, 0, true); err == nil {
 		t.Error("unknown subscription should fail")
 	}
 	if _, err := client.LatestTimestamp("nope"); err == nil {

@@ -12,9 +12,9 @@ import (
 
 // The readers of the documents on the cluster→broker leg and the ingest
 // path, the mirror of the writers in resultsbody.go: the webhook envelope
-// (ReadCallback), the pull path's results and results:batch bodies
-// (bdms.Client) and the two ingest bodies (Server). Each reads with the
-// wire package's cursor from one string copy of the body. On the broker's
+// (ReadCallback), the pull path's results body (bdms.Client) and the two
+// ingest bodies (Server). Each reads with the wire package's cursor from
+// one string copy of the body. On the broker's
 // side the IDs a broker keeps — a result's ID in its cache, an entry's
 // subscription ID in its spans — and each result's rows get memory of
 // their own: the broker caches and evicts each object on its own, so none
@@ -27,8 +27,6 @@ var (
 	resultObjectNames = []string{"id", "subscription_id", "timestamp", "prev_ns", "rows", "size"}
 	notificationNames = []string{"subscription_id", "latest_ns", "results", "more"}
 	resultsNames      = []string{"results"}
-	rangesNames       = []string{"ranges"}
-	rangeResultsNames = []string{"results", "error"}
 	batchIngestNames  = []string{"records"}
 )
 
@@ -109,13 +107,9 @@ func ReadCallback(r *http.Request) ([]NotificationPayload, error) {
 	return append([]NotificationPayload{p}, more...), nil
 }
 
-// resultsReply and resultsBatchReply decode the results and results:batch
-// bodies for bdms.Client: read by the cursor, or by encoding/json into the
-// reply type when it declines.
-type (
-	resultsReply      struct{ out *ResultsResponse }
-	resultsBatchReply struct{ out *ResultsBatchResponse }
-)
+// resultsReply decodes the results body for bdms.Client: read by the
+// cursor, or by encoding/json into the reply type when it declines.
+type resultsReply struct{ out *ResultsResponse }
 
 func (d resultsReply) UnmarshalJSON(data []byte) error {
 	var v ResultsResponse
@@ -126,31 +120,8 @@ func (d resultsReply) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(data, d.out)
 }
 
-func (d resultsBatchReply) UnmarshalJSON(data []byte) error {
-	var v ResultsBatchResponse
-	if r := wire.NewReader(string(data)); readResultsBatchBody(&r, &v) && r.End() {
-		*d.out = v
-		return nil
-	}
-	return json.Unmarshal(data, d.out)
-}
-
 func readResultsBody(r *wire.Reader, v *ResultsResponse) bool {
 	return r.Fields(resultsNames, func(int) bool { return readResultObjects(r, &v.Results) })
-}
-
-func readResultsBatchBody(r *wire.Reader, v *ResultsBatchResponse) bool {
-	readRange := func() (rr RangeResults, ok bool) {
-		ok = r.Fields(rangeResultsNames, func(i int) (ok bool) {
-			if i == 0 {
-				return readResultObjects(r, &rr.Results)
-			}
-			rr.Error, ok = r.Str()
-			return ok
-		})
-		return rr, ok
-	}
-	return r.Fields(rangesNames, func(int) bool { return wire.List(r, &v.Ranges, readRange) })
 }
 
 func readBatchIngestBody(r *wire.Reader, recs *[]map[string]any) bool {

@@ -18,7 +18,7 @@ import (
 )
 
 // TestWireWritersTakeDirectPath: every document the cluster leg's writers
-// produce — webhook envelopes, results and results:batch bodies, the
+// produce — webhook envelopes, results bodies, the
 // client's ingest bodies, over random IDs and rows written by
 // wire.Marshal as evaluate writes them — is read by the direct path, never
 // handed to encoding/json, and decodes as encoding/json decodes it; the
@@ -42,7 +42,6 @@ func TestWireWritersTakeDirectPath(t *testing.T) {
 		for k := rng.Intn(3); k > 0; k-- {
 			p.More = append(p.More, NotificationPayload{SubscriptionID: randString(rng), LatestNS: rng.Int63(), Results: objs[:rng.Intn(len(objs)+1)]})
 		}
-		ranges := []RangeResults{{Results: objs}, {Error: randString(rng)}, {}}
 		recs := randRecords(rng)
 		single, err := wire.Marshal(recs[0])
 		if err != nil {
@@ -59,9 +58,6 @@ func TestWireWritersTakeDirectPath(t *testing.T) {
 		var gotR, wantR ResultsResponse
 		checkDirect(t, "results body", appendResultsResponse(nil, objs),
 			func(r *wire.Reader) bool { return readResultsBody(r, &gotR) }, &gotR, &wantR)
-		var gotB, wantB ResultsBatchResponse
-		checkDirect(t, "results:batch body", appendResultsBatchResponse(nil, ranges),
-			func(r *wire.Reader) bool { return readResultsBatchBody(r, &gotB) }, &gotB, &wantB)
 		var gotS, wantS map[string]any
 		checkDirect(t, "ingest body", single,
 			func(r *wire.Reader) (ok bool) { gotS, ok = r.Map(); return ok }, &gotS, &wantS)

@@ -82,10 +82,9 @@ func (e *arrivalEnv) pull(idx ...int) {
 	}
 }
 
-// push sends r[lo:hi] as one PUSH notification, in a seeded random order.
-func (e *arrivalEnv) push(seed int64, lo, hi int) {
-	e.pushAll(seed, append([]bdms.ResultObject(nil), e.r[lo:hi]...))
-}
+// push sends r[lo:hi], stamped, as one PUSH notification, in a seeded
+// random order.
+func (e *arrivalEnv) push(seed int64, lo, hi int) { e.pushAll(seed, e.stamped(lo, hi)) }
 
 // pushAll sends rs, shuffled, as one PUSH notification for the newest of
 // them.
@@ -101,17 +100,12 @@ func (e *arrivalEnv) pushAll(seed int64, rs []bdms.ResultObject) {
 // stamped is r[lo:hi] as the cluster pushes them: each naming its
 // predecessor, r[0] none (the subscription's first result).
 func (e *arrivalEnv) stamped(lo, hi int) []bdms.ResultObject {
-	rs := append([]bdms.ResultObject(nil), e.r[lo:hi]...)
-	for i := range rs {
-		if lo+i > 0 {
-			rs[i].PrevNS = int64(e.r[lo+i-1].Timestamp)
-		}
+	var prev time.Duration
+	if lo > 0 {
+		prev = e.r[lo-1].Timestamp
 	}
-	return rs
+	return stamp(prev, e.r[lo:hi])
 }
-
-// pushStamped is push with the objects stamped as the cluster pushes them.
-func (e *arrivalEnv) pushStamped(seed int64, lo, hi int) { e.pushAll(seed, e.stamped(lo, hi)) }
 
 // pulls runs fn against a counting backend and requires it to have called
 // the cluster for results want times.
@@ -126,11 +120,11 @@ func (e *arrivalEnv) pulls(want int64, fn func()) {
 }
 
 // entry is one envelope entry for the env's subscription: a PULL for
-// r[hi-1], or with push the results r[lo:hi] themselves.
+// r[hi-1], or with push the results r[lo:hi] themselves, stamped.
 func (e *arrivalEnv) entry(push bool, lo, hi int) bdms.NotificationPayload {
 	p := bdms.NotificationPayload{SubscriptionID: e.bs.id, LatestNS: int64(e.r[hi-1].Timestamp)}
 	if push {
-		p.Results = e.r[lo:hi]
+		p.Results = e.stamped(lo, hi)
 	}
 	return p
 }
@@ -195,10 +189,10 @@ func bytesOf(rs []bdms.ResultObject) float64 {
 // TestArrivalRoutesAreEquivalent: the same six results reach one backend
 // subscription by every route the broker has, and the cache, the marker,
 // the byte accounting and the subscriber's retrieval cannot tell which.
-// Stamped pushes — each result naming its predecessor, as the cluster
-// pushes them — make no call to the cluster once the marker has reached
-// the predecessor of the oldest; everything they cannot prove pulls its
-// gap once.
+// Pushes — each result naming its predecessor, as the cluster stamps them,
+// the first result none — make no call to the cluster once the marker has
+// reached the predecessor of the oldest; everything they cannot prove
+// pulls its gap once.
 func TestArrivalRoutesAreEquivalent(t *testing.T) {
 	type env = *arrivalEnv
 	routes := []struct {
@@ -211,14 +205,7 @@ func TestArrivalRoutesAreEquivalent(t *testing.T) {
 	}{
 		{"six pulls", func(e env) { e.pull(0, 1, 2, 3, 4, 5) }, 0, 6, 6},
 		{"one pull for the newest", func(e env) { e.pull(5) }, 0, 6, 1},
-		// Pushes that name no predecessor, as a cluster from before prev_ns
-		// sends them: each pulls the gap below it, so the result is the same.
-		{"six single pushes", func(e env) {
-			for i := range e.r {
-				e.push(0, i, i+1)
-			}
-		}, 0, 0, 6},
-		{"one shuffled pushed batch", func(e env) { e.push(7, 0, 6) }, 0, 0, 1},
+		{"one shuffled pushed batch", func(e env) { e.pulls(0, func() { e.push(7, 0, 6) }) }, 0, 0, 1},
 		{"pushes 1, 4 and 6 only", func(e env) { // shed pushes become gap pulls
 			e.push(0, 0, 1)
 			e.push(0, 3, 4)
@@ -260,12 +247,8 @@ func TestArrivalRoutesAreEquivalent(t *testing.T) {
 			}
 			e.pull(5, 5)
 		}, 0, 6, 1},
-		// Envelopes: one POST, one entry per notification. The ranges of all
-		// its entries are pulled ahead in one batched call from the markers as
-		// they stood; an entry whose marker has moved since — here because an
-		// earlier entry of the same subscription moved it — must pull for
-		// itself, and what was fetched ahead for it is neither admitted nor
-		// counted.
+		// Envelopes: one POST, one entry per notification, each handled as
+		// that notification alone would be.
 		{"envelope of six pull entries", func(e env) {
 			var entries []bdms.NotificationPayload
 			for i := range e.r {
@@ -276,20 +259,12 @@ func TestArrivalRoutesAreEquivalent(t *testing.T) {
 		{"envelope of pushes 1, 4 and 6 with gaps", func(e env) {
 			e.envelope(e.entry(true, 0, 1), e.entry(true, 3, 4), e.entry(true, 5, 6))
 		}, 0, 3, 3},
-		{"envelope whose first entry voids the second's prefetch", func(e env) {
-			counted := faults.Count(e.b.backend)
-			e.b.backend = counted
-			e.envelope(e.entry(false, 0, 3), e.entry(false, 0, 6))
-			if got := counted.ResultFetches(); got != 2 {
-				t.Errorf("backend pulls = %d, want 2: the batch, then (r3, r6] again from the moved marker", got)
-			}
-		}, 0, 6, 2},
-		// Stamped pushes. The first result names no predecessor, so it pulls
-		// its (empty) gap; from then on nothing is asked of the cluster.
-		{"stamped single pushes, the first pulling its gap", func(e env) {
-			e.pulls(1, func() {
+		// Stamped pushes. The first result names no predecessor: nothing
+		// precedes it, so nothing is asked of the cluster.
+		{"stamped single pushes", func(e env) {
+			e.pulls(0, func() {
 				for i := range e.r {
-					e.pushStamped(0, i, i+1)
+					e.push(0, i, i+1)
 				}
 			})
 		}, 0, 0, 6},
@@ -297,28 +272,24 @@ func TestArrivalRoutesAreEquivalent(t *testing.T) {
 			e.pull(0)
 			e.pulls(0, func() {
 				for i := 1; i < len(e.r); i++ {
-					e.pushStamped(0, i, i+1)
+					e.push(0, i, i+1)
 				}
 			})
 		}, 0, 1, 6},
 		{"stamped pushes merged in one entry", func(e env) { // as the outbox merges them, shuffled
 			e.pull(0)
-			e.pulls(0, func() { e.pushStamped(3, 1, 6) })
+			e.pulls(0, func() { e.push(3, 1, 6) })
 		}, 0, 1, 2},
 		{"stamped entries in one envelope", func(e env) {
 			e.pull(0)
-			e.pulls(0, func() {
-				first, second := e.entry(true, 1, 3), e.entry(true, 3, 6)
-				first.Results, second.Results = e.stamped(1, 3), e.stamped(3, 6)
-				e.envelope(first, second)
-			})
+			e.pulls(0, func() { e.envelope(e.entry(true, 1, 3), e.entry(true, 3, 6)) })
 		}, 0, 1, 3},
 		// What a stamped push cannot prove is pulled, once.
 		{"stamped pushes around one shed at intake", func(e env) {
 			e.pull(0)
 			e.pulls(1, func() {
 				for _, i := range []int{1, 2, 4, 5} { // r[3]'s notification was shed
-					e.pushStamped(0, i, i+1)
+					e.push(0, i, i+1)
 				}
 			})
 		}, 0, 2, 5},
@@ -331,21 +302,19 @@ func TestArrivalRoutesAreEquivalent(t *testing.T) {
 		{"stamped entry beside a handle-only one past the byte budget", func(e env) {
 			e.pull(0)
 			e.pulls(1, func() { // the notifier shed the objects of r[3:6]: the handle pulls them
-				pushed := e.entry(true, 1, 3)
-				pushed.Results = e.stamped(1, 3)
-				e.envelope(pushed, e.entry(false, 3, 6))
+				e.envelope(e.entry(true, 1, 3), e.entry(false, 3, 6))
 			})
 		}, 0, 4, 3},
-		{"envelope whose batched pull fails, then its redelivery", func(e env) {
+		{"envelope whose pulls fail, then its redelivery", func(e env) {
 			e.b.backend = faults.WrapBackend(faults.NewInjector(faults.Plan{Rules: []faults.Rule{
-				{Target: "cluster.results", Kind: faults.KindError, FromCall: 1, ToCall: 1},
+				{Target: "cluster.results", Kind: faults.KindError, FromCall: 1, ToCall: 2},
 			}}), "cluster", e.b.backend)
 			entries := []bdms.NotificationPayload{e.entry(false, 0, 3), e.entry(false, 0, 6)}
 			if failed := e.envelope(entries...); len(failed) != 2 {
 				t.Errorf("failed entries = %v, want both: neither holds anything without its range", failed)
 			}
 			if m := e.marker(); m != 0 {
-				t.Errorf("failed batch moved the marker to %v", m)
+				t.Errorf("failed pulls moved the marker to %v", m)
 			}
 			if failed := e.envelope(entries...); len(failed) != 0 {
 				t.Errorf("redelivery failed entries %v", failed)
@@ -390,28 +359,21 @@ func TestConcurrentArrivals(t *testing.T) {
 				e.push(int64(i), i, i+16)
 			}
 		},
-		func(i int) { e.pushStamped(0, i, i+1) },
-		func(i int) { // overlapping stamped windows, each shuffled
-			if i%5 == 0 && i+10 <= n {
-				e.pushStamped(int64(i), i, i+10)
-			}
-		},
 		func(i int) {
 			if i%30 == 0 {
 				e.resume()
 			}
 		},
-		func(i int) { // overlapping envelopes: pulls and a gapped push, prefetched together
+		func(i int) { // overlapping envelopes: pulls and a gapped push
 			if i%6 == 0 && i+12 <= n {
 				e.envelope(e.entry(false, i, i+4), e.entry(true, i+6, i+8), e.entry(false, i, i+12))
 			}
 		},
 		func(i int) { // overlapping envelopes of stamped entries, one with a hole
 			if i%7 == 0 && i+12 <= n {
-				first, second := e.entry(true, i, i+4), e.entry(true, i+4, i+12)
-				first.Results = e.stamped(i, i+4)
+				second := e.entry(true, i+4, i+12)
 				second.Results = append(e.stamped(i+4, i+6), e.stamped(i+7, i+12)...)
-				e.envelope(first, second)
+				e.envelope(e.entry(true, i, i+4), second)
 			}
 		},
 	}
@@ -478,10 +440,10 @@ func (e *envelopeEnv) checkMarkers(t *testing.T, advanced func(i int) bool) {
 
 // TestEnvelopeRedeliversOnlyFailedEntries drives the real notifier against
 // the real callback handler. An envelope carrying two good entries, one for
-// a subscription the broker does not hold and one whose range the cluster
-// refuses is answered per entry: the good ones advance once, on one batched
-// pull, and only the other two are redelivered — as a pair, until their
-// budget is spent.
+// a subscription the broker does not hold and a handle-only one whose range
+// the cluster refuses is answered per entry: the good ones advance once,
+// and only the other two are redelivered — as a pair, until their budget is
+// spent.
 func TestEnvelopeRedeliversOnlyFailedEntries(t *testing.T) {
 	e := newEnvelopeEnv(t, "gate", "fire", "flood", "quake")
 	if err := e.te.cluster.Unsubscribe(e.subs[3].id); err != nil { // the cluster forgets "quake"
@@ -540,40 +502,12 @@ func TestEnvelopeRedeliversOnlyFailedEntries(t *testing.T) {
 	if got := e.pushes.Load(); got != 3 {
 		t.Errorf("alice was pushed %d notifications, want 3: each good entry once", got)
 	}
-	if got := e.counted.ResultFetches(); got != 3 {
-		t.Errorf("backend pulls = %d, want 3: the gate's, the envelope's batch, the redelivered quake's", got)
+	if got := e.counted.ResultFetches(); got != 5 {
+		t.Errorf("backend pulls = %d, want 5: the gate's, fire's, flood's, quake's and the redelivered quake's", got)
 	}
 	s := n.Stats()
 	if s.Delivered.Load() != 3 || s.Failed.Load() != 4 || s.Redelivered.Load() != 2 || s.Abandoned.Load() != 2 || s.Posts.Load() != 3 {
 		t.Errorf("delivered %d failed %d redelivered %d abandoned %d posts %d, want 3/4/2/2/3",
 			s.Delivered.Load(), s.Failed.Load(), s.Redelivered.Load(), s.Abandoned.Load(), s.Posts.Load())
-	}
-}
-
-// TestEnvelopeSplitsBatchedPulls: an envelope with more entries than one
-// batched pull may carry ranges is served by as few calls as the cluster's
-// cap allows, and every entry still advances.
-func TestEnvelopeSplitsBatchedPulls(t *testing.T) {
-	const n = bdms.MaxResultRanges + 44
-	etypes := make([]string, n)
-	for i := range etypes {
-		etypes[i] = fmt.Sprintf("kind-%03d", i)
-	}
-	e := newEnvelopeEnv(t, etypes...)
-	entries := make([]bdms.NotificationPayload, n)
-	for i, bs := range e.subs {
-		entries[i] = bdms.NotificationPayload{SubscriptionID: bs.id, LatestNS: int64(e.latest[i])}
-	}
-	for i, err := range e.b.HandleEnvelopeContext(context.Background(), entries) {
-		if err != nil {
-			t.Errorf("entry %d: %v", i, err)
-		}
-	}
-	if got := e.counted.ResultFetches(); got != 2 {
-		t.Errorf("backend pulls = %d, want 2 for %d ranges at %d a call", got, n, bdms.MaxResultRanges)
-	}
-	e.checkMarkers(t, func(int) bool { return true })
-	if got := e.pushes.Load(); got != n {
-		t.Errorf("alice was pushed %d notifications, want %d", got, n)
 	}
 }

@@ -44,9 +44,6 @@ type Backend interface {
 	Subscribe(channel string, params []any, callback string) (string, error)
 	Unsubscribe(subID string) error
 	ResultsContext(ctx context.Context, subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error)
-	// ResultsBatchContext is ResultsContext over at most
-	// bdms.MaxResultRanges ranges in one call, answered in order.
-	ResultsBatchContext(ctx context.Context, ranges []bdms.ResultRange) ([]bdms.RangeResults, error)
 	LatestTimestamp(subID string) (time.Duration, error)
 }
 
@@ -581,7 +578,7 @@ func (b *Broker) backfillGap(ctx context.Context, bs *backendSub) {
 	latest, err := b.backend.LatestTimestamp(bs.id)
 	if err == nil {
 		var pulled int // nothing is held, so every admitted object was pulled
-		_, pulled, err = b.advance(ctx, bs, latest, nil, 0, false, nil)
+		_, pulled, err = b.advance(ctx, bs, latest, nil, 0, false)
 		b.failover.Backfilled.Add(uint64(pulled))
 	}
 	if err != nil {
@@ -825,149 +822,58 @@ func (b *Broker) Marker(subscriber, fsID string) (time.Duration, error) {
 // this broker does not hold; the callback handler answers it 404.
 var errUnknownBackendSub = errors.New("broker: notification for unknown subscription")
 
-// HandleNotificationContext reacts to the data cluster's webhook. Under
-// the PULL model pushed is nil and latest names the newest result to pull;
-// under the PUSH model the notification carried the result objects
-// themselves (one or a coalesced batch, any order) and the marker moves to
-// the newest of them; objects that name their predecessors back to the
-// marker need no pull at all (chain). Either way the results reach the
-// cache through advance, and the attached online subscribers are told once
-// the marker has moved. ctx bounds the pull from the data cluster; a
-// cancelled pull aborts before any object is admitted.
-func (b *Broker) HandleNotificationContext(ctx context.Context, backendSubID string, latest time.Duration, pushed []bdms.ResultObject) error {
-	return b.notify(ctx, backendSubID, latest, pushed, nil)
-}
-
 // HandleEnvelopeContext reacts to a webhook envelope: each entry is one
 // notification, handled in order as HandleNotificationContext would, and
-// its error (nil when the entry was taken) is reported in its place. What
-// changes is the pulling: the ranges the entries need from the cluster —
-// (marker, latest] for a PULL entry, the gap below its oldest object for a
-// PUSH entry whose chain does not reach the marker — are read from the
-// current markers and fetched in one batched call, which the entries'
-// advances then share. An envelope that needs one range or none is not
-// worth a batch: its entry pulls for itself.
+// its error (nil when the entry was taken) is reported in its place.
 func (b *Broker) HandleEnvelopeContext(ctx context.Context, entries []bdms.NotificationPayload) []error {
-	errs := make([]error, len(entries))
-	pre := make([]*prefetched, len(entries))
 	if len(entries) > 1 {
 		var sp *span.Span
 		ctx, sp = b.traces.Start(ctx, "broker.envelope")
 		sp.SetAttr("entries", strconv.Itoa(len(entries)))
-		sp.SetAttr("pulled_ranges", strconv.Itoa(b.prefetch(ctx, entries, pre)))
 		defer sp.End()
 	}
+	errs := make([]error, len(entries))
 	for i, e := range entries {
-		errs[i] = b.notify(ctx, e.SubscriptionID, time.Duration(e.LatestNS), e.Results, pre[i])
+		errs[i] = b.HandleNotificationContext(ctx, e.SubscriptionID, time.Duration(e.LatestNS), e.Results)
 	}
 	return errs
-}
-
-// prefetched is one entry's share of an envelope's batched pull: the range
-// asked for and the cluster's answer to it.
-type prefetched struct {
-	rng     bdms.ResultRange
-	results []bdms.ResultObject
-	err     error
-}
-
-// pullRange is what an arrival targeting upTo has to pull for subscription
-// id when the marker stands at from: all of (from, upTo], or — oldest being
-// the oldest object above the marker it holds (0: none) — the gap below it.
-func pullRange(id string, from, upTo, oldest time.Duration) bdms.ResultRange {
-	if oldest > 0 {
-		return bdms.ResultRange{SubscriptionID: id, FromNS: int64(from), ToNS: int64(oldest)}
-	}
-	return bdms.ResultRange{SubscriptionID: id, FromNS: int64(from), ToNS: int64(upTo), Inclusive: true}
-}
-
-// prefetch fills pre with the pulls the entries' advances are about to
-// make, fetched in batched calls of at most bdms.MaxResultRanges, and
-// reports how many ranges that was. Fewer than two are left to advance: one
-// range costs more batched than as the GET advance makes (loopback, one
-// result: 41 µs / 180 allocs against 34 µs / 152), two cost less (46 µs /
-// 221 against two GETs' 69 µs / 304).
-func (b *Broker) prefetch(ctx context.Context, entries []bdms.NotificationPayload, pre []*prefetched) int {
-	if _, isNC := b.manager.Policy().(core.NC); isNC {
-		return 0
-	}
-	var ranges []bdms.ResultRange
-	var owner []int // ranges[k] serves entries[owner[k]]
-	b.mu.Lock()
-	for i, e := range entries {
-		bs, ok := b.backendByID[e.SubscriptionID]
-		if !ok {
-			continue
-		}
-		upTo, oldest := time.Duration(e.LatestNS), time.Duration(0)
-		if len(e.Results) > 0 {
-			run, cover := chain(e.Results)
-			if 0 < cover && cover <= bs.bts {
-				continue
-			}
-			upTo = run[len(run)-1].Timestamp
-			if k := sort.Search(len(run), func(k int) bool { return run[k].Timestamp > bs.bts }); k < len(run) {
-				oldest = run[k].Timestamp
-			}
-		}
-		if upTo > bs.bts {
-			ranges, owner = append(ranges, pullRange(bs.id, bs.bts, upTo, oldest)), append(owner, i)
-		}
-	}
-	b.mu.Unlock()
-	if len(ranges) < 2 {
-		return 0
-	}
-	for lo := 0; lo < len(ranges); lo += bdms.MaxResultRanges {
-		chunk := ranges[lo:min(lo+bdms.MaxResultRanges, len(ranges))]
-		answers, err := b.backendResultsBatch(ctx, chunk)
-		for k, rng := range chunk {
-			p := &prefetched{rng: rng, err: err}
-			if err == nil {
-				if p.results = answers[k].Results; answers[k].Error != "" {
-					p.err = errors.New(answers[k].Error)
-				}
-			}
-			pre[owner[lo+k]] = p
-		}
-	}
-	return len(ranges)
 }
 
 // chain reads what a pushed entry proves. Sorted by timestamp, its newest
 // objects form a run in which each names the one before it as its
 // predecessor (prev_ns), so the run is every result of the subscription in
-// (cover, newest], cover being the predecessor the run's oldest names. The
-// cover is 0 — nothing proven — when some object in the run names none: the
-// subscription's first result, or a cluster that does not stamp them. An
-// object naming a predecessor that is not the object before it marks a
-// hole, and the run starts above it: what lies below is pulled, the hole
-// with it. pushed is not modified.
+// (cover, newest], cover being the predecessor the run's oldest names — 0
+// when that is the subscription's first result. An object naming a
+// predecessor that is not the object before it marks a hole, and the run
+// starts above it: what lies below is pulled, the hole with it. pushed is
+// not modified.
 func chain(pushed []bdms.ResultObject) (run []bdms.ResultObject, cover time.Duration) {
 	byAge := func(a, b bdms.ResultObject) int { return cmp.Compare(a.Timestamp, b.Timestamp) }
 	if !slices.IsSortedFunc(pushed, byAge) {
 		pushed = slices.Clone(pushed)
 		slices.SortFunc(pushed, byAge)
 	}
-	start, proven := 0, true
+	start := 0
 	for i := len(pushed) - 1; i > 0 && start == 0; i-- {
-		switch prev := time.Duration(pushed[i].PrevNS); {
-		case prev == 0:
-			proven = false
-		case prev != pushed[i-1].Timestamp:
+		if time.Duration(pushed[i].PrevNS) != pushed[i-1].Timestamp {
 			start = i
 		}
 	}
 	run = pushed[start:]
-	if !proven {
-		return run, 0
-	}
 	return run, time.Duration(run[0].PrevNS)
 }
 
-// notify is one notification's arrival: advance, then tell the audience.
-// pre, if any, is the pull an envelope already made for it.
-func (b *Broker) notify(ctx context.Context, backendSubID string, latest time.Duration, pushed []bdms.ResultObject, pre *prefetched) (err error) {
+// HandleNotificationContext reacts to the data cluster's webhook. Under
+// the PULL model pushed is nil and latest names the newest result to pull;
+// under the PUSH model the notification carried the result objects
+// themselves (one or a coalesced batch, any order) and the marker moves to
+// the newest of them; objects that name their predecessors back to the
+// marker, or back to the subscription's first result, need no pull at all
+// (chain). Either way the results reach the cache through advance, and the
+// attached online subscribers are told once the marker has moved. ctx
+// bounds the pull from the data cluster; a cancelled pull aborts before any
+// object is admitted.
+func (b *Broker) HandleNotificationContext(ctx context.Context, backendSubID string, latest time.Duration, pushed []bdms.ResultObject) (err error) {
 	ctx, sp := b.traces.Start(ctx, "broker.notify")
 	sp.SetAttr("backend_sub", backendSubID)
 	defer func() {
@@ -993,7 +899,7 @@ func (b *Broker) notify(ctx context.Context, backendSubID string, latest time.Du
 			held[i] = b.object(r)
 		}
 	}
-	moved, _, err := b.advance(ctx, bs, latest, held, cover, false, pre)
+	moved, _, err := b.advance(ctx, bs, latest, held, cover, false)
 	if moved {
 		// The fan-out readies the hub's writers, then each session's reader,
 		// as a chain of direct hand-offs that Go's scheduler runs ahead of
@@ -1018,26 +924,22 @@ func (b *Broker) notify(ctx context.Context, backendSubID string, latest time.Du
 // duplicate arrival and a no-op. Otherwise held objects at or below the
 // marker are dropped and what is missing is pulled from the cluster — all
 // of (bts, upTo] when nothing is held, the gap below the oldest held object
-// otherwise — unless cover proves there is nothing missing: the held
-// objects are every result in (cover, upTo], so with 0 < cover <= bts the
-// PUSH arrival needs no call to the cluster at all (chain). A failed pull
-// with nothing held, or a failed Put, returns the error and leaves the
-// marker behind, so a redelivery retries the range; a failed gap pull below
-// held objects does not stop them being cached (the miss path serves the
-// gap). FetchBytes counts the pulled objects only: not fetching is the PUSH
-// model's whole benefit. NC admits and pulls nothing but still moves the
-// marker.
+// when cover does not reach the marker: the held objects are every result
+// in (cover, upTo], so with cover <= bts — cover 0 being the subscription's
+// first result — the PUSH arrival needs no call to the cluster at all
+// (chain). A failed pull with nothing held, or a failed Put, returns the
+// error and leaves the marker behind, so a redelivery retries the range; a
+// failed gap pull below held objects does not stop them being cached (the
+// miss path serves the gap). FetchBytes counts the pulled objects only: not
+// fetching is the PUSH model's whole benefit. NC admits and pulls nothing
+// but still moves the marker.
 //
 // warm marks a snapshot install: its holes are the shipping broker's
 // evictions, so nothing is pulled, and its bytes were counted when that
 // broker first admitted them.
 //
-// pre is the pull an envelope made ahead for this arrival from the marker it
-// read then; it stands in for the pull only if it is still the range to
-// pull — a concurrent arrival that moved the marker voids it.
-//
 // It reports whether the marker moved and how many objects were admitted.
-func (b *Broker) advance(ctx context.Context, bs *backendSub, upTo time.Duration, held []*core.Object, cover time.Duration, warm bool, pre *prefetched) (moved bool, admitted int, err error) {
+func (b *Broker) advance(ctx context.Context, bs *backendSub, upTo time.Duration, held []*core.Object, cover time.Duration, warm bool) (moved bool, admitted int, err error) {
 	now := b.clock()
 	bs.pullMu.Lock()
 	defer bs.pullMu.Unlock()
@@ -1056,16 +958,12 @@ func (b *Broker) advance(ctx context.Context, bs *backendSub, upTo time.Duration
 			held = held[1:]
 		}
 		var pulled []bdms.ResultObject
-		if !warm && (cover <= 0 || cover > from) {
-			var oldest time.Duration
+		if !warm && (len(held) == 0 || cover > from) {
+			to, inclusive := upTo, true
 			if len(held) > 0 {
-				oldest = held[0].Timestamp
+				to, inclusive = held[0].Timestamp, false
 			}
-			if rng := pullRange(bs.id, from, upTo, oldest); pre != nil && pre.rng == rng {
-				pulled, err = pre.results, pre.err
-			} else {
-				pulled, err = b.backendResults(ctx, bs.id, from, time.Duration(rng.ToNS), rng.Inclusive)
-			}
+			pulled, err = b.backendResults(ctx, bs.id, from, to, inclusive)
 			if err != nil && len(held) == 0 {
 				return false, 0, fmt.Errorf("broker: pull results: %w", err)
 			}
@@ -1166,40 +1064,21 @@ func (b *Broker) backendResults(ctx context.Context, subID string, from, to time
 	start := time.Now()
 	ctx, sp := b.traces.Start(ctx, "broker.cluster_fetch")
 	sp.SetAttr("subscription", subID)
-	defer func() { b.pulled(ctx, sp, start, subID, len(results), err) }()
-	return b.backend.ResultsContext(ctx, subID, from, to, inclusiveTo)
-}
-
-// backendResultsBatch is backendResults for an envelope's ranges: one
-// call, one span, one broker_pull observation.
-func (b *Broker) backendResultsBatch(ctx context.Context, ranges []bdms.ResultRange) (answers []bdms.RangeResults, err error) {
-	start := time.Now()
-	ctx, sp := b.traces.Start(ctx, "broker.cluster_fetch")
-	sp.SetAttr("ranges", strconv.Itoa(len(ranges)))
 	defer func() {
-		n := 0
-		for _, a := range answers {
-			n += len(a.Results)
+		d := time.Since(start)
+		sp.SetError(err)
+		sp.End()
+		b.stages.Observe(ctx, span.StageBrokerPull, span.OutcomeNone, d)
+		if d >= b.slowFetch {
+			b.log.WarnContext(ctx, "slow backend fetch",
+				slog.String("subscription", subID),
+				slog.Duration("duration", d),
+				slog.Int("results", len(results)),
+				slog.Bool("failed", err != nil),
+			)
 		}
-		b.pulled(ctx, sp, start, "envelope of "+strconv.Itoa(len(ranges)), n, err)
 	}()
-	return b.backend.ResultsBatchContext(ctx, ranges)
-}
-
-// pulled closes a backend pull's span and stage observation.
-func (b *Broker) pulled(ctx context.Context, sp *span.Span, start time.Time, what string, results int, err error) {
-	d := time.Since(start)
-	sp.SetError(err)
-	sp.End()
-	b.stages.Observe(ctx, span.StageBrokerPull, span.OutcomeNone, d)
-	if d >= b.slowFetch {
-		b.log.WarnContext(ctx, "slow backend fetch",
-			slog.String("subscription", what),
-			slog.Duration("duration", d),
-			slog.Int("results", results),
-			slog.Bool("failed", err != nil),
-		)
-	}
+	return b.backend.ResultsContext(ctx, subID, from, to, inclusiveTo)
 }
 
 // fetchFromBackend is the core.Fetcher: re-fetch evicted/expired objects

@@ -532,9 +532,6 @@ func (failingBackend) Unsubscribe(string) error { return fmt.Errorf("backend dow
 func (failingBackend) ResultsContext(context.Context, string, time.Duration, time.Duration, bool) ([]bdms.ResultObject, error) {
 	return nil, fmt.Errorf("backend down")
 }
-func (failingBackend) ResultsBatchContext(context.Context, []bdms.ResultRange) ([]bdms.RangeResults, error) {
-	return nil, fmt.Errorf("backend down")
-}
 func (failingBackend) LatestTimestamp(string) (time.Duration, error) {
 	return 0, fmt.Errorf("backend down")
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -61,9 +62,30 @@ func (a pushAdapter) NotifyPushContext(ctx context.Context, subID, _ string, obj
 	}
 }
 
+// stamp returns a copy of objs stamped as the cluster stamps a
+// subscription's results: in timestamp order each names the one before it
+// as its predecessor (prev_ns), and the oldest names prev — 0 when it is
+// the subscription's first result. The copy keeps objs' order.
+func stamp(prev time.Duration, objs []bdms.ResultObject) []bdms.ResultObject {
+	ts := make([]time.Duration, len(objs))
+	for i, o := range objs {
+		ts[i] = o.Timestamp
+	}
+	slices.Sort(ts)
+	out := slices.Clone(objs)
+	for i := range out {
+		k, _ := slices.BinarySearch(ts, out[i].Timestamp)
+		out[i].PrevNS = int64(prev)
+		if k > 0 {
+			out[i].PrevNS = int64(ts[k-1])
+		}
+	}
+	return out
+}
+
 // TestPushModelCachesWithoutFetching: the cluster's pushes name their
-// predecessors, so after the subscription's first result — which names none
-// and pulls its empty gap — nothing is asked of the cluster.
+// predecessors, and the subscription's first result names none, so nothing
+// is asked of the cluster at all.
 func TestPushModelCachesWithoutFetching(t *testing.T) {
 	env := newPushEnv(t, core.LSC{}, 1<<20)
 	b := env.broker
@@ -76,8 +98,8 @@ func TestPushModelCachesWithoutFetching(t *testing.T) {
 	env.publish(t, "fire", 3)
 	env.publish(t, "fire", 4)
 	env.publish(t, "fire", 5)
-	if got := counted.ResultFetches(); got != 1 {
-		t.Errorf("backend pulls = %d, want 1: the first result's gap", got)
+	if got := counted.ResultFetches(); got != 0 {
+		t.Errorf("backend pulls = %d, want 0", got)
 	}
 
 	ret, err := b.RetrieveContext(context.Background(), "alice", fs, 0)
@@ -237,12 +259,12 @@ func TestPushedBatchIngestsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	bsID := cacheIDOf(t, b)
-	batch := []bdms.ResultObject{
+	batch := stamp(0, []bdms.ResultObject{
 		// Deliberately out of order: the handler must sort before caching.
 		{ID: "r2", SubscriptionID: bsID, Timestamp: 2 * time.Second, Size: 10},
 		{ID: "r1", SubscriptionID: bsID, Timestamp: 1 * time.Second, Size: 10},
 		{ID: "r3", SubscriptionID: bsID, Timestamp: 3 * time.Second, Size: 10},
-	}
+	})
 	if err := b.HandleNotificationContext(context.Background(), bsID, 3*time.Second, batch); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +314,7 @@ func cacheIDOf(t *testing.T, b *Broker) string {
 
 // TestChainCover: what a pushed entry proves, case by case — the run of
 // objects each naming the one before it, and the predecessor its oldest
-// names (0: nothing proven).
+// names (0: the subscription's first result).
 func TestChainCover(t *testing.T) {
 	obj := func(ts, prev int64) bdms.ResultObject {
 		return bdms.ResultObject{ID: fmt.Sprint(ts), Timestamp: time.Duration(ts), PrevNS: prev}
@@ -308,8 +330,6 @@ func TestChainCover(t *testing.T) {
 		{"intact, unsorted", []bdms.ResultObject{obj(7, 5), obj(5, 3), obj(9, 7)}, []int64{5, 7, 9}, 3},
 		{"hole in the middle", []bdms.ResultObject{obj(3, 2), obj(4, 3), obj(6, 5), obj(7, 6)}, []int64{6, 7}, 5},
 		{"hole below the newest", []bdms.ResultObject{obj(3, 2), obj(6, 5)}, []int64{6}, 5},
-		{"none stamped: unproven, kept whole", []bdms.ResultObject{obj(4, 0), obj(2, 0), obj(3, 0)}, []int64{2, 3, 4}, 0},
-		{"an unstamped link unproves the run", []bdms.ResultObject{obj(2, 1), obj(3, 0), obj(4, 3)}, []int64{2, 3, 4}, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before := append([]bdms.ResultObject(nil), c.pushed...)

@@ -268,7 +268,7 @@ func (b *Broker) applyWarmEntry(ctx context.Context, bs *backendSub, e bdms.Cach
 			FetchLatency: time.Duration(o.FetchLatencyNS), Payload: o.Rows,
 		}
 	}
-	_, loaded, err := b.advance(ctx, bs, time.Duration(e.BTSNS), held, 0, true, nil)
+	_, loaded, err := b.advance(ctx, bs, time.Duration(e.BTSNS), held, 0, true)
 	if err != nil {
 		b.log.WarnContext(ctx, "warmup install failed",
 			slog.String("backend_sub", bs.id), slog.Any("error", err))

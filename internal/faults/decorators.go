@@ -53,13 +53,11 @@ type Backend interface {
 	Subscribe(channel string, params []any, callback string) (string, error)
 	Unsubscribe(subID string) error
 	ResultsContext(ctx context.Context, subID string, from, to time.Duration, inclusiveTo bool) ([]bdms.ResultObject, error)
-	ResultsBatchContext(ctx context.Context, ranges []bdms.ResultRange) ([]bdms.RangeResults, error)
 	LatestTimestamp(subID string) (time.Duration, error)
 }
 
 // FaultyBackend injects faults in front of a Backend, one target per
-// operation: prefix+".subscribe", ".unsubscribe", ".results" (a batched
-// pull is one call of it), ".latest".
+// operation: prefix+".subscribe", ".unsubscribe", ".results", ".latest".
 type FaultyBackend struct {
 	in     *Injector
 	prefix string
@@ -94,14 +92,6 @@ func (b *FaultyBackend) ResultsContext(ctx context.Context, subID string, from, 
 		return nil, err
 	}
 	return b.next.ResultsContext(ctx, subID, from, to, inclusiveTo)
-}
-
-// ResultsBatchContext implements Backend.
-func (b *FaultyBackend) ResultsBatchContext(ctx context.Context, ranges []bdms.ResultRange) ([]bdms.RangeResults, error) {
-	if err := b.in.applyInProcess(ctx, b.prefix+".results"); err != nil {
-		return nil, err
-	}
-	return b.next.ResultsBatchContext(ctx, ranges)
 }
 
 // LatestTimestamp implements Backend.
@@ -144,12 +134,6 @@ func (b *CountingBackend) ResultsContext(ctx context.Context, subID string, from
 	return b.next.ResultsContext(ctx, subID, from, to, inclusiveTo)
 }
 
-// ResultsBatchContext implements Backend.
-func (b *CountingBackend) ResultsBatchContext(ctx context.Context, ranges []bdms.ResultRange) ([]bdms.RangeResults, error) {
-	b.results.Add(1)
-	return b.next.ResultsBatchContext(ctx, ranges)
-}
-
 // LatestTimestamp implements Backend (uncounted: nothing asserts on it).
 func (b *CountingBackend) LatestTimestamp(subID string) (time.Duration, error) {
 	return b.next.LatestTimestamp(subID)
@@ -161,5 +145,5 @@ func (b *CountingBackend) Subscribes() int64 { return b.subscribes.Load() }
 // Unsubscribes returns the Unsubscribe call count.
 func (b *CountingBackend) Unsubscribes() int64 { return b.unsubscribes.Load() }
 
-// ResultFetches returns the results call count, a batched pull being one.
+// ResultFetches returns the results call count.
 func (b *CountingBackend) ResultFetches() int64 { return b.results.Load() }

@@ -320,15 +320,10 @@ func (f *fakeBackend) ResultsContext(context.Context, string, time.Duration, tim
 	f.results++
 	return nil, nil
 }
-func (f *fakeBackend) ResultsBatchContext(_ context.Context, ranges []bdms.ResultRange) ([]bdms.RangeResults, error) {
-	f.results++
-	return make([]bdms.RangeResults, len(ranges)), nil
-}
 func (f *fakeBackend) LatestTimestamp(string) (time.Duration, error) { return 0, nil }
 
 // TestBackendDecorator exercises per-method targets and the ResultsContext
-// passthrough; a batched pull is the same operation, faulted and counted
-// under the same target.
+// passthrough.
 func TestBackendDecorator(t *testing.T) {
 	next := &fakeBackend{}
 	in := NewInjector(Plan{Rules: []Rule{
@@ -345,24 +340,17 @@ func TestBackendDecorator(t *testing.T) {
 	if _, err := fb.LatestTimestamp("sub1"); err != nil {
 		t.Fatalf("latest should pass: %v", err)
 	}
-	if _, err := fb.ResultsBatchContext(context.Background(), make([]bdms.ResultRange, 2)); !errors.Is(err, ErrInjected) {
-		t.Fatalf("ResultsBatchContext err = %v, want injected under cluster.results", err)
-	}
-	if next.results != 0 || in.Calls("cluster.results") != 2 {
-		t.Errorf("faulted pulls reached the backend %d times over %d decisions, want 0 over 2",
+	if next.results != 0 || in.Calls("cluster.results") != 1 {
+		t.Errorf("faulted pulls reached the backend %d times over %d decisions, want 0 over 1",
 			next.results, in.Calls("cluster.results"))
 	}
-	// With no fault planned the calls pass through, counted as one
-	// operation each.
+	// With no fault planned the call passes through, counted.
 	counted := Count(next)
 	fb2 := WrapBackend(NewInjector(Plan{}), "cluster", counted)
 	if _, err := fb2.ResultsContext(context.Background(), "sub1", 0, time.Second, false); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := fb2.ResultsBatchContext(context.Background(), make([]bdms.ResultRange, 3)); err != nil || len(out) != 3 {
-		t.Fatalf("batch passthrough = %d answers, %v; want 3", len(out), err)
-	}
-	if next.results != 2 || counted.ResultFetches() != 2 {
-		t.Errorf("results = %d, counted %d, want 2 and 2 (passthrough)", next.results, counted.ResultFetches())
+	if next.results != 1 || counted.ResultFetches() != 1 {
+		t.Errorf("results = %d, counted %d, want 1 and 1 (passthrough)", next.results, counted.ResultFetches())
 	}
 }

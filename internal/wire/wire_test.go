@@ -211,8 +211,8 @@ func (a answer) RoundTrip(*http.Request) (*http.Response, error) {
 		Body: io.NopCloser(bytes.NewReader(a))}, nil
 }
 
-// checkPull holds bdms.Client's results and results:batch decodes to
-// encoding/json's decode of the same body.
+// checkPull holds bdms.Client's results decode to encoding/json's decode of
+// the same body.
 func checkPull(t *testing.T, data []byte) {
 	t.Helper()
 	c := bdms.NewClient("http://cluster.invalid", &http.Client{Transport: answer(data)})
@@ -224,20 +224,6 @@ func checkPull(t *testing.T, data []byte) {
 		wantErr, want.Results = fmt.Errorf("httpx: decode response: %w", wantErr), nil
 	}
 	sameDecode(t, "results body", data, got, err, want.Results, wantErr)
-
-	ranges := []bdms.ResultRange{{SubscriptionID: "s", ToNS: 1}}
-	gotRanges, err := c.ResultsBatchContext(ctx, ranges)
-	var wantBatch bdms.ResultsBatchResponse
-	switch wantErr = json.Unmarshal(data, &wantBatch); {
-	case wantErr != nil:
-		wantErr = fmt.Errorf("httpx: decode response: %w", wantErr)
-	case len(wantBatch.Ranges) != len(ranges):
-		wantErr = fmt.Errorf("bdms: results batch answered %d of %d ranges", len(wantBatch.Ranges), len(ranges))
-	}
-	if wantErr != nil {
-		wantBatch.Ranges = nil
-	}
-	sameDecode(t, "results:batch body", data, gotRanges, err, wantBatch.Ranges, wantErr)
 }
 
 // checkFloat holds AppendValue and Marshal to json.Marshal on the float64
@@ -257,8 +243,8 @@ func checkFloat(t *testing.T, data []byte) {
 // FuzzWire holds the codec to encoding/json on any bytes: AppendValue and
 // Marshal to json.Marshal (every decline included), and every document
 // reader — results body and reply, push frame, request frame, webhook
-// envelope, single and batch ingest bodies, results:batch — to
-// encoding/json's value and error text.
+// envelope, single and batch ingest bodies — to encoding/json's value and
+// error text.
 func FuzzWire(f *testing.F) {
 	const tp = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	rows := `[{"big":1.7976931348623157e+308,"key":"a\"b\\c/\u003c\u0026\u003e\u2028\u2029\t\u0001","neg":-5e-324,"nested":{"list":[1.5,"é日本😀",true,false,null,[],{}]},"none":null,"pub":7,"re":9,"zero":-0},{}]`
@@ -304,8 +290,8 @@ func FuzzWire(f *testing.F) {
 		// Strings for AppendJSONString: the data itself is one.
 		"", "bsub-000001-r000001", `"\`, "<>&", "\u2028\u2029",
 		"\x00\x1f\x7f", "\b\f\n\r\t", "na\u00efve \U0001f525", "\xff\xfe", "\xe2\x80", "a\xc3(b",
-		// The cluster leg's documents: webhook envelopes, results and
-		// results:batch bodies, ingest bodies.
+		// The cluster leg's documents: webhook envelopes, results bodies,
+		// ingest bodies, and objects none of them reads ("ranges").
 		`{"subscription_id":"bsub-000001","latest_ns":42}`,
 		`{"subscription_id":"bsub-000001","latest_ns":2,"results":[` + obj + `],"more":[{"subscription_id":"bsub-000002","latest_ns":3},{"subscription_id":"q\"b\\s\u003cx\u003e\u0026 ","latest_ns":3,"results":[]}]}`,
 		`{"subscription_id":"a","more":[{"subscription_id":"b","more":[{"subscription_id":"c"}]}],"result":{"id":"old"}}`,
