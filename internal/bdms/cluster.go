@@ -108,6 +108,7 @@ type ClusterStats struct {
 // signature) shares one evaluation.
 type subscription struct {
 	id       string
+	n        uint64 // the number in id, bsub-<n>
 	ch       *channel
 	params   map[string]any // canonicalized bound parameters
 	callback string
@@ -207,20 +208,10 @@ func (c *Cluster) Now() time.Duration { return c.clock() }
 // CreateDataset registers a dataset. Creating an existing dataset is an
 // error.
 func (c *Cluster) CreateDataset(name string, schema Schema) error {
-	if name == "" {
-		return fmt.Errorf("bdms: dataset needs a name")
-	}
-	now := c.clock()
+	rec := walRecord{Kind: walKindDataset, Dataset: name, Schema: &schema, AtNS: int64(c.clock())}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.datasets[name]; ok {
-		return fmt.Errorf("bdms: dataset %q %w", name, ErrExists)
-	}
-	if err := c.logCreateDataset(name, schema, now); err != nil {
-		return err
-	}
-	c.datasets[name] = newDataset(name, schema)
-	return nil
+	return c.commitLocked(rec)
 }
 
 // Dataset returns a registered dataset, or nil.
@@ -251,70 +242,19 @@ var ErrExists = errors.New("already exists")
 // DefineChannel compiles and registers a channel. The channel's body (and
 // its enrichments) must reference existing datasets.
 func (c *Cluster) DefineChannel(def ChannelDef) error {
-	ch, err := compileChannel(def)
-	if err != nil {
-		return err
-	}
-	now := c.clock()
+	rec := walRecord{Kind: walKindChannel, Channel: &def, AtNS: int64(c.clock())}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.checkChannelLocked(ch); err != nil {
-		return err
-	}
-	if err := c.logDefineChannel(def, now); err != nil {
-		return err
-	}
-	c.channels[def.Name] = ch
-	return nil
-}
-
-// checkChannelLocked validates a compiled channel against the registered
-// state. Caller holds the lock.
-func (c *Cluster) checkChannelLocked(ch *channel) error {
-	def := ch.def
-	if _, ok := c.channels[def.Name]; ok {
-		return fmt.Errorf("bdms: channel %q %w", def.Name, ErrExists)
-	}
-	if _, ok := c.datasets[ch.dataset]; !ok {
-		return fmt.Errorf("bdms: channel %q reads unknown dataset %q", def.Name, ch.dataset)
-	}
-	for _, e := range ch.enrich {
-		if _, ok := c.datasets[e.query.Dataset]; !ok {
-			return fmt.Errorf("bdms: channel %q enrichment %q reads unknown dataset %q",
-				def.Name, e.spec.Name, e.query.Dataset)
-		}
-	}
-	return nil
-}
-
-// registerChannelLocked validates and installs a compiled channel without
-// logging (the replay path). Caller holds the lock.
-func (c *Cluster) registerChannelLocked(ch *channel) error {
-	if err := c.checkChannelLocked(ch); err != nil {
-		return err
-	}
-	c.channels[ch.def.Name] = ch
-	return nil
+	return c.commitLocked(rec)
 }
 
 // DeleteChannel removes a channel definition. Channels with live
 // subscriptions cannot be deleted; unsubscribe them first.
 func (c *Cluster) DeleteChannel(name string) error {
-	now := c.clock()
+	rec := walRecord{Kind: walKindDelChannel, Name: name, AtNS: int64(c.clock())}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.channels[name]; !ok {
-		return fmt.Errorf("bdms: unknown channel %q", name)
-	}
-	if cg := c.groups[name]; cg != nil {
-		return fmt.Errorf("bdms: channel %q has %d live subscriptions", name, cg.subs)
-	}
-	if err := c.logDeleteChannel(name, now); err != nil {
-		return err
-	}
-	delete(c.channels, name)
-	delete(c.evalWarned, name)
-	return nil
+	return c.commitLocked(rec)
 }
 
 // Query runs an ad-hoc AQL statement over a dataset's stored publications
@@ -354,45 +294,19 @@ func (c *Cluster) Channels() []ChannelDef {
 // subscription identifier"). Internally the subscription joins the
 // evaluation group of its canonical parameter signature — the channel is
 // evaluated once per group, however many subscriptions join it.
+//
+// Write-ahead: the registration is durable before the ID is handed out,
+// so a restarted cluster still knows every subscription a broker holds a
+// resume token for.
 func (c *Cluster) Subscribe(channelName string, params []any, callback string) (string, error) {
-	now := c.clock()
+	rec := walRecord{Kind: walKindSub, Name: channelName, Params: params, Callback: callback, AtNS: int64(c.clock())}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ch, ok := c.channels[channelName]
-	if !ok {
-		return "", fmt.Errorf("bdms: unknown channel %q", channelName)
-	}
-	bound, err := ch.bindParams(params)
-	if err != nil {
+	rec.Sub = fmt.Sprintf("bsub-%06d", c.subSeq+1)
+	if err := c.commitLocked(rec); err != nil {
 		return "", err
 	}
-	canon := canonicalParams(bound)
-	c.subSeq++
-	sub := &subscription{
-		id:       fmt.Sprintf("bsub-%06d", c.subSeq),
-		ch:       ch,
-		params:   canon,
-		callback: callback,
-	}
-	// Write-ahead: the registration is durable before the ID is handed
-	// out, so a restarted cluster still knows every subscription a broker
-	// holds a resume token for.
-	if err := c.logSubscribe(sub.id, channelName, params, callback, now); err != nil {
-		return "", err
-	}
-	if g, created := c.joinGroup(sub); !created {
-		// The (channel, parameter values) pair identifies a logical result
-		// dataset (Section IV): equivalent subscriptions accumulate the same
-		// result stream. Seed the new subscription from an existing member
-		// so a broker re-subscribing after a failover can range-fetch the
-		// history its predecessor had already pulled — resume tokens keep
-		// addressing real results across broker deaths.
-		eq := g.members[0]
-		sub.results = append([]storedResult(nil), eq.results...)
-		sub.lastTS = eq.lastTS
-	}
-	c.subs[sub.id] = sub
-	return sub.id, nil
+	return rec.Sub, nil
 }
 
 // Unsubscribe removes a backend subscription and its result dataset. The
@@ -400,19 +314,10 @@ func (c *Cluster) Subscribe(channelName string, params []any, callback string) (
 // removal re-checks liveness before appending, so results never land on a
 // dead subscription.
 func (c *Cluster) Unsubscribe(subID string) error {
-	now := c.clock()
+	rec := walRecord{Kind: walKindUnsub, Sub: subID, AtNS: int64(c.clock())}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sub, ok := c.subs[subID]
-	if !ok {
-		return fmt.Errorf("bdms: unknown subscription %q", subID)
-	}
-	if err := c.logUnsubscribe(subID, now); err != nil {
-		return err
-	}
-	delete(c.subs, subID)
-	c.leaveGroup(sub)
-	return nil
+	return c.commitLocked(rec)
 }
 
 // NumSubscriptions returns the number of live backend subscriptions.
@@ -708,14 +613,12 @@ func (c *Cluster) RunRepetitiveDue() int {
 			executions++
 			ds := c.datasets[g.ch.dataset]
 			recs := ds.ScanSince(g.lastSeq)
-			g.lastSeq = ds.LastSeq()
-			g.nextRun = now + g.ch.def.Period
-			if c.wal != nil {
-				ticks = append(ticks, walRecord{
-					Kind: walKindTick, Name: g.ch.def.Name, Sig: g.sig,
-					LastSeq: g.lastSeq, AtNS: int64(now),
-				})
+			tick := walRecord{
+				Kind: walKindTick, Name: g.ch.def.Name, Sig: g.sig,
+				LastSeq: ds.LastSeq(), AtNS: int64(now),
 			}
+			c.applyTick(g, tick)
+			ticks = append(ticks, tick)
 			if len(recs) == 0 {
 				continue
 			}
@@ -728,7 +631,9 @@ func (c *Cluster) RunRepetitiveDue() int {
 	// Progress marks are logged before the evaluation commits; on replay
 	// they stop a restarted group from re-evaluating publications whose
 	// results are already in the log.
-	c.logTicks(ticks)
+	if c.wal != nil && len(ticks) > 0 {
+		_ = c.wal.appendBatch(ticks)
+	}
 	c.mu.Unlock()
 	if len(due) == 0 {
 		return executions

@@ -145,16 +145,6 @@ func (d *Dataset) insertValidated(data map[string]any, at time.Duration) Record 
 	return rec
 }
 
-// restoreRecords reloads snapshot state: the sequence high-water mark and
-// the stored records, which must be Seq-ordered (snapshots are written
-// from ScanSince, so they are).
-func (d *Dataset) restoreRecords(nextSeq uint64, recs []Record) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.nextSq = nextSeq
-	d.recs = append(d.recs, recs...)
-}
-
 // Len returns the total number of stored records.
 func (d *Dataset) Len() int {
 	d.mu.RLock()

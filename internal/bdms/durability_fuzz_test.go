@@ -2,8 +2,8 @@ package bdms
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
+	"time"
 )
 
 // FuzzWALRecord throws arbitrary bytes at the WAL reader: whatever is on
@@ -48,64 +48,66 @@ func FuzzWALRecord(f *testing.F) {
 	})
 }
 
-// seedSnapshot is a snapshot as written before datasets lost their storage
-// nodes: it still carries num_nodes, which decoding now ignores.
-const seedSnapshot = `{"version":1,"seg":1,"taken_unix_ns":1,"clock_ns":5,"num_nodes":3,"sub_seq":2,` +
-	`"datasets":[{"name":"DS","schema":{},"next_seq":1,"records":[{"seq":1,"ts_ns":1,"data":{"x":1}}]}],` +
-	`"channels":[{"name":"Alerts","params":["etype"],"body":"select * from DS r where r.etype = $etype"}],` +
-	`"subs":[{"id":"bsub-000001","channel":"Alerts","params":["fire"],"last_ts_ns":1,"seq":1,"results":[]}]}`
+// seedSnapshot is a compacted log: the header, a dataset and its ingest, a
+// continuous and a repetitive channel, a subscription to each, the
+// continuous one's result and the repetitive group's tick.
+const seedSnapshot = `{"kind":"snapshot","last_seq":2,"at_ns":5}
+{"kind":"dataset","dataset":"DS","at_ns":0}
+{"kind":"ingest","dataset":"DS","data":{"etype":"fire"},"at_ns":1}
+{"kind":"channel","channel":{"name":"Alerts","params":["etype"],"body":"select * from DS r where r.etype = $etype","period":0},"at_ns":0}
+{"kind":"channel","channel":{"name":"Digest","params":null,"body":"select * from DS r","period":1000},"at_ns":0}
+{"kind":"sub","sub":"bsub-000001","name":"Alerts","params":["fire"],"at_ns":5}
+{"kind":"sub","sub":"bsub-000002","name":"Digest","at_ns":5}
+{"kind":"result","at_ns":1,"sub":"bsub-000001","result":{"id":"bsub-000001-r000001","subscription_id":"bsub-000001","timestamp":1,"rows":[{"etype":"fire"}],"size":18}}
+{"kind":"tick","name":"Digest","sig":"{}","last_seq":1,"at_ns":4}
+`
 
-// TestRestoreSnapshotWithNumNodes: a snapshot from before the cut restores,
-// and the dataset scans complete and in Seq order.
-func TestRestoreSnapshotWithNumNodes(t *testing.T) {
-	snap, err := decodeSnapshot([]byte(seedSnapshot))
-	if err != nil {
-		t.Fatal(err)
+// compacted is what Compact would write for c's state.
+func compacted(t *testing.T, c *Cluster) []byte {
+	t.Helper()
+	c.mu.Lock()
+	snap := c.snapshotLocked()
+	c.mu.Unlock()
+	var buf bytes.Buffer
+	if _, err := snap.writeTo(&buf); err != nil {
+		t.Fatalf("compacting: %v", err)
 	}
-	c := NewCluster()
-	if err := c.restoreSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	want := snap.Datasets[0].Records
-	recs := c.Dataset("DS").ScanSince(0)
-	if len(want) == 0 || len(recs) != len(want) {
-		t.Fatalf("ScanSince(0) returned %d records, snapshot holds %d", len(recs), len(want))
-	}
-	for i, r := range recs {
-		if r.Seq != want[i].Seq || (i > 0 && r.Seq <= recs[i-1].Seq) {
-			t.Fatalf("record %d has seq %d, snapshot order says %d", i, r.Seq, want[i].Seq)
-		}
-	}
+	return buf.Bytes()
 }
 
-// FuzzCacheSnapshot decodes arbitrary bytes as a cluster snapshot file:
-// recovery skips undecodable snapshots, so decodeSnapshot must classify —
-// never panic — and every accepted snapshot must survive a JSON round
-// trip (what Compact would write next).
+// FuzzCacheSnapshot reads arbitrary bytes as a snapshot file and applies
+// it to a fresh cluster, as recovery does: that must never panic, and a
+// snapshot that is accepted and compacted again must read back to the
+// same records — compaction is a fixed point.
 func FuzzCacheSnapshot(f *testing.F) {
 	f.Add([]byte(seedSnapshot))
-	f.Add([]byte(`{"version":1}`))
-	f.Add([]byte(`{"version":99}`))
+	f.Add([]byte(`{"kind":"snapshot","last_seq":7,"at_ns":1}` + "\n"))
+	f.Add([]byte(`{"kind":"dataset","dataset":"DS","at_ns":0}` + "\n")) // no header
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
+	fixed := WithClock(func() time.Duration { return 0 })
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := decodeSnapshot(data)
-		if err != nil {
+		recs, _, torn, err := readWAL(bytes.NewReader(data))
+		if err != nil || torn || len(recs) == 0 || recs[0].Kind != walKindSnapshot {
+			return // recovery skips it
+		}
+		// Errors are legitimate (dangling references, bad channel bodies);
+		// recovery then fails loudly.
+		c := NewCluster(fixed)
+		if err := c.replayWAL(recs); err != nil {
 			return
 		}
-		if snap.Version != snapshotVersion {
-			t.Fatalf("accepted snapshot with version %d", snap.Version)
+		first := compacted(t, c)
+		again, _, torn, err := readWAL(bytes.NewReader(first))
+		if err != nil || torn {
+			t.Fatalf("compacted snapshot does not read back (torn %v): %v", torn, err)
 		}
-		enc, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatalf("accepted snapshot does not re-encode: %v", err)
+		rc := NewCluster(fixed)
+		if err := rc.replayWAL(again); err != nil {
+			t.Fatalf("compacted snapshot does not replay: %v\n%s", err, first)
 		}
-		if _, err := decodeSnapshot(enc); err != nil {
-			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		if second := compacted(t, rc); !bytes.Equal(first, second) {
+			t.Fatalf("compacting the compacted snapshot changed it:\n%s\nthen\n%s", first, second)
 		}
-		// Restoring into a fresh cluster must not panic either; errors are
-		// legitimate (dangling channel references, bad channel bodies).
-		c := NewCluster()
-		_ = c.restoreSnapshot(snap)
 	})
 }

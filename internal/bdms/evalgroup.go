@@ -87,12 +87,13 @@ func (c *Cluster) group(channelName, sig string) *evalGroup {
 	return nil
 }
 
-// joinGroup adds sub to the evaluation group of its parameter signature.
-// The first member creates the group: its parameters are bound to the
-// channel's compiled query once, here, and a continuous group takes a
-// position in the scan table (and the equality index). Caller holds
+// joinGroup adds sub, subscribing at cluster time at, to the evaluation
+// group of its parameter signature. The first member creates the group:
+// its parameters are bound to the channel's compiled query once, here, and
+// a continuous group takes a position in the scan table (and the equality
+// index). A later member is seeded with the group's history. Caller holds
 // Cluster.mu.
-func (c *Cluster) joinGroup(sub *subscription) (g *evalGroup, created bool) {
+func (c *Cluster) joinGroup(sub *subscription, at time.Duration) {
 	ch := sub.ch
 	cg := c.groups[ch.def.Name]
 	if cg == nil {
@@ -103,8 +104,8 @@ func (c *Cluster) joinGroup(sub *subscription) (g *evalGroup, created bool) {
 		c.groups[ch.def.Name] = cg
 	}
 	sig := paramSignature(sub.params)
-	g = cg.bySig[sig]
-	if created = g == nil; created {
+	g := cg.bySig[sig]
+	if g == nil {
 		g = &evalGroup{ch: ch, sig: sig, params: sub.params, consts: ch.query.Bind(sub.params)}
 		cg.bySig[sig] = g
 		if ch.Continuous() {
@@ -118,14 +119,29 @@ func (c *Cluster) joinGroup(sub *subscription) (g *evalGroup, created bool) {
 			// A repetitive group only sees publications ingested after
 			// its first subscription, and first fires one period later.
 			g.lastSeq = c.datasets[ch.dataset].LastSeq()
-			g.nextRun = c.clock() + ch.def.Period
+			g.nextRun = at + ch.def.Period
 		}
+	} else {
+		// The (channel, parameter values) pair identifies a logical result
+		// dataset (Section IV): equivalent subscriptions accumulate the same
+		// result stream. Seed the new subscription from it so a broker
+		// re-subscribing after a failover can range-fetch the history its
+		// predecessor had already pulled. Copies keep their producers' IDs,
+		// so the eldest member is the source, however the members came to
+		// be ordered (a snapshot lists them by ID).
+		eq := g.members[0]
+		for _, m := range g.members[1:] {
+			if m.n < eq.n {
+				eq = m
+			}
+		}
+		sub.results = append([]storedResult(nil), eq.results...)
+		sub.lastTS = eq.lastTS
 	}
 	sub.group = g
 	sub.memberIdx = len(g.members)
 	g.members = append(g.members, sub)
 	cg.subs++
-	return g, created
 }
 
 // leaveGroup swap-removes sub from its group in O(1) and drops the group

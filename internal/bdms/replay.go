@@ -3,17 +3,41 @@ package bdms
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 )
 
-// Replay: applying WAL records to a fresh cluster at startup. Records are
-// applied verbatim and WITHOUT re-running channel evaluation — the results
-// of every evaluation are themselves in the log (walKindResult), so
-// replaying an ingest through the live pipeline would double-append them.
-// The cluster's WAL must not be attached yet (nothing is re-logged).
+// One apply path. A WAL record is the only description of a change to the
+// cluster's durable state, and each kind's stage function is the only code
+// that makes it, at the record's own at_ns: a live control-plane method
+// commits its record through it, and replay — of segments and of
+// snapshots, which are compacted logs (store.go) — applies logged records
+// through it. Replay does not re-run channel evaluation: its results are
+// in the log too. Live ingest and result records take their own hot paths
+// (ingest, commitEval).
+
+// commitLocked validates rec against the current state, appends it to the
+// WAL when one is attached — durable before the caller is answered — and
+// applies it. Caller holds c.mu.
+func (c *Cluster) commitLocked(rec walRecord) error {
+	apply, err := c.stage(rec)
+	if err != nil {
+		return err
+	}
+	if c.wal != nil {
+		if err := c.wal.append(rec); err != nil {
+			return err
+		}
+	}
+	apply()
+	return nil
+}
 
 // replayWAL applies a record sequence in order, advancing the cluster
-// clock past the replayed horizon so new timestamps stay monotone.
+// clock past the replayed horizon so new timestamps stay monotone. Each
+// record is committed while the cluster's WAL is not attached yet, so
+// nothing is re-logged.
 func (c *Cluster) replayWAL(recs []walRecord) error {
 	if len(recs) == 0 {
 		return nil
@@ -26,197 +50,200 @@ func (c *Cluster) replayWAL(recs []walRecord) error {
 		if rec.AtNS > maxAt {
 			maxAt = rec.AtNS
 		}
-		if err := c.applyWALRecord(rec); err != nil {
+		c.mu.Lock()
+		err := c.commitLocked(rec)
+		c.mu.Unlock()
+		if err != nil {
 			err = fmt.Errorf("bdms: wal replay entry %d: %w", i, err)
 			sp.SetError(err)
 			return err
 		}
 	}
-	c.advanceClockTo(time.Duration(maxAt))
-	return nil
-}
-
-// advanceClockTo moves the cluster epoch back so the default clock reads
-// at least d — replayed state carries pre-crash timestamps and new results
-// must sort after them. Clusters with a custom clock (tests, simulation)
-// ignore the epoch, so this is a no-op for them.
-func (c *Cluster) advanceClockTo(d time.Duration) {
+	// Move the epoch back so the default clock reads at least maxAt: new
+	// results must sort after the replayed ones. A custom clock (tests,
+	// simulation) ignores the epoch.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if d <= 0 {
-		return
-	}
-	if candidate := time.Now().Add(-d); candidate.Before(c.epoch) {
+	if candidate := time.Now().Add(-time.Duration(maxAt)); candidate.Before(c.epoch) {
 		c.epoch = candidate
 	}
-}
-
-// applyWALRecord applies one record. A record without a known Kind (logs
-// written before PR 10 carried none) fails recovery rather than being
-// guessed at.
-func (c *Cluster) applyWALRecord(rec walRecord) error {
-	switch rec.Kind {
-	case walKindDataset:
-		return c.applyCreateDataset(rec.Dataset, rec.Schema)
-	case walKindIngest:
-		return c.applyIngest(rec.Dataset, rec.Data, time.Duration(rec.AtNS))
-	case walKindChannel:
-		return c.applyDefineChannel(rec.Channel)
-	case walKindDelChannel:
-		return c.applyDeleteChannel(rec.Name)
-	case walKindSub:
-		return c.applySubscribe(rec.Sub, rec.Name, rec.Params, rec.Callback)
-	case walKindUnsub:
-		return c.applyUnsubscribe(rec.Sub)
-	case walKindResult:
-		return c.applyResult(rec.Sub, rec.Result)
-	case walKindTick:
-		return c.applyTick(rec.Name, rec.Sig, rec.LastSeq)
-	}
-	return fmt.Errorf("bdms: unknown wal record kind %q", rec.Kind)
-}
-
-func (c *Cluster) applyCreateDataset(name string, schema *Schema) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.datasets[name]; ok {
-		return fmt.Errorf("bdms: dataset %q already exists", name)
-	}
-	s := Schema{}
-	if schema != nil {
-		s = *schema
-	}
-	c.datasets[name] = newDataset(name, s)
 	return nil
 }
 
-// applyIngest re-inserts a publication: validate + store, no evaluation,
-// no notification, no re-logging.
-func (c *Cluster) applyIngest(dataset string, data map[string]any, at time.Duration) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ds, ok := c.datasets[dataset]
-	if !ok {
-		return fmt.Errorf("bdms: unknown dataset %q", dataset)
+// stage validates rec against the current state and returns the change
+// that applies it. A record without a known Kind (logs written before
+// PR 10 carried none) fails rather than being guessed at. Caller holds
+// c.mu.
+func (c *Cluster) stage(rec walRecord) (func(), error) {
+	switch rec.Kind {
+	case walKindSnapshot:
+		return func() { c.subSeq = max(c.subSeq, rec.LastSeq) }, nil
+	case walKindDataset:
+		return c.stageCreateDataset(rec)
+	case walKindIngest:
+		return c.stageIngest(rec)
+	case walKindChannel:
+		return c.stageDefineChannel(rec)
+	case walKindDelChannel:
+		return c.stageDeleteChannel(rec)
+	case walKindSub:
+		return c.stageSubscribe(rec)
+	case walKindUnsub:
+		return c.stageUnsubscribe(rec)
+	case walKindResult:
+		return c.stageResult(rec)
+	case walKindTick:
+		g := c.group(rec.Name, rec.Sig)
+		// A group dropped by a later unsubscribe that is still ahead in
+		// the log has no use for its mark.
+		return func() {
+			if g != nil {
+				c.applyTick(g, rec)
+			}
+		}, nil
 	}
+	return nil, fmt.Errorf("bdms: unknown wal record kind %q", rec.Kind)
+}
+
+func (c *Cluster) stageCreateDataset(rec walRecord) (func(), error) {
+	name := rec.Dataset
+	if name == "" {
+		return nil, fmt.Errorf("bdms: dataset needs a name")
+	}
+	if _, ok := c.datasets[name]; ok {
+		return nil, fmt.Errorf("bdms: dataset %q %w", name, ErrExists)
+	}
+	schema := Schema{}
+	if rec.Schema != nil {
+		schema = *rec.Schema
+	}
+	return func() { c.datasets[name] = newDataset(name, schema) }, nil
+}
+
+// stageIngest re-inserts a publication: validate + store, no evaluation,
+// no notification.
+func (c *Cluster) stageIngest(rec walRecord) (func(), error) {
+	ds, ok := c.datasets[rec.Dataset]
+	if !ok {
+		return nil, fmt.Errorf("bdms: unknown dataset %q", rec.Dataset)
+	}
+	data := rec.Data
 	if data == nil {
-		return fmt.Errorf("bdms: nil record for dataset %s", dataset)
+		data = map[string]any{} // an empty publication's record has no data field
 	}
 	if err := ds.schema.Validate(data); err != nil {
-		return err
+		return nil, err
 	}
-	ds.insertValidated(data, at)
-	return nil
+	return func() { ds.insertValidated(data, time.Duration(rec.AtNS)) }, nil
 }
 
-func (c *Cluster) applyDefineChannel(def *ChannelDef) error {
-	if def == nil {
-		return fmt.Errorf("bdms: channel record without definition")
+// stageDefineChannel compiles the definition and checks it against the
+// registered state: the channel is new and its body and enrichments read
+// existing datasets.
+func (c *Cluster) stageDefineChannel(rec walRecord) (func(), error) {
+	if rec.Channel == nil {
+		return nil, fmt.Errorf("bdms: channel record without definition")
 	}
-	ch, err := compileChannel(*def)
+	ch, err := compileChannel(*rec.Channel)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.registerChannelLocked(ch)
+	name := ch.def.Name
+	if _, ok := c.channels[name]; ok {
+		return nil, fmt.Errorf("bdms: channel %q %w", name, ErrExists)
+	}
+	if _, ok := c.datasets[ch.dataset]; !ok {
+		return nil, fmt.Errorf("bdms: channel %q reads unknown dataset %q", name, ch.dataset)
+	}
+	for _, e := range ch.enrich {
+		if _, ok := c.datasets[e.query.Dataset]; !ok {
+			return nil, fmt.Errorf("bdms: channel %q enrichment %q reads unknown dataset %q",
+				name, e.spec.Name, e.query.Dataset)
+		}
+	}
+	return func() { c.channels[name] = ch }, nil
 }
 
-func (c *Cluster) applyDeleteChannel(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Cluster) stageDeleteChannel(rec walRecord) (func(), error) {
+	name := rec.Name
 	if _, ok := c.channels[name]; !ok {
-		return fmt.Errorf("bdms: unknown channel %q", name)
+		return nil, fmt.Errorf("bdms: unknown channel %q", name)
 	}
-	delete(c.channels, name)
-	delete(c.groups, name)
-	return nil
+	if cg := c.groups[name]; cg != nil {
+		return nil, fmt.Errorf("bdms: channel %q has %d live subscriptions", name, cg.subs)
+	}
+	return func() {
+		delete(c.channels, name)
+		delete(c.evalWarned, name)
+	}, nil
 }
 
-// applySubscribe re-creates a subscription under its original ID,
-// mirroring Subscribe: it joins (or creates) the evaluation group of its
-// canonical signature and seeds its result history from an existing member
-// — exactly the state the live subscribe produced, since results logged
-// before this record were applied to the earlier members already.
-func (c *Cluster) applySubscribe(subID, channelName string, params []any, callback string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch, ok := c.channels[channelName]
+// stageSubscribe binds the subscription's positional parameters; applying
+// it joins the evaluation group of their canonical signature (evalgroup.go)
+// and keeps the ID sequence past the subscription's number.
+func (c *Cluster) stageSubscribe(rec walRecord) (func(), error) {
+	ch, ok := c.channels[rec.Name]
 	if !ok {
-		return fmt.Errorf("bdms: unknown channel %q", channelName)
+		return nil, fmt.Errorf("bdms: unknown channel %q", rec.Name)
 	}
-	if _, ok := c.subs[subID]; ok {
-		return fmt.Errorf("bdms: subscription %q already exists", subID)
+	if _, ok := c.subs[rec.Sub]; ok {
+		return nil, fmt.Errorf("bdms: subscription %q already exists", rec.Sub)
 	}
-	bound, err := ch.bindParams(params)
+	bound, err := ch.bindParams(rec.Params)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	canon := canonicalParams(bound)
-	sub := &subscription{id: subID, ch: ch, params: canon, callback: callback}
-	var n uint64
-	if _, err := fmt.Sscanf(subID, "bsub-%d", &n); err == nil && n > c.subSeq {
-		c.subSeq = n
-	}
-	if g, created := c.joinGroup(sub); !created {
-		eq := g.members[0]
-		sub.results = append([]storedResult(nil), eq.results...)
-		sub.lastTS = eq.lastTS
-	}
-	c.subs[sub.id] = sub
-	return nil
+	n, _ := strconv.ParseUint(strings.TrimPrefix(rec.Sub, "bsub-"), 10, 64)
+	sub := &subscription{id: rec.Sub, n: n, ch: ch, params: canonicalParams(bound), callback: rec.Callback}
+	return func() {
+		c.subSeq = max(c.subSeq, n)
+		c.joinGroup(sub, time.Duration(rec.AtNS))
+		c.subs[sub.id] = sub
+	}, nil
 }
 
-func (c *Cluster) applyUnsubscribe(subID string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sub, ok := c.subs[subID]
+func (c *Cluster) stageUnsubscribe(rec walRecord) (func(), error) {
+	sub, ok := c.subs[rec.Sub]
 	if !ok {
-		return fmt.Errorf("bdms: unknown subscription %q", subID)
+		return nil, fmt.Errorf("bdms: unknown subscription %q", rec.Sub)
 	}
-	delete(c.subs, subID)
-	c.leaveGroup(sub)
-	return nil
+	return func() {
+		delete(c.subs, sub.id)
+		c.leaveGroup(sub)
+	}, nil
 }
 
-// applyResult appends one logged result object to its subscription's
-// result dataset, restoring the per-subscription timestamp and sequence
-// high-water marks.
-func (c *Cluster) applyResult(subID string, obj *ResultObject) error {
-	if obj == nil {
-		return fmt.Errorf("bdms: result record without object")
+// stageResult appends one logged result object to a result dataset,
+// restoring the subscription's timestamp high-water mark. Only a result
+// the subscription produced advances its sequence: a snapshot's copy of
+// the history a late joiner was seeded with keeps the producer's ID.
+func (c *Cluster) stageResult(rec walRecord) (func(), error) {
+	if rec.Result == nil {
+		return nil, fmt.Errorf("bdms: result record without object")
 	}
-	r, err := storeResult(*obj)
+	sub, ok := c.subs[rec.Sub]
+	if !ok {
+		return nil, fmt.Errorf("bdms: result for unknown subscription %q", rec.Sub)
+	}
+	r, err := storeResult(*rec.Result)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sub, ok := c.subs[subID]
-	if !ok {
-		return fmt.Errorf("bdms: result for unknown subscription %q", subID)
-	}
-	sub.results = append(sub.results, r)
-	if obj.Timestamp > sub.lastTS {
-		sub.lastTS = obj.Timestamp
-	}
-	sub.seq++
-	return nil
+	return func() {
+		sub.results = append(sub.results, r)
+		sub.lastTS = max(sub.lastTS, r.ts)
+		if r.subID == sub.id {
+			sub.seq++
+		}
+	}, nil
 }
 
-// applyTick restores a repetitive group's progress mark so restarted
-// periodic executions neither re-evaluate publications whose results were
-// already produced (and replayed) nor skip ones that were not.
-func (c *Cluster) applyTick(channelName, sig string, lastSeq uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	g := c.group(channelName, sig)
-	if g == nil {
-		// The group may have been dropped by a later unsubscribe that is
-		// still ahead in the log; the mark is then irrelevant.
-		return nil
-	}
-	g.lastSeq = lastSeq
-	g.nextRun = c.clock() + g.ch.def.Period
-	return nil
+// applyTick sets a repetitive group's progress mark and schedules its next
+// run one period after the tick, so restarted periodic executions neither
+// re-evaluate publications whose results were already produced (and
+// replayed) nor skip ones that were not, and run when they would have.
+// Caller holds c.mu.
+func (c *Cluster) applyTick(g *evalGroup, rec walRecord) {
+	g.lastSeq = rec.LastSeq
+	g.nextRun = time.Duration(rec.AtNS) + g.ch.def.Period
 }

@@ -1,9 +1,10 @@
 package bdms
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -17,20 +18,23 @@ import (
 )
 
 // Store is the segmented durability layer on top of the WAL: a directory
-// holding numbered log segments plus periodic full-state snapshots.
+// holding numbered log segments plus periodic snapshots.
 //
 //	wal-000001.jsonl            appends since the beginning (segment 1)
-//	snapshot-000001.json        state after fully applying segment 1
+//	snapshot-000001.jsonl       segments 1..1 compacted
 //	wal-000002.jsonl            appends since that snapshot
 //	...
 //
-// Recovery loads the newest decodable snapshot K and replays every
-// segment with index > K in order; only the final segment may end in a
-// torn record (crash mid-append), which is dropped and truncated away.
-// Compaction snapshots the live state, rotates to a fresh segment, and
-// prunes everything the snapshot covers — the write order (finish old
-// segment → open new segment → write snapshot via atomic rename → prune)
-// leaves every crash window recoverable.
+// A snapshot is the log compacted: a WAL file in the same record format,
+// holding the records that rebuild the state segments 1..K left. Recovery
+// reads the newest decodable snapshot K and replays it, then segments K+1,
+// K+2, ... in order — a missing one fails recovery rather than opening on
+// half the history. Only the final segment may end in a torn record
+// (crash mid-append), which is dropped and truncated away. Compaction
+// rotates to a fresh segment, writes the snapshot of the state the
+// finished one leaves, and prunes everything the snapshot covers; the
+// write order (open new segment → finish old segment → write snapshot
+// via atomic rename → prune) leaves every crash window recoverable.
 type Store struct {
 	dir      string
 	cfg      StoreConfig
@@ -43,7 +47,8 @@ type Store struct {
 	seg    int
 	closed bool
 
-	lastSnapshotUnixNS atomic.Int64
+	// snapSeg is the newest snapshot's index (0: none).
+	snapSeg atomic.Int64
 
 	stop chan struct{}
 	done chan struct{}
@@ -53,9 +58,6 @@ type Store struct {
 type StoreConfig struct {
 	// Sync is the WAL fsync policy (-wal-sync always|interval).
 	Sync SyncPolicy
-	// SyncInterval is the background fsync period under SyncInterval
-	// (default 100ms; ignored under SyncAlways).
-	SyncInterval time.Duration
 	// CompactInterval triggers automatic snapshot+compaction on a timer
 	// (zero disables it; call Compact explicitly instead).
 	CompactInterval time.Duration
@@ -70,12 +72,12 @@ type StoreConfig struct {
 type StoreStats struct {
 	// SnapshotWrites counts completed snapshot+compaction cycles.
 	SnapshotWrites obs.Counter
-	// SnapshotBytes accumulates encoded snapshot sizes.
+	// SnapshotBytes accumulates written snapshot sizes.
 	SnapshotBytes obs.Counter
 	// SnapshotErrors counts failed compactions.
 	SnapshotErrors obs.Counter
 	// BadSnapshots counts snapshot files that failed to decode during
-	// recovery (skipped in favor of an older one).
+	// recovery (skipped in favor of an older one and a longer replay).
 	BadSnapshots obs.Counter
 	// SegmentsPruned counts WAL segments removed by compaction.
 	SegmentsPruned obs.Counter
@@ -86,8 +88,11 @@ func segPath(dir string, seg int) string {
 }
 
 func snapPath(dir string, seg int) string {
-	return filepath.Join(dir, fmt.Sprintf("snapshot-%06d.json", seg))
+	return filepath.Join(dir, fmt.Sprintf("snapshot-%06d.jsonl", seg))
 }
+
+// syncEvery is the background fsync period under SyncInterval.
+const syncEvery = 100 * time.Millisecond
 
 // OpenStore recovers (or initializes) the segmented store at dir and
 // returns it with a ready cluster attached. Cluster options apply to the
@@ -95,9 +100,6 @@ func snapPath(dir string, seg int) string {
 func OpenStore(dir string, cfg StoreConfig, opts ...Option) (*Store, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
-	}
-	if cfg.SyncInterval <= 0 {
-		cfg.SyncInterval = 100 * time.Millisecond
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("bdms: store dir: %w", err)
@@ -161,7 +163,7 @@ func (s *Store) scanDir() (segs, snaps []int, err error) {
 		switch {
 		case matchIndexed(e.Name(), "wal-%06d.jsonl", &n):
 			segs = append(segs, n)
-		case matchIndexed(e.Name(), "snapshot-%06d.json", &n):
+		case matchIndexed(e.Name(), "snapshot-%06d.jsonl", &n):
 			snaps = append(snaps, n)
 		}
 	}
@@ -182,23 +184,26 @@ func matchIndexed(name, format string, n *int) bool {
 	return true
 }
 
-// recover loads the newest decodable snapshot and replays the segments
-// past it, returning the snapshot's segment index (0 when none loaded).
+// recover replays the newest decodable snapshot and the segments past it,
+// returning the snapshot's segment index (0 when none loaded).
 func (s *Store) recover(c *Cluster, segs, snaps []int, sp *span.Span) (int, error) {
 	snapSeg := 0
 	for i := len(snaps) - 1; i >= 0; i-- {
-		snap, err := readSnapshot(snapPath(s.dir, snaps[i]))
+		path := snapPath(s.dir, snaps[i])
+		recs, err := readWALFile(path, s.walStats, false)
+		if err == nil && (len(recs) == 0 || recs[0].Kind != walKindSnapshot) {
+			err = fmt.Errorf("bdms: no snapshot header")
+		}
 		if err != nil {
 			s.stats.BadSnapshots.Inc()
-			s.cfg.Logger.Warn("bdms: skipping undecodable snapshot",
-				"path", snapPath(s.dir, snaps[i]), "err", err)
+			s.cfg.Logger.Warn("bdms: skipping undecodable snapshot", "path", path, "err", err)
 			continue
 		}
-		if err := c.restoreSnapshot(snap); err != nil {
-			return 0, fmt.Errorf("bdms: restore snapshot %d: %w", snaps[i], err)
+		if err := c.replayWAL(recs); err != nil {
+			return 0, fmt.Errorf("bdms: snapshot %d: %w", snaps[i], err)
 		}
 		snapSeg = snaps[i]
-		s.lastSnapshotUnixNS.Store(snap.TakenUnixNS)
+		s.snapSeg.Store(int64(snapSeg))
 		break
 	}
 	sp.SetAttr("snapshot", fmt.Sprintf("%d", snapSeg))
@@ -206,6 +211,9 @@ func (s *Store) recover(c *Cluster, segs, snaps []int, sp *span.Span) (int, erro
 	var pending []int
 	for _, seg := range segs {
 		if seg > snapSeg {
+			if want := snapSeg + 1 + len(pending); seg != want {
+				return 0, fmt.Errorf("bdms: segment %d is missing: the history past snapshot %d has a hole", want, snapSeg)
+			}
 			pending = append(pending, seg)
 		}
 	}
@@ -239,20 +247,24 @@ func (s *Store) Stats() *StoreStats { return &s.stats }
 // rotations).
 func (s *Store) WALStats() *WALStats { return s.walStats }
 
-// SnapshotAge returns the time since the last completed snapshot, or -1
-// when none exists yet.
+// SnapshotAge returns the time since the newest snapshot was written, by
+// its file's mtime, or -1 when none exists yet.
 func (s *Store) SnapshotAge() time.Duration {
-	ns := s.lastSnapshotUnixNS.Load()
-	if ns == 0 {
+	seg := s.snapSeg.Load()
+	if seg == 0 {
 		return -1
 	}
-	return time.Since(time.Unix(0, ns))
+	fi, err := os.Stat(snapPath(s.dir, int(seg)))
+	if err != nil {
+		return -1
+	}
+	return time.Since(fi.ModTime())
 }
 
 // run drives the background fsync and compaction tickers.
 func (s *Store) run() {
 	defer close(s.done)
-	syncT := time.NewTicker(s.cfg.SyncInterval)
+	syncT := time.NewTicker(syncEvery)
 	defer syncT.Stop()
 	var compactC <-chan time.Time
 	if s.cfg.CompactInterval > 0 {
@@ -285,10 +297,11 @@ func (s *Store) currentWAL() *WAL {
 	return c.wal
 }
 
-// Compact snapshots the full cluster state, rotates the WAL onto a fresh
-// segment, and prunes every file the snapshot covers. Concurrent ingests
-// keep flowing: only the state capture and segment swap hold the cluster
-// lock; snapshot encoding and file I/O happen outside it.
+// Compact rotates the WAL onto a fresh segment, writes the snapshot of the
+// state the finished segment leaves, and prunes every file the snapshot
+// covers. Concurrent ingests keep flowing: only the state capture and
+// segment swap hold the cluster lock; encoding the results and file I/O
+// happen outside it.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -312,7 +325,7 @@ func (s *Store) compactLocked() error {
 	}
 
 	c.mu.Lock()
-	snap := c.snapshotStateLocked()
+	snap := c.snapshotLocked()
 	oldWAL := c.wal
 	c.wal = newWAL
 	c.mu.Unlock()
@@ -329,15 +342,13 @@ func (s *Store) compactLocked() error {
 		}
 	}
 
-	snap.Seg = doneSeg
-	snap.TakenUnixNS = time.Now().UnixNano()
 	n, err := writeSnapshot(snapPath(s.dir, doneSeg), snap)
 	if err != nil {
 		return err
 	}
 	s.stats.SnapshotWrites.Inc()
 	s.stats.SnapshotBytes.Add(float64(n))
-	s.lastSnapshotUnixNS.Store(snap.TakenUnixNS)
+	s.snapSeg.Store(int64(doneSeg))
 
 	// Prune: segments the snapshot covers and snapshots older than it.
 	segs, snaps, err := s.scanDir()
@@ -379,231 +390,142 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// --- snapshot format -----------------------------------------------------
+// --- snapshot: the log compacted ----------------------------------------
 
-// clusterSnapshot is the full-state snapshot file: everything the WAL
-// would otherwise replay, so segments at or below Seg can be pruned.
-type clusterSnapshot struct {
-	Version     int           `json:"version"`
-	Seg         int           `json:"seg"`
-	TakenUnixNS int64         `json:"taken_unix_ns"`
-	ClockNS     int64         `json:"clock_ns"`
-	SubSeq      uint64        `json:"sub_seq"`
-	Datasets    []snapDataset `json:"datasets"`
-	Channels    []ChannelDef  `json:"channels"`
-	Subs        []snapSub     `json:"subs"`
-	Groups      []snapGroup   `json:"groups,omitempty"`
+// snapshot is the cluster, captured under its lock, as the records that
+// rebuild it in replay order: the header (the subscription ID sequence,
+// which outlives a retired highest-numbered subscription), each dataset
+// followed by its ingests, the channels, the subscriptions — all before
+// any result, so joining a group seeds nothing — each subscription's
+// result dataset, and a tick per repetitive group at its last run. The
+// results are encoded by writeTo, outside the lock.
+type snapshot struct {
+	head    []walRecord // header, datasets and ingests, channels, subscriptions
+	results []heldResults
+	ticks   []walRecord
 }
 
-type snapDataset struct {
-	Name    string   `json:"name"`
-	Schema  Schema   `json:"schema"`
-	NextSeq uint64   `json:"next_seq"`
-	Records []Record `json:"records"`
-}
-
-type snapSub struct {
-	ID       string         `json:"id"`
-	Channel  string         `json:"channel"`
-	Params   []any          `json:"params"`
-	Callback string         `json:"callback,omitempty"`
-	LastTSNS int64          `json:"last_ts_ns"`
-	Seq      uint64         `json:"seq"`
-	Results  []ResultObject `json:"results"`
-	// stored is the result dataset as captured under the cluster lock;
-	// writeSnapshot encodes it into Results outside the lock.
+// heldResults is one subscription's result dataset, aliased: results are
+// append-only, so the captured prefix is never written again.
+type heldResults struct {
+	sub    string
 	stored []storedResult
 }
 
-// snapGroup persists repetitive-group progress (continuous groups carry
-// no execution state beyond their members).
-type snapGroup struct {
-	Channel string `json:"channel"`
-	Sig     string `json:"sig"`
-	LastSeq uint64 `json:"last_seq"`
-}
-
-const snapshotVersion = 1
-
-// snapshotStateLocked captures the full cluster state. Caller holds c.mu.
-func (c *Cluster) snapshotStateLocked() *clusterSnapshot {
-	snap := &clusterSnapshot{
-		Version: snapshotVersion,
-		ClockNS: int64(c.clock()),
-		SubSeq:  c.subSeq,
+// snapshotLocked captures the snapshot. Caller holds c.mu.
+func (c *Cluster) snapshotLocked() snapshot {
+	at := int64(c.clock())
+	snap := snapshot{head: []walRecord{{Kind: walKindSnapshot, LastSeq: c.subSeq, AtNS: at}}}
+	for _, name := range sortedKeys(c.datasets) {
+		ds := c.datasets[name]
+		schema := ds.schema
+		snap.head = append(snap.head, walRecord{Kind: walKindDataset, Dataset: name, Schema: &schema})
+		for _, r := range ds.ScanSince(0) {
+			snap.head = append(snap.head, walRecord{Kind: walKindIngest, Dataset: name, Data: r.Data, AtNS: int64(r.IngestedAt)})
+		}
 	}
-	names := make([]string, 0, len(c.datasets))
-	for n := range c.datasets {
-		names = append(names, n)
+	for _, name := range sortedKeys(c.channels) {
+		def := c.channels[name].def
+		snap.head = append(snap.head, walRecord{Kind: walKindChannel, Channel: &def})
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		ds := c.datasets[n]
-		snap.Datasets = append(snap.Datasets, snapDataset{
-			Name: n, Schema: ds.schema, NextSeq: ds.LastSeq(), Records: ds.ScanSince(0),
-		})
-	}
-	for _, ch := range c.channels {
-		snap.Channels = append(snap.Channels, ch.def)
-	}
-	sort.Slice(snap.Channels, func(i, j int) bool { return snap.Channels[i].Name < snap.Channels[j].Name })
-	subIDs := make([]string, 0, len(c.subs))
-	for id := range c.subs {
-		subIDs = append(subIDs, id)
-	}
-	sort.Strings(subIDs)
-	for _, id := range subIDs {
+	for _, id := range sortedKeys(c.subs) {
 		sub := c.subs[id]
-		// Positional parameter values in declaration order, so restore can
-		// re-bind exactly as the original subscribe did.
+		// Positional parameter values in declaration order, so replay
+		// binds them exactly as the original subscribe did.
 		params := make([]any, len(sub.ch.def.Params))
 		for i, name := range sub.ch.def.Params {
 			params[i] = sub.params[name]
 		}
-		snap.Subs = append(snap.Subs, snapSub{
-			ID: id, Channel: sub.ch.def.Name, Params: params, Callback: sub.callback,
-			LastTSNS: int64(sub.lastTS), Seq: sub.seq,
-			stored: append([]storedResult(nil), sub.results...),
+		snap.head = append(snap.head, walRecord{
+			Kind: walKindSub, Sub: id, Name: sub.ch.def.Name,
+			Params: params, Callback: sub.callback, AtNS: at,
 		})
+		snap.results = append(snap.results, heldResults{sub: id, stored: sub.results})
 	}
-	for chName, cg := range c.groups {
-		for sig, g := range cg.bySig {
-			if g.ch.Continuous() {
-				continue
+	for _, name := range sortedKeys(c.groups) {
+		cg := c.groups[name]
+		for _, sig := range sortedKeys(cg.bySig) {
+			if g := cg.bySig[sig]; !g.ch.Continuous() {
+				snap.ticks = append(snap.ticks, walRecord{
+					Kind: walKindTick, Name: name, Sig: sig,
+					LastSeq: g.lastSeq, AtNS: int64(g.nextRun - g.ch.def.Period),
+				})
 			}
-			snap.Groups = append(snap.Groups, snapGroup{Channel: chName, Sig: sig, LastSeq: g.lastSeq})
 		}
 	}
-	sort.Slice(snap.Groups, func(i, j int) bool {
-		if snap.Groups[i].Channel != snap.Groups[j].Channel {
-			return snap.Groups[i].Channel < snap.Groups[j].Channel
-		}
-		return snap.Groups[i].Sig < snap.Groups[j].Sig
-	})
 	return snap
 }
 
-// restoreSnapshot loads a snapshot into a fresh cluster (datasets first,
-// then channels, subscriptions, and group progress).
-func (c *Cluster) restoreSnapshot(snap *clusterSnapshot) error {
-	if snap.Version != snapshotVersion {
-		return fmt.Errorf("bdms: unsupported snapshot version %d", snap.Version)
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, sd := range snap.Datasets {
-		if _, ok := c.datasets[sd.Name]; ok {
-			return fmt.Errorf("bdms: dataset %q %w", sd.Name, ErrExists)
-		}
-		ds := newDataset(sd.Name, sd.Schema)
-		ds.restoreRecords(sd.NextSeq, sd.Records)
-		c.datasets[sd.Name] = ds
-	}
-	for _, def := range snap.Channels {
-		ch, err := compileChannel(def)
-		if err != nil {
-			return err
-		}
-		if err := c.registerChannelLocked(ch); err != nil {
-			return err
-		}
-	}
-	c.subSeq = snap.SubSeq
-	for _, ss := range snap.Subs {
-		ch, ok := c.channels[ss.Channel]
-		if !ok {
-			return fmt.Errorf("bdms: snapshot subscription %q references unknown channel %q", ss.ID, ss.Channel)
-		}
-		bound, err := ch.bindParams(ss.Params)
-		if err != nil {
-			return err
-		}
-		canon := canonicalParams(bound)
-		sub := &subscription{
-			id: ss.ID, ch: ch, params: canon, callback: ss.Callback,
-			lastTS: time.Duration(ss.LastTSNS), seq: ss.Seq,
-		}
-		for _, obj := range ss.Results {
-			r, err := storeResult(obj)
-			if err != nil {
-				return err
-			}
-			sub.results = append(sub.results, r)
-		}
-		c.joinGroup(sub)
-		c.subs[sub.id] = sub
-	}
-	for _, sg := range snap.Groups {
-		if g := c.group(sg.Channel, sg.Sig); g != nil {
-			g.lastSeq = sg.LastSeq
-		}
-	}
-	if d := time.Duration(snap.ClockNS); d > 0 {
-		if candidate := time.Now().Add(-d); candidate.Before(c.epoch) {
-			c.epoch = candidate
-		}
-	}
-	return nil
+	sort.Strings(keys)
+	return keys
 }
 
-// readSnapshot decodes one snapshot file.
-func readSnapshot(path string) (*clusterSnapshot, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// writeTo writes the snapshot's records as log lines and returns the bytes
+// written.
+func (snap snapshot) writeTo(w io.Writer) (int, error) {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var line []byte
+	n := 0
+	put := func(rec walRecord) error {
+		var err error
+		if line, err = appendWALLine(line[:0], rec); err != nil {
+			return err
+		}
+		n += len(line)
+		_, err = bw.Write(line)
+		return err
 	}
-	return decodeSnapshot(b)
-}
-
-// decodeSnapshot parses snapshot bytes (fuzzed by FuzzWALRecord's sibling
-// target; must never panic on arbitrary input).
-func decodeSnapshot(b []byte) (*clusterSnapshot, error) {
-	var snap clusterSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return nil, fmt.Errorf("bdms: decode snapshot: %w", err)
+	for _, rec := range snap.head {
+		if err := put(rec); err != nil {
+			return 0, err
+		}
 	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("bdms: unsupported snapshot version %d", snap.Version)
-	}
-	return &snap, nil
-}
-
-// writeSnapshot persists a snapshot via temp file + fsync + atomic rename
-// and returns the encoded size.
-func writeSnapshot(path string, snap *clusterSnapshot) (int, error) {
-	for i := range snap.Subs {
-		results, err := encodeResults(snap.Subs[i].stored)
+	for _, h := range snap.results {
+		objs, err := encodeResults(h.stored)
 		if err != nil {
 			return 0, err
 		}
-		snap.Subs[i].Results = results
+		for i := range objs {
+			rec := walRecord{Kind: walKindResult, Sub: h.sub, Result: &objs[i], AtNS: int64(objs[i].Timestamp)}
+			if err := put(rec); err != nil {
+				return 0, err
+			}
+		}
 	}
-	b, err := json.Marshal(snap)
-	if err != nil {
-		return 0, fmt.Errorf("bdms: encode snapshot: %w", err)
+	for _, rec := range snap.ticks {
+		if err := put(rec); err != nil {
+			return 0, err
+		}
 	}
+	return n, bw.Flush()
+}
+
+// writeSnapshot persists a snapshot via temp file + fsync + atomic rename
+// and returns the bytes written.
+func writeSnapshot(path string, snap snapshot) (int, error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("bdms: open snapshot tmp: %w", err)
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
+	n, err := snap.writeTo(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("bdms: write snapshot: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("bdms: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("bdms: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("bdms: publish snapshot: %w", err)
-	}
-	return len(b), nil
+	return n, nil
 }

@@ -369,6 +369,9 @@ func TestStoreRecoversFromUndecodableSnapshot(t *testing.T) {
 	}
 	clk.Advance(time.Second)
 	mustIngest(t, c, "EmergencyReports", map[string]any{"etype": "fire"})
+	// Snapshot 1 and segment 2 as they stand before the next compaction
+	// covers and prunes them.
+	before := copyDir(t, dir)
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -378,33 +381,20 @@ func TestStoreRecoversFromUndecodableSnapshot(t *testing.T) {
 	}
 
 	// Compaction pruned everything the newest snapshot covers, so simply
-	// corrupting it would (correctly) lose history. To exercise the
-	// skip-and-fall-back path, plant the same state as an OLDER snapshot
-	// first, then corrupt the newest: recovery must count the bad file,
-	// use the planted one and answer identically.
-	_, snaps, err := (&Store{dir: dir}).scanDir()
-	if err != nil {
-		t.Fatal(err)
+	// corrupting it would (correctly) fail recovery. Put the older snapshot
+	// and its tail back, as a crash between writing snapshot 2 and pruning
+	// would have left them, then corrupt the newest: recovery must count
+	// the bad file, use the older one and answer identically.
+	for _, name := range []string{snapPath("", 1), segPath("", 2)} {
+		data, err := os.ReadFile(filepath.Join(before, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(snaps) == 0 {
-		t.Fatal("expected a snapshot after Compact")
-	}
-	newest := snaps[len(snaps)-1]
-	good, err := os.ReadFile(snapPath(dir, newest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap clusterSnapshot
-	if err := json.Unmarshal(good, &snap); err != nil {
-		t.Fatal(err)
-	}
-	older := newest - 1
-	snap.Seg = older
-	planted, _ := json.Marshal(&snap)
-	if err := os.WriteFile(snapPath(dir, older), planted, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapPath(dir, newest), []byte(`{"version":1,"seg":`), 0o644); err != nil {
+	if err := os.WriteFile(snapPath(dir, 2), []byte(`{"kind":"snapshot","last_`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -24,16 +24,15 @@ import (
 //   - repetitive-group progress marks.
 //
 // Each entry is one JSONL record appended before the operation is
-// acknowledged. Replay applies records verbatim — ingests are re-inserted
-// WITHOUT re-running channel evaluation, because the results those
-// evaluations produced are themselves in the log; re-evaluating would
-// double-append them. That makes recovered result datasets byte-identical
-// to the pre-crash state.
-//
-// Snapshot + segment compaction on top of this log lives in store.go.
+// acknowledged, and replays through replay.go's one apply path — ingests
+// WITHOUT re-running channel evaluation, because the results evaluation
+// produced are in the log too, so recovered result datasets are
+// byte-identical to the pre-crash state. A snapshot is this log compacted
+// (store.go).
 
 // WAL record kinds.
 const (
+	walKindSnapshot   = "snapshot"
 	walKindDataset    = "dataset"
 	walKindIngest     = "ingest"
 	walKindChannel    = "channel"
@@ -65,7 +64,7 @@ type walRecord struct {
 	// Sub is the subscription ID (sub/unsub/result kinds).
 	Sub string `json:"sub,omitempty"`
 	// Params are the positional parameter values of a subscription (sub
-	// kind) or the canonical bound parameters of a repetitive group (tick).
+	// kind).
 	Params []any `json:"params,omitempty"`
 	// Callback is the subscription's webhook URL (sub kind).
 	Callback string `json:"callback,omitempty"`
@@ -74,7 +73,8 @@ type walRecord struct {
 	// Sig is the canonical parameter signature naming an evaluation group
 	// (tick kind).
 	Sig string `json:"sig,omitempty"`
-	// LastSeq is the repetitive group's new progress mark (tick kind).
+	// LastSeq is the repetitive group's new progress mark (tick kind), or
+	// the subscription ID sequence (snapshot kind).
 	LastSeq uint64 `json:"last_seq,omitempty"`
 }
 
@@ -176,26 +176,11 @@ func (w *WAL) appendLocked(recs []walRecord) error {
 		return fmt.Errorf("bdms: wal closed")
 	}
 	for _, rec := range recs {
-		var line []byte
-		ok := false
-		switch rec.Kind {
-		case walKindResult:
-			// Most of the log's bytes: rows spliced in, not re-scanned.
-			w.line, ok = appendResultRecord(w.line[:0], rec), true
-		case walKindIngest:
-			w.line, ok = appendIngestRecord(w.line[:0], rec)
+		var err error
+		if w.line, err = appendWALLine(w.line[:0], rec); err != nil {
+			return err
 		}
-		if ok {
-			w.line = append(w.line, '\n')
-			line = w.line
-		} else {
-			b, err := json.Marshal(rec)
-			if err != nil {
-				return fmt.Errorf("bdms: wal encode: %w", err)
-			}
-			line = append(b, '\n')
-		}
-		if _, err := w.w.Write(line); err != nil {
+		if _, err := w.w.Write(w.line); err != nil {
 			return fmt.Errorf("bdms: wal write: %w", err)
 		}
 	}
@@ -213,6 +198,24 @@ func (w *WAL) appendLocked(recs []walRecord) error {
 		w.stats.Fsyncs.Inc()
 	}
 	return nil
+}
+
+// appendWALLine appends rec as one log line, newline included.
+func appendWALLine(dst []byte, rec walRecord) ([]byte, error) {
+	switch rec.Kind {
+	case walKindResult:
+		// Most of the log's bytes: rows spliced in, not re-scanned.
+		return append(appendResultRecord(dst, rec), '\n'), nil
+	case walKindIngest:
+		if line, ok := appendIngestRecord(dst, rec); ok {
+			return append(line, '\n'), nil
+		}
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return dst, fmt.Errorf("bdms: wal encode: %w", err)
+	}
+	return append(append(dst, b...), '\n'), nil
 }
 
 // Sync forces the log to stable storage.
@@ -335,14 +338,6 @@ func readWAL(r io.Reader) (recs []walRecord, goodOff int64, torn bool, err error
 	return recs, goodOff, badErr != nil, nil
 }
 
-// logCreateDataset appends a dataset-creation entry (no-op without a WAL).
-func (c *Cluster) logCreateDataset(name string, schema Schema, at time.Duration) error {
-	if c.wal == nil {
-		return nil
-	}
-	return c.wal.append(walRecord{Kind: walKindDataset, Dataset: name, Schema: &schema, AtNS: int64(at)})
-}
-
 // logIngest appends a publication entry (no-op without a WAL).
 func (c *Cluster) logIngest(dataset string, data map[string]any, at time.Duration) error {
 	if c.wal == nil {
@@ -367,43 +362,6 @@ func (c *Cluster) logIngestBatch(dataset string, batch []map[string]any, at time
 	return c.wal.appendBatch(recs)
 }
 
-// logDefineChannel appends a channel definition (no-op without a WAL).
-func (c *Cluster) logDefineChannel(def ChannelDef, at time.Duration) error {
-	if c.wal == nil {
-		return nil
-	}
-	d := def
-	return c.wal.append(walRecord{Kind: walKindChannel, Channel: &d, AtNS: int64(at)})
-}
-
-// logDeleteChannel appends a channel deletion (no-op without a WAL).
-func (c *Cluster) logDeleteChannel(name string, at time.Duration) error {
-	if c.wal == nil {
-		return nil
-	}
-	return c.wal.append(walRecord{Kind: walKindDelChannel, Name: name, AtNS: int64(at)})
-}
-
-// logSubscribe appends a subscription registration with its positional
-// parameter values (no-op without a WAL).
-func (c *Cluster) logSubscribe(subID, channel string, params []any, callback string, at time.Duration) error {
-	if c.wal == nil {
-		return nil
-	}
-	return c.wal.append(walRecord{
-		Kind: walKindSub, Sub: subID, Name: channel,
-		Params: params, Callback: callback, AtNS: int64(at),
-	})
-}
-
-// logUnsubscribe appends a subscription removal (no-op without a WAL).
-func (c *Cluster) logUnsubscribe(subID string, at time.Duration) error {
-	if c.wal == nil {
-		return nil
-	}
-	return c.wal.append(walRecord{Kind: walKindUnsub, Sub: subID, AtNS: int64(at)})
-}
-
 // logResults appends the result objects a commit produced, one record per
 // (subscription, result) so per-subscription result datasets replay
 // exactly. Best-effort by design: the in-memory state is the source of
@@ -420,14 +378,6 @@ func (c *Cluster) logResults(pending []notification, at time.Duration) {
 		obj := n.obj
 		obj.PrevNS = 0
 		recs[i] = walRecord{Kind: walKindResult, Sub: n.subID, Result: &obj, AtNS: int64(at)}
-	}
-	_ = c.wal.appendBatch(recs)
-}
-
-// logTicks appends repetitive-group progress marks (no-op without a WAL).
-func (c *Cluster) logTicks(recs []walRecord) {
-	if c.wal == nil || len(recs) == 0 {
-		return
 	}
 	_ = c.wal.appendBatch(recs)
 }

@@ -70,12 +70,6 @@ type Config struct {
 	CacheBudget int64
 	// TTL tunes TTL-based policies.
 	TTL core.TTLConfig
-	// BackendRTT and BackendBandwidth estimate the cost of fetching an
-	// object from the data cluster; they parameterize the per-object
-	// fetch latency l_ij used by the LSD policy. Defaults: 500ms and
-	// 10 MB/s (Table II).
-	BackendRTT       time.Duration
-	BackendBandwidth float64 // bytes per second
 	// Clock overrides the broker-local clock (tests/simulation); the
 	// default is wall time since construction.
 	Clock func() time.Duration
@@ -108,9 +102,6 @@ type Broker struct {
 	// slowFetch is the wall-clock duration above which a data cluster pull
 	// is logged as slow.
 	slowFetch time.Duration
-
-	rtt time.Duration
-	bw  float64
 
 	mu sync.Mutex
 	// backendSubs deduplicates by subscription key.
@@ -219,12 +210,6 @@ func New(cfg Config) (*Broker, error) {
 	if cfg.Policy == nil {
 		return nil, errors.New("broker: Config.Policy is required")
 	}
-	if cfg.BackendRTT <= 0 {
-		cfg.BackendRTT = 500 * time.Millisecond
-	}
-	if cfg.BackendBandwidth <= 0 {
-		cfg.BackendBandwidth = 10 << 20
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
@@ -233,8 +218,6 @@ func New(cfg Config) (*Broker, error) {
 		backend:     cfg.Backend,
 		callbackURL: cfg.CallbackURL,
 		stats:       &metrics.CacheStats{},
-		rtt:         cfg.BackendRTT,
-		bw:          cfg.BackendBandwidth,
 		backendSubs: make(map[string]*backendSub),
 		backendByID: make(map[string]*backendSub),
 		byFabric:    make(map[string]*backendSub),
@@ -1050,11 +1033,20 @@ func (b *Broker) SetPushFunc(fn func(subscriber string, n PushNotification) bool
 	b.push = fn
 }
 
+// The estimated cost of fetching an object from the data cluster, which
+// parameterizes the per-object fetch latency l_ij the LSD policy uses: a
+// round trip plus the transfer at the cluster's bandwidth in bytes per
+// second (Table II).
+const (
+	backendRTT       = 500 * time.Millisecond
+	backendBandwidth = 10 << 20
+)
+
 // fetchLatency estimates l_ij: the added latency of retrieving an object
 // of the given size from the data cluster.
 func (b *Broker) fetchLatency(size int64) time.Duration {
-	transfer := time.Duration(float64(size) / b.bw * float64(time.Second))
-	return b.rtt + transfer
+	transfer := time.Duration(float64(size) / backendBandwidth * float64(time.Second))
+	return backendRTT + transfer
 }
 
 // backendResults pulls results from the data cluster. Pulls slower than

@@ -121,14 +121,12 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 	r.cluster = bdms.NewCluster(clusterOpts...)
 
 	b, err := broker.New(broker.Config{
-		ID:               "rig-broker",
-		Backend:          r.cluster,
-		Policy:           cfg.Policy,
-		CacheBudget:      cfg.CacheBudget,
-		TTL:              rigTTL,
-		BackendRTT:       rigClusterRTT,
-		BackendBandwidth: rigClusterBW,
-		Clock:            func() time.Duration { return r.now() },
+		ID:          "rig-broker",
+		Backend:     r.cluster,
+		Policy:      cfg.Policy,
+		CacheBudget: cfg.CacheBudget,
+		TTL:         rigTTL,
+		Clock:       func() time.Duration { return r.now() },
 	})
 	if err != nil {
 		return nil, err
