@@ -53,7 +53,6 @@ func TestMetricCatalogue(t *testing.T) {
 
 	b, err := broker.New(broker.Config{
 		ID: "b1", Backend: store.Cluster(), Policy: core.LSC{}, CacheBudget: 1 << 20,
-		Fabric: &broker.FabricConfig{Peers: bdms.NewPeerClient(nil)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,6 @@ func main() {
 	ttlInterval := flag.Duration("ttl-interval", time.Minute, "TTL recompute interval")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful drain deadline on SIGTERM: queued pushes are flushed and sessions migrated within this bound")
 	cacheSnapshot := flag.String("cache-snapshot", "", "warm cache snapshot path: written on graceful shutdown and restored (readiness-gated) on the next start (empty = off)")
-	ringRefresh := flag.Duration("ring-refresh", 5*time.Second, "fabric ring refresh interval (requires -bcs; 0 disables the fabric)")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
 	debugAddr := flag.String("debug-addr", "", "debug listen address for pprof and /debug/runtime (empty = off)")
 	traceOut := flag.String("trace-out", "", "write retained traces as JSON to this path on shutdown (\"-\" = stdout, empty = off)")
@@ -57,7 +56,7 @@ func main() {
 	flag.BoolVar(&res.staleServe, "stale-serve", true, "serve cached results stale (zero ack marker) when a cluster fetch fails")
 	flag.Parse()
 
-	if err := run(*addr, *public, *clusterURL, *bcsURL, *id, *policyName, *budgetStr, *ttlInterval, *drainTimeout, *ringRefresh, *cacheSnapshot, *logLevel, *debugAddr, *traceOut, res); err != nil {
+	if err := run(*addr, *public, *clusterURL, *bcsURL, *id, *policyName, *budgetStr, *ttlInterval, *drainTimeout, *cacheSnapshot, *logLevel, *debugAddr, *traceOut, res); err != nil {
 		fmt.Fprintln(os.Stderr, "badbroker:", err)
 		os.Exit(1)
 	}
@@ -75,7 +74,7 @@ type resilienceFlags struct {
 	staleServe      bool
 }
 
-func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttlInterval, drainTimeout, ringRefresh time.Duration, cacheSnapshot string, logLevel, debugAddr, traceOut string, res resilienceFlags) error {
+func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttlInterval, drainTimeout time.Duration, cacheSnapshot string, logLevel, debugAddr, traceOut string, res resilienceFlags) error {
 	observer, err := cliutil.NewObserver("badbroker", logLevel)
 	if err != nil {
 		return err
@@ -119,36 +118,10 @@ func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttl
 		observer.Registry.MustRegister(breakers.Collector())
 	}
 
-	// With a BCS configured, the broker joins the cooperative fabric: the
-	// membership ring refreshes on a ticker (below), peer lookups get their
-	// own per-target circuit breakers, and HRW rebalance migrates sessions
-	// whenever membership changes.
-	var bcsClient *bcs.Client
-	if bcsURL != "" {
-		bcsClient = bcs.NewClient(bcsURL, nil)
-	}
-	var fabricCfg *broker.FabricConfig
-	if bcsClient != nil && ringRefresh > 0 {
-		peerBreakers := httpx.NewBreakerSet(httpx.BreakerConfig{
-			FailureThreshold: res.breakerFailures,
-			OpenTimeout:      res.breakerOpen,
-		})
-		var peerOpts []bdms.PeerClientOption
-		if res.breakerFailures > 0 {
-			peerOpts = append(peerOpts, bdms.WithPeerBreakers(peerBreakers))
-			observer.Registry.MustRegister(peerBreakers.Collector())
-		}
-		fabricCfg = &broker.FabricConfig{
-			BCS:   bcsClient,
-			Peers: bdms.NewPeerClient(nil, peerOpts...),
-		}
-	}
-
 	b, err := broker.New(broker.Config{
 		ID:          id,
 		Backend:     bdms.NewClient(clusterURL, nil, clientOpts...),
 		CallbackURL: public + "/v1/callbacks/results",
-		Fabric:      fabricCfg,
 		Policy:      policy,
 		CacheBudget: budget,
 		TTL:         core.TTLConfig{RecomputeInterval: ttlInterval},
@@ -197,42 +170,19 @@ func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttl
 		}
 	}
 
+	// With a BCS configured, the broker joins the cooperative fabric: its
+	// heartbeat answers carry the membership ring, and HRW rebalance
+	// migrates sessions whenever membership changes.
+	var bcsClient *bcs.Client
 	var reg *broker.Registration
-	if bcsClient != nil {
+	if bcsURL != "" {
+		bcsClient = bcs.NewClient(bcsURL, nil)
 		reg, err = broker.RegisterWithBCS(b, bcsClient, public, 5*time.Second)
 		if err != nil {
 			return err
 		}
 		defer reg.Close()
 		log.Printf("registered with BCS at %s as %s", bcsURL, id)
-	}
-
-	// Fabric ring refresh: a conditional GET per tick (304 when unchanged);
-	// on a membership change, sessions the new ring places elsewhere are
-	// migrated immediately.
-	if fabricCfg != nil {
-		fabricCtx, stopFabric := context.WithCancel(context.Background())
-		defer stopFabric()
-		go func() {
-			ticker := time.NewTicker(ringRefresh)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-fabricCtx.Done():
-					return
-				case <-ticker.C:
-					changed, migrated, err := b.FabricTick(fabricCtx)
-					if err != nil {
-						observer.Logger.Warn("fabric ring refresh failed", "err", err)
-						continue
-					}
-					if changed {
-						log.Printf("badbroker %s: ring changed (epoch %d), migrated %d sessions",
-							id, b.Ring().Epoch, migrated)
-					}
-				}
-			}
-		}()
 	}
 
 	srv := &http.Server{
@@ -270,7 +220,7 @@ func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttl
 	// drain touches anything, keep a local copy for this broker's own
 	// restart, and ship the snapshot to the successor below.
 	var handoff *bdms.CacheSnapshot
-	if cacheSnapshot != "" || fabricCfg != nil {
+	if cacheSnapshot != "" || bcsClient != nil {
 		snap := b.SnapshotCache()
 		handoff = &snap
 		if cacheSnapshot != "" {
@@ -301,11 +251,7 @@ func run(addr, public, clusterURL, bcsURL, id, policyName, budgetStr string, ttl
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if handoff != nil && successor != "" && len(handoff.Entries) > 0 {
-		peers := bdms.NewPeerClient(nil)
-		if fabricCfg != nil {
-			peers = fabricCfg.Peers
-		}
-		if resp, werr := peers.Warmup(ctx, successor, *handoff); werr != nil {
+		if resp, werr := bdms.NewPeerClient(nil).Warmup(ctx, successor, *handoff); werr != nil {
 			log.Printf("badbroker %s: warm handoff to %s failed: %v", id, successor, werr)
 		} else {
 			log.Printf("badbroker %s: warm handoff to %s (applied %d, stashed %d, dropped %d)",
@@ -333,16 +279,31 @@ func readCacheSnapshot(path string) (*bdms.CacheSnapshot, error) {
 	return &snap, nil
 }
 
-// writeCacheSnapshot persists the warm cache snapshot atomically
-// (tmp + rename) so a crash mid-write cannot corrupt the previous one.
+// writeCacheSnapshot persists the warm cache snapshot atomically (tmp +
+// fsync + rename) so a crash mid-write cannot corrupt the previous one; on
+// any failure the temp file is removed.
 func writeCacheSnapshot(path string, snap bdms.CacheSnapshot) error {
 	data, err := json.Marshal(snap)
 	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }

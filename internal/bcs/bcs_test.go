@@ -136,10 +136,10 @@ func TestServerClientRoundTrip(t *testing.T) {
 	if err := client.Register("b1", "http://b1:9000"); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Heartbeat("b1", 7, false); err != nil {
+	if _, _, err := client.Heartbeat("b1", HeartbeatRequest{Load: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Heartbeat("ghost", 1, false); err == nil {
+	if _, _, err := client.Heartbeat("ghost", HeartbeatRequest{Load: 1}); err == nil {
 		t.Error("unknown broker heartbeat should fail over REST")
 	}
 	brokers, err := client.Brokers()
@@ -164,6 +164,39 @@ func TestServerClientRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHeartbeatCarriesRing: the heartbeat answer carries the ring view
+// exactly when the epoch the broker reports is not the BCS's, so a broker
+// that heartbeats stays in the fabric without asking for the ring, and a
+// steady-state heartbeat carries no view.
+func TestHeartbeatCarriesRing(t *testing.T) {
+	svc := NewService()
+	srv := httptest.NewServer(NewServer(svc).Handler())
+	defer srv.Close()
+	client := NewClient(srv.URL, srv.Client())
+	if err := client.Register("b1", "http://b1"); err != nil {
+		t.Fatal(err)
+	}
+
+	view, changed, err := client.Heartbeat("b1", HeartbeatRequest{})
+	if err != nil || !changed {
+		t.Fatalf("first heartbeat: changed=%v err=%v, want the ring", changed, err)
+	}
+	if view.Epoch == 0 || len(view.Brokers) != 1 || !view.Has("b1") {
+		t.Fatalf("first heartbeat view = %+v", view)
+	}
+	if _, changed, err := client.Heartbeat("b1", HeartbeatRequest{Epoch: view.Epoch}); err != nil || changed {
+		t.Fatalf("heartbeat at the current epoch: changed=%v err=%v, want no view", changed, err)
+	}
+
+	if err := client.Register("b2", "http://b2"); err != nil {
+		t.Fatal(err)
+	}
+	joined, changed, err := client.Heartbeat("b1", HeartbeatRequest{Epoch: view.Epoch})
+	if err != nil || !changed || joined.Epoch == view.Epoch || !joined.Has("b2") {
+		t.Fatalf("heartbeat after a join: view=%+v changed=%v err=%v", joined, changed, err)
+	}
+}
+
 // TestClientEscapesBrokerID: a broker id is a path segment in heartbeat and
 // deregister, so an id with a slash or a query mark must still reach its
 // own registration (unescaped, the heartbeat 404s or 405s and the broker
@@ -176,7 +209,7 @@ func TestClientEscapesBrokerID(t *testing.T) {
 		if err := client.Register(id, "http://edge:9000"); err != nil {
 			t.Fatalf("%q: register: %v", id, err)
 		}
-		if err := client.Heartbeat(id, 3, false); err != nil {
+		if _, _, err := client.Heartbeat(id, HeartbeatRequest{Load: 3}); err != nil {
 			t.Errorf("%q: heartbeat: %v", id, err)
 		}
 		if got := svc.Brokers(); !svc.Live(id) || len(got) != 1 || got[0].Load != 3 {

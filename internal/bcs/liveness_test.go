@@ -121,10 +121,10 @@ func TestServerAssignSkipsStaleBroker(t *testing.T) {
 		t.Fatal(err)
 	}
 	// b1 is less loaded, so it wins while live.
-	if err := c.Heartbeat("b1", 1, false); err != nil {
+	if _, _, err := c.Heartbeat("b1", HeartbeatRequest{Load: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Heartbeat("b2", 5, false); err != nil {
+	if _, _, err := c.Heartbeat("b2", HeartbeatRequest{Load: 5}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Place("", "")
@@ -137,7 +137,7 @@ func TestServerAssignSkipsStaleBroker(t *testing.T) {
 
 	// b1's heartbeat ages past the bound; only b2 keeps heartbeating.
 	now += 4 * time.Second
-	if err := c.Heartbeat("b2", 5, false); err != nil {
+	if _, _, err := c.Heartbeat("b2", HeartbeatRequest{Load: 5}); err != nil {
 		t.Fatal(err)
 	}
 	now += time.Second // b1's age is now exactly the bound

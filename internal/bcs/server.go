@@ -1,7 +1,6 @@
 package bcs
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -88,11 +87,17 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 // HeartbeatRequest carries a broker's load report plus its readiness:
 // Warming keeps a restarting broker registered without receiving placement.
+// Epoch is the epoch of the ring view the broker holds (0: none yet).
 type HeartbeatRequest struct {
-	Load    int  `json:"load"`
-	Warming bool `json:"warming,omitempty"`
+	Load    int    `json:"load"`
+	Warming bool   `json:"warming,omitempty"`
+	Epoch   uint64 `json:"epoch,omitempty"`
 }
 
+// handleHeartbeat answers with the current ring view when the broker's
+// epoch differs from it, and with null otherwise: the heartbeat is the one
+// exchange that keeps a broker both alive and in the fabric, and in the
+// steady state it carries no view.
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
@@ -103,7 +108,11 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusOK, nil)
+	if view := s.svc.Ring(); view.Epoch != req.Epoch {
+		httpx.WriteJSON(w, http.StatusOK, view)
+		return
+	}
+	httpx.WriteJSONBody(w, http.StatusOK, []byte("null\n"))
 }
 
 func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
@@ -153,7 +162,8 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRing serves the membership view with the epoch as a strong ETag,
-// so pollers pay a 304 instead of a body when nothing changed.
+// so an operator's poll pays a 304 instead of a body when nothing changed.
+// Brokers do not poll it: their heartbeat answer carries the view.
 func (s *Server) handleRing(w http.ResponseWriter, r *http.Request) {
 	view := s.svc.Ring()
 	etag := fmt.Sprintf(`"%d"`, view.Epoch)
@@ -186,11 +196,18 @@ func (c *Client) Register(id, address string) error {
 		RegisterRequest{ID: id, Address: address}, nil)
 }
 
-// Heartbeat refreshes a broker's liveness, load and readiness; warming
-// brokers stay registered but receive no placement.
-func (c *Client) Heartbeat(id string, load int, warming bool) error {
-	return httpx.DoJSON(c.http, http.MethodPost,
-		c.base+"/v1/brokers/"+url.PathEscape(id)+"/heartbeat", HeartbeatRequest{Load: load, Warming: warming}, nil)
+// Heartbeat refreshes a broker's liveness, load and readiness (warming
+// brokers stay registered but receive no placement) and reports the epoch
+// of the ring view the broker holds. When the BCS's ring has another epoch
+// the answer carries it: changed is true and view is the current ring.
+func (c *Client) Heartbeat(id string, hb HeartbeatRequest) (view RingView, changed bool, err error) {
+	var out *RingView
+	err = httpx.DoJSON(c.http, http.MethodPost,
+		c.base+"/v1/brokers/"+url.PathEscape(id)+"/heartbeat", hb, &out)
+	if err != nil || out == nil {
+		return RingView{}, false, err
+	}
+	return *out, true, nil
 }
 
 // Deregister removes a broker.
@@ -222,14 +239,4 @@ func (c *Client) Ring() (RingView, error) {
 	var out RingView
 	err := httpx.DoJSON(c.http, http.MethodGet, c.base+"/v1/ring", nil, &out)
 	return out, err
-}
-
-// RingIfChanged fetches the membership view conditionally: the caller's
-// cached epoch rides as an If-None-Match tag, and an unchanged ring costs
-// a 304 with changed=false (the returned view is then the zero value —
-// keep using the cached one).
-func (c *Client) RingIfChanged(ctx context.Context, prevEpoch uint64) (view RingView, changed bool, err error) {
-	hdr := http.Header{"If-None-Match": []string{fmt.Sprintf(`"%d"`, prevEpoch)}}
-	status, _, err := httpx.DoJSONHeader(ctx, c.http, http.MethodGet, c.base+"/v1/ring", hdr, nil, &view)
-	return view, err == nil && status != http.StatusNotModified, err
 }

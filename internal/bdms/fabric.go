@@ -2,7 +2,6 @@ package bdms
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"gobad/internal/httpx"
+	"gobad/internal/obs"
 )
 
 // Fabric wire contracts: the typed client for the broker-to-broker peer
@@ -73,38 +73,31 @@ func IsPeerDraining(err error) bool {
 
 // PeerClient performs broker-to-broker peer lookups against whichever
 // sibling owns a fabric key. Targets vary per call (ownership is per key),
-// so the breaker is a per-target set rather than a single circuit, and it
-// is driven manually: a peer_cold answer is a healthy "I don't have it"
-// that must not open the circuit, while transport errors and server
-// failures (a dead owner) must.
+// so lookups are circuit-broken per target (httpx.BreakerConfig defaults:
+// five consecutive failures open a circuit for ten seconds), and the
+// breakers are driven by hand: a peer_cold answer is a healthy "I don't
+// have it" that must not open the circuit, while transport errors and
+// server failures (a dead owner) must. While a target's circuit is open,
+// lookups against it fail fast with httpx.ErrBreakerOpen and the caller
+// falls through to the cluster.
 type PeerClient struct {
 	http *http.Client
 	brks *httpx.BreakerSet
 }
 
-// PeerClientOption configures a PeerClient.
-type PeerClientOption func(*PeerClient)
-
-// WithPeerBreakers circuit-breaks lookups per peer target; while a peer's
-// circuit is open, lookups against it fail fast with httpx.ErrBreakerOpen
-// and the caller falls through to the cluster.
-func WithPeerBreakers(s *httpx.BreakerSet) PeerClientOption {
-	return func(c *PeerClient) { c.brks = s }
-}
-
 // NewPeerClient returns a peer-lookup client. A nil httpClient uses a
 // 5s-timeout default — a peer lookup rides the miss path, so it must give
 // up well before the subscriber's own retrieval deadline.
-func NewPeerClient(httpClient *http.Client, opts ...PeerClientOption) *PeerClient {
+func NewPeerClient(httpClient *http.Client) *PeerClient {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 5 * time.Second}
 	}
-	c := &PeerClient{http: httpClient}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c
+	return &PeerClient{http: httpClient, brks: httpx.NewBreakerSet(httpx.BreakerConfig{})}
 }
+
+// Collector exports the per-target breakers' series (bad_breaker_*, one
+// target label per peer base URL).
+func (c *PeerClient) Collector() obs.Collector { return c.brks.Collector() }
 
 // Results asks the broker at baseURL — the HRW owner of fabricKey — for
 // its cached results in (afterNS, beforeNS] (or the open interval when
@@ -112,54 +105,38 @@ func NewPeerClient(httpClient *http.Client, opts ...PeerClientOption) *PeerClien
 // cluster fallback is always available and the miss path is latency-bound.
 func (c *PeerClient) Results(ctx context.Context, baseURL, fabricKey string, afterNS, beforeNS int64, inclusive bool) (PeerResultsResponse, error) {
 	var out PeerResultsResponse
-	var brk *httpx.Breaker
-	if c.brks != nil {
-		brk = c.brks.For(baseURL)
-		if err := brk.Allow(); err != nil {
-			return out, err
-		}
+	brk := c.brks.For(baseURL)
+	if err := brk.Allow(); err != nil {
+		return out, err
 	}
 	u := fmt.Sprintf("%s/v1/peer/results/%s?after_ns=%d&before_ns=%d&inclusive=%t",
 		baseURL, url.PathEscape(fabricKey), afterNS, beforeNS, inclusive)
 	hdr := http.Header{PeerHopHeader: []string{"1"}}
 	_, _, err := httpx.DoJSONHeader(ctx, c.http, http.MethodGet, u, hdr, nil, &out)
-	if brk != nil {
-		// peer_cold is a healthy answer; everything else (transport
-		// error, draining, loop, 5xx) counts against the circuit.
-		if IsPeerCold(err) {
-			brk.Record(nil)
-		} else {
-			brk.Record(err)
-		}
+	// peer_cold is a healthy answer; everything else (transport error,
+	// draining, loop, 5xx) counts against the circuit.
+	if IsPeerCold(err) {
+		brk.Record(nil)
+	} else {
+		brk.Record(err)
 	}
 	return out, err
 }
 
 // --- warm cache handoff --------------------------------------------------
 
-// CacheWarmObject is one serialized cached result object: enough to
-// reconstruct the successor's cache entry (identity, production timestamp,
-// size, payload rows) plus the fetch latency the predecessor measured (the
-// LSD/LSC policies weigh entries by it).
-type CacheWarmObject struct {
-	ID             string          `json:"id"`
-	TimestampNS    int64           `json:"ts_ns"`
-	Size           int64           `json:"size"`
-	FetchLatencyNS int64           `json:"fetch_latency_ns,omitempty"`
-	Rows           json.RawMessage `json:"rows"`
-}
-
 // CacheWarmEntry is the warm state of one backend subscription's result
 // cache: the portable fabric key plus the (channel, params) identity so a
 // successor that has not subscribed yet can still match a future
 // subscribe, the backend timestamp high-water mark, and the cached
-// objects oldest-first.
+// objects oldest-first, as the records they arrived in (the receiver
+// derives each one's fetch latency from its size).
 type CacheWarmEntry struct {
-	FabricKey string            `json:"fabric_key"`
-	Channel   string            `json:"channel"`
-	Params    []any             `json:"params"`
-	BTSNS     int64             `json:"bts_ns"`
-	Objects   []CacheWarmObject `json:"objects"`
+	FabricKey string         `json:"fabric_key"`
+	Channel   string         `json:"channel"`
+	Params    []any          `json:"params"`
+	BTSNS     int64          `json:"bts_ns"`
+	Objects   []ResultObject `json:"objects"`
 }
 
 // CacheSnapshot is a broker's serialized warm cache: written to disk on
@@ -173,8 +150,9 @@ type CacheSnapshot struct {
 	Entries     []CacheWarmEntry `json:"entries"`
 }
 
-// CacheSnapshotVersion is the current CacheSnapshot wire version.
-const CacheSnapshotVersion = 1
+// CacheSnapshotVersion is the current CacheSnapshot wire version; intake
+// drops a snapshot of any other version whole.
+const CacheSnapshotVersion = 2
 
 // WarmupResponse reports what the receiving broker did with a shipped
 // snapshot: entries applied onto live backend subscriptions, entries

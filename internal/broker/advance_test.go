@@ -213,11 +213,8 @@ func TestArrivalRoutesAreEquivalent(t *testing.T) {
 		}, 0, 3, 3},
 		{"resume backfill", env.resume, 0, 6, 1},
 		{"warm 1-3 then a pull for 6", func(e env) {
-			entry := bdms.CacheWarmEntry{FabricKey: e.bs.fkey, BTSNS: int64(e.r[2].Timestamp)}
-			for _, o := range e.r[:3] {
-				entry.Objects = append(entry.Objects, bdms.CacheWarmObject{
-					ID: o.ID, TimestampNS: int64(o.Timestamp), Size: o.Size, Rows: o.Rows})
-			}
+			entry := bdms.CacheWarmEntry{FabricKey: e.bs.fkey, BTSNS: int64(e.r[2].Timestamp),
+				Objects: e.r[:3]}
 			resp := e.b.InstallWarmup(context.Background(), bdms.CacheSnapshot{Version: bdms.CacheSnapshotVersion,
 				TakenUnixNS: time.Now().UnixNano(), Entries: []bdms.CacheWarmEntry{entry}})
 			if loaded := e.b.WarmupStats().ObjectsLoaded.Value(); resp.Applied != 1 || loaded != 3 {

@@ -84,10 +84,6 @@ type Config struct {
 	// missed range — the older objects are re-delivered once the
 	// cluster recovers (at-least-once, possible duplicates).
 	StaleServe bool
-	// Fabric connects the broker to the cooperative edge fabric: HRW
-	// placement, session rebalance and broker-to-broker peer lookup on
-	// cache misses. nil runs the broker standalone.
-	Fabric *FabricConfig
 }
 
 // Broker is a BAD broker node.
@@ -129,8 +125,8 @@ type Broker struct {
 	// attaches are refused so clients fail over to another broker.
 	draining atomic.Bool
 
-	// fabric is the cooperative-edge state (ring view, peer lookup memo);
-	// nil outside a fabric (single-broker mode).
+	// fabric is the cooperative-edge state (ring view, peer client, peer
+	// lookup memo); its ring stays empty until a view is installed.
 	fabric *fabric
 
 	// subFlights singleflights backend-subscription creation per key: K
@@ -230,9 +226,7 @@ func New(cfg Config) (*Broker, error) {
 		warm:        newWarmStore(),
 	}
 	b.sessions = newSessionHub(DefaultPushQueue, &b.stats.Delivered, b.log)
-	if cfg.Fabric != nil {
-		b.fabric = newFabric(b, *cfg.Fabric)
-	}
+	b.fabric = newFabric(b)
 	if cfg.Clock != nil {
 		b.clock = cfg.Clock
 	} else {
@@ -1081,10 +1075,8 @@ func (b *Broker) backendResults(ctx context.Context, subID string, from, to time
 // cluster fetch. Fetched objects are not re-cached (core enforces that by
 // simply returning them).
 func (b *Broker) fetchFromBackend(ctx context.Context, cacheID string, from, to time.Duration, inclusiveTo bool) ([]*core.Object, error) {
-	if f := b.fabric; f != nil {
-		if objs, ok := f.lookup(ctx, cacheID, from, to, inclusiveTo); ok {
-			return objs, nil
-		}
+	if objs, ok := b.fabric.lookup(ctx, cacheID, from, to, inclusiveTo); ok {
+		return objs, nil
 	}
 	results, err := b.backendResults(ctx, cacheID, from, to, inclusiveTo)
 	if err != nil {

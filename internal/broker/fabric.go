@@ -22,16 +22,6 @@ import (
 // broker, and the peer handler serves strictly from its local cache
 // (Manager.Peek), which makes lookup chains structurally impossible.
 
-// FabricConfig connects a broker to the cooperative fabric.
-type FabricConfig struct {
-	// BCS refreshes the membership ring (FabricTick). Optional: tests
-	// and embedded setups can install views directly with SetRing.
-	BCS *bcs.Client
-	// Peers performs broker-to-broker lookups; nil disables the peer
-	// tier (the fabric then only does placement/rebalance).
-	Peers *bdms.PeerClient
-}
-
 const (
 	// fabricMemoTTL bounds how long a peer answer is reused for an
 	// identical range before the sibling is asked again — the "populate
@@ -51,91 +41,61 @@ type memoEntry struct {
 }
 
 // fabric is the broker's runtime fabric state: the current ring view, the
-// short-TTL peer-answer memo and the per-peer latency histograms.
+// peer client, the short-TTL peer-answer memo and the per-peer latency
+// histograms. Every broker has one; with an empty ring — a broker that
+// never registered with a BCS — it is standalone: lookup finds no owner
+// and Rebalance moves nothing.
 type fabric struct {
-	b   *Broker
-	cfg FabricConfig
+	b     *Broker
+	peers *bdms.PeerClient
 
 	mu   sync.Mutex
 	ring bcs.RingView
 	memo map[string]memoEntry
-	// peers holds peerLat's children by owning broker ID, at most
+	// peerHists holds peerLat's children by owning broker ID, at most
 	// fabricPeerCap of them plus the overflow child.
-	peers map[string]*obs.Histogram
+	peerHists map[string]*obs.Histogram
 	// peerLat is the per-peer lookup latency in seconds; the broker server
 	// registers it.
 	peerLat *obs.HistogramVec
 }
 
-func newFabric(b *Broker, cfg FabricConfig) *fabric {
+func newFabric(b *Broker) *fabric {
 	return &fabric{
-		b:     b,
-		cfg:   cfg,
-		memo:  make(map[string]memoEntry),
-		peers: make(map[string]*obs.Histogram),
+		b:         b,
+		peers:     bdms.NewPeerClient(nil),
+		memo:      make(map[string]memoEntry),
+		peerHists: make(map[string]*obs.Histogram),
 		peerLat: obs.NewHistogramVec("bad_peer_lookup_seconds",
 			"Broker-to-broker peer lookup latency, labeled by owning peer.",
 			span.DeliveryBuckets, "peer"),
 	}
 }
 
-// fabricEnabled reports whether the broker participates in the fabric.
-func (b *Broker) fabricEnabled() bool { return b.fabric != nil }
-
-// SetRing installs a membership view (monotonic by epoch: stale views are
-// ignored) and reports whether the view changed. Production brokers get
-// views via FabricTick; tests and embedded fabrics install them directly.
+// SetRing installs a membership view and reports whether it changed the
+// broker's: a view is new when its epoch differs from the held one (a
+// restarted BCS numbers its epochs from 1 again, so a lower epoch is a new
+// view, not a stale one). A registered broker installs the views its
+// heartbeat answers carry; tests and embedded fabrics install them
+// directly.
 func (b *Broker) SetRing(view bcs.RingView) bool {
 	f := b.fabric
-	if f == nil {
-		return false
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if view.Epoch <= f.ring.Epoch && f.ring.Epoch != 0 {
+	if view.Epoch == f.ring.Epoch {
 		return false
 	}
-	changed := view.Epoch != f.ring.Epoch
 	f.ring = view
-	return changed
+	return true
 }
 
 // Ring returns the broker's current membership view (zero when none was
 // installed yet).
 func (b *Broker) Ring() bcs.RingView {
 	f := b.fabric
-	if f == nil {
-		return bcs.RingView{}
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.ring
-}
-
-// FabricTick refreshes the ring from the BCS (conditionally — an
-// unchanged ring costs a 304) and, when membership changed, migrates the
-// sessions HRW placement moved to another broker. Call it from a ticker.
-func (b *Broker) FabricTick(ctx context.Context) (changed bool, migrated int, err error) {
-	f := b.fabric
-	if f == nil || f.cfg.BCS == nil {
-		return false, 0, nil
-	}
-	// The tick is its own trace (joined to the caller's when it has one):
-	// the conditional ring fetch below carries its traceparent to the BCS,
-	// so a membership change is attributable across both processes.
-	ctx, sp := b.traces.Start(ctx, "fabric.tick")
-	defer func() { sp.SetError(err); sp.End() }()
-	f.mu.Lock()
-	prev := f.ring.Epoch
-	f.mu.Unlock()
-	view, fetched, err := f.cfg.BCS.RingIfChanged(ctx, prev)
-	if err != nil || !fetched {
-		return false, 0, err
-	}
-	if !b.SetRing(view) {
-		return false, 0, nil
-	}
-	return true, b.Rebalance(ctx), nil
 }
 
 // Rebalance migrates every connected session whose HRW owner under the
@@ -145,8 +105,7 @@ func (b *Broker) FabricTick(ctx context.Context) (changed bool, migrated int, er
 // the BCS. Sessions the ring still places here are untouched, so a
 // rebalance disturbs at most ~K/n sessions per membership change.
 func (b *Broker) Rebalance(ctx context.Context) int {
-	f := b.fabric
-	if f == nil || b.draining.Load() {
+	if b.draining.Load() {
 		return 0
 	}
 	ring := b.Ring()
@@ -193,12 +152,17 @@ func fabricHash(s string) string {
 // lookup is the peer tier of the miss path: on a local cache miss for
 // cacheID over (from, to], ask the HRW owner of the subscription's fabric
 // key for its cached copy. It returns ok=false whenever the fabric cannot
-// fully serve the range — not configured, we are the owner, the owner is
-// cold/draining/dead, or the answer was partial — in which case the caller
-// falls through to the cluster. It runs inside the manager's singleflight,
-// so concurrent identical misses cost one lookup.
+// fully serve the range — no sibling in the ring, we are the owner, the
+// owner is cold/draining/dead, or the answer was partial — in which case
+// the caller falls through to the cluster. It runs inside the manager's
+// singleflight, so concurrent identical misses cost one lookup.
 func (f *fabric) lookup(ctx context.Context, cacheID string, from, to time.Duration, inclusiveTo bool) ([]*core.Object, bool) {
-	if f.cfg.Peers == nil {
+	// A standalone broker, or one alone in its ring, has no sibling to
+	// ask: it returns before taking the broker lock.
+	f.mu.Lock()
+	ring := f.ring
+	f.mu.Unlock()
+	if len(ring.Brokers) == 0 || len(ring.Brokers) == 1 && ring.Brokers[0].ID == f.b.id {
 		return nil, false
 	}
 	f.b.mu.Lock()
@@ -211,9 +175,6 @@ func (f *fabric) lookup(ctx context.Context, cacheID string, from, to time.Durat
 	if bs == nil {
 		return nil, false
 	}
-	f.mu.Lock()
-	ring := f.ring
-	f.mu.Unlock()
 	owner, ok := ring.Owner(fkey)
 	if !ok || owner.ID == f.b.id {
 		return nil, false
@@ -235,7 +196,7 @@ func (f *fabric) lookup(ctx context.Context, cacheID string, from, to time.Durat
 	sp.SetAttr("peer", owner.ID)
 	sp.SetAttr("fabric_key", fkey)
 	start := time.Now()
-	resp, err := f.cfg.Peers.Results(lctx, owner.Address, fkey,
+	resp, err := f.peers.Results(lctx, owner.Address, fkey,
 		from.Nanoseconds(), to.Nanoseconds(), inclusiveTo)
 	d := time.Since(start)
 	f.observePeer(owner.ID, d)
@@ -286,14 +247,14 @@ const peerOverflowLabel = "_other"
 
 func (f *fabric) observePeer(peerID string, d time.Duration) {
 	f.mu.Lock()
-	h := f.peers[peerID]
+	h := f.peerHists[peerID]
 	if h == nil {
-		if len(f.peers) >= fabricPeerCap {
+		if len(f.peerHists) >= fabricPeerCap {
 			peerID = peerOverflowLabel
 		}
-		if h = f.peers[peerID]; h == nil {
+		if h = f.peerHists[peerID]; h == nil {
 			h = f.peerLat.With(peerID)
-			f.peers[peerID] = h
+			f.peerHists[peerID] = h
 		}
 	}
 	f.mu.Unlock()
@@ -327,12 +288,18 @@ func (b *Broker) PeerResults(fk string, from, to time.Duration, inclusiveTo bool
 	if !complete {
 		return bdms.PeerResultsResponse{LatestNS: int64(bts)}, false
 	}
-	results := make([]bdms.ResultObject, 0, len(objs))
-	for _, o := range objs {
-		results = append(results, bdms.ResultObject{
-			ID: o.ID, SubscriptionID: id, Timestamp: o.Timestamp,
+	return bdms.PeerResultsResponse{Results: resultObjects(id, objs), LatestNS: int64(bts), Complete: true}, true
+}
+
+// resultObjects turns held cache objects back into the records they
+// arrived in: what a peer answer and a warm cache snapshot carry.
+func resultObjects(subID string, objs []*core.Object) []bdms.ResultObject {
+	out := make([]bdms.ResultObject, len(objs))
+	for i, o := range objs {
+		out[i] = bdms.ResultObject{
+			ID: o.ID, SubscriptionID: subID, Timestamp: o.Timestamp,
 			Rows: o.Payload, Size: o.Size,
-		})
+		}
 	}
-	return bdms.PeerResultsResponse{Results: results, LatestNS: int64(bts), Complete: true}, true
+	return out
 }

@@ -100,7 +100,6 @@ func newFabricEnv(t *testing.T) *fabricEnv {
 		Backend: env.edgeCalls,
 		Policy:  core.NC{},
 		Clock:   env.clk.Now,
-		Fabric:  &FabricConfig{Peers: bdms.NewPeerClient(nil)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -326,60 +325,49 @@ func TestPeerTaxonomy(t *testing.T) {
 	}
 }
 
-// FabricTick keeps the broker's ring fresh through the conditional fetch:
-// the first tick pays a full GET, an unchanged ring costs a 304 (no view
-// churn), and a membership change flows through on the next tick.
-func TestFabricTick(t *testing.T) {
-	svc := bcs.NewService()
-	bcsSrv := httptest.NewServer(bcs.NewServer(svc).Handler())
-	defer bcsSrv.Close()
-	for _, id := range []string{"owner", "edge"} {
-		if err := svc.Register(id, "http://"+id); err != nil {
-			t.Fatal(err)
+// Every broker's peer tier is circuit-broken per owner: a dead owner (5xx
+// on every lookup) costs the failure threshold's worth of peer requests,
+// then the edge's misses skip the peer and go straight to the cluster,
+// and its /metrics shows the owner's circuit open.
+func TestPeerBreakerOpensOnFailingOwner(t *testing.T) {
+	env := newFabricEnv(t)
+	var ownerHits atomic.Int64
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		ownerHits.Add(1)
+		http.Error(w, "owner down", http.StatusInternalServerError)
+	}))
+	t.Cleanup(dead.Close)
+	if !env.edge.SetRing(bcs.RingView{Epoch: 2, Brokers: []bcs.BrokerInfo{{ID: "owner", Address: dead.URL}}}) {
+		t.Fatal("SetRing rejected the view")
+	}
+	fs, err := env.edge.Subscribe("edna", "Alerts", []any{"fire"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.publish(t, "fire", 1)
+
+	const threshold = 5 // httpx.BreakerConfig's default
+	for i := 0; i < threshold+3; i++ {
+		before := env.edgeCalls.calls.Load()
+		ret, err := env.edge.RetrieveContext(context.Background(), "edna", fs, 0)
+		if err != nil || len(ret.Items) != 1 {
+			t.Fatalf("retrieval %d = %d items, %v; want the cluster's one result", i, len(ret.Items), err)
+		}
+		if env.edgeCalls.calls.Load() != before+1 {
+			t.Fatalf("retrieval %d did not fall through to the cluster", i)
 		}
 	}
-	cluster := bdms.NewCluster()
-	b, err := New(Config{
-		ID:      "edge",
-		Backend: cluster,
-		Policy:  core.NC{},
-		Fabric:  &FabricConfig{BCS: bcs.NewClient(bcsSrv.URL, nil)},
-	})
-	if err != nil {
+	if got := ownerHits.Load(); got != threshold {
+		t.Errorf("failing owner saw %d lookups, want %d (then the circuit opens)", got, threshold)
+	}
+	if m := env.edge.Stats().PeerMisses.Value(); m != threshold+3 {
+		t.Errorf("peer misses = %v, want %d", m, threshold+3)
+	}
+	var buf strings.Builder
+	if err := NewServer(env.edge).Observer().Registry.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-
-	ctx := context.Background()
-	changed, migrated, err := b.FabricTick(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !changed || migrated != 0 {
-		t.Fatalf("first tick changed=%v migrated=%d, want true/0", changed, migrated)
-	}
-	ring := b.Ring()
-	if len(ring.Brokers) != 2 || !ring.Has("edge") || !ring.Has("owner") {
-		t.Fatalf("ring after tick = %+v", ring)
-	}
-
-	// Unchanged membership: the conditional fetch reports no change.
-	changed, _, err = b.FabricTick(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if changed {
-		t.Error("second tick reported a change on an unchanged ring")
-	}
-
-	// A join flows through on the next tick.
-	if err := svc.Register("third", "http://third"); err != nil {
-		t.Fatal(err)
-	}
-	changed, _, err = b.FabricTick(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !changed || !b.Ring().Has("third") {
-		t.Fatalf("join not observed: changed=%v ring=%+v", changed, b.Ring())
+	if want := `bad_breaker_state{target="` + dead.URL + `"} 2`; !strings.Contains(buf.String(), want) {
+		t.Errorf("edge /metrics lacks %q", want)
 	}
 }

@@ -103,9 +103,7 @@ func NewServer(b *Broker, opts ...ServerOption) *Server {
 		obs.GaugeFunc("bad_warmup_stash_entries", "Warm entries awaiting a matching subscribe.",
 			func() float64 { return float64(b.WarmStashSize()) }),
 	)
-	if b.fabricEnabled() {
-		s.obs.Registry.MustRegister(b.fabric.peerLat)
-	}
+	s.obs.Registry.MustRegister(b.fabric.peerLat, b.fabric.peers.Collector())
 	s.routes()
 	return s
 }

@@ -657,41 +657,26 @@ func (h *sessionHub) audienceSize(backendSub string) int {
 	return len(h.interests[backendSub])
 }
 
-// drain migrates every live session: further attaches are refused, each
-// session's pending markers are flushed (bounded by ctx) and each socket
-// is closed with a migrate frame naming the successor broker. Once the
-// last session is migrated the writer pool is stopped — a drained hub
-// accepts no new sessions, so the writers have nothing left to do. It
-// returns how many sessions were migrated.
+// drain is a rebalance of every live session to one successor, plus the
+// two things only a drain does: from here on attaches are refused (with a
+// migrate frame naming the successor), and once the last session is
+// migrated the writer pool is stopped — a drained hub accepts no new
+// sessions, so the writers have nothing left to do. It returns how many
+// sessions were migrated.
 func (h *sessionHub) drain(ctx context.Context, successor string) int {
 	h.mu.Lock()
 	h.draining = true
 	h.successor = successor
-	sessions := make([]*session, 0, len(h.sessions))
-	for _, s := range h.sessions {
-		sessions = append(sessions, s)
-		h.unlink(s)
-	}
-	clear(h.sessions)
 	h.mu.Unlock()
-
-	var wg sync.WaitGroup
-	for _, s := range sessions {
-		wg.Add(1)
-		go func(s *session) {
-			defer wg.Done()
-			s.migrate(ctx, successor)
-		}(s)
-	}
-	wg.Wait()
+	n := h.rebalance(ctx, func(string) (string, bool) { return successor, true })
 	h.stop()
-	return len(sessions)
+	return n
 }
 
 // rebalance migrates the subset of live sessions decide selects: each
 // selected session's pending markers are flushed (bounded by ctx) and its
 // socket is closed with a migrate frame naming that session's successor.
-// Unlike drain, the hub keeps accepting attaches — the broker remains a
+// Outside a drain the hub keeps accepting attaches — the broker remains a
 // live fabric member, it just stopped owning the moved subscribers.
 func (h *sessionHub) rebalance(ctx context.Context, decide func(subscriber string) (successor string, move bool)) int {
 	type moved struct {

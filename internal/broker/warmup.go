@@ -175,12 +175,7 @@ func (b *Broker) SnapshotCache() bdms.CacheSnapshot {
 		entry := bdms.CacheWarmEntry{
 			FabricKey: c.bs.fkey, Channel: c.bs.channel,
 			Params: c.bs.params, BTSNS: int64(c.bts),
-		}
-		for _, o := range objs {
-			entry.Objects = append(entry.Objects, bdms.CacheWarmObject{
-				ID: o.ID, TimestampNS: int64(o.Timestamp), Size: o.Size,
-				FetchLatencyNS: int64(o.FetchLatency), Rows: o.Payload,
-			})
+			Objects: resultObjects(c.bs.id, objs),
 		}
 		budget += warmEntryBytes(entry)
 		if budget > b.warm.maxBytes {
@@ -263,10 +258,7 @@ func (b *Broker) consumeWarm(ctx context.Context, bs *backendSub) {
 func (b *Broker) applyWarmEntry(ctx context.Context, bs *backendSub, e bdms.CacheWarmEntry) int {
 	held := make([]*core.Object, len(e.Objects))
 	for i, o := range e.Objects {
-		held[i] = &core.Object{
-			ID: o.ID, Timestamp: time.Duration(o.TimestampNS), Size: o.Size,
-			FetchLatency: time.Duration(o.FetchLatencyNS), Payload: o.Rows,
-		}
+		held[i] = b.object(o)
 	}
 	_, loaded, err := b.advance(ctx, bs, time.Duration(e.BTSNS), held, 0, true)
 	if err != nil {

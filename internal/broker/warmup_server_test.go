@@ -2,7 +2,9 @@ package broker
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -80,6 +82,40 @@ func TestPeerWarmupEndpoint(t *testing.T) {
 	}
 	if hits := env.broker.WarmupStats().Hits.Value(); hits != 1 {
 		t.Errorf("warmup hits = %v, want 1", hits)
+	}
+}
+
+// TestPeerWarmupVersionOneDropped: a version-1 snapshot (objects with
+// ts_ns and fetch_latency_ns, from a broker before warm objects became
+// result records) is dropped whole by the version check and counted on
+// /metrics, so a mixed-version fabric loses a warm start, never data.
+func TestPeerWarmupVersionOneDropped(t *testing.T) {
+	env, srv := newHTTPEnv(t)
+	body := fmt.Sprintf(`{"version":1,"broker":"old","taken_unix_ns":%d,"entries":[`+
+		`{"fabric_key":%q,"channel":"Alerts","params":["fire"],"bts_ns":2,"objects":[`+
+		`{"id":"r1","ts_ns":1,"size":2,"fetch_latency_ns":500000000,"rows":[{}]}]},`+
+		`{"fabric_key":"fk-other","channel":"Alerts","params":["flood"],"bts_ns":2,"objects":[]}]}`,
+		time.Now().UnixNano(), FabricKey("Alerts", []any{"fire"}))
+	var resp bdms.WarmupResponse
+	if err := httpx.DoJSON(srv.Client(), http.MethodPost, srv.URL+"/v1/peer/warmup", json.RawMessage(body), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Dropped != 2 || resp.Applied != 0 || resp.Stashed != 0 {
+		t.Errorf("version-1 intake = %+v, want both entries dropped", resp)
+	}
+	if env.broker.WarmStashSize() != 0 {
+		t.Errorf("stash size = %d, want 0", env.broker.WarmStashSize())
+	}
+	var buf bytes.Buffer
+	if err := NewServer(env.broker).Observer().Registry.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := obs.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := parsed.Value("bad_warmup_entries_dropped_total"); got != 2 {
+		t.Errorf("bad_warmup_entries_dropped_total = %v, want 2", got)
 	}
 }
 

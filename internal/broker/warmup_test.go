@@ -310,7 +310,7 @@ func TestWarmStoreBudget(t *testing.T) {
 		t.Fatal("small entry should fit")
 	}
 	big := bdms.CacheWarmEntry{FabricKey: "k2", Channel: "Alerts",
-		Objects: []bdms.CacheWarmObject{{ID: "o1", Size: 10_000}}}
+		Objects: []bdms.ResultObject{{ID: "o1", Size: 10_000}}}
 	if w.put(big) {
 		t.Error("oversized entry should be refused")
 	}

@@ -40,9 +40,6 @@ func newBrokerOn(t *testing.T, id, clusterURL string, svc *bcs.Service, opts ...
 		CallbackURL: srv.URL + "/v1/callbacks/results",
 		Policy:      core.LSC{},
 		CacheBudget: 1 << 20,
-		// Fabric without BCS/peers: ring views are installed directly by
-		// the tests that exercise rebalancing.
-		Fabric: &broker.FabricConfig{},
 	}
 	for _, opt := range opts {
 		opt(&cfg)

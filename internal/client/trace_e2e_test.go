@@ -86,7 +86,6 @@ func newTraceStack(t *testing.T) *traceStack {
 		Backend:     bdms.NewClient(st.clusterSrv.URL, nil),
 		CallbackURL: edgeSrv.URL + "/v1/callbacks/results",
 		Policy:      core.NC{},
-		Fabric:      &broker.FabricConfig{Peers: bdms.NewPeerClient(nil)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -445,28 +445,6 @@ func (cv *CounterVec) Collect(emit func(Family)) {
 func (cv *CounterVec) metricName() string     { return cv.v.name }
 func (cv *CounterVec) metricType() MetricType { return CounterType }
 
-// GaugeVec is a labelled gauge family.
-type GaugeVec struct{ v *vec[Gauge] }
-
-// NewGaugeVec returns a gauge family; register it on a Registry.
-func NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{newVec(name, help, labelNames, func() *Gauge { return new(Gauge) })}
-}
-
-// With returns (creating on first use) the child for the label values.
-func (gv *GaugeVec) With(labelValues ...string) *Gauge { return gv.v.with(labelValues...) }
-
-// Collect implements Collector.
-func (gv *GaugeVec) Collect(emit func(Family)) {
-	emit(Family{
-		Name: gv.v.name, Help: gv.v.help, Type: GaugeType,
-		Points: gv.v.points(func(c *child[Gauge]) Point { return Point{Value: c.inst.Value()} }),
-	})
-}
-
-func (gv *GaugeVec) metricName() string     { return gv.v.name }
-func (gv *GaugeVec) metricType() MetricType { return GaugeType }
-
 // HistogramVec is a labelled histogram family.
 type HistogramVec struct{ v *vec[Histogram] }
 

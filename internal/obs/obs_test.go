@@ -76,7 +76,7 @@ func TestRegistryRejectsTypeClash(t *testing.T) {
 			t.Error("re-registering a name with a different type should panic")
 		}
 	}()
-	reg.MustRegister(NewGaugeVec("clash_total", "now a gauge", "l"))
+	reg.MustRegister(NewHistogramVec("clash_total", "now a histogram", nil, "l"))
 }
 
 func TestVecChildrenAreStable(t *testing.T) {
@@ -121,9 +121,9 @@ func TestExpositionFormat(t *testing.T) {
 
 	// HELP and TYPE lines present, TYPE correct.
 	for name, typ := range map[string]MetricType{
-		"test_requests_total": CounterType,
+		"test_requests_total":  CounterType,
 		"test_latency_seconds": HistogramType,
-		"test_up":             GaugeType,
+		"test_up":              GaugeType,
 	} {
 		if parsed.Types[name] != typ {
 			t.Errorf("TYPE %s = %q, want %q", name, parsed.Types[name], typ)
@@ -172,11 +172,11 @@ func TestExpositionFormat(t *testing.T) {
 
 func TestExpositionLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
-	gv := NewGaugeVec("test_weird", "Label escaping.", "v")
-	gv.With("a\\b\"c\nd").Set(1)
-	reg.MustRegister(gv)
+	cv := NewCounterVec("test_weird_total", "Label escaping.", "v")
+	cv.With("a\\b\"c\nd").Inc()
+	reg.MustRegister(cv)
 	text, _ := gatherText(t, reg) // gatherText fails the test if it cannot parse
-	want := `test_weird{v="a\\b\"c\nd"} 1`
+	want := `test_weird_total{v="a\\b\"c\nd"} 1`
 	if !strings.Contains(text, want) {
 		t.Errorf("escaped sample %q not found in:\n%s", want, text)
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 )
 
 // Dist is a one-dimensional distribution that can be sampled with an
@@ -187,60 +186,6 @@ func (z *Zipf) Prob(i int) float64 {
 		return z.cdf[0]
 	}
 	return z.cdf[i] - z.cdf[i-1]
-}
-
-// PoissonProcess generates event times of a homogeneous Poisson process in
-// virtual time. The paper's simulator feeds each backend subscription with
-// result objects arriving "Poisson, rate 1 per 10-60 sec".
-type PoissonProcess struct {
-	rng  *rand.Rand
-	rate float64 // events per second
-	next time.Duration
-}
-
-// NewPoissonProcess returns a process with the given rate (events/second)
-// whose first event is drawn relative to start.
-func NewPoissonProcess(rng *rand.Rand, rate float64, start time.Duration) *PoissonProcess {
-	p := &PoissonProcess{rng: rng, rate: rate, next: start}
-	p.advance()
-	return p
-}
-
-// Rate returns the configured event rate in events/second.
-func (p *PoissonProcess) Rate() float64 { return p.rate }
-
-// Next returns the time of the next event and advances the process.
-func (p *PoissonProcess) Next() time.Duration {
-	t := p.next
-	p.advance()
-	return t
-}
-
-// Peek returns the time of the next event without consuming it.
-func (p *PoissonProcess) Peek() time.Duration { return p.next }
-
-func (p *PoissonProcess) advance() {
-	if p.rate <= 0 {
-		p.next = time.Duration(math.MaxInt64)
-		return
-	}
-	gap := p.rng.ExpFloat64() / p.rate
-	p.next += time.Duration(gap * float64(time.Second))
-}
-
-// Seeds derives independent child seeds from a master seed, one per named
-// concern. Using distinct streams per concern keeps experiments comparable:
-// e.g. the object-size draws are identical across caching policies.
-func Seeds(master int64, concerns ...string) map[string]int64 {
-	out := make(map[string]int64, len(concerns))
-	for _, c := range concerns {
-		var h int64 = master
-		for _, r := range c {
-			h = h*1000003 + int64(r)
-		}
-		out[c] = h
-	}
-	return out
 }
 
 // DeriveSeed returns a deterministic child seed for (master, concern, index).

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func newRng() *rand.Rand { return rand.New(rand.NewSource(42)) }
@@ -175,55 +174,6 @@ func TestZipfSampleInRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPoissonProcessRate(t *testing.T) {
-	rng := newRng()
-	p := NewPoissonProcess(rng, 0.1, 0) // 1 event per 10s
-	var last time.Duration
-	const n = 20000
-	for i := 0; i < n; i++ {
-		tt := p.Next()
-		if tt < last {
-			t.Fatal("event times must be non-decreasing")
-		}
-		last = tt
-	}
-	gotMean := last.Seconds() / n
-	if math.Abs(gotMean-10)/10 > 0.05 {
-		t.Errorf("mean inter-arrival = %v, want ~10s", gotMean)
-	}
-	if p.Rate() != 0.1 {
-		t.Errorf("Rate = %v, want 0.1", p.Rate())
-	}
-}
-
-func TestPoissonProcessPeek(t *testing.T) {
-	p := NewPoissonProcess(newRng(), 1, time.Minute)
-	first := p.Peek()
-	if first < time.Minute {
-		t.Errorf("first event %v should be after start %v", first, time.Minute)
-	}
-	if got := p.Next(); got != first {
-		t.Errorf("Next = %v, want peeked %v", got, first)
-	}
-}
-
-func TestPoissonProcessZeroRate(t *testing.T) {
-	p := NewPoissonProcess(newRng(), 0, 0)
-	if p.Peek() != time.Duration(math.MaxInt64) {
-		t.Error("zero-rate process should never fire")
-	}
-}
-
-func TestSeedsDistinct(t *testing.T) {
-	s := Seeds(1, "arrivals", "sizes", "onoff")
-	if len(s) != 3 {
-		t.Fatalf("got %d seeds, want 3", len(s))
-	}
-	if s["arrivals"] == s["sizes"] || s["sizes"] == s["onoff"] {
-		t.Error("seeds for different concerns should differ")
 	}
 }
 
