@@ -8,9 +8,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint = vet plus staticcheck when it is installed (skipped gracefully
-# otherwise, so lint never needs network access).
+# lint = vet, gofmt over every tracked .go file (git ls-files, so build
+# output such as .bench_build/ is never walked), plus staticcheck when it
+# is installed (skipped gracefully otherwise, so lint never needs network
+# access).
 lint: vet
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -44,7 +50,7 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -note "Fanout is the pooled-writer interest-keyed hub (1000 drained subscribers plus one stalled) with GC-owned sessions and events. Same hub with sessions and events drawn from sync.Pools (deleted; it cost three use-after-release bugs and moved no live metric): 44166ns/0allocs, p99 97454ns. Goroutine-per-session hub before the writer pool: 201824ns/57allocs, p99 595609ns. Original synchronous per-subscriber dispatch loop (BenchmarkFanoutLegacySync, deleted; drained subscribers only): 2420618ns/2000allocs, p99 4733616ns. objectsInRange pre-change: span=1 4513ns/1alloc, span=16 4963ns/5allocs, span=256 6647ns/9allocs. ResultsRouteHit is client.GetResults against an httptest broker serving one cached 700-byte object to each of 32 subscribers; before rows stayed bytes and spans left the allocator, same box: 47407ns/181allocs. ResultsSocketHit is the same with every subscriber Listening, so each retrieval is one frame each way on its notification socket, the push frames' decode included. Before the notification socket's frames stopped going through encoding/json (the HTTP fallback's decode shares that reader): RouteHit 12639B/133allocs, SocketHit 7280B/83allocs. HandleCallback is the broker's webhook route on a 4-entry envelope with pushed rows, its results cached after the first round; with the envelope decoded by encoding/json: 14345B/89allocs." \
 		> BENCH_fanout.json
 	$(GO) test -run=NONE -bench='BenchmarkIngestEval' -benchmem -cpu 1 -count=3 ./internal/bdms \
-		| $(GO) run ./cmd/benchjson -note "Grouped channel evaluation over the compiled engine: evals/rec equals signature groups G, not subscriptions S; geo/sigs=2000 is the live benchmark's eval_wide body and grid. Tree-walking evaluator before compilation (same cases, -cpu 1): geo/sigs=2000 1670000ns/op 9440allocs, subs=1000/sigs=10 110000ns/op 357allocs, subs=10000/sigs=100 280000ns/op 664allocs, subs=10000/sigs=1000 750000ns/op 4082allocs, batch 140000ns/op 333allocs. geo/sigs=2000 while evaluation encoded its rows, and indexKey its keys, with encoding/json: 7245B/op 126allocs." \
+		| $(GO) run ./cmd/benchjson -note "Grouped channel evaluation over the compiled engine: evals/rec equals signature groups G, not subscriptions S; geo/sigs=2000 is the live benchmark's eval_wide body and grid. Tree-walking evaluator before compilation (same cases, -cpu 1): geo/sigs=2000 1670000ns/op 9440allocs, subs=1000/sigs=10 110000ns/op 357allocs, subs=10000/sigs=100 280000ns/op 664allocs, subs=10000/sigs=1000 750000ns/op 4082allocs, batch 140000ns/op 333allocs. geo/sigs=2000 while evaluation encoded its rows, and indexKey its keys, with encoding/json: 7245B/op 126allocs. geo/sigs=2000 before the geo-grid index, when every publication scanned all 2000 groups: 102037ns/op 59allocs 5312B/op; its row was re-recorded alone with the index, on a slower box where the parent read 153612ns/op." \
 		> BENCH_eval.json
 
 # Full soak run: BenchmarkSoak stands up 10k then 100k simulated WebSocket

@@ -398,12 +398,12 @@ func (m *comparison) apply(x, y *value) (bool, error) {
 // mismatched-type result stays what it was. It returns nil for any other
 // shape.
 func (cp *compiler) geoWithin(b Binary, generic predFn) predFn {
-	call, ok := b.L.(Call)
-	if !ok || b.Op != "<=" || len(call.Args) != 4 || strings.ToLower(call.Func) != "geo_distance" {
+	args, ok := geoTest(b)
+	if !ok {
 		return nil
 	}
 	var ops [5]leaf
-	for i, e := range append(append([]Expr(nil), call.Args...), b.R) {
+	for i, e := range args {
 		if ops[i], ok = cp.leaf(e); !ok {
 			return nil
 		}
@@ -426,6 +426,65 @@ func (cp *compiler) geoWithin(b Binary, generic predFn) predFn {
 	}
 }
 
+// geoTest recognises the circle comparison `geo_distance(a, b, c, d) <= e`
+// and returns its five operands. It is the one place that says what a
+// circle test looks like: the geoWithin peephole and GeoConjunct (hence
+// the cluster's geo index) both read it.
+func geoTest(b Binary) (args [5]Expr, ok bool) {
+	call, ok := b.L.(Call)
+	if !ok || b.Op != "<=" || len(call.Args) != 4 || strings.ToLower(call.Func) != "geo_distance" {
+		return args, false
+	}
+	copy(args[:], call.Args)
+	args[4] = b.R
+	return args, true
+}
+
+// GeoConjunct finds, among the top-level AND conjuncts of where, the first
+// circle test
+//
+//	geo_distance(path, path, $lat, $lon) <= R
+//
+// whose R is a parameter or a number literal; the two paths and the two
+// parameters may swap places as pairs. It returns the record paths, the
+// centre's parameters and R. A predicate holding such a conjunct is false
+// for every record whose point lies more than R from the centre.
+func GeoConjunct(where Expr) (point [2]Path, centre [2]Param, radius Expr, ok bool) {
+	b, isBinary := where.(Binary)
+	if !isBinary {
+		return point, centre, nil, false
+	}
+	if b.Op == "and" {
+		if point, centre, radius, ok = GeoConjunct(b.L); ok {
+			return point, centre, radius, true
+		}
+		return GeoConjunct(b.R)
+	}
+	args, isGeo := geoTest(b)
+	if !isGeo {
+		return point, centre, nil, false
+	}
+	switch r := args[4].(type) {
+	case Param:
+	case Lit:
+		if _, num := r.Value.(float64); !num {
+			return point, centre, nil, false
+		}
+	default:
+		return point, centre, nil, false
+	}
+	for _, at := range [2]int{0, 2} { // the record's pair first, then swapped
+		lat, ok1 := args[at].(Path)
+		lon, ok2 := args[at+1].(Path)
+		clat, ok3 := args[2-at].(Param)
+		clon, ok4 := args[3-at].(Param)
+		if ok1 && ok2 && ok3 && ok4 {
+			return [2]Path{lat, lon}, [2]Param{clat, clon}, args[4], true
+		}
+	}
+	return point, centre, nil, false
+}
+
 // latBandExceeds reports that the two latitudes alone already put the
 // points more than r km apart. For valid latitudes the great-circle
 // distance is at least R·|Δφ|, so a true result implies haversineKm(...) >
@@ -440,7 +499,41 @@ func latBandExceeds(lat1, lon1, lat2, lon2, r float64) bool {
 	d := math.Abs(lat2 - lat1)
 	return d <= 90 && math.Abs(lat1) <= 90 && math.Abs(lat2) <= 90 &&
 		math.Abs(lon2-lon1) <= math.MaxFloat64 &&
-		earthRadiusKm*d*(math.Pi/180) > r+1e-9*(r+1)
+		earthRadiusKm*d*(math.Pi/180) > r+geoGuard(r)
+}
+
+// geoGuard is the slack, relative plus absolute, that the latitude band
+// and GeoBox add to a radius so that haversineKm's rounding never puts a
+// point it calls within r outside them.
+func geoGuard(r float64) float64 { return 1e-9 * (r + 1) }
+
+// GeoBox returns the latitude/longitude box, in degrees, that holds every
+// point (lat, lon) in [-90, 90] × [-180, 180] whose haversineKm to the
+// centre (clat, clon) is at most radiusKm. With δ the angular radius, the
+// box is φ0 ± δ by the R·|Δφ| rule of the latitude band, and λ0 ± asin(sin
+// δ / cos φ0), the widest longitude a spherical cap reaches; δ carries the
+// band's guard. The half-width is computed as atan2(sin δ, √((cos φ0 − sin
+// δ)(cos φ0 + sin δ))), the same angle without asin's ill-conditioning
+// where the cap nearly touches a pole. ok is false when the box would
+// reach a pole or cross ±180°, and when any input is not a finite number
+// or the radius is negative: no box then bounds the circle.
+func GeoBox(clat, clon, radiusKm float64) (south, north, west, east float64, ok bool) {
+	if !(radiusKm >= 0) { // NaN too; any other non-finite input fails a range test below
+		return 0, 0, 0, 0, false
+	}
+	delta := (radiusKm + geoGuard(radiusKm)) / earthRadiusKm
+	half := delta * 180 / math.Pi
+	south, north = clat-half, clat+half
+	cosLat, sinDelta := math.Cos(clat*math.Pi/180), math.Sin(delta)
+	if !(south > -90 && north < 90 && cosLat > sinDelta) {
+		return 0, 0, 0, 0, false
+	}
+	width := math.Atan2(sinDelta, math.Sqrt((cosLat-sinDelta)*(cosLat+sinDelta))) * 180 / math.Pi
+	west, east = clon-width, clon+width
+	if !(west >= -180 && east <= 180) {
+		return 0, 0, 0, 0, false
+	}
+	return south, north, west, east, true
 }
 
 func (cp *compiler) arith(b Binary) evalFn {

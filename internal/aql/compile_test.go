@@ -274,11 +274,14 @@ func FuzzCompiledEval(f *testing.F) {
 }
 
 // The latitude-band reject may only ever say "farther than r" when the
-// haversine agrees, so the peephole never changes a result.
+// haversine agrees, so the peephole never changes a result; and GeoBox's
+// box must hold every in-range point the predicate calls within r, so the
+// cluster's geo index never drops a match.
 func TestLatBandNeverDisagrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	lats := []float64{-90, 90, 0, math.Copysign(0, -1), 89.9999999, -89.9999999, 45, 33.5, 1e-200, -1e-200, 5e-324}
-	lons := []float64{-180, 180, 179.9999999, -179.9999999, 0, -118}
+	nan, inf := math.NaN(), math.Inf(1)
+	lats := []float64{-90, 90, 0, math.Copysign(0, -1), 89.9999999, -89.9999999, 45, 33.5, 1e-200, -1e-200, 5e-324, nan, inf}
+	lons := []float64{-180, 180, 179.9999999, -179.9999999, 0, -118, nan, -inf}
 	coord := func(edge []float64, span float64) float64 {
 		switch rng.Intn(4) {
 		case 0:
@@ -288,12 +291,16 @@ func TestLatBandNeverDisagrees(t *testing.T) {
 		}
 		return (rng.Float64()*2 - 1) * span
 	}
-	rejected := 0
+	inRange := func(lat, lon float64) bool { return math.Abs(lat) <= 90 && math.Abs(lon) <= 180 }
+	rejected, boxed := 0, 0
 	for i := 0; i < 1_000_000; i++ {
 		lat1, lon1 := coord(lats, 90), coord(lons, 180)
 		lat2, lon2 := coord(lats, 90), coord(lons, 180)
-		if rng.Intn(2) == 0 { // a neighbour, as on a subscription grid
+		switch rng.Intn(4) {
+		case 0, 1: // a neighbour, as on a subscription grid
 			lat2, lon2 = lat1+(rng.Float64()*2-1)*0.05, lon1+(rng.Float64()*2-1)*0.05
+		case 2: // round point 2, out to where its circle touches a pole
+			lat1, lon1 = onCircle(lat2, lon2, rng.Float64()*2*math.Pi, rng.Float64()*(90-math.Abs(lat2))*math.Pi/180)
 		}
 		d := haversineKm(lat1, lon1, lat2, lon2)
 		band := earthRadiusKm * math.Abs(lat2-lat1) * math.Pi / 180
@@ -320,10 +327,51 @@ func TestLatBandNeverDisagrees(t *testing.T) {
 				t.Fatalf("band rejects (%v,%v)-(%v,%v) at r=%v but haversine is %v", lat1, lon1, lat2, lon2, r, d)
 			}
 		}
+		south, north, west, east, ok := GeoBox(lat2, lon2, r)
+		if !ok {
+			if math.Abs(lat2) < 89 && math.Abs(lon2) < 179 && r >= 0 && r < 1 {
+				t.Fatalf("GeoBox(%v, %v, %v) declines a small circle far from the poles and ±180°", lat2, lon2, r)
+			}
+			continue
+		}
+		if !inRange(lat2, lon2) || !(r >= 0) || south < -90 || north > 90 || west < -180 || east > 180 {
+			t.Fatalf("GeoBox(%v, %v, %v) = [%v, %v] × [%v, %v], ok; want ok=false", lat2, lon2, r, south, north, west, east)
+		}
+		// The predicate holds unless the distance is greater (NaN holds);
+		// an out-of-range record visits every group, so it needs no box.
+		if !(d > r) && inRange(lat1, lon1) {
+			boxed++
+			if !(lat1 >= south && lat1 <= north && lon1 >= west && lon1 <= east) {
+				t.Fatalf("(%v,%v) is %v km from (%v,%v), within r=%v, but outside GeoBox [%v, %v] × [%v, %v]",
+					lat1, lon1, d, lat2, lon2, r, south, north, west, east)
+			}
+		}
 	}
 	if rejected < 100_000 {
 		t.Errorf("band rejected only %d of 1e6 cases; the test no longer exercises it", rejected)
 	}
+	if boxed < 100_000 {
+		t.Errorf("only %d of 1e6 cases put a point within its circle's box; the test no longer exercises GeoBox", boxed)
+	}
+	for _, c := range [][3]float64{
+		{90 - 1e-3, 0, 1}, {-90 + 1e-3, 0, 1}, // the circle reaches a pole
+		{0, 180 - 1e-3, 1}, {0, -180 + 1e-3, 1}, // or crosses the antimeridian
+		{0, 0, -1e-12}, {0, 0, nan}, {0, 0, inf}, {nan, 0, 1}, {0, nan, 1}, {inf, 0, 1}, {0, -inf, 1},
+		{95, 0, 1}, {0, 200, 1}, // a centre off the globe
+	} {
+		if s, n, w, e, ok := GeoBox(c[0], c[1], c[2]); ok {
+			t.Errorf("GeoBox(%v, %v, %v) = [%v, %v] × [%v, %v], ok; want ok=false", c[0], c[1], c[2], s, n, w, e)
+		}
+	}
+}
+
+// onCircle returns the point at angular distance delta (radians) from
+// (lat, lon) along the bearing theta.
+func onCircle(lat, lon, theta, delta float64) (float64, float64) {
+	phi, lambda := lat*math.Pi/180, lon*math.Pi/180
+	phi1 := math.Asin(math.Sin(phi)*math.Cos(delta) + math.Cos(phi)*math.Sin(delta)*math.Cos(theta))
+	lambda1 := lambda + math.Atan2(math.Sin(theta)*math.Sin(delta)*math.Cos(phi), math.Cos(delta)-math.Sin(phi)*math.Sin(phi1))
+	return phi1 * 180 / math.Pi, lambda1 * 180 / math.Pi
 }
 
 // The split-at-% matcher must agree with the dynamic-programming LIKE it

@@ -48,8 +48,9 @@ type channel struct {
 	query   *aql.Query
 	enrich  []parsedEnrich
 	dataset string
-	// index is the indexable equality conjunct of the body's WHERE
-	// clause, used to prune continuous matching (nil when none exists).
+	// index is the indexable conjunct of the body's WHERE clause, an
+	// equality or a geo circle, used to prune continuous matching (nil
+	// when none exists).
 	index *indexSpec
 }
 

@@ -138,8 +138,7 @@ type Cluster struct {
 	channels map[string]*channel
 	// groups holds each channel's evaluation groups: by canonical
 	// parameter signature, and for continuous channels as the dense scan
-	// table and its equality index (see evalgroup.go / signature.go /
-	// index.go).
+	// table and its index (see evalgroup.go / signature.go / index.go).
 	groups map[string]*channelGroups
 	subs   map[string]*subscription
 	subSeq uint64
@@ -389,7 +388,7 @@ type notices struct {
 //
 //	lock   : validate all → WAL append (one flush) → insert all →
 //	         snapshot each continuous channel's scan table (and the
-//	         positions its equality index selects)
+//	         positions its index selects)
 //	unlock : scan: one compiled-predicate call per candidate group
 //	lock   : append each matching group's shared rows to its members
 //	unlock : return the records and the notifications
@@ -471,8 +470,8 @@ func (c *Cluster) ingest(ctx context.Context, dataset string, batch []map[string
 
 // collectScans snapshots, for a freshly inserted batch, the scan table of
 // every continuous channel over dataset that has groups. Channels with an
-// indexable equality conjunct visit only the positions whose bound value
-// matches some record in the batch (plus the unindexed remainder), each
+// index (index.go) visit only the positions whose bound value or circle
+// can hold some record in the batch (plus the unindexed remainder), each
 // with exactly the records that can match it. It also accounts the
 // evaluations about to run: one per candidate group, serving that group's
 // current members. Caller holds the lock.
@@ -484,13 +483,16 @@ func (c *Cluster) collectScans(dataset string, recs []Record) (scans []chanScan,
 			continue
 		}
 		sc := chanScan{ch: ch, table: cg.table}
-		if cg.index == nil {
+		all := cg.index == nil
+		if !all {
+			if sc.cands, all = cg.index.candidates(recs); !all && len(sc.cands) == 0 {
+				continue
+			}
+		}
+		if all {
 			groups += len(cg.table)
 			served += cg.subs
 		} else {
-			if sc.cands = cg.index.candidates(ch.index, recs); len(sc.cands) == 0 {
-				continue
-			}
 			groups += len(sc.cands)
 			for _, cd := range sc.cands {
 				served += len(cg.table[cd.pos].g.members)
@@ -512,6 +514,11 @@ func (c *Cluster) collectScans(dataset string, recs []Record) (scans []chanScan,
 // once per channel per minute, under the publication's trace.
 func (c *Cluster) commitEval(ctx context.Context, tasks []*evalTask, now time.Duration) (pending []notification, failed int) {
 	c.mu.Lock()
+	n := 0
+	for _, t := range tasks {
+		n += len(t.g.members)
+	}
+	pending = make([]notification, 0, n)
 	for _, t := range tasks {
 		if t.err != nil {
 			failed++
@@ -651,7 +658,7 @@ func (c *Cluster) RunRepetitiveDue() int {
 	var tasks []*evalTask
 	for _, d := range due {
 		e := tableEntry{consts: d.g.consts, g: d.g}
-		if t := evaluate(d.g.ch, e, d.g.ch.query.Frames(recordData(d.recs)), d.enrichDS); t != nil {
+		if t := evaluate(d.g.ch, e, d.g.ch.query.Frames(recordData(d.recs)), d.enrichDS, nil); t != nil {
 			tasks = append(tasks, t)
 		}
 	}

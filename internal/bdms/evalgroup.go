@@ -3,6 +3,7 @@ package bdms
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"time"
 
 	"gobad/internal/aql"
@@ -43,9 +44,10 @@ type evalGroup struct {
 	members []*subscription
 
 	// Placement of a continuous channel's group: pos in channelGroups.table,
-	// idxKey/idxOK in the equality index.
+	// and, when idxOK, idxKey in an equality index or box in a geo one.
 	pos    int
 	idxKey string
+	box    geoBox
 	idxOK  bool
 
 	// Repetitive execution state, shared by all members: the group runs
@@ -71,8 +73,9 @@ type channelGroups struct {
 	// adding a group appends (a scan never looks past the length it
 	// copied), removing one builds a new array.
 	table []tableEntry
-	// index buckets the table positions by bound equality value (nil when
-	// the channel body has no indexable conjunct, see index.go).
+	// index selects the table positions a record can match, by bound
+	// equality value or geo circle (nil when the channel body has no
+	// indexable conjunct, see index.go).
 	index *groupIndex
 	// subs counts live subscriptions across the channel's groups.
 	subs int
@@ -90,7 +93,7 @@ func (c *Cluster) group(channelName, sig string) *evalGroup {
 // joinGroup adds sub, subscribing at cluster time at, to the evaluation
 // group of its parameter signature. The first member creates the group:
 // its parameters are bound to the channel's compiled query once, here, and
-// a continuous group takes a position in the scan table (and the equality
+// a continuous group takes a position in the scan table (and the channel's
 // index). A later member is seeded with the group's history. Caller holds
 // Cluster.mu.
 func (c *Cluster) joinGroup(sub *subscription, at time.Duration) {
@@ -99,7 +102,7 @@ func (c *Cluster) joinGroup(sub *subscription, at time.Duration) {
 	if cg == nil {
 		cg = &channelGroups{bySig: make(map[string]*evalGroup)}
 		if ch.Continuous() && ch.index != nil {
-			cg.index = newGroupIndex()
+			cg.index = newGroupIndex(ch.index)
 		}
 		c.groups[ch.def.Name] = cg
 	}
@@ -112,7 +115,6 @@ func (c *Cluster) joinGroup(sub *subscription, at time.Duration) {
 			g.pos = len(cg.table)
 			cg.table = append(cg.table, tableEntry{consts: g.consts, g: g})
 			if cg.index != nil {
-				g.idxKey, g.idxOK = indexKey(g.params[ch.index.param])
 				cg.index.add(g)
 			}
 		} else {
@@ -201,8 +203,8 @@ type evalTask struct {
 // with one group's bound parameters, outside Cluster.mu: it reads only
 // immutable group and channel state, the frames, and concurrency-safe
 // Datasets. It returns nil when nothing matched, having touched nothing
-// but e.consts.
-func evaluate(ch *channel, e tableEntry, frames []aql.Frame, enrichDS map[string]*Dataset) *evalTask {
+// but e.consts. memo, when not nil, is the scan's last encoding.
+func evaluate(ch *channel, e tableEntry, frames []aql.Frame, enrichDS map[string]*Dataset, memo *rowsMemo) *evalTask {
 	rows, err := ch.query.Run(frames, e.consts)
 	if err == nil && len(rows) == 0 {
 		return nil
@@ -217,11 +219,39 @@ func evaluate(ch *channel, e tableEntry, frames []aql.Frame, enrichDS map[string
 	// its length is their size: made once, off-lock. Rows JSON cannot
 	// carry (a NaN or an infinity) fail the group like any other
 	// evaluation error.
-	enc, err := wire.Marshal(rows)
+	enc, err := memo.encode(rows)
 	if err != nil {
 		return &evalTask{g: e.g, err: fmt.Errorf("bdms: encode result rows: %w", err)}
 	}
 	return &evalTask{g: e.g, rows: rows, enc: enc}
+}
+
+// rowsMemo is a scan's last rows and their encoding. The groups of a
+// `select *` body that match the same records return the very same
+// record maps, so they share one encoding instead of each making its own.
+type rowsMemo struct {
+	rows []map[string]any
+	enc  json.RawMessage
+}
+
+func (m *rowsMemo) encode(rows []map[string]any) (json.RawMessage, error) {
+	if m != nil && len(rows) == len(m.rows) {
+		same := true
+		for i, row := range rows {
+			if reflect.ValueOf(row).UnsafePointer() != reflect.ValueOf(m.rows[i]).UnsafePointer() {
+				same = false
+				break
+			}
+		}
+		if same {
+			return m.enc, nil
+		}
+	}
+	enc, err := wire.Marshal(rows)
+	if err == nil && m != nil {
+		m.rows, m.enc = rows, enc
+	}
+	return enc, err
 }
 
 // recordData is the JSON-model view of recs that aql evaluates.
@@ -239,7 +269,8 @@ type chanScan struct {
 	ch    *channel
 	table []tableEntry
 	// cands lists the table positions an indexed channel visits (never
-	// empty); nil means the channel has no index and visits all of table.
+	// empty); nil means all of table: the channel has no index, or the
+	// batch holds a record its index cannot place.
 	cands []candidate
 	// enrichDS snapshots the datasets the channel's enrichments read, so
 	// evaluation never touches the Cluster.datasets map off-lock.
@@ -261,9 +292,10 @@ type candidate struct {
 func (sc *chanScan) run(recs []Record) []*evalTask {
 	frames := sc.ch.query.Frames(recordData(recs)) // paths resolve once per record
 	var tasks []*evalTask
+	var memo rowsMemo
 	if sc.cands == nil {
 		for i := range sc.table {
-			if t := evaluate(sc.ch, sc.table[i], frames, sc.enrichDS); t != nil {
+			if t := evaluate(sc.ch, sc.table[i], frames, sc.enrichDS, &memo); t != nil {
 				tasks = append(tasks, t)
 			}
 		}
@@ -277,7 +309,7 @@ func (sc *chanScan) run(recs []Record) []*evalTask {
 				sub[i] = frames[r]
 			}
 		}
-		if t := evaluate(sc.ch, sc.table[cd.pos], sub, sc.enrichDS); t != nil {
+		if t := evaluate(sc.ch, sc.table[cd.pos], sub, sc.enrichDS, &memo); t != nil {
 			tasks = append(tasks, t)
 		}
 	}

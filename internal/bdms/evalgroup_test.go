@@ -759,7 +759,7 @@ func TestNonMatchingGroupAllocatesNothing(t *testing.T) {
 	}})
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, e := range table {
-			if task := evaluate(ch, e, frames, nil); task != nil {
+			if task := evaluate(ch, e, frames, nil, nil); task != nil {
 				t.Fatalf("group %s matched (%v, %v)", e.g.sig, task.rows, task.err)
 			}
 		}

@@ -137,6 +137,9 @@ type WAL struct {
 	stats  *WALStats
 	// line is the result records' encoding buffer, reused under mu.
 	line []byte
+	// dirty marks records appended since the last successful fsync, so
+	// an interval Sync of a clean log costs nothing.
+	dirty bool
 }
 
 // createWAL opens (creating if needed) one log file for appending; the
@@ -175,6 +178,7 @@ func (w *WAL) appendLocked(recs []walRecord) error {
 	if w.f == nil {
 		return fmt.Errorf("bdms: wal closed")
 	}
+	w.dirty = true
 	for _, rec := range recs {
 		var err error
 		if w.line, err = appendWALLine(w.line[:0], rec); err != nil {
@@ -195,6 +199,7 @@ func (w *WAL) appendLocked(recs []walRecord) error {
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("bdms: wal fsync: %w", err)
 		}
+		w.dirty = false
 		w.stats.Fsyncs.Inc()
 	}
 	return nil
@@ -218,11 +223,13 @@ func appendWALLine(dst []byte, rec walRecord) ([]byte, error) {
 	return append(append(dst, b...), '\n'), nil
 }
 
-// Sync forces the log to stable storage.
+// Sync forces the log to stable storage. A log with nothing appended
+// since its last successful fsync is already there; a failed fsync leaves
+// it dirty, so the next Sync tries again.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
+	if w.f == nil || !w.dirty {
 		return nil
 	}
 	if err := w.w.Flush(); err != nil {
@@ -231,6 +238,7 @@ func (w *WAL) Sync() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
+	w.dirty = false
 	w.stats.Fsyncs.Inc()
 	return nil
 }

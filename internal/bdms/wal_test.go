@@ -162,6 +162,34 @@ func TestWALClosedAppendFails(t *testing.T) {
 	}
 }
 
+// An interval fsync of a log with nothing appended since the last one is
+// skipped: an idle cluster does not fsync ten times a second.
+func TestWALSyncSkipsCleanLog(t *testing.T) {
+	stats := &WALStats{}
+	w, err := createWAL(filepath.Join(t.TempDir(), "wal"), SyncInterval, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	syncTo := func(want float64) {
+		t.Helper()
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.Fsyncs.Value(); got != want {
+			t.Fatalf("fsyncs = %v, want %v", got, want)
+		}
+	}
+	syncTo(0) // nothing appended yet
+	for want := 1.0; want <= 2; want++ {
+		if err := w.append(walRecord{Kind: walKindDataset, Dataset: "DS"}); err != nil {
+			t.Fatal(err)
+		}
+		syncTo(want)
+		syncTo(want) // back to back: the log is clean
+	}
+}
+
 func TestWALRejectedIngestNotLogged(t *testing.T) {
 	path := t.TempDir()
 	c, err := openWAL(t, path)

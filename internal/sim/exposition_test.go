@@ -35,25 +35,25 @@ func TestExpositionMatchesSnapshot(t *testing.T) {
 	snap := res.Metrics
 
 	checks := map[string]float64{
-		"bad_cache_requests_total":            snap.Requests,
-		"bad_cache_hits_total":                snap.Hits,
-		"bad_cache_hit_ratio":                 snap.HitRatio,
-		"bad_cache_hit_bytes_total":           snap.HitBytes,
-		"bad_cache_miss_bytes_total":          snap.MissBytes,
-		"bad_cache_fetch_bytes_total":         snap.FetchBytes,
-		"bad_cache_volume_bytes_total":        snap.VolumeBytes,
-		"bad_cache_evictions_total":           snap.Evictions,
-		"bad_cache_expirations_total":         snap.Expirations,
-		"bad_cache_consumed_total":            snap.Consumed,
-		"bad_cache_fetch_errors_total":        snap.FetchErrors,
-		"bad_cache_stale_serves_total":        snap.StaleServed,
-		"bad_cache_peer_hits_total":           snap.PeerHits,
-		"bad_cache_peer_misses_total":         snap.PeerMisses,
-		"bad_cache_peer_hit_ratio":            snap.PeerHitRatio,
-		"bad_notifications_delivered_total":   snap.Delivered,
-		"bad_cache_size_bytes_avg":            snap.AvgCacheSize,
-		"bad_cache_size_bytes_max":            snap.MaxCacheSize,
-		"bad_cache_holding_time_seconds_mean": snap.HoldingTime,
+		"bad_cache_requests_total":                       snap.Requests,
+		"bad_cache_hits_total":                           snap.Hits,
+		"bad_cache_hit_ratio":                            snap.HitRatio,
+		"bad_cache_hit_bytes_total":                      snap.HitBytes,
+		"bad_cache_miss_bytes_total":                     snap.MissBytes,
+		"bad_cache_fetch_bytes_total":                    snap.FetchBytes,
+		"bad_cache_volume_bytes_total":                   snap.VolumeBytes,
+		"bad_cache_evictions_total":                      snap.Evictions,
+		"bad_cache_expirations_total":                    snap.Expirations,
+		"bad_cache_consumed_total":                       snap.Consumed,
+		"bad_cache_fetch_errors_total":                   snap.FetchErrors,
+		"bad_cache_stale_serves_total":                   snap.StaleServed,
+		"bad_cache_peer_hits_total":                      snap.PeerHits,
+		"bad_cache_peer_misses_total":                    snap.PeerMisses,
+		"bad_cache_peer_hit_ratio":                       snap.PeerHitRatio,
+		"bad_notifications_delivered_total":              snap.Delivered,
+		"bad_cache_size_bytes_avg":                       snap.AvgCacheSize,
+		"bad_cache_size_bytes_max":                       snap.MaxCacheSize,
+		"bad_cache_holding_time_seconds_mean":            snap.HoldingTime,
 		`bad_retrieval_latency_seconds{quantile="0.95"}`: snap.P95Latency,
 	}
 	for key, want := range checks {
