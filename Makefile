@@ -126,7 +126,8 @@ fuzz-smoke:
 
 # Chaos tier: the fault-injection harness and every resilience path it
 # drives — retries/breakers (httpx), client wiring, webhook redelivery and
-# dead-callback reroute (bdms), stale-serve (core, broker), broker-kill
+# dead-callback reroute (bdms), the callback stream killed mid-envelope and
+# redialled (bdms, broker), stale-serve (core, broker), broker-kill
 # failover, rolling drain and resume (client, broker), BCS liveness and
 # restart recovery (bcs), the kill-the-cluster simulation scenario, and
 # the fabric scenarios — HRW rebalance-on-join with zero loss (client),

@@ -85,6 +85,13 @@ func (q *Query) program() *program {
 	return compileQuery(q)
 }
 
+// YieldsOnEmpty reports whether q yields a row over no records at all: an
+// aggregate without GROUP BY folds its one implicit group even when
+// nothing matched, so skipping an evaluation changes its results.
+func (q *Query) YieldsOnEmpty() bool {
+	return q.program().aggregate && len(q.GroupBy) == 0
+}
+
 // Bind normalises one parameter binding into the slot vector q's compiled
 // expressions read. A parameter missing from params raises "unbound
 // parameter" only if an evaluation reaches it.

@@ -78,7 +78,9 @@ func compileChannel(def ChannelDef) (*channel, error) {
 		}
 	}
 	ch := &channel{def: def, query: q, dataset: q.Dataset}
-	if def.Period <= 0 {
+	// An index only prunes: a group it skips must be one whose evaluation
+	// yields nothing, which an aggregate without GROUP BY never is.
+	if def.Period <= 0 && !q.YieldsOnEmpty() {
 		ch.index = findIndexSpec(q.Where, q.Alias)
 	}
 	for _, es := range def.Enrich {

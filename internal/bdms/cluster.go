@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -565,7 +567,7 @@ func (c *Cluster) appendResult(sub *subscription, t *evalTask, now time.Duration
 	sub.lastTS = ts
 	sub.seq++
 	obj := ResultObject{
-		ID:             fmt.Sprintf("%s-r%06d", sub.id, sub.seq),
+		ID:             resultID(sub.id, sub.seq),
 		SubscriptionID: sub.id,
 		Timestamp:      ts,
 		PrevNS:         int64(prev),
@@ -576,6 +578,22 @@ func (c *Cluster) appendResult(sub *subscription, t *evalTask, now time.Duration
 	c.stats.ResultsProduced.Inc()
 	c.stats.ResultBytes.Add(float64(obj.Size))
 	return notification{subID: sub.id, callback: sub.callback, latest: ts, obj: obj}
+}
+
+// resultID is the ID of sub's seq-th result, "<sub>-r<seq>" with seq
+// zero-padded to six digits: fmt's "%s-r%06d" in one allocation.
+func resultID(sub string, seq uint64) string {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], seq, 10)
+	var b strings.Builder
+	b.Grow(len(sub) + 2 + max(6, len(d)))
+	b.WriteString(sub)
+	b.WriteString("-r")
+	for i := len(d); i < 6; i++ {
+		b.WriteByte('0')
+	}
+	b.Write(d)
+	return b.String()
 }
 
 // deliver fires a commit's notifications outside the lock, under the

@@ -601,3 +601,82 @@ func BenchmarkIngestMatching(b *testing.B) {
 		}
 	}
 }
+
+// TestIndexSkipsAggregateBodies: an aggregate without GROUP BY yields a row
+// over an empty match set, so pruning its groups would change what they
+// publish. Such a body is not indexed, of either kind, and delivers what
+// its unindexable twin delivers; a GROUP BY aggregate, which yields nothing
+// over nothing, still is.
+func TestIndexSkipsAggregateBodies(t *testing.T) {
+	c, clk := newTestCluster(t)
+	setupEmergencyCluster(t, c)
+	const geo = "geo_distance(r.location.lat, r.location.lon, $lat, $lon) <= $radius"
+	for _, ch := range []ChannelDef{
+		{Name: "Count", Params: []string{"e"}, Body: "select count(*) as n from EmergencyReports r where r.etype = $e"},
+		{Name: "CountScan", Params: []string{"e"}, Body: "select count(*) as n from EmergencyReports r where contains(r.etype, $e) and len(r.etype) = len($e)"},
+		{Name: "GeoCount", Params: []string{"lat", "lon", "radius"}, Body: "select count(*) as n, max(r.severity) as worst from EmergencyReports r where " + geo},
+		{Name: "GeoCountScan", Params: []string{"lat", "lon", "radius"}, Body: "select count(*) as n, max(r.severity) as worst from EmergencyReports r where " + strings.Replace(geo, ") <=", ") + 0 <=", 1)},
+		{Name: "Grouped", Params: []string{"e"}, Body: "select r.etype as etype, count(*) as n from EmergencyReports r where r.etype = $e group by r.etype"},
+	} {
+		if err := c.DefineChannel(ch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var twins [][2]string
+	subscribe := func(channel string, params []any) {
+		a, err := c.Subscribe(channel, params, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.Subscribe(channel+"Scan", params, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		twins = append(twins, [2]string{a, b})
+	}
+	for _, e := range []string{"fire", "flood"} {
+		subscribe("Count", []any{e})
+	}
+	subscribe("GeoCount", []any{33.6, -117.9, 2.0})
+	subscribe("GeoCount", []any{10.0, 10.0, 2.0}) // nowhere near a record
+	if _, err := c.Subscribe("Grouped", []any{"flood"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"Count", "GeoCount"} {
+		if ix := c.groups[name].index; ix != nil {
+			t.Errorf("%s is indexed; an aggregate without GROUP BY must scan", name)
+		}
+	}
+	if c.groups["Grouped"].index == nil {
+		t.Error("Grouped is not indexed; a GROUP BY aggregate prunes exactly")
+	}
+	for i := 0; i < 12; i++ {
+		clk.Advance(time.Second)
+		mustIngest(t, c, "EmergencyReports", report("fire", float64(i%4), 33.6, -117.9))
+	}
+	for _, tw := range twins {
+		if n := sameResults(t, c, tw[0], tw[1], clk.Now()); n != 12 {
+			t.Errorf("%s holds %d results, want one per publication", tw[0], n)
+		}
+	}
+}
+
+// TestResultIDMatchesFormat: result IDs are byte for byte what
+// fmt.Sprintf("%s-r%06d") wrote, past six digits and for an ID holding a
+// verb.
+func TestResultIDMatchesFormat(t *testing.T) {
+	for _, c := range []struct {
+		sub string
+		seq uint64
+	}{
+		{"bsub-000001", 1}, {"bsub-000001", 999999}, {"bsub-000001", 1000000},
+		{"bsub-%d%s%%", 42}, {"", 0}, {"é\xff", 1<<64 - 1},
+	} {
+		if got, want := resultID(c.sub, c.seq), fmt.Sprintf("%s-r%06d", c.sub, c.seq); got != want {
+			t.Errorf("resultID(%q, %d) = %q, want %q", c.sub, c.seq, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = resultID("bsub-000001", 7) }); n > 1 {
+		t.Errorf("resultID = %v allocs, want 1", n)
+	}
+}

@@ -3,9 +3,11 @@ package bdms
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"gobad/internal/httpx"
 	"gobad/internal/obs"
 	"gobad/internal/obs/span"
+	"gobad/internal/wsock"
 )
 
 // NotificationPayload is the JSON body POSTed to a broker's callback URL
@@ -53,14 +56,41 @@ type FailedEntry struct {
 	Code           string `json:"code"`
 }
 
+// envelopeFrame is an envelope as a frame of a callback stream carries it:
+// the POST's body with the envelope's number on the stream and the
+// traceparent a POST sends as a header.
+type envelopeFrame struct {
+	NotificationPayload
+	ID int64  `json:"id"`
+	TP string `json:"tp,omitempty"`
+}
+
+// callbackReply is a callback stream's answer to an envelope frame: the
+// POST's 200 body, naming the envelope it answers as "re".
+type callbackReply struct {
+	CallbackResponse
+	Re int64 `json:"re"`
+}
+
+// OfferStream sets the headers with which a callback's POST answer offers
+// a callback stream on the same URL (an Upgrade header may advertise a
+// protocol on any response, RFC 9110 §7.8). The notifier opens a stream
+// only to a callback that offered one, so a receiver that never does —
+// the paper's plain WebHook — sees nothing but POSTs.
+func OfferStream(h http.Header) {
+	h.Set("Connection", "Upgrade")
+	h.Set("Upgrade", "websocket")
+}
+
 // envelopeByteBudget bounds the result bytes (ResultObject.Size) one
 // envelope carries — a quarter of what the receiver will read. A PUSH entry
 // that would exceed it goes out handle-only and the broker pulls.
 const envelopeByteBudget = httpx.MaxBodyBytes / 4
 
-// NotifierStats tallies a WebhookNotifier's outcomes. All but Posts and
-// Entries count notifications, however many shared a POST: every one handed
-// to the notifier ends as exactly one of Delivered, Dropped or Lost.
+// NotifierStats tallies a WebhookNotifier's outcomes. All but Posts,
+// Streamed and Entries count notifications, however many shared an
+// envelope: every one handed to the notifier ends as exactly one of
+// Delivered, Dropped or Lost.
 type NotifierStats struct {
 	// Delivered counts notifications a callback took.
 	Delivered atomic.Uint64
@@ -78,8 +108,9 @@ type NotifierStats struct {
 	// a live broker's (fresh attempt budget); Abandoned the subset of Lost
 	// that ran out of attempts with no reroute left.
 	Rerouted, Abandoned atomic.Uint64
-	// Posts counts callback POSTs, Entries the entries they carried.
-	Posts, Entries atomic.Uint64
+	// Posts counts envelopes sent as callback POSTs and Streamed those sent
+	// as frames on a callback stream; Entries the entries both carried.
+	Posts, Streamed, Entries atomic.Uint64
 	// Degraded counts PUSH entries sent handle-only for the byte budget.
 	Degraded atomic.Uint64
 }
@@ -99,7 +130,11 @@ func (s *NotifierStats) Collector() obs.Collector {
 		counter("bad_webhook_coalesced_total", "Webhook notifications merged into a pending entry of their subscription.", &s.Coalesced)
 		counter("bad_webhook_rerouted_total", "Webhook notifications rerouted to a re-resolved broker callback.", &s.Rerouted)
 		counter("bad_webhook_abandoned_total", "Webhook notifications abandoned after the attempt budget with no reroute.", &s.Abandoned)
-		counter("bad_webhook_posts_total", "Webhook callback POSTs (envelopes) sent.", &s.Posts)
+		emit(obs.Family{Name: "bad_webhook_envelopes_total", Help: "Webhook envelopes sent, by transport: a callback POST or a frame on a callback stream.",
+			Type: obs.CounterType, Points: []obs.Point{
+				{Labels: []obs.Label{{Name: "transport", Value: "post"}}, Value: float64(s.Posts.Load())},
+				{Labels: []obs.Label{{Name: "transport", Value: "stream"}}, Value: float64(s.Streamed.Load())},
+			}})
 		counter("bad_webhook_envelope_entries_total", "Entries carried by webhook envelopes.", &s.Entries)
 		counter("bad_webhook_degraded_total", "PUSH entries sent handle-only to fit the envelope byte budget.", &s.Degraded)
 	})
@@ -124,20 +159,46 @@ type entry struct {
 }
 
 // outbox is one callback's pending entries, oldest first. It lives as long
-// as its drain goroutine, which POSTs them, an envelope at a time.
+// as its drain goroutine, which sends them, an envelope at a time, over
+// the callback's link.
 type outbox struct {
 	pending []*entry
 	bySub   map[string]*entry
+	link    *link
 }
 
-// WebhookNotifier delivers notifications by POSTing to each subscription's
-// callback URL with at-least-once semantics. Notifications wait in their
-// callback's outbox, merged per subscription (PULL: latest wins; PUSH:
-// results append); one POST per callback is in flight, and what gathered
-// behind it leaves as the next envelope. A failed envelope — or the entries
-// a callback refused — is logged at WARN (with its trace ID), counted, and
-// put back after a capped exponential backoff that holds no worker, until
-// its attempt budget is spent and it is counted lost. Intake sheds past
+// link is how the notifier reaches one callback URL; it outlives the
+// callback's outboxes, and only the outbox draining holds it. A callback
+// whose POST answer offered the upgrade (OfferStream) gets a stream,
+// opened at its next envelope and kept; one that refused the upgrade gets
+// POSTs from then on.
+type link struct {
+	offered, refused bool
+	s                *stream // the open stream; nil when there is none
+	sent             int64   // the last envelope id sent on a stream
+}
+
+// stream is an open callback stream. Its reader hands each answer frame
+// over, and closes done when the stream ends, err saying why — so an
+// envelope finds out before its frame is written that the callback closed
+// the stream while it was idle.
+type stream struct {
+	conn    *wsock.Conn
+	answers chan []byte
+	done    chan struct{}
+	err     error
+}
+
+// WebhookNotifier delivers notifications to each subscription's callback
+// URL with at-least-once semantics: by POST, or as frames on one
+// long-lived WebSocket stream per callback where the callback offers one.
+// Notifications wait in their callback's outbox, merged per subscription
+// (PULL: latest wins; PUSH: results append); one envelope per callback is
+// in flight, and what gathered behind it leaves as the next envelope. A
+// failed envelope — or the entries a callback refused — is logged at WARN
+// (with its trace ID), counted, and put back after a capped exponential
+// backoff that holds no worker, until its attempt budget is spent and it
+// is counted lost. Intake sheds past
 // queueCap entries — safe for the protocol: PULL notifications are
 // cumulative, and a dropped PUSH leaves the next pushed result naming a
 // predecessor above the broker's marker, so the broker pulls the gap.
@@ -152,15 +213,17 @@ type WebhookNotifier struct {
 	resolver    CallbackResolver
 	stages      *span.Stages
 	queueCap    int
-	sem         chan struct{} // a slot per POST in flight
+	sem         chan struct{} // a slot per envelope in flight
 	ctx         context.Context
 	stop        context.CancelFunc // wakes backoff sleeps on Close
 
 	mu       sync.Mutex
 	outboxes map[string]*outbox
+	links    map[string]*link
 	pending  int // entries held: in outboxes, in flight or backing off
 	closed   bool
 	wg       sync.WaitGroup
+	readers  sync.WaitGroup // the streams' readers
 }
 
 // NotifierOption tunes a WebhookNotifier.
@@ -255,6 +318,7 @@ func NewWebhookNotifier(workers, queueCap int, client *http.Client, opts ...Noti
 		queueCap:    max(queueCap, 16),
 		sem:         make(chan struct{}, max(workers, 1)),
 		outboxes:    make(map[string]*outbox),
+		links:       make(map[string]*link),
 	}
 	n.ctx, n.stop = context.WithCancel(context.Background())
 	for _, opt := range opts {
@@ -339,7 +403,12 @@ func (n *WebhookNotifier) absorb(p *entry, latest int64, results []ResultObject,
 func (n *WebhookNotifier) add(callback string, e *entry) {
 	ob := n.outboxes[callback]
 	if ob == nil {
-		ob = &outbox{bySub: make(map[string]*entry)}
+		l := n.links[callback]
+		if l == nil {
+			l = &link{}
+			n.links[callback] = l
+		}
+		ob = &outbox{bySub: make(map[string]*entry), link: l}
 		n.outboxes[callback] = ob
 		n.wg.Add(1)
 		go n.drain(callback, ob)
@@ -356,9 +425,9 @@ func (n *WebhookNotifier) add(callback string, e *entry) {
 	ob.pending = append(ob.pending, e)
 }
 
-// drain POSTs ob's envelopes one after another until nothing is pending:
-// each is everything pending once a POST slot is free, less the results of
-// PUSH entries past the byte budget.
+// drain sends ob's envelopes one after another until nothing is pending:
+// each is everything pending once a slot is free, less the results of PUSH
+// entries past the byte budget.
 func (n *WebhookNotifier) drain(callback string, ob *outbox) {
 	defer n.wg.Done()
 	for {
@@ -381,15 +450,15 @@ func (n *WebhookNotifier) drain(callback string, ob *outbox) {
 			}
 		}
 		n.mu.Unlock()
-		n.post(callback, batch)
+		n.send(callback, ob.link, batch)
 		<-n.sem
 	}
 }
 
-// post sends one envelope, under its head entry's trace, and settles every
-// entry: delivered, or failed — all of them when the POST failed, those the
-// callback refused otherwise.
-func (n *WebhookNotifier) post(callback string, batch []*entry) {
+// send sends one envelope, under its head entry's trace, and settles every
+// entry: delivered, or failed — all of them when the exchange failed, those
+// the callback refused otherwise.
+func (n *WebhookNotifier) send(callback string, l *link, batch []*entry) {
 	ctx := obs.ContextWithSpan(context.Background(), batch[0].span)
 	start := time.Now()
 	entries := make([]NotificationPayload, len(batch))
@@ -403,11 +472,9 @@ func (n *WebhookNotifier) post(callback string, batch []*entry) {
 	}
 	payload := entries[0]
 	payload.More = entries[1:]
-	body := appendNotificationPayload(make([]byte, 0, size), payload)
-	var resp CallbackResponse
-	err := httpx.DoJSONContext(ctx, n.client, http.MethodPost, callback, json.RawMessage(body), &resp)
+	body := appendNotificationPayload(make([]byte, 0, size+96), payload) // 96: the frame's id and tp
+	resp, err := n.exchange(ctx, callback, l, body)
 	n.stages.Observe(ctx, span.StageWebhook, span.OutcomeNone, time.Since(start))
-	n.stats.Posts.Add(1)
 	n.stats.Entries.Add(uint64(len(batch)))
 	failed := batch
 	if err == nil {
@@ -433,9 +500,141 @@ func (n *WebhookNotifier) post(callback string, batch []*entry) {
 	}
 }
 
+// exchange sends one envelope and returns the callback's answer: as a frame
+// on the callback's stream when it offered one, else — or when the frame
+// could not be written, on an open stream or a fresh one — as a POST, in
+// the same attempt. A stream that fails after the frame left fails the
+// envelope as a failed POST does.
+func (n *WebhookNotifier) exchange(ctx context.Context, callback string, l *link, body []byte) (CallbackResponse, error) {
+	if l.offered && !l.refused {
+		resp, written, err := n.stream(ctx, callback, l, body)
+		if written {
+			n.stats.Streamed.Add(1)
+			return resp, err
+		}
+		body[len(body)-1] = '}' // the envelope again, its frame's tail cut
+	}
+	var resp CallbackResponse
+	_, hdr, err := httpx.DoJSONHeader(ctx, n.client, http.MethodPost, callback, nil, json.RawMessage(body), &resp)
+	n.stats.Posts.Add(1)
+	if err == nil && strings.EqualFold(hdr.Get("Upgrade"), "websocket") {
+		l.offered = true
+	}
+	return resp, err
+}
+
+// stream writes body's frame on l's stream, dialling it within the client's
+// timeout when there is none and once more when a kept one has ended or
+// fails the write, then waits for the answer within the same timeout.
+// written reports whether the frame left; a dial the callback answers with
+// anything but 101 refuses l the stream for good.
+func (n *WebhookNotifier) stream(ctx context.Context, callback string, l *link, body []byte) (resp CallbackResponse, written bool, err error) {
+	var deadline time.Time
+	if n.client.Timeout > 0 {
+		deadline = time.Now().Add(n.client.Timeout)
+	}
+	tp := ""
+	if sc, ok := obs.SpanFromContext(ctx); ok {
+		tp = sc.Child().Traceparent()
+	}
+	l.sent++
+	frame := appendEnvelopeFrame(body, l.sent, tp)
+	for !written {
+		fresh := l.s == nil
+		if fresh {
+			if l.s, err = n.dial(callback); err != nil {
+				l.refused = errors.Is(err, wsock.ErrRejected)
+				return resp, false, err
+			}
+		} else if l.s.ended() {
+			l.drop()
+			continue
+		}
+		_ = l.s.conn.SetWriteDeadline(deadline)
+		_ = l.s.conn.SetReadDeadline(deadline)
+		if err = l.s.conn.WriteMessage(wsock.OpText, frame); err == nil {
+			written = true
+			continue
+		}
+		l.drop()
+		if fresh {
+			return resp, false, err
+		}
+	}
+	var msg []byte
+	select {
+	case msg = <-l.s.answers:
+	case <-l.s.done:
+		select {
+		case msg = <-l.s.answers: // answered, then ended
+		default:
+			err = l.s.err
+		}
+	}
+	var re int64
+	if err == nil {
+		_ = l.s.conn.SetReadDeadline(time.Time{}) // idle until the next envelope
+		if resp, re, err = ParseCallbackReply(msg); err == nil && re != l.sent {
+			err = fmt.Errorf("answered envelope %d, want %d", re, l.sent)
+		}
+	}
+	if err != nil {
+		l.drop()
+		err = fmt.Errorf("bdms: callback stream %s: %w", callback, err)
+	}
+	return resp, true, err
+}
+
+// dial opens a callback stream and starts its reader. An answer nobody is
+// waiting for ends the stream.
+func (n *WebhookNotifier) dial(callback string) (*stream, error) {
+	conn, err := wsock.Dial(callback, n.client.Timeout)
+	if err != nil {
+		return nil, err
+	}
+	s := &stream{conn: conn, answers: make(chan []byte, 1), done: make(chan struct{})}
+	n.readers.Add(1)
+	go func() {
+		defer n.readers.Done()
+		defer close(s.done)
+		for {
+			_, msg, err := conn.ReadMessage()
+			if err != nil {
+				s.err = err
+				return
+			}
+			select {
+			case s.answers <- msg:
+			default:
+				s.err = errors.New("answer without an envelope")
+				return
+			}
+		}
+	}()
+	return s, nil
+}
+
+// ended reports whether the stream's reader has stopped.
+func (s *stream) ended() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// drop closes l's stream, if any; the next envelope dials a fresh one.
+func (l *link) drop() {
+	if l.s != nil {
+		_ = l.s.conn.Close()
+		l.s = nil
+	}
+}
+
 // retry settles the entries of a failed attempt. Those with attempts left
 // sit their backoff out of the outbox — no worker waits and the callback's
-// stream keeps moving — then return to it. The others go together to the
+// other envelopes keep moving — then return to it. The others go together to the
 // callback the resolver (if any) names, once per entry, or are abandoned.
 func (n *WebhookNotifier) retry(ctx context.Context, callback string, failed []*entry, cause error) {
 	var again, moved, lost []*entry
@@ -507,13 +706,19 @@ func (n *WebhookNotifier) Stats() *NotifierStats { return n.stats }
 
 // Close stops accepting notifications, lets every outbox drain (entries
 // that fail now, or were backing off, are counted lost rather than
-// retried) and waits for the POSTs in flight.
+// retried), waits for the envelopes in flight and closes the streams.
 func (n *WebhookNotifier) Close() {
 	n.mu.Lock()
 	n.closed = true
 	n.mu.Unlock()
 	n.stop()
 	n.wg.Wait()
+	n.mu.Lock()
+	for _, l := range n.links {
+		l.drop()
+	}
+	n.mu.Unlock()
+	n.readers.Wait()
 }
 
 // backoff is the delay before redelivery attempt k+1: min(maxDelay,

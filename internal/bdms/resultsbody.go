@@ -119,6 +119,45 @@ func appendNotificationPayload(dst []byte, p NotificationPayload) []byte {
 	return append(dst, '}')
 }
 
+// appendEnvelopeFrame turns an envelope appendNotificationPayload wrote
+// into dst into its stream frame, {...,"id":id[,"tp":tp]}: "id" numbers
+// the envelope on its stream, "tp" is the traceparent a POST carries as a
+// header, left out when empty. It writes over the envelope's closing brace;
+// restoring that byte gives the envelope back (WebhookNotifier.stream).
+func appendEnvelopeFrame(dst []byte, id int64, tp string) []byte {
+	dst = append(dst[:len(dst)-1], `,"id":`...)
+	dst = strconv.AppendInt(dst, id, 10)
+	if tp != "" {
+		dst = append(dst, `,"tp":`...)
+		dst = wire.AppendJSONString(dst, tp)
+	}
+	return append(dst, '}')
+}
+
+// AppendCallbackReply appends the frame a callback stream answers an
+// envelope frame with: resp as the POST's 200 body carries it, naming the
+// envelope as "re", {["failed":[...],]"re":id}.
+func AppendCallbackReply(dst []byte, resp CallbackResponse, id int64) []byte {
+	dst = append(dst, '{')
+	if len(resp.Failed) > 0 {
+		dst = append(dst, `"failed":[`...)
+		for i, f := range resp.Failed {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"subscription_id":`...)
+			dst = wire.AppendJSONString(dst, f.SubscriptionID)
+			dst = append(dst, `,"code":`...)
+			dst = wire.AppendJSONString(dst, f.Code)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, "],"...)
+	}
+	dst = append(dst, `"re":`...)
+	dst = strconv.AppendInt(dst, id, 10)
+	return append(dst, '}')
+}
+
 // appendResultsResponse appends the results route's body, newline
 // included.
 func appendResultsResponse(dst []byte, results []ResultObject) []byte {

@@ -18,7 +18,8 @@ import (
 )
 
 // TestWireWritersTakeDirectPath: every document the cluster leg's writers
-// produce — webhook envelopes, results bodies, the
+// produce — webhook envelopes, their stream frames and the answers to
+// them, results bodies, the
 // client's ingest bodies, over random IDs and rows written by
 // wire.Marshal as evaluate writes them — is read by the direct path, never
 // handed to encoding/json, and decodes as encoding/json decodes it; the
@@ -55,6 +56,26 @@ func TestWireWritersTakeDirectPath(t *testing.T) {
 		var gotP, wantP NotificationPayload
 		checkDirect(t, "webhook envelope", appendNotificationPayload(nil, p),
 			func(r *wire.Reader) bool { return readNotificationPayload(r, &gotP) }, &gotP, &wantP)
+		id, tp := rng.Int63()-rng.Int63(), ""
+		if rng.Intn(2) == 0 {
+			tp = randString(rng)
+		}
+		frame := appendEnvelopeFrame(appendNotificationPayload(nil, p), id, tp)
+		if want, err := json.Marshal(envelopeFrame{p, id, tp}); err != nil || !bytes.Equal(frame, want) {
+			t.Fatalf("envelope frame:\n got %s\nwant %s %v", frame, want, err)
+		}
+		var gotF, wantF envelopeFrame
+		checkDirect(t, "envelope frame", frame, func(r *wire.Reader) bool { return readEnvelopeFrame(r, &gotF) }, &gotF, &wantF)
+		var resp CallbackResponse
+		for k := rng.Intn(3); k > 0; k-- {
+			resp.Failed = append(resp.Failed, FailedEntry{SubscriptionID: randString(rng), Code: randString(rng)})
+		}
+		reply := AppendCallbackReply(nil, resp, id)
+		if want, err := json.Marshal(callbackReply{resp, id}); err != nil || !bytes.Equal(reply, want) {
+			t.Fatalf("callback reply:\n got %s\nwant %s %v", reply, want, err)
+		}
+		var gotC, wantC callbackReply
+		checkDirect(t, "callback reply", reply, func(r *wire.Reader) bool { return readCallbackReply(r, &gotC) }, &gotC, &wantC)
 		var gotR, wantR ResultsResponse
 		checkDirect(t, "results body", appendResultsResponse(nil, objs),
 			func(r *wire.Reader) bool { return readResultsBody(r, &gotR) }, &gotR, &wantR)

@@ -451,6 +451,10 @@ func TestEnvelopeRedeliversOnlyFailedEntries(t *testing.T) {
 	arrived, gate := make(chan struct{}), make(chan struct{})
 	callback := NewServer(e.b).Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost { // refuse the callback stream the broker offers: every envelope is a POST
+			w.WriteHeader(http.StatusMethodNotAllowed)
+			return
+		}
 		raw, err := io.ReadAll(r.Body)
 		var entries []bdms.NotificationPayload
 		if err == nil {

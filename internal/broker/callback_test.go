@@ -165,9 +165,9 @@ func TestEnvelopeOfFirstResultsMakesNoClusterCalls(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	if got, entries := stats.Posts.Load(), stats.Entries.Load(); got != 2 || entries != k+1 {
-		t.Errorf("notifier sent %d POSTs with %d entries, want 2 with %d: the gate's, then one envelope of %d",
-			got, entries, k+1, k)
+	if posts, frames, entries := stats.Posts.Load(), stats.Streamed.Load(), stats.Entries.Load(); posts != 1 || frames != 1 || entries != k+1 {
+		t.Errorf("notifier sent %d POSTs and %d stream frames with %d entries, want 1 and 1 with %d: the gate's POST, then one envelope of %d on the stream it offered",
+			posts, frames, entries, k+1, k)
 	}
 	for _, etype := range etypes {
 		bs := b.backendSubs[subKey("Alerts", []any{etype})]

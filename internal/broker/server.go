@@ -28,11 +28,15 @@ type Server struct {
 	broker *Broker
 	mux    *http.ServeMux
 	obs    *httpx.Observer
-	// results instruments the retrievals socket frames carry.
-	results *httpx.Route
+	// results instruments the retrievals socket frames carry, callbacks
+	// the envelopes callback stream frames carry.
+	results, callbacks *httpx.Route
 }
 
-const resultsRoute = "/v1/subscriptions/{fs}/results"
+const (
+	resultsRoute  = "/v1/subscriptions/{fs}/results"
+	callbackRoute = "/v1/callbacks/results"
+)
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
@@ -54,6 +58,7 @@ func NewServer(b *Broker, opts ...ServerOption) *Server {
 		s.obs = httpx.NewObserver("badbroker", nil)
 	}
 	s.results = s.obs.Route(resultsRoute)
+	s.callbacks = s.obs.Route(callbackRoute)
 	// Wire the delivery-path tracing: the broker records spans into the
 	// observer's ring and feeds the per-stage delivery-latency histogram.
 	stages := span.NewStages(span.DefaultSlowThreshold, s.obs.Logger)
@@ -132,7 +137,8 @@ func (s *Server) routes() {
 	s.route(http.MethodGet, "/v1/stats", s.handleStats)
 	s.route(http.MethodGet, "/v1/caches", s.handleCaches)
 	s.route(http.MethodGet, "/v1/ws", s.handleWS)
-	s.route(http.MethodPost, "/v1/callbacks/results", s.handleCallback)
+	s.route(http.MethodPost, callbackRoute, s.handleCallback)
+	s.route(http.MethodGet, callbackRoute, s.handleCallbackStream)
 	// Fabric peer protocol.
 	s.route(http.MethodGet, "/v1/peer/results/{key}", s.handlePeerResults)
 	s.route(http.MethodPost, "/v1/peer/warmup", s.handlePeerWarmup)
@@ -442,18 +448,28 @@ func (s *Server) serveGet(conn *wsock.Conn, subscriber string, msg []byte) error
 }
 
 // handleCallback is the webhook the data cluster invokes on new results:
-// one envelope, answered 200 with the entries the broker could not take —
-// not_found for an unknown subscription, internal for a failed cluster pull
-// or cache put (marker unchanged) — so the notifier redelivers those alone
-// and the range is retried. An envelope of one is answered the same way.
+// one envelope, answered 200 with the entries the broker could not take
+// (answerEnvelope). The answer offers the upgrade to a callback stream on
+// the same route (bdms.OfferStream), which the notifier takes from its
+// next envelope on.
 func (s *Server) handleCallback(w http.ResponseWriter, r *http.Request) {
 	entries, err := bdms.ReadCallback(r)
 	if err != nil {
 		httpx.WriteReadError(w, err)
 		return
 	}
+	bdms.OfferStream(w.Header())
+	httpx.WriteJSON(w, http.StatusOK, s.answerEnvelope(r.Context(), entries))
+}
+
+// answerEnvelope hands an envelope's entries to the broker and lists those
+// it could not take — not_found for an unknown subscription, internal for a
+// failed cluster pull or cache put (marker unchanged) — so the notifier
+// redelivers those alone and the range is retried. An envelope of one is
+// answered the same way.
+func (s *Server) answerEnvelope(ctx context.Context, entries []bdms.NotificationPayload) bdms.CallbackResponse {
 	var resp bdms.CallbackResponse
-	for i, err := range s.broker.HandleEnvelopeContext(r.Context(), entries) {
+	for i, err := range s.broker.HandleEnvelopeContext(ctx, entries) {
 		if err == nil {
 			continue
 		}
@@ -463,7 +479,55 @@ func (s *Server) handleCallback(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Failed = append(resp.Failed, bdms.FailedEntry{SubscriptionID: entries[i].SubscriptionID, Code: code})
 	}
-	httpx.WriteJSON(w, http.StatusOK, resp)
+	return resp
+}
+
+// handleCallbackStream upgrades the callback route to a callback stream:
+// the notifier's envelopes arrive one frame at a time, each answered by one
+// frame before the next is read (serveEnvelope). A frame that is no
+// envelope closes the stream, which fails that envelope as a 400 fails a
+// POST.
+func (s *Server) handleCallbackStream(w http.ResponseWriter, r *http.Request) {
+	conn, err := wsock.Hijack(w, r)
+	if err != nil {
+		return // Hijack already wrote the error
+	}
+	conn.SetMaxMessageSize(httpx.MaxBodyBytes)
+	if err := conn.Accept(); err != nil {
+		_ = conn.Close()
+		return
+	}
+	for {
+		_, msg, err := conn.ReadMessage()
+		if err == nil {
+			err = s.serveEnvelope(conn, msg)
+		}
+		if err != nil {
+			_ = conn.Close()
+			return
+		}
+	}
+}
+
+// serveEnvelope answers one envelope frame as handleCallback answers a
+// POST, under its own span, series and access line (method WS), the
+// answer naming the frame's id as "re".
+func (s *Server) serveEnvelope(conn *wsock.Conn, msg []byte) error {
+	start := time.Now()
+	s.obs.HTTP.Begin()
+	defer s.obs.HTTP.End()
+	entries, id, tp, err := bdms.ParseEnvelopeFrame(msg)
+	ctx, sp, _ := s.callbacks.Begin(context.Background(), tp, "", "WS")
+	sp.SetAttr("transport", "ws")
+	if err != nil {
+		s.callbacks.End(ctx, sp, "WS", callbackRoute, http.StatusBadRequest, 0, start)
+		return err
+	}
+	reply := bdms.AppendCallbackReply(make([]byte, 0, 32), s.answerEnvelope(ctx, entries), id)
+	_ = conn.SetWriteDeadline(time.Now().Add(DefaultPushWriteTimeout))
+	err = conn.WriteMessage(wsock.OpText, reply)
+	s.callbacks.End(ctx, sp, "WS", callbackRoute, http.StatusOK, int64(len(reply)), start)
+	return err
 }
 
 // handlePeerResults answers a sibling broker's lookup for a fabric key,

@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gobad/internal/bdms"
 	"gobad/internal/wire"
 )
 
@@ -25,13 +27,43 @@ func sameDecode[T any](t *testing.T, what string, data []byte, got T, gotErr err
 	}
 }
 
-// checkWireDecode holds the three frame decoders to encoding/json on data
+// envelopeFrame and callbackReply are the callback stream's frames as
+// internal/bdms decodes them, for encoding/json to decode beside it.
+type (
+	envelopeFrame struct {
+		bdms.NotificationPayload
+		ID int64  `json:"id"`
+		TP string `json:"tp,omitempty"`
+	}
+	callbackReply struct {
+		bdms.CallbackResponse
+		Re int64 `json:"re"`
+	}
+	// decodedFrame is what bdms.ParseEnvelopeFrame returns.
+	decodedFrame struct {
+		Entries []bdms.NotificationPayload
+		ID      int64
+		TP      string
+	}
+)
+
+// asBdms renames this package's twin of a bdms type in an encoding/json
+// error to the bdms type it stands for.
+func asBdms(err error, name string) error {
+	if err == nil {
+		return nil
+	}
+	return errors.New(strings.ReplaceAll(err.Error(), "broker."+name, "bdms."+name))
+}
+
+// checkWireDecode holds the five frame decoders to encoding/json on data
 // (a type error named for the decoded type, not the alias; see
 // TestWireDecodeErrorsNameTheType): each UnmarshalJSON called directly, as
 // the socket's readers call it, and ResultsResponse's through
-// json.Unmarshal too, as the HTTP fallback reaches it. FuzzWireDecode runs
-// it on any bytes; FuzzWire (internal/wire) holds the same readers beside
-// the cluster leg's documents.
+// json.Unmarshal too, as the HTTP fallback reaches it; and the callback
+// stream's envelope frame and answer, as the broker and the notifier read
+// them. FuzzWireDecode runs it on any bytes; FuzzWire (internal/wire) holds
+// the same readers beside the cluster leg's documents.
 func checkWireDecode(t *testing.T, data []byte) {
 	t.Helper()
 	var rr, viaJSON ResultsResponse
@@ -50,6 +82,22 @@ func checkWireDecode(t *testing.T, data []byte) {
 	g.Get, g.ID, g.Ack, g.TP, err = ParseGetRequest(data)
 	wantErr = json.Unmarshal(data, &gWant)
 	sameDecode(t, "getRequest", data, g, err, gWant, wantErr)
+
+	var f decodedFrame
+	var fWant envelopeFrame
+	f.Entries, f.ID, f.TP, err = bdms.ParseEnvelopeFrame(data)
+	wantFrame := decodedFrame{}
+	if wantErr = asBdms(json.Unmarshal(data, &fWant), "envelopeFrame"); wantErr == nil {
+		head := fWant.NotificationPayload
+		head.More = nil
+		wantFrame = decodedFrame{append([]bdms.NotificationPayload{head}, fWant.More...), fWant.ID, fWant.TP}
+	}
+	sameDecode(t, "envelope frame", data, f, err, wantFrame, wantErr)
+
+	var c, cWant callbackReply
+	c.CallbackResponse, c.Re, err = bdms.ParseCallbackReply(data)
+	wantErr = asBdms(json.Unmarshal(data, &cWant), "callbackReply")
+	sameDecode(t, "callback reply", data, c, err, cWant, wantErr)
 }
 
 func parseGetRequest(frame []byte) error {
@@ -144,6 +192,25 @@ func FuzzWireDecode(f *testing.F) {
 		[]byte(`null`),
 		[]byte(`[]`),
 		[]byte(``),
+		// The callback stream's frames: envelopes as the notifier writes
+		// them, answers as the broker does, then their edge cases.
+		frameOf(f, []bdms.NotificationPayload{{SubscriptionID: "bsub-000001", LatestNS: 42}}, 1, ""),
+		frameOf(f, []bdms.NotificationPayload{
+			{SubscriptionID: "bsub-000001", LatestNS: 2, Results: []bdms.ResultObject{{ID: "bsub-000001-r000002", SubscriptionID: "bsub-000001",
+				Timestamp: 2, PrevNS: 1, Rows: json.RawMessage(`[{"pub":7,"re":9,"id":"x"}]`), Size: 24}}},
+			{SubscriptionID: "q\"b\\s<x>& \u2028", LatestNS: math.MaxInt64},
+		}, math.MaxInt64, wireTP),
+		bdms.AppendCallbackReply(nil, bdms.CallbackResponse{}, 1),
+		bdms.AppendCallbackReply(nil, bdms.CallbackResponse{Failed: []bdms.FailedEntry{
+			{SubscriptionID: "ghost", Code: "not_found"}, {SubscriptionID: "bsub \xff <é>", Code: "internal"}}}, math.MaxInt64),
+		[]byte(`{"subscription_id":"a","latest_ns":1,"more":[{"subscription_id":"b","id":3,"tp":"x"}],"id":2,"tp":"y"}`),
+		[]byte(`{"id":1,"id":2,"subscription_id":"a","ID":3,"Tp":"z"}`),
+		[]byte(`{"subscription_id":"a","id":1.5}`),
+		[]byte(`{"subscription_id":"a","id":1,"tp":null,"more":null,"results":null}`),
+		[]byte(`{"failed":[],"re":3}`),
+		[]byte(`{"failed":null,"re":-1,"RE":4}`),
+		[]byte(`{"failed":[{"subscription_id":"a","code":7}],"re":2}`),
+		[]byte(`{"failed":[{"Subscription_ID":"a","CODE":"x","extra":[1]}],"re":"2"}`),
 	} {
 		f.Add(seed)
 	}

@@ -122,6 +122,52 @@ func checkFrames(t *testing.T, data []byte) {
 	sameDecode(t, "request frame", data, getRequest{fs, id, ack, tp}, err, g, wantErr)
 }
 
+// The callback stream's frames as bdms decodes them; their error text
+// names bdms.envelopeFrame and bdms.callbackReply.
+type (
+	envelopeFrame struct {
+		bdms.NotificationPayload
+		ID int64  `json:"id"`
+		TP string `json:"tp,omitempty"`
+	}
+	callbackReply struct {
+		bdms.CallbackResponse
+		Re int64 `json:"re"`
+	}
+)
+
+// renamed renames a test type in an encoding/json error to the bdms type it
+// stands for.
+func renamed(err error, name string) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%s", strings.ReplaceAll(err.Error(), "wire_test."+name, "bdms."+name))
+}
+
+// checkStreamFrames holds the callback stream's readers —
+// bdms.ParseEnvelopeFrame and bdms.ParseCallbackReply — to json.Unmarshal
+// into their frames.
+func checkStreamFrames(t *testing.T, data []byte) {
+	t.Helper()
+	entries, id, tp, err := bdms.ParseEnvelopeFrame(data)
+	var f envelopeFrame
+	var want []bdms.NotificationPayload
+	wantErr := renamed(json.Unmarshal(data, &f), "envelopeFrame")
+	if wantErr == nil {
+		head := f.NotificationPayload
+		head.More = nil
+		want = append([]bdms.NotificationPayload{head}, f.More...)
+	} else {
+		f = envelopeFrame{}
+	}
+	sameDecode(t, "envelope frame", data, []any{entries, id, tp}, err, []any{want, f.ID, f.TP}, wantErr)
+	resp, re, err := bdms.ParseCallbackReply(data)
+	var c callbackReply
+	wantErr = renamed(json.Unmarshal(data, &c), "callbackReply")
+	sameDecode(t, "callback reply", data, callbackReply{resp, re}, err, c, wantErr)
+}
+
 // checkEnvelope holds bdms.ReadCallback to httpx.ReadJSON's decode of the
 // envelope into a NotificationPayload, split into its entries.
 func checkEnvelope(t *testing.T, data []byte) {
@@ -243,8 +289,8 @@ func checkFloat(t *testing.T, data []byte) {
 // FuzzWire holds the codec to encoding/json on any bytes: AppendValue and
 // Marshal to json.Marshal (every decline included), and every document
 // reader — results body and reply, push frame, request frame, webhook
-// envelope, single and batch ingest bodies — to encoding/json's value and
-// error text.
+// envelope, its stream frame and answer, single and batch ingest bodies —
+// to encoding/json's value and error text.
 func FuzzWire(f *testing.F) {
 	const tp = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	rows := `[{"big":1.7976931348623157e+308,"key":"a\"b\\c/\u003c\u0026\u003e\u2028\u2029\t\u0001","neg":-5e-324,"nested":{"list":[1.5,"é日本😀",true,false,null,[],{}]},"none":null,"pub":7,"re":9,"zero":-0},{}]`
@@ -311,6 +357,12 @@ func FuzzWire(f *testing.F) {
 		"\x00\x00\x00\x00\x00\x00\xf8\x7f NaN bits",
 		"\x00\x00\x00\x00\x00\x00\xf0\x7f +Inf bits",
 		"\x8d\xed\xb5\xa0\xf7\xc6\xb0\x3e 1e-6 bits",
+		// The callback stream's envelope frames and answers.
+		`{"subscription_id":"bsub-000001","latest_ns":2,"results":[` + obj + `],"id":7,"tp":"` + tp + `"}`,
+		`{"subscription_id":"a","more":[{"subscription_id":"b","id":1}],"id":9223372036854775807}`,
+		`{"failed":[{"subscription_id":"ghost","code":"not_found"},{"subscription_id":"b\u003c","code":"internal"}],"re":3}`,
+		`{"re":1}`,
+		`{"failed":[{"code":1}],"re":2}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -320,6 +372,7 @@ func FuzzWire(f *testing.F) {
 		checkFloat(t, data)
 		checkFrames(t, data)
 		checkEnvelope(t, data)
+		checkStreamFrames(t, data)
 		checkIngest(t, data)
 		checkPull(t, data)
 	})

@@ -44,6 +44,9 @@ var (
 	ErrMessageTooBig = errors.New("wsock: message exceeds size limit")
 	// ErrProtocol is returned on any RFC 6455 violation.
 	ErrProtocol = errors.New("wsock: protocol violation")
+	// ErrRejected is returned by Dial when the server answers the upgrade
+	// with anything but 101: it does not speak WebSocket there.
+	ErrRejected = errors.New("wsock: handshake rejected")
 )
 
 // frame is one decoded WebSocket frame.

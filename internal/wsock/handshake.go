@@ -173,7 +173,7 @@ func Dial(rawURL string, timeout time.Duration) (*Conn, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusSwitchingProtocols {
 		_ = nc.Close()
-		return nil, fmt.Errorf("wsock: handshake rejected: HTTP %d", resp.StatusCode)
+		return nil, fmt.Errorf("%w: HTTP %d", ErrRejected, resp.StatusCode)
 	}
 	if got := resp.Header.Get("Sec-WebSocket-Accept"); got != acceptKey(key) {
 		_ = nc.Close()
