@@ -124,9 +124,10 @@ func (c *channel) bindParams(values []any) (map[string]any, error) {
 // execution, timestamped so brokers can retrieve results in production
 // order.
 type ResultObject struct {
-	// ID is unique within the subscription.
+	// ID is <log>-r<seq>, unique within the result log equivalent
+	// subscriptions share; <log> is the subscription that opened it.
 	ID string `json:"id"`
-	// SubscriptionID identifies the owning backend subscription.
+	// SubscriptionID is the backend subscription it was notified or read for.
 	SubscriptionID string `json:"subscription_id"`
 	// Timestamp is the cluster-time production timestamp; strictly
 	// increasing within a subscription.
@@ -146,22 +147,22 @@ type ResultObject struct {
 	Size int64 `json:"size"`
 }
 
-// storedResult is a result as its subscription's result dataset keeps it:
-// a ResultObject without the encoding. Its rows alias what the evaluation
-// matched — a star projection shares the stored publication records — so
-// a dataset holds no copy of them; the encoding lives as long as the
-// commit needs it (the WAL record, a PUSH notification), and a range read
-// makes it again, off the cluster lock.
+// storedResult is a result as its group's result log keeps it: a
+// ResultObject without the encoding or a subscription. Its rows alias
+// what the evaluation matched — a star projection shares the stored
+// publication records — so a log holds no copy of them; the encoding
+// lives as long as the commit needs it (the WAL record, a PUSH
+// notification), and a range read makes it again, off the cluster lock.
 type storedResult struct {
-	id, subID string // subID: the subscription that produced it
-	ts        time.Duration
-	rows      []map[string]any
-	size      int64
+	id   string
+	ts   time.Duration
+	rows []map[string]any
+	size int64
 }
 
-// encodeResults answers a range read: each stored result with its rows
-// encoded, as the evaluation encoded them when it committed.
-func encodeResults(stored []storedResult) ([]ResultObject, error) {
+// encodeResults answers subID's range read: each stored result with its
+// rows encoded, as the evaluation encoded them when it committed.
+func encodeResults(subID string, stored []storedResult) ([]ResultObject, error) {
 	if len(stored) == 0 {
 		return nil, nil
 	}
@@ -171,19 +172,19 @@ func encodeResults(stored []storedResult) ([]ResultObject, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bdms: encode result %s: %w", r.id, err)
 		}
-		out[i] = ResultObject{ID: r.id, SubscriptionID: r.subID, Timestamp: r.ts, Rows: rows, Size: r.size}
+		out[i] = ResultObject{ID: r.id, SubscriptionID: subID, Timestamp: r.ts, Rows: rows, Size: r.size}
 	}
 	return out, nil
 }
 
 // storeResult decodes a logged or snapshotted result object back into the
-// form a result dataset keeps.
+// form a result log keeps.
 func storeResult(obj ResultObject) (storedResult, error) {
 	var rows []map[string]any
 	if err := json.Unmarshal(obj.Rows, &rows); err != nil {
 		return storedResult{}, fmt.Errorf("bdms: result %s rows: %w", obj.ID, err)
 	}
-	return storedResult{id: obj.ID, subID: obj.SubscriptionID, ts: obj.Timestamp, rows: rows, size: obj.Size}, nil
+	return storedResult{id: obj.ID, ts: obj.Timestamp, rows: rows, size: obj.Size}, nil
 }
 
 // lookupPathParts resolves a pre-split path inside a record.

@@ -104,30 +104,23 @@ type ClusterStats struct {
 	EvalSubsServed obs.Counter
 }
 
-// subscription is one backend subscription: a channel instance bound to
-// parameter values, accumulating results. Matching state lives on its
-// evalGroup — every subscription with the same (channel, parameter
-// signature) shares one evaluation.
+// subscription is one backend subscription: a cursor into the result log
+// of its evalGroup, which every subscription with the same (channel,
+// parameter signature) shares, with the channel, the bound parameters and
+// the matching state.
 type subscription struct {
 	id       string
-	n        uint64 // the number in id, bsub-<n>
-	ch       *channel
-	params   map[string]any // canonicalized bound parameters
 	callback string
 
 	// group membership (guarded by Cluster.mu); memberIdx is the
 	// subscription's slot in group.members for O(1) removal.
 	group     *evalGroup
 	memberIdx int
-
-	results []storedResult // ordered by Timestamp
-	lastTS  time.Duration
-	seq     uint64
 }
 
 // Cluster is the BAD data cluster engine: datasets + channels +
 // subscriptions + the matching routines that turn publications into
-// per-subscription results.
+// results.
 type Cluster struct {
 	clock     Clock
 	notifier  Notifier
@@ -310,10 +303,10 @@ func (c *Cluster) Subscribe(channelName string, params []any, callback string) (
 	return rec.Sub, nil
 }
 
-// Unsubscribe removes a backend subscription and its result dataset. The
-// group index makes removal O(1); an evaluation snapshotted before the
-// removal re-checks liveness before appending, so results never land on a
-// dead subscription.
+// Unsubscribe removes a backend subscription; its group's result log goes
+// with the group's last member. The group index makes removal O(1); an
+// evaluation snapshotted before the removal re-checks membership when it
+// commits, so a dead subscription is never notified.
 func (c *Cluster) Unsubscribe(subID string) error {
 	rec := walRecord{Kind: walKindUnsub, Sub: subID, AtNS: int64(c.clock())}
 	c.mu.Lock()
@@ -508,12 +501,12 @@ func (c *Cluster) collectScans(dataset string, recs []Record) (scans []chanScan,
 	return scans, groups
 }
 
-// commitEval appends each matching group's shared rows to the result
-// datasets of the group's members — its members NOW, under the lock (the
-// membership rule at the top of evalgroup.go) — and collects the
-// notifications to deliver. A group whose evaluation raised delivers
-// nothing for this batch; it is counted per channel and logged at most
-// once per channel per minute, under the publication's trace.
+// commitEval appends each matching group's shared rows to the group's
+// result log, once, and collects one notification for each of the group's
+// members — its members NOW, under the lock (the membership rule at the
+// top of evalgroup.go). A group whose evaluation raised delivers nothing
+// for this batch; it is counted per channel and logged at most once per
+// channel per minute, under the publication's trace.
 func (c *Cluster) commitEval(ctx context.Context, tasks []*evalTask, now time.Duration) (pending []notification, failed int) {
 	c.mu.Lock()
 	n := 0
@@ -521,6 +514,10 @@ func (c *Cluster) commitEval(ctx context.Context, tasks []*evalTask, now time.Du
 		n += len(t.g.members)
 	}
 	pending = make([]notification, 0, n)
+	var logged []walRecord
+	if c.wal != nil {
+		logged = make([]walRecord, 0, len(tasks))
+	}
 	for _, t := range tasks {
 		if t.err != nil {
 			failed++
@@ -533,67 +530,78 @@ func (c *Cluster) commitEval(ctx context.Context, tasks []*evalTask, now time.Du
 			}
 			continue
 		}
-		for _, sub := range t.g.members {
-			pending = append(pending, c.appendResult(sub, t, now))
+		g := t.g
+		if len(g.members) == 0 {
+			continue // dropped while it evaluated: nobody reads its log
+		}
+		prev := g.lastTS
+		g.lastTS = max(now, prev+time.Nanosecond)
+		g.seq++
+		obj := ResultObject{ID: resultID(g.log, g.seq), SubscriptionID: g.members[0].id,
+			Timestamp: g.lastTS, Rows: t.enc, Size: int64(len(t.enc))}
+		g.results = append(g.results, storedResult{id: obj.ID, ts: obj.Timestamp, rows: t.rows, size: obj.Size})
+		if logged != nil {
+			rec := obj
+			logged = append(logged, walRecord{Kind: walKindResult, Sub: rec.SubscriptionID, Result: &rec, AtNS: int64(now)})
+		}
+		// The members' notifications share the rows' encoding and name the
+		// predecessor, the log's newest result until now (0: none), for a
+		// broker to prove it missed nothing; the lock orders the log.
+		obj.PrevNS = int64(prev)
+		members := float64(len(g.members))
+		c.stats.ResultsProduced.Add(members)
+		c.stats.ResultBytes.Add(members * float64(obj.Size))
+		for _, sub := range g.members {
+			obj.SubscriptionID = sub.id
+			pending = append(pending, notification{callback: sub.callback, obj: obj})
 		}
 	}
-	// Persist the produced result objects before any notification leaves
-	// the cluster: replay rebuilds result datasets from these records
-	// instead of re-running evaluations.
-	c.logResults(pending, now)
+	// Persist the results, one record each, before any notification leaves
+	// the cluster: replay rebuilds the logs from them instead of re-running
+	// evaluations. A record leaves the predecessor out: a notification does
+	// not outlive a restart, and replay rebuilds each log's newest
+	// timestamp. Best-effort: a failed append degrades durability, not
+	// delivery, and shows in AppendErrors.
+	if len(logged) > 0 {
+		_ = c.wal.appendBatch(logged)
+	}
 	c.mu.Unlock()
 	return pending, failed
 }
 
+// notification is one member's notice of a result object that names it:
+// the object itself under PUSH, its timestamp under PULL.
 type notification struct {
-	subID, callback string
-	latest          time.Duration
-	obj             ResultObject // PUSH model payload
+	callback string
+	obj      ResultObject
 }
 
-// appendResult stores a new result object for sub and returns the
-// notification to deliver. The rows and their encoding are shared across
-// every member of the evaluation group (results are immutable once
-// produced, so sharing is safe — no per-member copy). The object names its
-// predecessor, sub's newest result until now (0: none), for a broker to
-// prove it missed nothing; the lock that orders sub's results makes that
-// exact. Caller holds the lock.
-func (c *Cluster) appendResult(sub *subscription, t *evalTask, now time.Duration) notification {
-	ts := now
-	if ts <= sub.lastTS {
-		ts = sub.lastTS + time.Nanosecond
-	}
-	prev := sub.lastTS
-	sub.lastTS = ts
-	sub.seq++
-	obj := ResultObject{
-		ID:             resultID(sub.id, sub.seq),
-		SubscriptionID: sub.id,
-		Timestamp:      ts,
-		PrevNS:         int64(prev),
-		Rows:           t.enc,
-		Size:           int64(len(t.enc)),
-	}
-	sub.results = append(sub.results, storedResult{id: obj.ID, subID: sub.id, ts: ts, rows: t.rows, size: obj.Size})
-	c.stats.ResultsProduced.Inc()
-	c.stats.ResultBytes.Add(float64(obj.Size))
-	return notification{subID: sub.id, callback: sub.callback, latest: ts, obj: obj}
-}
-
-// resultID is the ID of sub's seq-th result, "<sub>-r<seq>" with seq
+// resultID is the ID of a log's seq-th result, "<log>-r<seq>" with seq
 // zero-padded to six digits: fmt's "%s-r%06d" in one allocation.
-func resultID(sub string, seq uint64) string {
+func resultID(log string, seq uint64) string {
 	var digits [20]byte
 	d := strconv.AppendUint(digits[:0], seq, 10)
 	var b strings.Builder
-	b.Grow(len(sub) + 2 + max(6, len(d)))
-	b.WriteString(sub)
+	b.Grow(len(log) + 2 + max(6, len(d)))
+	b.WriteString(log)
 	b.WriteString("-r")
 	for i := len(d); i < 6; i++ {
 		b.WriteByte('0')
 	}
 	b.Write(d)
 	return b.String()
+}
+
+// splitResultID is resultID's inverse.
+func splitResultID(id string) (log string, seq uint64, err error) {
+	i := strings.LastIndex(id, "-r")
+	if i >= 0 {
+		seq, err = strconv.ParseUint(id[i+2:], 10, 64)
+	}
+	if i < 0 || err != nil {
+		return "", 0, fmt.Errorf("bdms: result ID %q is not <log>-r<seq>", id)
+	}
+	return id[:i], seq, nil
 }
 
 // deliver fires a commit's notifications outside the lock, under the
@@ -607,9 +615,9 @@ func (c *Cluster) deliver(out notices) {
 	for _, n := range out.pending {
 		c.stats.Notifications.Inc()
 		if canPush && !c.pullModel {
-			pusher.NotifyPushContext(out.ctx, n.subID, n.callback, n.obj)
+			pusher.NotifyPushContext(out.ctx, n.obj.SubscriptionID, n.callback, n.obj)
 		} else {
-			c.notifier.NotifyContext(out.ctx, n.subID, n.callback, n.latest)
+			c.notifier.NotifyContext(out.ctx, n.obj.SubscriptionID, n.callback, n.obj.Timestamp)
 		}
 	}
 }
@@ -713,10 +721,10 @@ func (c *Cluster) NextRepetitiveRun() (time.Duration, bool) {
 	return best, found
 }
 
-// Results returns a subscription's result objects with Timestamp in
-// (from, to) — or (from, to] when inclusiveTo is set — oldest first. This
-// is the broker's fetch path. The range is copied out under the lock and
-// encoded once it is released.
+// Results returns the result objects of a subscription's group log with
+// Timestamp in (from, to) — or (from, to] when inclusiveTo is set — oldest
+// first, each naming subID. This is the broker's fetch path. The range is
+// found under the lock and encoded once it is released.
 func (c *Cluster) Results(subID string, from, to time.Duration, inclusiveTo bool) ([]ResultObject, error) {
 	c.mu.Lock()
 	sub, ok := c.subs[subID]
@@ -724,18 +732,19 @@ func (c *Cluster) Results(subID string, from, to time.Duration, inclusiveTo bool
 		c.mu.Unlock()
 		return nil, fmt.Errorf("bdms: unknown subscription %q", subID)
 	}
-	// Binary search the ordered result list for the range start.
-	idx := sort.Search(len(sub.results), func(i int) bool { return sub.results[i].ts > from })
+	// Binary search the ordered log for the range start.
+	log := sub.group.results
+	idx := sort.Search(len(log), func(i int) bool { return log[i].ts > from })
 	end := idx
-	for ; end < len(sub.results); end++ {
-		if r := sub.results[end]; r.ts > to || (r.ts == to && !inclusiveTo) {
+	for ; end < len(log); end++ {
+		if r := log[end]; r.ts > to || (r.ts == to && !inclusiveTo) {
 			break
 		}
-		c.stats.FetchedBytes.Add(float64(sub.results[end].size))
+		c.stats.FetchedBytes.Add(float64(log[end].size))
 	}
-	stored := append([]storedResult(nil), sub.results[idx:end]...)
 	c.mu.Unlock()
-	return encodeResults(stored)
+	// The log is append-only: the range is never written again.
+	return encodeResults(subID, log[idx:end])
 }
 
 // ResultsContext is Results with a context parameter, satisfying the
@@ -745,8 +754,8 @@ func (c *Cluster) ResultsContext(_ context.Context, subID string, from, to time.
 	return c.Results(subID, from, to, inclusiveTo)
 }
 
-// LatestTimestamp returns the newest result timestamp of a subscription
-// (zero when it has produced nothing yet).
+// LatestTimestamp returns the newest result timestamp of a subscription's
+// group log (zero when it holds nothing yet).
 func (c *Cluster) LatestTimestamp(subID string) (time.Duration, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -754,5 +763,5 @@ func (c *Cluster) LatestTimestamp(subID string) (time.Duration, error) {
 	if !ok {
 		return 0, fmt.Errorf("bdms: unknown subscription %q", subID)
 	}
-	return sub.lastTS, nil
+	return sub.group.lastTS, nil
 }

@@ -9,9 +9,9 @@
 //     repetitive channels that re-execute every period over newly ingested
 //     records;
 //   - backend subscriptions: (channel, parameter values) instances that
-//     accumulate timestamped result objects in a per-subscription result
-//     dataset and invoke a registered callback URL (webhook) whenever new
-//     results are produced;
+//     read the timestamped result objects their group's one result log
+//     accumulates and invoke a registered callback URL (webhook) whenever
+//     new results are produced;
 //   - a REST API (server.go) exposing exactly the abstraction Section
 //     III-A states the caching layer relies on, and a matching Go client
 //     (client.go) used by the broker.

@@ -85,6 +85,19 @@ func FuzzCacheSnapshot(f *testing.F) {
 	f.Add([]byte(`{"kind":"dataset","dataset":"DS","at_ns":0}` + "\n")) // no header
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
+	// A shared group as a snapshot wrote it while every member kept its
+	// own copy of the results (the joiner's own under its own ID): it
+	// replays into one log, the first member's.
+	f.Add([]byte(`{"kind":"snapshot","last_seq":2,"at_ns":5}
+{"kind":"dataset","dataset":"DS","at_ns":0}
+{"kind":"channel","channel":{"name":"Alerts","params":["etype"],"body":"select * from DS r where r.etype = $etype","period":0},"at_ns":0}
+{"kind":"sub","sub":"bsub-000001","name":"Alerts","params":["fire"],"at_ns":5}
+{"kind":"sub","sub":"bsub-000002","name":"Alerts","params":["fire"],"at_ns":5}
+{"kind":"result","at_ns":1,"sub":"bsub-000001","result":{"id":"bsub-000001-r000001","subscription_id":"bsub-000001","timestamp":1,"rows":[{"etype":"fire"}],"size":18}}
+{"kind":"result","at_ns":2,"sub":"bsub-000001","result":{"id":"bsub-000001-r000002","subscription_id":"bsub-000001","timestamp":2,"rows":[{"etype":"fire"}],"size":18}}
+{"kind":"result","at_ns":1,"sub":"bsub-000002","result":{"id":"bsub-000001-r000001","subscription_id":"bsub-000001","timestamp":1,"rows":[{"etype":"fire"}],"size":18}}
+{"kind":"result","at_ns":2,"sub":"bsub-000002","result":{"id":"bsub-000002-r000001","subscription_id":"bsub-000002","timestamp":2,"rows":[{"etype":"fire"}],"size":18}}
+`))
 	fixed := WithClock(func() time.Duration { return 0 })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, _, torn, err := readWAL(bytes.NewReader(data))

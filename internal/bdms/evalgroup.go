@@ -12,7 +12,7 @@ import (
 
 // Shared channel evaluation. Subscriptions of one channel are grouped by
 // parameter signature; matching runs once per GROUP per publication batch
-// and the shared rows are appended to every member's result dataset. With
+// and the rows are appended once, to the result log all members read. With
 // S subscriptions over G distinct signatures that turns O(S) channel
 // executions per publication into O(G) — the cluster-side twin of the
 // broker's subscription suppression ("Optimizing Big Active Data
@@ -27,21 +27,28 @@ import (
 // runs: one unsubscribed during the evaluation has left the group by
 // commit time and gets nothing (even when the group itself was dropped and
 // re-created meanwhile — the result belongs to the old group object, which
-// has no members left); one that joined during the evaluation gets the
-// result like any other member.
+// has no members left, and keeps nothing); one that joined during the
+// evaluation gets the result like any other member.
 
 // evalGroup is the unit of evaluation: one (channel, parameter signature)
-// with its member subscriptions. Everything but members, pos and the
-// repetitive execution state is immutable after creation; those are
-// guarded by Cluster.mu.
+// with its member subscriptions and their result log. Everything but
+// members, the log, pos and the repetitive execution state is immutable
+// after creation; those are guarded by Cluster.mu.
 type evalGroup struct {
 	ch     *channel
 	sig    string
 	params map[string]any // canonicalized bound parameters
 	consts aql.Consts     // params bound once to ch.query's slots
-	// members share one logical result dataset: each gets the same rows
-	// appended. memberIdx on the subscription makes removal O(1).
+	// members read one result log. memberIdx on the subscription makes
+	// removal O(1).
 	members []*subscription
+
+	// The result log, in timestamp order, and its newest timestamp; IDs
+	// are <log>-r<seq>, log naming the subscription that opened the group.
+	results []storedResult
+	lastTS  time.Duration
+	log     string
+	seq     uint64
 
 	// Placement of a continuous channel's group: pos in channelGroups.table,
 	// and, when idxOK, idxKey in an equality index or box in a geo one.
@@ -90,14 +97,15 @@ func (c *Cluster) group(channelName, sig string) *evalGroup {
 	return nil
 }
 
-// joinGroup adds sub, subscribing at cluster time at, to the evaluation
-// group of its parameter signature. The first member creates the group:
-// its parameters are bound to the channel's compiled query once, here, and
-// a continuous group takes a position in the scan table (and the channel's
-// index). A later member is seeded with the group's history. Caller holds
-// Cluster.mu.
-func (c *Cluster) joinGroup(sub *subscription, at time.Duration) {
-	ch := sub.ch
+// joinGroup adds sub, subscribing to ch with canonical params at time at,
+// to the group of their signature. The first member creates the group and
+// names its log; params are bound to the compiled query once, here, and a
+// continuous group takes a position in the scan table (and index). The
+// (channel, parameter values) pair identifies a logical result dataset
+// (Section IV), so a later member just reads the log: a broker
+// re-subscribing after a failover sees its predecessor's history and IDs.
+// Caller holds Cluster.mu.
+func (c *Cluster) joinGroup(sub *subscription, ch *channel, params map[string]any, at time.Duration) {
 	cg := c.groups[ch.def.Name]
 	if cg == nil {
 		cg = &channelGroups{bySig: make(map[string]*evalGroup)}
@@ -106,10 +114,10 @@ func (c *Cluster) joinGroup(sub *subscription, at time.Duration) {
 		}
 		c.groups[ch.def.Name] = cg
 	}
-	sig := paramSignature(sub.params)
+	sig := paramSignature(params)
 	g := cg.bySig[sig]
 	if g == nil {
-		g = &evalGroup{ch: ch, sig: sig, params: sub.params, consts: ch.query.Bind(sub.params)}
+		g = &evalGroup{ch: ch, sig: sig, params: params, consts: ch.query.Bind(params), log: sub.id}
 		cg.bySig[sig] = g
 		if ch.Continuous() {
 			g.pos = len(cg.table)
@@ -123,22 +131,6 @@ func (c *Cluster) joinGroup(sub *subscription, at time.Duration) {
 			g.lastSeq = c.datasets[ch.dataset].LastSeq()
 			g.nextRun = at + ch.def.Period
 		}
-	} else {
-		// The (channel, parameter values) pair identifies a logical result
-		// dataset (Section IV): equivalent subscriptions accumulate the same
-		// result stream. Seed the new subscription from it so a broker
-		// re-subscribing after a failover can range-fetch the history its
-		// predecessor had already pulled. Copies keep their producers' IDs,
-		// so the eldest member is the source, however the members came to
-		// be ordered (a snapshot lists them by ID).
-		eq := g.members[0]
-		for _, m := range g.members[1:] {
-			if m.n < eq.n {
-				eq = m
-			}
-		}
-		sub.results = append([]storedResult(nil), eq.results...)
-		sub.lastTS = eq.lastTS
 	}
 	sub.group = g
 	sub.memberIdx = len(g.members)
@@ -165,6 +157,14 @@ func (c *Cluster) leaveGroup(sub *subscription) {
 	cg := c.groups[name]
 	cg.subs--
 	if last > 0 {
+		if len(g.results) == 0 && g.log == sub.id {
+			// The opener left an empty log: name it as a snapshot's
+			// replay does, after the member listed first (lowest ID).
+			g.log = g.members[0].id
+			for _, m := range g.members[1:] {
+				g.log = min(g.log, m.id)
+			}
+		}
 		return
 	}
 	delete(cg.bySig, g.sig)
@@ -195,7 +195,7 @@ func (c *Cluster) leaveGroup(sub *subscription) {
 type evalTask struct {
 	g    *evalGroup
 	rows []map[string]any
-	enc  json.RawMessage // rows' encoding; len(enc) is every member's Size
+	enc  json.RawMessage // rows' encoding; len(enc) is the result's Size
 	err  error
 }
 
@@ -215,9 +215,9 @@ func evaluate(ch *channel, e tableEntry, frames []aql.Frame, enrichDS map[string
 	if err != nil {
 		return &evalTask{g: e.g, err: err}
 	}
-	// One encoding serves every member's WAL record and notification, and
-	// its length is their size: made once, off-lock. Rows JSON cannot
-	// carry (a NaN or an infinity) fail the group like any other
+	// One encoding serves the WAL record and every member's notification,
+	// and its length is the result's size: made once, off-lock. Rows JSON
+	// cannot carry (a NaN or an infinity) fail the group like any other
 	// evaluation error.
 	enc, err := memo.encode(rows)
 	if err != nil {

@@ -395,6 +395,9 @@ type refSub struct {
 	chName  string
 	params  map[string]any
 	batches [][]map[string]any // expected Rows of each result object
+	// inherited counts the leading batches that were the group's history
+	// when the subscription joined: notified to earlier members, not to it.
+	inherited int
 }
 
 // refEvaluate appends the per-subscription evaluation of recs, mirroring
@@ -501,6 +504,7 @@ func testGroupedEvalEquivalence(t *testing.T, seed int64) {
 		for _, other := range live {
 			if other.chName == chName && paramSignature(other.params) == sig {
 				rs.batches = append([][]map[string]any(nil), other.batches...)
+				rs.inherited = len(rs.batches)
 				break
 			}
 		}
@@ -613,10 +617,9 @@ func testGroupedEvalEquivalence(t *testing.T, seed int64) {
 
 	// Notifications, order-normalized (compared as per-subscription
 	// counts): each live subscription must have received exactly one
-	// notification per result object it accumulated itself — history
-	// inherited at join time was notified to the origin subscription, not
-	// the joiner. Seeded objects keep their origin's SubscriptionID, which
-	// is how ownBatches tells them apart.
+	// notification per result object its group produced while it was a
+	// member — the history it found at join time was notified to the
+	// members of then, not to the joiner.
 	notes.mu.Lock()
 	gotNotes := make(map[string]int)
 	for _, n := range notes.notes {
@@ -624,25 +627,10 @@ func testGroupedEvalEquivalence(t *testing.T, seed int64) {
 	}
 	notes.mu.Unlock()
 	for id, rs := range live {
-		if want := ownBatches(c, id); gotNotes[id] != want {
+		if want := len(rs.batches) - rs.inherited; gotNotes[id] != want {
 			t.Errorf("sub %s (%s): %d notifications, want %d", id, rs.chName, gotNotes[id], want)
 		}
 	}
-}
-
-// ownBatches counts the result objects a subscription accumulated itself
-// (excluding history copied from an equivalent subscription at join time —
-// seeded objects keep their origin subscription's ID).
-func ownBatches(c *Cluster, subID string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	own := 0
-	for _, obj := range c.subs[subID].results {
-		if obj.subID == subID {
-			own++
-		}
-	}
-	return own
 }
 
 // --- evaluation errors -------------------------------------------------------

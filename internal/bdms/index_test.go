@@ -254,7 +254,9 @@ func geoRecords(rng *rand.Rand, n int) []map[string]any {
 }
 
 // sameResults fails unless two subscriptions hold equal result streams:
-// the same sequence numbers, timestamps and rows.
+// the same sequence numbers, timestamps and rows. An ID's log name is
+// whichever subscription opened the group, so only its -r<seq> tail is
+// compared.
 func sameResults(t *testing.T, c *Cluster, a, b string, to time.Duration) int {
 	t.Helper()
 	ra, err := c.Results(a, 0, to, true)
@@ -270,12 +272,15 @@ func sameResults(t *testing.T, c *Cluster, a, b string, to time.Duration) int {
 	}
 	for i := range ra {
 		x, y := ra[i], rb[i]
-		if strings.TrimPrefix(x.ID, a) != strings.TrimPrefix(y.ID, b) || x.Timestamp != y.Timestamp || string(x.Rows) != string(y.Rows) {
+		if seqOf(x.ID) != seqOf(y.ID) || x.Timestamp != y.Timestamp || string(x.Rows) != string(y.Rows) {
 			t.Fatalf("result %d: %s has %s@%v %s, its twin %s@%v %s", i, a, x.ID, x.Timestamp, x.Rows, y.ID, y.Timestamp, y.Rows)
 		}
 	}
 	return len(ra)
 }
+
+// seqOf is the -r<seq> tail of a result ID.
+func seqOf(id string) string { return id[strings.LastIndex(id, "-r"):] }
 
 // testGeoIndexEquivalence: every geo-indexed channel delivers, per
 // subscription, what its scanning twin delivers, in the same order, and

@@ -35,9 +35,9 @@ func clusterState(t *testing.T, c *Cluster) string {
 }
 
 // routeHistory is one seeded history touching every record kind: a
-// continuous and a repetitive channel, a late joiner seeded from its
-// group's history, an empty publication, a channel deletion, the eldest
-// member leaving a group, and an unsubscribe of the highest-numbered
+// continuous and a repetitive channel, a late joiner reading its group's
+// log, an empty publication, a channel deletion, the member that opened
+// the log leaving the group, and an unsubscribe of the highest-numbered
 // subscription. It ends at 1h52m, with
 // the repetitive group's last run at 1h02m.
 func routeHistory() []func(t *testing.T, c *Cluster, clk *testClock) {
@@ -95,8 +95,8 @@ func routeHistory() []func(t *testing.T, c *Cluster, clk *testClock) {
 			ingest(t, c, clk, "quake", "fire")
 		},
 		func(t *testing.T, c *Cluster, clk *testClock) {
-			// The fire group's eldest leaves: its members are no longer
-			// in ID order.
+			// The member that opened the fire group's log leaves: the log
+			// keeps its name, and its members are no longer in ID order.
 			ok(t, c.Unsubscribe("bsub-000001"))
 			ok(t, c.Unsubscribe(high))
 			clk.Advance(1*time.Hour + 52*time.Minute - clk.Now())
@@ -109,7 +109,7 @@ func routeHistory() []func(t *testing.T, c *Cluster, clk *testClock) {
 // result datasets with their IDs, datasets, counts, the next repetitive run
 // (the last run plus the period, not the restart plus the period) — and
 // the recovered cluster goes on as the live one does: the next Subscribe
-// mints the same ID and is seeded with the same history, and the late
+// mints the same ID and reads the same history, and the late
 // joiner's next result gets the same ID.
 func TestRecoveryRoutesAgree(t *testing.T) {
 	// then is what both clusters do after the restart.

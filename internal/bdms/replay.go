@@ -194,10 +194,10 @@ func (c *Cluster) stageSubscribe(rec walRecord) (func(), error) {
 		return nil, err
 	}
 	n, _ := strconv.ParseUint(strings.TrimPrefix(rec.Sub, "bsub-"), 10, 64)
-	sub := &subscription{id: rec.Sub, n: n, ch: ch, params: canonicalParams(bound), callback: rec.Callback}
+	sub := &subscription{id: rec.Sub, callback: rec.Callback}
 	return func() {
 		c.subSeq = max(c.subSeq, n)
-		c.joinGroup(sub, time.Duration(rec.AtNS))
+		c.joinGroup(sub, ch, canonicalParams(bound), time.Duration(rec.AtNS))
 		c.subs[sub.id] = sub
 	}, nil
 }
@@ -213,10 +213,10 @@ func (c *Cluster) stageUnsubscribe(rec walRecord) (func(), error) {
 	}, nil
 }
 
-// stageResult appends one logged result object to a result dataset,
-// restoring the subscription's timestamp high-water mark. Only a result
-// the subscription produced advances its sequence: a snapshot's copy of
-// the history a late joiner was seeded with keeps the producer's ID.
+// stageResult appends a logged result to its subscription's group log,
+// restoring the newest timestamp and, from the ID, the log's name and
+// sequence. A result not above the newest is there already: a log written
+// while members kept their own results has a record per member for it.
 func (c *Cluster) stageResult(rec walRecord) (func(), error) {
 	if rec.Result == nil {
 		return nil, fmt.Errorf("bdms: result record without object")
@@ -225,16 +225,21 @@ func (c *Cluster) stageResult(rec walRecord) (func(), error) {
 	if !ok {
 		return nil, fmt.Errorf("bdms: result for unknown subscription %q", rec.Sub)
 	}
+	g := sub.group
+	if rec.Result.Timestamp <= g.lastTS {
+		return func() {}, nil
+	}
+	log, seq, err := splitResultID(rec.Result.ID)
+	if err != nil {
+		return nil, err
+	}
 	r, err := storeResult(*rec.Result)
 	if err != nil {
 		return nil, err
 	}
 	return func() {
-		sub.results = append(sub.results, r)
-		sub.lastTS = max(sub.lastTS, r.ts)
-		if r.subID == sub.id {
-			sub.seq++
-		}
+		g.results = append(g.results, r)
+		g.lastTS, g.log, g.seq = r.ts, log, seq
 	}, nil
 }
 

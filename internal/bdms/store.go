@@ -395,21 +395,20 @@ func (s *Store) Close() error {
 // snapshot is the cluster, captured under its lock, as the records that
 // rebuild it in replay order: the header (the subscription ID sequence,
 // which outlives a retired highest-numbered subscription), each dataset
-// followed by its ingests, the channels, the subscriptions — all before
-// any result, so joining a group seeds nothing — each subscription's
-// result dataset, and a tick per repetitive group at its last run. The
+// followed by its ingests, the channels, the subscriptions, each group's
+// result log once, and a tick per repetitive group at its last run. The
 // results are encoded by writeTo, outside the lock.
 type snapshot struct {
-	head    []walRecord // header, datasets and ingests, channels, subscriptions
-	results []heldResults
-	ticks   []walRecord
+	head  []walRecord // header, datasets and ingests, channels, subscriptions
+	logs  []heldLog
+	ticks []walRecord
 }
 
-// heldResults is one subscription's result dataset, aliased: results are
-// append-only, so the captured prefix is never written again.
-type heldResults struct {
-	sub    string
-	stored []storedResult
+// heldLog is one group's append-only result log, aliased, and the member
+// its records name: the group's first in ID order.
+type heldLog struct {
+	sub     string
+	results []storedResult
 }
 
 // snapshotLocked captures the snapshot. Caller holds c.mu.
@@ -428,19 +427,24 @@ func (c *Cluster) snapshotLocked() snapshot {
 		def := c.channels[name].def
 		snap.head = append(snap.head, walRecord{Kind: walKindChannel, Channel: &def})
 	}
+	listed := make(map[*evalGroup]bool)
 	for _, id := range sortedKeys(c.subs) {
 		sub := c.subs[id]
+		g := sub.group
 		// Positional parameter values in declaration order, so replay
 		// binds them exactly as the original subscribe did.
-		params := make([]any, len(sub.ch.def.Params))
-		for i, name := range sub.ch.def.Params {
-			params[i] = sub.params[name]
+		params := make([]any, len(g.ch.def.Params))
+		for i, name := range g.ch.def.Params {
+			params[i] = g.params[name]
 		}
 		snap.head = append(snap.head, walRecord{
-			Kind: walKindSub, Sub: id, Name: sub.ch.def.Name,
+			Kind: walKindSub, Sub: id, Name: g.ch.def.Name,
 			Params: params, Callback: sub.callback, AtNS: at,
 		})
-		snap.results = append(snap.results, heldResults{sub: id, stored: sub.results})
+		if !listed[g] && len(g.results) > 0 {
+			listed[g] = true
+			snap.logs = append(snap.logs, heldLog{sub: id, results: g.results})
+		}
 	}
 	for _, name := range sortedKeys(c.groups) {
 		cg := c.groups[name]
@@ -485,8 +489,8 @@ func (snap snapshot) writeTo(w io.Writer) (int, error) {
 			return 0, err
 		}
 	}
-	for _, h := range snap.results {
-		objs, err := encodeResults(h.stored)
+	for _, h := range snap.logs {
+		objs, err := encodeResults(h.sub, h.results)
 		if err != nil {
 			return 0, err
 		}

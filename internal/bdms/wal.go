@@ -20,13 +20,13 @@ import (
 //   - dataset creations and ingested publications (the raw data),
 //   - channel definitions and deletions,
 //   - subscription create/remove,
-//   - every produced result object (the per-subscription result datasets),
+//   - every produced result object, once (its group's result log),
 //   - repetitive-group progress marks.
 //
 // Each entry is one JSONL record appended before the operation is
 // acknowledged, and replays through replay.go's one apply path — ingests
 // WITHOUT re-running channel evaluation, because the results evaluation
-// produced are in the log too, so recovered result datasets are
+// produced are in the log too, so recovered result logs are
 // byte-identical to the pre-crash state. A snapshot is this log compacted
 // (store.go).
 
@@ -368,24 +368,4 @@ func (c *Cluster) logIngestBatch(dataset string, batch []map[string]any, at time
 		recs[i] = walRecord{Kind: walKindIngest, Dataset: dataset, Data: data, AtNS: int64(at)}
 	}
 	return c.wal.appendBatch(recs)
-}
-
-// logResults appends the result objects a commit produced, one record per
-// (subscription, result) so per-subscription result datasets replay
-// exactly. Best-effort by design: the in-memory state is the source of
-// truth for live traffic, so a failed append degrades durability, not
-// delivery — the failure is still visible through AppendErrors. A record
-// leaves the object's predecessor out: a notification does not outlive a
-// restart, and replay rebuilds each subscription's newest timestamp.
-func (c *Cluster) logResults(pending []notification, at time.Duration) {
-	if c.wal == nil || len(pending) == 0 {
-		return
-	}
-	recs := make([]walRecord, len(pending))
-	for i, n := range pending {
-		obj := n.obj
-		obj.PrevNS = 0
-		recs[i] = walRecord{Kind: walKindResult, Sub: n.subID, Result: &obj, AtNS: int64(at)}
-	}
-	_ = c.wal.appendBatch(recs)
 }

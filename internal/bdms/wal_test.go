@@ -227,6 +227,8 @@ func TestWALRejectedIngestNotLogged(t *testing.T) {
 // characters, U+2028, non-ASCII, control bytes and 1e21) replays into the
 // result datasets that tree held — same objects, same Size, and rows that
 // are the bytes its encoding/json wrote for them, whose length Size is.
+// That tree logged a shared group's result once per member, under each
+// member's own ID; it replays into one log under its founder's IDs.
 func TestParentWALReplays(t *testing.T) {
 	seg, err := os.ReadFile("testdata/wal-parent/wal-000001.jsonl")
 	if err != nil {
@@ -247,11 +249,13 @@ func TestParentWALReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	replayed := map[string][]ResultObject{}
 	for name, id := range want.Subs {
 		got, err := c.Results(id, 0, 1<<62, true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		replayed[name] = got
 		exp := want.Results[name]
 		for i := range exp { // results.json is indented; the parent held compact rows
 			var buf bytes.Buffer
@@ -267,6 +271,14 @@ func TestParentWALReplays(t *testing.T) {
 			if r.Size != int64(len(r.Rows)) || !strings.Contains(string(seg), string(r.Rows)) {
 				t.Errorf("%s: Size %d, %d rows bytes, or rows not the logged bytes", r.ID, r.Size, len(r.Rows))
 			}
+		}
+	}
+	// fire-a founded the group fire-b joined: both read one log, each
+	// result stamped with the subscription that asked.
+	a, b := replayed["fire-a"], replayed["fire-b"]
+	for i := range b {
+		if i >= len(a) || b[i].ID != a[i].ID || b[i].SubscriptionID != want.Subs["fire-b"] {
+			t.Errorf("fire-b result %d is %s of %s, want fire-a's ID under %s", i, b[i].ID, b[i].SubscriptionID, want.Subs["fire-b"])
 		}
 	}
 	if len(want.Results["fire-a"]) != 3 || len(want.Results["digest"]) != 1 {
