@@ -47,7 +47,7 @@ bench-json:
 	{ $(GO) test -run=NONE -bench='BenchmarkFanout|BenchmarkObjectsInRange|BenchmarkWritePrepared|BenchmarkWriteMessage' \
 		-benchmem -benchtime=200x -cpu 1 -count=3 ./internal/broker ./internal/wsock ./internal/core; \
 	  $(GO) test -run=NONE -bench='^Benchmark(Results(Route|Socket)Hit|HandleCallback)$$' -benchmem -benchtime=5000x -cpu 1 -count=5 ./internal/broker; } \
-		| $(GO) run ./cmd/benchjson -note "Fanout is the pooled-writer interest-keyed hub (1000 drained subscribers plus one stalled) with GC-owned sessions and events. Same hub with sessions and events drawn from sync.Pools (deleted; it cost three use-after-release bugs and moved no live metric): 44166ns/0allocs, p99 97454ns. Goroutine-per-session hub before the writer pool: 201824ns/57allocs, p99 595609ns. Original synchronous per-subscriber dispatch loop (BenchmarkFanoutLegacySync, deleted; drained subscribers only): 2420618ns/2000allocs, p99 4733616ns. objectsInRange pre-change: span=1 4513ns/1alloc, span=16 4963ns/5allocs, span=256 6647ns/9allocs. ResultsRouteHit is client.GetResults against an httptest broker serving one cached 700-byte object to each of 32 subscribers; before rows stayed bytes and spans left the allocator, same box: 47407ns/181allocs. ResultsSocketHit is the same with every subscriber Listening, so each retrieval is one frame each way on its notification socket, the push frames' decode included. Before the notification socket's frames stopped going through encoding/json (the HTTP fallback's decode shares that reader): RouteHit 12639B/133allocs, SocketHit 7280B/83allocs. HandleCallback is the broker's webhook route on a 4-entry envelope with pushed rows, its results cached after the first round; with the envelope decoded by encoding/json: 14345B/89allocs." \
+		| $(GO) run ./cmd/benchjson -note "Fanout is the pooled-writer interest-keyed hub (1000 drained subscribers plus one stalled) with GC-owned sessions and events. Same hub with sessions and events drawn from sync.Pools (deleted; it cost three use-after-release bugs and moved no live metric): 44166ns/0allocs, p99 97454ns. Goroutine-per-session hub before the writer pool: 201824ns/57allocs, p99 595609ns. Original synchronous per-subscriber dispatch loop (BenchmarkFanoutLegacySync, deleted; drained subscribers only): 2420618ns/2000allocs, p99 4733616ns. objectsInRange pre-change: span=1 4513ns/1alloc, span=16 4963ns/5allocs, span=256 6647ns/9allocs. ResultsRouteHit is client.GetResults against an httptest broker serving one cached 700-byte object to each of 32 subscribers; before rows stayed bytes and spans left the allocator, same box: 47407ns/181allocs. ResultsSocketHit is the same with every subscriber Listening, so each retrieval is one frame each way on its notification socket, the push frames' decode included. Before the notification socket's frames stopped going through encoding/json (the HTTP fallback's decode shares that reader): RouteHit 12639B/133allocs, SocketHit 7280B/83allocs. Only those two rows' B/op and allocs/op were re-recorded then; their ns/op stayed as first recorded, because on a slower box the change ran faster than its parent (best of five, RouteHit 95153 -> 79517ns, SocketHit 81571 -> 69506ns). HandleCallback is the broker's webhook route on a 4-entry envelope with pushed rows, its results cached after the first round; with the envelope decoded by encoding/json: 14345B/89allocs. Before each span was its own context node (a node per span and per parent, the request ID's node and string, a traceparent string per push frame and per socket retrieval, a timer and a request buffer per socket retrieval, frame headers read through the heap): RouteHit 40392ns 12631B/115allocs, SocketHit 37899ns 6518B/47allocs, HandleCallback 36183ns 13897B/79allocs. On that re-record only the three rows' B/op and allocs/op changed: on a box where the parent ran slower than those rows were first recorded (best of five, parent -> change: RouteHit 65117 -> 65622ns, SocketHit 37745 -> 35693ns, HandleCallback 25051 -> 24072ns), their ns/op and every other row stayed as first recorded." \
 		> BENCH_fanout.json
 	$(GO) test -run=NONE -bench='BenchmarkIngestEval' -benchmem -benchtime=2000x -cpu 1 -count=3 ./internal/bdms \
 		| $(GO) run ./cmd/benchjson -note "Grouped channel evaluation over the compiled engine: evals/rec equals signature groups G, not subscriptions S; geo/sigs=2000 is the live benchmark's eval_wide body and grid. Tree-walking evaluator before compilation (same cases, -cpu 1): geo/sigs=2000 1670000ns/op 9440allocs, subs=1000/sigs=10 110000ns/op 357allocs, subs=10000/sigs=100 280000ns/op 664allocs, subs=10000/sigs=1000 750000ns/op 4082allocs, batch 140000ns/op 333allocs. geo/sigs=2000 while evaluation encoded its rows, and indexKey its keys, with encoding/json: 7245B/op 126allocs. geo/sigs=2000 before the geo-grid index, when every publication scanned all 2000 groups: 102037ns/op 59allocs 5312B/op; its row was re-recorded alone with the index, on a slower box where the parent read 153612ns/op. Rows run a fixed 2000 iterations: a result log grows by one entry per matching ingest, so a time-based -benchtime made ns/op depend on how many iterations it picked. Before each evaluation group kept one result log (every member held its own copy of each result), at 2000x on the same box (best of six): geo/sigs=2000 9073ns/op 47allocs 4427B/op, subs=1000/sigs=10 43797ns/op 125allocs, subs=10000/sigs=100 87655ns/op 150allocs, subs=10000/sigs=1000 117358ns/op 42allocs, batch 89523ns/op 140allocs." \

@@ -318,11 +318,12 @@ func TestResultsRouteHitAllocs(t *testing.T) {
 	}
 	get()
 	allocs := testing.AllocsPerRun(100, get)
-	// 34, the httptest request and recorder included. The parent spent 68:
-	// its middleware's 20 against 7 now (TestWrapAllocs), the query map,
-	// the span name, and the cached rows decoded into maps and encoded
-	// again through encoding/json.
-	if allocs > 35 {
-		t.Errorf("results route hit = %v allocs, want at most 35", allocs)
+	// 31, the httptest request and recorder included. Each span is its
+	// own context node and carries the request ID (35 before); earlier the
+	// route spent 68: its middleware's 20 against 4 now (TestWrapAllocs),
+	// the query map, the span name, and the cached rows decoded into maps
+	// and encoded again through encoding/json.
+	if allocs > 31 {
+		t.Errorf("results route hit = %v allocs, want at most 31", allocs)
 	}
 }

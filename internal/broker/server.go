@@ -396,19 +396,19 @@ type getRequest struct {
 }
 
 // AppendGetRequest appends the retrieval request frame a listening client
-// sends on its notification socket, {"get":fs,"id":id,"ack":ack[,"tp":tp]}
-// with "tp" left out when empty: the one writer of what serveGet decodes
-// into a getRequest.
-func AppendGetRequest(dst []byte, fs string, id, ack int64, tp string) []byte {
+// sends on its notification socket, {"get":fs,"id":id,"ack":ack[,"tp":...]}
+// with "tp" tp's traceparent, left out when tp is not valid: the one
+// writer of what serveGet decodes into a getRequest.
+func AppendGetRequest(dst []byte, fs string, id, ack int64, tp obs.SpanContext) []byte {
 	dst = append(dst, `{"get":`...)
 	dst = wire.AppendJSONString(dst, fs)
 	dst = append(dst, `,"id":`...)
 	dst = strconv.AppendInt(dst, id, 10)
 	dst = append(dst, `,"ack":`...)
 	dst = strconv.AppendInt(dst, ack, 10)
-	if tp != "" {
-		dst = append(dst, `,"tp":`...)
-		dst = wire.AppendJSONString(dst, tp)
+	if tp.Valid() {
+		dst = append(dst, `,"tp":"`...)
+		dst = append(tp.AppendTraceparent(dst), '"')
 	}
 	return append(dst, '}')
 }
@@ -423,7 +423,7 @@ func (s *Server) serveGet(conn *wsock.Conn, subscriber string, msg []byte) error
 	s.obs.HTTP.Begin()
 	defer s.obs.HTTP.End()
 	fs, id, ack, tp, err := ParseGetRequest(msg)
-	ctx, sp, _ := s.results.Begin(context.Background(), tp, "", "WS")
+	ctx, sp := s.results.Begin(context.Background(), tp, "", "WS")
 	sp.SetAttr("transport", "ws")
 	ret, status := Retrieval{}, http.StatusBadRequest
 	if err == nil {
@@ -517,7 +517,7 @@ func (s *Server) serveEnvelope(conn *wsock.Conn, msg []byte) error {
 	s.obs.HTTP.Begin()
 	defer s.obs.HTTP.End()
 	entries, id, tp, err := bdms.ParseEnvelopeFrame(msg)
-	ctx, sp, _ := s.callbacks.Begin(context.Background(), tp, "", "WS")
+	ctx, sp := s.callbacks.Begin(context.Background(), tp, "", "WS")
 	sp.SetAttr("transport", "ws")
 	if err != nil {
 		s.callbacks.End(ctx, sp, "WS", callbackRoute, http.StatusBadRequest, 0, start)

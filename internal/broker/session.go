@@ -78,16 +78,17 @@ type pushEvent struct {
 }
 
 // appendPushJSON appends the shared wire form of a push notification,
-// {"type":"results","bs":...,"latest_ns":...[,"tp":...]}, to dst: the bytes
-// json.Marshal writes for that PushNotification, without its allocations.
-func appendPushJSON(dst []byte, backendSub string, latest int64, tp string) []byte {
+// {"type":"results","bs":...,"latest_ns":...[,"tp":...]}, "tp" being tp's
+// traceparent when tp is valid, to dst: the bytes json.Marshal writes for
+// that PushNotification, without its allocations.
+func appendPushJSON(dst []byte, backendSub string, latest int64, tp obs.SpanContext) []byte {
 	dst = append(dst, `{"type":"results","bs":`...)
 	dst = wire.AppendJSONString(dst, backendSub)
 	dst = append(dst, `,"latest_ns":`...)
 	dst = strconv.AppendInt(dst, latest, 10)
-	if tp != "" {
-		dst = append(dst, `,"tp":`...)
-		dst = wire.AppendJSONString(dst, tp)
+	if tp.Valid() {
+		dst = append(dst, `,"tp":"`...)
+		dst = append(tp.AppendTraceparent(dst), '"')
 	}
 	return append(dst, '}')
 }
@@ -495,10 +496,13 @@ func (h *sessionHub) drainSession(s *session) {
 	s.mu.Unlock()
 }
 
-// deliver writes one marker to the socket. Untraced markers (no span, the
-// benchmark/common case) take the bare one-write fast path; traced markers
-// additionally record a ws_write span plus the queue-wait and socket-write
-// stage latencies.
+// deliver writes one marker to the socket. A traced marker — every marker
+// of a publication ingested over HTTP, whose request roots a trace — also
+// records a ws_write span, a child of the marker's span, and the
+// queue-wait and socket-write stage latencies, both logged (when slow)
+// under that span. Only a marker made outside any trace (an in-process
+// publication, as the fan-out benchmarks make) takes the bare one-write
+// path.
 func (s *session) deliver(ev *pushEvent) error {
 	if d := s.hub.writeTimeout; d > 0 {
 		_ = s.conn.SetWriteDeadline(time.Now().Add(d))
@@ -506,9 +510,9 @@ func (s *session) deliver(ev *pushEvent) error {
 	if !ev.span.Valid() {
 		return s.conn.WritePreparedMessage(&ev.pm)
 	}
-	ctx := obs.ContextWithSpan(context.Background(), ev.span)
-	s.hub.stages.Observe(ctx, span.StageQueueWait, span.OutcomeNone, time.Since(ev.at))
-	wctx, sp := s.hub.traces.Start(ctx, "session.ws_write")
+	waited := time.Since(ev.at)
+	wctx, sp := s.hub.traces.StartFrom(context.Background(), ev.span, "session.ws_write")
+	s.hub.stages.Observe(wctx, span.StageQueueWait, span.OutcomeNone, waited)
 	sp.SetAttr("subscriber", s.subscriber)
 	start := time.Now()
 	err := s.conn.WritePreparedMessage(&ev.pm)
@@ -751,15 +755,11 @@ func (h *sessionHub) snapshot() PushStats {
 // marker.
 func (h *sessionHub) newEvent(ctx context.Context, backendSub string, latest int64) (*pushEvent, bool) {
 	ev := &pushEvent{latest: latest}
-	tp := ""
-	sc, _ := obs.SpanFromContext(ctx)
-	if sc.Valid() {
-		tp = sc.Traceparent()
-		ev.at = time.Now()
+	if sc, ok := obs.SpanFromContext(ctx); ok {
+		ev.span, ev.at = sc, time.Now()
 	}
-	ev.span = sc
 	var buf [192]byte // fits any broker-minted id plus a traceparent
-	if err := ev.pm.Encode(wsock.OpText, appendPushJSON(buf[:0], backendSub, latest, tp)); err != nil {
+	if err := ev.pm.Encode(wsock.OpText, appendPushJSON(buf[:0], backendSub, latest, ev.span)); err != nil {
 		h.stats.failures.Add(1)
 		h.log.WarnContext(ctx, "preparing push frame failed",
 			slog.String("backend_sub", backendSub), slog.Any("error", err))

@@ -19,21 +19,22 @@ import (
 // TestPushFrameMatchesMarshal: the hand-appended push frame is the bytes
 // json.Marshal writes for the same PushNotification — strings needing
 // escapes and invalid UTF-8 included, with and without a traceparent — and
-// appending it into a stack buffer allocates nothing.
+// appending it, traceparent included, into a stack buffer allocates
+// nothing.
 func TestPushFrameMatchesMarshal(t *testing.T) {
-	const traceparent = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	traceparent, _ := obs.ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
 	for _, bs := range []string{
 		"bsub-000001", `say "hi"`, `back\slash`, "<a>&b", "naïve → ünïcode",
 		"bad\xffutf8", "tab\tnl\n", "sep\u2028",
 	} {
-		for _, tp := range []string{"", traceparent, "<&>"} {
+		for _, tp := range []obs.SpanContext{{}, traceparent} {
 			for _, latest := range []int64{0, 1234567890123, -7} {
-				want, err := json.Marshal(PushNotification{Type: "results", BackendSub: bs, LatestNS: latest, Traceparent: tp})
+				want, err := json.Marshal(PushNotification{Type: "results", BackendSub: bs, LatestNS: latest, Traceparent: tpString(tp)})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := appendPushJSON(nil, bs, latest, tp); !bytes.Equal(got, want) {
-					t.Errorf("appendPushJSON(%q, %d, %q) = %s, want %s", bs, latest, tp, got, want)
+					t.Errorf("appendPushJSON(%q, %d, %q) = %s, want %s", bs, latest, tpString(tp), got, want)
 				}
 			}
 		}

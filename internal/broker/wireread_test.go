@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gobad/internal/bdms"
+	"gobad/internal/obs"
 	"gobad/internal/wire"
 )
 
@@ -135,6 +136,9 @@ func TestWireDecodeErrorsNameTheType(t *testing.T) {
 
 const wireTP = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 
+// wireSC is wireTP parsed: what the socket's frame writers take.
+var wireSC, _ = obs.ParseTraceparent(wireTP)
+
 // wireRetrieval is a reply's worth of results whose rows carry escapes,
 // non-ASCII, nesting, extreme numbers, null and a row's own "re" key.
 func wireRetrieval(t testing.TB) Retrieval {
@@ -162,10 +166,10 @@ func FuzzWireDecode(f *testing.F) {
 		appendResultsReply(nil, Retrieval{Items: []Item{}}, math.MaxInt64),
 		appendResults(nil, ret),
 		appendResults(nil, Retrieval{Stale: true}),
-		appendPushJSON(nil, "bs-000001", 12345, ""),
-		appendPushJSON(nil, "bs \u2028 \xff", -1, wireTP),
-		AppendGetRequest(nil, "broker-1-fs000001", 1, 0, ""),
-		AppendGetRequest(nil, "fs <é>", math.MaxInt64, 42, wireTP),
+		appendPushJSON(nil, "bs-000001", 12345, obs.SpanContext{}),
+		appendPushJSON(nil, "bs \u2028 \xff", -1, wireSC),
+		AppendGetRequest(nil, "broker-1-fs000001", 1, 0, obs.SpanContext{}),
+		AppendGetRequest(nil, "fs <é>", math.MaxInt64, 42, wireSC),
 		[]byte(`{"results":[{"id":"\"\\\/\b\f\n\r\t\u003c\u0026\u2028\ufffd","rows":[{"k\u00e9":"\ud83d\ude00"}]}]}`),
 		[]byte(`{"results":[{"id":"raw é 日本 ` + "\xff\xfe\xed\xa0\x80" + `"}],"latest_ns":1}`),
 		[]byte(`{"results":[{"rows":[{"lone":"\ud800","low":"\udc00","pair?":"\ud800\u0041","esc":"\ud800\\u0041","two":"\ud800\ud800\udc00"}]}]}`),
@@ -240,8 +244,8 @@ func TestWireWritersTakeDirectPath(t *testing.T) {
 		}
 		bs, latest, tp := "bs"+randString(rng), randInt(rng), randTP(rng) // a backend subscription is never ""
 		push := appendPushJSON(nil, bs, latest, tp)
-		if want, _ := json.Marshal(PushNotification{Type: "results", BackendSub: bs, LatestNS: latest, Traceparent: tp}); !bytes.Equal(push, want) {
-			t.Fatalf("appendPushJSON(%q, %d, %q) = %s, want %s", bs, latest, tp, push, want)
+		if want, _ := json.Marshal(PushNotification{Type: "results", BackendSub: bs, LatestNS: latest, Traceparent: tpString(tp)}); !bytes.Equal(push, want) {
+			t.Fatalf("appendPushJSON(%q, %d, %q) = %s, want %s", bs, latest, tpString(tp), push, want)
 		}
 		frames := []struct {
 			what string
@@ -291,11 +295,27 @@ func randString(rng *rand.Rand) string {
 	return b.String()
 }
 
-func randTP(rng *rand.Rand) string {
+// randTP is no span context or a random valid one.
+func randTP(rng *rand.Rand) obs.SpanContext {
+	var sc obs.SpanContext
 	if rng.Intn(2) == 0 {
+		return sc
+	}
+	rng.Read(sc.TraceID[:])
+	rng.Read(sc.SpanID[:])
+	sc.TraceID[0] |= 1 // valid: neither ID all zeros
+	sc.SpanID[0] |= 1
+	sc.Flags = byte(rng.Intn(256))
+	return sc
+}
+
+// tpString is the "tp" a frame writer puts for sc: its traceparent, or
+// none when sc is not valid.
+func tpString(sc obs.SpanContext) string {
+	if !sc.Valid() {
 		return ""
 	}
-	return randString(rng)
+	return sc.Traceparent()
 }
 
 // randObject is a row as the cluster's encoder sees one: any JSON value

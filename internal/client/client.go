@@ -296,23 +296,32 @@ func (c *Client) GetResults(fs string) ([]broker.ResultItem, error) {
 		c.replies[wait.id] = wait
 	}
 	c.mu.Unlock()
-	// Join the trace the push frame carried (when it carried one): the
-	// retrieval below then shows up as a client span of the same
-	// end-to-end delivery trace, and its traceparent rides the request so
-	// the broker's server spans link in too.
-	ctx := context.Background()
-	if origin.Valid() {
-		ctx = obs.ContextWithSpan(ctx, origin)
-	}
+	// Join the trace the push frame carried (when it carried one, else a
+	// new one): the retrieval below then shows up as a client span of the
+	// same end-to-end delivery trace, and a child of that span rides the
+	// request as its traceparent, so the broker's server spans link in
+	// too. Without a recorder the client span is never recorded, so only
+	// its trace matters: the request descends from origin directly.
 	var out broker.ResultsResponse
-	rctx, rsp := c.traces.Start(ctx, "client.get_results")
-	rsp.SetAttr("subscription", fs)
+	ctx := context.Background()
+	var rsp *span.Span
+	parent := origin
+	if c.traces != nil {
+		ctx, rsp = c.traces.StartFrom(ctx, origin, "client.get_results")
+		rsp.SetAttr("subscription", fs)
+		parent = rsp.Context()
+	} else if !parent.Valid() {
+		parent = obs.NewSpan()
+	}
 	err := errSocketLost
 	if wait.ch != nil {
-		err = c.getOverSocket(rctx, wait, base, cur, seen, &out)
+		err = c.getOverSocket(wait, base, cur, seen, parent, &out)
 	}
 	if errors.Is(err, errSocketLost) {
-		err = httpx.DoJSONContext(rctx, c.http, http.MethodGet, c.resultsURL(base, cur, seen), nil, &out)
+		if rsp == nil {
+			ctx = obs.ContextWithSpan(ctx, parent)
+		}
+		err = httpx.DoJSONContext(ctx, c.http, http.MethodGet, c.resultsURL(base, cur, seen), nil, &out)
 	}
 	rsp.SetError(err)
 	rsp.End()
@@ -364,32 +373,35 @@ type pendingReply struct {
 // errSocketLost: the socket died before a retrieval's reply arrived.
 var errSocketLost = errors.New("client: notification socket lost")
 
+// replyTimers holds stopped timers with empty channels, so a retrieval on
+// the notification socket waits for its reply without allocating one.
+var replyTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
+// getFrames recycles retrieval request frames: the socket is done with a
+// frame once WriteMessage returns (it copies a small one into its own
+// buffer), and a frame handed to it escapes, so a stack buffer would not.
+var getFrames = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+
 // getOverSocket makes one retrieval on the notification socket, the frame
-// {"get":fs,"id":n,"ack":ns[,"tp":...]}, waiting no longer than the HTTP
-// client's Timeout. The reply is the results route's body with "re":n, or
+// {"get":fs,"id":n,"ack":ns,"tp":...} with a child of parent as its
+// traceparent, waiting no longer than the HTTP client's Timeout. The reply
+// is the results route's body with "re":n, or
 // {"re":n,"status":s,"error":{...}}, which becomes the route's error.
-func (c *Client) getOverSocket(ctx context.Context, wait pendingReply, base, cur string, ack time.Duration, out *broker.ResultsResponse) error {
-	tp := ""
-	if sc, ok := obs.SpanFromContext(ctx); ok {
-		tp = sc.Child().Traceparent()
-	}
-	req := broker.AppendGetRequest(make([]byte, 0, 160), cur, wait.id, int64(ack), tp)
-	var timeout <-chan time.Time
-	if d := c.http.Timeout; d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timeout = t.C
-	}
+func (c *Client) getOverSocket(wait pendingReply, base, cur string, ack time.Duration, parent obs.SpanContext, out *broker.ResultsResponse) error {
+	bp := getFrames.Get().(*[]byte)
+	*bp = broker.AppendGetRequest((*bp)[:0], cur, wait.id, int64(ack), parent.Child())
+	werr := wait.conn.WriteMessage(wsock.OpText, *bp)
+	getFrames.Put(bp)
 	var body []byte
 	var err error
 	// A request the socket cannot take finds it closed or broken: the
 	// socket is lost, as when it dies before the reply.
-	if wait.conn.WriteMessage(wsock.OpText, req) == nil {
-		select {
-		case body = <-wait.ch:
-		case <-timeout:
-			err = fmt.Errorf("client: no reply to the retrieval of %s within %v", cur, c.http.Timeout)
-		}
+	if werr == nil {
+		body, err = c.awaitReply(wait.ch, cur)
 	}
 	if body == nil { // not sent, timed out, or the socket died
 		c.mu.Lock()
@@ -415,6 +427,29 @@ func (c *Client) getOverSocket(ctx context.Context, wait pendingReply, base, cur
 	}
 	return fmt.Errorf("client: retrieval of %s: %w", cur, &httpx.StatusError{
 		Status: e.Status, Code: e.Error.Code, Message: e.Error.Message, Retryable: e.Error.Retryable})
+}
+
+// awaitReply waits for the reply ch carries (nil when the socket died
+// first) no longer than the HTTP client's Timeout, on a pooled timer. A
+// timer that fired as the reply came is left to the collector rather than
+// pooled, so no pooled timer holds a stale tick.
+func (c *Client) awaitReply(ch <-chan []byte, cur string) ([]byte, error) {
+	d := c.http.Timeout
+	if d <= 0 {
+		return <-ch, nil
+	}
+	t := replyTimers.Get().(*time.Timer)
+	t.Reset(d)
+	select {
+	case body := <-ch:
+		if t.Stop() {
+			replyTimers.Put(t)
+		}
+		return body, nil
+	case <-t.C:
+		replyTimers.Put(t)
+		return nil, fmt.Errorf("client: no reply to the retrieval of %s within %v", cur, d)
+	}
 }
 
 // replyID is the request id a retrieval reply on the notification socket

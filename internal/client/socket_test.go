@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,8 @@ import (
 	"gobad/internal/broker"
 	"gobad/internal/core"
 	"gobad/internal/httpx"
+	"gobad/internal/obs"
+	"gobad/internal/obs/span"
 	"gobad/internal/wsock"
 )
 
@@ -288,11 +291,15 @@ func TestSocketErrorsMatchHTTP(t *testing.T) {
 // broker for two subscribers of one backend subscription: alice, listening,
 // who retrieves over her notification socket, and hal, who never listens
 // and retrieves over HTTP. Until hal retrieves, the object stays cached for
-// alice's repeated retrievals. gets counts alice's results GETs.
+// alice's repeated retrievals. gets counts alice's results GETs; b is the
+// broker, bs the backend subscription and traces the broker's recorder.
 type cachedPair struct {
 	alice, hal *Client
 	fsA, fsH   string
 	gets       atomic.Int64
+	b          *broker.Broker
+	bs         string
+	traces     *span.Recorder
 }
 
 func newCachedPair(t *testing.T, rows json.RawMessage) *cachedPair {
@@ -309,9 +316,10 @@ func newCachedPair(t *testing.T, rows json.RawMessage) *cachedPair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(broker.NewServer(b).Handler())
+	bsrv := broker.NewServer(b)
+	srv := httptest.NewServer(bsrv.Handler())
 	t.Cleanup(srv.Close)
-	p := &cachedPair{}
+	p := &cachedPair{b: b, traces: bsrv.Observer().Traces}
 	if p.alice, err = New(Config{Subscriber: "alice", BrokerURL: srv.URL,
 		HTTPClient: &http.Client{Transport: countGets{&p.gets}}}); err != nil {
 		t.Fatal(err)
@@ -334,6 +342,7 @@ func newCachedPair(t *testing.T, rows json.RawMessage) *cachedPair {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.bs = bs
 	if err := b.HandleNotificationContext(context.Background(), bs, time.Second, []bdms.ResultObject{{
 		ID: bs + "-r000001", SubscriptionID: bs, Timestamp: time.Second, Rows: rows, Size: int64(len(rows)),
 	}}); err != nil {
@@ -341,6 +350,67 @@ func newCachedPair(t *testing.T, rows json.RawMessage) *cachedPair {
 	}
 	awaitNotification(t, p.alice, 0) // her socket is pumping: she retrieves over it
 	return p
+}
+
+// TestSocketRetrievalTimesOut: a retrieval whose reply never comes fails
+// after the HTTP client's Timeout with the same error each time, and a
+// retrieval answered in time hands its timer back without a stale tick —
+// the next unanswered one still waits the whole Timeout.
+func TestSocketRetrievalTimesOut(t *testing.T) {
+	const timeout = 150 * time.Millisecond
+	answer := make(chan bool, 3) // whether to answer each request, in order
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, err := wsock.Upgrade(w, r)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			_, msg, err := conn.ReadMessage()
+			if err != nil {
+				return
+			}
+			_, id, _, _, err := broker.ParseGetRequest(msg)
+			if err == nil && <-answer {
+				_ = conn.WriteMessage(wsock.OpText, []byte(fmt.Sprintf("{\"results\":[],\"latest_ns\":0,\"re\":%d}\n", id)))
+			}
+		}
+	}))
+	t.Cleanup(srv.Close)
+	c, err := New(Config{Subscriber: "alice", BrokerURL: srv.URL, HTTPClient: &http.Client{Timeout: timeout}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		up := c.ws != nil
+		c.mu.Unlock()
+		if up {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the socket never came up")
+		}
+	}
+	want := fmt.Sprintf("client: no reply to the retrieval of fs-1 within %v", timeout)
+	for i, answered := range []bool{false, true, false} {
+		answer <- answered
+		start := time.Now()
+		_, err := c.GetResults("fs-1")
+		took := time.Since(start)
+		switch {
+		case answered && err != nil:
+			t.Fatalf("retrieval %d, answered: %v", i, err)
+		case !answered && (err == nil || err.Error() != want):
+			t.Fatalf("retrieval %d, unanswered: %v; want %q", i, err, want)
+		case !answered && took < timeout:
+			t.Fatalf("retrieval %d failed after %v, before the %v timeout", i, took, timeout)
+		}
+	}
 }
 
 // TestSocketAndHTTPDecodeAlike: the same cached object retrieved over the
@@ -406,12 +476,133 @@ func TestSocketRetrievalAllocs(t *testing.T) {
 	if n := p.gets.Load(); n != 0 {
 		t.Fatalf("%d retrievals went over HTTP, want none", n)
 	}
-	// 40, of which the reply's decode is 12: the frame's one string, the
+	// 26, of which the reply's decode is 12: the frame's one string, the
 	// items and rows slices, the row's two maps (two each) and its five
-	// boxed values.
-	if allocs > 41 {
-		t.Errorf("socket retrieval = %v allocs, want at most 41", allocs)
+	// boxed values. It spent 41 with a context node per span and parent,
+	// a request ID string, a timer and a request buffer per retrieval and
+	// the frame headers' reads moved to the heap.
+	if allocs > 26 {
+		t.Errorf("socket retrieval = %v allocs, want at most 26", allocs)
 	}
+}
+
+// TestTracedDeliveryAllocs bounds the path every live delivery takes, both
+// ends in this process. A publication ingested over HTTP roots a trace, so
+// the broker's marker carries it: the hub's traced deliver writes it under
+// a session.ws_write span, alice's pump reads it, and her GetResults asks
+// over the socket with a child of it as the traceparent; the results
+// route begins its server span from that, the cache answers a one-row
+// object of about 700 bytes, and the reply is read and decoded. One run is
+// one publication's arrival at the broker, push and retrieval. The spans
+// a delivery records are then held to the tree every delivery records.
+func TestTracedDeliveryAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector allocates on its own")
+	}
+	rows, err := json.Marshal([]map[string]any{{"etype": "fire", "severity": 3.0,
+		"location": map[string]any{"lat": 33.64, "lon": -117.84},
+		"message":  strings.Repeat("structure fire near campus; ", 22)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newCachedPair(t, rows)
+	const runs = 100
+	objs := make([][]bdms.ResultObject, runs+3) // warm-up, AllocsPerRun's own warm-up, runs, the traced one
+	for i := range objs {
+		ts := time.Duration(i+2) * time.Second
+		objs[i] = []bdms.ResultObject{{ID: fmt.Sprintf("%s-r%06d", p.bs, i+2), SubscriptionID: p.bs,
+			Timestamp: ts, PrevNS: int64(ts - time.Second), Rows: rows, Size: int64(len(rows))}}
+	}
+	next := 0
+	deliver := func(ctx context.Context) []broker.ResultItem {
+		o := objs[next]
+		next++
+		if err := p.b.HandleNotificationContext(ctx, p.bs, o[0].Timestamp, o); err != nil {
+			panic(err)
+		}
+		if n := <-p.alice.Notifications(); n.LatestNS != int64(o[0].Timestamp) {
+			panic(fmt.Sprintf("push announced %d, want %d", n.LatestNS, o[0].Timestamp))
+		}
+		items, err := p.alice.GetResults(p.fsA)
+		if err != nil || len(items) == 0 || items[len(items)-1].TimestampNS != int64(o[0].Timestamp) || !items[0].FromCache {
+			panic(fmt.Sprintf("retrieval = %+v, %v; want the pushed object from the cache", items, err))
+		}
+		return items
+	}
+	traced := obs.ContextWithSpan(context.Background(), obs.NewSpan()) // the trace an ingest request roots
+	deliver(traced)                                                    // the object cached at set-up, and this one
+	allocs := testing.AllocsPerRun(runs, func() {
+		if items := deliver(traced); len(items) != 1 {
+			panic(fmt.Sprintf("retrieval = %d items, want 1", len(items)))
+		}
+	})
+	if n := p.gets.Load(); n != 0 {
+		t.Fatalf("%d retrievals went over HTTP, want none", n)
+	}
+	// 40, both ends and the arrival included. The parent spent 61: beside
+	// the five spans, a context node for each of them and for the
+	// client's unrecorded one, one for each held or parsed parent (three),
+	// the request ID's node and string, two traceparent strings, the
+	// retrieval's timer and request buffer, and the frame headers its
+	// three frame reads moved to the heap.
+	if allocs > 41 {
+		t.Errorf("traced delivery = %v allocs, want at most 41", allocs)
+	}
+
+	publication := obs.NewSpan()
+	deliver(obs.ContextWithSpan(context.Background(), publication))
+	want := []string{
+		"broker.notify <- publication backend_sub=" + p.bs + " pushed=1",
+		"session.ws_write <- broker.notify subscriber=alice",
+		"http /v1/subscriptions/{fs}/results <- unrecorded method=WS status=200 transport=ws",
+		"broker.client_ack <- http /v1/subscriptions/{fs}/results subscriber=alice",
+		"cache.local_hit <- http /v1/subscriptions/{fs}/results backend_sub=" + p.bs + " objects=1",
+	}
+	sort.Strings(want)
+	if got := spanTree(t, p.traces, publication); !reflect.DeepEqual(got, want) {
+		t.Errorf("a traced delivery records\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// spanTree renders the spans rec recorded in publication's trace, sorted,
+// each as its name, "<-" its parent's name ("publication" for the root,
+// "unrecorded" for a span ID no recorded span has) and its attributes.
+func spanTree(t *testing.T, rec *span.Recorder, publication obs.SpanContext) []string {
+	t.Helper()
+	var tr span.Trace
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var err error
+		// The server span ends after its reply is written.
+		if tr, err = rec.Lookup(publication.TraceIDString()); err == nil && len(tr.Spans) >= 5 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace %s: %d spans, %v", publication.TraceIDString(), len(tr.Spans), err)
+		}
+	}
+	names := map[string]string{publication.SpanIDString(): "publication"}
+	for _, sp := range tr.Spans {
+		names[sp.SpanID] = sp.Name
+	}
+	var out []string
+	for _, sp := range tr.Spans {
+		parent, ok := names[sp.ParentID]
+		if !ok {
+			parent = "unrecorded"
+		}
+		line := sp.Name + " <- " + parent
+		keys := make([]string, 0, len(sp.Attrs))
+		for k := range sp.Attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			line += " " + k + "=" + sp.Attrs[k]
+		}
+		out = append(out, line)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // raceBuild reports a -race test binary.

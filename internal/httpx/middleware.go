@@ -73,8 +73,8 @@ func (o *Observer) Wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 		start := time.Now()
 		o.HTTP.Begin()
 		defer o.HTTP.End()
-		ctx, sp, reqID := rt.Begin(r.Context(), r.Header.Get(obs.TraceparentHeader), r.Header.Get(RequestIDHeader), r.Method)
-		w.Header().Set(RequestIDHeader, reqID)
+		ctx, sp := rt.Begin(r.Context(), r.Header.Get(obs.TraceparentHeader), r.Header.Get(RequestIDHeader), r.Method)
+		w.Header().Set(RequestIDHeader, obs.RequestIDFromContext(ctx))
 		rec := &statusRecorder{ResponseWriter: w}
 		h(rec, r.WithContext(ctx))
 		rt.End(ctx, sp, r.Method, r.URL.Path, rec.status(), rec.bytes, start)
@@ -97,18 +97,22 @@ func (o *Observer) Route(route string) *Route {
 }
 
 // Begin opens one request's server span, a child of traceparent when it
-// parses, else a new root. The returned context carries the span and the
-// request ID: reqID or, when that is empty, a fresh one.
-func (rt *Route) Begin(ctx context.Context, traceparent, reqID, method string) (context.Context, *span.Span, string) {
-	if parent, ok := obs.ParseTraceparent(traceparent); ok {
-		ctx = obs.ContextWithSpan(ctx, parent)
+// parses, else of ctx's span, else a new root. The returned context is
+// the span, carrying the request ID: reqID or, when that is empty, the
+// span's own ID, formatted only when something reads it.
+func (rt *Route) Begin(ctx context.Context, traceparent, reqID, method string) (context.Context, *span.Span) {
+	parent, ok := obs.ParseTraceparent(traceparent)
+	if !ok {
+		parent, _ = obs.SpanFromContext(ctx)
 	}
-	ctx, sp := rt.o.Traces.Start(ctx, rt.name)
+	ctx, sp := rt.o.Traces.StartFrom(ctx, parent, rt.name)
+	if sp == nil { // nothing records: a node alone carries the ID
+		sc, _ := obs.SpanFromContext(ctx)
+		return &obs.SpanNode{Context: ctx, SpanContext: sc, Server: true, RequestID: reqID}, nil
+	}
+	sp.Server, sp.RequestID = true, reqID
 	sp.SetAttr("method", method)
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	return obs.ContextWithRequestID(ctx, reqID), sp, reqID
+	return ctx, sp
 }
 
 // End closes what Begin opened: the span's status, the route's series and

@@ -125,15 +125,17 @@ func TestWrapAllocs(t *testing.T) {
 	w := httptest.NewRecorder()
 	h(w, r) // the route's series exist from here on
 	allocs := testing.AllocsPerRun(200, func() { h(w, r) })
-	// Seven: the remote parent's and the server span's context nodes, the
-	// span, the request ID, its context node and its response header
-	// value, and the request copy WithContext makes. The parent spent 20:
+	// Four: the server span, which is the request's context node and
+	// carries its request ID, the minted ID's string and its response
+	// header value, and the request copy WithContext makes. With nodes of
+	// their own for the remote parent, the span and the request ID it
+	// spent seven; with context.WithValue nodes before that, 20:
 	// a closure for the in-flight gauge, two context.WithValue pairs, the
 	// span name, the span with its trace buffer, slot and attribute map,
 	// the request ID's hex, the status code's string twice and the label
 	// key of a series lookup.
-	if allocs > 8 {
-		t.Errorf("Wrap around a no-op handler = %v allocs, want at most 8", allocs)
+	if allocs > 4 {
+		t.Errorf("Wrap around a no-op handler = %v allocs, want at most 4", allocs)
 	}
 }
 
@@ -159,8 +161,7 @@ func TestDoJSONContextForwardsTrace(t *testing.T) {
 	defer srv.Close()
 
 	parent := obs.NewSpan()
-	ctx := obs.ContextWithSpan(context.Background(), parent)
-	ctx = obs.ContextWithRequestID(ctx, "req-7")
+	ctx := &obs.SpanNode{Context: context.Background(), SpanContext: parent, Server: true, RequestID: "req-7"}
 	if err := DoJSONContext(ctx, srv.Client(), http.MethodGet, srv.URL, nil, nil); err != nil {
 		t.Fatal(err)
 	}

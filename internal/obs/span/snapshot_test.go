@@ -110,11 +110,16 @@ func TestDebugTracesGolden(t *testing.T) {
 	}
 }
 
-// TestSpanHotPathAllocs bounds what one span costs a request nobody
-// traces — a recorder at default sampling, two attributes — and keeps ID
-// formatting out of it: the budget below has no room for a hex string
-// (formatting trace, span and parent ID at End cost six more).
+// TestSpanHotPathAllocs bounds what one recorded span costs — a recorder
+// at default sampling, two attributes — as every span of a delivery does:
+// a publication ingested over HTTP roots a trace, so all its deliveries
+// are traced. It keeps ID formatting out of it: the budget below has no
+// room for a hex string (formatting trace, span and parent ID at End cost
+// six more).
 func TestSpanHotPathAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector allocates on its own")
+	}
 	r := NewRecorder("badbroker")
 	ctx := obs.ContextWithSpan(context.Background(), obs.NewSpan())
 	allocs := testing.AllocsPerRun(200, func() {
@@ -123,13 +128,13 @@ func TestSpanHotPathAllocs(t *testing.T) {
 		sp.SetAttr("status", "200")
 		sp.End()
 	})
-	// Two: the span — attributes inline, and the trace's buffer inline in
-	// the span that opened it — and its context node. The parent spent
-	// seven: the span, a context.WithValue node plus the boxed
-	// SpanContext, the trace buffer and its first slot, and the attribute
-	// map (header + bucket).
-	if allocs > 3 {
-		t.Errorf("Start+SetAttr×2+End = %v allocs, want at most 3", allocs)
+	// One: the span, which is its own context node, its attributes
+	// inline and the trace's buffer inline in the span that opened it.
+	// With a separate context node it spent two; before that, seven: the
+	// span, a context.WithValue node plus the boxed SpanContext, the trace
+	// buffer and its first slot, and the attribute map (header + bucket).
+	if allocs > 1 {
+		t.Errorf("Start+SetAttr×2+End = %v allocs, want at most 1", allocs)
 	}
 }
 

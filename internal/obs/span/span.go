@@ -138,12 +138,14 @@ func NewRecorder(service string) *Recorder {
 // span is immutable and is what the recorder buffers. A nil *Span is a
 // valid no-op.
 //
-// A span is one allocation: its first attributes live in attrBuf, and the
-// span that opens a trace carries that trace's buffer in buf. Attributes
-// become a map only when exported.
+// A span is one allocation. It is its own context node (obs.SpanNode),
+// which any goroutine may use while its owner mutates and ends it: the
+// node's fields are set before the span is shared and never change. Its first attributes live in
+// attrBuf, and the span that opens a trace carries that trace's buffer in
+// buf. Attributes become a map only when exported.
 type Span struct {
+	obs.SpanNode
 	rec       *Recorder
-	sc        obs.SpanContext
 	parent    [8]byte
 	hasParent bool
 	name      string
@@ -161,39 +163,41 @@ type Span struct {
 type attr struct{ key, value string }
 
 // Start begins a span named name as a child of the span context carried
-// by ctx (minting a new root trace when ctx has none) and returns ctx
-// with the new span installed, so logging and outbound HTTP pick it up.
-// On a nil Recorder the context wiring still happens — trace propagation
-// works without recording — and the returned *Span is nil.
+// by ctx (minting a new root trace when ctx has none) and returns the
+// span as the context that carries it under ctx, so logging and outbound
+// HTTP pick it up. On a nil Recorder the context wiring still happens —
+// trace propagation works without recording — and the returned *Span is
+// nil.
 func (r *Recorder) Start(ctx context.Context, name string) (context.Context, *Span) {
-	var sc obs.SpanContext
-	var parent [8]byte
-	hasParent := false
-	if p, ok := obs.SpanFromContext(ctx); ok {
-		sc = p.Child()
-		parent = p.SpanID
-		hasParent = true
-	} else {
-		sc = obs.NewSpan()
-	}
-	return r.startWith(ctx, name, sc, parent, hasParent)
+	parent, _ := obs.SpanFromContext(ctx)
+	return r.StartFrom(ctx, parent, name)
 }
 
 // StartRoot begins a span in a brand-new trace, ignoring any span context
 // already in ctx. Resumed sessions use it so post-failover deliveries do
 // not inherit a dead broker's trace.
 func (r *Recorder) StartRoot(ctx context.Context, name string) (context.Context, *Span) {
+	return r.StartFrom(ctx, obs.SpanContext{}, name)
+}
+
+// StartFrom is Start with the parent given rather than read from ctx: a
+// traceparent a request carried, or the span context a queued item held,
+// is joined without a context node of its own. An invalid parent mints a
+// new root trace.
+func (r *Recorder) StartFrom(ctx context.Context, parent obs.SpanContext, name string) (context.Context, *Span) {
+	if parent.Valid() {
+		return r.startWith(ctx, name, parent.Child(), parent.SpanID, true)
+	}
 	return r.startWith(ctx, name, obs.NewSpan(), [8]byte{}, false)
 }
 
 func (r *Recorder) startWith(ctx context.Context, name string, sc obs.SpanContext, parent [8]byte, hasParent bool) (context.Context, *Span) {
-	ctx = obs.ContextWithSpan(ctx, sc)
 	if r == nil {
-		return ctx, nil
+		return obs.ContextWithSpan(ctx, sc), nil
 	}
 	s := &Span{
+		SpanNode:  obs.SpanNode{Context: ctx, SpanContext: sc},
 		rec:       r,
-		sc:        sc,
 		parent:    parent,
 		hasParent: hasParent,
 		name:      name,
@@ -219,15 +223,16 @@ func (r *Recorder) startWith(ctx context.Context, name string, sc obs.SpanContex
 	}
 	tb.open++
 	r.mu.Unlock()
-	return ctx, s
+	return s, s
 }
 
-// Context returns the span's context (zero for a nil span).
+// Context returns the span's span context (zero for a nil span); the span
+// itself is the context.Context that carries it.
 func (s *Span) Context() obs.SpanContext {
 	if s == nil {
 		return obs.SpanContext{}
 	}
-	return s.sc
+	return s.SpanContext
 }
 
 // SetAttr attaches a key/value attribute.
@@ -274,7 +279,7 @@ func (s *Span) End() {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tb := r.active[s.sc.TraceID]
+	tb := r.active[s.SpanContext.TraceID]
 	if tb == nil {
 		// The trace buffer was evicted while this span was open; the
 		// span is lost, which the dropped counter already accounts for.
@@ -290,14 +295,14 @@ func (s *Span) End() {
 	if tb.open > 0 {
 		return
 	}
-	delete(r.active, s.sc.TraceID)
+	delete(r.active, s.SpanContext.TraceID)
 	for i, id := range r.activeOrder {
-		if id == s.sc.TraceID {
+		if id == s.SpanContext.TraceID {
 			r.activeOrder = append(r.activeOrder[:i], r.activeOrder[i+1:]...)
 			break
 		}
 	}
-	r.finalizeLocked(s.sc.TraceID, tb)
+	r.finalizeLocked(s.SpanContext.TraceID, tb)
 }
 
 // finalizeLocked classifies a finished trace (tb holds at least the span
@@ -365,7 +370,7 @@ func (r *Recorder) Snapshot() []Trace {
 		for _, sp := range t.spans {
 			rec := Record{
 				TraceID:    out[i].TraceID,
-				SpanID:     hex.EncodeToString(sp.sc.SpanID[:]),
+				SpanID:     hex.EncodeToString(sp.SpanContext.SpanID[:]),
 				Name:       sp.name,
 				Service:    r.service,
 				StartNano:  sp.start.UnixNano(),

@@ -7,7 +7,10 @@ import (
 	"errors"
 	"log/slog"
 	"net/http/httptest"
+	"runtime/debug"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -402,4 +405,96 @@ func TestDeliveryBucketsResolveMicroseconds(t *testing.T) {
 			t.Errorf("no queue_wait bucket le=%q in:\n%s", le, out)
 		}
 	}
+}
+
+// TestSpanServesAsContext: a started span is the context other goroutines
+// run under — they read its span context and request ID, derive
+// cancelable contexts from it and start children under it, some after it
+// ended, as the cluster's deliveries run under an ended cluster.ingest span
+// — while its owner sets its attributes, renames it and ends it, and a
+// reader exports the ring. Under -race (CI runs it at 1, 2 and 4 procs)
+// this holds the fields the node answers from apart from those the owner
+// writes; every child is recorded under the span that was its context.
+func TestSpanServesAsContext(t *testing.T) {
+	r := NewRecorder("test")
+	r.capacity = 1 << 14 // every trace the rounds finish stays in the ring
+	base, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const rounds, readers, children = 50, 4, 10
+	for round := 0; round < rounds; round++ {
+		ctx, sp := r.Start(base, "server")
+		sp.Server = true // as httpx's Route.Begin sets it, before sharing
+		want := sp.Context()
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < children; i++ {
+					if sc, ok := obs.SpanFromContext(ctx); !ok || sc != want {
+						t.Errorf("SpanFromContext = %v, %v; want %v", sc, ok, want)
+						return
+					}
+					if id := obs.RequestIDFromContext(ctx); id != want.SpanIDString() {
+						t.Errorf("RequestIDFromContext = %q, want the span's ID", id)
+						return
+					}
+					cctx, stop := context.WithCancel(ctx)
+					_, child := r.Start(cctx, "child")
+					child.SetAttr("i", strconv.Itoa(i))
+					child.End()
+					stop()
+					if ctx.Err() != nil || cctx.Err() == nil {
+						t.Errorf("cancellation crossed the span: %v, %v", ctx.Err(), cctx.Err())
+						return
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = r.Snapshot()
+		}()
+		for i := 0; i < 8; i++ {
+			sp.SetAttr("attempt", strconv.Itoa(i))
+		}
+		sp.SetName("server.done")
+		sp.SetError(errors.New("boom"))
+		sp.End()
+		wg.Wait()
+	}
+	spans := 0
+	for _, tr := range r.Snapshot() {
+		var server string
+		for _, rec := range tr.Spans {
+			if rec.Name == "server.done" {
+				server = rec.SpanID
+				if rec.Attrs["attempt"] != "7" || rec.Error != "boom" {
+					t.Errorf("server span %+v lost its owner's writes", rec)
+				}
+			}
+		}
+		for _, rec := range tr.Spans {
+			spans++
+			if rec.Name == "child" && rec.ParentID != server {
+				t.Fatalf("child %s has parent %q, want the server span %q", rec.SpanID, rec.ParentID, server)
+			}
+		}
+	}
+	if want := rounds * (1 + readers*children); spans != want {
+		t.Errorf("recorded %d spans, want %d", spans, want)
+	}
+}
+
+// raceBuild reports a -race test binary, whose instrumentation allocates
+// on its own.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

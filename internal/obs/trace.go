@@ -28,22 +28,36 @@ func (sc SpanContext) Valid() bool {
 	return sc.TraceID != [16]byte{} && sc.SpanID != [8]byte{}
 }
 
-// TraceIDString returns the 32-hex-digit trace ID.
-func (sc SpanContext) TraceIDString() string { return hex.EncodeToString(sc.TraceID[:]) }
+// TraceIDString returns the 32-hex-digit trace ID: one allocation, the
+// string.
+func (sc SpanContext) TraceIDString() string {
+	var h [32]byte
+	hex.Encode(h[:], sc.TraceID[:])
+	return string(h[:])
+}
 
-// SpanIDString returns the 16-hex-digit span ID.
-func (sc SpanContext) SpanIDString() string { return hex.EncodeToString(sc.SpanID[:]) }
+// SpanIDString returns the 16-hex-digit span ID: one allocation, the
+// string.
+func (sc SpanContext) SpanIDString() string {
+	var h [16]byte
+	hex.Encode(h[:], sc.SpanID[:])
+	return string(h[:])
+}
 
 // Traceparent renders the header value (version 00).
 func (sc SpanContext) Traceparent() string {
-	buf := make([]byte, 0, 55)
-	buf = append(buf, "00-"...)
-	buf = hex.AppendEncode(buf, sc.TraceID[:])
-	buf = append(buf, '-')
-	buf = hex.AppendEncode(buf, sc.SpanID[:])
-	buf = append(buf, '-')
-	buf = hex.AppendEncode(buf, []byte{sc.Flags})
-	return string(buf)
+	return string(sc.AppendTraceparent(make([]byte, 0, 55)))
+}
+
+// AppendTraceparent appends the header value (version 00) to dst: 55
+// bytes of hex digits and dashes, which a JSON string holds unescaped.
+func (sc SpanContext) AppendTraceparent(dst []byte) []byte {
+	dst = append(dst, "00-"...)
+	dst = hex.AppendEncode(dst, sc.TraceID[:])
+	dst = append(dst, '-')
+	dst = hex.AppendEncode(dst, sc.SpanID[:])
+	dst = append(dst, '-')
+	return hex.AppendEncode(dst, []byte{sc.Flags})
 }
 
 // Child returns a new span in the same trace (fresh span ID, flags kept).
@@ -109,62 +123,63 @@ const (
 	ctxKeyRequestID
 )
 
-// valueCtx is the context node this package installs for each of its
-// keys: one allocation, where context.WithValue costs a node plus the
-// boxed value, and Value answers the node's key with the node itself — a
-// pointer, so reading the value back boxes nothing either. A request a
-// server handles installs two span contexts and a request ID.
-type valueCtx[T any] struct {
-	context.Context
-	key ctxKey
-	val T
+// SpanNode is the context node that carries a span context: a recorded
+// span (internal/obs/span) embeds one, so a started span is its own
+// context and costs one allocation, and ContextWithSpan makes one alone
+// for a span context nothing records. Value answers the node's keys with
+// the node itself, a pointer, so reading a value back boxes nothing.
+//
+// The fields are set before the node is shared and only read after: any
+// goroutine may use the node as a context while the span's owner sets
+// its attributes and ends it.
+type SpanNode struct {
+	context.Context // the parent
+	SpanContext     SpanContext
+	// Server marks the span that serves a request: the node answers
+	// RequestIDFromContext with RequestID, the ID the request carried, or
+	// when it carried none with the span's own ID in hex — 16 digits,
+	// formatted only when read.
+	Server    bool
+	RequestID string
 }
 
-func (c *valueCtx[T]) Value(key any) any {
-	if key == c.key {
-		return c
+// Value answers the span key, the request-ID key of a server span, and
+// defers every other key to the parent.
+func (n *SpanNode) Value(key any) any {
+	switch key {
+	case ctxKeySpan:
+		return n
+	case ctxKeyRequestID:
+		if n.Server {
+			return n
+		}
 	}
-	return c.Context.Value(key)
-}
-
-// fromContext returns the value installed under key, if any.
-func fromContext[T any](ctx context.Context, key ctxKey) (T, bool) {
-	c, ok := ctx.Value(key).(*valueCtx[T])
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	return c.val, true
+	return n.Context.Value(key)
 }
 
 // ContextWithSpan attaches a span context.
 func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
-	return &valueCtx[SpanContext]{ctx, ctxKeySpan, sc}
+	return &SpanNode{Context: ctx, SpanContext: sc}
 }
 
 // SpanFromContext returns the attached span context, if any.
 func SpanFromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := fromContext[SpanContext](ctx, ctxKeySpan)
-	return sc, ok && sc.Valid()
+	n, ok := ctx.Value(ctxKeySpan).(*SpanNode)
+	if !ok {
+		return SpanContext{}, false
+	}
+	return n.SpanContext, n.SpanContext.Valid()
 }
 
-// ContextWithRequestID attaches a per-request ID.
-func ContextWithRequestID(ctx context.Context, id string) context.Context {
-	return &valueCtx[string]{ctx, ctxKeyRequestID, id}
-}
-
-// RequestIDFromContext returns the attached request ID ("" if none).
+// RequestIDFromContext returns the ID of the request ctx serves ("" if
+// none): the one it carried, else its server span's ID.
 func RequestIDFromContext(ctx context.Context) string {
-	id, _ := fromContext[string](ctx, ctxKeyRequestID)
-	return id
-}
-
-// NewRequestID mints a 16-hex-digit random request ID: one allocation, the
-// string.
-func NewRequestID() string {
-	var b [8]byte
-	var h [16]byte
-	mustRandom(b[:])
-	hex.Encode(h[:], b[:])
-	return string(h[:])
+	n, ok := ctx.Value(ctxKeyRequestID).(*SpanNode)
+	if !ok {
+		return ""
+	}
+	if n.RequestID != "" {
+		return n.RequestID
+	}
+	return n.SpanContext.SpanIDString()
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"log/slog"
 	"strings"
@@ -65,8 +66,7 @@ func TestContextCarriage(t *testing.T) {
 		t.Error("empty context should carry no span")
 	}
 	sc := NewSpan()
-	ctx = ContextWithSpan(ctx, sc)
-	ctx = ContextWithRequestID(ctx, "req-1")
+	ctx = &SpanNode{Context: ctx, SpanContext: sc, Server: true, RequestID: "req-1"}
 	got, ok := SpanFromContext(ctx)
 	if !ok || got != sc {
 		t.Errorf("SpanFromContext = %+v, %v", got, ok)
@@ -74,14 +74,21 @@ func TestContextCarriage(t *testing.T) {
 	if id := RequestIDFromContext(ctx); id != "req-1" {
 		t.Errorf("RequestIDFromContext = %q", id)
 	}
+	// A span below the server span answers its request's ID; a span
+	// context alone answers none.
+	if id := RequestIDFromContext(ContextWithSpan(ctx, sc.Child())); id != "req-1" {
+		t.Errorf("RequestIDFromContext under a child span = %q", id)
+	}
+	if id := RequestIDFromContext(ContextWithSpan(context.Background(), sc)); id != "" {
+		t.Errorf("RequestIDFromContext without a server span = %q", id)
+	}
 }
 
 func TestLoggerStampsTraceAttrs(t *testing.T) {
 	var buf bytes.Buffer
 	logger := NewLogger(&buf, slog.LevelDebug, "test-svc")
 	sc := NewSpan()
-	ctx := ContextWithSpan(context.Background(), sc)
-	ctx = ContextWithRequestID(ctx, "req-42")
+	ctx := &SpanNode{Context: context.Background(), SpanContext: sc, Server: true, RequestID: "req-42"}
 	logger.InfoContext(ctx, "hello", slog.Int("n", 1))
 
 	var line map[string]any
@@ -130,9 +137,17 @@ func TestParseLevel(t *testing.T) {
 	}
 }
 
+// TestNewRequestIDUnique: a request that carried no ID is given its server
+// span's, 16 hex digits, so two requests never share one.
 func TestNewRequestIDUnique(t *testing.T) {
-	a, b := NewRequestID(), NewRequestID()
+	mint := func() string {
+		return RequestIDFromContext(&SpanNode{Context: context.Background(), SpanContext: NewSpan(), Server: true})
+	}
+	a, b := mint(), mint()
 	if a == b || len(a) != 16 {
 		t.Errorf("request ids: %q, %q", a, b)
+	}
+	if _, err := hex.DecodeString(a); err != nil {
+		t.Errorf("request id %q is not hex: %v", a, err)
 	}
 }

@@ -11,6 +11,7 @@
 package wsock
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,12 +57,14 @@ type frame struct {
 	payload []byte
 }
 
-// readFrame decodes a single frame from r, unmasking if needed.
+// readFrame decodes a single frame from br, unmasking if needed.
 // expectMask enforces the RFC rule that client->server frames are masked
-// and server->client frames are not.
-func readFrame(r io.Reader, expectMask bool, maxSize int64) (frame, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// and server->client frames are not. The header is read in place from
+// br's buffer (next), so decoding it allocates nothing; the payload is
+// the frame's one allocation.
+func readFrame(br *bufio.Reader, expectMask bool, maxSize int64) (frame, error) {
+	hdr, err := next(br, 2)
+	if err != nil {
 		return frame{}, err
 	}
 	fin := hdr[0]&0x80 != 0
@@ -76,17 +79,17 @@ func readFrame(r io.Reader, expectMask bool, maxSize int64) (frame, error) {
 	length := int64(hdr[1] & 0x7F)
 	switch length {
 	case 126:
-		var ext [2]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
+		ext, err := next(br, 2)
+		if err != nil {
 			return frame{}, err
 		}
-		length = int64(binary.BigEndian.Uint16(ext[:]))
+		length = int64(binary.BigEndian.Uint16(ext))
 	case 127:
-		var ext [8]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
+		ext, err := next(br, 8)
+		if err != nil {
 			return frame{}, err
 		}
-		v := binary.BigEndian.Uint64(ext[:])
+		v := binary.BigEndian.Uint64(ext)
 		if v > uint64(maxSize) {
 			return frame{}, ErrMessageTooBig
 		}
@@ -100,18 +103,35 @@ func readFrame(r io.Reader, expectMask bool, maxSize int64) (frame, error) {
 	}
 	var maskKey [4]byte
 	if masked {
-		if _, err := io.ReadFull(r, maskKey[:]); err != nil {
+		key, err := next(br, 4)
+		if err != nil {
 			return frame{}, err
 		}
+		copy(maskKey[:], key)
 	}
 	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if _, err := io.ReadFull(br, payload); err != nil {
 		return frame{}, err
 	}
 	if masked {
 		maskBytes(payload, maskKey)
 	}
 	return frame{fin: fin, op: op, payload: payload}, nil
+}
+
+// next consumes the next n header bytes of br and returns them in br's
+// buffer, valid until br's next read. Its errors are io.ReadFull's: EOF
+// when br had nothing, ErrUnexpectedEOF when it ended inside the n bytes.
+func next(br *bufio.Reader, n int) ([]byte, error) {
+	p, err := br.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(p) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	_, _ = br.Discard(n)
+	return p, nil
 }
 
 // maxHeaderSize is the largest possible frame header: 2 base bytes, 8

@@ -1,6 +1,7 @@
 package wsock
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -14,7 +15,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF}, false)
 	f.Add([]byte{}, true)
 	f.Fuzz(func(t *testing.T, data []byte, expectMask bool) {
-		fr, err := readFrame(bytes.NewReader(data), expectMask, 1<<16)
+		fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)), expectMask, 1<<16)
 		if err != nil {
 			return
 		}
@@ -37,7 +38,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err := writeFrame(&buf, op, payload, mask, [4]byte{opByte, 1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
-		fr, err := readFrame(&buf, mask, DefaultMaxMessageSize)
+		fr, err := readFrame(bufio.NewReader(&buf), mask, DefaultMaxMessageSize)
 		if err != nil {
 			t.Fatalf("own frame failed to decode: %v", err)
 		}

@@ -1,6 +1,7 @@
 package wsock
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"net/http"
@@ -36,7 +37,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			if err := writeFrame(&buf, OpText, p, masked, key); err != nil {
 				t.Fatal(err)
 			}
-			f, err := readFrame(&buf, masked, DefaultMaxMessageSize)
+			f, err := readFrame(bufio.NewReader(&buf), masked, DefaultMaxMessageSize)
 			if err != nil {
 				t.Fatalf("readFrame(len=%d, masked=%v): %v", len(p), masked, err)
 			}
@@ -56,7 +57,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err := writeFrame(&buf, OpBinary, payload, masked, key); err != nil {
 			return false
 		}
-		fr, err := readFrame(&buf, masked, DefaultMaxMessageSize)
+		fr, err := readFrame(bufio.NewReader(&buf), masked, DefaultMaxMessageSize)
 		if err != nil {
 			return false
 		}
@@ -72,7 +73,7 @@ func TestReadFrameMaskMismatch(t *testing.T) {
 	if err := writeFrame(&buf, OpText, []byte("hi"), false, [4]byte{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(&buf, true, DefaultMaxMessageSize); !errors.Is(err, ErrProtocol) {
+	if _, err := readFrame(bufio.NewReader(&buf), true, DefaultMaxMessageSize); !errors.Is(err, ErrProtocol) {
 		t.Errorf("err = %v, want ErrProtocol", err)
 	}
 }
@@ -82,7 +83,7 @@ func TestReadFrameTooBig(t *testing.T) {
 	if err := writeFrame(&buf, OpBinary, make([]byte, 1000), false, [4]byte{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(&buf, false, 100); !errors.Is(err, ErrMessageTooBig) {
+	if _, err := readFrame(bufio.NewReader(&buf), false, 100); !errors.Is(err, ErrMessageTooBig) {
 		t.Errorf("err = %v, want ErrMessageTooBig", err)
 	}
 }
